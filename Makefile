@@ -48,13 +48,16 @@ test-chaos:
 test-scenarios:
 	$(GO) test -race -run 'TestScenarioMatrix$$|TestSpecByName' -count=1 -v ./internal/scenario/
 
-# The revocation-storm flake reproducer: the cell that used to fail
-# ~8%/run under the live-registry relay gate, at 60 distinct seeds
-# (>99% reproduction probability at the old rate). Every run must
-# finish with zero relay-path authorization rejects. A 5-seed smoke
-# version rides inside the ordinary `make test` sweep.
+# The flake sweep: EVERY scenario-matrix cell at 60 distinct seeds under
+# the race detector, because a cell that is deterministic per seed can
+# still lose a goroutine race one run in twenty. The revocation-storm
+# cell (which used to fail ~8%/run under the live-registry relay gate;
+# 60 seeds is >99% reproduction probability at that rate) must also
+# finish every run with zero relay-path authorization rejects. With
+# BIOT_FLAKE_RUNS unset the same test is the 5-seed revocation-storm
+# smoke that rides inside the ordinary `make test` sweep.
 test-flake:
-	BIOT_FLAKE_RUNS=60 $(GO) test -race -run TestRevocationStormFlakeSweep -count=1 -timeout 20m -v ./internal/scenario/
+	BIOT_FLAKE_RUNS=60 $(GO) test -race -run 'TestFlakeSweep$$' -count=1 -timeout 60m -v ./internal/scenario/
 
 # The scenario matrix at the 100+-node tier (111 nodes per cell).
 test-scenarios-long:
@@ -85,9 +88,10 @@ cover:
 # One testing.B bench per paper figure + ablations (laptop-scale).
 # Also snapshots the submission-pipeline scaling curve to
 # BENCH_pipeline.json, the ledger depth-scaling curve to
-# BENCH_tangle.json and the transport fan-out curve to BENCH_gossip.json
-# (the latter two are committed: they carry the anchored-vs-genesis walk
-# and pooled-vs-one-shot transport evidence).
+# BENCH_tangle.json and the pooled transport's fan-out curve to
+# BENCH_gossip.json (the latter two are committed; the committed
+# BENCH_gossip.json also holds the retired one-shot transport's
+# columns, which this no longer regenerates).
 bench:
 	$(GO) test -run XXX -bench . -benchmem .
 	$(GO) test -run XXX -bench BenchmarkTangle -benchmem ./internal/tangle/
@@ -98,7 +102,8 @@ bench:
 	$(GO) run ./cmd/biot-bench -fig chaos -json BENCH_chaos.json
 	$(GO) run ./cmd/biot-bench -fig store -json BENCH_store.json
 
-# The transport fan-out figure alone (regenerates BENCH_gossip.json).
+# The pooled transport's fan-out figure alone (rewrites
+# BENCH_gossip.json without the historical one-shot columns).
 bench-gossip:
 	$(GO) test -run XXX -bench BenchmarkGossip -benchmem ./internal/gossip/
 	$(GO) run ./cmd/biot-bench -fig gossip -json BENCH_gossip.json
@@ -114,9 +119,10 @@ bench-store:
 bench-scenarios:
 	$(GO) run ./cmd/biot-bench -fig scenarios -json BENCH_scenarios.json
 
-# The open-loop admission-latency sweep alone (regenerates
-# BENCH_latency.json): offered-rate sweep with batched-verification vs
-# per-transaction baseline, coordinated-omission-safe percentiles.
+# The open-loop admission-latency sweep alone (rewrites
+# BENCH_latency.json without the historical per-tx baseline rows):
+# offered-rate sweep over the batched-verification path,
+# coordinated-omission-safe percentiles.
 bench-latency:
 	$(GO) run ./cmd/biot-bench -fig latency -json BENCH_latency.json
 

@@ -134,7 +134,6 @@ func run() error {
 			Credit:     params,
 			Network:    net,
 			RateLimit:  *rateLimit,
-			RateWindow: time.Second,
 			Quality:    validator,
 
 			ShardID:  uint32(*shard),

@@ -37,7 +37,6 @@ func newFixture(t *testing.T, rateLimit int) *fixture {
 		Credit:     params,
 		Clock:      clk,
 		RateLimit:  rateLimit,
-		RateWindow: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

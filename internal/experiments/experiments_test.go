@@ -467,9 +467,9 @@ func TestScenarioMatrixExperimentAllCellsPass(t *testing.T) {
 }
 
 // TestLatencyBenchSweep smoke-tests the open-loop latency sweep at a
-// tiny scale: both verification modes run, every transaction is
-// accounted for, quantiles are ordered, and end-to-end latency carries
-// at least the injected link delay.
+// tiny scale: every transaction is accounted for, quantiles are
+// ordered, and end-to-end latency carries at least the injected link
+// delay.
 func TestLatencyBenchSweep(t *testing.T) {
 	cfg := QuickLatencyBenchConfig()
 	cfg.Rates = []float64{300}
@@ -480,32 +480,29 @@ func TestLatencyBenchSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("got %d rows, want batched + per-tx", len(res.Rows))
-	}
-	if res.Rows[0].Mode != "batched" || res.Rows[1].Mode != "per-tx" {
-		t.Fatalf("row modes = %q, %q", res.Rows[0].Mode, res.Rows[1].Mode)
+	if len(res.Rows) != 1 {
+		t.Fatalf("got %d rows, want one per rate", len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if row.Submitted != cfg.TxPerRate {
-			t.Errorf("%s: submitted %d, want %d (open-loop runs never drop sends)",
-				row.Mode, row.Submitted, cfg.TxPerRate)
+			t.Errorf("submitted %d, want %d (open-loop runs never drop sends)",
+				row.Submitted, cfg.TxPerRate)
 		}
 		if row.Failed != 0 {
-			t.Errorf("%s: %d failures", row.Mode, row.Failed)
+			t.Errorf("%d failures", row.Failed)
 		}
 		if row.AdmitP50 <= 0 || row.AdmitP50 > row.AdmitP99 || row.AdmitP99 > row.AdmitP999 {
-			t.Errorf("%s: admit quantiles out of order: %v %v %v",
-				row.Mode, row.AdmitP50, row.AdmitP99, row.AdmitP999)
+			t.Errorf("admit quantiles out of order: %v %v %v",
+				row.AdmitP50, row.AdmitP99, row.AdmitP999)
 		}
 		if row.E2EP50 < cfg.NetLatency {
-			t.Errorf("%s: e2e p50 %v below the %v link delay", row.Mode, row.E2EP50, cfg.NetLatency)
+			t.Errorf("e2e p50 %v below the %v link delay", row.E2EP50, cfg.NetLatency)
 		}
 		if row.E2EP50 > row.E2EP99 || row.E2EP99 > row.E2EP999 {
-			t.Errorf("%s: e2e quantiles out of order", row.Mode)
+			t.Errorf("e2e quantiles out of order")
 		}
 		if row.VerifyNsPerTx <= 0 {
-			t.Errorf("%s: no relay verification cost recorded", row.Mode)
+			t.Errorf("no relay verification cost recorded")
 		}
 	}
 	var buf bytes.Buffer

@@ -12,12 +12,11 @@ import (
 
 // GossipBenchConfig parameterizes the transport fan-out benchmark: at
 // each peer count it measures mean broadcast latency on real loopback
-// sockets for the one-shot transport (dial per exchange, serial peer
-// walk — the pre-pool baseline kept under WithoutPooling) and for the
-// persistent multiplexed transport (pooled connections, concurrent
-// fan-out). The speedup column is the headline: one-shot broadcast cost
-// is the SUM of per-peer dial+exchange times while pooled cost is the
-// MAX of warm per-peer exchanges, so the gap widens with peer count.
+// sockets for the persistent multiplexed transport (pooled connections,
+// concurrent fan-out), whose broadcast cost is the MAX of warm per-peer
+// exchanges and so should stay near-flat as the peer count grows. The
+// committed BENCH_gossip.json also carries the retired dial-per-exchange
+// transport's columns; they were last regenerable at commit 9ef8962.
 type GossipBenchConfig struct {
 	// PeerCounts lists the gossip fan-out degrees to measure.
 	PeerCounts []int
@@ -32,9 +31,7 @@ type GossipBenchConfig struct {
 	// signature + PoW verification of TxPerBatch transactions (about
 	// 80 µs per ECDSA verify alone) — which loopback sockets otherwise
 	// hide. It is the latency the concurrent fan-out overlaps across
-	// peers and the serial one-shot walk pays peer by peer, so setting
-	// it to zero understates the pooled transport's advantage rather
-	// than overstating it.
+	// peers.
 	AckDelay time.Duration
 }
 
@@ -58,19 +55,14 @@ func QuickGossipBenchConfig() GossipBenchConfig {
 // GossipBenchRow is one peer count's measurement.
 type GossipBenchRow struct {
 	Peers int `json:"peers"`
-	// OneShotNs / PooledNs are mean wall-clock times for one Broadcast
-	// reaching every peer on each transport.
-	OneShotNs float64 `json:"one_shot_ns"`
-	PooledNs  float64 `json:"pooled_ns"`
-	// Speedup is OneShotNs / PooledNs.
-	Speedup float64 `json:"speedup"`
-	// OneShotDials / PooledDials count TCP connections each transport
-	// established for the same broadcast load; Reuses counts pooled
-	// exchanges served over an already-warm connection. The dial ratio is
-	// the structural reason for the speedup.
-	OneShotDials int64 `json:"one_shot_dials"`
-	PooledDials  int64 `json:"pooled_dials"`
-	Reuses       int64 `json:"reuses"`
+	// PooledNs is the mean wall-clock time for one Broadcast reaching
+	// every peer.
+	PooledNs float64 `json:"pooled_ns"`
+	// PooledDials counts TCP connections established during the timed
+	// broadcasts; Reuses counts exchanges served over an already-warm
+	// connection.
+	PooledDials int64 `json:"pooled_dials"`
+	Reuses      int64 `json:"reuses"`
 }
 
 // GossipBenchResult is the fan-out scaling curve.
@@ -96,30 +88,11 @@ func RunGossipBench(ctx context.Context, cfg GossipBenchConfig) (*GossipBenchRes
 }
 
 func runGossipBenchPeers(ctx context.Context, cfg GossipBenchConfig, peers int) (GossipBenchRow, error) {
-	msg := benchGossipMessage(cfg)
-
-	oneShotNs, oneShotDials, _, err := timeGossipBroadcasts(ctx, cfg, peers, msg, gossip.WithoutPooling())
+	pooledNs, pooledDials, reuses, err := timeGossipBroadcasts(ctx, cfg, peers, benchGossipMessage(cfg))
 	if err != nil {
-		return GossipBenchRow{}, fmt.Errorf("one-shot: %w", err)
+		return GossipBenchRow{}, err
 	}
-	pooledNs, pooledDials, reuses, err := timeGossipBroadcasts(ctx, cfg, peers, msg)
-	if err != nil {
-		return GossipBenchRow{}, fmt.Errorf("pooled: %w", err)
-	}
-
-	speedup := 0.0
-	if pooledNs > 0 {
-		speedup = oneShotNs / pooledNs
-	}
-	return GossipBenchRow{
-		Peers:        peers,
-		OneShotNs:    oneShotNs,
-		PooledNs:     pooledNs,
-		Speedup:      speedup,
-		OneShotDials: oneShotDials,
-		PooledDials:  pooledDials,
-		Reuses:       reuses,
-	}, nil
+	return GossipBenchRow{Peers: peers, PooledNs: pooledNs, PooledDials: pooledDials, Reuses: reuses}, nil
 }
 
 // benchGossipMessage builds one deterministic transaction batch.
@@ -137,14 +110,14 @@ func benchGossipMessage(cfg GossipBenchConfig) gossip.Message {
 
 // timeGossipBroadcasts stands up one sender and `peers` receivers on
 // loopback, runs a short warm-up, then times cfg.Broadcasts broadcasts.
-func timeGossipBroadcasts(ctx context.Context, cfg GossipBenchConfig, peers int, msg gossip.Message, opts ...gossip.TCPOption) (meanNs float64, dials, reuses int64, err error) {
+func timeGossipBroadcasts(ctx context.Context, cfg GossipBenchConfig, peers int, msg gossip.Message) (meanNs float64, dials, reuses int64, err error) {
 	ack := gossip.HandlerFunc(func(string, gossip.Message) (*gossip.Message, error) {
 		if cfg.AckDelay > 0 {
 			time.Sleep(cfg.AckDelay)
 		}
 		return &gossip.Message{}, nil
 	})
-	sender, err := gossip.ListenTCP("127.0.0.1:0", opts...)
+	sender, err := gossip.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -167,8 +140,8 @@ func timeGossipBroadcasts(ctx context.Context, cfg GossipBenchConfig, peers int,
 		sender.AddPeer(r.Self())
 	}
 
-	// Warm-up establishes pooled connections (and pays first-dial costs
-	// on both transports) outside the timed window.
+	// Warm-up establishes the pooled connections (first-dial costs)
+	// outside the timed window.
 	for i := 0; i < 3; i++ {
 		if err := sender.Broadcast(ctx, msg); err != nil {
 			return 0, 0, 0, err
@@ -196,36 +169,23 @@ func (r *GossipBenchResult) Render(w io.Writer) error {
 		r.Config.Broadcasts, r.Config.TxPerBatch, r.Config.TxBytes, r.Config.AckDelay); err != nil {
 		return err
 	}
-	t := &table{header: []string{"peers", "one_shot_ns", "pooled_ns", "speedup", "one_shot_dials", "pooled_dials", "reuses"}}
-	for _, row := range r.Rows {
-		t.add(
-			fmt.Sprintf("%d", row.Peers),
-			fmt.Sprintf("%.0f", row.OneShotNs),
-			fmt.Sprintf("%.0f", row.PooledNs),
-			fmt.Sprintf("%.1fx", row.Speedup),
-			fmt.Sprintf("%d", row.OneShotDials),
-			fmt.Sprintf("%d", row.PooledDials),
-			fmt.Sprintf("%d", row.Reuses),
-		)
-	}
-	return t.render(w)
+	return r.table().render(w)
 }
 
-// CSV writes the curve as CSV.
-func (r *GossipBenchResult) CSV(w io.Writer) error {
-	t := &table{header: []string{"peers", "one_shot_ns", "pooled_ns", "speedup", "one_shot_dials", "pooled_dials", "reuses"}}
+func (r *GossipBenchResult) table() *table {
+	t := &table{header: []string{"peers", "pooled_ns", "pooled_dials", "reuses"}}
 	for _, row := range r.Rows {
 		t.add(
 			fmt.Sprintf("%d", row.Peers),
-			fmt.Sprintf("%.0f", row.OneShotNs),
 			fmt.Sprintf("%.0f", row.PooledNs),
-			fmt.Sprintf("%.2f", row.Speedup),
-			fmt.Sprintf("%d", row.OneShotDials),
 			fmt.Sprintf("%d", row.PooledDials),
 			fmt.Sprintf("%d", row.Reuses))
 	}
-	return t.csv(w)
+	return t
 }
+
+// CSV writes the curve as CSV.
+func (r *GossipBenchResult) CSV(w io.Writer) error { return r.table().csv(w) }
 
 // JSON writes the curve as a machine-readable snapshot
 // (BENCH_gossip.json in the Makefile's bench target).

@@ -21,11 +21,10 @@ import (
 // FIXED offered rates while passive relay peers absorb the gossip
 // fan-out, and every latency is measured from the transaction's
 // *scheduled* send instant (see internal/loadgen for why closed-loop
-// generators understate tail latency — coordinated omission). Each rate
-// runs twice: once on the batched-verification inbound path and once
-// with DisableBatchVerify as the per-transaction baseline, so the
-// speedup column isolates what shared-ladder VerifyBatch buys the relay
-// under identical offered load.
+// generators understate tail latency — coordinated omission). The
+// committed BENCH_latency.json also carries "per-tx" rows and speedup
+// columns measured against the retired one-verification-per-transaction
+// relay path; they were last regenerable at commit 9ef8962.
 type LatencyBenchConfig struct {
 	// Rates lists the offered loads (tx/s) to sweep.
 	Rates []float64
@@ -54,51 +53,45 @@ type LatencyBenchConfig struct {
 	// ConfirmTimeout caps one transaction's wait for relay confirmation;
 	// expiry records the sample as failed, it is never dropped.
 	ConfirmTimeout time.Duration
-	// CompareBaseline also measures every rate with DisableBatchVerify
-	// and fills the speedup columns.
-	CompareBaseline bool
 }
 
 // DefaultLatencyBenchConfig sweeps three offered rates spanning idle to
 // busy, the scale BENCH_latency.json is pinned at.
 func DefaultLatencyBenchConfig() LatencyBenchConfig {
 	return LatencyBenchConfig{
-		Rates:           []float64{100, 400, 1600},
-		TxPerRate:       600,
-		Devices:         32,
-		PayloadBytes:    64,
-		Difficulty:      8,
-		RelayPeers:      2,
-		MaxInFlight:     256,
-		NetLatency:      5 * time.Millisecond,
-		ConfirmTimeout:  10 * time.Second,
-		CompareBaseline: true,
+		Rates:          []float64{100, 400, 1600},
+		TxPerRate:      600,
+		Devices:        32,
+		PayloadBytes:   64,
+		Difficulty:     8,
+		RelayPeers:     2,
+		MaxInFlight:    256,
+		NetLatency:     5 * time.Millisecond,
+		ConfirmTimeout: 10 * time.Second,
 	}
 }
 
 // QuickLatencyBenchConfig is a CI-friendly reduction: one small rate,
-// few transactions, still exercising both verification modes.
+// few transactions.
 func QuickLatencyBenchConfig() LatencyBenchConfig {
 	return LatencyBenchConfig{
-		Rates:           []float64{400},
-		TxPerRate:       80,
-		Devices:         8,
-		PayloadBytes:    48,
-		Difficulty:      6,
-		RelayPeers:      1,
-		MaxInFlight:     64,
-		NetLatency:      5 * time.Millisecond,
-		ConfirmTimeout:  5 * time.Second,
-		CompareBaseline: true,
+		Rates:          []float64{400},
+		TxPerRate:      80,
+		Devices:        8,
+		PayloadBytes:   48,
+		Difficulty:     6,
+		RelayPeers:     1,
+		MaxInFlight:    64,
+		NetLatency:     5 * time.Millisecond,
+		ConfirmTimeout: 5 * time.Second,
 	}
 }
 
-// LatencyRow is one (offered rate, verification mode) measurement.
+// LatencyRow is one offered rate's measurement.
 type LatencyRow struct {
 	// OfferedTPS is the configured arrival rate; AchievedTPS is
 	// confirmed completions per second of elapsed run time.
 	OfferedTPS  float64 `json:"offered_tps"`
-	Mode        string  `json:"mode"` // "batched" or "per-tx"
 	AchievedTPS float64 `json:"achieved_tps"`
 	Submitted   int     `json:"submitted"`
 	Failed      int     `json:"failed"`
@@ -119,15 +112,9 @@ type LatencyRow struct {
 	// cost per transaction (histogram total / transactions settled).
 	VerifyNsPerTx float64 `json:"verify_ns_per_tx"`
 	// MeanVerifyBatch is signatures per VerifyBatch call on the relays
-	// (0 in per-tx mode; 1.0 means gossip delivered no coalesced
-	// batches and batching had nothing to work with).
+	// (1.0 means gossip delivered no coalesced batches and batching had
+	// nothing to work with).
 	MeanVerifyBatch float64 `json:"mean_verify_batch"`
-	// VerifySpeedup (batched rows only, when CompareBaseline) is the
-	// per-tx baseline's VerifyNsPerTx over this row's.
-	VerifySpeedup float64 `json:"verify_speedup,omitempty"`
-	// E2EP99Speedup (batched rows only) is baseline E2E p99 / batched
-	// E2E p99 at the same offered rate.
-	E2EP99Speedup float64 `json:"e2e_p99_speedup,omitempty"`
 }
 
 // LatencyBenchResult is the sweep.
@@ -136,9 +123,9 @@ type LatencyBenchResult struct {
 	Rows   []LatencyRow       `json:"rows"`
 }
 
-// RunLatencyBench executes the sweep. Each (rate, mode) level stands up
-// a fresh gateway + relay cluster on an in-memory bus so per-level
-// metrics and ledgers never bleed into each other.
+// RunLatencyBench executes the sweep. Each rate level stands up a fresh
+// gateway + relay cluster on an in-memory bus so per-level metrics and
+// ledgers never bleed into each other.
 func RunLatencyBench(ctx context.Context, cfg LatencyBenchConfig) (*LatencyBenchResult, error) {
 	if len(cfg.Rates) == 0 || cfg.TxPerRate < 1 || cfg.Devices < 1 || cfg.RelayPeers < 1 {
 		return nil, fmt.Errorf("latency bench workload too small")
@@ -148,25 +135,11 @@ func RunLatencyBench(ctx context.Context, cfg LatencyBenchConfig) (*LatencyBench
 	}
 	res := &LatencyBenchResult{Config: cfg}
 	for _, rate := range cfg.Rates {
-		batched, err := runLatencyLevel(ctx, cfg, rate, false)
+		row, err := runLatencyLevel(ctx, cfg, rate)
 		if err != nil {
-			return nil, fmt.Errorf("rate=%.0f batched: %w", rate, err)
+			return nil, fmt.Errorf("rate=%.0f: %w", rate, err)
 		}
-		if cfg.CompareBaseline {
-			baseline, err := runLatencyLevel(ctx, cfg, rate, true)
-			if err != nil {
-				return nil, fmt.Errorf("rate=%.0f per-tx: %w", rate, err)
-			}
-			if batched.VerifyNsPerTx > 0 {
-				batched.VerifySpeedup = baseline.VerifyNsPerTx / batched.VerifyNsPerTx
-			}
-			if batched.E2EP99 > 0 {
-				batched.E2EP99Speedup = float64(baseline.E2EP99) / float64(batched.E2EP99)
-			}
-			res.Rows = append(res.Rows, batched, baseline)
-			continue
-		}
-		res.Rows = append(res.Rows, batched)
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -192,7 +165,7 @@ func (c *latencyCluster) close() {
 	}
 }
 
-func buildLatencyCluster(ctx context.Context, cfg LatencyBenchConfig, disableBatch bool) (*latencyCluster, error) {
+func buildLatencyCluster(ctx context.Context, cfg LatencyBenchConfig) (*latencyCluster, error) {
 	c := &latencyCluster{bus: gossip.NewBus()}
 	c.bus.SetLatency(cfg.NetLatency)
 	managerKey, err := identity.Generate()
@@ -209,13 +182,12 @@ func buildLatencyCluster(ctx context.Context, cfg LatencyBenchConfig, disableBat
 		return c, err
 	}
 	c.gateway, err = node.NewFull(node.FullConfig{
-		Key:                managerKey,
-		Role:               identity.RoleManager,
-		ManagerPub:         managerKey.Public(),
-		Credit:             params,
-		Policy:             core.StaticPolicy{Difficulty: cfg.Difficulty},
-		Network:            mgrNet,
-		DisableBatchVerify: disableBatch,
+		Key:        managerKey,
+		Role:       identity.RoleManager,
+		ManagerPub: managerKey.Public(),
+		Credit:     params,
+		Policy:     core.StaticPolicy{Difficulty: cfg.Difficulty},
+		Network:    mgrNet,
 	})
 	if err != nil {
 		return c, err
@@ -235,13 +207,12 @@ func buildLatencyCluster(ctx context.Context, cfg LatencyBenchConfig, disableBat
 			return c, err
 		}
 		relay, err := node.NewFull(node.FullConfig{
-			Key:                relayKey,
-			Role:               identity.RoleGateway,
-			ManagerPub:         managerKey.Public(),
-			Credit:             params,
-			Policy:             core.StaticPolicy{Difficulty: cfg.Difficulty},
-			Network:            relayNet,
-			DisableBatchVerify: disableBatch,
+			Key:        relayKey,
+			Role:       identity.RoleGateway,
+			ManagerPub: managerKey.Public(),
+			Credit:     params,
+			Policy:     core.StaticPolicy{Difficulty: cfg.Difficulty},
+			Network:    relayNet,
 		})
 		if err != nil {
 			return c, err
@@ -268,8 +239,8 @@ func buildLatencyCluster(ctx context.Context, cfg LatencyBenchConfig, disableBat
 	return c, nil
 }
 
-func runLatencyLevel(ctx context.Context, cfg LatencyBenchConfig, rate float64, disableBatch bool) (LatencyRow, error) {
-	cluster, err := buildLatencyCluster(ctx, cfg, disableBatch)
+func runLatencyLevel(ctx context.Context, cfg LatencyBenchConfig, rate float64) (LatencyRow, error) {
+	cluster, err := buildLatencyCluster(ctx, cfg)
 	defer cluster.close()
 	if err != nil {
 		return LatencyRow{}, err
@@ -341,7 +312,6 @@ func runLatencyLevel(ctx context.Context, cfg LatencyBenchConfig, rate float64, 
 	}
 	row := LatencyRow{
 		OfferedTPS:  rate,
-		Mode:        "batched",
 		AchievedTPS: genRes.AchievedRate(),
 		Submitted:   len(genRes.Samples),
 		Failed:      genRes.Failed,
@@ -351,9 +321,6 @@ func runLatencyLevel(ctx context.Context, cfg LatencyBenchConfig, rate float64, 
 		E2EP50:      e2eSum.P50,
 		E2EP99:      e2eSum.P99,
 		E2EP999:     e2eSum.P999,
-	}
-	if disableBatch {
-		row.Mode = "per-tx"
 	}
 	if settled > 0 {
 		row.VerifyNsPerTx = float64(verifyTotal.Nanoseconds()) / float64(settled)
@@ -372,17 +339,12 @@ func (r *LatencyBenchResult) Render(w io.Writer) error {
 		r.Config.TxPerRate, r.Config.Devices, r.Config.RelayPeers, r.Config.Difficulty); err != nil {
 		return err
 	}
-	t := &table{header: []string{"offered_tps", "mode", "achieved_tps", "failed",
+	t := &table{header: []string{"offered_tps", "achieved_tps", "failed",
 		"admit_p50", "admit_p99", "admit_p999", "e2e_p50", "e2e_p99", "e2e_p999",
-		"verify_ns/tx", "mean_batch", "verify_speedup"}}
+		"verify_ns/tx", "mean_batch"}}
 	for _, row := range r.Rows {
-		speedup := ""
-		if row.VerifySpeedup > 0 {
-			speedup = fmt.Sprintf("%.2fx", row.VerifySpeedup)
-		}
 		t.add(
 			fmt.Sprintf("%.0f", row.OfferedTPS),
-			row.Mode,
 			fmt.Sprintf("%.1f", row.AchievedTPS),
 			fmt.Sprintf("%d", row.Failed),
 			fsec(row.AdmitP50),
@@ -393,7 +355,6 @@ func (r *LatencyBenchResult) Render(w io.Writer) error {
 			fsec(row.E2EP999),
 			fmt.Sprintf("%.0f", row.VerifyNsPerTx),
 			fmt.Sprintf("%.1f", row.MeanVerifyBatch),
-			speedup,
 		)
 	}
 	return t.render(w)
@@ -401,13 +362,12 @@ func (r *LatencyBenchResult) Render(w io.Writer) error {
 
 // CSV writes the sweep as CSV.
 func (r *LatencyBenchResult) CSV(w io.Writer) error {
-	t := &table{header: []string{"offered_tps", "mode", "achieved_tps", "submitted", "failed",
+	t := &table{header: []string{"offered_tps", "achieved_tps", "submitted", "failed",
 		"admit_p50_s", "admit_p99_s", "admit_p999_s", "e2e_p50_s", "e2e_p99_s", "e2e_p999_s",
-		"verify_ns_per_tx", "mean_verify_batch", "verify_speedup", "e2e_p99_speedup"}}
+		"verify_ns_per_tx", "mean_verify_batch"}}
 	for _, row := range r.Rows {
 		t.add(
 			fmt.Sprintf("%.0f", row.OfferedTPS),
-			row.Mode,
 			fmt.Sprintf("%.2f", row.AchievedTPS),
 			fmt.Sprintf("%d", row.Submitted),
 			fmt.Sprintf("%d", row.Failed),
@@ -418,9 +378,7 @@ func (r *LatencyBenchResult) CSV(w io.Writer) error {
 			fsec(row.E2EP99),
 			fsec(row.E2EP999),
 			fmt.Sprintf("%.0f", row.VerifyNsPerTx),
-			fmt.Sprintf("%.2f", row.MeanVerifyBatch),
-			fmt.Sprintf("%.3f", row.VerifySpeedup),
-			fmt.Sprintf("%.3f", row.E2EP99Speedup))
+			fmt.Sprintf("%.2f", row.MeanVerifyBatch))
 	}
 	return t.csv(w)
 }

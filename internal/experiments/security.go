@@ -114,7 +114,6 @@ func newSecurityDeployment(cfg SecurityConfig, clk clock.Clock, rateLimit int) (
 		Credit:     securityParams(cfg.Difficulty),
 		Clock:      clk,
 		RateLimit:  rateLimit,
-		RateWindow: time.Second,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -9,13 +9,9 @@ import (
 	"sync"
 	"time"
 
-	"github.com/b-iot/biot/internal/chaos"
-	"github.com/b-iot/biot/internal/clock"
 	"github.com/b-iot/biot/internal/core"
-	"github.com/b-iot/biot/internal/gossip"
-	"github.com/b-iot/biot/internal/hashutil"
-	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
+	"github.com/b-iot/biot/internal/scenario"
 )
 
 // ShardBenchConfig parameterizes the sharded-topology scaling
@@ -138,173 +134,58 @@ type ShardBenchResult struct {
 	Summary ShardSummary     `json:"summary"`
 }
 
-// shardCellDeps is one cell's deployment: a manager on the backbone,
-// N single-gateway regions (each gateway owns namespace i+1, its own
-// regional bus, and its own delayed disk), and N×Devices light nodes.
-type shardCellDeps struct {
-	backbone *gossip.Bus
-	regional []*gossip.Bus
-	clk      *clock.Virtual
-	mgr      *node.Manager
-	mgrFull  *node.FullNode
-	gateways []*node.FullNode
-	devices  [][]*node.LightNode // [gateway][device]
-}
-
-func (d *shardCellDeps) close() {
-	for _, gw := range d.gateways {
-		_ = gw.ClosePersistence()
-		gw.Close()
-	}
-	if d.mgrFull != nil {
-		d.mgrFull.Close()
-	}
-	for _, b := range d.regional {
-		b.Close()
-	}
-	if d.backbone != nil {
-		d.backbone.Close()
-	}
-}
-
-func buildShardCell(ctx context.Context, cfg ShardBenchConfig, n int) (*shardCellDeps, error) {
-	d := &shardCellDeps{
-		backbone: gossip.NewBus(),
-		clk:      clock.NewVirtual(time.Unix(1_700_000_000, 0)),
-	}
-	params := core.DefaultParams()
-	params.InitialDifficulty = cfg.Difficulty
-	params.MinDifficulty = 1
-	params.MaxDifficulty = cfg.Difficulty + 6
-
-	mgrKey, err := identity.Generate()
-	if err != nil {
-		return d, err
-	}
-	mgrNet, err := d.backbone.Join("manager")
-	if err != nil {
-		return d, err
-	}
-	d.mgrFull, err = node.NewFull(node.FullConfig{
-		Key:        mgrKey,
-		Role:       identity.RoleManager,
-		ManagerPub: mgrKey.Public(),
-		Credit:     params,
-		Clock:      d.clk,
-		Network:    mgrNet,
-	})
-	if err != nil {
-		return d, err
-	}
-	if d.mgr, err = node.NewManager(d.mgrFull); err != nil {
-		return d, err
-	}
-
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("gw-%d", i)
-		bus := gossip.NewBus()
-		d.regional = append(d.regional, bus)
-		regNet, err := bus.Join(name)
-		if err != nil {
-			return d, err
-		}
-		bbNet, err := d.backbone.Join(name)
-		if err != nil {
-			return d, err
-		}
-		key, err := identity.Generate()
-		if err != nil {
-			return d, err
-		}
-		gw, err := node.NewFull(node.FullConfig{
-			Key:        key,
-			Role:       identity.RoleGateway,
-			ManagerPub: mgrKey.Public(),
-			Credit:     params,
-			Clock:      d.clk,
-			Network:    regNet,
-			Backbone:   bbNet,
-			ShardID:    uint32(i + 1),
-		})
-		if err != nil {
-			return d, err
-		}
-		d.gateways = append(d.gateways, gw)
-
-		fs := chaos.NewMemFS(cfg.Seed + int64(i))
-		fs.SetSyncDelay(cfg.SyncDelay)
-		if _, err := gw.EnablePersistenceFS(fs, name+".journal"); err != nil {
-			return d, fmt.Errorf("%s journal: %w", name, err)
-		}
-
-		var regionDevices []*node.LightNode
-		for j := 0; j < cfg.Devices; j++ {
-			dkey, err := identity.Generate()
-			if err != nil {
-				return d, err
-			}
-			device, err := node.NewLight(node.LightConfig{
-				Key:     dkey,
-				Gateway: gw,
-				Clock:   d.clk,
-			})
-			if err != nil {
-				return d, err
-			}
-			regionDevices = append(regionDevices, device)
-			d.mgr.AuthorizeDevice(dkey.Public(), dkey.BoxPublic())
-		}
-		d.devices = append(d.devices, regionDevices)
-	}
-
-	// Distribute the authorization list: the manager broadcasts on the
-	// backbone, then each gateway pulls the control namespace so even a
-	// gateway that missed the push converges before load starts.
-	if _, err := d.mgr.PublishAuthorization(ctx); err != nil {
-		return d, err
-	}
-	if err := d.mgrFull.FlushBroadcast(ctx); err != nil {
-		return d, err
-	}
-	for _, gw := range d.gateways {
-		gw.Reconcile(ctx)
-	}
-	return d, nil
-}
-
 // runShardCell loads one topology size and returns its measurement.
+// The deployment is the scenario cluster's two-tier shape with N
+// single-gateway regions: a manager on the backbone, each gateway
+// owning namespace i+1, its own regional bus and its own delayed disk.
 func runShardCell(ctx context.Context, cfg ShardBenchConfig, n int) (ShardCell, error) {
-	d, err := buildShardCell(ctx, cfg, n)
-	if err != nil {
-		d.close()
-		return ShardCell{}, err
-	}
-	defer d.close()
-
 	cell := ShardCell{Gateways: n, Devices: cfg.Devices}
+	c, err := scenario.NewCluster(scenario.Spec{
+		Name:     "shard-bench",
+		Regions:  n,
+		Gateways: 1,
+		Devices:  cfg.Devices,
+		Params: func() core.Params {
+			params := core.DefaultParams()
+			params.InitialDifficulty = cfg.Difficulty
+			params.MinDifficulty = 1
+			params.MaxDifficulty = cfg.Difficulty + 6
+			return params
+		},
+	}, cfg.Seed)
+	if err != nil {
+		return cell, err
+	}
+	defer c.Close()
+	for _, g := range c.Gateways {
+		g.Disk.SetSyncDelay(cfg.SyncDelay)
+	}
+	// Each gateway pulls the control namespace, so even one that missed
+	// the authorization-list push converges before load starts.
+	if err := c.ReconcileAll(ctx); err != nil {
+		return cell, err
+	}
 
 	// Closed-loop load: every device posts Ops readings back-to-back;
 	// PostReading returns only after the admitting gateway's journal
 	// reports the record durable, so the device's cadence is gated by
 	// its gateway's disk — the contended resource under test.
-	errs := make(chan error, n*cfg.Devices)
+	errs := make(chan error, len(c.Devices))
 	var wg sync.WaitGroup
 	start := time.Now()
-	for gi := range d.devices {
-		for di, device := range d.devices[gi] {
-			wg.Add(1)
-			go func(gi, di int, device *node.LightNode) {
-				defer wg.Done()
-				for op := 0; op < cfg.Ops; op++ {
-					d.clk.Advance(time.Millisecond)
-					payload := []byte(fmt.Sprintf("g%d-d%d-op%d", gi, di, op))
-					if _, err := device.PostReading(ctx, payload); err != nil {
-						errs <- fmt.Errorf("gateway %d device %d op %d: %w", gi, di, op, err)
-						return
-					}
+	for d, dev := range c.Devices {
+		wg.Add(1)
+		go func(gi, di int, device *node.LightNode) {
+			defer wg.Done()
+			for op := 0; op < cfg.Ops; op++ {
+				c.Clk.Advance(time.Millisecond)
+				payload := []byte(fmt.Sprintf("g%d-d%d-op%d", gi, di, op))
+				if _, err := device.PostReading(ctx, payload); err != nil {
+					errs <- fmt.Errorf("gateway %d device %d op %d: %w", gi, di, op, err)
+					return
 				}
-			}(gi, di, device)
-		}
+			}
+		}(d/cfg.Devices, d%cfg.Devices, dev.Light)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -324,98 +205,49 @@ func runShardCell(ctx context.Context, cfg ShardBenchConfig, n int) (ShardCell, 
 	// credit digests across every backbone pair (gateway↔gateway needs
 	// the transitive hop through round two), then the manager folds the
 	// gateways' digests into its own view.
-	d.clk.Advance(time.Second)
+	c.Clk.Advance(time.Second)
 	for round := 0; round < 2; round++ {
-		for _, gw := range d.gateways {
-			gw.Reconcile(ctx)
+		if err := c.ReconcileAll(ctx); err != nil {
+			return cell, err
 		}
-		d.mgrFull.Reconcile(ctx)
+		c.MgrNode.Reconcile(ctx)
 	}
 
-	fulls := append([]*node.FullNode{d.mgrFull}, d.gateways...)
-
-	// Convergence: an identical control namespace everywhere.
-	ref := controlIDs(d.mgrFull)
-	cell.ControlSize = len(ref)
-	cell.Converged = true
-	for _, f := range fulls[1:] {
-		got := controlIDs(f)
-		if len(got) != len(ref) {
-			cell.Converged = false
-			break
-		}
-		for id := range ref {
-			if !got[id] {
-				cell.Converged = false
-				break
-			}
-		}
+	// Convergence, leakage and oracle parity are the cluster's pinned
+	// assertions; a failed one fails the cell.
+	res, err := c.Finish(ctx)
+	cell.ControlSize, cell.ShardSizes = res.TangleSize, res.ShardSizes
+	cell.Converged, cell.CreditParity = res.Converged, res.CreditParityOK
+	if err != nil {
+		return cell, err
 	}
-
-	// Leakage: each gateway's data lives in its own namespace only.
 	cell.NoLeakage = true
-	for gi, gw := range d.gateways {
-		own := uint32(gi + 1)
-		cell.ShardSizes = append(cell.ShardSizes, gw.Tangle().ShardSize(own))
-		for _, s := range gw.Tangle().Shards() {
-			if s != 0 && s != own {
-				cell.NoLeakage = false
-			}
-		}
+
+	// Credit agreement: reconciliation must leave every full agreeing
+	// on every device — including devices that never touched it.
+	now := c.Clk.Now()
+	fulls := []*node.FullNode{c.MgrNode}
+	for _, g := range c.Gateways {
+		gw := g.Sup.Node()
+		fulls = append(fulls, gw)
 		cell.BackbonePages += gw.MemoryStats().BackboneSyncPages
 	}
-	for _, s := range d.mgrFull.Tangle().Shards() {
-		if s != 0 {
-			cell.NoLeakage = false
-		}
-	}
-
-	// Credit: reconciliation must leave every full agreeing on every
-	// device — including devices that never touched it — and every
-	// full's incremental ledger matching its own rescan oracle.
-	now := d.clk.Now()
 	cell.CreditAgree = true
-	for gi := range d.devices {
-		for _, device := range d.devices[gi] {
-			home := d.gateways[gi].Engine().Ledger().CreditOf(device.Address(), now)
-			if home.CrP <= 0 {
-				cell.CreditAgree = false
-			}
-			for _, f := range fulls {
-				got := f.Engine().Ledger().CreditOf(device.Address(), now)
-				if math.Abs(got.Cr-home.Cr) > 1e-9 || math.Abs(got.CrP-home.CrP) > 1e-9 ||
-					math.Abs(got.CrN-home.CrN) > 1e-9 {
-					cell.CreditAgree = false
-				}
-			}
+	for d, dev := range c.Devices {
+		addr := dev.Key.Address()
+		home := fulls[1+d/cfg.Devices].Engine().Ledger().CreditOf(addr, now)
+		if home.CrP <= 0 {
+			cell.CreditAgree = false
 		}
-	}
-	cell.CreditParity = true
-	for _, f := range fulls {
-		ledger := f.Engine().Ledger()
-		for _, addr := range ledger.Nodes() {
-			inc, oracle := ledger.CreditOf(addr, now), ledger.RescanCredit(addr, now)
-			for _, pair := range [][2]float64{
-				{inc.Cr, oracle.Cr}, {inc.CrP, oracle.CrP}, {inc.CrN, oracle.CrN},
-			} {
-				rel := math.Abs(pair[0]-pair[1]) / (1 + math.Abs(pair[0]) + math.Abs(pair[1]))
-				if rel > 1e-9 {
-					cell.CreditParity = false
-				}
+		for _, f := range fulls {
+			got := f.Engine().Ledger().CreditOf(addr, now)
+			if math.Abs(got.Cr-home.Cr) > 1e-9 || math.Abs(got.CrP-home.CrP) > 1e-9 ||
+				math.Abs(got.CrN-home.CrN) > 1e-9 {
+				cell.CreditAgree = false
 			}
 		}
 	}
 	return cell, nil
-}
-
-// controlIDs is the namespace-0 vertex set of one full node.
-func controlIDs(f *node.FullNode) map[hashutil.Hash]bool {
-	tg := f.Tangle()
-	out := make(map[hashutil.Hash]bool)
-	for _, id := range tg.OrderedShardIDs(0, 0, tg.ShardSize(0)) {
-		out[id] = true
-	}
-	return out
 }
 
 // RunShardBench sweeps the topology sizes and gates the headline.

@@ -23,10 +23,7 @@ import (
 // first use and re-established lazily after failure with exponential
 // backoff + jitter; idle connections stay warm via keepalive pings.
 // Broadcast fans out to every peer concurrently, so one slow or dead
-// peer costs max(peer latency), not the sum. WithoutPooling restores
-// the previous one-shot behaviour (dial, exchange, close; serial
-// broadcast) — kept as the measured baseline for BenchmarkGossip* and
-// `biot-bench -fig gossip`.
+// peer costs max(peer latency), not the sum.
 type TCPNetwork struct {
 	listener  net.Listener
 	dialTO    time.Duration
@@ -38,7 +35,6 @@ type TCPNetwork struct {
 	serverIdle time.Duration
 	backoffMin time.Duration
 	backoffMax time.Duration
-	pooled     bool
 	metrics    TransportMetrics
 	nextReq    atomic.Uint64
 
@@ -86,13 +82,6 @@ func WithBackoff(min, max time.Duration) TCPOption {
 	return func(n *TCPNetwork) { n.backoffMin, n.backoffMax = min, max }
 }
 
-// WithoutPooling selects the one-shot transport: every exchange dials a
-// fresh connection and Broadcast walks peers serially. Kept as the
-// benchmark baseline the pooled transport is measured against.
-func WithoutPooling() TCPOption {
-	return func(n *TCPNetwork) { n.pooled = false }
-}
-
 // ListenTCP starts a gossip endpoint on addr (e.g. "127.0.0.1:0").
 func ListenTCP(addr string, opts ...TCPOption) (*TCPNetwork, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -106,7 +95,6 @@ func ListenTCP(addr string, opts ...TCPOption) (*TCPNetwork, error) {
 		keepalive:  15 * time.Second,
 		backoffMin: 50 * time.Millisecond,
 		backoffMax: 5 * time.Second,
-		pooled:     true,
 		metrics:    newTransportMetrics(),
 		peers:      make(map[string]struct{}),
 		conns:      make(map[string]*peerConn),
@@ -276,9 +264,6 @@ func (n *TCPNetwork) exchangePayload(ctx context.Context, addr string, payload [
 	if err := ctx.Err(); err != nil {
 		return Message{}, err
 	}
-	if !n.pooled {
-		return n.oneShotExchange(ctx, addr, payload)
-	}
 	pc := n.conn(addr)
 	if pc == nil {
 		return Message{}, ErrClosed
@@ -286,76 +271,16 @@ func (n *TCPNetwork) exchangePayload(ctx context.Context, addr string, payload [
 	return pc.exchange(ctx, payload)
 }
 
-// oneShotExchange is the pre-pool transport: dial, one exchange, close.
-func (n *TCPNetwork) oneShotExchange(ctx context.Context, addr string, payload []byte) (Message, error) {
-	dialer := net.Dialer{Timeout: n.dialTO}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		n.metrics.DialFailures.Inc()
-		return Message{}, fmt.Errorf("dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	n.metrics.Dials.Inc()
-	deadline := time.Now().Add(n.ioTO)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	_ = conn.SetDeadline(deadline)
-
-	start := time.Now()
-	nw, err := writeFrame(conn, FrameRequest, 1, payload)
-	n.metrics.BytesOut.Add(int64(nw))
-	if err != nil {
-		return Message{}, fmt.Errorf("write to %s: %w", addr, err)
-	}
-	reader := bufio.NewReader(conn)
-	for {
-		kind, _, body, wire, err := readFrame(reader)
-		if err != nil {
-			return Message{}, fmt.Errorf("read reply from %s: %w", addr, err)
-		}
-		n.metrics.BytesIn.Add(int64(wire))
-		if kind != FrameResponse {
-			continue
-		}
-		reply, err := DecodeMessage(body)
-		if err != nil {
-			return Message{}, fmt.Errorf("decode reply from %s: %w", addr, err)
-		}
-		n.metrics.ExchangeRTT.Observe(time.Since(start))
-		return reply, nil
-	}
-}
-
-// Broadcast implements Network. On the pooled transport the fan-out is
-// concurrent — one goroutine per peer over that peer's persistent
-// connection — so broadcast latency tracks the slowest single peer
-// rather than the sum of all of them.
+// Broadcast implements Network. The fan-out is concurrent — one
+// goroutine per peer over that peer's persistent connection — so
+// broadcast latency tracks the slowest single peer rather than the sum
+// of all of them.
 func (n *TCPNetwork) Broadcast(ctx context.Context, msg Message) error {
 	peers := n.Peers()
 	if len(peers) == 0 {
 		return nil
 	}
 	payload := EncodeMessage(msg)
-	if !n.pooled {
-		var lastErr error
-		delivered := 0
-		for _, addr := range peers {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if _, err := n.exchangePayload(ctx, addr, payload); err != nil {
-				lastErr = err
-				continue
-			}
-			delivered++
-		}
-		if delivered == 0 && lastErr != nil {
-			return fmt.Errorf("broadcast reached no peers: %w", lastErr)
-		}
-		return nil
-	}
-
 	var (
 		wg        sync.WaitGroup
 		mu        sync.Mutex

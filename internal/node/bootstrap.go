@@ -236,7 +236,7 @@ func (n *FullNode) Bootstrap(ctx context.Context) (BootstrapStats, error) {
 func (n *FullNode) syncRounds(ctx context.Context, peer string) {
 	for round := 0; round < maxBootstrapRounds; round++ {
 		before := n.tangle.Size()
-		n.syncFrom(ctx, peer)
+		n.syncFrom(ctx, n.cfg.Network, peer, wholeLedger)
 		if n.tangle.Size() == before {
 			return
 		}

@@ -208,29 +208,6 @@ func TestEvidenceGatePinnedRegression(t *testing.T) {
 			t.Errorf("QuarantineLen = %d, want 0", got)
 		}
 	})
-
-	t.Run("pre-fix-gate", func(t *testing.T) {
-		// The same interleaving against the old live-registry check
-		// (DisableAdmissionEvidence) MUST reproduce the flake's failure
-		// shape — this is the proof the pinned history captures the bug.
-		in := newInjectedNode(t, mgrKey, clk, func(cfg *node.FullConfig) {
-			cfg.DisableAdmissionEvidence = true
-		})
-		deliver(in)
-		c := in.n.CountersView()
-		if in.n.Tangle().Contains(reading.ID()) {
-			t.Error("live-registry gate admitted the revoked-sender reading; the flake shape is gone")
-		}
-		if got := in.n.Registry().Seq(); got != 2 {
-			t.Errorf("registry seq = %d, want stuck at 2", got)
-		}
-		if in.n.Registry().IsAuthorizedDevice(device.Key().Address()) {
-			t.Error("device authorized despite the orphaned reinstating list")
-		}
-		if got := c.StaleAuthRejects.Value(); got < 1 {
-			t.Errorf("StaleAuthRejects = %d, want ≥ 1", got)
-		}
-	})
 }
 
 // TestQuarantineBounded pins the quarantine's two bounds: a flood of
@@ -299,8 +276,10 @@ func TestQuarantineBounded(t *testing.T) {
 }
 
 // TestRelayRejectCounterParity pins exact-reject accounting across the
-// two inbound verification paths: the batched shared-ladder path and
-// the per-transaction baseline must classify an identical batch — one
+// two inbound verification paths: one three-transaction batch settles
+// its signatures with the shared-ladder VerifyBatch, while the same
+// transactions delivered as three one-transaction batches each take the
+// per-transaction verifyCached path. Both must classify the set — one
 // clean admission, one bad signature, one Sybil — into identical
 // counter deltas, with each reject counted exactly once.
 func TestRelayRejectCounterParity(t *testing.T) {
@@ -318,10 +297,8 @@ func TestRelayRejectCounterParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(t *testing.T, disableBatch bool) node.Counters {
-		in := newInjectedNode(t, mgrKey, clk, func(cfg *node.FullConfig) {
-			cfg.DisableBatchVerify = disableBatch
-		})
+	run := func(t *testing.T, oneBatch bool) node.Counters {
+		in := newInjectedNode(t, mgrKey, clk, nil)
 		g := genesisIDs(t, in.n)
 		list1 := craftAuthTx(t, mgrKey,
 			authz.List{Seq: 1, Devices: []string{identity.EncodePublic(devKey.Public())}},
@@ -333,7 +310,13 @@ func TestRelayRejectCounterParity(t *testing.T) {
 		badSig := craftTx(devKey, txn.KindData, []byte("b"), g[0], g[1], clk.Now(), floor)
 		badSig.Signature[0] ^= 0xFF // corrupt BEFORE the encoding caches
 		sybil := craftTx(sybilKey, txn.KindData, []byte("s"), g[0], g[1], clk.Now(), floor)
-		in.send(t, valid, badSig, sybil)
+		if oneBatch {
+			in.send(t, valid, badSig, sybil)
+		} else {
+			in.send(t, valid)
+			in.send(t, badSig)
+			in.send(t, sybil)
+		}
 
 		if !in.n.Tangle().Contains(valid.ID()) {
 			t.Fatal("valid transaction rejected")
@@ -341,8 +324,8 @@ func TestRelayRejectCounterParity(t *testing.T) {
 		return in.n.CountersView()
 	}
 
-	batch := run(t, false)
-	each := run(t, true)
+	batch := run(t, true)
+	each := run(t, false)
 
 	type row struct {
 		name        string

@@ -80,14 +80,10 @@ type FullConfig struct {
 	// namespace and the credit digests of every backbone peer; nil
 	// disables cross-shard reconciliation.
 	Backbone gossip.Network
-	// ReconcileInterval paces RunReconcileLoop; zero selects the
-	// default (2s).
-	ReconcileInterval time.Duration
 
-	// RateLimit bounds per-device submissions per RateWindow — the DDoS
+	// RateLimit bounds per-device submissions per second — the DDoS
 	// backstop behind the authorization check. Zero disables limiting.
-	RateLimit  int
-	RateWindow time.Duration
+	RateLimit int
 
 	// Quality, when non-nil, validates plaintext sensor readings at
 	// admission (range, rate-of-change, sequence). Violations do not
@@ -123,21 +119,6 @@ type FullConfig struct {
 	// identical snapshot manifests. Zero keeps the raw now-keep cutoff.
 	SnapshotEpoch time.Duration
 
-	// DisableBatchVerify forces the inbound gossip path back to one
-	// Ed25519 verification per transaction instead of settling each
-	// batch's signatures with one shared-ladder VerifyBatch equation.
-	// It exists as the measured baseline for the latency harness; there
-	// is no reason to set it in a deployment.
-	DisableBatchVerify bool
-
-	// DisableAdmissionEvidence reverts relayed admissions to the old
-	// live-registry authorization check (the sender is judged against
-	// this node's momentary view instead of the list in force when the
-	// transaction was admitted). It exists so the revocation-storm
-	// regression test can reproduce the pre-fix ordering race
-	// deterministically; there is no reason to set it in a deployment.
-	DisableAdmissionEvidence bool
-
 	// QuarantineCap / QuarantineTTL bound the evidence quarantine:
 	// relayed transactions whose admission evidence cannot be resolved
 	// yet (missing auth ancestor or list-sequence gap) park there and
@@ -172,9 +153,6 @@ func (c *FullConfig) withDefaults() (FullConfig, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real()
-	}
-	if cfg.RateWindow <= 0 {
-		cfg.RateWindow = time.Second
 	}
 	return cfg, nil
 }
@@ -248,7 +226,7 @@ type FullNode struct {
 	coldIdx   *store.ColdIndex                   // durable pruned-ID index; nil when memory-only
 
 	limiterMu sync.Mutex
-	limiter   map[identity.Address]*rateWindow
+	limiter   map[identity.Address]*rateBucket
 
 	// syncMu guards the per-peer sync cursors: how far into each peer's
 	// attachment order this node has already paged. Scoped (per-shard)
@@ -262,7 +240,10 @@ type FullNode struct {
 	lastReconcile atomic.Int64
 }
 
-type rateWindow struct {
+// rateWindow is the interval RateLimit counts submissions over.
+const rateWindow = time.Second
+
+type rateBucket struct {
 	start time.Time
 	count int
 }
@@ -327,7 +308,7 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 		verifySem:  newVerifySem(),
 		quar:       newQuarantine(conf.QuarantineCap, conf.QuarantineTTL),
 		pending:    make(map[hashutil.Hash]*txn.Transaction),
-		limiter:    make(map[identity.Address]*rateWindow),
+		limiter:    make(map[identity.Address]*rateBucket),
 		syncCursor: make(map[string]uint64),
 	}
 	tg.Observe(tangle.ObserverFunc(n.onTangleEvent))
@@ -443,8 +424,8 @@ func (n *FullNode) allowRate(addr identity.Address, now time.Time) bool {
 	n.limiterMu.Lock()
 	defer n.limiterMu.Unlock()
 	w := n.limiter[addr]
-	if w == nil || now.Sub(w.start) >= n.cfg.RateWindow {
-		n.limiter[addr] = &rateWindow{start: now, count: 1}
+	if w == nil || now.Sub(w.start) >= rateWindow {
+		n.limiter[addr] = &rateBucket{start: now, count: 1}
 		return true
 	}
 	if w.count >= n.cfg.RateLimit {
@@ -790,23 +771,20 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 		// like request size, stays constant no matter how large the
 		// ledger grows, and serving a sync holds the tangle read lock
 		// for one page.
-		var total int
-		var page []*txn.Transaction
-		shard := uint32(msg.Shard)
+		size, export := n.tangle.Size, n.tangle.ExportRange
 		if msg.Scoped {
-			total = n.tangle.ShardSize(shard)
-		} else {
-			total = n.tangle.Size()
+			shard := uint32(msg.Shard)
+			size = func() int { return n.tangle.ShardSize(shard) }
+			export = func(from, limit int) []*txn.Transaction {
+				return n.tangle.ExportShardRange(shard, from, limit)
+			}
 		}
+		total := size()
 		off := total
 		if msg.Offset < uint64(total) {
 			off = int(msg.Offset)
 		}
-		if msg.Scoped {
-			page = n.tangle.ExportShardRange(shard, off, syncPageSize)
-		} else {
-			page = n.tangle.ExportRange(off, syncPageSize)
-		}
+		page := export(off, syncPageSize)
 		data := make([][]byte, 0, len(page))
 		for _, t := range page {
 			if _, known := have[t.ID()]; !known {
@@ -974,7 +952,7 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 	// Missing parents: pull what we lack from the sender — once for the
 	// whole batch — then retry the deferred remainder.
 	n.pipeline.OrphanSyncs.Inc()
-	n.syncFrom(ctx, from)
+	n.syncFrom(ctx, n.cfg.Network, from, wholeLedger)
 	for _, t := range orphans {
 		if n.tangle.Contains(t.ID()) {
 			continue
@@ -1019,15 +997,6 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 func (n *FullNode) relayAuthVerdict(t *txn.Transaction) (verdict authz.Verdict, missing uint64, ok bool) {
 	if t.Kind == txn.KindAuthorization || t.Kind == txn.KindGenesis {
 		return authz.VerdictAuthorized, 0, true
-	}
-	if n.cfg.DisableAdmissionEvidence {
-		// Pre-evidence behaviour: judge the sender against the live
-		// registry (the ordering race the regression test pins).
-		s := t.Sender()
-		if n.registry.IsAuthorizedDevice(s) || n.registry.IsGateway(s) {
-			return authz.VerdictAuthorized, 0, true
-		}
-		return authz.VerdictUnauthorized, 0, true
 	}
 	seq, haveParents := n.tangle.EvidenceSeq(t.Trunk, t.Branch)
 	if !haveParents {
@@ -1169,38 +1138,74 @@ func (n *FullNode) recentHave() []hashutil.Hash {
 	return n.tangle.OrderedIDs(from, syncHaveWindow)
 }
 
-func (n *FullNode) cursorFor(peer string) uint64 {
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
-	return n.syncCursor[peer]
+// syncScope selects what one sync exchange pages: the peer's whole
+// ledger (the zero value — regional peers, bootstrap, orphan repair) or
+// a single tangle namespace (backbone reconciliation of namespace 0).
+type syncScope struct {
+	scoped bool
+	shard  uint32
 }
 
-func (n *FullNode) setCursor(peer string, cursor uint64) {
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
-	n.syncCursor[peer] = cursor
+// wholeLedger scopes a sync to everything the peer holds.
+var wholeLedger = syncScope{}
+
+// namespace scopes a sync to one tangle namespace.
+func namespace(shard uint32) syncScope { return syncScope{scoped: true, shard: shard} }
+
+// cursorKey names the persisted cursor for one (peer, scope) pair: the
+// bare peer name for the whole ledger, "peer#shard" for a namespace.
+func (s syncScope) cursorKey(peer string) string {
+	if !s.scoped {
+		return peer
+	}
+	return fmt.Sprintf("%s#%d", peer, s.shard)
 }
 
-// syncFrom pulls missing transactions from one peer and admits them in
-// order. The exchange is paged: each request carries this node's cursor
-// into the peer's attachment order plus a bounded recent-ID window, and
-// each response returns one page — both directions stay constant-size
-// as the DAG grows. The cursor persists across calls, so a steady-state
-// sync only ever pages the peer's new tail.
-func (n *FullNode) syncFrom(ctx context.Context, peer string) {
-	if n.cfg.Network == nil {
+func (n *FullNode) cursorFor(key string) uint64 {
+	n.syncMu.Lock()
+	defer n.syncMu.Unlock()
+	return n.syncCursor[key]
+}
+
+func (n *FullNode) setCursor(key string, cursor uint64) {
+	n.syncMu.Lock()
+	defer n.syncMu.Unlock()
+	n.syncCursor[key] = cursor
+}
+
+// syncFrom pulls missing transactions from one peer over net and admits
+// them in order. The exchange is paged: each request carries this node's
+// cursor into the peer's attachment order (the whole ledger's, or one
+// namespace's) plus a bounded recent-ID window, and each response
+// returns one page — both directions stay constant-size as the DAG
+// grows. The cursor persists across calls, so a steady-state sync only
+// ever pages the peer's new tail.
+func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string, scope syncScope) {
+	if net == nil {
 		return
 	}
-	cursor := n.cursorFor(peer)
+	// Data in a whole-ledger page belongs to the serving regional peer's
+	// namespace, which is this node's own; a namespace page says so itself.
+	hint, pages := n.cfg.ShardID, n.pipeline.SyncPages
+	if scope.scoped {
+		hint = scope.shard
+	}
+	if net == n.cfg.Backbone {
+		pages = n.counters.BackboneSyncPages
+	}
+	key := scope.cursorKey(peer)
+	cursor := n.cursorFor(key)
 	clean := true
 	for page := 0; page < maxSyncPages; page++ {
 		if ctx.Err() != nil {
 			return
 		}
-		reply, err := n.cfg.Network.Request(ctx, peer, gossip.Message{
+		reply, err := net.Request(ctx, peer, gossip.Message{
 			Type:   gossip.MsgSyncRequest,
 			Have:   n.recentHave(),
 			Offset: cursor,
+			Shard:  uint64(scope.shard),
+			Scoped: scope.scoped,
 		})
 		if err != nil || reply.Type != gossip.MsgSyncResponse {
 			return
@@ -1210,11 +1215,11 @@ func (n *FullNode) syncFrom(ctx context.Context, peer string) {
 			// snapshot compaction): rewind and re-page.
 			cursor = 0
 			clean = true
-			n.setCursor(peer, 0)
+			n.setCursor(key, 0)
 			continue
 		}
-		n.pipeline.SyncPages.Inc()
-		if n.admitGossipBatch(ctx, peer, reply.TxData, false, n.cfg.ShardID) > 0 {
+		pages.Inc()
+		if n.admitGossipBatch(ctx, peer, reply.TxData, false, hint) > 0 {
 			// The page had admissions we could not complete — usually a
 			// difficulty check against a still-stale credit view, or an
 			// orphan whose parent lives on another peer. The in-call
@@ -1230,7 +1235,7 @@ func (n *FullNode) syncFrom(ctx context.Context, peer string) {
 		}
 		cursor = reply.Offset
 		if clean {
-			n.setCursor(peer, cursor)
+			n.setCursor(key, cursor)
 		}
 		if !reply.More {
 			return
@@ -1245,7 +1250,7 @@ func (n *FullNode) SyncAll(ctx context.Context) {
 		return
 	}
 	for _, peer := range n.cfg.Network.Peers() {
-		n.syncFrom(ctx, peer)
+		n.syncFrom(ctx, n.cfg.Network, peer, wholeLedger)
 	}
 }
 

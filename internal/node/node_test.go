@@ -311,7 +311,6 @@ func TestRateLimiting(t *testing.T) {
 		Credit:     testParams(),
 		Clock:      clk,
 		RateLimit:  3,
-		RateWindow: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,18 +22,13 @@ import (
 //     regions carries its earned credit — and therefore its PoW
 //     difficulty — instead of being re-issued the newcomer penalty.
 //
-// Both lanes reuse the regional machinery: scoped sync pages flow
-// through the same cursor logic as syncFrom (cursors keyed
-// "peer#shard"), and digest merges route through the credit ledger's
-// own idempotent mutation paths, so reconciling twice moves nothing.
+// Both lanes reuse the regional machinery: the namespace pull is the
+// one sync pager (syncFrom) with a namespace scope, and digest merges
+// route through the credit ledger's own idempotent mutation paths, so
+// reconciling twice moves nothing.
 
-const (
-	// creditPageAccounts bounds one credit-digest page.
-	creditPageAccounts = 64
-	// defaultReconcileInterval paces RunReconcileLoop when the config
-	// leaves ReconcileInterval zero.
-	defaultReconcileInterval = 2 * time.Second
-)
+// creditPageAccounts bounds one credit-digest page.
+const creditPageAccounts = 64
 
 // ShardID returns the data namespace this gateway admits into.
 func (n *FullNode) ShardID() uint32 { return n.cfg.ShardID }
@@ -54,64 +49,6 @@ func (n *FullNode) serveCreditPage(msg gossip.Message) (*gossip.Message, error) 
 		Total:  uint64(total),
 		More:   more,
 	}, nil
-}
-
-// scopedCursorKey names the persisted sync cursor for one (peer, shard)
-// pair; unscoped cursors keep using the bare peer name.
-func scopedCursorKey(peer string, shard uint32) string {
-	return fmt.Sprintf("%s#%d", peer, shard)
-}
-
-// syncShardFrom pulls one namespace from one peer over net, admitting
-// in order — the scoped twin of syncFrom. The cursor walks the PEER'S
-// per-shard attachment order and persists under "peer#shard", so a
-// steady-state reconcile only pages the namespace's new tail.
-func (n *FullNode) syncShardFrom(ctx context.Context, net gossip.Network, peer string, shard uint32) {
-	if net == nil {
-		return
-	}
-	key := scopedCursorKey(peer, shard)
-	cursor := n.cursorFor(key)
-	clean := true
-	for page := 0; page < maxSyncPages; page++ {
-		if ctx.Err() != nil {
-			return
-		}
-		reply, err := net.Request(ctx, peer, gossip.Message{
-			Type:   gossip.MsgSyncRequest,
-			Have:   n.recentHave(),
-			Offset: cursor,
-			Shard:  uint64(shard),
-			Scoped: true,
-		})
-		if err != nil || reply.Type != gossip.MsgSyncResponse {
-			return
-		}
-		if reply.Total < cursor {
-			// The peer's namespace shrank past our cursor (restart or
-			// snapshot compaction): rewind and re-page.
-			cursor = 0
-			clean = true
-			n.setCursor(key, 0)
-			continue
-		}
-		n.counters.BackboneSyncPages.Inc()
-		if n.admitGossipBatch(ctx, peer, reply.TxData, false, shard) > 0 {
-			// Dirty page: keep the persisted cursor at it so the next
-			// reconcile round re-offers it (see syncFrom).
-			clean = false
-		}
-		if reply.Offset <= cursor {
-			return // no forward progress: a confused peer must not spin us
-		}
-		cursor = reply.Offset
-		if clean {
-			n.setCursor(key, cursor)
-		}
-		if !reply.More {
-			return
-		}
-	}
 }
 
 // pullCreditFrom pages the peer's full credit digest and merges it.
@@ -165,7 +102,7 @@ func (n *FullNode) Reconcile(ctx context.Context) {
 	}
 	if bb != nil {
 		for _, peer := range bb.Peers() {
-			n.syncShardFrom(ctx, bb, peer, 0)
+			n.syncFrom(ctx, bb, peer, namespace(0))
 			st := n.pullCreditFrom(ctx, bb, peer)
 			n.counters.CreditTxsMerged.Add(int64(st.TxsMerged))
 			n.counters.CreditEventsMerged.Add(int64(st.EventsMerged))
@@ -179,26 +116,6 @@ func (n *FullNode) Reconcile(ctx context.Context) {
 		}
 	}
 	n.lastReconcile.Store(n.cfg.Clock.Now().UnixNano())
-}
-
-// RunReconcileLoop reconciles on the configured cadence until ctx is
-// cancelled. Gateways in a sharded deployment run it as a background
-// goroutine next to the supervisor's compaction loop.
-func (n *FullNode) RunReconcileLoop(ctx context.Context) {
-	interval := n.cfg.ReconcileInterval
-	if interval <= 0 {
-		interval = defaultReconcileInterval
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			n.Reconcile(ctx)
-		}
-	}
 }
 
 // ReconcileLag reports the time since the last completed backbone

@@ -123,9 +123,6 @@ const batchVerifyChunk = 64
 // instead of k independent double-scalar multiplications, and a failed
 // chunk falls back to per-signature attribution so offenders are
 // rejected exactly as the sequential path would.
-//
-// DisableBatchVerify restores the old one-verification-per-transaction
-// path; the latency harness uses it as the measured baseline.
 func (n *FullNode) verifyInboundBatch(txs []*txn.Transaction, now time.Time) []*txn.Transaction {
 	switch len(txs) {
 	case 0:
@@ -135,9 +132,6 @@ func (n *FullNode) verifyInboundBatch(txs []*txn.Transaction, now time.Time) []*
 			return nil
 		}
 		return txs
-	}
-	if n.cfg.DisableBatchVerify {
-		return n.verifyInboundEach(txs, now)
 	}
 
 	ok := make([]bool, len(txs))
@@ -234,33 +228,4 @@ func (n *FullNode) precheckInbound(t *txn.Transaction) error {
 		return ErrUnauthorizedDevice
 	}
 	return n.verifyRelayDifficulty(t)
-}
-
-// verifyInboundEach is the per-transaction baseline: every transaction
-// pays its own full verifyCached on the pool, one goroutine each.
-func (n *FullNode) verifyInboundEach(txs []*txn.Transaction, now time.Time) []*txn.Transaction {
-	ok := make([]bool, len(txs))
-	var wg sync.WaitGroup
-	for i := range txs {
-		n.verifySem <- struct{}{} // global CPU bound across batches
-		n.pipeline.VerifyBusy.Inc()
-		n.pipeline.VerifyPeak.StoreMax(n.pipeline.VerifyBusy.Value())
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				n.pipeline.VerifyBusy.Dec()
-				<-n.verifySem
-			}()
-			ok[i] = n.verifyCached(txs[i], now) == nil
-		}(i)
-	}
-	wg.Wait()
-	out := txs[:0]
-	for i, t := range txs {
-		if ok[i] {
-			out = append(out, t)
-		}
-	}
-	return out
 }

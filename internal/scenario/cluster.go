@@ -28,11 +28,13 @@ import (
 // currently desired fault mix so a restart mid-storm stays in the
 // storm).
 type GatewayHandle struct {
-	Name  string
-	Key   *identity.KeyPair
-	Disk  *chaos.MemFS
-	Clock *chaos.SkewClock
-	Sup   *node.Supervisor
+	Name string
+	// Region indexes the gateway's region in Cluster.Regions.
+	Region int
+	Key    *identity.KeyPair
+	Disk   *chaos.MemFS
+	Clock  *chaos.SkewClock
+	Sup    *node.Supervisor
 
 	mu      sync.Mutex
 	fn      *chaos.FaultyNetwork
@@ -67,31 +69,39 @@ func (g *GatewayHandle) setNetwork(fn *chaos.FaultyNetwork) chaos.NetFaults {
 	return g.desired
 }
 
+// RegionHandle is one region of the deployment: a gateway cluster on
+// its own gossip fabric, admitting into its own data namespace.
+type RegionHandle struct {
+	// Shard is the region's data namespace: region index + 1 in a
+	// two-tier deployment, 0 (shared with the control plane) in a flat
+	// one.
+	Shard uint32
+	// Bus is the region-local gossip fabric.
+	Bus *gossip.Bus
+	// Gateways are the region's supervised gateways; in a two-tier
+	// deployment index 0 is the border gateway (also on the backbone).
+	Gateways []*GatewayHandle
+}
+
 // DeviceHandle is one IoT device bound to the cluster through a
 // roaming gateway delegate, so scenarios can move it between gateways
-// (mobility) without rebuilding the light node.
+// and regions (mobility) without rebuilding the light node.
 type DeviceHandle struct {
 	Light *node.LightNode
 	Key   *identity.KeyPair
 	roam  *roamingGateway
 }
 
-// GatewayIndex reports which gateway the device currently talks to.
-func (d *DeviceHandle) GatewayIndex() int { return int(d.roam.idx.Load()) }
-
 // roamingGateway routes a device's gateway calls to whichever gateway
 // the scenario currently binds it to, through that gateway's
 // supervisor delegate (so restarts re-resolve too).
 type roamingGateway struct {
-	c   *Cluster
-	idx atomic.Int32
+	at atomic.Pointer[GatewayHandle]
 }
 
 var _ node.Gateway = (*roamingGateway)(nil)
 
-func (r *roamingGateway) gw() node.Gateway {
-	return r.c.Gateways[r.idx.Load()].Sup.Gateway()
-}
+func (r *roamingGateway) gw() node.Gateway { return r.at.Load().Sup.Gateway() }
 
 func (r *roamingGateway) TipsForApproval() (hashutil.Hash, hashutil.Hash, error) {
 	return r.gw().TipsForApproval()
@@ -114,14 +124,24 @@ func (r *roamingGateway) TransactionsByKind(kind txn.Kind, offset int) ([]*txn.T
 // injectable disks and gossiping through per-gateway faulty networks,
 // with light-node devices bound through roaming delegates. All nodes
 // share one virtual clock; per-gateway skew layers on top of it.
+//
+// The deployment is a list of regions. In the two-tier topology
+// (DESIGN.md §16, Spec.Regions ≥ 1) the manager and each region's
+// border gateway sit on a backbone bus and every region admits data
+// into its own tangle namespace. A flat deployment (Spec.Regions 0) is
+// the one-region case: the region's namespace is 0, the manager sits on
+// the region's bus, and there is no backbone.
 type Cluster struct {
 	Spec Spec
 	Seed int64
 
-	Clk      *clock.Virtual
-	Bus      *gossip.Bus
+	Clk *clock.Virtual
+	// Backbone is the inter-region fabric; nil in a flat deployment.
+	Backbone *gossip.Bus
 	Mgr      *node.Manager
 	MgrNode  *node.FullNode
+	Regions  []*RegionHandle
+	// Gateways is every region's gateways, flattened in region order.
 	Gateways []*GatewayHandle
 	Devices  []*DeviceHandle
 
@@ -129,9 +149,12 @@ type Cluster struct {
 	// roam targets); derived from the scenario seed.
 	RNG *rand.Rand
 
-	phase    atomic.Int64
+	phase atomic.Int64
+
+	// mustHave maps a guaranteed-durable transaction ID to the region
+	// it was admitted in — the region whose namespace must retain it.
 	mustMu   sync.Mutex
-	mustHave map[string]bool
+	mustHave map[string]int
 
 	submitted    atomic.Int64
 	admitted     atomic.Int64
@@ -139,7 +162,7 @@ type Cluster struct {
 	unauthorized atomic.Int64
 
 	isolatedMu sync.Mutex
-	isolated   map[string]bool
+	isolated   map[*GatewayHandle]bool
 }
 
 // scenarioParams are the default consensus parameters for scenario
@@ -154,8 +177,10 @@ func scenarioParams() core.Params {
 	return p
 }
 
-// newCluster builds and starts the deployment for a spec.
-func newCluster(spec Spec, seed int64) (*Cluster, error) {
+// NewCluster builds and starts the deployment for a spec: the manager,
+// Gateways supervised gateways and Devices devices per region, all
+// devices authorized and the initial list published.
+func NewCluster(spec Spec, seed int64) (*Cluster, error) {
 	params := spec.Params
 	if params == nil {
 		params = scenarioParams
@@ -164,21 +189,33 @@ func newCluster(spec Spec, seed int64) (*Cluster, error) {
 		Spec:     spec,
 		Seed:     seed,
 		Clk:      clock.NewVirtual(time.Unix(1_700_000_000, 0)),
-		Bus:      gossip.NewBus(),
 		RNG:      rand.New(rand.NewSource(seed ^ 0x5CE4A210)),
-		mustHave: make(map[string]bool),
-		isolated: make(map[string]bool),
+		mustHave: make(map[string]int),
+		isolated: make(map[*GatewayHandle]bool),
 	}
 	fail := func(err error) (*Cluster, error) {
 		c.Close()
 		return nil, err
 	}
 
+	regions, firstShard := 1, uint32(0)
+	if spec.Regions > 0 {
+		regions, firstShard = spec.Regions, 1
+		c.Backbone = gossip.NewBus()
+	}
+	for r := 0; r < regions; r++ {
+		c.Regions = append(c.Regions, &RegionHandle{Shard: firstShard + uint32(r), Bus: gossip.NewBus()})
+	}
+	mgrBus := c.Backbone
+	if mgrBus == nil {
+		mgrBus = c.Regions[0].Bus
+	}
+
 	mgrKey, err := identity.Generate()
 	if err != nil {
 		return fail(err)
 	}
-	mgrNet, err := c.Bus.Join("mgr")
+	mgrNet, err := mgrBus.Join("mgr")
 	if err != nil {
 		return fail(err)
 	}
@@ -199,73 +236,89 @@ func newCluster(spec Spec, seed int64) (*Cluster, error) {
 		return fail(err)
 	}
 
-	for i := 0; i < spec.Gateways; i++ {
-		gwKey, err := identity.Generate()
-		if err != nil {
-			return fail(err)
+	for r, reg := range c.Regions {
+		for gi := 0; gi < spec.Gateways; gi++ {
+			gwKey, err := identity.Generate()
+			if err != nil {
+				return fail(err)
+			}
+			idx := int64(r*100 + gi)
+			g := &GatewayHandle{
+				Name:   fmt.Sprintf("gw-%d", len(c.Gateways)),
+				Region: r,
+				Key:    gwKey,
+				Disk:   chaos.NewMemFS(seed + idx),
+				Clock:  chaos.NewSkewClock(c.Clk, 0, seed+1000+idx),
+			}
+			border := gi == 0 && c.Backbone != nil
+			netSeed := seed + 100 + idx
+			sup, err := node.NewSupervisor(node.SupervisorConfig{
+				Build: func() (*node.FullNode, error) {
+					peer, err := reg.Bus.Join(g.Name)
+					if err != nil {
+						return nil, err
+					}
+					fn := chaos.NewFaultyNetwork(peer, chaos.NetFaults{}, netSeed)
+					fn.SetFaults(g.setNetwork(fn))
+					cfg := node.FullConfig{
+						Key:        gwKey,
+						Role:       identity.RoleGateway,
+						ManagerPub: mgrKey.Public(),
+						Credit:     params(),
+						Tangle:     spec.Tangle,
+						Clock:      g.Clock,
+						Network:    fn,
+						ShardID:    reg.Shard,
+					}
+					if border {
+						bb, err := c.Backbone.Join(g.Name)
+						if err != nil {
+							fn.Close()
+							return nil, err
+						}
+						cfg.Backbone = bb
+					}
+					n, err := node.NewFull(cfg)
+					if err != nil {
+						fn.Close()
+						return nil, err
+					}
+					return n, nil
+				},
+				PersistPath:   g.Name + ".journal",
+				FS:            g.Disk,
+				WatchInterval: 10 * time.Millisecond,
+				BackoffBase:   5 * time.Millisecond,
+			})
+			if err != nil {
+				return fail(err)
+			}
+			g.Sup = sup
+			if err := sup.Start(); err != nil {
+				return fail(fmt.Errorf("start %s: %v", g.Name, err))
+			}
+			reg.Gateways = append(reg.Gateways, g)
+			c.Gateways = append(c.Gateways, g)
 		}
-		g := &GatewayHandle{
-			Name:  fmt.Sprintf("gw-%d", i),
-			Key:   gwKey,
-			Disk:  chaos.NewMemFS(seed + int64(i)),
-			Clock: chaos.NewSkewClock(c.Clk, 0, seed+1000+int64(i)),
-		}
-		netSeed := seed + 100 + int64(i)
-		sup, err := node.NewSupervisor(node.SupervisorConfig{
-			Build: func() (*node.FullNode, error) {
-				peer, err := c.Bus.Join(g.Name)
-				if err != nil {
-					return nil, err
-				}
-				fn := chaos.NewFaultyNetwork(peer, chaos.NetFaults{}, netSeed)
-				fn.SetFaults(g.setNetwork(fn))
-				n, err := node.NewFull(node.FullConfig{
-					Key:        gwKey,
-					Role:       identity.RoleGateway,
-					ManagerPub: mgrKey.Public(),
-					Credit:     params(),
-					Tangle:     spec.Tangle,
-					Clock:      g.Clock,
-					Network:    fn,
-				})
-				if err != nil {
-					fn.Close()
-					return nil, err
-				}
-				return n, nil
-			},
-			PersistPath:   g.Name + ".journal",
-			FS:            g.Disk,
-			WatchInterval: 10 * time.Millisecond,
-			BackoffBase:   5 * time.Millisecond,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		g.Sup = sup
-		if err := sup.Start(); err != nil {
-			return fail(fmt.Errorf("start %s: %v", g.Name, err))
-		}
-		c.Gateways = append(c.Gateways, g)
-	}
 
-	for d := 0; d < spec.Devices; d++ {
-		key, err := identity.Generate()
-		if err != nil {
-			return fail(err)
+		for d := 0; d < spec.Devices; d++ {
+			key, err := identity.Generate()
+			if err != nil {
+				return fail(err)
+			}
+			roam := &roamingGateway{}
+			roam.at.Store(reg.Gateways[d%spec.Gateways])
+			light, err := node.NewLight(node.LightConfig{
+				Key:     key,
+				Gateway: roam,
+				Clock:   c.Clk,
+			})
+			if err != nil {
+				return fail(err)
+			}
+			c.Devices = append(c.Devices, &DeviceHandle{Light: light, Key: key, roam: roam})
+			c.Mgr.AuthorizeDevice(key.Public(), key.BoxPublic())
 		}
-		roam := &roamingGateway{c: c}
-		roam.idx.Store(int32(d % spec.Gateways))
-		light, err := node.NewLight(node.LightConfig{
-			Key:     key,
-			Gateway: roam,
-			Clock:   c.Clk,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		c.Devices = append(c.Devices, &DeviceHandle{Light: light, Key: key, roam: roam})
-		c.Mgr.AuthorizeDevice(key.Public(), key.BoxPublic())
 	}
 	ctx := context.Background()
 	if _, err := c.Mgr.PublishAuthorization(ctx); err != nil {
@@ -288,15 +341,18 @@ func (c *Cluster) Close() {
 	if c.MgrNode != nil {
 		_ = c.MgrNode.Close()
 	}
-	if c.Bus != nil {
-		_ = c.Bus.Close()
+	for _, reg := range c.Regions {
+		_ = reg.Bus.Close()
+	}
+	if c.Backbone != nil {
+		_ = c.Backbone.Close()
 	}
 }
 
-// MoveDevice re-binds device d to gateway gw: mobility between
-// coverage areas. Call between traffic rounds.
-func (c *Cluster) MoveDevice(d, gw int) {
-	c.Devices[d].roam.idx.Store(int32(gw))
+// MoveDevice roams device d to (region, gateway): IoT mobility across
+// coverage areas and administrative regions. Call between rounds.
+func (c *Cluster) MoveDevice(d, region, gateway int) {
+	c.Devices[d].roam.at.Store(c.Regions[region].Gateways[gateway])
 }
 
 // KillGateway crashes gateway i's machine: the node dies without
@@ -309,24 +365,21 @@ func (c *Cluster) KillGateway(i int, reboot bool) {
 	}
 }
 
-// IsolateGateway partitions gateway i from every other node on the
-// bus; HealAll lifts it.
+// IsolateGateway partitions gateway i from every other node on its
+// region's bus; HealAll lifts it.
 func (c *Cluster) IsolateGateway(i int) {
-	name := c.Gateways[i].Name
-	c.Bus.Isolate(name)
+	g := c.Gateways[i]
+	c.Regions[g.Region].Bus.Isolate(g.Name)
 	c.isolatedMu.Lock()
-	c.isolated[name] = true
+	c.isolated[g] = true
 	c.isolatedMu.Unlock()
 }
 
-// Unauthorized reports how many device submissions the authorization
-// gate rejected so far.
-func (c *Cluster) Unauthorized() int64 { return c.unauthorized.Load() }
-
 // Traffic runs one round: every device posts PerPhase readings
-// concurrently. With faultsActive, submission failures are the point
-// and are only counted; otherwise they abort the round. A transaction
-// enters the cluster's zero-loss obligation iff its submit succeeded
+// concurrently to its current gateway. With faultsActive, submission
+// failures are the point and are only counted; otherwise they abort the
+// round. A transaction enters the cluster's zero-loss obligation —
+// tagged with the region it was admitted in — iff its submit succeeded
 // on a node instance whose journal was still verifiably healthy
 // afterwards (poison is sticky per instance, so healthy-after proves
 // the append fsynced).
@@ -339,8 +392,8 @@ func (c *Cluster) Traffic(ctx context.Context, faultsActive bool) error {
 		go func(d int, dev *DeviceHandle) {
 			defer wg.Done()
 			for i := 0; i < c.Spec.PerPhase; i++ {
-				sup := c.Gateways[dev.GatewayIndex()].Sup
-				before := sup.Node()
+				g := dev.roam.at.Load()
+				before := g.Sup.Node()
 				c.submitted.Add(1)
 				res, err := dev.Light.PostReading(ctx,
 					[]byte(fmt.Sprintf("%s p%d d%d i%d", c.Spec.Name, phase, d, i)))
@@ -356,10 +409,10 @@ func (c *Cluster) Traffic(ctx context.Context, faultsActive bool) error {
 					continue
 				}
 				c.admitted.Add(1)
-				after := sup.Node()
+				after := g.Sup.Node()
 				if before != nil && before == after && after.JournalHealthy() {
 					c.mustMu.Lock()
-					c.mustHave[res.Info.ID.String()] = true
+					c.mustHave[res.Info.ID.String()] = g.Region
 					c.mustMu.Unlock()
 				}
 			}
@@ -379,10 +432,10 @@ func (c *Cluster) Traffic(ctx context.Context, faultsActive bool) error {
 // included).
 func (c *Cluster) HealAll(ctx context.Context) error {
 	c.isolatedMu.Lock()
-	for name := range c.isolated {
-		c.Bus.Restore(name)
+	for g := range c.isolated {
+		c.Regions[g.Region].Bus.Restore(g.Name)
 	}
-	c.isolated = make(map[string]bool)
+	c.isolated = make(map[*GatewayHandle]bool)
 	c.isolatedMu.Unlock()
 	for _, g := range c.Gateways {
 		g.HealFaults()
@@ -392,11 +445,17 @@ func (c *Cluster) HealAll(ctx context.Context) error {
 			}
 		}
 	}
+	return c.WaitReady()
+}
+
+// WaitReady blocks until every supervisor reports ready (watchdog
+// restarts included) or the deadline passes.
+func (c *Cluster) WaitReady() error {
 	deadline := time.Now().Add(15 * time.Second)
 	for _, g := range c.Gateways {
 		for !g.Sup.Ready() {
 			if time.Now().After(deadline) {
-				return fmt.Errorf("%s never became ready after healing: %+v", g.Name, g.Sup.Health())
+				return fmt.Errorf("%s never became ready: %+v", g.Name, g.Sup.Health())
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -414,7 +473,8 @@ func (c *Cluster) staleAuthRejects() int64 {
 	return total
 }
 
-// fulls returns every live full node, manager first.
+// fulls returns every live full node: manager first, then gateways in
+// region order.
 func (c *Cluster) fulls() []*node.FullNode {
 	out := []*node.FullNode{c.MgrNode}
 	for _, g := range c.Gateways {
@@ -425,10 +485,11 @@ func (c *Cluster) fulls() []*node.FullNode {
 	return out
 }
 
-func idSet(n *node.FullNode) map[string]bool {
+// shardSet collects one namespace's resident IDs on a node.
+func shardSet(n *node.FullNode, shard uint32) map[string]bool {
 	set := make(map[string]bool)
-	for _, tr := range n.Tangle().Export() {
-		set[tr.ID().String()] = true
+	for _, id := range n.Tangle().OrderedShardIDs(shard, 0, math.MaxInt32) {
+		set[id.String()] = true
 	}
 	return set
 }
@@ -445,52 +506,133 @@ func equalSets(a, b map[string]bool) bool {
 	return true
 }
 
-// Converge flushes every node's fan-out pipeline, then pull-syncs the
-// cluster to a fixpoint of identical tangle ID sets. It returns the
-// number of sync rounds taken and whether the fixpoint was reached.
+// flush drains every live node's fan-out pipeline.
+func (c *Cluster) flush(ctx context.Context) error {
+	for _, n := range c.fulls() {
+		if err := n.FlushBroadcast(ctx); err != nil {
+			return fmt.Errorf("flush: %w", err)
+		}
+	}
+	return nil
+}
+
+// ReconcileAll flushes every node's fan-out, then runs one Reconcile
+// round on every gateway (border gateways pull the backbone, every
+// gateway spreads credit regionally).
+func (c *Cluster) ReconcileAll(ctx context.Context) error {
+	if err := c.flush(ctx); err != nil {
+		return err
+	}
+	for _, g := range c.Gateways {
+		if n := g.Sup.Node(); n != nil {
+			n.Reconcile(ctx)
+		}
+	}
+	return nil
+}
+
+// Converge drives regional pull-syncs — and, behind a backbone,
+// reconciliation — to the sharded fixpoint: the control namespace
+// identical on every full node, and each region's data namespace
+// identical across that region's gateways. In a flat deployment the one
+// region's namespace IS the control namespace, so the fixpoint is
+// "identical tangle everywhere". It returns the rounds taken and
+// whether the fixpoint was reached.
 func (c *Cluster) Converge(ctx context.Context) (rounds int, converged bool, err error) {
 	fulls := c.fulls()
-	if len(fulls) != c.Spec.Gateways+1 {
-		return 0, false, fmt.Errorf("only %d/%d full nodes alive", len(fulls), c.Spec.Gateways+1)
+	if len(fulls) != len(c.Gateways)+1 {
+		return 0, false, fmt.Errorf("only %d/%d full nodes alive", len(fulls), len(c.Gateways)+1)
 	}
-	for _, n := range fulls {
-		if err := n.FlushBroadcast(ctx); err != nil {
-			return 0, false, fmt.Errorf("flush: %w", err)
-		}
+	// Every node on a region bus pull-syncs whole ledgers from it. Behind
+	// a backbone that excludes the manager — a whole-ledger pull there
+	// would drag every data namespace across — and reconciliation moves
+	// the control plane and credit instead.
+	step, syncers := c.flush, fulls
+	if c.Backbone != nil {
+		step, syncers = c.ReconcileAll, fulls[1:]
 	}
 	const maxRounds = 40
 	for rounds = 1; rounds <= maxRounds; rounds++ {
-		for _, n := range fulls {
+		if err := step(ctx); err != nil {
+			return rounds, false, err
+		}
+		for _, n := range syncers {
 			n.SyncAll(ctx)
 		}
-		ref := idSet(fulls[0])
-		same := true
-		for _, n := range fulls[1:] {
-			if !equalSets(ref, idSet(n)) {
-				same = false
-				break
-			}
-		}
-		if same {
+		if c.atFixpoint() {
 			return rounds, true, nil
 		}
 	}
 	return maxRounds, false, nil
 }
 
-// checkZeroLoss verifies every guaranteed-durable transaction is
-// present on the reference node (call after Converge reached the
-// fixpoint, so presence on one node is presence on all).
+func (c *Cluster) atFixpoint() bool {
+	ref := shardSet(c.MgrNode, 0)
+	for _, reg := range c.Regions {
+		var regional map[string]bool
+		for gi, g := range reg.Gateways {
+			n := g.Sup.Node()
+			if n == nil {
+				return false
+			}
+			if !equalSets(ref, shardSet(n, 0)) {
+				return false
+			}
+			if reg.Shard == 0 {
+				continue // flat: the data namespace is the control namespace
+			}
+			if gi == 0 {
+				regional = shardSet(n, reg.Shard)
+			} else if !equalSets(regional, shardSet(n, reg.Shard)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkZeroLoss verifies every guaranteed-durable transaction is still
+// resident in the namespace of the region that admitted it (call
+// after Converge, so one gateway per region speaks for all).
 func (c *Cluster) checkZeroLoss() (durable, lost int) {
-	ref := idSet(c.fulls()[0])
+	regional := make([]map[string]bool, len(c.Regions))
+	for r, reg := range c.Regions {
+		regional[r] = shardSet(reg.Gateways[0].Sup.Node(), reg.Shard)
+	}
 	c.mustMu.Lock()
 	defer c.mustMu.Unlock()
-	for id := range c.mustHave {
-		if !ref[id] {
+	for id, r := range c.mustHave {
+		if !regional[r][id] {
 			lost++
 		}
 	}
 	return len(c.mustHave), lost
+}
+
+// checkNoLeakage verifies data-namespace isolation: every full node
+// holds namespace 0 plus at most its own region's namespace — no
+// gateway a vertex of another region's shard, the manager no data
+// shard at all. Vacuous in a flat deployment, whose only namespace is 0.
+func (c *Cluster) checkNoLeakage() error {
+	for _, s := range c.MgrNode.Tangle().Shards() {
+		if s != 0 {
+			return fmt.Errorf("manager holds %d vertices of shard %d", c.MgrNode.Tangle().ShardSize(s), s)
+		}
+	}
+	for _, g := range c.Gateways {
+		n := g.Sup.Node()
+		if n == nil {
+			continue
+		}
+		own := c.Regions[g.Region].Shard
+		for _, s := range n.Tangle().Shards() {
+			if s != 0 && s != own {
+				return fmt.Errorf("%s (region %d) holds %d vertices of foreign shard %d",
+					g.Name, g.Region, n.Tangle().ShardSize(s), s)
+			}
+		}
+	}
+	return nil
 }
 
 // checkCreditParity compares every full node's incremental credit

@@ -118,7 +118,7 @@ func deviceChurnMobility(tier Tier) Spec {
 	spec.OnRound = func(ctx context.Context, c *Cluster, round int) error {
 		for i := 0; i < len(c.Devices)/4; i++ {
 			d := c.RNG.Intn(len(c.Devices))
-			c.MoveDevice(d, c.RNG.Intn(len(c.Gateways)))
+			c.MoveDevice(d, 0, c.RNG.Intn(len(c.Gateways)))
 			moved++
 		}
 		return nil

@@ -80,43 +80,52 @@ func TestScenarioMatrixLong(t *testing.T) {
 	runMatrix(t, TierLong)
 }
 
-// TestRevocationStormFlakeSweep replays the revocation-storm cell at
-// many DISTINCT seeds — the cell that used to flake ~8%/run when relay
-// admission was judged against the live registry instead of admission
-// evidence. Five seeds ride in the ordinary suite as a smoke test;
-// make test-flake raises it to 60 via BIOT_FLAKE_RUNS, which at the old
-// flake rate had >99% probability of reproducing at least one failure.
-// Every run must also finish with zero relay-path authorization
-// rejects: the fix is only credible if the storm produces NO stale-gate
-// activity at all, not merely a recovered registry.
-func TestRevocationStormFlakeSweep(t *testing.T) {
-	runs := 5
+// TestFlakeSweep replays matrix cells at many DISTINCT seeds, because
+// seed-determinism is not schedule-determinism: a cell that passes at
+// the default seed can still lose a goroutine race one run in twenty.
+//
+// Unset, BIOT_FLAKE_RUNS leaves the in-suite smoke: the revocation-storm
+// cell — which used to flake ~8%/run when relay admission was judged
+// against the live registry instead of admission evidence — at five
+// seeds. make test-flake sets it to 60 and the sweep then covers EVERY
+// matrix cell at that many seeds under -race (at the old 8% rate, >99%
+// probability of reproducing at least one failure). Every
+// revocation-storm run must also finish with zero relay-path
+// authorization rejects: the fix is only credible if the storm produces
+// NO stale-gate activity at all, not merely a recovered registry.
+func TestFlakeSweep(t *testing.T) {
+	cells, runs := []string{"revocation-storm"}, 5
 	if env := os.Getenv("BIOT_FLAKE_RUNS"); env != "" {
 		v, err := strconv.Atoi(env)
 		if err != nil || v < 1 {
 			t.Fatalf("BIOT_FLAKE_RUNS: bad value %q", env)
 		}
-		runs = v
+		runs, cells = v, nil
+		for _, spec := range Matrix(TierCI) {
+			cells = append(cells, spec.Name)
+		}
 	}
 	base := scenarioSeed(t)
-	for i := 0; i < runs; i++ {
-		seed := base + int64(i)
-		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			t.Parallel()
-			// A fresh Spec per run: the storm hooks close over mutable
-			// per-run state (revocation rotation, expected rejects).
-			spec, ok := SpecByName("revocation-storm", TierCI)
-			if !ok {
-				t.Fatal("revocation-storm missing from the matrix")
-			}
-			res, err := Run(context.Background(), spec, seed)
-			if err != nil {
-				t.Fatalf("[rerun with BIOT_SCENARIO_SEED=%d] %v\nrow: %+v", seed, err, res)
-			}
-			if res.StaleAuthRejects != 0 {
-				t.Fatalf("[seed %d] %d stale-gate rejects, want 0", seed, res.StaleAuthRejects)
-			}
-		})
+	for _, name := range cells {
+		for i := 0; i < runs; i++ {
+			seed := base + int64(i)
+			t.Run(name+"/"+strconv.FormatInt(seed, 10), func(t *testing.T) {
+				t.Parallel()
+				// A fresh Spec per run: the storm hooks close over mutable
+				// per-run state (revocation rotation, expected rejects).
+				spec, ok := SpecByName(name, TierCI)
+				if !ok {
+					t.Fatalf("%s missing from the matrix", name)
+				}
+				res, err := Run(context.Background(), spec, seed)
+				if err != nil {
+					t.Fatalf("[rerun with BIOT_SCENARIO_SEED=%d] %v\nrow: %+v", seed, err, res)
+				}
+				if name == "revocation-storm" && res.StaleAuthRejects != 0 {
+					t.Fatalf("[seed %d] %d stale-gate rejects, want 0", seed, res.StaleAuthRejects)
+				}
+			})
+		}
 	}
 }
 

@@ -25,14 +25,14 @@ import (
 func TestMultiRegionRoam(t *testing.T) {
 	seed := scenarioSeed(t)
 	ctx := context.Background()
-	spec := RegionSpec{
-		Name:              "multi-region-roam",
-		Regions:           2,
-		GatewaysPerRegion: 2,
-		DevicesPerRegion:  3,
-		PerPhase:          2,
+	spec := Spec{
+		Name:     "multi-region-roam",
+		Regions:  2,
+		Gateways: 2,
+		Devices:  3,
+		PerPhase: 2,
 	}
-	c, err := NewRegionCluster(spec, seed)
+	c, err := NewCluster(spec, seed)
 	if err != nil {
 		t.Fatalf("[seed %d] build: %v", seed, err)
 	}
@@ -57,9 +57,9 @@ func TestMultiRegionRoam(t *testing.T) {
 
 	// The roamer earned all its credit in region 0.
 	roamer := c.Devices[0].Key.Address()
-	src, err := c.BorderNode(0)
-	if err != nil {
-		t.Fatal(err)
+	src := c.Regions[0].Gateways[0].Sup.Node()
+	if src == nil {
+		t.Fatalf("[seed %d] home border gateway down", seed)
 	}
 	now := c.Clk.Now()
 	srcCredit := src.Engine().Ledger().CreditOf(roamer, now)
@@ -131,6 +131,6 @@ func TestMultiRegionRoam(t *testing.T) {
 	}
 	t.Logf("%s: %d/%d admitted, %d durable (0 lost), fixpoint in %d rounds, control %d, shards %v, "+
 		"credit parity max Δ %.2g, restarts %d",
-		res.Name, res.Admitted, res.Submitted, res.Durable, res.SyncRounds,
-		res.ControlSize, res.ShardSizes, res.MaxCreditDelta, res.Restarts)
+		res.Scenario, res.Admitted, res.Submitted, res.Durable, res.SyncRounds,
+		res.TangleSize, res.ShardSizes, res.MaxCreditDelta, res.Restarts)
 }

@@ -7,9 +7,11 @@
 // set of survival assertions:
 //
 //   - convergence: after healing, every full node holds the identical
-//     tangle;
+//     control namespace and every region's gateways the identical data
+//     namespace (in a flat deployment: the identical tangle);
 //   - zero admitted-transaction loss: nothing whose submit succeeded
 //     on a verifiably healthy journal may vanish;
+//   - zero cross-shard leakage: no node holds another region's data;
 //   - credit integrity: every node's incremental credit evaluation
 //     matches its from-scratch RescanCredit oracle.
 //
@@ -67,7 +69,14 @@ type Spec struct {
 	// Tier records which tier the spec was sized for.
 	Tier Tier
 
-	// Gateways/Devices size the deployment (plus one manager node).
+	// Regions selects the topology. Zero is the flat deployment: one
+	// region whose data shares namespace 0 with the control plane, the
+	// manager on the region's bus, no backbone. N ≥ 1 is the two-tier
+	// deployment (DESIGN.md §16): N regions admitting into namespaces
+	// 1..N, with the manager and each region's gateway 0 (its border
+	// gateway) on a backbone bus.
+	Regions int
+	// Gateways/Devices size each region (plus one manager node).
 	Gateways int
 	Devices  int
 	// PerPhase is submissions per device per traffic round.
@@ -123,7 +132,11 @@ type Result struct {
 	LostDurable int  `json:"lost_durable"`
 	Converged   bool `json:"converged"`
 	SyncRounds  int  `json:"sync_rounds"`
-	TangleSize  int  `json:"tangle_size"`
+	// TangleSize is the reference node's (the manager's) ledger size:
+	// the whole tangle in a flat deployment, the control namespace in a
+	// two-tier one, whose per-region data namespaces ShardSizes lists.
+	TangleSize int   `json:"tangle_size"`
+	ShardSizes []int `json:"shard_sizes,omitempty"`
 
 	Restarts        int64   `json:"watchdog_restarts"`
 	CreditAccounts  int     `json:"credit_accounts"`
@@ -135,43 +148,85 @@ type Result struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
+// row snapshots the deployment shape and traffic counters into a
+// result row.
+func (c *Cluster) row() Result {
+	return Result{
+		Scenario:         c.Spec.Name,
+		About:            c.Spec.About,
+		Tier:             c.Spec.Tier.String(),
+		Seed:             c.Seed,
+		Gateways:         len(c.Gateways),
+		Devices:          len(c.Devices),
+		Nodes:            len(c.Gateways) + len(c.Devices) + 1,
+		Submitted:        c.submitted.Load(),
+		Admitted:         c.admitted.Load(),
+		SubmitErrors:     c.submitErrors.Load(),
+		Unauthorized:     c.unauthorized.Load(),
+		StaleAuthRejects: c.staleAuthRejects(),
+		Restarts:         c.totalRestarts(),
+	}
+}
+
+// Finish converges the cluster and fills + enforces the pinned
+// assertions: fixpoint reached, zero durable loss, zero cross-shard
+// leakage, credit parity on every node. The row is filled as far as
+// the run got even on failure.
+func (c *Cluster) Finish(ctx context.Context) (Result, error) {
+	rounds, converged, err := c.Converge(ctx)
+	res := c.row()
+	res.SyncRounds, res.Converged = rounds, converged
+	if err != nil {
+		return res, err
+	}
+	res.TangleSize = c.MgrNode.Tangle().Size()
+	for _, reg := range c.Regions {
+		if reg.Shard != 0 {
+			res.ShardSizes = append(res.ShardSizes, reg.Gateways[0].Sup.Node().Tangle().ShardSize(reg.Shard))
+		}
+	}
+	res.Durable, res.LostDurable = c.checkZeroLoss()
+	res.CreditAccounts, res.MaxCreditDelta, res.CreditParityOK = c.checkCreditParity()
+	res.MaliciousEvents = c.maliciousEvents()
+
+	if !converged {
+		return res, fmt.Errorf("nodes did not converge within %d sync rounds", rounds)
+	}
+	if res.LostDurable > 0 {
+		return res, fmt.Errorf("%d of %d guaranteed-durable transactions lost",
+			res.LostDurable, res.Durable)
+	}
+	if err := c.checkNoLeakage(); err != nil {
+		return res, err
+	}
+	if !res.CreditParityOK {
+		return res, fmt.Errorf("incremental credit diverged from the RescanCredit oracle (max rel delta %.3g)",
+			res.MaxCreditDelta)
+	}
+	return res, nil
+}
+
 // Run executes one scenario at the given seed: build the deployment,
 // run a clean baseline round, apply the storm (link profile, clock
 // skew, Inject, then StormRounds of traffic with OnRound scripting),
-// heal, run a clean closing round, converge, and enforce the pinned
-// assertions. The returned error is non-nil iff the scenario FAILED —
-// the Result row is still filled as far as the run got, for diagnosis.
+// heal, run a clean closing round, then Finish (converge and enforce
+// the pinned assertions). The returned error is non-nil iff the
+// scenario FAILED — the Result row is still filled as far as the run
+// got, for diagnosis.
 func Run(ctx context.Context, spec Spec, seed int64) (res Result, err error) {
-	res = Result{
-		Scenario: spec.Name,
-		About:    spec.About,
-		Tier:     spec.Tier.String(),
-		Seed:     seed,
-		Gateways: spec.Gateways,
-		Devices:  spec.Devices,
-		Nodes:    spec.Gateways + spec.Devices + 1,
-	}
 	start := time.Now()
 	defer func() { res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000 }()
 
-	c, err := newCluster(spec, seed)
+	c, err := NewCluster(spec, seed)
 	if err != nil {
-		return res, fmt.Errorf("build cluster: %w", err)
+		return Result{Scenario: spec.Name, About: spec.About, Tier: spec.Tier.String(), Seed: seed},
+			fmt.Errorf("build cluster: %w", err)
 	}
 	defer c.Close()
-	fill := func() {
-		res.Submitted = c.submitted.Load()
-		res.Admitted = c.admitted.Load()
-		res.SubmitErrors = c.submitErrors.Load()
-		res.Unauthorized = c.unauthorized.Load()
-		res.StaleAuthRejects = c.staleAuthRejects()
-		res.Restarts = c.totalRestarts()
-	}
 
 	// Clean baseline: every submission must succeed.
 	if err := c.Traffic(ctx, false); err != nil {
-		fill()
-		return res, fmt.Errorf("baseline: %w", err)
+		return c.row(), fmt.Errorf("baseline: %w", err)
 	}
 	c.Clk.Advance(time.Second)
 
@@ -190,8 +245,7 @@ func Run(ctx context.Context, spec Spec, seed int64) (res Result, err error) {
 	}
 	if spec.Inject != nil {
 		if err := spec.Inject(ctx, c); err != nil {
-			fill()
-			return res, fmt.Errorf("inject: %w", err)
+			return c.row(), fmt.Errorf("inject: %w", err)
 		}
 	}
 	rounds := spec.StormRounds
@@ -201,63 +255,37 @@ func Run(ctx context.Context, spec Spec, seed int64) (res Result, err error) {
 	for round := 0; round < rounds; round++ {
 		if spec.OnRound != nil {
 			if err := spec.OnRound(ctx, c, round); err != nil {
-				fill()
-				return res, fmt.Errorf("storm round %d: %w", round, err)
+				return c.row(), fmt.Errorf("storm round %d: %w", round, err)
 			}
 		}
 		if err := c.Traffic(ctx, true); err != nil {
-			fill()
-			return res, fmt.Errorf("storm traffic %d: %w", round, err)
+			return c.row(), fmt.Errorf("storm traffic %d: %w", round, err)
 		}
 		c.Clk.Advance(time.Second)
 	}
 
 	// Heal and close out cleanly.
 	if err := c.HealAll(ctx); err != nil {
-		fill()
-		return res, fmt.Errorf("heal: %w", err)
+		return c.row(), fmt.Errorf("heal: %w", err)
 	}
 	if spec.Heal != nil {
 		if err := spec.Heal(ctx, c); err != nil {
-			fill()
-			return res, fmt.Errorf("scenario heal: %w", err)
+			return c.row(), fmt.Errorf("scenario heal: %w", err)
 		}
 	}
 	if err := c.Traffic(ctx, false); err != nil {
-		fill()
-		return res, fmt.Errorf("closing phase: %w", err)
+		return c.row(), fmt.Errorf("closing phase: %w", err)
 	}
 	c.Clk.Advance(time.Second)
 
-	// Converge and assert.
-	rounds, converged, err := c.Converge(ctx)
-	fill()
-	res.SyncRounds = rounds
-	res.Converged = converged
-	if err != nil {
+	if res, err = c.Finish(ctx); err != nil {
 		return res, err
 	}
-	res.TangleSize = len(idSet(c.fulls()[0]))
-	res.Durable, res.LostDurable = c.checkZeroLoss()
-	res.CreditAccounts, res.MaxCreditDelta, res.CreditParityOK = c.checkCreditParity()
-	res.MaliciousEvents = c.maliciousEvents()
-
-	if !converged {
-		return res, fmt.Errorf("nodes did not converge within %d sync rounds", rounds)
-	}
-	if res.LostDurable > 0 {
-		return res, fmt.Errorf("%d of %d guaranteed-durable transactions lost",
-			res.LostDurable, res.Durable)
-	}
-	if min := int(int64(spec.Devices) * int64(spec.PerPhase) * 2); res.Durable < min {
+	if min := len(c.Devices) * spec.PerPhase * 2; res.Durable < min {
 		// The two clean phases alone guarantee this floor; fewer means
 		// the durability bookkeeping itself broke.
 		return res, fmt.Errorf("only %d guaranteed-durable transactions tracked, floor %d",
 			res.Durable, min)
-	}
-	if !res.CreditParityOK {
-		return res, fmt.Errorf("incremental credit diverged from the RescanCredit oracle (max rel delta %.3g)",
-			res.MaxCreditDelta)
 	}
 	if spec.Check != nil {
 		if err := spec.Check(c, &res); err != nil {

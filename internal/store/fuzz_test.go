@@ -89,7 +89,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-7])              // torn tail
 	f.Add(valid[:segHeaderSize])             // header only
-	f.Add(valid[segHeaderSize:])             // legacy v1 shape
+	f.Add(valid[segHeaderSize:])             // headerless pre-v2 shape (refused)
 	f.Add(valid[:9])                         // torn segment header
 	flipped := append([]byte(nil), valid...) // corrupt body byte
 	flipped[len(flipped)-2] ^= 0x40

@@ -70,13 +70,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type RecoveryStats struct {
 	// Records is the number of intact records replayed.
 	Records int
-	// Generation is the segment generation (0 for legacy v1 logs and
-	// fresh logs; +1 per compaction).
+	// Generation is the segment generation (0 for fresh logs; +1 per
+	// compaction).
 	Generation uint64
 	// TornBytes is the size of the torn tail truncated away on open.
 	TornBytes int64
-	// LegacyV1 reports the file predated segment headers.
-	LegacyV1 bool
 }
 
 // Log is an append-only transaction log. Safe for concurrent use:
@@ -135,8 +133,8 @@ func OpenFS(fs chaos.FS, path string, apply func(*txn.Transaction) error) (*Log,
 }
 
 // OpenFSGen is OpenFS with a generation-aware apply callback: gen is the
-// segment generation being replayed — 0 for fresh and legacy v1 logs,
-// >0 once compaction has rewritten the segment. Replay of a compacted
+// segment generation being replayed — 0 for a fresh log, >0 once
+// compaction has rewritten the segment. Replay of a compacted
 // segment is the one situation where a record's parents may legitimately
 // be absent (they sat beyond the snapshot boundary), and callers use gen
 // to relax parent resolution exactly then and no wider.
@@ -180,15 +178,14 @@ func OpenFSGen(fs chaos.FS, path string, apply func(*txn.Transaction, uint64) er
 		Records:    count,
 		Generation: l.gen,
 		TornBytes:  size - validLen,
-		LegacyV1:   base == 0 && size > 0,
 	}
 	return l, nil
 }
 
-// readSegHeader classifies the file start: v2 segment header, legacy v1
-// record stream, or empty/torn (in which case a fresh v2 header is
-// written and synced). It returns the offset records start at and the
-// current file size.
+// readSegHeader classifies the file start: a v2 segment header, or
+// empty/torn (in which case a fresh v2 header is written and synced).
+// A headerless pre-v2 record stream is refused untouched. It returns
+// the offset records start at and the current file size.
 func (l *Log) readSegHeader() (base int64, size int64, err error) {
 	size, err = l.f.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -204,9 +201,9 @@ func (l *Log) readSegHeader() (base int64, size int64, err error) {
 		}
 		switch binary.BigEndian.Uint32(hdr[:4]) {
 		case recordMagic:
-			// Legacy v1: headerless record stream, generation 0.
-			l.gen = 0
-			return 0, size, nil
+			// A headerless record stream holds real history; falling
+			// through to the garbage-prefix reset below would destroy it.
+			return 0, 0, fmt.Errorf("%w: headerless pre-v2 journal", ErrCorruptLog)
 		case segMagic:
 			if size >= segHeaderSize {
 				if _, err := io.ReadFull(l.f, hdr[4:]); err != nil {
@@ -221,8 +218,7 @@ func (l *Log) readSegHeader() (base int64, size int64, err error) {
 			// Torn mid-header: the header write never synced, so no
 			// record can have synced either. Start fresh below.
 		default:
-			// Unrecognized bytes: same treatment v1 gave a garbage
-			// prefix — an unusable tear, truncated away.
+			// Unrecognized bytes: an unusable tear, truncated away.
 		}
 	}
 	// Empty, torn-header, or garbage-prefix file: write a fresh v2

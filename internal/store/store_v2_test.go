@@ -1,10 +1,11 @@
 package store
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/b-iot/biot/internal/chaos"
@@ -153,55 +154,40 @@ func TestCompactRewritesSegment(t *testing.T) {
 	}
 }
 
-func TestLegacyV1LogOpens(t *testing.T) {
-	// Build a headerless v1-format log by hand: raw records, no segment
-	// header.
+// TestHeaderlessJournalRefused pins the safety net left where the
+// pre-v2 read path used to be: a file starting with a record (no
+// segment header) is real history in a format this build cannot
+// replay, so Open must fail with ErrCorruptLog and must NOT treat it as
+// a garbage prefix to truncate. Failing is repeatable and leaves the
+// bytes exactly as found.
+func TestHeaderlessJournalRefused(t *testing.T) {
 	fs := chaos.NewMemFS(4)
-	key := mustKey(t)
-	tx := sampleTx(t, key, "legacy")
-	rec, err := encodeRecord(tx)
+	rec, err := encodeRecord(sampleTx(t, mustKey(t), "legacy"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.WriteFile("tx.log", append(append([]byte(nil), rec...), rec[:5]...)) // + torn tail
+	original := append(append([]byte(nil), rec...), rec[:5]...) // + torn tail
+	fs.WriteFile("tx.log", original)
 
-	count := 0
-	l, err := OpenFS(fs, "tx.log", func(got *txn.Transaction) error {
-		if got.ID() != tx.ID() {
-			t.Fatal("legacy record mangled")
+	for attempt := 1; attempt <= 2; attempt++ {
+		l, err := OpenFSGen(fs, "tx.log", func(*txn.Transaction, uint64) error {
+			t.Fatal("replayed a record from a headerless journal")
+			return nil
+		})
+		if err == nil {
+			l.Close()
+			t.Fatalf("open %d: headerless journal accepted", attempt)
 		}
-		count++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Fatalf("replayed %d, want 1", count)
-	}
-	st := l.Stats()
-	if !st.LegacyV1 || st.Generation != 0 || st.TornBytes != 5 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// First compaction upgrades the file to a v2 segment.
-	if err := l.Compact([]*txn.Transaction{tx}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	raw, err := fs.ReadFile("tx.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if binary.BigEndian.Uint32(raw[:4]) != segMagic {
-		t.Fatal("compacted log missing segment header")
-	}
-	l2, err := OpenFS(fs, "tx.log", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if st := l2.Stats(); st.LegacyV1 || st.Generation != 1 || st.Records != 1 {
-		t.Fatalf("post-upgrade stats = %+v", st)
+		if !errors.Is(err, ErrCorruptLog) || !strings.Contains(err.Error(), "headerless pre-v2 journal") {
+			t.Fatalf("open %d: err = %v, want ErrCorruptLog (headerless pre-v2 journal)", attempt, err)
+		}
+		raw, rerr := fs.ReadFile("tx.log")
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if !bytes.Equal(raw, original) {
+			t.Fatalf("open %d: refused journal was modified (%d bytes, was %d)", attempt, len(raw), len(original))
+		}
 	}
 }
 

@@ -120,7 +120,6 @@ func NewSystemWithKey(cfg SystemConfig, managerKey *identity.KeyPair) (*System, 
 		Clock:      cfg.Clock,
 		Network:    mgrNet,
 		RateLimit:  cfg.RateLimit,
-		RateWindow: time.Second,
 		Quality:    cfg.Quality,
 	})
 	if err != nil {
@@ -177,7 +176,6 @@ func (s *System) AddGateway(ctx context.Context) (*Gateway, error) {
 		Clock:      s.cfg.Clock,
 		Network:    gwNet,
 		RateLimit:  s.cfg.RateLimit,
-		RateWindow: time.Second,
 		Quality:    s.cfg.Quality,
 	})
 	if err != nil {
