@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-chaos test-scenarios test-scenarios-long test-flake test-shard race cover bench bench-gossip bench-store bench-scenarios bench-latency bench-mem bench-shard bench-all figures examples fuzz clean
+.PHONY: all build vet test test-short test-chaos test-scenarios test-scenarios-long test-flake test-shard race cover bench bench-gossip bench-store bench-scenarios bench-latency bench-mem bench-shard bench-all bench-pairs figures examples fuzz clean
 
 all: build vet test
 
@@ -150,6 +150,16 @@ bench-all:
 	$(GO) run ./cmd/biot-bench -fig latency -json BENCH_latency.json
 	$(GO) run ./cmd/biot-bench -fig mem -json BENCH_mem.json
 	$(GO) run ./cmd/biot-bench -fig shard -json BENCH_shard.json
+
+# The paired-run protocol for a change that claims a gain on the
+# end-to-end benchmark (bench/, BENCHMARK.json): BASE exported next to
+# this checkout, ten alternating base/head pairs of
+# `bash bench/run.sh --workload W --trace 0` on seeds 1..10 plus one
+# pair on the held-out seed 20190707, then bench's own -compare.
+#   make bench-pairs BASE=HEAD~1 [WORKLOADS="relay-fanout full-path"] [OUT=dir]
+bench-pairs:
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<ref> [WORKLOADS=...]"; exit 2; }
+	scripts/bench-pairs.sh $(BASE) $(WORKLOADS)
 
 # Regenerate every paper figure with full (Pi-emulated) parameters.
 figures:

@@ -41,13 +41,30 @@ var (
 
 // EncodeMessage renders msg in the canonical binary form.
 func EncodeMessage(msg Message) []byte {
+	return appendMessage(make([]byte, 0, messageSizeBound(msg)), msg)
+}
+
+// messageSizeBound is an upper bound on msg's encoded length.
+func messageSizeBound(msg Message) int {
 	size := 3 + binary.MaxVarintLen64*7
 	for _, tx := range msg.TxData {
 		size += binary.MaxVarintLen64 + len(tx)
 	}
-	size += binary.MaxVarintLen64 + len(msg.Have)*hashutil.Size
-	out := make([]byte, 0, size)
+	return size + binary.MaxVarintLen64 + len(msg.Have)*hashutil.Size
+}
 
+// emptyAck is the encoding of the zero Message — the reply to every
+// transaction batch — rendered once.
+var emptyAck = EncodeMessage(Message{})
+
+// isZero reports whether m is the zero Message.
+func (m *Message) isZero() bool {
+	return m.Type == 0 && len(m.TxData) == 0 && len(m.Have) == 0 &&
+		m.Offset == 0 && m.Total == 0 && !m.More && m.Shard == 0 && !m.Scoped
+}
+
+// appendMessage appends msg's canonical binary form to out.
+func appendMessage(out []byte, msg Message) []byte {
 	out = append(out, encMagic0, encMagic1, encVersion)
 	out = binary.AppendUvarint(out, uint64(msg.Type))
 	out = binary.AppendUvarint(out, uint64(len(msg.TxData)))

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 )
 
 // Mux frame layer: the unit of the persistent transport. One TCP
@@ -77,12 +76,16 @@ func DecodeFrame(data []byte) (kind byte, id uint64, payload []byte, err error) 
 	return kind, id, payload, nil
 }
 
-// writeFrame sends one mux frame over conn, serialization left to the
-// caller. Returns the number of wire bytes written.
-func writeFrame(conn net.Conn, kind byte, id uint64, payload []byte) (int, error) {
-	frame := EncodeFrame(kind, id, payload)
-	nw, err := conn.Write(frame)
-	return nw, err
+// frameMessage renders one mux frame carrying msg, encoding the message
+// straight into the frame buffer: one allocation and no copy, where
+// EncodeFrame(kind, id, EncodeMessage(msg)) makes two and copies once.
+func frameMessage(kind byte, id uint64, msg Message) []byte {
+	out := make([]byte, 4+frameOverhead, 4+frameOverhead+messageSizeBound(msg))
+	out = appendMessage(out, msg)
+	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+	out[4] = kind
+	binary.BigEndian.PutUint64(out[5:], id)
+	return out
 }
 
 // readFrame receives one mux frame, rejecting oversized bodies before

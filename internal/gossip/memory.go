@@ -119,6 +119,9 @@ type BusPeer struct {
 	mu      sync.RWMutex
 	handler Handler
 	closed  bool
+	// lanes orders this peer's outbound transaction batches per
+	// receiver (see deliver).
+	lanes map[string]*fifo
 }
 
 var _ Network = (*BusPeer)(nil)
@@ -189,7 +192,44 @@ func (p *BusPeer) Request(ctx context.Context, peer string, msg Message) (Messag
 	return *reply, nil
 }
 
+// lane returns the order of this peer's transaction batches towards to.
+func (p *BusPeer) lane(to string) *fifo {
+	p.mu.RLock()
+	f := p.lanes[to]
+	p.mu.RUnlock()
+	if f != nil {
+		return f
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if f = p.lanes[to]; f == nil {
+		if p.lanes == nil {
+			p.lanes = make(map[string]*fifo)
+		}
+		f = newFifo()
+		p.lanes[to] = f
+	}
+	return f
+}
+
+// deliver hands msg to the named peer's handler in the caller's
+// goroutine. Transaction batches from one peer to another are handled
+// one at a time in the order their deliveries began, as on one TCP
+// connection: concurrent callers take their place on entry, spend the
+// injected latency side by side, and then run the handler in turn.
+// Every other message type is delivered as it comes, so a slow sync
+// page never holds a batch back.
 func (p *BusPeer) deliver(to string, msg Message) (*Message, error) {
+	if msg.Type != MsgTransaction {
+		return p.deliverTo(to, msg, func() {})
+	}
+	place := p.lane(to).take()
+	defer place.release()
+	return p.deliverTo(to, msg, place.wait)
+}
+
+// deliverTo is deliver's body; turn is called just before the handler.
+func (p *BusPeer) deliverTo(to string, msg Message, turn func()) (*Message, error) {
 	p.mu.RLock()
 	closed := p.closed
 	p.mu.RUnlock()
@@ -206,6 +246,7 @@ func (p *BusPeer) deliver(to string, msg Message) (*Message, error) {
 	if latency > 0 {
 		time.Sleep(latency)
 	}
+	turn()
 	target.mu.RLock()
 	h := target.handler
 	targetClosed := target.closed

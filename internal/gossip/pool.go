@@ -32,7 +32,12 @@ type peerConn struct {
 	stop     chan struct{} // closed to end the current keepalive loop
 	closed   bool
 
-	// writeMu serializes frame writes; lastSend feeds the keepalive.
+	// order fixes the sequence of request frames at the moment each
+	// exchange begins, so concurrent exchanges reach the peer in the
+	// order their callers started them. writeMu keeps a keepalive ping
+	// from interleaving with a request frame; lastSend feeds the
+	// keepalive.
+	order    *fifo
 	writeMu  sync.Mutex
 	lastSend time.Time
 
@@ -51,7 +56,7 @@ type exchangeResult struct {
 }
 
 func newPeerConn(n *TCPNetwork, addr string) *peerConn {
-	return &peerConn{net: n, addr: addr, pending: make(map[uint64]*pendingCall)}
+	return &peerConn{net: n, addr: addr, order: newFifo(), pending: make(map[uint64]*pendingCall)}
 }
 
 // ensure returns the live connection, dialing if necessary. A dial
@@ -109,13 +114,16 @@ func (p *peerConn) scheduleBackoffLocked() {
 }
 
 // exchange runs one request→response round trip over the pooled
-// connection. Multiple exchanges are safely in flight at once.
-func (p *peerConn) exchange(ctx context.Context, payload []byte) (Message, error) {
+// connection: frame is a complete request frame carrying request id,
+// and place is the caller's ticket from p.order, which exchange
+// releases. Multiple exchanges are safely in flight at once, and their
+// frames go out in ticket order.
+func (p *peerConn) exchange(ctx context.Context, place ticket, id uint64, frame []byte) (Message, error) {
 	conn, gen, err := p.ensure(ctx)
 	if err != nil {
+		place.release()
 		return Message{}, err
 	}
-	id := p.net.nextReq.Add(1)
 	ch := make(chan exchangeResult, 1)
 	p.pendingMu.Lock()
 	p.pending[id] = &pendingCall{gen: gen, ch: ch}
@@ -124,11 +132,13 @@ func (p *peerConn) exchange(ctx context.Context, payload []byte) (Message, error
 	defer p.net.metrics.InFlight.Dec()
 
 	start := time.Now()
+	place.wait()
 	p.writeMu.Lock()
 	_ = conn.SetWriteDeadline(time.Now().Add(p.net.ioTO))
-	nw, werr := writeFrame(conn, FrameRequest, id, payload)
+	nw, werr := conn.Write(frame)
 	p.lastSend = time.Now()
 	p.writeMu.Unlock()
+	place.release()
 	p.net.metrics.BytesOut.Add(int64(nw))
 	if werr != nil {
 		p.drop(id)
@@ -193,7 +203,7 @@ func (p *peerConn) keepaliveLoop(conn net.Conn, gen int, stop chan struct{}) {
 			if time.Since(p.lastSend) >= p.net.keepalive {
 				_ = conn.SetWriteDeadline(time.Now().Add(p.net.ioTO))
 				var nw int
-				nw, err = writeFrame(conn, FramePing, 0, nil)
+				nw, err = conn.Write(EncodeFrame(FramePing, 0, nil))
 				p.net.metrics.BytesOut.Add(int64(nw))
 				if err == nil {
 					p.net.metrics.Pings.Inc()

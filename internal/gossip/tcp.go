@@ -38,8 +38,11 @@ type TCPNetwork struct {
 	metrics    TransportMetrics
 	nextReq    atomic.Uint64
 
-	mu       sync.RWMutex
-	peers    map[string]struct{}
+	mu    sync.RWMutex
+	peers map[string]struct{}
+	// peerList is peers sorted, rebuilt (never edited in place) when the
+	// set changes, so Peers hands it out without copying.
+	peerList []string
 	conns    map[string]*peerConn
 	accepted map[net.Conn]struct{}
 	handler  Handler
@@ -121,16 +124,30 @@ func (n *TCPNetwork) Metrics() TransportMetrics { return n.metrics }
 func (n *TCPNetwork) AddPeer(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if addr != n.listener.Addr().String() {
+	if _, known := n.peers[addr]; !known && addr != n.listener.Addr().String() {
 		n.peers[addr] = struct{}{}
+		n.rebuildPeerListLocked()
 	}
+}
+
+// rebuildPeerListLocked replaces peerList after the peer set changed.
+func (n *TCPNetwork) rebuildPeerListLocked() {
+	list := make([]string, 0, len(n.peers))
+	for addr := range n.peers {
+		list = append(list, addr)
+	}
+	sort.Strings(list)
+	n.peerList = list
 }
 
 // RemovePeer forgets a peer and retires its pooled connection;
 // exchanges in flight on it fail over to the sync path.
 func (n *TCPNetwork) RemovePeer(addr string) {
 	n.mu.Lock()
-	delete(n.peers, addr)
+	if _, known := n.peers[addr]; known {
+		delete(n.peers, addr)
+		n.rebuildPeerListLocked()
+	}
 	pc := n.conns[addr]
 	delete(n.conns, addr)
 	n.mu.Unlock()
@@ -142,16 +159,12 @@ func (n *TCPNetwork) RemovePeer(addr string) {
 // Self implements Network.
 func (n *TCPNetwork) Self() string { return n.listener.Addr().String() }
 
-// Peers implements Network.
+// Peers implements Network. The returned slice is shared until the
+// peer set next changes: read it, do not modify it.
 func (n *TCPNetwork) Peers() []string {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.peers))
-	for addr := range n.peers {
-		out = append(out, addr)
-	}
-	sort.Strings(out)
-	return out
+	return n.peerList
 }
 
 // SetHandler implements Network.
@@ -184,8 +197,13 @@ func (n *TCPNetwork) acceptLoop() {
 	}
 }
 
-// serveConn is the accept-side frame loop: it reads request frames for
-// the connection's lifetime and dispatches each to its own bounded
+// serveConn is the accept-side frame loop. It reads request frames for
+// the connection's lifetime. Transaction batches are handled here, one
+// at a time in frame order: with the sender's frames leaving in request
+// order (peerConn.exchange) that is per-pair FIFO delivery, which a
+// sender keeping several batches in flight relies on — a batch handled
+// before the one carrying its parents is an orphan. Every other request
+// (sync, credit, snapshot and auth-list pages) goes to its own bounded
 // handler goroutine, so a slow sync response does not block the next
 // inbound transaction batch on the same socket. Response writes are
 // serialized; responses may therefore interleave out of request order,
@@ -200,6 +218,23 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	var writeMu sync.Mutex
+	from := conn.RemoteAddr().String()
+	serve := func(h Handler, id uint64, msg Message) {
+		var frame []byte
+		if h != nil {
+			if r, herr := h.HandleGossip(from, msg); herr == nil && r != nil && !r.isZero() {
+				frame = frameMessage(FrameResponse, id, *r)
+			}
+		}
+		if frame == nil {
+			frame = EncodeFrame(FrameResponse, id, emptyAck)
+		}
+		writeMu.Lock()
+		_ = conn.SetWriteDeadline(time.Now().Add(n.ioTO))
+		nw, _ := conn.Write(frame)
+		writeMu.Unlock()
+		n.metrics.BytesOut.Add(int64(nw))
+	}
 	sem := make(chan struct{}, maxInboundPerConn)
 	reader := bufio.NewReader(conn)
 	for {
@@ -219,23 +254,17 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 		n.mu.RLock()
 		h := n.handler
 		n.mu.RUnlock()
+		if msg.Type == MsgTransaction {
+			serve(h, id, msg)
+			continue
+		}
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(id uint64, msg Message) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			reply := &Message{} // empty ack
-			if h != nil {
-				if r, herr := h.HandleGossip(conn.RemoteAddr().String(), msg); herr == nil && r != nil {
-					reply = r
-				}
-			}
-			writeMu.Lock()
-			_ = conn.SetWriteDeadline(time.Now().Add(n.ioTO))
-			nw, _ := writeFrame(conn, FrameResponse, id, EncodeMessage(*reply))
-			writeMu.Unlock()
-			n.metrics.BytesOut.Add(int64(nw))
-		}(id, msg)
+			serve(h, id, msg)
+		}()
 	}
 }
 
@@ -254,21 +283,19 @@ func (n *TCPNetwork) conn(addr string) *peerConn {
 	return pc
 }
 
-func (n *TCPNetwork) exchangePayload(ctx context.Context, addr string, payload []byte) (Message, error) {
-	n.mu.RLock()
-	closed := n.closed
-	n.mu.RUnlock()
-	if closed {
-		return Message{}, ErrClosed
-	}
+// begin opens an exchange with addr: the pool slot it goes through, its
+// place in that peer's frame order and its request ID. The place is
+// taken here, before the caller encodes anything, so a caller that
+// started first goes out first however long its message takes to
+// render; the caller must pass it to pc.exchange, which releases it.
+func (n *TCPNetwork) begin(ctx context.Context, addr string) (pc *peerConn, place ticket, id uint64, err error) {
 	if err := ctx.Err(); err != nil {
-		return Message{}, err
+		return nil, ticket{}, 0, err
 	}
-	pc := n.conn(addr)
-	if pc == nil {
-		return Message{}, ErrClosed
+	if pc = n.conn(addr); pc == nil {
+		return nil, ticket{}, 0, ErrClosed
 	}
-	return pc.exchange(ctx, payload)
+	return pc, pc.order.take(), n.nextReq.Add(1), nil
 }
 
 // Broadcast implements Network. The fan-out is concurrent — one
@@ -291,7 +318,11 @@ func (n *TCPNetwork) Broadcast(ctx context.Context, msg Message) error {
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			if _, err := n.exchangePayload(ctx, addr, payload); err != nil {
+			pc, place, id, err := n.begin(ctx, addr)
+			if err == nil {
+				_, err = pc.exchange(ctx, place, id, EncodeFrame(FrameRequest, id, payload))
+			}
+			if err != nil {
 				mu.Lock()
 				lastErr = err
 				mu.Unlock()
@@ -316,7 +347,11 @@ func (n *TCPNetwork) Broadcast(ctx context.Context, msg Message) error {
 
 // Request implements Network.
 func (n *TCPNetwork) Request(ctx context.Context, peer string, msg Message) (Message, error) {
-	return n.exchangePayload(ctx, peer, EncodeMessage(msg))
+	pc, place, id, err := n.begin(ctx, peer)
+	if err != nil {
+		return Message{}, err
+	}
+	return pc.exchange(ctx, place, id, frameMessage(FrameRequest, id, msg))
 }
 
 // Close implements Network: it stops accepting, retires every pooled

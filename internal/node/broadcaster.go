@@ -18,6 +18,17 @@ const (
 	defaultBroadcastBatch     = 32
 )
 
+// sendWindow bounds the batches one peer's sender keeps in flight. A
+// stop-and-wait sender pays a whole link round trip between batches, so
+// on any real link a transaction's fan-out latency is the wait for the
+// previous batch's acknowledgement, not its own trip; with a window the
+// sender only waits — and batches only grow — once this many
+// acknowledgements are outstanding, which is genuine back-pressure. It
+// is a constant, not a knob: large enough to cover a link whose round
+// trip is eight times the gap between submissions, small enough that a
+// dead peer pins eight batches of memory, not a queue's worth.
+const sendWindow = 8
+
 // ErrBroadcastBacklog reports that the node's asynchronous broadcast
 // queue is full. The submission was NOT admitted — the caller (a light
 // node) should back off and resubmit; this is the pipeline's
@@ -36,6 +47,14 @@ type PipelineMetrics struct {
 	AttachLatency *metrics.Histogram
 	// BroadcastLatency covers one batched peer send in the async stage.
 	BroadcastLatency *metrics.Histogram
+	// InFlight is the number of batches handed to the transport and not
+	// yet acknowledged or failed, over all peers (each peer's share is
+	// bounded by the send window). WindowStalls counts the times a
+	// peer's sender had a batch ready and had to wait for a slot in a
+	// full window — the signal that the link, not the node, sets the
+	// fan-out pace.
+	InFlight     *metrics.Gauge
+	WindowStalls *metrics.Counter
 	// QueueDepth is the intake queue's current occupancy (reserved
 	// slots included).
 	QueueDepth *metrics.Gauge
@@ -56,7 +75,7 @@ type PipelineMetrics struct {
 	VerifyBusy *metrics.Gauge
 	VerifyPeak *metrics.Gauge
 	// VerifyCacheHits counts gossip echoes whose repeated signature
-	// work was skipped via the verified-ID LRU.
+	// work was skipped via the verified-ID set.
 	VerifyCacheHits *metrics.Counter
 	// BatchVerifies counts identity.VerifyBatch calls on the inbound
 	// path; BatchVerified counts the signatures they settled (ratio =
@@ -65,8 +84,8 @@ type PipelineMetrics struct {
 	BatchVerifies  *metrics.Counter
 	BatchVerified  *metrics.Counter
 	BatchFallbacks *metrics.Counter
-	// OrphanSyncs counts inbound batches that triggered the (single)
-	// per-batch sync round-trip for missing parents.
+	// OrphanSyncs counts background pulls for relayed transactions whose
+	// parent never arrived (see repairOrphans).
 	OrphanSyncs *metrics.Counter
 	// SyncPages counts sync pages this node pulled as a requester.
 	SyncPages *metrics.Counter
@@ -77,6 +96,8 @@ func newPipelineMetrics() PipelineMetrics {
 		AdmitLatency:     &metrics.Histogram{},
 		AttachLatency:    &metrics.Histogram{},
 		BroadcastLatency: &metrics.Histogram{},
+		InFlight:         &metrics.Gauge{},
+		WindowStalls:     &metrics.Counter{},
 		QueueDepth:       &metrics.Gauge{},
 		BatchesSent:      &metrics.Counter{},
 		TxBroadcast:      &metrics.Counter{},
@@ -105,7 +126,7 @@ type broadcastItem struct {
 // pipeline: a bounded intake queue feeding one dispatcher goroutine,
 // which distributes work to per-peer bounded queues each drained by one
 // sender goroutine that coalesces consecutive transactions into batched
-// MsgTransaction datagrams.
+// MsgTransaction datagrams and keeps up to sendWindow of them in flight.
 //
 // Backpressure: intake capacity is reserved before admission and
 // surfaces as ErrBroadcastBacklog when exhausted. A slow peer never
@@ -174,13 +195,17 @@ func (b *broadcaster) reserve() (release func(), err error) {
 			return nil, ErrBroadcastBacklog
 		}
 		if b.reserved.CompareAndSwap(cur, cur+1) {
-			b.pipeline.QueueDepth.Set(cur + 1)
-			return func() {
-				b.reserved.Add(-1)
-				b.pipeline.QueueDepth.Set(b.reserved.Load())
-			}, nil
+			b.pipeline.QueueDepth.Inc()
+			return b.unreserve, nil
 		}
 	}
+}
+
+// unreserve gives one intake slot back: the admission failed, or the
+// dispatcher has taken the transaction out of the intake.
+func (b *broadcaster) unreserve() {
+	b.reserved.Add(-1)
+	b.pipeline.QueueDepth.Dec()
 }
 
 // enqueue hands an encoded transaction to the async stage. The caller
@@ -189,14 +214,14 @@ func (b *broadcaster) enqueue(encoded []byte) {
 	b.sendMu.RLock()
 	defer b.sendMu.RUnlock()
 	if b.closed {
-		b.reserved.Add(-1)
+		b.unreserve()
 		return
 	}
 	b.intake <- broadcastItem{tx: encoded}
 }
 
 // flush blocks until every transaction enqueued before the call has
-// been attempted against every current peer (delivered, failed or
+// been attempted against every current peer (acknowledged, failed or
 // dropped) — the barrier tests and graceful shutdown use.
 func (b *broadcaster) flush(ctx context.Context) error {
 	var wg sync.WaitGroup
@@ -253,28 +278,21 @@ func (b *broadcaster) close() {
 func (b *broadcaster) dispatch() {
 	defer b.wg.Done()
 	for it := range b.intake {
-		if it.tx != nil {
-			b.reserved.Add(-1)
-			b.pipeline.QueueDepth.Set(b.reserved.Load())
-		}
-		peers := b.net.Peers()
-		if it.flush != nil {
-			// Barrier: propagate to every current peer queue with a
-			// blocking send (a flush must not be dropped), then release
-			// the dispatcher's own count.
-			for _, name := range peers {
-				it.flush.Add(1)
-				b.sender(name).queue <- it
-			}
-			it.flush.Done()
-			continue
-		}
-		for _, name := range peers {
-			s := b.sender(name)
+		// The peer list and the senders are resolved once per burst:
+		// everything already waiting in the intake fans out to the same
+		// set.
+		senders := b.sendersFor(b.net.Peers())
+		b.fanOut(it, senders)
+	burst:
+		for {
 			select {
-			case s.queue <- it:
+			case next, ok := <-b.intake:
+				if !ok {
+					break burst
+				}
+				b.fanOut(next, senders)
 			default:
-				b.pipeline.PeerDrops.Inc() // slow peer: sync repairs it
+				break burst
 			}
 		}
 	}
@@ -290,31 +308,101 @@ func (b *broadcaster) dispatch() {
 	}
 }
 
-// sender returns (starting if needed) the queue worker for one peer.
-func (b *broadcaster) sender(name string) *peerSender {
+// fanOut hands one intake item to every sender's queue.
+func (b *broadcaster) fanOut(it broadcastItem, senders []*peerSender) {
+	if it.flush != nil {
+		// Barrier: propagate to every current peer queue with a blocking
+		// send (a flush must not be dropped), then release the
+		// dispatcher's own count.
+		for _, s := range senders {
+			it.flush.Add(1)
+			s.queue <- it
+		}
+		it.flush.Done()
+		return
+	}
+	b.unreserve()
+	for _, s := range senders {
+		select {
+		case s.queue <- it:
+		default:
+			b.pipeline.PeerDrops.Inc() // slow peer: sync repairs it
+		}
+	}
+}
+
+// sendersFor returns (starting where needed) the queue workers of peers.
+func (b *broadcaster) sendersFor(peers []string) []*peerSender {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if s, ok := b.senders[name]; ok {
-		return s
+	out := make([]*peerSender, len(peers))
+	for i, name := range peers {
+		s, ok := b.senders[name]
+		if !ok {
+			s = &peerSender{name: name, queue: make(chan broadcastItem, b.peerQueue)}
+			b.senders[name] = s
+			b.wg.Add(1)
+			go b.sendLoop(s)
+		}
+		out[i] = s
 	}
-	s := &peerSender{name: name, queue: make(chan broadcastItem, b.peerQueue)}
-	b.senders[name] = s
-	b.wg.Add(1)
-	go b.sendLoop(s)
-	return s
+	return out
 }
 
 // sendLoop drains one peer's queue, coalescing consecutive transactions
-// into batched datagrams of up to maxBatch entries.
+// into batched datagrams of up to maxBatch entries and keeping up to
+// sendWindow batches in flight. It takes a window slot before it
+// coalesces, so a batch holds more than the one transaction that
+// started it only when the window was full and others queued up behind
+// the wait.
+//
+// Batches are handed to the transport in queue order. Each goes to one
+// of up to sendWindow worker goroutines, started as the window fills and
+// kept for the sender's lifetime, and the next batch is handed out only
+// once the previous one's worker has reported that it is running; both
+// transports deliver one pair's batches in the order their Requests
+// began. Strictly, a worker can still be descheduled between reporting
+// and entering Request; the receiver parks the overtaking batch's
+// orphans until the overtaken one lands (admitGossipBatch). (Workers
+// rather than a goroutine a batch because a new goroutine grows its
+// stack on the way into the transport, which is long enough for the
+// next one to get there first a few times in a thousand.)
 func (b *broadcaster) sendLoop(s *peerSender) {
 	defer b.wg.Done()
+	var inflight sync.WaitGroup
+	defer inflight.Wait() // close: sends still in flight finish first
+	window := make(chan struct{}, sendWindow)
+	jobs := make(chan [][]byte)
+	defer close(jobs)
+	// Buffered, so that reporting never parks the reporting worker:
+	// parked, it would be merely runnable again when this loop hands out
+	// the next batch, and that batch's worker could run first.
+	running := make(chan struct{}, 1)
+	worker := func() {
+		for batch := range jobs {
+			running <- struct{}{}
+			b.send(s.name, batch)
+			b.pipeline.InFlight.Dec()
+			<-window
+			inflight.Done()
+		}
+	}
+	workers := 0
 	for it := range s.queue {
-		var barriers []*sync.WaitGroup
 		if it.flush != nil {
+			// The barrier completes after every batch launched before it.
+			inflight.Wait()
 			it.flush.Done()
 			continue
 		}
+		select {
+		case window <- struct{}{}:
+		default:
+			b.pipeline.WindowStalls.Inc()
+			window <- struct{}{}
+		}
 		batch := [][]byte{it.tx}
+		var barrier *sync.WaitGroup
 	coalesce:
 		for len(batch) < b.maxBatch {
 			select {
@@ -323,8 +411,7 @@ func (b *broadcaster) sendLoop(s *peerSender) {
 					break coalesce
 				}
 				if next.flush != nil {
-					// The barrier completes after this batch is sent.
-					barriers = append(barriers, next.flush)
+					barrier = next.flush
 					break coalesce
 				}
 				batch = append(batch, next.tx)
@@ -332,9 +419,23 @@ func (b *broadcaster) sendLoop(s *peerSender) {
 				break coalesce
 			}
 		}
-		b.send(s.name, batch)
-		for _, wg := range barriers {
-			wg.Done()
+		inflight.Add(1)
+		b.pipeline.InFlight.Inc()
+		select {
+		case jobs <- batch: // an idle worker took it
+		default:
+			// Every worker is busy or on its way back; the window slot
+			// says there is room for one more.
+			if workers < sendWindow {
+				workers++
+				go worker()
+			}
+			jobs <- batch
+		}
+		<-running
+		if barrier != nil {
+			inflight.Wait()
+			barrier.Done()
 		}
 	}
 }

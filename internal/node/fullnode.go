@@ -207,17 +207,22 @@ type FullNode struct {
 
 	// verified + verifySem are the inbound verification stage: a
 	// bounded CPU pool checking gossiped transactions concurrently, and
-	// the LRU of IDs whose verification already passed (gossip echoes
+	// the set of IDs whose verification recently passed (gossip echoes
 	// skip the repeated signature work).
 	verified  *verifiedCache
 	verifySem chan struct{}
 
 	// quar parks relayed transactions whose admission evidence is not
-	// resolvable yet; kickMu makes the retry loop single-flight (a kick
-	// triggered from inside a kick — an auth list attaching during
-	// repair — is skipped, and the outer loop's progress pass re-drains).
-	quar   *quarantine
-	kickMu sync.Mutex
+	// resolvable yet; kickMu makes the retry loop single-flight and
+	// kickWanted carries a kick requested while one was running over to
+	// it (see kickQuarantine).
+	quar       *quarantine
+	kickMu     sync.Mutex
+	kickWanted atomic.Bool
+
+	// repair is the background orphan-repair lane (see repairOrphans):
+	// single-flight, cancelled and joined by Close.
+	repair orphanRepair
 
 	pendingMu sync.Mutex
 	pending   map[hashutil.Hash]*txn.Transaction // transfers awaiting confirmation
@@ -233,6 +238,8 @@ type FullNode struct {
 	// cursors share the map under a "peer#shard" key.
 	syncMu     sync.Mutex
 	syncCursor map[string]uint64
+	// syncTurn serializes the pagers of one cursor (see syncFrom).
+	syncTurn map[string]*sync.Mutex
 
 	// lastReconcile is the unix-nano stamp of the last completed
 	// backbone reconciliation round (0 = never); MemoryStats derives
@@ -310,7 +317,9 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 		pending:    make(map[hashutil.Hash]*txn.Transaction),
 		limiter:    make(map[identity.Address]*rateBucket),
 		syncCursor: make(map[string]uint64),
+		syncTurn:   make(map[string]*sync.Mutex),
 	}
+	n.repair.ctx, n.repair.cancel = context.WithCancel(context.Background())
 	tg.Observe(tangle.ObserverFunc(n.onTangleEvent))
 	if conf.Network != nil {
 		n.bcast = newBroadcaster(conf.Network, n.counters, n.pipeline,
@@ -543,13 +552,16 @@ func (n *FullNode) PipelineSaturated() bool {
 // (anchor height/count, walk lengths, fallback counts).
 func (n *FullNode) LedgerMetrics() tangle.Metrics { return n.tangle.Metrics() }
 
-// Close drains and stops the broadcast pipeline. Read paths and local
-// admission keep working; subsequent Submits attach locally but are no
-// longer gossiped. Safe to call more than once.
+// Close drains and stops the broadcast pipeline and the background
+// orphan repair. Read paths and local admission keep working;
+// subsequent Submits attach locally but are no longer gossiped. Safe to
+// call more than once.
 func (n *FullNode) Close() error {
 	if n.bcast != nil {
 		n.bcast.close()
 	}
+	n.repair.cancel()
+	n.repair.wg.Wait()
 	return nil
 }
 
@@ -832,10 +844,12 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 }
 
 // admitGossipBatch admits one inbound batch: decode + dedupe, parallel
-// verification, serialized attach, and at most ONE sync round-trip for
-// the whole batch — a batch with N orphans previously triggered up to N
-// full syncFrom exchanges; now the deferred remainder retries once
-// after the single sync.
+// verification, serialized attach. It never waits on the network: a
+// transaction whose parent is not attached parks in the quarantine and
+// is retried when later arrivals attach (kickQuarantine). Peers keep
+// several batches in flight, so a parent is usually one batch behind
+// its child, not lost; on the relay path (repair set) a pull for one
+// that stays missing runs in the background (repairOrphans).
 //
 // Authorization lists change who verifies as authorized, so they are
 // segment boundaries: the batch is verified and attached in runs, with
@@ -843,16 +857,19 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 // old one-at-a-time semantics for control-plane traffic.
 //
 // The returned count is the number of novel, decodable transactions
-// that did NOT end up attached (verification rejects, unresolved
-// orphans, attach failures other than duplicates). syncFrom uses it to
-// decide whether a sync page may be marked consumed: a transaction
-// rejected today — typically because this node's credit view lags and
-// the difficulty check disagrees — may verify cleanly once more of the
+// that did NOT end up attached (verification rejects, parked orphans,
+// attach failures other than duplicates). syncFrom uses it to decide
+// whether a sync page may be marked consumed: a transaction rejected
+// today — typically because this node's credit view lags and the
+// difficulty check disagrees — may verify cleanly once more of the
 // ledger has arrived, so its page must be re-offered by a later sync.
-func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]byte, allowSync bool, shard uint32) (failed int) {
+func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]byte, repair bool, shard uint32) (failed int) {
 	now := n.cfg.Clock.Now()
-	seen := make(map[hashutil.Hash]struct{}, len(raw))
 	txs := make([]*txn.Transaction, 0, len(raw))
+	var seen map[hashutil.Hash]struct{} // a batch of one has no duplicates
+	if len(raw) > 1 {
+		seen = make(map[hashutil.Hash]struct{}, len(raw))
+	}
 	for _, r := range raw {
 		t, err := txn.Decode(r)
 		if err != nil {
@@ -864,7 +881,9 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 		if _, dup := seen[id]; dup || n.tangle.Contains(id) {
 			continue
 		}
-		seen[id] = struct{}{}
+		if seen != nil {
+			seen[id] = struct{}{}
+		}
 		txs = append(txs, t)
 	}
 
@@ -876,42 +895,39 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 	var attached []*txn.Transaction
 	defer func() { n.journalBatch(attached) }()
 
-	// gate takes the authoritative evidence-at-admission verdict just
-	// before attach (DESIGN.md §15): a definitive Unauthorized is a
-	// Sybil and is dropped; Unresolved (the evidence scan hit a
-	// list-sequence gap) parks in quarantine until the missing list
-	// arrives. Both count as failed so syncFrom keeps the page dirty.
-	// Returns true when the caller should proceed to attach.
-	var orphans []*txn.Transaction
-	gate := func(t *txn.Transaction) bool {
-		verdict, missing, ok := n.relayAuthVerdict(t)
-		if !ok {
-			return true // parents unattached: attach will orphan it
-		}
-		switch verdict {
-		case authz.VerdictUnauthorized:
-			n.counters.StaleAuthRejects.Inc()
-			failed++
-			return false
-		case authz.VerdictUnresolved:
-			n.parkQuarantine(ctx, from, t, missing, now, shard)
-			failed++
-			return false
-		}
-		return true
-	}
+	var orphans []hashutil.Hash
 	attach := func(t *txn.Transaction) {
-		if !gate(t) {
-			return
-		}
-		if _, err := n.attachVerified(t, now, false, shard); err != nil {
-			if errors.Is(err, tangle.ErrUnknownParent) {
-				orphans = append(orphans, t)
-			} else if !errors.Is(err, tangle.ErrDuplicate) {
+		// The authoritative evidence-at-admission verdict is taken just
+		// before attach (DESIGN.md §15): a definitive Unauthorized is a
+		// Sybil and is dropped; Unresolved (the evidence scan hit a
+		// list-sequence gap) parks in quarantine until the missing list
+		// arrives. Both count as failed so syncFrom keeps the page dirty.
+		if verdict, missing, ok := n.relayAuthVerdict(t); ok {
+			switch verdict {
+			case authz.VerdictUnauthorized:
+				n.counters.StaleAuthRejects.Inc()
 				failed++
+				return
+			case authz.VerdictUnresolved:
+				n.parkQuarantine(ctx, from, t, missing, now, shard)
+				failed++
+				return
 			}
-		} else {
+		} // else parents unattached: attach will orphan it
+		_, err := n.attachVerified(t, now, false, shard)
+		switch {
+		case err == nil:
 			attached = append(attached, t)
+		case errors.Is(err, tangle.ErrUnknownParent):
+			// Park rather than drop: the missing parent is usually right
+			// behind (a later batch, or later in the same sync), its
+			// descendants certainly are, and dropping is the orphan
+			// cascade behind the old revocation-storm flake.
+			n.parkOrphan(ctx, from, t, now, shard)
+			orphans = append(orphans, t.ID())
+			failed++
+		case !errors.Is(err, tangle.ErrDuplicate):
+			failed++
 		}
 	}
 	for start := 0; start < len(txs); {
@@ -938,45 +954,40 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 		start = end
 	}
 
-	if len(orphans) == 0 || !allowSync {
-		// Orphans on a no-sync path (sync pages themselves) park rather
-		// than drop: the missing parent is usually later in the same
-		// sync, and a kick then repairs them without waiting for the
-		// dirty page to be re-offered.
-		for _, t := range orphans {
-			n.parkQuarantine(ctx, from, t, 0, now, shard)
-		}
-		n.kickQuarantine(now)
-		return failed + len(orphans)
-	}
-	// Missing parents: pull what we lack from the sender — once for the
-	// whole batch — then retry the deferred remainder.
-	n.pipeline.OrphanSyncs.Inc()
-	n.syncFrom(ctx, n.cfg.Network, from, wholeLedger)
-	for _, t := range orphans {
-		if n.tangle.Contains(t.ID()) {
-			continue
-		}
-		if !gate(t) {
-			continue
-		}
-		if _, err := n.attachVerified(t, now, false, shard); err != nil {
-			if errors.Is(err, tangle.ErrUnknownParent) {
-				// Still unresolvable after the sync round-trip: park it
-				// instead of dropping — its descendants are likely right
-				// behind it, and dropping is the orphan cascade behind
-				// the old revocation-storm flake.
-				n.parkQuarantine(ctx, from, t, 0, now, shard)
-				failed++
-			} else if !errors.Is(err, tangle.ErrDuplicate) {
-				failed++
-			}
-		} else {
-			attached = append(attached, t)
-		}
-	}
+	// Whatever attached may be the parent a parked transaction waits for.
 	n.kickQuarantine(now)
+	if repair && len(orphans) > 0 {
+		n.repairOrphans(from, orphans)
+	}
 	return failed
+}
+
+// parkOrphan parks a verified relayed transaction whose parent is not
+// attached yet. An authorization list takes effect in the registry at
+// once: it is manager-signed and verified, list sequences never roll
+// back, and the manager's publish waits only for the fan-out, so a
+// revocation must bind this gateway's submission edge from the moment
+// it is seen, not from the moment its parents happen to arrive. (The
+// anti-entropy probe folds lists in the same way; attach observes the
+// list again, which is then a no-op.)
+func (n *FullNode) parkOrphan(ctx context.Context, from string, t *txn.Transaction, now time.Time, shard uint32) {
+	if t.Kind == txn.KindAuthorization {
+		// An undecodable list fails here as it will when it attaches,
+		// which is where it is counted.
+		_, _ = n.observeList(t, now)
+	}
+	n.parkQuarantine(ctx, from, t, 0, now, shard)
+}
+
+// observeList folds a verified manager-signed authorization list into
+// the registry, stamped with its embedded timestamp clamped to now so
+// that replay and catch-up reconstruct the evidence window identically.
+func (n *FullNode) observeList(t *txn.Transaction, now time.Time) (bool, error) {
+	recordAt := t.Timestamp
+	if recordAt.After(now) {
+		recordAt = now
+	}
+	return n.registry.Observe(t, recordAt)
 }
 
 // relayAuthVerdict takes the evidence-at-admission authorization
@@ -1024,19 +1035,27 @@ func (n *FullNode) parkQuarantine(ctx context.Context, from string, t *txn.Trans
 
 // kickQuarantine retries every parked transaction — called whenever new
 // evidence can have arrived (an authorization list attached, a batch
-// completed). Single-flight: a nested kick (an auth list attaching
-// during a repair) is skipped, and the outer loop's progress pass
-// re-drains, so nothing is missed. Repairs can cascade — an attached
-// entry may be the missing parent of another — hence the loop until a
-// full pass makes no progress.
+// completed). Single-flight without losing a kick: a caller that finds
+// one running (another handler's, the background repair's, or — an auth
+// list attaching during a repair — its own caller's) leaves a note and
+// returns, and the running one goes round again before it stops, so
+// what the later caller attached is seen.
 func (n *FullNode) kickQuarantine(now time.Time) {
 	if n.quar.size() == 0 {
 		return
 	}
-	if !n.kickMu.TryLock() {
-		return
+	n.kickWanted.Store(true)
+	for n.kickWanted.Load() && n.kickMu.TryLock() {
+		n.kickWanted.Store(false)
+		n.retryParked(now)
+		n.kickMu.Unlock()
 	}
-	defer n.kickMu.Unlock()
+}
+
+// retryParked is one kick, under kickMu. Repairs can cascade — an
+// attached entry may be the missing parent of another — hence the loop
+// until a full pass makes no progress.
+func (n *FullNode) retryParked(now time.Time) {
 	var attached []*txn.Transaction
 	for {
 		progress := false
@@ -1049,6 +1068,12 @@ func (n *FullNode) kickQuarantine(now time.Time) {
 				continue
 			}
 			verdict, missing, ok := n.relayAuthVerdict(e.tx)
+			if !ok && !n.tangle.WasSnapshotted(e.tx.Trunk) && !n.tangle.WasSnapshotted(e.tx.Branch) {
+				// A parent is still missing: there is nothing to retry,
+				// and an attach attempt would only count a reject.
+				n.quar.repark(e)
+				continue
+			}
 			if ok && verdict == authz.VerdictUnauthorized {
 				n.counters.StaleAuthRejects.Inc()
 				continue
@@ -1077,17 +1102,23 @@ func (n *FullNode) kickQuarantine(now time.Time) {
 	n.journalBatch(attached)
 }
 
-// probeAuthList asks peer for the authorization list with the given
-// sequence and folds a valid reply into the evidence window. This is
-// targeted anti-entropy: the normal sync lane still delivers the list
-// transaction for the ledger; the probe just un-blocks evidence
-// verdicts without waiting for a full sync round.
-func (n *FullNode) probeAuthList(ctx context.Context, peer string, seq uint64) {
-	if n.cfg.Network == nil || peer == "" || seq == 0 {
+// probeAuthList asks the peer that relayed a transaction — or, when
+// that is not an address this node can dial, its first listed peer —
+// for the authorization list with the given sequence and folds a valid
+// reply into the evidence window. This is targeted anti-entropy: the
+// normal sync lane still delivers the list transaction for the ledger;
+// the probe just un-blocks evidence verdicts without waiting for a full
+// sync round.
+func (n *FullNode) probeAuthList(ctx context.Context, from string, seq uint64) {
+	if from == "" || seq == 0 {
+		return
+	}
+	peers := n.repairPeers(from)
+	if len(peers) == 0 {
 		return
 	}
 	n.counters.AuthListProbes.Inc()
-	reply, err := n.cfg.Network.Request(ctx, peer, gossip.Message{
+	reply, err := n.cfg.Network.Request(ctx, peers[0], gossip.Message{
 		Type:   gossip.MsgAuthListRequest,
 		Offset: seq,
 	})
@@ -1103,11 +1134,7 @@ func (n *FullNode) probeAuthList(ctx context.Context, peer string, seq uint64) {
 		if t.VerifyBasic() != nil || t.Sender() != n.registry.Manager() {
 			continue
 		}
-		recordAt := t.Timestamp
-		if recordAt.After(now) {
-			recordAt = now
-		}
-		_, _ = n.registry.Observe(t, recordAt)
+		_, _ = n.observeList(t, now)
 	}
 	n.kickQuarantine(now)
 }
@@ -1167,6 +1194,19 @@ func (n *FullNode) cursorFor(key string) uint64 {
 	return n.syncCursor[key]
 }
 
+// turnFor returns the lock that admits one pager at a time to the
+// cursor named key.
+func (n *FullNode) turnFor(key string) *sync.Mutex {
+	n.syncMu.Lock()
+	defer n.syncMu.Unlock()
+	turn := n.syncTurn[key]
+	if turn == nil {
+		turn = new(sync.Mutex)
+		n.syncTurn[key] = turn
+	}
+	return turn
+}
+
 func (n *FullNode) setCursor(key string, cursor uint64) {
 	n.syncMu.Lock()
 	defer n.syncMu.Unlock()
@@ -1194,6 +1234,13 @@ func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string
 		pages = n.counters.BackboneSyncPages
 	}
 	key := scope.cursorKey(peer)
+	// One pager per cursor: a second one (the background orphan repair
+	// beside an operator's SyncAll, two reconcile rounds) would fetch,
+	// decode and verify the same pages over again. It waits, and then
+	// pages only what the first left — usually nothing.
+	turn := n.turnFor(key)
+	turn.Lock()
+	defer turn.Unlock()
 	cursor := n.cursorFor(key)
 	clean := true
 	for page := 0; page < maxSyncPages; page++ {

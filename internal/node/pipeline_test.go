@@ -1,11 +1,13 @@
 package node_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/b-iot/biot/internal/gossip"
 	"github.com/b-iot/biot/internal/identity"
@@ -202,7 +204,10 @@ func TestBroadcastBatchesCoalesce(t *testing.T) {
 
 func TestSlowPeerDropsNotStalls(t *testing.T) {
 	ctx := context.Background()
-	const n = 10
+	// A stalled peer holds a full window of batches in flight, one more in
+	// the sender's hands and one in its queue; everything past that bound
+	// must drop.
+	const n = node.SendWindow + 2 + 10
 	net := &stubNet{peerNames: []string{"slow"}, reqGate: make(chan struct{})}
 	full := newPipelineNode(t, net, 64, 1, 1) // peer queue of one, no batching
 
@@ -213,6 +218,14 @@ func TestSlowPeerDropsNotStalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The fan-out is asynchronous: let the dispatcher hand out (or drop)
+	// the last submission before the peer wakes up.
+	for deadline := time.Now().Add(5 * time.Second); full.Pipeline().QueueDepth.Value() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("dispatcher never drained the intake")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(net.reqGate)
 	if err := full.FlushBroadcast(ctx); err != nil {
 		t.Fatal(err)
@@ -220,8 +233,8 @@ func TestSlowPeerDropsNotStalls(t *testing.T) {
 
 	p := full.Pipeline()
 	_, total := net.snapshot()
-	if p.PeerDrops.Value() == 0 {
-		t.Error("expected drops for the slow peer")
+	if got := p.PeerDrops.Value(); got != 10 {
+		t.Errorf("%d drops for the slow peer, want 10 (window, sender and queue hold %d)", got, node.SendWindow+2)
 	}
 	if got := p.PeerDrops.Value() + int64(total); got != n {
 		t.Errorf("drops+delivered = %d, want %d", got, n)
@@ -299,5 +312,286 @@ func TestCloseIsIdempotentAndLocalOnly(t *testing.T) {
 	}
 	if err := full.FlushBroadcast(ctx); err != nil {
 		t.Fatalf("flush after close: %v", err)
+	}
+}
+
+// windowNet is a scripted gossip.Network for the send-window tests:
+// every Request reports in on arrived and then blocks until the test
+// releases it through release, so the test decides how many are in
+// flight at each instant and which of them fail.
+type windowNet struct {
+	arrived chan [][]byte // one send per Request, carrying its batch
+	release chan error    // one receive per Request: its outcome
+	done    chan struct{} // closed when the test ends: everything returns
+
+	mu        sync.Mutex
+	inFlight  int
+	maxFlight int
+}
+
+// newWindowNode builds a node over a windowNet. When the test ends,
+// Requests still blocked return before the node is closed.
+func newWindowNode(t *testing.T) (*windowNet, *node.FullNode) {
+	t.Helper()
+	net := &windowNet{arrived: make(chan [][]byte), release: make(chan error), done: make(chan struct{})}
+	full := newPipelineNode(t, net, 0, 0, 0)
+	t.Cleanup(func() { close(net.done) })
+	return net, full
+}
+
+func (w *windowNet) Self() string                                          { return "stub" }
+func (w *windowNet) Peers() []string                                       { return []string{"peer"} }
+func (w *windowNet) Broadcast(ctx context.Context, _ gossip.Message) error { return nil }
+func (w *windowNet) SetHandler(h gossip.Handler)                           {}
+func (w *windowNet) Close() error                                          { return nil }
+
+func (w *windowNet) Request(ctx context.Context, peer string, msg gossip.Message) (gossip.Message, error) {
+	w.mu.Lock()
+	w.inFlight++
+	if w.inFlight > w.maxFlight {
+		w.maxFlight = w.inFlight
+	}
+	w.mu.Unlock()
+	defer func() {
+		w.mu.Lock()
+		w.inFlight--
+		w.mu.Unlock()
+	}()
+	select {
+	case w.arrived <- msg.TxData:
+	case <-w.done:
+		return gossip.Message{}, gossip.ErrClosed
+	}
+	select {
+	case err := <-w.release:
+		return gossip.Message{}, err
+	case <-w.done:
+		return gossip.Message{}, gossip.ErrClosed
+	}
+}
+
+// expectArrivals receives n Requests and returns their batches in the
+// order the transport saw them.
+func (w *windowNet) expectArrivals(t *testing.T, n int) [][][]byte {
+	t.Helper()
+	out := make([][][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		select {
+		case b := <-w.arrived:
+			out = append(out, b)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d requests reached the transport", i, n)
+		}
+	}
+	return out
+}
+
+// expectQuiet asserts that no further Request reaches the transport.
+func (w *windowNet) expectQuiet(t *testing.T) {
+	t.Helper()
+	select {
+	case <-w.arrived:
+		t.Fatal("a request went out past the full window")
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// acknowledge completes n Requests with the given outcome.
+func (w *windowNet) acknowledge(t *testing.T, n int, outcome error) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case w.release <- outcome:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d requests were waiting for their reply", i, n)
+		}
+	}
+}
+
+// submitQueued admits n fresh transactions, waits until the dispatcher
+// has handed all of them to the peer's sender, and returns their
+// encodings in submission order.
+func submitQueued(t *testing.T, full *node.FullNode, tag string, n int) [][]byte {
+	t.Helper()
+	out := make([][]byte, n)
+	for i := range out {
+		tr := mineOwnTx(t, full, fmt.Sprintf("%s-%d", tag, i))
+		if _, err := full.Submit(context.Background(), tr); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = tr.Encode()
+	}
+	for deadline := time.Now().Add(5 * time.Second); full.Pipeline().QueueDepth.Value() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("dispatcher never drained the intake")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return out
+}
+
+// submitInFlight admits n transactions one at a time, each reaching the
+// transport before the next is submitted, so that each is a batch of
+// its own however the sender is scheduled. It returns the encodings and
+// the batches as the transport saw them.
+func submitInFlight(t *testing.T, net *windowNet, full *node.FullNode, tag string, n int) (sent [][]byte, seen [][][]byte) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		sent = append(sent, submitQueued(t, full, fmt.Sprintf("%s-%d", tag, i), 1)...)
+		seen = append(seen, net.expectArrivals(t, 1)...)
+	}
+	return sent, seen
+}
+
+// flatten concatenates batches.
+func flatten(batches [][][]byte) [][]byte {
+	var out [][]byte
+	for _, b := range batches {
+		out = append(out, b...)
+	}
+	return out
+}
+
+func sameEncodings(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSendWindowBoundsInFlight: with nothing acknowledged, a window of
+// single-transaction batches goes out and no request past the bound;
+// the stall is counted once; what queued up behind the full window
+// leaves as ONE batch when a slot frees.
+func TestSendWindowBoundsInFlight(t *testing.T) {
+	const extra = 5
+	net, full := newWindowNode(t)
+	sent, seen := submitInFlight(t, net, full, "win", node.SendWindow)
+	for i, b := range seen {
+		if len(b) != 1 {
+			t.Errorf("batch %d carries %d transactions with the window still open, want 1", i, len(b))
+		}
+	}
+	p := full.Pipeline()
+	if got := p.WindowStalls.Value(); got != 0 {
+		t.Errorf("WindowStalls = %d before the window filled, want 0", got)
+	}
+
+	sent = append(sent, submitQueued(t, full, "behind", extra)...)
+	net.expectQuiet(t)
+	if got := p.InFlight.Value(); got != node.SendWindow {
+		t.Errorf("InFlight gauge = %d, want %d", got, node.SendWindow)
+	}
+	if got := p.WindowStalls.Value(); got != 1 {
+		t.Errorf("WindowStalls = %d, want 1", got)
+	}
+
+	net.acknowledge(t, 1, nil) // one acknowledgement frees one slot
+	behind := net.expectArrivals(t, 1)
+	if len(behind[0]) != extra {
+		t.Errorf("batch behind the full window carries %d transactions, want %d", len(behind[0]), extra)
+	}
+	if got := flatten(append(seen, behind...)); !sameEncodings(got, sent) {
+		t.Error("transactions reached the transport out of submission order")
+	}
+	net.acknowledge(t, node.SendWindow, nil)
+	if err := full.FlushBroadcast(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if net.maxFlight != node.SendWindow {
+		t.Errorf("at most %d requests were in flight, want %d", net.maxFlight, node.SendWindow)
+	}
+	if got := p.InFlight.Value(); got != 0 {
+		t.Errorf("InFlight gauge = %d after the flush, want 0", got)
+	}
+}
+
+// TestFlushWaitsForInFlight: FlushBroadcast returns only once every
+// batch in flight has been acknowledged or has failed.
+func TestFlushWaitsForInFlight(t *testing.T) {
+	net, full := newWindowNode(t)
+	outcomes := []error{nil, errors.New("link down"), nil}
+	submitInFlight(t, net, full, "flush", len(outcomes))
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- full.FlushBroadcast(context.Background()) }()
+	for i, outcome := range outcomes {
+		select {
+		case <-flushed:
+			t.Fatalf("flush returned with %d batches still in flight", len(outcomes)-i)
+		case <-time.After(20 * time.Millisecond):
+		}
+		net.acknowledge(t, 1, outcome)
+	}
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("flush did not return after every batch completed")
+	}
+	p := full.Pipeline()
+	if p.BatchesSent.Value() != 2 || p.SendFailures.Value() != 1 {
+		t.Errorf("sent %d failed %d, want 2 and 1", p.BatchesSent.Value(), p.SendFailures.Value())
+	}
+}
+
+// TestCloseDrainsInFlight: Close waits for sends still in flight, and
+// what was queued behind them still goes out.
+func TestCloseDrainsInFlight(t *testing.T) {
+	net, full := newWindowNode(t)
+	sent, seen := submitInFlight(t, net, full, "close", node.SendWindow)
+	sent = append(sent, submitQueued(t, full, "queued", 2)...)
+
+	closed := make(chan struct{})
+	go func() { _ = full.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a full window in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	net.acknowledge(t, node.SendWindow, nil)
+	seen = append(seen, net.expectArrivals(t, 1)...) // the two behind the window
+	net.acknowledge(t, 1, nil)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the in-flight sends completed")
+	}
+	if !sameEncodings(flatten(seen), sent) {
+		t.Error("Close lost or reordered queued transactions")
+	}
+}
+
+// TestSendFailureMidWindow: a batch failing in the middle of the window
+// costs that batch only — those behind it are neither lost nor
+// reordered.
+func TestSendFailureMidWindow(t *testing.T) {
+	const n = 6
+	net, full := newWindowNode(t)
+	sent, seen := submitInFlight(t, net, full, "fail", n)
+	if !sameEncodings(flatten(seen), sent) {
+		t.Fatal("batches reached the transport out of submission order")
+	}
+	// Replies come back in any order; the third to return is a failure.
+	net.acknowledge(t, 2, nil)
+	net.acknowledge(t, 1, errors.New("link down"))
+	net.acknowledge(t, n-3, nil)
+	if err := full.FlushBroadcast(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	p := full.Pipeline()
+	if p.SendFailures.Value() != 1 || p.BatchesSent.Value() != n-1 || p.TxBroadcast.Value() != n-1 {
+		t.Errorf("failures %d, batches %d, transactions %d; want 1, %d, %d",
+			p.SendFailures.Value(), p.BatchesSent.Value(), p.TxBroadcast.Value(), n-1, n-1)
+	}
+	if p.PeerDrops.Value() != 0 {
+		t.Errorf("%d peer drops; a send failure is not a drop", p.PeerDrops.Value())
 	}
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -129,9 +130,154 @@ func (q *quarantine) drain() []*quarEntry {
 	return out
 }
 
+// orphans returns the IDs of the parked entries that wait for an
+// unattached parent rather than for a missing authorization list.
+func (q *quarantine) orphans() map[hashutil.Hash]struct{} {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make(map[hashutil.Hash]struct{})
+	for id, e := range q.entries {
+		if e.missingSeq == 0 {
+			out[id] = struct{}{}
+		}
+	}
+	return out
+}
+
 // size reports the number of parked entries.
 func (q *quarantine) size() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.entries)
+}
+
+// orphanRepairGrace is how long a parked orphan waits before the node
+// pulls for its parent. Peers keep up to a window of batches in flight,
+// so a child overtaking its parent by a batch is routine and repairs
+// itself within a link round trip when the parent lands; only a parent
+// still missing after the grace — long against any round trip this
+// transport tolerates well, short against the quarantine TTL — was
+// really lost (a peer-queue drop, a send failure) and is worth a sync.
+const orphanRepairGrace = 250 * time.Millisecond
+
+// orphanRepair is the state of the background repair lane.
+type orphanRepair struct {
+	ctx    context.Context // cancelled by Close
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
+	mu      sync.Mutex
+	running bool
+	// reported are the orphans handlers have parked since the running
+	// pass began (its own it took with it); from is the peer that
+	// relayed the latest of them.
+	reported map[hashutil.Hash]struct{}
+	from     string
+}
+
+// repairOrphans reports orphans a relayed batch has just parked to the
+// background repair lane and returns; the handler never waits for a
+// repair. The lane, single-flight per node, works in passes: it takes
+// what has been reported, waits out the grace, and if one of those is
+// still parked pulls the peers' ledgers — the relaying peer first when
+// it is one this node can dial, which over TCP it is not (an inbound
+// connection's remote address is an ephemeral port), then every listed
+// peer — until none of them is. Orphans reported during a pass wait for
+// the next: each sits out a full grace before it costs a sync.
+func (n *FullNode) repairOrphans(from string, orphans []hashutil.Hash) {
+	r := &n.repair
+	r.mu.Lock()
+	if r.reported == nil {
+		r.reported = make(map[hashutil.Hash]struct{}, len(orphans))
+	}
+	for _, id := range orphans {
+		r.reported[id] = struct{}{}
+	}
+	r.from = from
+	if r.running || r.ctx.Err() != nil {
+		r.mu.Unlock()
+		return
+	}
+	r.running = true
+	r.wg.Add(1)
+	r.mu.Unlock()
+
+	go func() {
+		defer r.wg.Done()
+		for {
+			r.mu.Lock()
+			waiting, from := r.reported, r.from
+			r.reported = nil
+			if len(waiting) == 0 {
+				r.running = false
+				r.mu.Unlock()
+				return
+			}
+			r.mu.Unlock()
+
+			grace := time.NewTimer(orphanRepairGrace)
+			select {
+			case <-grace.C:
+			case <-r.ctx.Done():
+				grace.Stop()
+				return
+			}
+			stillWaiting := func() bool {
+				for id := range n.settledOrphans() {
+					if _, was := waiting[id]; was {
+						return true
+					}
+				}
+				return false
+			}
+			if !stillWaiting() {
+				continue
+			}
+			n.pipeline.OrphanSyncs.Inc()
+			for _, peer := range n.repairPeers(from) {
+				n.syncFrom(r.ctx, n.cfg.Network, peer, wholeLedger)
+				if !stillWaiting() || r.ctx.Err() != nil {
+					break
+				}
+			}
+		}
+	}()
+}
+
+// settledOrphans retries everything parked — waiting out a kick that is
+// running, so that it never sees the quarantine half drained, and going
+// round again for one requested meanwhile, as kickQuarantine does — and
+// returns the orphans still parked after that.
+func (n *FullNode) settledOrphans() map[hashutil.Hash]struct{} {
+	for {
+		n.kickMu.Lock()
+		n.kickWanted.Store(false)
+		n.retryParked(n.cfg.Clock.Now())
+		orphans := n.quar.orphans()
+		n.kickMu.Unlock()
+		if !n.kickWanted.Load() {
+			return orphans
+		}
+	}
+}
+
+// repairPeers orders the peers a repair pulls from: from first when it
+// is a listed peer, then the rest.
+func (n *FullNode) repairPeers(from string) []string {
+	if n.cfg.Network == nil {
+		return nil
+	}
+	peers := n.cfg.Network.Peers()
+	out := make([]string, 0, len(peers))
+	for _, p := range peers {
+		if p == from {
+			out = append(out, p)
+		}
+	}
+	for _, p := range peers {
+		if p != from {
+			out = append(out, p)
+		}
+	}
+	return out
 }

@@ -323,12 +323,14 @@ func (s *Supervisor) Health() Health {
 	} else {
 		h.Transport = ComponentHealth{OK: false, Detail: "broadcast pipeline closed"}
 	}
+	p := n.Pipeline()
+	fanout := fmt.Sprintf("%d batches in flight, %d window stalls", p.InFlight.Value(), p.WindowStalls.Value())
 	if n.PipelineSaturated() {
 		h.Pipeline = ComponentHealth{OK: false, Detail: fmt.Sprintf(
-			"intake queue saturated (%d)", n.Pipeline().QueueDepth.Value())}
+			"intake queue saturated (%d), %s", p.QueueDepth.Value(), fanout)}
 	} else {
 		h.Pipeline = ComponentHealth{OK: true, Detail: fmt.Sprintf(
-			"queue depth %d", n.Pipeline().QueueDepth.Value())}
+			"queue depth %d, %s", p.QueueDepth.Value(), fanout)}
 	}
 	h.Memory = n.MemoryStats()
 	return h

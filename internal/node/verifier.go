@@ -1,7 +1,6 @@
 package node
 
 import (
-	"container/list"
 	"runtime"
 	"sync"
 	"time"
@@ -12,59 +11,65 @@ import (
 	"github.com/b-iot/biot/internal/txn"
 )
 
-// verifiedCacheSize bounds the LRU of recently verified transaction
+// verifiedCacheSize bounds the set of recently verified transaction
 // IDs. Gossip is redundant by design — the same transaction arrives
 // from several peers and again in sync pages — and signature + PoW
 // verification is the admitted hot cost of the inbound path, so a hit
 // here skips the entire ECDSA check for an echo.
 const verifiedCacheSize = 8192
 
-// verifiedCache is a small mutex-guarded LRU set of transaction IDs
-// whose structural, signature and relay-PoW checks already passed on
-// this node. Membership does NOT cache an authorization verdict: the
+// verifiedCache is a small mutex-guarded set of the transaction IDs
+// whose structural, signature and relay-PoW checks most recently passed
+// on this node. Membership does NOT cache an authorization verdict: the
 // evidence-at-admission gate is re-evaluated at the attach stage on
 // every attempt (it is monotone — a cached Authorized can only stay
 // authorized — but an Unresolved entry must keep retrying as lists
 // arrive).
+//
+// It keeps two generations: an ID enters the young one, and when that
+// holds half the capacity it becomes the old one and the previous old
+// one is forgotten. An ID is therefore remembered for at least cap/2
+// and at most cap further insertions — recency by insertion, which is
+// what echo suppression needs (an echo follows its original within a
+// round trip or a sync page) — at one map slot an entry. The
+// list-backed LRU this replaces paid a list element, a boxed key and a
+// pointer-valued slot for each: 1.7 MB a node at this capacity against
+// 0.6 MB, on every node whether or not an echo ever arrives.
 type verifiedCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently touched; values are hashutil.Hash
-	index map[hashutil.Hash]*list.Element
+	mu         sync.Mutex
+	half       int
+	young, old map[hashutil.Hash]struct{}
 }
 
 func newVerifiedCache(capacity int) *verifiedCache {
+	half := (capacity + 1) / 2
 	return &verifiedCache{
-		cap:   capacity,
-		order: list.New(),
-		index: make(map[hashutil.Hash]*list.Element, capacity),
+		half:  half,
+		young: make(map[hashutil.Hash]struct{}, half),
+		old:   make(map[hashutil.Hash]struct{}, half),
 	}
 }
 
-// Contains reports (and refreshes) membership.
+// Contains reports membership.
 func (c *verifiedCache) Contains(id hashutil.Hash) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.index[id]
-	if ok {
-		c.order.MoveToFront(el)
+	if _, ok := c.young[id]; ok {
+		return true
 	}
+	_, ok := c.old[id]
 	return ok
 }
 
-// Add inserts id, evicting the least recently touched entry at capacity.
+// Add inserts id, retiring the older generation once the younger one
+// is full.
 func (c *verifiedCache) Add(id hashutil.Hash) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.index[id]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	c.index[id] = c.order.PushFront(id)
-	if c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.index, last.Value.(hashutil.Hash))
+	c.young[id] = struct{}{}
+	if len(c.young) >= c.half {
+		clear(c.old)
+		c.young, c.old = c.old, c.young
 	}
 }
 
@@ -76,7 +81,7 @@ func newVerifySem() chan struct{} {
 }
 
 // verifyCached runs the full inbound verification for one transaction,
-// short-circuiting through the verified-ID LRU on gossip echoes. It
+// short-circuiting through the verified-ID set on gossip echoes. It
 // performs exactly the batch path's checks in the same order —
 // precheckInbound (structure, evidence gate, relay PoW floor) then the
 // Ed25519 signature — so the two paths count rejections identically.
@@ -115,7 +120,7 @@ const batchVerifyChunk = 64
 // batches from different peers.
 //
 // The work runs in two stages. Stage one performs the cheap
-// per-transaction checks inline: verified-LRU lookup, structure,
+// per-transaction checks inline: verified-set lookup, structure,
 // authorization, and the relay PoW floor — all allocation-free against
 // the decoded transaction's cached encoding. Stage two settles every
 // surviving signature with chunked identity.VerifyBatch calls on the

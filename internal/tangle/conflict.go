@@ -133,8 +133,8 @@ func (t *Tangle) restoreParentTipsLocked(v *vertex) {
 			continue
 		}
 		allRejected := true
-		for _, aid := range p.approvers {
-			if a, ok := t.vertices[aid]; ok && a.status != StatusRejected {
+		for _, a := range p.approvers {
+			if !a.pruned && a.status != StatusRejected {
 				allRejected = false
 				break
 			}

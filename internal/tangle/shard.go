@@ -82,11 +82,7 @@ func (t *Tangle) ExportShardRange(shard uint32, from, limit int) []*txn.Transact
 	if end > len(ids) {
 		end = len(ids)
 	}
-	out := make([]*txn.Transaction, 0, end-from)
-	for _, id := range ids[from:end] {
-		out = append(out, t.vertices[id].tx.Clone())
-	}
-	return out
+	return cloneTxs(ids[from:end])
 }
 
 // OrderedShardIDs returns up to limit attached transaction IDs starting
@@ -106,7 +102,5 @@ func (t *Tangle) OrderedShardIDs(shard uint32, from, limit int) []hashutil.Hash 
 	if end > len(ids) {
 		end = len(ids)
 	}
-	out := make([]hashutil.Hash, end-from)
-	copy(out, ids[from:end])
-	return out
+	return idsOf(ids[from:end])
 }

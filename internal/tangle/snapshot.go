@@ -67,8 +67,8 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 	defer t.mu.Unlock()
 
 	var drop []hashutil.Hash
-	for _, id := range t.order {
-		v := t.vertices[id]
+	for _, v := range t.order {
+		id := v.id
 		if !v.attachedAt.Before(cutoff) {
 			break // order is chronological: nothing later qualifies
 		}
@@ -79,9 +79,8 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 			continue
 		}
 		settled := true
-		for _, aid := range v.approvers {
-			a, ok := t.vertices[aid]
-			if ok && a.status == StatusPending {
+		for _, a := range v.approvers {
+			if a.status == StatusPending {
 				settled = false
 				break
 			}
@@ -105,6 +104,17 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 	}
 
 	for _, id := range drop {
+		v := t.vertices[id]
+		v.pruned = true
+		for _, pid := range [...]hashutil.Hash{v.tx.Trunk, v.tx.Branch} {
+			if p, live := t.vertices[pid]; live {
+				for i, a := range p.approvers {
+					if a == v {
+						p.approvers[i] = prunedApprover
+					}
+				}
+			}
+		}
 		delete(t.vertices, id)
 		t.markColdLocked(id)
 		// Every dropped vertex was confirmed; keep the incremental
@@ -123,13 +133,8 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 	// membership survives the demotion.
 	departed := t.boundary
 	t.boundary = make(map[hashutil.Hash]struct{})
-	retained := t.order[:0]
-	for _, id := range t.order {
-		v, ok := t.vertices[id]
-		if !ok {
-			continue
-		}
-		retained = append(retained, id)
+	t.order = compactLive(t.order)
+	for _, v := range t.order {
 		if v.tx.Kind == txn.KindGenesis {
 			continue
 		}
@@ -140,7 +145,6 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 			}
 		}
 	}
-	t.order = retained
 	if len(departed) > 0 && t.cold != nil {
 		ids := make([]hashutil.Hash, 0, len(departed))
 		for id := range departed {
@@ -155,34 +159,29 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 			}
 		}
 	}
-	for kind, ids := range t.byKind {
-		kept := ids[:0]
-		for _, id := range ids {
-			if _, ok := t.vertices[id]; ok {
-				kept = append(kept, id)
-			}
-		}
-		t.byKind[kind] = kept
+	for kind, vs := range t.byKind {
+		t.byKind[kind] = compactLive(vs)
 	}
-	for shard, ids := range t.shardOrder {
-		kept := ids[:0]
-		for _, id := range ids {
-			if _, ok := t.vertices[id]; ok {
-				kept = append(kept, id)
-			}
-		}
-		t.shardOrder[shard] = kept
+	for shard, vs := range t.shardOrder {
+		t.shardOrder[shard] = compactLive(vs)
 	}
-	approved := t.approvedOrder[:0]
-	for _, id := range t.approvedOrder[t.approvedHead:] {
-		if _, ok := t.vertices[id]; ok {
-			approved = append(approved, id)
-		}
-	}
-	t.approvedOrder = approved
+	t.approvedOrder = compactLive(t.approvedOrder)
 	t.approvedHead = 0
 	t.updateMemGaugesLocked()
 	return len(drop)
+}
+
+// compactLive compacts vs in place to the vertices a snapshot left
+// live, clearing the vacated tail so the pruned ones can be collected.
+func compactLive(vs []*vertex) []*vertex {
+	kept := vs[:0]
+	for _, v := range vs {
+		if !v.pruned {
+			kept = append(kept, v)
+		}
+	}
+	clear(vs[len(kept):])
+	return kept
 }
 
 // Restore re-inserts a journaled transaction during crash recovery,

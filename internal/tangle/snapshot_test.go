@@ -216,3 +216,52 @@ func TestSnapshotExportStillTopological(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotUnpinsPrunedVertices: the attachment-order indexes and
+// the approver lists hold vertices by pointer, so a snapshot has to let
+// go of every pruned one — in an index, or in the approver list of a
+// vertex that stays (genesis is never pruned and was approved by the
+// oldest, long-pruned, transactions) — or "pruned" would only mean
+// "unlisted". The approver COUNT is ledger state and must not change.
+func TestSnapshotUnpinsPrunedVertices(t *testing.T) {
+	tg, vc, _ := buildSnapshotFixture(t, 40)
+	genesis := tg.Genesis()[0]
+	before, err := tg.InfoOf(genesis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tg.Snapshot(vc.Now(), 5*time.Minute) == 0 {
+		t.Fatal("nothing dropped")
+	}
+	after, err := tg.InfoOf(genesis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.DirectApprovers != before.DirectApprovers || before.DirectApprovers == 0 {
+		t.Errorf("genesis had %d direct approvers, has %d after the snapshot", before.DirectApprovers, after.DirectApprovers)
+	}
+
+	tg.mu.RLock()
+	defer tg.mu.RUnlock()
+	indexes := map[string][]*vertex{"order": tg.order, "approvedOrder": tg.approvedOrder}
+	for kind, vs := range tg.byKind {
+		indexes[fmt.Sprintf("byKind[%v]", kind)] = vs
+	}
+	for shard, vs := range tg.shardOrder {
+		indexes[fmt.Sprintf("shardOrder[%d]", shard)] = vs
+	}
+	for name, vs := range indexes {
+		for _, v := range vs[:cap(vs)] { // the vacated tail too
+			if v != nil && v.pruned {
+				t.Errorf("%s still holds pruned vertex %s", name, v.id.Short())
+			}
+		}
+	}
+	for _, v := range tg.vertices {
+		for _, a := range v.approvers {
+			if a.pruned && a != prunedApprover {
+				t.Errorf("live vertex %s still holds pruned approver %s", v.id.Short(), a.id.Short())
+			}
+		}
+	}
+}

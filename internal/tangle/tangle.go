@@ -94,9 +94,13 @@ func (s Status) String() string {
 }
 
 type vertex struct {
-	tx         *txn.Transaction
-	id         hashutil.Hash
-	approvers  []hashutil.Hash
+	tx *txn.Transaction
+	id hashutil.Hash
+	// approvers are the vertices that approve this one directly, held
+	// by pointer like the attachment-order indexes. One a snapshot has
+	// pruned is replaced by prunedApprover, so the count survives and
+	// the pruned vertex does not stay reachable through its parent.
+	approvers  []*vertex
 	cumWeight  int
 	status     Status
 	attachedAt time.Time
@@ -115,6 +119,9 @@ type vertex struct {
 	// data shards. Assigned at attach time by the admission layer and
 	// immutable afterwards.
 	shard uint32
+	// pruned marks a vertex a snapshot removed from the live set, for
+	// the attachment-order indexes that hold it by pointer.
+	pruned bool
 	// authSeq is the admission evidence: the highest authorization-list
 	// sequence in this vertex's past cone, maintained incrementally as
 	// max(parent authSeqs) — plus the vertex's own decoded sequence when
@@ -123,6 +130,10 @@ type vertex struct {
 	// only widens the membership scan (see authz.EvidenceVerdict).
 	authSeq uint64
 }
+
+// prunedApprover stands in a live vertex's approver list for every
+// approver a snapshot has pruned.
+var prunedApprover = &vertex{pruned: true, status: StatusConfirmed}
 
 // Info is the public view of a vertex.
 type Info struct {
@@ -149,12 +160,15 @@ type Tangle struct {
 	// tipsSorted mirrors tips in sorted order, maintained incrementally
 	// on mutation so SelectTips never re-collects and re-sorts the pool.
 	tipsSorted []hashutil.Hash
-	order      []hashutil.Hash // attachment order, for sync/export
+	// order is the attachment order, for sync/export. Like the three
+	// indexes below it holds the vertices themselves — a word each, not
+	// a 32-byte ID and a map lookup per use.
+	order []*vertex
 	// shardOrder mirrors order per namespace: the attachment order of
 	// each shard's vertices, for namespace-scoped sync/export. Shard 0
 	// (control plane) is always present.
-	shardOrder map[uint32][]hashutil.Hash
-	byKind     map[txn.Kind][]hashutil.Hash
+	shardOrder map[uint32][]*vertex
+	byKind     map[txn.Kind][]*vertex
 	spends     map[txn.SpendKey][]hashutil.Hash
 	// The cold region left behind by local snapshots (see cold.go and
 	// snapshot.go): boundary holds the pruned IDs still referenced as a
@@ -196,7 +210,7 @@ type Tangle struct {
 	// (clock stamps are non-decreasing, so append order is
 	// chronological); approvedHead skips entries pruned by snapshots.
 	// Together they make OldestApproved amortized O(1).
-	approvedOrder []hashutil.Hash
+	approvedOrder []*vertex
 	approvedHead  int
 
 	// pendingEvents collects events produced under the write lock;
@@ -264,8 +278,8 @@ func New(cfg Config, managerPub identity.PublicKey, clk clock.Clock) (*Tangle, e
 		clk:        clk,
 		vertices:   make(map[hashutil.Hash]*vertex),
 		tips:       make(map[hashutil.Hash]struct{}),
-		shardOrder: make(map[uint32][]hashutil.Hash),
-		byKind:     make(map[txn.Kind][]hashutil.Hash),
+		shardOrder: make(map[uint32][]*vertex),
+		byKind:     make(map[txn.Kind][]*vertex),
 		spends:     make(map[txn.SpendKey][]hashutil.Hash),
 		boundary:   make(map[hashutil.Hash]struct{}),
 		coldMem:    make(map[hashutil.Hash]struct{}),
@@ -276,16 +290,17 @@ func New(cfg Config, managerPub identity.PublicKey, clk clock.Clock) (*Tangle, e
 	now := clk.Now()
 	for i, g := range GenesisTransactions(managerPub) {
 		id := g.ID()
-		t.vertices[id] = &vertex{
+		v := &vertex{
 			tx:         g,
 			id:         id,
 			status:     StatusConfirmed, // genesis is trusted by fiat
 			attachedAt: now,
 		}
+		t.vertices[id] = v
 		t.addTipLocked(id)
-		t.order = append(t.order, id)
-		t.shardOrder[0] = append(t.shardOrder[0], id)
-		t.byKind[txn.KindGenesis] = append(t.byKind[txn.KindGenesis], id)
+		t.order = append(t.order, v)
+		t.shardOrder[0] = append(t.shardOrder[0], v)
+		t.byKind[txn.KindGenesis] = append(t.byKind[txn.KindGenesis], v)
 		t.genesis[i] = id
 		t.nConfirmed++
 	}
@@ -534,7 +549,7 @@ func (t *Tangle) insertLocked(tx *txn.Transaction, id hashutil.Hash, trunk, bran
 		}
 	}
 	v := &vertex{
-		tx:         tx.Clone(),
+		tx:         tx.Stored(),
 		id:         id,
 		status:     StatusPending,
 		attachedAt: now,
@@ -543,9 +558,9 @@ func (t *Tangle) insertLocked(tx *txn.Transaction, id hashutil.Hash, trunk, bran
 		authSeq:    authSeq,
 	}
 	t.vertices[id] = v
-	t.order = append(t.order, id)
-	t.shardOrder[shard] = append(t.shardOrder[shard], id)
-	t.byKind[tx.Kind] = append(t.byKind[tx.Kind], id)
+	t.order = append(t.order, v)
+	t.shardOrder[shard] = append(t.shardOrder[shard], v)
+	t.byKind[tx.Kind] = append(t.byKind[tx.Kind], v)
 
 	// Wire approvals and retire approved tips.
 	events := t.evscratch[:0]
@@ -553,11 +568,11 @@ func (t *Tangle) insertLocked(tx *txn.Transaction, id hashutil.Hash, trunk, bran
 		if p == nil {
 			continue // snapshotted parent on the Restore path
 		}
-		p.approvers = append(p.approvers, id)
+		p.approvers = append(p.approvers, v)
 		if p.firstApprovedAt.IsZero() {
 			p.firstApprovedAt = now
 			if p.tx.Kind != txn.KindGenesis {
-				t.approvedOrder = append(t.approvedOrder, p.id)
+				t.approvedOrder = append(t.approvedOrder, p)
 			}
 		}
 		t.removeTipLocked(p.id)
@@ -687,11 +702,7 @@ func (t *Tangle) Tips() []hashutil.Hash {
 func (t *Tangle) Export() []*txn.Transaction {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]*txn.Transaction, 0, len(t.order))
-	for _, id := range t.order {
-		out = append(out, t.vertices[id].tx.Clone())
-	}
-	return out
+	return cloneTxs(t.order)
 }
 
 // ExportRange returns up to limit transactions starting at index from
@@ -713,9 +724,23 @@ func (t *Tangle) ExportRange(from, limit int) []*txn.Transaction {
 	if end > len(t.order) {
 		end = len(t.order)
 	}
-	out := make([]*txn.Transaction, 0, end-from)
-	for _, id := range t.order[from:end] {
-		out = append(out, t.vertices[id].tx.Clone())
+	return cloneTxs(t.order[from:end])
+}
+
+// cloneTxs returns deep copies of the vertices' transactions.
+func cloneTxs(vs []*vertex) []*txn.Transaction {
+	out := make([]*txn.Transaction, len(vs))
+	for i, v := range vs {
+		out[i] = v.tx.Clone()
+	}
+	return out
+}
+
+// idsOf returns the vertices' IDs.
+func idsOf(vs []*vertex) []hashutil.Hash {
+	out := make([]hashutil.Hash, len(vs))
+	for i, v := range vs {
+		out[i] = v.id
 	}
 	return out
 }
@@ -736,9 +761,7 @@ func (t *Tangle) OrderedIDs(from, limit int) []hashutil.Hash {
 	if end > len(t.order) {
 		end = len(t.order)
 	}
-	out := make([]hashutil.Hash, end-from)
-	copy(out, t.order[from:end])
-	return out
+	return idsOf(t.order[from:end])
 }
 
 // ByKind returns the transactions of the given kind in attachment
@@ -748,18 +771,14 @@ func (t *Tangle) OrderedIDs(from, limit int) []hashutil.Hash {
 func (t *Tangle) ByKind(kind txn.Kind, offset int) []*txn.Transaction {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ids := t.byKind[kind]
+	vs := t.byKind[kind]
 	if offset < 0 {
 		offset = 0
 	}
-	if offset >= len(ids) {
+	if offset >= len(vs) {
 		return nil
 	}
-	out := make([]*txn.Transaction, 0, len(ids)-offset)
-	for _, id := range ids[offset:] {
-		out = append(out, t.vertices[id].tx.Clone())
-	}
-	return out
+	return cloneTxs(vs[offset:])
 }
 
 // CountByKind returns how many transactions of the given kind are

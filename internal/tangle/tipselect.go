@@ -175,9 +175,8 @@ func (t *Tangle) walkFromLocked(w *walker, start *vertex) (hashutil.Hash, bool) 
 
 func (t *Tangle) stepLocked(w *walker, cur *vertex) *vertex {
 	candidates := w.cand[:0]
-	for _, id := range cur.approvers {
-		a := t.vertices[id]
-		if a != nil && a.status != StatusRejected {
+	for _, a := range cur.approvers {
+		if !a.pruned && a.status != StatusRejected {
 			candidates = append(candidates, a)
 		}
 	}
@@ -222,10 +221,7 @@ func (t *Tangle) stepLocked(w *walker, cur *vertex) *vertex {
 func (t *Tangle) OldestApproved() (hashutil.Hash, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for t.approvedHead < len(t.approvedOrder) {
-		if _, live := t.vertices[t.approvedOrder[t.approvedHead]]; live {
-			break
-		}
+	for t.approvedHead < len(t.approvedOrder) && t.approvedOrder[t.approvedHead].pruned {
 		t.approvedHead++
 	}
 	if t.approvedHead >= len(t.approvedOrder) {
@@ -233,10 +229,9 @@ func (t *Tangle) OldestApproved() (hashutil.Hash, bool) {
 	}
 	// Entries sharing the head's approval time are contiguous; break
 	// the tie on the smaller ID, matching the original scan's order.
-	best := t.vertices[t.approvedOrder[t.approvedHead]]
-	for _, id := range t.approvedOrder[t.approvedHead+1:] {
-		v, live := t.vertices[id]
-		if !live {
+	best := t.approvedOrder[t.approvedHead]
+	for _, v := range t.approvedOrder[t.approvedHead+1:] {
+		if v.pruned {
 			continue
 		}
 		if !v.firstApprovedAt.Equal(best.firstApprovedAt) {

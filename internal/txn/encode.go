@@ -30,6 +30,10 @@ import (
 const (
 	wireMagic   uint16 = 0xB107
 	wireVersion uint8  = 1
+
+	// wireIssuerOffset is where the issuer bytes start: after magic,
+	// version, kind, both parents, the timestamp and the issuer length.
+	wireIssuerOffset = 2 + 1 + 1 + 2*hashutil.Size + 8 + 2
 )
 
 // Decoding errors.

@@ -160,6 +160,79 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestStoredSharesTheEncoding: the stored copy is one allocation, its
+// byte slices are views of the encoding it shares with the original,
+// and neither an append on a view nor a later change to the original
+// reaches the stored bytes.
+func TestStoredSharesTheEncoding(t *testing.T) {
+	for name, tx := range map[string]*Transaction{
+		"built":   sampleTx(t, mustKey(t)),
+		"decoded": mustDecode(t, sampleTx(t, mustKey(t)).Encode()),
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := tx.Stored()
+			if st.ID() != tx.ID() || !bytes.Equal(st.Encode(), tx.Encode()) {
+				t.Fatal("stored copy differs from the original")
+			}
+			if err := st.VerifyBasic(); err != nil {
+				t.Fatalf("stored copy does not verify: %v", err)
+			}
+			if !bytes.Equal(st.Issuer, tx.Issuer) || !bytes.Equal(st.Payload, tx.Payload) ||
+				!bytes.Equal(st.Signature, tx.Signature) || st.Nonce != tx.Nonce ||
+				st.Kind != tx.Kind || !st.Timestamp.Equal(tx.Timestamp) ||
+				st.Trunk != tx.Trunk || st.Branch != tx.Branch {
+				t.Fatal("stored copy's fields differ from the original's")
+			}
+			enc := st.Encode()
+			for field, view := range map[string][]byte{"issuer": st.Issuer, "payload": st.Payload, "signature": st.Signature} {
+				if cap(view) != len(view) {
+					t.Errorf("%s view has spare capacity %d: an append would write into the encoding", field, cap(view)-len(view))
+				}
+				if !aliases(view, enc) {
+					t.Errorf("%s is a separate allocation, not a view of the encoding", field)
+				}
+			}
+
+			before := append([]byte(nil), enc...)
+			_ = append(st.Payload, 0xFF)
+			tx.Payload = []byte("rewritten by the caller")
+			tx.Invalidate()
+			_ = tx.ID()
+			if !bytes.Equal(st.Encode(), before) || st.VerifyBasic() != nil {
+				t.Error("the stored copy changed with the original")
+			}
+
+			fresh := mustDecode(t, before)
+			_ = fresh.ID()
+			if n := testing.AllocsPerRun(100, func() { _ = fresh.Stored() }); n != 1 {
+				t.Errorf("Stored made %.0f allocations, want 1", n)
+			}
+		})
+	}
+}
+
+func mustDecode(t *testing.T, raw []byte) *Transaction {
+	t.Helper()
+	tx, err := Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tx
+}
+
+// aliases reports whether view lies inside buf's backing array.
+func aliases(view, buf []byte) bool {
+	if len(view) == 0 {
+		return true
+	}
+	for i := range buf {
+		if &buf[i] == &view[0] {
+			return true
+		}
+	}
+	return false
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	key := mustKey(t)
 	kinds := []Kind{KindData, KindTransfer, KindAuthorization, KindKeyDist}

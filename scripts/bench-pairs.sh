@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# Paired benchmark runs of a base commit against this checkout: the
+# choosing-metrics protocol for a change that claims a gain, as one
+# command. It only reads bench/; it changes nothing there.
+#
+#   scripts/bench-pairs.sh <base-ref> [workload ...]     (default: relay-fanout)
+#
+# The base is exported (git archive) into a temporary directory, so both
+# sides build from source with the benchmark code each commit carries.
+# Ten pairs on seeds 1..10, alternating which side runs first, then one
+# pair on the held-out seed 20190707. Prints every run's end-to-end
+# metrics, the pair wins per metric, and bench's own -compare verdicts
+# (medians, quartiles, move against the bound). Results stay in
+# $OUT (default: a fresh directory under ${TMPDIR:-/tmp}).
+set -euo pipefail
+
+base_ref=${1:?usage: scripts/bench-pairs.sh <base-ref> [workload ...]}
+shift
+workloads=("$@")
+[ ${#workloads[@]} -gt 0 ] || workloads=(relay-fanout)
+pairs=${PAIRS:-10}
+heldout=20190707
+
+head=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
+out=${OUT:-$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")}
+base=$(mktemp -d "${TMPDIR:-/tmp}/bench-base.XXXXXX")
+trap 'rm -rf "$base"' EXIT
+git -C "$head" archive "$base_ref" | tar -x -C "$base"
+echo "base $base_ref -> $base; results -> $out"
+
+# run <side> <checkout> <set> <i> <seed> <workload>: one untraced run;
+# the envelope lands in $out/<set>/<side>/run-<i>/.
+run() {
+	local side=$1 dir=$2 set=$3 i=$4 seed=$5 wl=$6
+	local dest="$out/$set/$side/run-$i"
+	mkdir -p "$dest"
+	(cd "$dir" && bash bench/run.sh --workload "$wl" --seed "$seed" --trace 0 -out "$dest") |
+		tail -n 1 >"$dest/$wl.line"
+	printf '%s\t%s\t%s\t%s\t%s\n' "$set" "$wl" "$seed" "$side" "$(cat "$dest/$wl.line")" >>"$out/runs.tsv"
+}
+
+for wl in "${workloads[@]}"; do
+	for i in $(seq 1 "$pairs"); do
+		if [ $((i % 2)) -eq 1 ]; then
+			run base "$base" pairs "$i" "$i" "$wl"
+			run head "$head" pairs "$i" "$i" "$wl"
+		else
+			run head "$head" pairs "$i" "$i" "$wl"
+			run base "$base" pairs "$i" "$i" "$wl"
+		fi
+	done
+	run base "$base" heldout 1 "$heldout" "$wl"
+	run head "$head" heldout 1 "$heldout" "$wl"
+done
+
+# Per-pair table and wins, from the driver line each run ends with.
+python3 - "$out/runs.tsv" <<'PY'
+import json, sys
+from collections import defaultdict
+lower = {"setup_s", "admit_p50_ms", "confirm_p50_ms", "alloc_kb_per_tx", "heap_mb_end"}
+runs = defaultdict(dict)  # (set, workload, seed) -> side -> metrics
+for line in open(sys.argv[1]):
+    kind, wl, seed, side, blob = line.rstrip("\n").split("\t", 4)
+    doc = json.loads(blob)
+    runs[(kind, wl, int(seed))][side] = {k: v["value"] for k, v in doc.get("metrics", {}).items()} if doc.get("correct") else None
+wins = defaultdict(lambda: [0, 0, 0])  # (workload, metric) -> head wins, base wins, ties
+print(f"{'set':8} {'workload':16} {'seed':>9} {'metric':16} {'base':>10} {'head':>10}  winner")
+for (kind, wl, seed), sides in sorted(runs.items()):
+    b, h = sides.get("base"), sides.get("head")
+    if not b or not h:
+        print(f"{kind:8} {wl:16} {seed:9} VOID base={b is not None} head={h is not None}")
+        continue
+    for m in sorted(b):
+        better = (h[m] < b[m]) if m in lower else (h[m] > b[m])
+        tie = h[m] == b[m]
+        who = "tie" if tie else ("head" if better else "base")
+        print(f"{kind:8} {wl:16} {seed:9} {m:16} {b[m]:10.4g} {h[m]:10.4g}  {who}")
+        if kind == "pairs":
+            wins[(wl, m)][2 if tie else (0 if better else 1)] += 1
+print()
+for (wl, m), (hw, bw, t) in sorted(wins.items()):
+    print(f"{wl:16} {m:16} head wins {hw} of {hw + bw + t} pairs (base {bw}, ties {t})")
+PY
+
+echo
+(cd "$head" && bash bench/run.sh -compare "$out/pairs/base" "$out/pairs/head") || true
