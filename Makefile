@@ -17,9 +17,12 @@ vet:
 # smoke pins a tiny -benchtime so the tangle benchmark suite itself
 # stays compiling and passing; the concurrent-reader benchmark runs
 # under the race detector to exercise SelectTips readers against a
-# live attacher.
+# live attacher. The store runs ten more rounds: its group committer is
+# the one place every admission path meets, and its tests order
+# goroutines by released fsyncs, which only repetition checks.
 test: vet
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/store/
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchtime 20x ./internal/gossip/
@@ -156,7 +159,9 @@ bench-all:
 # this checkout, ten alternating base/head pairs of
 # `bash bench/run.sh --workload W --trace 0` on seeds 1..10 plus one
 # pair on the held-out seed 20190707, then bench's own -compare.
-#   make bench-pairs BASE=HEAD~1 [WORKLOADS="relay-fanout full-path"] [OUT=dir]
+# TRACE=1 adds one traced pair per workload and prints the per-layer rows
+# of the journal and fan-out path side by side (see the script).
+#   make bench-pairs BASE=HEAD~1 [WORKLOADS="relay-fanout full-path"] [OUT=dir] [TRACE=1]
 bench-pairs:
 	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<ref> [WORKLOADS=...]"; exit 2; }
 	scripts/bench-pairs.sh $(BASE) $(WORKLOADS)

@@ -56,7 +56,7 @@ func run() error {
 		rateLimit        = flag.Int("rate-limit", 50, "per-device submissions per second (0 = unlimited)")
 		persistPath      = flag.String("persist", "", "transaction log path; the ledger survives restarts when set")
 		journalBatch     = flag.Int("journal-batch", 0, "max admitted records per journal fsync (0 = store default, 1 = fsync per record)")
-		journalDelay     = flag.Duration("journal-delay", 0, "how long the journal commit leader lingers for a fuller batch (0 = flush immediately)")
+		journalDelay     = flag.Duration("journal-delay", 0, "how long the journal committer lingers for a fuller batch (0 = flush immediately)")
 		withQuality      = flag.Bool("quality", false, "enable sensor data quality control on plaintext readings")
 		snapshotKeep     = flag.Duration("snapshot-keep", 0, "compact the ledger periodically, keeping this much history (0 = never)")
 		snapshotInterval = flag.Duration("snapshot-interval", 0, "quantize compaction cutoffs to this epoch so all gateways cut at the same boundary (0 = unaligned)")

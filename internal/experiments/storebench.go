@@ -91,7 +91,7 @@ type StoreBenchRow struct {
 	PerRecordTxPerSec float64 `json:"per_record_tx_per_sec"`
 	PerRecordSyncs    uint64  `json:"per_record_syncs"`
 	// Grouped* is the group-commit path: concurrent appenders share a
-	// leader's single write+fsync.
+	// committer's single write+fsync.
 	GroupedTxPerSec float64 `json:"grouped_tx_per_sec"`
 	GroupedSyncs    uint64  `json:"grouped_syncs"`
 	// MeanBatch is records per fsync in grouped mode.

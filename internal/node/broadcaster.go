@@ -43,8 +43,13 @@ type PipelineMetrics struct {
 	// signature, authorization, rate-limit and PoW checks.
 	AdmitLatency *metrics.Histogram
 	// AttachLatency covers the short critical section: tangle attach +
-	// credit update (+ journal append).
+	// credit update. Its clock stops before the journal.
 	AttachLatency *metrics.Histogram
+	// JournalLatency covers one journal request from enqueue to its
+	// durability barrier — queueing behind earlier requests plus the
+	// flush — on both edges: a submission waits it out (beside its
+	// fan-out), a relayed batch usually does not.
+	JournalLatency *metrics.Histogram
 	// BroadcastLatency covers one batched peer send in the async stage.
 	BroadcastLatency *metrics.Histogram
 	// InFlight is the number of batches handed to the transport and not
@@ -95,6 +100,7 @@ func newPipelineMetrics() PipelineMetrics {
 	return PipelineMetrics{
 		AdmitLatency:     &metrics.Histogram{},
 		AttachLatency:    &metrics.Histogram{},
+		JournalLatency:   &metrics.Histogram{},
 		BroadcastLatency: &metrics.Histogram{},
 		InFlight:         &metrics.Gauge{},
 		WindowStalls:     &metrics.Counter{},

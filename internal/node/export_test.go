@@ -4,6 +4,7 @@ package node
 const (
 	SendWindow        = sendWindow
 	OrphanRepairGrace = orphanRepairGrace
+	MaxUnsyncedRelay  = maxUnsyncedRelay
 )
 
 // VerifiedCache exposes the verified-ID set to its test.

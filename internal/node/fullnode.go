@@ -106,7 +106,7 @@ type FullConfig struct {
 	// only consulted once EnablePersistence opens a journal).
 	// JournalMaxBatch caps how many admitted records one fsync covers —
 	// 1 restores the old per-record-fsync write path. JournalMaxDelay
-	// lets the commit leader linger for a fuller batch, trading
+	// lets the committer linger for a fuller batch, trading
 	// admission latency for fewer fsyncs; zero flushes immediately and
 	// batches form only from writers that queued during the previous
 	// flush.
@@ -229,6 +229,10 @@ type FullNode struct {
 	deferred  []tangle.Event                     // settlement events awaiting drainDeferred
 	journal   *store.Log                         // nil unless EnablePersistence was called
 	coldIdx   *store.ColdIndex                   // durable pruned-ID index; nil when memory-only
+
+	// replayGate holds relay admission (read side, admitGossipBatch)
+	// while EnablePersistenceFS replays the journal (write side).
+	replayGate sync.RWMutex
 
 	limiterMu sync.Mutex
 	limiter   map[identity.Address]*rateBucket
@@ -475,15 +479,26 @@ func (n *FullNode) InfoOf(id hashutil.Hash) (tangle.Info, error) {
 // Submit runs the full admission pipeline on a light-node submission:
 // structural + signature verification, authorization (Sybil/DDoS
 // defense), rate limiting, credit-based PoW verification, attachment,
-// credit accounting, authorization-list application, and gossip
-// broadcast. Safe to call from many goroutines concurrently.
+// credit accounting, authorization-list application, journaling and
+// gossip broadcast. Safe to call from many goroutines concurrently.
 //
-// Broadcast is asynchronous: Submit returns once the transaction is
-// attached locally and queued for fan-out; peers observe it shortly
-// after (FlushBroadcast provides a barrier). When the broadcast queue
-// is saturated Submit rejects with ErrBroadcastBacklog *before*
-// admitting anything — the caller backs off and retries, and the local
-// ledger never diverges from what was gossiped.
+// On a journaling node Submit returns only after the fsync covering the
+// transaction's journal record; replication does not wait for it. The
+// order is attach → queue the journal record → queue the fan-out → wait
+// for the journal barrier, so the broadcast and the link delay behind it
+// overlap the flush instead of following it (in the paper a gateway
+// verifies and broadcasts at once; the journal is this repository's).
+// Broadcast therefore PRECEDES durability: a power cut between the two
+// leaves the transaction on the relays, not in this gateway's journal,
+// and the device without an answer. The rebooted gateway's sync pulls it
+// back from a relay, and the device's retry is then a duplicate
+// (DESIGN.md §11).
+//
+// Broadcast is asynchronous: peers observe the transaction shortly
+// after it is queued (FlushBroadcast provides a barrier). When the
+// broadcast queue is saturated Submit rejects with ErrBroadcastBacklog
+// *before* admitting anything — the caller backs off and retries, and
+// the local ledger never diverges from what was gossiped.
 func (n *FullNode) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info, error) {
 	var release func()
 	if n.bcast != nil {
@@ -492,17 +507,19 @@ func (n *FullNode) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info,
 			return tangle.Info{}, err
 		}
 	}
-	info, err := n.admit(ctx, t, true)
+	info, err := n.admit(ctx, t)
 	if err != nil {
 		if release != nil {
 			release()
 		}
 		return tangle.Info{}, err
 	}
+	barrier := n.journalEnqueue([]*txn.Transaction{t})
 	if n.bcast != nil {
 		// The reservation is consumed by the dispatcher; no release here.
 		n.bcast.enqueue(t.Encode())
 	}
+	<-barrier
 	return info, nil
 }
 
@@ -625,7 +642,7 @@ func (n *FullNode) verifyRelayDifficulty(t *txn.Transaction) error {
 // critical section, serialized inside the tangle and credit ledger's
 // own locks. Inbound gossip batches bypass this in favour of
 // admitGossipBatch, which runs the verification stage in parallel.
-func (n *FullNode) admit(ctx context.Context, t *txn.Transaction, local bool) (tangle.Info, error) {
+func (n *FullNode) admit(ctx context.Context, t *txn.Transaction) (tangle.Info, error) {
 	if err := ctx.Err(); err != nil {
 		return tangle.Info{}, err
 	}
@@ -635,7 +652,7 @@ func (n *FullNode) admit(ctx context.Context, t *txn.Transaction, local bool) (t
 	if err := n.verifyIdentity(t); err != nil {
 		return tangle.Info{}, err
 	}
-	if local && !n.allowRate(t.Sender(), now) {
+	if !n.allowRate(t.Sender(), now) {
 		n.counters.RateLimited.Inc()
 		return tangle.Info{}, fmt.Errorf("%w: %s", ErrRateLimited, t.Sender().Short())
 	}
@@ -643,7 +660,7 @@ func (n *FullNode) admit(ctx context.Context, t *txn.Transaction, local bool) (t
 		return tangle.Info{}, err
 	}
 	n.pipeline.AdmitLatency.Observe(time.Since(admitStart))
-	return n.attachVerified(t, now, true, n.cfg.ShardID)
+	return n.attachVerified(t, now, n.cfg.ShardID)
 }
 
 // shardFor routes a transaction kind to its tangle namespace: data and
@@ -662,19 +679,16 @@ func shardFor(kind txn.Kind, hint uint32) uint32 {
 // attachVerified is the pipeline's serialized tail: it assumes the
 // transaction already passed identity + difficulty verification and
 // performs attachment, credit accounting, authorization application,
-// quality control and settlement draining.
-//
-// journal selects per-record journaling: the submission edge journals
-// inline (admission is only reported after the group-commit barrier
-// resolves — the chaos soak's zero-admitted-loss invariant), while the
-// relayed path passes false and journals its whole batch with one
-// AppendBatch afterwards.
+// quality control and settlement draining. Journaling is the caller's:
+// the submission edge queues the record and waits for its barrier after
+// it has queued the fan-out (Submit); the relay edge queues its whole
+// batch as one request and does not wait (journalRelayed).
 //
 // shardHint is the data namespace the transaction lands in when it is
 // region traffic (shardFor routes control kinds to namespace 0): the
 // node's own shard at the submission edge, the batch's declared shard
 // on the relay path.
-func (n *FullNode) attachVerified(t *txn.Transaction, now time.Time, journal bool, shardHint uint32) (tangle.Info, error) {
+func (n *FullNode) attachVerified(t *txn.Transaction, now time.Time, shardHint uint32) (tangle.Info, error) {
 	sender := t.Sender()
 	attachStart := time.Now()
 
@@ -712,13 +726,13 @@ func (n *FullNode) attachVerified(t *txn.Transaction, now time.Time, journal boo
 	info, err := n.tangle.AttachShard(t, shardFor(t.Kind, shardHint))
 	if err != nil {
 		if !errors.Is(err, tangle.ErrDuplicate) {
-			// A duplicate keeps its (idempotent) record; anything else
-			// never entered the ledger.
+			// A duplicate keeps what the first copy recorded (both are
+			// idempotent); anything else never entered the ledger.
 			n.engine.Ledger().RemoveTransaction(sender, t.ID())
+			n.pendingMu.Lock()
+			delete(n.pending, t.ID())
+			n.pendingMu.Unlock()
 		}
-		n.pendingMu.Lock()
-		delete(n.pending, t.ID())
-		n.pendingMu.Unlock()
 		n.counters.Rejected.Inc()
 		return tangle.Info{}, fmt.Errorf("attach: %w", err)
 	}
@@ -748,9 +762,6 @@ func (n *FullNode) attachVerified(t *txn.Transaction, now time.Time, journal boo
 	}
 
 	n.counters.Accepted.Inc()
-	if journal {
-		n.journalAppend(t)
-	}
 	n.pipeline.AttachLatency.Observe(time.Since(attachStart))
 	n.drainDeferred()
 	return info, nil
@@ -864,6 +875,8 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 // difficulty check disagrees — may verify cleanly once more of the
 // ledger has arrived, so its page must be re-offered by a later sync.
 func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]byte, repair bool, shard uint32) (failed int) {
+	n.replayGate.RLock()
+	defer n.replayGate.RUnlock()
 	now := n.cfg.Clock.Now()
 	txs := make([]*txn.Transaction, 0, len(raw))
 	var seen map[hashutil.Hash]struct{} // a batch of one has no duplicates
@@ -887,13 +900,13 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 		txs = append(txs, t)
 	}
 
-	// Relayed records are journaled as ONE group-commit batch at the end
-	// of the call rather than one fsync per record: a relay admission is
-	// not a client-facing durability promise (a record lost to a crash
-	// in the gap is repaired by the next sync), so the whole batch can
-	// share a single barrier.
+	// Relayed records are journaled as ONE request at the end of the call
+	// and the call does not wait for its fsync: a relay admission is not a
+	// client-facing durability promise (a record lost to a crash in the
+	// gap is repaired by the next sync), and the transport holds the
+	// pair's next batch until this one returns.
 	var attached []*txn.Transaction
-	defer func() { n.journalBatch(attached) }()
+	defer func() { n.journalRelayed(attached) }()
 
 	var orphans []hashutil.Hash
 	attach := func(t *txn.Transaction) {
@@ -914,7 +927,7 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 				return
 			}
 		} // else parents unattached: attach will orphan it
-		_, err := n.attachVerified(t, now, false, shard)
+		_, err := n.attachVerified(t, now, shard)
 		switch {
 		case err == nil:
 			attached = append(attached, t)
@@ -1083,7 +1096,7 @@ func (n *FullNode) retryParked(now time.Time) {
 				n.quar.repark(e)
 				continue
 			}
-			if _, err := n.attachVerified(e.tx, now, false, e.shard); err != nil {
+			if _, err := n.attachVerified(e.tx, now, e.shard); err != nil {
 				if errors.Is(err, tangle.ErrUnknownParent) {
 					n.quar.repark(e)
 				} else if !errors.Is(err, tangle.ErrDuplicate) {
@@ -1099,7 +1112,7 @@ func (n *FullNode) retryParked(now time.Time) {
 			break
 		}
 	}
-	n.journalBatch(attached)
+	n.journalRelayed(attached)
 }
 
 // probeAuthList asks the peer that relayed a transaction — or, when

@@ -1,0 +1,506 @@
+package node_test
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/b-iot/biot/internal/chaos"
+	"github.com/b-iot/biot/internal/gossip"
+	"github.com/b-iot/biot/internal/hashutil"
+	"github.com/b-iot/biot/internal/identity"
+	"github.com/b-iot/biot/internal/node"
+	"github.com/b-iot/biot/internal/store"
+	"github.com/b-iot/biot/internal/txn"
+)
+
+// heldFS is a MemFS whose Syncs the test can hold: from hold until open,
+// each Sync blocks until the test releases it, one release a Sync. No
+// test here sleeps to order a flush against anything; the flush happens
+// when the test says so.
+type heldFS struct {
+	*chaos.MemFS
+	mu      sync.Mutex
+	gate    chan struct{} // nil: Syncs pass
+	blocked atomic.Int32  // Syncs held right now
+}
+
+func newHeldFS(seed int64) *heldFS { return &heldFS{MemFS: chaos.NewMemFS(seed)} }
+
+func (h *heldFS) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
+	f, err := h.MemFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &heldFile{File: f, fs: h}, nil
+}
+
+func (h *heldFS) hold() {
+	h.mu.Lock()
+	h.gate = make(chan struct{})
+	h.mu.Unlock()
+}
+
+// release lets exactly one held Sync proceed.
+func (h *heldFS) release() {
+	h.mu.Lock()
+	gate := h.gate
+	h.mu.Unlock()
+	gate <- struct{}{}
+}
+
+// open ends the hold: held and later Syncs all proceed.
+func (h *heldFS) open() {
+	h.mu.Lock()
+	close(h.gate)
+	h.gate = nil
+	h.mu.Unlock()
+}
+
+// waitBlocked waits until a Sync is held: the committer has written its
+// batch and is at the flush.
+func (h *heldFS) waitBlocked(t *testing.T) {
+	t.Helper()
+	waitFor(t, "a journal flush is held at its Sync", func() bool { return h.blocked.Load() == 1 })
+}
+
+type heldFile struct {
+	chaos.File
+	fs *heldFS
+}
+
+func (f *heldFile) Sync() error {
+	f.fs.mu.Lock()
+	gate := f.fs.gate
+	f.fs.mu.Unlock()
+	if gate != nil {
+		f.fs.blocked.Add(1)
+		<-gate
+		f.fs.blocked.Add(-1)
+	}
+	return f.File.Sync()
+}
+
+// journaledIDs reads the journal as the next boot would.
+func journaledIDs(t *testing.T, fs chaos.FS, path string) map[hashutil.Hash]int {
+	t.Helper()
+	ids := make(map[hashutil.Hash]int)
+	log, err := store.OpenFS(fs, path, func(tx *txn.Transaction) error {
+		ids[tx.ID()]++
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("read journal %s: %v", path, err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// returned reports, without waiting, whether the call behind done has
+// returned.
+func returned(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// awaitReturn fails the test if the call behind done does not return.
+func awaitReturn(t *testing.T, what string, done <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return", what)
+	}
+}
+
+// newRelay builds a gateway whose peers the test plays. Transactions
+// signed by mgrKey are authorized on it from genesis.
+func newRelay(t *testing.T, mgrKey *identity.KeyPair, net *scriptedNet) *node.FullNode {
+	t.Helper()
+	key, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay, err := node.NewFull(node.FullConfig{
+		Key:        key,
+		Role:       identity.RoleGateway,
+		ManagerPub: mgrKey.Public(),
+		Credit:     testParams(),
+		Network:    net,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = relay.Close() })
+	return relay
+}
+
+// newJournalingRelay is newRelay with its journal open on fs.
+func newJournalingRelay(t *testing.T, mgrKey *identity.KeyPair, net *scriptedNet, fs chaos.FS, path string) *node.FullNode {
+	t.Helper()
+	relay := newRelay(t, mgrKey, net)
+	if _, err := relay.EnablePersistenceFS(fs, path); err != nil {
+		t.Fatal(err)
+	}
+	return relay
+}
+
+// writeJournal writes txs as the whole journal at path.
+func writeJournal(t *testing.T, fs chaos.FS, path string, txs ...*txn.Transaction) {
+	t.Helper()
+	log, err := store.OpenFS(fs, path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.AppendBatch(txs); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serveLedger makes the scripted peer answer sync requests with txs as
+// one page.
+func serveLedger(net *scriptedNet, txs ...*txn.Transaction) {
+	data := make([][]byte, len(txs))
+	for i, tx := range txs {
+		data[i] = tx.Encode()
+	}
+	net.mu.Lock()
+	net.serve = func(peer string, msg gossip.Message) (gossip.Message, error) {
+		if msg.Type != gossip.MsgSyncRequest {
+			return gossip.Message{}, fmt.Errorf("unexpected %v", msg.Type)
+		}
+		return gossip.Message{Type: gossip.MsgSyncResponse, TxData: data, Offset: uint64(len(data)), Total: uint64(len(data))}, nil
+	}
+	net.mu.Unlock()
+}
+
+// TestSubmitFansOutWhileItsFlushIsHeld: fan-out starts at attach, not at
+// the journal barrier — a peer holds the transaction while Submit is
+// still blocked on the fsync covering its record — and the durability
+// promise is untouched: Submit does not return before that fsync does.
+func TestSubmitFansOutWhileItsFlushIsHeld(t *testing.T) {
+	dep := newMultiNode(t, 1, nil)
+	gateway, peer := dep.mgr.Node(), dep.gateways[0]
+	fs := newHeldFS(21)
+	if _, err := gateway.EnablePersistenceFS(fs, "gw.journal"); err != nil {
+		t.Fatal(err)
+	}
+	tx := mineOwnTx(t, gateway, "reading")
+
+	fs.hold()
+	done := make(chan struct{})
+	var submitErr error
+	go func() {
+		defer close(done)
+		_, submitErr = gateway.Submit(context.Background(), tx)
+	}()
+	fs.waitBlocked(t)
+	waitFor(t, "the peer holds the transaction while the gateway's flush is held", func() bool {
+		return peer.Tangle().Contains(tx.ID())
+	})
+	if returned(done) {
+		t.Fatal("Submit returned before the fsync covering its journal record")
+	}
+	fs.release()
+	awaitReturn(t, "Submit, after its fsync was released", done)
+	if submitErr != nil {
+		t.Fatalf("submit: %v", submitErr)
+	}
+	fs.open()
+	if err := gateway.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Reboot()
+	if journaledIDs(t, fs.MemFS, "gw.journal")[tx.ID()] != 1 {
+		t.Fatal("a transaction whose Submit returned is not in the journal after a power cut")
+	}
+}
+
+// TestRelayAcksWhileItsFlushIsHeld: a relay's acknowledgement means
+// "verified and attached", not "durable" — it attaches and acknowledges
+// batch 2 while batch 1's fsync is still held, so the transport can hand
+// it the pair's next batch — and nothing is lost to that: everything it
+// acknowledged is in its journal after ClosePersistence.
+func TestRelayAcksWhileItsFlushIsHeld(t *testing.T) {
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := newHeldFS(22)
+	net := &scriptedNet{peers: []string{"gateway:5600"}}
+	relay := newJournalingRelay(t, mgrKey, net, fs, "relay.journal")
+	g := genesisIDs(t, relay)
+	floor := testParams().MinDifficulty
+	first := craftTx(mgrKey, txn.KindData, []byte("batch 1"), g[0], g[1], time.Now(), floor)
+	second := craftTx(mgrKey, txn.KindData, []byte("batch 2"), first.ID(), first.ID(), time.Now(), floor)
+
+	fs.hold()
+	for i, tx := range []*txn.Transaction{first, second} {
+		acked := deliverAsync(t, net, "gateway:5600", tx)
+		awaitReturn(t, fmt.Sprintf("the handler for batch %d, with batch 1's fsync held", i+1), acked)
+		if !relay.Tangle().Contains(tx.ID()) {
+			t.Fatalf("batch %d acknowledged but not attached", i+1)
+		}
+		fs.waitBlocked(t) // batch 1's flush, still
+	}
+	if !relay.JournalHealthy() || relay.CountersView().JournalErrors.Value() != 0 {
+		t.Fatal("journal unhealthy with a flush merely held")
+	}
+
+	// ClosePersistence flushes what no handler waited for.
+	closed := make(chan struct{})
+	var closeErr error
+	go func() { defer close(closed); closeErr = relay.ClosePersistence() }()
+	fs.release() // batch 1
+	fs.release() // batch 2
+	awaitReturn(t, "ClosePersistence", closed)
+	if closeErr != nil {
+		t.Fatal(closeErr)
+	}
+	fs.open()
+	fs.Reboot()
+	ids := journaledIDs(t, fs.MemFS, "relay.journal")
+	if ids[first.ID()] != 1 || ids[second.ID()] != 1 {
+		t.Fatalf("journal after ClosePersistence + power cut holds batch 1 ×%d, batch 2 ×%d; want both once", ids[first.ID()], ids[second.ID()])
+	}
+	if got := relay.Pipeline().JournalLatency.Count(); got != 2 {
+		t.Errorf("JournalLatency has %d samples, want one per relayed batch (2)", got)
+	}
+}
+
+// TestRelayPowerCutWithFlushHeldIsRepairedBySync: the price of the early
+// acknowledgement. A power cut while the relay's fsync is held loses
+// what it acknowledged and had not flushed; the rebooted relay boots on
+// whatever prefix survived, and a sync from the peer that still holds
+// the transactions repairs it — ledger and journal both.
+func TestRelayPowerCutWithFlushHeldIsRepairedBySync(t *testing.T) {
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := newHeldFS(23)
+	net := &scriptedNet{peers: []string{"gateway:5600"}}
+	relay := newJournalingRelay(t, mgrKey, net, fs, "relay.journal")
+	g := genesisIDs(t, relay)
+	floor := testParams().MinDifficulty
+	first := craftTx(mgrKey, txn.KindData, []byte("batch 1"), g[0], g[1], time.Now(), floor)
+	second := craftTx(mgrKey, txn.KindData, []byte("batch 2"), first.ID(), first.ID(), time.Now(), floor)
+
+	fs.hold()
+	net.deliver(t, "gateway:5600", first)
+	net.deliver(t, "gateway:5600", second)
+	fs.waitBlocked(t)
+	fs.Reboot() // power cut: neither flush ever returned
+	fs.open()   // the dead process's committer runs into its stale handle
+	_ = relay.Close()
+	_ = relay.ClosePersistence()
+
+	net2 := &scriptedNet{peers: []string{"gateway:5600"}}
+	serveLedger(net2, first, second)
+	rebooted := newJournalingRelay(t, mgrKey, net2, fs, "relay.journal")
+	rebooted.SyncAll(context.Background())
+	if !rebooted.Tangle().Contains(first.ID()) || !rebooted.Tangle().Contains(second.ID()) {
+		t.Fatal("sync did not repair what the power cut took")
+	}
+	if err := rebooted.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	ids := journaledIDs(t, fs.MemFS, "relay.journal")
+	if ids[first.ID()] == 0 || ids[second.ID()] == 0 {
+		t.Fatalf("journal after the repair holds batch 1 ×%d, batch 2 ×%d", ids[first.ID()], ids[second.ID()])
+	}
+}
+
+// TestRelayUnsyncedBoundMakesHandlerWait: the early acknowledgement is
+// bounded. With MaxUnsyncedRelay records already awaiting a flush, the
+// next batch's handler waits for its own barrier — back-pressure on the
+// sender — exactly as every relay admission did before.
+func TestRelayUnsyncedBoundMakesHandlerWait(t *testing.T) {
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := newHeldFS(24)
+	net := &scriptedNet{peers: []string{"gateway:5600"}}
+	relay := newJournalingRelay(t, mgrKey, net, fs, "relay.journal")
+	g := genesisIDs(t, relay)
+	floor := testParams().MinDifficulty
+	page := make([]*txn.Transaction, node.MaxUnsyncedRelay)
+	for i := range page {
+		page[i] = craftTx(mgrKey, txn.KindData, []byte(fmt.Sprintf("page %d", i)), g[0], g[1], time.Now(), floor)
+	}
+	over := craftTx(mgrKey, txn.KindData, []byte("one over"), g[0], g[1], time.Now(), floor)
+
+	fs.hold()
+	acked := deliverAsync(t, net, "gateway:5600", page...)
+	awaitReturn(t, "the handler of a batch that fills the bound exactly", acked)
+	fs.waitBlocked(t)
+
+	waited := deliverAsync(t, net, "gateway:5600", over)
+	waitFor(t, "the batch over the bound is attached", func() bool { return relay.Tangle().Contains(over.ID()) })
+	fs.release() // the page's flush: a whole commit cycle goes by
+	fs.waitBlocked(t)
+	if returned(waited) {
+		t.Fatal("the handler of the batch over the bound returned before the fsync covering it")
+	}
+	fs.release() // its own
+	awaitReturn(t, "the handler of the batch over the bound, after its fsync", waited)
+	fs.open()
+}
+
+// tapFS calls tap before every Read of the journal — the seam through
+// which a test acts at a chosen point of the replay.
+type tapFS struct {
+	chaos.FS
+	path string
+	tap  func()
+}
+
+func (f *tapFS) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil || name != f.path {
+		return file, err
+	}
+	return &tapFile{File: file, tap: f.tap}, nil
+}
+
+type tapFile struct {
+	chaos.File
+	tap func()
+}
+
+func (f *tapFile) Read(p []byte) (int, error) {
+	f.tap()
+	return f.File.Read(p)
+}
+
+// TestReplayRacedByLiveGossipHandler is the reproducer for "a
+// crash-rebooted gateway refuses to boot: transaction already attached".
+// A node's gossip handler is live from NewFull, before its journal is
+// replayed (the Supervisor builds, then enables persistence). The journal
+// here holds [a, b]. A copy of a is relayed before the replay starts; a
+// batch with a copy of b and a transaction the journal has never seen
+// arrives while the replay is reading. The node must boot; relay
+// admission must hold until the replay is done; every transaction must
+// be in the ledger once; and the ones relayed before the log opened must
+// be in the journal afterwards — they used to be attached and never
+// journaled.
+func TestReplayRacedByLiveGossipHandler(t *testing.T) {
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := chaos.NewMemFS(25)
+	net := &scriptedNet{}
+	rebooted := newRelay(t, mgrKey, net)
+	g := genesisIDs(t, rebooted)
+	floor := testParams().MinDifficulty
+	a := craftTx(mgrKey, txn.KindData, []byte("a"), g[0], g[1], time.Now(), floor)
+	b := craftTx(mgrKey, txn.KindData, []byte("b"), a.ID(), a.ID(), time.Now(), floor)
+	early := craftTx(mgrKey, txn.KindData, []byte("relayed before the replay"), g[0], g[1], time.Now(), floor)
+	during := craftTx(mgrKey, txn.KindData, []byte("relayed during the replay"), g[0], g[1], time.Now(), floor)
+	writeJournal(t, mem, "gw.journal", a, b)
+
+	net.deliver(t, "gateway:5600", a, early) // the handler is live already
+
+	var (
+		once          sync.Once
+		delivered     <-chan struct{}
+		admittedEarly atomic.Bool // the batch got past the hold mid-replay
+	)
+	arrivals := rebooted.CountersView().GossipIn.Value()
+	fs := &tapFS{FS: mem, path: "gw.journal", tap: func() {
+		once.Do(func() {
+			delivered = deliverAsync(t, net, "gateway:5600", b, during)
+			waitFor(t, "the batch reaches the handler while the journal is being read", func() bool {
+				return rebooted.CountersView().GossipIn.Value() > arrivals
+			})
+		})
+		if rebooted.Tangle().Contains(during.ID()) {
+			admittedEarly.Store(true)
+		}
+	}}
+	if _, err := rebooted.EnablePersistenceFS(fs, "gw.journal"); err != nil {
+		t.Fatalf("boot with the gossip handler live during replay: %v", err)
+	}
+	awaitReturn(t, "the batch held during the replay", delivered)
+	if admittedEarly.Load() {
+		t.Error("a relayed batch was admitted while the journal was still replaying")
+	}
+	for name, tx := range map[string]*txn.Transaction{"a": a, "b": b, "early": early, "during": during} {
+		if !rebooted.Tangle().Contains(tx.ID()) {
+			t.Errorf("%s is not in the ledger", name)
+		}
+	}
+	if got, want := rebooted.Tangle().Size(), 2+4; got != want {
+		t.Errorf("ledger holds %d transactions, want %d (2 genesis + a, b, early, during)", got, want)
+	}
+	if err := rebooted.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	ids := journaledIDs(t, mem, "gw.journal")
+	for name, tx := range map[string]*txn.Transaction{"a": a, "b": b, "early": early, "during": during} {
+		if ids[tx.ID()] != 1 {
+			t.Errorf("journal holds %s ×%d, want once", name, ids[tx.ID()])
+		}
+	}
+}
+
+// TestReplayParksChildWhoseParentNeverReachedTheDisk: admission journals
+// after attach, so a child can be flushed and its parent — attached, and
+// approvable, before its own record was queued — lost to the power cut
+// between the two flushes. That journal is this node's own, not a
+// foreign log: the node must boot, hold the child as the orphan it is,
+// and repair it from a peer. (A journal of which NOTHING resolves is
+// still refused: TestPersistenceForeignLogRejected.)
+func TestReplayParksChildWhoseParentNeverReachedTheDisk(t *testing.T) {
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := chaos.NewMemFS(26)
+	net := &scriptedNet{peers: []string{"gateway:5600"}}
+	rebooted := newRelay(t, mgrKey, net)
+	g := genesisIDs(t, rebooted)
+	floor := testParams().MinDifficulty
+	kept := craftTx(mgrKey, txn.KindData, []byte("flushed"), g[0], g[1], time.Now(), floor)
+	lost := craftTx(mgrKey, txn.KindData, []byte("attached, never flushed"), g[0], g[1], time.Now(), floor)
+	child := craftTx(mgrKey, txn.KindData, []byte("flushed ahead of its parent"), lost.ID(), kept.ID(), time.Now(), floor)
+	writeJournal(t, mem, "gw.journal", kept, child)
+	serveLedger(net, kept, lost, child)
+
+	if _, err := rebooted.EnablePersistenceFS(mem, "gw.journal"); err != nil {
+		t.Fatalf("boot on a journal whose last child outran its parent to the disk: %v", err)
+	}
+	if !rebooted.Tangle().Contains(kept.ID()) || rebooted.Tangle().Contains(child.ID()) || rebooted.QuarantineLen() != 1 {
+		t.Fatalf("after boot: kept attached=%v, child attached=%v, parked=%d; want true, false, 1",
+			rebooted.Tangle().Contains(kept.ID()), rebooted.Tangle().Contains(child.ID()), rebooted.QuarantineLen())
+	}
+	waitFor(t, "the repair lane pulls the parent and the child attaches", func() bool {
+		return rebooted.Tangle().Contains(lost.ID()) && rebooted.Tangle().Contains(child.ID())
+	})
+	// Shut down in the supervisor's order: Close joins the repair lane,
+	// whose batch queues its journal request as it returns.
+	if err := rebooted.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rebooted.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	if ids := journaledIDs(t, mem, "gw.journal"); ids[lost.ID()] == 0 {
+		t.Error("the repaired parent is not in the journal")
+	}
+}

@@ -57,19 +57,32 @@ func (s *scriptedNet) requests() []string {
 	return append([]string(nil), s.asked...)
 }
 
-// deliver hands one transaction batch to the node as if from had sent it.
+// deliver hands one transaction batch to the node as if from had sent it
+// and waits for the handler's acknowledgement.
 func (s *scriptedNet) deliver(t *testing.T, from string, txs ...*txn.Transaction) {
+	t.Helper()
+	<-deliverAsync(t, s, from, txs...)
+}
+
+// deliverAsync is deliver on a goroutine of its own; the returned channel
+// is closed once the handler has acknowledged the batch.
+func deliverAsync(t *testing.T, net *scriptedNet, from string, txs ...*txn.Transaction) <-chan struct{} {
 	t.Helper()
 	data := make([][]byte, len(txs))
 	for i, tx := range txs {
 		data[i] = tx.Encode()
 	}
-	s.mu.Lock()
-	h := s.handler
-	s.mu.Unlock()
-	if _, err := h.HandleGossip(from, gossip.Message{Type: gossip.MsgTransaction, TxData: data}); err != nil {
-		t.Fatal(err)
-	}
+	net.mu.Lock()
+	h := net.handler
+	net.mu.Unlock()
+	acked := make(chan struct{})
+	go func() {
+		defer close(acked)
+		if _, err := h.HandleGossip(from, gossip.Message{Type: gossip.MsgTransaction, TxData: data}); err != nil {
+			t.Errorf("handler: %v", err)
+		}
+	}()
+	return acked
 }
 
 // waitFor polls cond until it holds or the deadline passes.

@@ -1,11 +1,13 @@
 package node
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"github.com/b-iot/biot/internal/chaos"
+	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/store"
 	"github.com/b-iot/biot/internal/tangle"
 	"github.com/b-iot/biot/internal/txn"
@@ -38,6 +40,24 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 	}
 	n.pendingMu.Unlock()
 
+	// Relay admission holds while the journal replays (admitGossipBatch
+	// takes the read side). The gossip handler has been live since
+	// NewFull, and a relayed batch racing the replay is at best repeated
+	// work — its parents are mostly still on disk, so it parks as orphans
+	// and pulls from peers the ledger this call is reading — and at worst
+	// attaches a copy of the record being replayed.
+	n.replayGate.Lock()
+	defer n.replayGate.Unlock()
+	// What the handler attached before this call was never offered to a
+	// journal; it is journaled below, once the log is open, unless the
+	// journal turns out to hold it already.
+	var early []*txn.Transaction
+	for _, t := range n.tangle.Export() {
+		if t.Kind != txn.KindGenesis {
+			early = append(early, t)
+		}
+	}
+
 	// The cold index opens BEFORE the journal replays: a compacted
 	// (generation ≥ 1) segment replays boundary records through Restore,
 	// whose duplicate and pruned-parent checks consult the persisted
@@ -54,15 +74,28 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 	n.tangle.RestoreColdEpoch(coldIdx.Epoch())
 
 	// Admission journals after attach, outside any shared lock, so with
-	// concurrent submitters a child can reach the journal just before
+	// concurrent admissions a child can reach the journal just before
 	// its parent (journal order is not attach order). Replay therefore
 	// stashes generation-0 unknown-parent records instead of aborting
-	// and retries the stash to a fixpoint after the scan; only records
-	// that STILL do not resolve mean what a gen-0 orphan always meant —
-	// a foreign or corrupt log.
-	var deferredOrphans []*txn.Transaction
-	log, err := store.OpenFSGen(fs, path, func(t *txn.Transaction, gen uint64) error {
+	// and retries the stash to a fixpoint after the scan.
+	var (
+		deferredOrphans []*txn.Transaction
+		resolved        int                            // records that attached
+		duplicates      = map[hashutil.Hash]struct{}{} // records the ledger already held
+	)
+	replay := func(t *txn.Transaction, gen uint64) error {
 		err := n.replayTransaction(t, gen)
+		switch {
+		case err == nil:
+			resolved++
+		case errors.Is(err, tangle.ErrDuplicate):
+			duplicates[t.ID()] = struct{}{}
+			return nil
+		}
+		return err
+	}
+	log, err := store.OpenFSGen(fs, path, func(t *txn.Transaction, gen uint64) error {
+		err := replay(t, gen)
 		if gen == 0 && errors.Is(err, tangle.ErrUnknownParent) {
 			deferredOrphans = append(deferredOrphans, t)
 			return nil
@@ -73,28 +106,54 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 		coldIdx.Close()
 		return 0, fmt.Errorf("enable persistence: %w", err)
 	}
-	for len(deferredOrphans) > 0 {
-		progress := false
+	fail := func(err error) (int, error) {
+		log.Close()
+		coldIdx.Close()
+		return 0, fmt.Errorf("enable persistence: %w", err)
+	}
+	for progress := true; progress && len(deferredOrphans) > 0; {
+		progress = false
 		rest := deferredOrphans[:0]
 		for _, t := range deferredOrphans {
-			switch err := n.replayTransaction(t, 0); {
+			switch err := replay(t, 0); {
 			case err == nil:
 				progress = true
 			case errors.Is(err, tangle.ErrUnknownParent):
 				rest = append(rest, t)
 			default:
-				log.Close()
-				coldIdx.Close()
-				return 0, fmt.Errorf("enable persistence: %w", err)
+				return fail(err)
 			}
 		}
 		deferredOrphans = rest
-		if !progress {
-			log.Close()
-			coldIdx.Close()
-			return 0, fmt.Errorf("enable persistence: %d journaled records never resolve a parent: %w",
-				len(deferredOrphans), tangle.ErrUnknownParent)
+	}
+	if len(deferredOrphans) > 0 {
+		// A journal of which nothing resolves was written under another
+		// genesis: a foreign log. One of which the rest did is this
+		// node's own, cut off by a crash between a child's flush and its
+		// parent's (the parent was attached, and approvable, before its
+		// own record was queued). The child is an orphan like any a peer
+		// relays ahead of its parent: it parks, the repair lane pulls the
+		// parent from a peer, and refusing to boot would repair nothing.
+		if resolved+len(duplicates) == 0 {
+			return fail(fmt.Errorf("%d journaled records never resolve a parent: %w",
+				len(deferredOrphans), tangle.ErrUnknownParent))
 		}
+		now := n.cfg.Clock.Now()
+		ids := make([]hashutil.Hash, len(deferredOrphans))
+		for i, t := range deferredOrphans {
+			n.parkOrphan(context.Background(), "", t, now, n.cfg.ShardID)
+			ids[i] = t.ID()
+		}
+		n.repairOrphans("", ids)
+	}
+	var unjournaled []*txn.Transaction
+	for _, t := range early {
+		if _, held := duplicates[t.ID()]; !held {
+			unjournaled = append(unjournaled, t)
+		}
+	}
+	if err := log.AppendBatch(unjournaled); err != nil {
+		return fail(fmt.Errorf("journal %d transactions relayed before the log opened: %w", len(unjournaled), err))
 	}
 	// Re-prune the evidence window to the persisted snapshot epoch:
 	// replay re-observes every journaled list, and without this a
@@ -115,24 +174,27 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 	return log.Len(), nil
 }
 
+// journalLog returns the open journal, nil on a memory-only node.
+func (n *FullNode) journalLog() *store.Log {
+	n.pendingMu.Lock()
+	defer n.pendingMu.Unlock()
+	return n.journal
+}
+
 // JournalHealthy reports the journal's state: true when persistence is
 // enabled, the log is open, and no write or sync has failed. A node
 // with a poisoned journal keeps serving reads but must be restarted
 // (re-replaying the durable prefix) before its journal can be trusted
 // again — the Supervisor's watchdog does exactly that.
 func (n *FullNode) JournalHealthy() bool {
-	n.pendingMu.Lock()
-	log := n.journal
-	n.pendingMu.Unlock()
+	log := n.journalLog()
 	return log != nil && log.Healthy()
 }
 
 // JournalError returns the sticky I/O error that poisoned the journal
 // (nil while healthy or memory-only).
 func (n *FullNode) JournalError() error {
-	n.pendingMu.Lock()
-	log := n.journal
-	n.pendingMu.Unlock()
+	log := n.journalLog()
 	if log == nil {
 		return nil
 	}
@@ -142,16 +204,16 @@ func (n *FullNode) JournalError() error {
 // JournalStats returns the journal's recovery stats and current
 // generation; ok is false on a memory-only node.
 func (n *FullNode) JournalStats() (stats store.RecoveryStats, generation uint64, ok bool) {
-	n.pendingMu.Lock()
-	log := n.journal
-	n.pendingMu.Unlock()
+	log := n.journalLog()
 	if log == nil {
 		return store.RecoveryStats{}, 0, false
 	}
 	return log.Stats(), log.Generation(), true
 }
 
-// ClosePersistence flushes and closes the journal and cold index.
+// ClosePersistence flushes what is queued for the journal — including
+// relayed records no handler waited for — and closes it and the cold
+// index.
 func (n *FullNode) ClosePersistence() error {
 	n.pendingMu.Lock()
 	log := n.journal
@@ -176,11 +238,10 @@ func (n *FullNode) ClosePersistence() error {
 // rate limiter and the PoW check: the transaction met the difficulty
 // demanded *at its original admission*, which the credit state seen
 // during replay cannot reconstruct exactly — and the log is local,
-// already-trusted state, not an untrusted submission.
+// already-trusted state, not an untrusted submission. A record the
+// ledger already holds returns tangle.ErrDuplicate with nothing changed;
+// the caller skips it.
 func (n *FullNode) replayTransaction(t *txn.Transaction, generation uint64) error {
-	if n.tangle.Contains(t.ID()) {
-		return nil // duplicate record (e.g. log shared with a sync)
-	}
 	if err := t.VerifyBasic(); err != nil {
 		return fmt.Errorf("journaled transaction invalid: %w", err)
 	}
@@ -194,18 +255,29 @@ func (n *FullNode) replayTransaction(t *txn.Transaction, generation uint64) erro
 	// of a local submission would.
 	shard := shardFor(t.Kind, n.cfg.ShardID)
 	info, err := n.tangle.AttachShard(t, shard)
-	if generation > 0 &&
-		(errors.Is(err, tangle.ErrUnknownParent) || errors.Is(err, tangle.ErrSnapshottedParent)) {
-		// The journal is written in attachment order and recovery only
-		// truncates its tail, so in a compacted segment (generation > 0)
-		// a replayed record with an absent parent can only be sitting on
-		// a snapshot boundary: compaction rewrote the log down to the
-		// live working set and the parent was folded away before the
-		// crash. Restore re-creates the boundary shape. A generation-0
-		// segment was never compacted, so there an absent parent keeps
-		// meaning what it always did — a foreign or corrupt log — and
-		// aborts the open.
+	if errors.Is(err, tangle.ErrSnapshottedParent) ||
+		(generation > 0 && errors.Is(err, tangle.ErrUnknownParent)) {
+		// The record sits on a snapshot boundary and Restore re-creates
+		// the boundary shape. A parent this node's own cold index lists
+		// was folded away before the crash, whatever the segment — a
+		// generation-0 journal sees that when the crash fell between
+		// Compact and CompactJournal. A parent merely absent is a
+		// boundary only in a compacted segment (generation > 0), which
+		// is written in attachment order and loses only its tail; a
+		// generation-0 segment was never compacted, so there it is a
+		// child journaled ahead of its parent or an orphan, and
+		// EnablePersistenceFS decides which.
 		info, err = n.tangle.RestoreShard(t, shard)
+	}
+	if errors.Is(err, tangle.ErrDuplicate) {
+		// The ledger holds it already: journaled twice, relayed to the
+		// live handler before this record was reached, or folded into
+		// the cold set by a Compact the journal never caught up with.
+		// The tangle's verdict, taken under its own lock, is the only
+		// check — a look before the attach is a window. The first copy
+		// did the accounting, and its pending-settlement entry is the
+		// identical clone stored above.
+		return err
 	}
 	if err != nil {
 		n.pendingMu.Lock()
@@ -278,9 +350,7 @@ const evidenceMinVersions = 2
 // it from configuration, and replay would reject it as a duplicate
 // root. Returns the record count of the new segment.
 func (n *FullNode) CompactJournal() (records int, err error) {
-	n.pendingMu.Lock()
-	log := n.journal
-	n.pendingMu.Unlock()
+	log := n.journalLog()
 	if log == nil {
 		return 0, ErrNotPersistent
 	}
@@ -297,39 +367,60 @@ func (n *FullNode) CompactJournal() (records int, err error) {
 	return len(txs), nil
 }
 
-// journalAppend records an admitted transaction; called from the
-// submission edge. Append blocks through the group-commit barrier, so
-// admission is only reported after the fsync covering the record — many
-// concurrent submitters share one flush.
-func (n *FullNode) journalAppend(t *txn.Transaction) {
-	n.pendingMu.Lock()
-	log := n.journal
-	n.pendingMu.Unlock()
-	if log == nil {
-		return
+// maxUnsyncedRelay bounds how many records the relay edge lets sit in the
+// journal queue without a flush behind them — what a power cut costs
+// this node in re-syncing, and what a stalled disk pins in memory. One
+// sync page: gossip batches ride well below it, while a catch-up sync
+// paging faster than the disk flushes waits for its own barrier from the
+// second page on, as every relay admission did before.
+const maxUnsyncedRelay = syncPageSize
+
+// synced is the barrier of a request that had nothing to wait for.
+var synced = func() <-chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// journalEnqueue queues admitted transactions for the journal as one
+// request — in call order, one write, one fsync, never split — and
+// returns its barrier: a channel closed once the fsync covering the
+// records has returned, or once it is known that none will. It does not
+// wait itself; the submission edge waits after it has queued the
+// fan-out, the relay edge mostly not at all (journalRelayed).
+//
+// Journal failures must not fail admission (the ledger is already
+// updated) and do not stop the broadcast; the committer feeds them to
+// the JournalErrors counter, waited for or not, so operators notice a
+// dying disk, and the poisoned log turns JournalHealthy false.
+func (n *FullNode) journalEnqueue(txs []*txn.Transaction) (barrier <-chan struct{}) {
+	log := n.journalLog()
+	if log == nil || len(txs) == 0 {
+		return synced
 	}
-	// Journal failures must not fail admission (the ledger is already
-	// updated); they surface through the JournalErrors counter so
-	// operators notice a dying disk.
-	if err := log.Append(t); err != nil {
-		n.counters.JournalErrors.Inc()
-	}
+	done := make(chan struct{})
+	start := time.Now()
+	log.Enqueue(txs, func(err error) {
+		if err != nil {
+			n.counters.JournalErrors.Inc()
+		}
+		n.pipeline.JournalLatency.Observe(time.Since(start))
+		close(done)
+	})
+	return done
 }
 
-// journalBatch records a whole relay-admitted batch behind a single
-// durability barrier (one write + one fsync for the batch); called at
-// the end of admitGossipBatch.
-func (n *FullNode) journalBatch(txs []*txn.Transaction) {
-	if len(txs) == 0 {
-		return
-	}
-	n.pendingMu.Lock()
-	log := n.journal
-	n.pendingMu.Unlock()
-	if log == nil {
-		return
-	}
-	if err := log.AppendBatch(txs); err != nil {
-		n.counters.JournalErrors.Inc()
+// journalRelayed journals a relay-admitted batch; called at the end of
+// admitGossipBatch and retryParked. A relay's acknowledgement means
+// "verified and attached here", not "durable here": the batch is queued
+// and the handler returns, so the transport can hand over the pair's
+// next batch while this one's fsync runs. Only when more than
+// maxUnsyncedRelay records would be awaiting a flush does the handler
+// wait for its own barrier, which is back-pressure on the sender.
+func (n *FullNode) journalRelayed(txs []*txn.Transaction) {
+	log := n.journalLog()
+	wait := log != nil && log.Unsynced()+len(txs) > maxUnsyncedRelay
+	if barrier := n.journalEnqueue(txs); wait {
+		<-barrier
 	}
 }

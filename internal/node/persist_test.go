@@ -370,6 +370,86 @@ func TestCompactedJournalRecovers(t *testing.T) {
 	}
 }
 
+// TestCrashBetweenCompactAndCompactJournalRecovers: Compact persists the
+// pruned IDs to the cold index at once; the journal only follows with
+// CompactJournal. A crash between the two leaves a generation-0 journal
+// that still holds every pruned record, and whose first live records
+// have parents the cold index says were folded away. The node must boot
+// on it: the pruned records are duplicates of cold entries, the live
+// ones sit on the snapshot boundary. (It used to refuse with "transaction
+// already attached (snapshotted)" at the first pruned record.)
+func TestCrashBetweenCompactAndCompactJournalRecovers(t *testing.T) {
+	ctx := context.Background()
+	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	fs := chaos.NewMemFS(43)
+	managerKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := func() (*node.FullNode, error) {
+		full, err := node.NewFull(node.FullConfig{
+			Key:        managerKey,
+			Role:       identity.RoleManager,
+			ManagerPub: managerKey.Public(),
+			Credit:     testParams(),
+			Clock:      clk,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = full.EnablePersistenceFS(fs, "compact.journal")
+		return full, err
+	}
+
+	full, err := boot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := node.NewManager(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	device := newTestDevice(t, full)
+	mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
+	if _, err := mgr.PublishAuthorization(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var lastID [32]byte
+	for i := 0; i < 40; i++ {
+		clk.Advance(time.Minute)
+		res, err := device.PostReading(ctx, []byte("aged"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastID = res.Info.ID
+	}
+	if dropped, _ := full.Compact(10 * time.Minute); dropped == 0 {
+		t.Fatal("compact dropped nothing")
+	}
+	liveSize, snapshotted := full.Tangle().Size(), full.Tangle().SnapshottedCount()
+	// The crash: no CompactJournal.
+	if err := full.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	full.Close()
+	fs.Reboot()
+
+	full2, err := boot()
+	if err != nil {
+		t.Fatalf("boot after a crash between Compact and CompactJournal: %v", err)
+	}
+	defer full2.Close()
+	if got := full2.Tangle().Size(); got != liveSize {
+		t.Errorf("recovered size = %d, want the %d live transactions", got, liveSize)
+	}
+	if !full2.Tangle().Contains(lastID) {
+		t.Error("newest reading lost across the recovery")
+	}
+	if got := full2.Tangle().SnapshottedCount(); got != snapshotted {
+		t.Errorf("recovered snapshotted count = %d, want %d", got, snapshotted)
+	}
+}
+
 func TestPersistenceReplayToleratesJournalReorder(t *testing.T) {
 	// Admission journals after attach outside any shared lock, so with
 	// concurrent submitters a child can hit the journal just before its

@@ -324,7 +324,9 @@ func (s *Supervisor) Health() Health {
 		h.Transport = ComponentHealth{OK: false, Detail: "broadcast pipeline closed"}
 	}
 	p := n.Pipeline()
-	fanout := fmt.Sprintf("%d batches in flight, %d window stalls", p.InFlight.Value(), p.WindowStalls.Value())
+	journal := p.JournalLatency.Summarize()
+	fanout := fmt.Sprintf("%d batches in flight, %d window stalls, journal barrier median %v p95 %v over %d requests",
+		p.InFlight.Value(), p.WindowStalls.Value(), journal.Median, journal.P95, journal.Count)
 	if n.PipelineSaturated() {
 		h.Pipeline = ComponentHealth{OK: false, Detail: fmt.Sprintf(
 			"intake queue saturated (%d), %s", p.QueueDepth.Value(), fanout)}

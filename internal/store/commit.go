@@ -9,31 +9,39 @@ import (
 
 // Group commit: the remedy for the one-fsync-per-record write path that
 // serialized the whole parallel submission pipeline behind a single
-// disk flush. Concurrent appenders enqueue their encoded records; the
-// first to find no committer in flight becomes the LEADER and flushes
-// the queue with one contiguous write and one Sync. Everyone whose
-// record rode in that batch observes the same durability barrier:
-// Append (and AppendBatch) return only after the Sync covering their
-// bytes succeeded — or with the error that poisoned the log.
+// disk flush. Appenders enqueue their encoded records; a committer
+// goroutine flushes the queue with one contiguous write and one Sync
+// per batch. Everyone whose record rode in that batch observes the same
+// durability barrier: Append (and AppendBatch) return only after the
+// Sync covering their bytes succeeded — or with the error that poisoned
+// the log.
 //
-// The protocol is leader/follower rather than a dedicated committer
-// goroutine so an idle log costs nothing and Close has no loop to tear
-// down:
+// Appending is two steps, and a caller may take the first without the
+// second: Enqueue places a request in the queue, in call order, and
+// returns; the request's verdict arrives later through its done
+// callback. Append is Enqueue plus waiting for that verdict. A caller
+// with work that need not follow the flush (the node's fan-out) does it
+// between the two; a caller that promised nobody durability (a relay
+// journaling what it was gossiped) never waits at all.
 //
-//  1. An appender locks mu, enqueues its request, and — if a leader is
-//     already committing — unlocks and waits on its own done channel.
-//  2. Otherwise it marks itself leader, and loops: take up to MaxBatch
-//     records from the queue head, release mu (new appenders keep
-//     enqueueing while the disk is busy — that is where batches come
-//     from), write the concatenated records, Sync once, re-lock, and
-//     deliver the verdict to every request in the batch.
-//  3. The leader drains until the queue is empty, then steps down.
+// The committer is started on demand and is nobody's appender, so an
+// idle log costs nothing and no Append outlives the Sync that covered
+// it:
+//
+//  1. Enqueue locks mu, queues its request, and — if no committer is
+//     running — starts one.
+//  2. The committer loops: take up to MaxBatch records from the queue
+//     head, release mu (new requests keep queueing while the disk is
+//     busy — that is where batches come from), write the concatenated
+//     records, Sync once, and deliver the verdict to every request in
+//     the batch.
+//  3. It exits when it finds the queue empty.
 //
 // Failure semantics are unchanged from the per-record path: a failed
 // write or Sync poisons the log stickily. Every request in the failing
 // batch gets the I/O error; every request still queued behind it gets
-// ErrPoisoned; so does every later Append until the log is reopened.
-// No waiter is ever told "durable" for a record the post-crash replay
+// ErrPoisoned; so does every later Enqueue until the log is reopened.
+// No request is ever told "durable" for a record the post-crash replay
 // cannot recover: success is only reported after Sync returns nil, and
 // a batch written-but-not-synced is, at worst, a torn tail the next
 // Open truncates away.
@@ -41,7 +49,7 @@ import (
 // File I/O (batch commits, compaction's segment rewrite and handle
 // swing) serializes on ioMu, acquired strictly before mu; mu alone
 // guards the queue and cheap state, and is never held across a disk
-// operation.
+// operation or a done callback.
 
 // DefaultMaxBatch is the records-per-fsync cap when BatchConfig leaves
 // MaxBatch zero.
@@ -54,8 +62,8 @@ type BatchConfig struct {
 	// (every record still pays its own Sync — the baseline mode the
 	// storebench experiment measures against).
 	MaxBatch int
-	// MaxDelay is how long a leader with a less-than-full batch lingers
-	// before flushing, trading latency for batch size. Zero (the
+	// MaxDelay is how long the committer lingers with a less-than-full
+	// batch before flushing, trading latency for batch size. Zero (the
 	// default) flushes immediately: batches then form naturally from
 	// whatever queued while the previous flush held the disk, which
 	// adds no latency when the log is uncontended.
@@ -114,13 +122,12 @@ func batchBucket(n int) int {
 	return batchHistBuckets - 1
 }
 
-// commitReq is one appender's stake in a batch: its framed bytes, how
-// many records they hold, and the channel the barrier verdict arrives
-// on.
+// commitReq is one enqueued request: its framed bytes, how many records
+// they hold, and where its barrier verdict is delivered.
 type commitReq struct {
 	buf  []byte
 	n    int
-	done chan error
+	done func(error)
 }
 
 // SetBatchConfig tunes the group committer; safe to call at any time
@@ -140,6 +147,14 @@ func (l *Log) BatchStats() BatchStats {
 	return l.batchStats
 }
 
+// Unsynced returns how many records have been enqueued and have no
+// verdict yet: queued, or in the batch being flushed.
+func (l *Log) Unsynced() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.unsynced
+}
+
 // queuedRecordsLocked counts records waiting in the queue. Caller
 // holds mu.
 func (l *Log) queuedRecordsLocked() int {
@@ -152,7 +167,7 @@ func (l *Log) queuedRecordsLocked() int {
 
 // takeBatchLocked removes up to MaxBatch records' worth of requests
 // from the queue head. A single request larger than MaxBatch still
-// commits alone (AppendBatch is atomic at the barrier — it is never
+// commits alone (a request is atomic at the barrier — it is never
 // split). Caller holds mu.
 func (l *Log) takeBatchLocked() (batch []*commitReq, records int) {
 	maxB := l.batchCfg.MaxBatch
@@ -169,50 +184,76 @@ func (l *Log) takeBatchLocked() (batch []*commitReq, records int) {
 	return batch, records
 }
 
-// failQueueLocked delivers err to every queued request and empties the
-// queue. Caller holds mu.
-func (l *Log) failQueueLocked(err error) {
-	for _, req := range l.queue {
-		req.done <- err
-	}
-	l.queue = nil
-}
-
-// submit enqueues one request and sees it through the durability
-// barrier, leading the commit loop if no other appender is. It returns
-// the verdict for req's own batch.
-func (l *Log) submit(req *commitReq) error {
-	l.mu.Lock()
-	if l.f == nil {
-		l.mu.Unlock()
+// refusalLocked says why the log takes no request: it is closed (or
+// closing), or poisoned. Caller holds mu.
+func (l *Log) refusalLocked() error {
+	if l.f == nil || l.closing {
 		return ErrClosed
 	}
 	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrPoisoned, err)
+		return fmt.Errorf("%w: %v", ErrPoisoned, l.err)
 	}
-	l.queue = append(l.queue, req)
-	if l.committing {
-		l.mu.Unlock()
-		return <-req.done // the active leader owns our request now
-	}
-	l.committing = true
-	l.mu.Unlock()
-
-	l.lead()
-	return <-req.done
+	return nil
 }
 
-// lead runs the commit loop until the queue drains, then steps down.
-// The caller must have set l.committing under mu. Every request queued
-// while this leader runs is guaranteed a verdict before it steps down.
-func (l *Log) lead() {
+// Enqueue frames txs as one request — written together, covered by the
+// same fsync, never split across batches — and queues it behind every
+// request enqueued before. It does not wait for the disk. done is called
+// exactly once with the request's verdict: nil once the Sync covering
+// its records has returned, otherwise why none will. It runs on the
+// committer goroutine, or inside Enqueue when the request is refused at
+// the door (a closed or poisoned log, an oversized record), and must not
+// block: the next flush waits for it. An empty request succeeds at once.
+func (l *Log) Enqueue(txs []*txn.Transaction, done func(error)) {
+	if len(txs) == 0 {
+		done(nil)
+		return
+	}
+	var buf []byte
+	for _, t := range txs {
+		rec, err := encodeRecord(t)
+		if err != nil {
+			done(err)
+			return
+		}
+		if buf == nil {
+			buf = rec
+		} else {
+			buf = append(buf, rec...)
+		}
+	}
+	l.mu.Lock()
+	if err := l.refusalLocked(); err != nil {
+		l.mu.Unlock()
+		done(err)
+		return
+	}
+	l.queue = append(l.queue, &commitReq{buf: buf, n: len(txs), done: done})
+	l.unsynced += len(txs)
+	idle := !l.committing
+	l.committing = true
+	l.mu.Unlock()
+	if idle {
+		go l.commit()
+	}
+}
+
+// commit is the committer goroutine: it flushes the queue batch by batch
+// and exits when it finds it empty. Enqueue set l.committing under mu
+// before starting it, so every request queued while it runs has its
+// verdict before it exits — which is what Close waits for.
+func (l *Log) commit() {
 	for {
-		// A leader with a short batch may linger to let followers pile
-		// up; with the default MaxDelay of 0 batches form only from the
-		// natural enqueue-during-fsync overlap.
 		l.mu.Lock()
+		if len(l.queue) == 0 {
+			l.committing = false
+			l.idle.Broadcast()
+			l.mu.Unlock()
+			return
+		}
+		// A short batch may linger to let more requests pile up; with the
+		// default MaxDelay of 0 batches form only from the natural
+		// enqueue-during-fsync overlap.
 		delay := l.batchCfg.MaxDelay
 		short := l.queuedRecordsLocked() < l.batchCfg.MaxBatch
 		l.mu.Unlock()
@@ -222,113 +263,75 @@ func (l *Log) lead() {
 
 		l.ioMu.Lock()
 		l.mu.Lock()
-		if l.err != nil {
-			l.failQueueLocked(fmt.Errorf("%w: %v", ErrPoisoned, l.err))
-			l.committing = false
-			l.mu.Unlock()
-			l.ioMu.Unlock()
-			return
-		}
-		if l.f == nil {
-			l.failQueueLocked(ErrClosed)
-			l.committing = false
-			l.mu.Unlock()
-			l.ioMu.Unlock()
-			return
-		}
 		batch, records := l.takeBatchLocked()
-		f := l.f
+		f, poison := l.f, l.err // poisoned already: a compaction lost its handle with these queued
 		l.mu.Unlock()
-
-		if len(batch) == 0 {
-			l.mu.Lock()
-			// Re-check under mu: a request may have slipped in between
-			// the empty take and here.
-			if len(l.queue) == 0 {
-				l.committing = false
-				l.mu.Unlock()
-				l.ioMu.Unlock()
-				return
-			}
-			l.mu.Unlock()
-			l.ioMu.Unlock()
-			continue
-		}
 
 		// One contiguous write, one Sync: the whole batch shares the
 		// barrier. A crash in here leaves at most a torn tail — no
-		// waiter has been told anything yet.
+		// request has been told anything yet.
 		buf := batch[0].buf
-		if len(batch) > 1 {
-			total := 0
-			for _, req := range batch {
-				total += len(req.buf)
+		var ioErr error
+		if poison == nil {
+			if len(batch) > 1 {
+				total := 0
+				for _, req := range batch {
+					total += len(req.buf)
+				}
+				buf = make([]byte, 0, total)
+				for _, req := range batch {
+					buf = append(buf, req.buf...)
+				}
 			}
-			joined := make([]byte, 0, total)
-			for _, req := range batch {
-				joined = append(joined, req.buf...)
+			if _, ioErr = f.Write(buf); ioErr == nil {
+				ioErr = f.Sync()
 			}
-			buf = joined
-		}
-		_, err := f.Write(buf)
-		if err == nil {
-			err = f.Sync()
 		}
 
 		l.mu.Lock()
-		if err != nil {
+		var refused []*commitReq
+		switch {
+		case poison != nil:
+			refused, batch = append(batch, l.queue...), nil
+		case ioErr != nil:
 			// Sticky poison: the durable tail is unknown. The failing
 			// batch gets the I/O error; everything queued behind it is
 			// refused before touching the file.
-			l.err = err
-			for _, req := range batch {
-				req.done <- fmt.Errorf("append tx batch: %w", err)
-			}
-			l.failQueueLocked(fmt.Errorf("%w: %v", ErrPoisoned, err))
-			l.committing = false
-			l.mu.Unlock()
-			l.ioMu.Unlock()
-			return
+			poison, l.err = ioErr, ioErr
+			refused = l.queue
+		default:
+			l.n += records
+			l.bytes += int64(len(buf))
+			l.unsynced -= records
+			l.batchStats.Commits++
+			l.batchStats.Records += uint64(records)
+			l.batchStats.Hist[batchBucket(records)]++
 		}
-		l.n += records
-		l.bytes += int64(len(buf))
-		l.batchStats.Commits++
-		l.batchStats.Records += uint64(records)
-		l.batchStats.Hist[batchBucket(records)]++
-		for _, req := range batch {
-			req.done <- nil
-		}
-		more := len(l.queue) > 0
-		if !more {
-			l.committing = false
+		if poison != nil {
+			l.queue, l.unsynced = nil, 0 // Enqueue refuses from here on
 		}
 		l.mu.Unlock()
 		l.ioMu.Unlock()
-		if !more {
-			return
+
+		var verdict error
+		if ioErr != nil {
+			verdict = fmt.Errorf("append tx batch: %w", ioErr)
+		}
+		for _, req := range batch {
+			req.done(verdict)
+		}
+		for _, req := range refused {
+			req.done(fmt.Errorf("%w: %v", ErrPoisoned, poison))
 		}
 	}
 }
 
 // AppendBatch durably records a group of transactions behind a single
-// durability barrier: all of them are framed into one contiguous queue
-// entry, written together, and covered by the same fsync (they are
-// never split across batches). On success every record is durable; on
-// error none should be trusted. An empty batch is a no-op.
-//
-// The relayed-admission path uses it to journal a whole gossip batch
-// with one flush instead of one per record.
+// durability barrier: Enqueue, then wait for the verdict. On success
+// every record is durable; on error none should be trusted. An empty
+// batch is a no-op.
 func (l *Log) AppendBatch(txs []*txn.Transaction) error {
-	if len(txs) == 0 {
-		return nil
-	}
-	var buf []byte
-	for _, t := range txs {
-		rec, err := encodeRecord(t)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, rec...)
-	}
-	return l.submit(&commitReq{buf: buf, n: len(txs), done: make(chan error, 1)})
+	done := make(chan error, 1)
+	l.Enqueue(txs, func(err error) { done <- err })
+	return <-done
 }

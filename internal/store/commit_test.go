@@ -14,7 +14,7 @@ import (
 )
 
 // gateFS wraps a chaos.FS and blocks every Sync on a gate channel,
-// letting tests hold a leader mid-commit while followers pile up.
+// letting tests hold the committer mid-flush while requests pile up.
 type gateFS struct {
 	chaos.FS
 	gate chan struct{} // each Sync receives once before proceeding
@@ -38,74 +38,89 @@ func (g *gateFile) Sync() error {
 	return g.File.Sync()
 }
 
-// openGated opens a log whose Syncs block on the returned gate. The
-// open itself performs one Sync (fresh segment header), which is
-// released here.
-func openGated(t *testing.T) (*Log, chan struct{}) {
+// openGated opens a log on a fresh MemFS whose Syncs block on the
+// returned gate. The open itself performs one Sync (fresh segment
+// header), which is released here.
+func openGated(t *testing.T) (*Log, *chaos.MemFS, chan struct{}) {
 	t.Helper()
 	gate := make(chan struct{}, 1)
 	gate <- struct{}{} // header sync
-	fs := &gateFS{FS: chaos.NewMemFS(1), gate: gate}
-	l, err := OpenFS(fs, "tx.log", nil)
+	mem := chaos.NewMemFS(1)
+	l, err := OpenFS(&gateFS{FS: mem, gate: gate}, "tx.log", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, gate
+	return l, mem, gate
+}
+
+// waitFor polls until cond holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // waitQueued polls until n requests sit in the committer queue.
 func waitQueued(t *testing.T, l *Log, n int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, fmt.Sprintf("%d queued requests", n), func() bool {
 		l.mu.Lock()
-		queued := len(l.queue)
-		l.mu.Unlock()
-		if queued >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests queued", queued, n)
-		}
-		time.Sleep(100 * time.Microsecond)
+		defer l.mu.Unlock()
+		return len(l.queue) >= n
+	})
+}
+
+// waitFlushing polls until the committer has taken everything queued
+// into a batch — with a gated Sync, until it is held at that batch's
+// Sync (or on its way there).
+func waitFlushing(t *testing.T, l *Log) {
+	t.Helper()
+	waitFor(t, "the committer to take its batch", func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.committing && len(l.queue) == 0
+	})
+}
+
+// verdictOf waits for one request's verdict; a request whose verdict
+// does not come fails the test instead of hanging it.
+func verdictOf(t *testing.T, what string, ch <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no verdict", what)
+		return nil
 	}
 }
 
-// TestGroupCommitCoalesces pins the core of the design: followers that
-// enqueue while the leader's fsync is in flight share the next fsync.
-// The leader is held at its Sync by a gate; five followers enqueue;
+// TestGroupCommitCoalesces pins the core of the design: requests that
+// enqueue while a flush is in flight share the next fsync. The first
+// appender's batch is held at its Sync by a gate; five more enqueue;
 // releasing the gate twice must commit all six records in exactly two
 // fsyncs (1 + 5), with every waiter seeing success.
 func TestGroupCommitCoalesces(t *testing.T) {
-	l, gate := openGated(t)
+	l, _, gate := openGated(t)
 	defer func() { close(gate); l.Close() }()
 	key := mustKey(t)
 
 	const followers = 5
 	errsCh := make(chan error, followers+1)
-	go func() { errsCh <- l.Append(sampleTx(t, key, "leader")) }()
-	// The leader is now (or soon) blocked inside Sync with an empty
-	// queue; wait for its request to have left the queue.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		l.mu.Lock()
-		leading := l.committing && len(l.queue) == 0
-		l.mu.Unlock()
-		if leading {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader never reached its commit")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	go func() { errsCh <- l.Append(sampleTx(t, key, "first")) }()
+	waitFlushing(t, l)
 	for i := 0; i < followers; i++ {
 		i := i
 		go func() { errsCh <- l.Append(sampleTx(t, key, fmt.Sprintf("f-%d", i))) }()
 	}
 	waitQueued(t, l, followers)
-	gate <- struct{}{} // leader's batch of 1
-	gate <- struct{}{} // followers' batch of 5
+	gate <- struct{}{} // the first batch of 1
+	gate <- struct{}{} // the followers' batch of 5
 	for i := 0; i < followers+1; i++ {
 		if err := <-errsCh; err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -114,7 +129,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 
 	stats := l.BatchStats()
 	if stats.Commits != 2 {
-		t.Fatalf("commits = %d, want 2 (leader alone + coalesced followers)", stats.Commits)
+		t.Fatalf("commits = %d, want 2 (first alone + coalesced followers)", stats.Commits)
 	}
 	if stats.Records != followers+1 {
 		t.Fatalf("records = %d, want %d", stats.Records, followers+1)
@@ -127,71 +142,152 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatchFailureFailsEveryWaiter holds a batch of waiters
-// behind a leader, then fails the batch's Sync: every request in the
-// failing batch must get the I/O error, every request queued behind it
-// ErrPoisoned, and the log must stay stickily poisoned.
-func TestGroupCommitBatchFailureFailsEveryWaiter(t *testing.T) {
-	gate := make(chan struct{}, 1)
+// TestAppendReturnsAtItsOwnSync: under a continuous stream of appenders
+// — the queue is never empty when a flush ends — no Append outlives the
+// Sync that covered it. Each round queues one more appender behind the
+// held flush, releases exactly one Sync, and requires the appender that
+// Sync covered to return while the next one's flush is still held. (A
+// committer that is itself an appender, flushing for its followers until
+// the queue drains, never returns here.)
+func TestAppendReturnsAtItsOwnSync(t *testing.T) {
+	l, _, gate := openGated(t)
+	defer func() { close(gate); l.Close() }()
+	key := mustKey(t)
+
+	const rounds = 6
+	verdicts := make([]chan error, rounds+1)
+	start := func(i int) {
+		verdicts[i] = make(chan error, 1)
+		tx := sampleTx(t, key, fmt.Sprintf("stream-%d", i))
+		go func() { verdicts[i] <- l.Append(tx) }()
+	}
+	start(0)
+	waitFlushing(t, l) // appender 0's batch is held at its Sync
+	for i := 0; i < rounds; i++ {
+		start(i + 1)
+		waitQueued(t, l, 1) // the stream continues behind the held flush
+		gate <- struct{}{}  // the Sync covering appender i, and only it
+		if err := verdictOf(t, fmt.Sprintf("appender %d after its own Sync", i), verdicts[i]); err != nil {
+			t.Fatalf("appender %d: %v", i, err)
+		}
+		waitFlushing(t, l)
+		select {
+		case err := <-verdicts[i+1]:
+			t.Fatalf("appender %d returned (%v) before the Sync covering it was released", i+1, err)
+		default:
+		}
+	}
+	if got := l.Unsynced(); got != 1 {
+		t.Fatalf("Unsynced = %d with one batch held at its Sync, want 1", got)
+	}
+}
+
+// TestEnqueueWithoutWaitIsDurableAfterClose: a record enqueued by a
+// caller that never waits is flushed by the committer all the same, and
+// Close does not return before that flush — nor drop the record.
+func TestEnqueueWithoutWaitIsDurableAfterClose(t *testing.T) {
+	l, mem, gate := openGated(t)
+	key := mustKey(t)
+	tx := sampleTx(t, key, "fire-and-forget")
+
+	verdict := make(chan error, 1)
+	l.Enqueue([]*txn.Transaction{tx}, func(err error) { verdict <- err })
+	waitFlushing(t, l)
+
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	waitFor(t, "Close to begin", func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.closing
+	})
+	refused := make(chan error, 1)
+	l.Enqueue([]*txn.Transaction{sampleTx(t, key, "late")}, func(err error) { refused <- err })
+	if err := <-refused; !errors.Is(err, ErrClosed) {
+		t.Fatalf("enqueue during Close = %v, want ErrClosed", err)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with the queued record's Sync still held", err)
+	default:
+	}
+
 	gate <- struct{}{}
-	mem := chaos.NewMemFS(2)
-	fs := &gateFS{FS: mem, gate: gate}
-	l, err := OpenFS(fs, "tx.log", nil)
+	if err := verdictOf(t, "Close", closed); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := verdictOf(t, "the enqueued record", verdict); err != nil {
+		t.Fatalf("enqueued record's verdict: %v", err)
+	}
+
+	mem.Reboot() // only what was synced survives
+	var recovered []hashutil.Hash
+	l2, err := OpenFS(mem, "tx.log", func(got *txn.Transaction) error {
+		recovered = append(recovered, got.ID())
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l2.Close()
+	if len(recovered) != 1 || recovered[0] != tx.ID() {
+		t.Fatalf("recovered %d records after Close + power cut, want exactly the enqueued one", len(recovered))
+	}
+}
+
+// TestGroupCommitBatchFailureFailsEveryRequest fails one batch's Sync
+// with every kind of request at stake: the waiters in the failing batch
+// must get the I/O error; a waiter and a no-wait request queued behind
+// it must get ErrPoisoned without touching the file; and the log must
+// stay stickily poisoned, with nothing left unsynced.
+func TestGroupCommitBatchFailureFailsEveryRequest(t *testing.T) {
+	l, mem, gate := openGated(t)
 	defer func() { close(gate); l.Close() }()
 	key := mustKey(t)
 
 	const followers = 4
-	errsCh := make(chan error, followers+1)
-	go func() { errsCh <- l.Append(sampleTx(t, key, "leader")) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		l.mu.Lock()
-		leading := l.committing && len(l.queue) == 0
-		l.mu.Unlock()
-		if leading {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader never reached its commit")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	l.SetBatchConfig(BatchConfig{MaxBatch: followers}) // the failing batch holds the followers and no more
+	first := make(chan error, 1)
+	go func() { first <- l.Append(sampleTx(t, key, "first")) }()
+	waitFlushing(t, l)
+	inBatch := make(chan error, followers)
 	for i := 0; i < followers; i++ {
 		i := i
-		go func() { errsCh <- l.Append(sampleTx(t, key, fmt.Sprintf("f-%d", i))) }()
+		go func() { inBatch <- l.Append(sampleTx(t, key, fmt.Sprintf("f-%d", i))) }()
 	}
 	waitQueued(t, l, followers)
+	behind := make(chan error, 2)
+	go func() { behind <- l.Append(sampleTx(t, key, "behind-waiting")) }()
+	waitQueued(t, l, followers+1)
+	l.Enqueue([]*txn.Transaction{sampleTx(t, key, "behind-no-wait")}, func(err error) { behind <- err })
 
-	gate <- struct{}{} // leader's own batch of 1 succeeds
-	// The leader (who won't return from Append until the queue drains)
-	// moves on to the follower batch; once its first commit is on the
-	// books, arm the one-shot fault so the follower batch's sync fails.
-	deadline = time.Now().Add(5 * time.Second)
-	for l.BatchStats().Commits < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader's own batch never committed")
-		}
-		time.Sleep(100 * time.Microsecond)
+	gate <- struct{}{} // the first batch of 1 succeeds
+	if err := verdictOf(t, "first appender", first); err != nil {
+		t.Fatalf("first appender: %v", err)
 	}
+	waitFor(t, "the follower batch to reach its Sync", func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.queue) == 2
+	})
 	mem.InjectSyncError(nil)
-	gate <- struct{}{} // follower batch hits the injected fault
+	gate <- struct{}{} // the follower batch hits the injected fault
 
-	okCount, failures := 0, 0
-	for i := 0; i < followers+1; i++ {
-		if err := <-errsCh; err == nil {
-			okCount++
-		} else {
-			failures++
+	for i := 0; i < followers; i++ {
+		if err := verdictOf(t, "request in the failing batch", inBatch); err == nil || errors.Is(err, ErrPoisoned) {
+			t.Fatalf("request in the failing batch = %v, want the I/O error", err)
 		}
 	}
-	if okCount != 1 || failures != followers {
-		t.Fatalf("%d ok / %d failed, want 1 ok (leader) / %d failed (batch whose sync died)", okCount, failures, followers)
+	for i := 0; i < 2; i++ {
+		if err := verdictOf(t, "request queued behind the failing batch", behind); !errors.Is(err, ErrPoisoned) {
+			t.Fatalf("request queued behind the failing batch = %v, want ErrPoisoned", err)
+		}
 	}
 	if l.Healthy() {
 		t.Fatal("log still healthy after failed batch sync")
+	}
+	if got := l.Unsynced(); got != 0 {
+		t.Fatalf("Unsynced = %d after every request got its verdict, want 0", got)
 	}
 	if err := l.Append(sampleTx(t, key, "after")); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("append after poison = %v, want ErrPoisoned", err)
@@ -477,16 +573,14 @@ func TestCrashPointTortureBatched(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrentWithCompact races appenders against a
-// compaction: every Append that succeeds must be recoverable, whether
-// it landed in the old segment (and was carried into the compacted
-// one) or in the new segment after the rename.
+// TestGroupCommitConcurrentWithCompact runs appenders against a
+// compaction that already holds the disk: the compaction is held at its
+// segment Sync (so it owns ioMu and the rename has not happened), the
+// appenders queue up behind it, and once it is released every one of
+// their batches must be routed to the NEW segment — an append written
+// through the old, unlinked handle would be acknowledged and lost.
 func TestGroupCommitConcurrentWithCompact(t *testing.T) {
-	fs := chaos.NewMemFS(4)
-	l, err := OpenFS(fs, "tx.log", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, mem, gate := openGated(t)
 	key := mustKey(t)
 
 	// Seed records that compaction will keep.
@@ -494,10 +588,21 @@ func TestGroupCommitConcurrentWithCompact(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tx := sampleTx(t, key, fmt.Sprintf("keep-%d", i))
 		kept = append(kept, tx)
+		gate <- struct{}{}
 		if err := l.Append(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
+
+	compacted := make(chan error, 1)
+	go func() { compacted <- l.Compact(kept) }()
+	waitFor(t, "compaction to take the disk", func() bool {
+		if l.ioMu.TryLock() {
+			l.ioMu.Unlock()
+			return false
+		}
+		return true
+	})
 
 	var (
 		okMu sync.Mutex
@@ -521,14 +626,16 @@ func TestGroupCommitConcurrentWithCompact(t *testing.T) {
 			}
 		}()
 	}
-	if err := l.Compact(kept); err != nil {
+	waitQueued(t, l, 4)
+	close(gate) // the compaction's Sync, and every Sync after it
+	if err := <-compacted; err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	wg.Wait()
 	l.Close()
 
 	recovered := make(map[hashutil.Hash]bool)
-	l2, err := OpenFS(fs, "tx.log", func(tx *txn.Transaction) error {
+	l2, err := OpenFS(mem, "tx.log", func(tx *txn.Transaction) error {
 		recovered[tx.ID()] = true
 		return nil
 	})
@@ -539,17 +646,6 @@ func TestGroupCommitConcurrentWithCompact(t *testing.T) {
 	if gen := l2.Generation(); gen != 1 {
 		t.Fatalf("generation = %d, want 1", gen)
 	}
-	// Appends that raced the compaction and lost their segment are the
-	// one acceptable casualty ONLY if they were never acknowledged; all
-	// of ours were acknowledged, so all must survive. Records written
-	// to the pre-compact segment survive via the compaction input in
-	// real usage (the node exports its tangle); here the compaction
-	// kept only `kept`, so acknowledged pre-rename appends not in
-	// `kept` would be lost — the ioMu ordering prevents exactly that
-	// interleaving: a batch either commits wholly before the rename
-	// (and the test's compact input predates the appenders, making
-	// this a strict check on post-rename routing) or wholly after,
-	// into the new segment.
 	for _, id := range ok {
 		if !recovered[id] {
 			t.Fatalf("acknowledged append %s lost across concurrent compaction", id.String()[:8])

@@ -100,7 +100,10 @@ type Log struct {
 	batchCfg   BatchConfig
 	batchStats BatchStats
 	queue      []*commitReq
-	committing bool // a leader is flushing the queue
+	unsynced   int       // records enqueued and still without a verdict
+	committing bool      // a committer goroutine is flushing the queue
+	idle       sync.Cond // on mu; signalled when the committer exits
+	closing    bool      // Close has begun: Enqueue refuses, the queue drains
 }
 
 // Errors.
@@ -144,6 +147,7 @@ func OpenFSGen(fs chaos.FS, path string, apply func(*txn.Transaction, uint64) er
 		return nil, fmt.Errorf("open tx log: %w", err)
 	}
 	l := &Log{fs: fs, f: f, path: path, batchCfg: BatchConfig{}.withDefaults()}
+	l.idle.L = &l.mu
 
 	base, size, err := l.readSegHeader()
 	if err != nil {
@@ -314,11 +318,7 @@ func encodeRecord(t *txn.Transaction) ([]byte, error) {
 // or sync poisons the log: the durable tail is unknown, so every
 // subsequent Append fails with ErrPoisoned until the log is reopened.
 func (l *Log) Append(t *txn.Transaction) error {
-	buf, err := encodeRecord(t)
-	if err != nil {
-		return err
-	}
-	return l.submit(&commitReq{buf: buf, n: 1, done: make(chan error, 1)})
+	return l.AppendBatch([]*txn.Transaction{t})
 }
 
 // Compact atomically replaces the log's contents with txs, stamped with
@@ -332,22 +332,17 @@ func (l *Log) Append(t *txn.Transaction) error {
 // that divergence permanent.
 func (l *Log) Compact(txs []*txn.Transaction) error {
 	// ioMu keeps the rewrite exclusive with in-flight batch commits;
-	// appenders may keep enqueueing — their leader blocks on ioMu and
+	// appenders may keep enqueueing — the committer blocks on ioMu and
 	// commits to the new segment once the rename lands.
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	l.mu.Lock()
-	if l.f == nil {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrPoisoned, err)
-	}
+	err := l.refusalLocked()
 	gen := l.gen
 	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	tmpPath := l.path + ".compact"
 	tmp, err := l.fs.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -463,11 +458,17 @@ func (l *Log) Bytes() int64 {
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
 
-// Close releases the file handle. It waits for the in-flight batch
-// commit (if any) to reach its barrier first, so no appender has its
-// file yanked away mid-write; requests still queued behind that batch
-// fail with ErrClosed.
+// Close flushes what is queued and releases the file handle. Enqueue
+// refuses with ErrClosed from the moment Close begins; every request
+// already queued — waited for or not — gets its verdict from the
+// committer first, so nothing that was enqueued is dropped unflushed.
 func (l *Log) Close() error {
+	l.mu.Lock()
+	l.closing = true
+	for l.committing {
+		l.idle.Wait()
+	}
+	l.mu.Unlock()
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	l.mu.Lock()

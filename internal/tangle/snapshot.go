@@ -166,7 +166,6 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 		t.shardOrder[shard] = compactLive(vs)
 	}
 	t.approvedOrder = compactLive(t.approvedOrder)
-	t.approvedHead = 0
 	t.updateMemGaugesLocked()
 	return len(drop)
 }

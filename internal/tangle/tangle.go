@@ -208,10 +208,9 @@ type Tangle struct {
 
 	// approvedOrder lists non-genesis vertices in first-approval order
 	// (clock stamps are non-decreasing, so append order is
-	// chronological); approvedHead skips entries pruned by snapshots.
-	// Together they make OldestApproved amortized O(1).
+	// chronological); every snapshot compacts the pruned ones away, so
+	// OldestApproved reads the head.
 	approvedOrder []*vertex
-	approvedHead  int
 
 	// pendingEvents collects events produced under the write lock;
 	// deliverMu serializes their delivery to observers after the lock

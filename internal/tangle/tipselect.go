@@ -215,25 +215,18 @@ func (t *Tangle) stepLocked(w *walker, cur *vertex) *vertex {
 // vertex is still a tip.
 //
 // The candidates live in approvedOrder, appended in first-approval
-// order (ledger clock stamps are non-decreasing), so the answer is at
-// the queue head; the head index advances past entries pruned by
-// snapshots, making the call amortized O(1) instead of a full scan.
+// order (ledger clock stamps are non-decreasing) and compacted by every
+// snapshot, so the answer is at the head: O(1) instead of a full scan.
 func (t *Tangle) OldestApproved() (hashutil.Hash, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for t.approvedHead < len(t.approvedOrder) && t.approvedOrder[t.approvedHead].pruned {
-		t.approvedHead++
-	}
-	if t.approvedHead >= len(t.approvedOrder) {
+	if len(t.approvedOrder) == 0 {
 		return hashutil.Zero, false
 	}
 	// Entries sharing the head's approval time are contiguous; break
 	// the tie on the smaller ID, matching the original scan's order.
-	best := t.approvedOrder[t.approvedHead]
-	for _, v := range t.approvedOrder[t.approvedHead+1:] {
-		if v.pruned {
-			continue
-		}
+	best := t.approvedOrder[0]
+	for _, v := range t.approvedOrder[1:] {
 		if !v.firstApprovedAt.Equal(best.firstApprovedAt) {
 			break
 		}

@@ -12,6 +12,11 @@
 # metrics, the pair wins per metric, and bench's own -compare verdicts
 # (medians, quartiles, move against the bound). Results stay in
 # $OUT (default: a fresh directory under ${TMPDIR:-/tmp}).
+#
+# TRACE=1 adds one traced base/head pair per workload (seed 1, after that
+# workload's untraced pairs) and prints, side by side, the per-layer rows
+# a change to the journal or the fan-out path is expected to move: where
+# an end-to-end difference came from, not whether there is one.
 set -euo pipefail
 
 base_ref=${1:?usage: scripts/bench-pairs.sh <base-ref> [workload ...]}
@@ -28,13 +33,14 @@ trap 'rm -rf "$base"' EXIT
 git -C "$head" archive "$base_ref" | tar -x -C "$base"
 echo "base $base_ref -> $base; results -> $out"
 
-# run <side> <checkout> <set> <i> <seed> <workload>: one untraced run;
-# the envelope lands in $out/<set>/<side>/run-<i>/.
+# run <side> <checkout> <set> <i> <seed> <workload>: one run, traced when
+# <set> is "traced"; the envelope lands in $out/<set>/<side>/run-<i>/.
 run() {
 	local side=$1 dir=$2 set=$3 i=$4 seed=$5 wl=$6
-	local dest="$out/$set/$side/run-$i"
+	local dest="$out/$set/$side/run-$i" trace=0
+	[ "$set" = traced ] && trace=1
 	mkdir -p "$dest"
-	(cd "$dir" && bash bench/run.sh --workload "$wl" --seed "$seed" --trace 0 -out "$dest") |
+	(cd "$dir" && bash bench/run.sh --workload "$wl" --seed "$seed" --trace "$trace" -out "$dest") |
 		tail -n 1 >"$dest/$wl.line"
 	printf '%s\t%s\t%s\t%s\t%s\n' "$set" "$wl" "$seed" "$side" "$(cat "$dest/$wl.line")" >>"$out/runs.tsv"
 }
@@ -51,6 +57,10 @@ for wl in "${workloads[@]}"; do
 	done
 	run base "$base" heldout 1 "$heldout" "$wl"
 	run head "$head" heldout 1 "$heldout" "$wl"
+	if [ "${TRACE:-0}" = 1 ]; then
+		run base "$base" traced 1 1 "$wl"
+		run head "$head" traced 1 1 "$wl"
+	fi
 done
 
 # Per-pair table and wins, from the driver line each run ends with.
@@ -70,6 +80,8 @@ for (kind, wl, seed), sides in sorted(runs.items()):
     if not b or not h:
         print(f"{kind:8} {wl:16} {seed:9} VOID base={b is not None} head={h is not None}")
         continue
+    if kind == "traced":
+        continue  # printed below, a chosen few of its ninety rows
     for m in sorted(b):
         better = (h[m] < b[m]) if m in lower else (h[m] > b[m])
         tie = h[m] == b[m]
@@ -80,6 +92,15 @@ for (kind, wl, seed), sides in sorted(runs.items()):
 print()
 for (wl, m), (hw, bw, t) in sorted(wins.items()):
     print(f"{wl:16} {m:16} head wins {hw} of {hw + bw + t} pairs (base {bw}, ties {t})")
+layers = ["node.submit_ms_max", "node.queue_wait_ms", "replicate_p50_ms", "gossip.request_ms_p50",
+          "node.relay_handle_us_per_tx", "store.fsyncs_per_tx", "trace.stage_sum_gap_frac"]
+for (kind, wl, seed), sides in sorted(runs.items()):
+    b, h = sides.get("base"), sides.get("head")
+    if kind == "traced" and b and h:
+        print(f"\ntraced pair, {wl}, seed {seed} (one run a side: where a difference sits, not its size)")
+        print(f"  {'metric':30} {'base':>12} {'head':>12}")
+        for m in layers:
+            print(f"  {m:30} {b.get(m, float('nan')):12.4g} {h.get(m, float('nan')):12.4g}")
 PY
 
 echo
