@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-chaos test-scenarios test-scenarios-long test-flake test-shard race cover bench bench-gossip bench-store bench-scenarios bench-latency bench-mem bench-shard bench-all bench-pairs figures examples fuzz clean
+.PHONY: all build vet test test-short test-chaos test-scenarios test-scenarios-long test-flake test-shard race cover bench bench-gossip bench-store bench-scenarios bench-latency bench-mem bench-shard bench-all bench-pairs loc figures examples fuzz clean
 
 all: build vet test
 
@@ -165,6 +165,13 @@ bench-all:
 bench-pairs:
 	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<ref> [WORKLOADS=...]"; exit 2; }
 	scripts/bench-pairs.sh $(BASE) $(WORKLOADS)
+
+# Non-test Go lines per internal package — the count a change that claims
+# to simplify quotes before → after (CHANGES.md).
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)" "$${d%/}"; \
+	done
 
 # Regenerate every paper figure with full (Pi-emulated) parameters.
 figures:

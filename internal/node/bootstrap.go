@@ -172,7 +172,7 @@ func (n *FullNode) BootstrapFrom(ctx context.Context, peer string) (BootstrapSta
 	// treats as a corrupt log. Cutting a compacted (generation ≥ 1)
 	// segment first means every bootstrap-attached record replays
 	// through Restore, so a crash mid-join recovers cleanly.
-	if n.journalOpen() {
+	if n.journalLog() != nil {
 		if _, err := n.CompactJournal(); err != nil {
 			return stats, fmt.Errorf("bootstrap from %s: %w", peer, err)
 		}
@@ -241,11 +241,4 @@ func (n *FullNode) syncRounds(ctx context.Context, peer string) {
 			return
 		}
 	}
-}
-
-// journalOpen reports whether persistence is enabled.
-func (n *FullNode) journalOpen() bool {
-	n.pendingMu.Lock()
-	defer n.pendingMu.Unlock()
-	return n.journal != nil
 }

@@ -224,10 +224,8 @@ func TestQuarantineBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := newInjectedNode(t, mgrKey, clk, func(cfg *node.FullConfig) {
-		cfg.QuarantineCap = 4
-		cfg.QuarantineTTL = time.Minute
-	})
+	in := newInjectedNode(t, mgrKey, clk, nil)
+	in.n.SetQuarantineBounds(4, time.Minute)
 	list1 := craftAuthTx(t, mgrKey,
 		authz.List{Seq: 1, Devices: []string{identity.EncodePublic(devKey.Public())}},
 		genesisIDs(t, in.n)[0], genesisIDs(t, in.n)[1], clk.Now())

@@ -118,14 +118,6 @@ type FullConfig struct {
 	// instants still cut at the same settled epoch boundary and serve
 	// identical snapshot manifests. Zero keeps the raw now-keep cutoff.
 	SnapshotEpoch time.Duration
-
-	// QuarantineCap / QuarantineTTL bound the evidence quarantine:
-	// relayed transactions whose admission evidence cannot be resolved
-	// yet (missing auth ancestor or list-sequence gap) park there and
-	// retry when lists arrive. Zero selects the defaults (256 entries,
-	// 30s).
-	QuarantineCap int
-	QuarantineTTL time.Duration
 }
 
 func (c *FullConfig) withDefaults() (FullConfig, error) {
@@ -228,6 +220,7 @@ type FullNode struct {
 	pending   map[hashutil.Hash]*txn.Transaction // transfers awaiting confirmation
 	deferred  []tangle.Event                     // settlement events awaiting drainDeferred
 	journal   *store.Log                         // nil unless EnablePersistence was called
+	unflushed map[hashutil.Hash]chan struct{}    // journal records queued and not flushed; closed when they are
 	coldIdx   *store.ColdIndex                   // durable pruned-ID index; nil when memory-only
 
 	// replayGate holds relay admission (read side, admitGossipBatch)
@@ -317,8 +310,9 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 		pipeline:   newPipelineMetrics(),
 		verified:   newVerifiedCache(verifiedCacheSize),
 		verifySem:  newVerifySem(),
-		quar:       newQuarantine(conf.QuarantineCap, conf.QuarantineTTL),
+		quar:       newQuarantine(quarantineCap, quarantineTTL),
 		pending:    make(map[hashutil.Hash]*txn.Transaction),
+		unflushed:  make(map[hashutil.Hash]chan struct{}),
 		limiter:    make(map[identity.Address]*rateBucket),
 		syncCursor: make(map[string]uint64),
 		syncTurn:   make(map[string]*sync.Mutex),
@@ -371,9 +365,12 @@ func (n *FullNode) Clock() clock.Clock { return n.cfg.Clock }
 // in ledger order after the tangle lock is released (possibly on a
 // concurrent submitter's goroutine), so this must stay cheap and only
 // touch concurrency-safe state; heavier follow-ups (token settlement)
-// are deferred and drained after the attach completes.
+// are deferred and drained after the attach completes. The same order is
+// why the journal is fed from here (journalAttached).
 func (n *FullNode) onTangleEvent(ev tangle.Event) {
 	switch ev.Kind {
+	case tangle.EventAttached:
+		n.journalAttached(ev.Txn)
 	case tangle.EventLazyTips:
 		n.engine.Ledger().RecordMalicious(ev.Node, core.EventRecord{
 			Behaviour: core.BehaviourLazyTips,
@@ -483,9 +480,10 @@ func (n *FullNode) InfoOf(id hashutil.Hash) (tangle.Info, error) {
 // gossip broadcast. Safe to call from many goroutines concurrently.
 //
 // On a journaling node Submit returns only after the fsync covering the
-// transaction's journal record; replication does not wait for it. The
-// order is attach → queue the journal record → queue the fan-out → wait
-// for the journal barrier, so the broadcast and the link delay behind it
+// transaction's journal record, not one covering a later record;
+// replication does not wait for it. The attach queues the journal record
+// (journalAttached), so the order is attach → queue the fan-out → wait
+// for the journal barrier, and the broadcast and the link delay behind it
 // overlap the flush instead of following it (in the paper a gateway
 // verifies and broadcasts at once; the journal is this repository's).
 // Broadcast therefore PRECEDES durability: a power cut between the two
@@ -514,12 +512,11 @@ func (n *FullNode) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info,
 		}
 		return tangle.Info{}, err
 	}
-	barrier := n.journalEnqueue([]*txn.Transaction{t})
 	if n.bcast != nil {
 		// The reservation is consumed by the dispatcher; no release here.
 		n.bcast.enqueue(t.Encode())
 	}
-	<-barrier
+	n.awaitJournal(info.ID, 0)
 	return info, nil
 }
 
@@ -577,7 +574,12 @@ func (n *FullNode) Close() error {
 	if n.bcast != nil {
 		n.bcast.close()
 	}
+	// Cancelled under the lane's lock: a handler starting a repair checks
+	// the context and joins the wait group under it, so it is either
+	// counted before the Wait or sees the cancellation.
+	n.repair.mu.Lock()
 	n.repair.cancel()
+	n.repair.mu.Unlock()
 	n.repair.wg.Wait()
 	return nil
 }
@@ -676,21 +678,48 @@ func shardFor(kind txn.Kind, hint uint32) uint32 {
 	}
 }
 
-// attachVerified is the pipeline's serialized tail: it assumes the
-// transaction already passed identity + difficulty verification and
-// performs attachment, credit accounting, authorization application,
-// quality control and settlement draining. Journaling is the caller's:
-// the submission edge queues the record and waits for its barrier after
-// it has queued the fan-out (Submit); the relay edge queues its whole
-// batch as one request and does not wait (journalRelayed).
+// attachVerified is the live edges' way into the ledger: it assumes the
+// transaction already passed identity + difficulty verification, runs the
+// commit tail with a plain attach, and does the live-only accounting
+// around it. Journaling is no caller's: the attach announces the
+// transaction and onTangleEvent queues its record.
 //
 // shardHint is the data namespace the transaction lands in when it is
 // region traffic (shardFor routes control kinds to namespace 0): the
 // node's own shard at the submission edge, the batch's declared shard
 // on the relay path.
 func (n *FullNode) attachVerified(t *txn.Transaction, now time.Time, shardHint uint32) (tangle.Info, error) {
-	sender := t.Sender()
 	attachStart := time.Now()
+	info, err := n.commit(t, now, shardFor(t.Kind, shardHint), n.tangle.AttachShard)
+	if err != nil {
+		n.counters.Rejected.Inc()
+		return info, err
+	}
+	if t.Kind == txn.KindAuthorization {
+		// A newly observed list may be exactly what a quarantined
+		// transaction was waiting for.
+		n.kickQuarantine(now)
+	}
+	n.counters.Accepted.Inc()
+	n.pipeline.AttachLatency.Observe(time.Since(attachStart))
+	return info, nil
+}
+
+// errListInvalid marks the one commit error that leaves the transaction
+// attached: an authorization list the registry refused.
+var errListInvalid = errors.New("authorization list on the ledger is invalid")
+
+// commit is the one tail every path into the ledger runs — submission,
+// relay and journal replay: track a transfer for settlement, write the
+// credit record, attach, check data quality, observe an authorization
+// list, settle what the attach confirmed. The state it leaves is a pure
+// function of WHAT was attached (Eqns 2–5), which is why replay shares it.
+// at is the admission instant: the clock at a live edge, the record's own
+// timestamp on replay. attach is AttachShard live; on replay it restores
+// on a snapshot boundary.
+func (n *FullNode) commit(t *txn.Transaction, at time.Time, shard uint32,
+	attach func(*txn.Transaction, uint32) (tangle.Info, error)) (tangle.Info, error) {
+	sender := t.Sender()
 
 	// Track transfers for settlement before attaching, so the
 	// confirmation event (which may fire during Attach) finds it.
@@ -714,16 +743,16 @@ func (n *FullNode) attachVerified(t *txn.Transaction, now time.Time, shardHint u
 	// different view than its peers built live — and a diverged view
 	// means a diverged difficulty demand, which rejects peers' perfectly
 	// mined transactions forever. Stamping with the embedded timestamp
-	// (clamped to now so post-dating buys nothing) makes the view a
-	// function of WHAT was admitted, not WHEN, so journal replay and
-	// catch-up sync converge to the live nodes' view.
+	// (clamped to the admission instant so post-dating buys nothing)
+	// makes the view a function of WHAT was admitted, not WHEN, so journal
+	// replay and catch-up sync converge to the live nodes' view.
 	recordAt := t.Timestamp
-	if recordAt.After(now) {
-		recordAt = now
+	if recordAt.After(at) {
+		recordAt = at
 	}
 	n.engine.Ledger().RecordTransaction(sender, t.ID(), 1, recordAt)
 
-	info, err := n.tangle.AttachShard(t, shardFor(t.Kind, shardHint))
+	info, err := attach(t, shard)
 	if err != nil {
 		if !errors.Is(err, tangle.ErrDuplicate) {
 			// A duplicate keeps what the first copy recorded (both are
@@ -733,38 +762,31 @@ func (n *FullNode) attachVerified(t *txn.Transaction, now time.Time, shardHint u
 			delete(n.pending, t.ID())
 			n.pendingMu.Unlock()
 		}
-		n.counters.Rejected.Inc()
 		return tangle.Info{}, fmt.Errorf("attach: %w", err)
 	}
 
 	// Sensor data quality control (§VIII extension): plaintext readings
 	// are checked for plausibility; violations are punished through the
 	// credit ledger, not by rejecting the (already attached) evidence.
-	n.checkQuality(t, info.ID, now)
+	n.checkQuality(t, info.ID, at)
 
 	// Authorization lists take effect once attached. Observe rather
 	// than Apply: a list older than the current view is not an error on
-	// a relay path — it still records into the evidence window (the
-	// whole point of retaining versions), it just does not move the
+	// a relay or replay path — it still records into the evidence window
+	// (the whole point of retaining versions), it just does not move the
 	// live view backward. Like the credit record above, the window
 	// entry is stamped with the clamped EMBEDDED timestamp, so journal
 	// replay and catch-up sync prune the window identically to the
-	// nodes that saw the list live. A newly observed list may also be
-	// exactly what a quarantined transaction was waiting for.
+	// nodes that saw the list live.
 	if t.Kind == txn.KindAuthorization {
-		if _, err := n.registry.Observe(t, recordAt); err != nil {
+		if _, lerr := n.registry.Observe(t, recordAt); lerr != nil {
 			// The list is on-ledger but invalid (undecodable, forged
 			// issuer); ledger state is unaffected.
-			n.counters.Rejected.Inc()
-			return info, fmt.Errorf("observe authorization list: %w", err)
+			err = fmt.Errorf("observe authorization list: %w: %v", errListInvalid, lerr)
 		}
-		n.kickQuarantine(now)
 	}
-
-	n.counters.Accepted.Inc()
-	n.pipeline.AttachLatency.Observe(time.Since(attachStart))
 	n.drainDeferred()
-	return info, nil
+	return info, err
 }
 
 // handleGossip processes inbound gossip. Transaction batches run
@@ -900,46 +922,34 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 		txs = append(txs, t)
 	}
 
-	// Relayed records are journaled as ONE request at the end of the call
-	// and the call does not wait for its fsync: a relay admission is not a
-	// client-facing durability promise (a record lost to a crash in the
-	// gap is repaired by the next sync), and the transport holds the
-	// pair's next batch until this one returns.
-	var attached []*txn.Transaction
-	defer func() { n.journalRelayed(attached) }()
+	// The call does not wait for the fsync of what it attaches: a relay
+	// admission is not a client-facing durability promise (a record lost to
+	// a crash in the gap is repaired by the next sync), and the transport
+	// holds the pair's next batch until this one returns.
+	var last hashutil.Hash // the newest transaction this call attached
+	defer func() { n.awaitJournal(last, maxUnsyncedRelay) }()
 
 	var orphans []hashutil.Hash
 	attach := func(t *txn.Transaction) {
-		// The authoritative evidence-at-admission verdict is taken just
-		// before attach (DESIGN.md §15): a definitive Unauthorized is a
-		// Sybil and is dropped; Unresolved (the evidence scan hit a
-		// list-sequence gap) parks in quarantine until the missing list
-		// arrives. Both count as failed so syncFrom keeps the page dirty.
-		if verdict, missing, ok := n.relayAuthVerdict(t); ok {
-			switch verdict {
-			case authz.VerdictUnauthorized:
-				n.counters.StaleAuthRejects.Inc()
-				failed++
-				return
-			case authz.VerdictUnresolved:
-				n.parkQuarantine(ctx, from, t, missing, now, shard)
-				failed++
-				return
-			}
-		} // else parents unattached: attach will orphan it
-		_, err := n.attachVerified(t, now, shard)
-		switch {
-		case err == nil:
-			attached = append(attached, t)
-		case errors.Is(err, tangle.ErrUnknownParent):
+		switch outcome, missing := n.admitRelayed(t, now, shard); outcome {
+		case relayAttached:
+			last = t.ID()
+		case relayDuplicate:
+		case relayUnresolved:
+			n.parkQuarantine(ctx, from, t, missing, now, shard)
+			failed++
+		case relayOrphan:
 			// Park rather than drop: the missing parent is usually right
 			// behind (a later batch, or later in the same sync), its
 			// descendants certainly are, and dropping is the orphan
-			// cascade behind the old revocation-storm flake.
+			// cascade behind the old revocation-storm flake. First sight
+			// counts a reject, as the attach it used to cost did; the
+			// retries do not.
+			n.counters.Rejected.Inc()
 			n.parkOrphan(ctx, from, t, now, shard)
 			orphans = append(orphans, t.ID())
 			failed++
-		case !errors.Is(err, tangle.ErrDuplicate):
+		default: // a Sybil, or the attach failed: syncFrom keeps the page dirty
 			failed++
 		}
 	}
@@ -973,6 +983,52 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 		n.repairOrphans(from, orphans)
 	}
 	return failed
+}
+
+// relayOutcome is what the relay gate did with one transaction.
+type relayOutcome int
+
+const (
+	relayAttached     relayOutcome = iota
+	relayDuplicate                 // the ledger holds it already
+	relayOrphan                    // a parent is not attached yet: park, retry when something attaches
+	relayUnresolved                // the evidence scan hit a list-sequence gap: park until the list arrives
+	relayUnauthorized              // a Sybil: drop
+	relayFailed                    // the attach refused it: drop
+)
+
+// admitRelayed is the relay edge's gate, for a verified transaction fresh
+// from a peer and for one retried out of the quarantine alike. The
+// authoritative evidence-at-admission verdict is taken just before attach
+// (DESIGN.md §15): a definitive Unauthorized is a Sybil and is dropped;
+// Unresolved (the evidence scan hit the list-sequence gap missingSeq) and
+// an orphan are the caller's to park; the rest goes to attachVerified.
+func (n *FullNode) admitRelayed(t *txn.Transaction, now time.Time, shard uint32) (outcome relayOutcome, missingSeq uint64) {
+	verdict, missing, ok := n.relayAuthVerdict(t)
+	switch {
+	case !ok:
+		if !n.tangle.WasSnapshotted(t.Trunk) && !n.tangle.WasSnapshotted(t.Branch) {
+			// A parent is simply missing: nothing to attach to, and an
+			// attempt would only count a reject every time it is retried.
+			return relayOrphan, 0
+		}
+		// A parent was folded away by a snapshot: the attach says so.
+	case verdict == authz.VerdictUnauthorized:
+		n.counters.StaleAuthRejects.Inc()
+		return relayUnauthorized, 0
+	case verdict == authz.VerdictUnresolved:
+		return relayUnresolved, missing
+	}
+	_, err := n.attachVerified(t, now, shard)
+	switch {
+	case err == nil:
+		return relayAttached, 0
+	case errors.Is(err, tangle.ErrDuplicate):
+		return relayDuplicate, 0
+	case errors.Is(err, tangle.ErrUnknownParent):
+		return relayOrphan, 0
+	}
+	return relayFailed, 0
 }
 
 // parkOrphan parks a verified relayed transaction whose parent is not
@@ -1069,9 +1125,9 @@ func (n *FullNode) kickQuarantine(now time.Time) {
 // attached entry may be the missing parent of another — hence the loop
 // until a full pass makes no progress.
 func (n *FullNode) retryParked(now time.Time) {
-	var attached []*txn.Transaction
-	for {
-		progress := false
+	var last hashutil.Hash // the newest transaction this kick attached
+	for progress := true; progress; {
+		progress = false
 		for _, e := range n.quar.drain() {
 			if n.tangle.Contains(e.tx.ID()) {
 				continue // repaired by another path meanwhile
@@ -1080,39 +1136,22 @@ func (n *FullNode) retryParked(now time.Time) {
 				n.counters.QuarantineDrops.Inc()
 				continue
 			}
-			verdict, missing, ok := n.relayAuthVerdict(e.tx)
-			if !ok && !n.tangle.WasSnapshotted(e.tx.Trunk) && !n.tangle.WasSnapshotted(e.tx.Branch) {
-				// A parent is still missing: there is nothing to retry,
-				// and an attach attempt would only count a reject.
+			switch outcome, missing := n.admitRelayed(e.tx, now, e.shard); outcome {
+			case relayAttached:
+				last = e.tx.ID()
+				n.counters.QuarantineRepairs.Inc()
+				progress = true
+			case relayOrphan:
 				n.quar.repark(e)
-				continue
-			}
-			if ok && verdict == authz.VerdictUnauthorized {
-				n.counters.StaleAuthRejects.Inc()
-				continue
-			}
-			if ok && verdict == authz.VerdictUnresolved {
+			case relayUnresolved:
 				e.missingSeq = missing
 				n.quar.repark(e)
-				continue
+			case relayFailed:
+				n.counters.QuarantineDrops.Inc()
 			}
-			if _, err := n.attachVerified(e.tx, now, e.shard); err != nil {
-				if errors.Is(err, tangle.ErrUnknownParent) {
-					n.quar.repark(e)
-				} else if !errors.Is(err, tangle.ErrDuplicate) {
-					n.counters.QuarantineDrops.Inc()
-				}
-				continue
-			}
-			attached = append(attached, e.tx)
-			n.counters.QuarantineRepairs.Inc()
-			progress = true
-		}
-		if !progress {
-			break
 		}
 	}
-	n.journalRelayed(attached)
+	n.awaitJournal(last, maxUnsyncedRelay)
 }
 
 // probeAuthList asks the peer that relayed a transaction — or, when

@@ -1,20 +1,26 @@
 package node_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/b-iot/biot/internal/authz"
 	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/gossip"
 	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
 	"github.com/b-iot/biot/internal/store"
+	"github.com/b-iot/biot/internal/tangle"
 	"github.com/b-iot/biot/internal/txn"
 )
 
@@ -326,8 +332,9 @@ func TestRelayPowerCutWithFlushHeldIsRepairedBySync(t *testing.T) {
 
 // TestRelayUnsyncedBoundMakesHandlerWait: the early acknowledgement is
 // bounded. With MaxUnsyncedRelay records already awaiting a flush, the
-// next batch's handler waits for its own barrier — back-pressure on the
-// sender — exactly as every relay admission did before.
+// next batch's handler waits for the flush covering its own record —
+// back-pressure on the sender — exactly as every relay admission did
+// before.
 func TestRelayUnsyncedBoundMakesHandlerWait(t *testing.T) {
 	mgrKey, err := identity.Generate()
 	if err != nil {
@@ -351,8 +358,14 @@ func TestRelayUnsyncedBoundMakesHandlerWait(t *testing.T) {
 
 	waited := deliverAsync(t, net, "gateway:5600", over)
 	waitFor(t, "the batch over the bound is attached", func() bool { return relay.Tangle().Contains(over.ID()) })
-	fs.release() // the page's flush: a whole commit cycle goes by
-	fs.waitBlocked(t)
+	// The page's flushes: whole commit cycles go by. A record is a request
+	// of its own, so the page goes to the disk store.DefaultMaxBatch
+	// records at a time behind the flush already held, and the record over
+	// the bound rides in the one after those.
+	for flushed := 0; flushed < len(page); flushed += store.DefaultMaxBatch {
+		fs.release()
+		fs.waitBlocked(t)
+	}
 	if returned(waited) {
 		t.Fatal("the handler of the batch over the bound returned before the fsync covering it")
 	}
@@ -459,48 +472,258 @@ func TestReplayRacedByLiveGossipHandler(t *testing.T) {
 	}
 }
 
-// TestReplayParksChildWhoseParentNeverReachedTheDisk: admission journals
-// after attach, so a child can be flushed and its parent — attached, and
-// approvable, before its own record was queued — lost to the power cut
-// between the two flushes. That journal is this node's own, not a
-// foreign log: the node must boot, hold the child as the orphan it is,
-// and repair it from a peer. (A journal of which NOTHING resolves is
-// still refused: TestPersistenceForeignLogRejected.)
-func TestReplayParksChildWhoseParentNeverReachedTheDisk(t *testing.T) {
+// TestReplayRefusesRecordAheadOfItsParent: a record is queued for the
+// journal by its attach, in ledger order, so this node never writes a
+// generation-0 journal in which a record's parent is neither earlier in
+// the journal, genesis, nor in the cold index — not even a torn one, which
+// is a prefix. A journal that holds such a record is foreign, damaged, or
+// was written by a build that queued records after the attach; it is
+// refused with the record named, and left as it was found.
+func TestReplayRefusesRecordAheadOfItsParent(t *testing.T) {
 	mgrKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := chaos.NewMemFS(26)
-	net := &scriptedNet{peers: []string{"gateway:5600"}}
-	rebooted := newRelay(t, mgrKey, net)
-	g := genesisIDs(t, rebooted)
+	g := genesisIDs(t, newRelay(t, mgrKey, &scriptedNet{}))
 	floor := testParams().MinDifficulty
-	kept := craftTx(mgrKey, txn.KindData, []byte("flushed"), g[0], g[1], time.Now(), floor)
-	lost := craftTx(mgrKey, txn.KindData, []byte("attached, never flushed"), g[0], g[1], time.Now(), floor)
-	child := craftTx(mgrKey, txn.KindData, []byte("flushed ahead of its parent"), lost.ID(), kept.ID(), time.Now(), floor)
-	writeJournal(t, mem, "gw.journal", kept, child)
-	serveLedger(net, kept, lost, child)
+	kept := craftTx(mgrKey, txn.KindData, []byte("kept"), g[0], g[1], time.Now(), floor)
+	lost := craftTx(mgrKey, txn.KindData, []byte("never journaled"), g[0], g[1], time.Now(), floor)
+	child := craftTx(mgrKey, txn.KindData, []byte("child"), lost.ID(), kept.ID(), time.Now(), floor)
+	for name, journal := range map[string][]*txn.Transaction{
+		"no record resolves a parent":                  {child},
+		"a valid prefix, then an unknown parent":       {kept, child},
+		"a child ahead of its parent (an older build)": {kept, child, lost},
+	} {
+		t.Run(name, func(t *testing.T) {
+			mem := chaos.NewMemFS(26)
+			writeJournal(t, mem, "gw.journal", journal...)
+			before, err := mem.ReadFile("gw.journal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := &scriptedNet{peers: []string{"gateway:5600"}}
+			serveLedger(net, kept, lost, child)
+			rebooted := newRelay(t, mgrKey, net)
+			_, err = rebooted.EnablePersistenceFS(mem, "gw.journal")
+			if !errors.Is(err, tangle.ErrUnknownParent) || !strings.Contains(err.Error(), "record "+child.ID().Short()) {
+				t.Fatalf("boot = %v; want a refusal that names record %s", err, child.ID().Short())
+			}
+			if rebooted.QuarantineLen() != 0 || len(net.requests()) != 0 {
+				t.Errorf("the refused boot parked %d transactions and asked peers %v; want neither", rebooted.QuarantineLen(), net.requests())
+			}
+			if after, _ := mem.ReadFile("gw.journal"); !bytes.Equal(before, after) {
+				t.Error("the refused journal was modified")
+			}
+		})
+	}
+}
 
-	if _, err := rebooted.EnablePersistenceFS(mem, "gw.journal"); err != nil {
-		t.Fatalf("boot on a journal whose last child outran its parent to the disk: %v", err)
+// cutFS is a MemFS that images the disk around every Sync of the journal:
+// what a power cut just before the flush (the batch written, none of it
+// promised: a torn tail) and just after it would leave behind.
+type cutFS struct {
+	*chaos.MemFS
+	path string
+	mu   sync.Mutex
+	cuts []*chaos.MemFS
+}
+
+func (c *cutFS) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
+	f, err := c.MemFS.OpenFile(name, flag, perm)
+	if err != nil || name != c.path {
+		return f, err
 	}
-	if !rebooted.Tangle().Contains(kept.ID()) || rebooted.Tangle().Contains(child.ID()) || rebooted.QuarantineLen() != 1 {
-		t.Fatalf("after boot: kept attached=%v, child attached=%v, parked=%d; want true, false, 1",
-			rebooted.Tangle().Contains(kept.ID()), rebooted.Tangle().Contains(child.ID()), rebooted.QuarantineLen())
-	}
-	waitFor(t, "the repair lane pulls the parent and the child attaches", func() bool {
-		return rebooted.Tangle().Contains(lost.ID()) && rebooted.Tangle().Contains(child.ID())
-	})
-	// Shut down in the supervisor's order: Close joins the repair lane,
-	// whose batch queues its journal request as it returns.
-	if err := rebooted.Close(); err != nil {
+	return &cutFile{File: f, fs: c}, nil
+}
+
+func (c *cutFS) cut() {
+	image := c.MemFS.Clone()
+	image.Reboot()
+	c.mu.Lock()
+	c.cuts = append(c.cuts, image)
+	c.mu.Unlock()
+}
+
+type cutFile struct {
+	chaos.File
+	fs *cutFS
+}
+
+func (f *cutFile) Sync() error {
+	f.fs.cut()
+	err := f.File.Sync()
+	f.fs.cut()
+	return err
+}
+
+// TestJournalIsAPrefixOfTheLedgerAtEveryFlush is the ordering invariant:
+// whichever way transactions come in — concurrent submitters, relayed
+// batches, relayed batches that arrive child-first and are retried out of
+// the quarantine — every journal record follows both its parents, so the
+// journal a power cut leaves at any flush boundary is a prefix of the
+// ledger and boots a fresh node on its own: nothing stashed, nothing
+// parked, nothing asked of a peer. (Records used to be queued after the
+// attach, by whoever had attached them: a child-first batch journaled the
+// retried child ahead of its parent every time, and concurrent submitters
+// whenever one approved the other's transaction in the gap.)
+func TestJournalIsAPrefixOfTheLedgerAtEveryFlush(t *testing.T) {
+	const (
+		submitters   = 4
+		perSubmitter = 10
+		chainLen     = 24
+		batchLen     = 3
+	)
+	ctx := context.Background()
+	mgrKey, err := identity.Generate()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rebooted.ClosePersistence(); err != nil {
+	fs := &cutFS{MemFS: chaos.NewMemFS(27), path: "gw.journal"}
+	net := &scriptedNet{peers: []string{"gateway:5600"}}
+	gw := newJournalingRelay(t, mgrKey, net, fs, "gw.journal")
+	g := genesisIDs(t, gw)
+	floor := testParams().MinDifficulty
+
+	devices := make([]*identity.KeyPair, submitters)
+	list := authz.List{Seq: 1}
+	for i := range devices {
+		if devices[i], err = identity.Generate(); err != nil {
+			t.Fatal(err)
+		}
+		list.Devices = append(list.Devices, identity.EncodePublic(devices[i].Public()))
+	}
+	listTx := craftAuthTx(t, mgrKey, list, g[0], g[1], time.Now())
+	net.deliver(t, "gateway:5600", listTx)
+	chain := make([]*txn.Transaction, chainLen)
+	for i, prev := 0, listTx.ID(); i < chainLen; i++ {
+		chain[i] = craftTx(mgrKey, txn.KindData, []byte(fmt.Sprintf("relayed %d", i)), prev, prev, time.Now(), floor)
+		prev = chain[i].ID()
+	}
+
+	var wg sync.WaitGroup
+	for s, key := range devices {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				trunk, branch, err := gw.TipsForApproval()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tx := craftTx(key, txn.KindData, []byte(fmt.Sprintf("submitted %d/%d", s, i)), trunk, branch, time.Now(), gw.DifficultyFor(key.Address()))
+				if _, err := gw.Submit(ctx, tx); err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < chainLen; i += batchLen {
+		batch := append([]*txn.Transaction(nil), chain[i:i+batchLen]...)
+		if (i/batchLen)%2 == 1 {
+			slices.Reverse(batch) // child first: it parks, and the kick that follows its parent retries it
+		}
+		net.deliver(t, "gateway:5600", batch...)
+	}
+	wg.Wait()
+	if got, want := gw.Tangle().Size(), 2+1+chainLen+submitters*perSubmitter; got != want || gw.QuarantineLen() != 0 {
+		t.Fatalf("ledger holds %d transactions with %d parked, want %d and 0", got, gw.QuarantineLen(), want)
+	}
+	if err := gw.ClosePersistence(); err != nil {
 		t.Fatal(err)
 	}
-	if ids := journaledIDs(t, mem, "gw.journal"); ids[lost.ID()] == 0 {
-		t.Error("the repaired parent is not in the journal")
+	fs.cut()
+
+	longest := 0
+	for i, image := range fs.cuts {
+		var records []*txn.Transaction
+		log, err := store.OpenFS(image, "gw.journal", func(tx *txn.Transaction) error {
+			records = append(records, tx)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("cut %d: %v", i, err)
+		}
+		log.Close()
+		journaled := map[hashutil.Hash]bool{g[0]: true, g[1]: true}
+		for at, tx := range records {
+			if !journaled[tx.Trunk] || !journaled[tx.Branch] {
+				t.Fatalf("cut %d: record %d of %d (%s) is journaled ahead of a parent", i, at, len(records), tx.ID().Short())
+			}
+			journaled[tx.ID()] = true
+		}
+		longest = max(longest, len(records))
+
+		peers := &scriptedNet{peers: []string{"gateway:5600"}}
+		fresh := newRelay(t, mgrKey, peers)
+		if _, err := fresh.EnablePersistenceFS(image, "gw.journal"); err != nil {
+			t.Fatalf("cut %d: boot on the %d records the power cut left: %v", i, len(records), err)
+		}
+		if got, want := fresh.Tangle().Size(), 2+len(records); got != want || fresh.QuarantineLen() != 0 || len(peers.requests()) != 0 {
+			t.Fatalf("cut %d: booted with %d of %d transactions attached, %d parked, requests %v; want all, none, none",
+				i, got, want, fresh.QuarantineLen(), peers.requests())
+		}
+		if err := fresh.ClosePersistence(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := 1 + chainLen + submitters*perSubmitter; longest != want {
+		t.Errorf("the journal after ClosePersistence holds %d records, want all %d", longest, want)
+	}
+	t.Logf("%d power cuts, journal of %d records", len(fs.cuts), longest)
+}
+
+// TestCompactJournalKeepsWhatWasAcknowledgedBeforeTheRewrite: a reading
+// admitted, flushed and acknowledged while CompactJournal waits for the
+// disk is in the ledger before the rewrite starts, so it must be in the
+// rewritten journal. CompactJournal used to export the ledger first and
+// wait for the disk second: the reading landed in the old segment, the
+// export did not hold it, and the rename dropped a record its device had
+// been told was durable.
+func TestCompactJournalKeepsWhatWasAcknowledgedBeforeTheRewrite(t *testing.T) {
+	ctx := context.Background()
+	dep := newTestDeployment(t)
+	fs := newHeldFS(28)
+	if _, err := dep.full.EnablePersistenceFS(fs, "gw.journal"); err != nil {
+		t.Fatal(err)
+	}
+	defer dep.full.ClosePersistence()
+	for round := 0; round < 4; round++ {
+		// A flush is held at its Sync, so the disk is taken; the
+		// compaction queues up behind it; a second reading is attached and
+		// queued behind both. The flush is released, and whichever of the
+		// two takes the disk next, the second reading — acknowledged
+		// before the rewrite or flushed after it — must survive.
+		fs.hold()
+		first := mineOwnTx(t, dep.full, fmt.Sprintf("holds the disk %d", round))
+		firstDone := make(chan struct{})
+		go func() { defer close(firstDone); _, _ = dep.full.Submit(ctx, first) }()
+		fs.waitBlocked(t)
+		compacted := make(chan error, 1)
+		go func() { _, err := dep.full.CompactJournal(); compacted <- err }()
+		second := mineOwnTx(t, dep.full, fmt.Sprintf("acknowledged meanwhile %d", round))
+		secondDone := make(chan struct{})
+		go func() { defer close(secondDone); _, _ = dep.full.Submit(ctx, second) }()
+		waitFor(t, "the second reading is attached", func() bool { return dep.full.Tangle().Contains(second.ID()) })
+		fs.open()
+		awaitReturn(t, "the first reading", firstDone)
+		awaitReturn(t, "the second reading", secondDone)
+		select {
+		case err := <-compacted:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("CompactJournal did not return")
+		}
+		// A power cut now: both readings were acknowledged as durable.
+		disk := fs.MemFS.Clone()
+		disk.Reboot()
+		ids := journaledIDs(t, disk, "gw.journal")
+		if ids[first.ID()] == 0 || ids[second.ID()] == 0 {
+			t.Fatalf("round %d: after a power cut the journal holds the first reading ×%d, the second ×%d; both were acknowledged as durable",
+				round, ids[first.ID()], ids[second.ID()])
+		}
 	}
 }

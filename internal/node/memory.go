@@ -26,7 +26,7 @@ type MemoryStats struct {
 	// the admission-evidence window (bounded by cap + epoch pruning).
 	EvidenceVersions int `json:"evidence_versions"`
 	// QuarantineLen is the number of relayed transactions parked
-	// awaiting admission evidence (bounded by QuarantineCap).
+	// awaiting admission evidence (bounded by quarantineCap).
 	QuarantineLen int `json:"quarantine_len"`
 	// ShardResidents is the per-namespace split of ResidentVertices
 	// (shard ID → live vertices). A single-region deployment shows only

@@ -10,6 +10,7 @@ import (
 
 	"github.com/b-iot/biot/internal/authz"
 	"github.com/b-iot/biot/internal/gossip"
+	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
 	"github.com/b-iot/biot/internal/txn"
@@ -343,5 +344,29 @@ func TestOrphanAuthorizationListBindsAtOnce(t *testing.T) {
 	if !in.n.Tangle().Contains(revocation.ID()) || in.n.QuarantineLen() != 0 {
 		t.Errorf("revocation attached=%v, %d parked, after its parent arrived",
 			in.n.Tangle().Contains(revocation.ID()), in.n.QuarantineLen())
+	}
+}
+
+// TestCloseRacesOrphanRepairStart: a handler parking an orphan starts the
+// repair lane (joining its wait group) while Close cancels the lane and
+// waits for it. Close used to cancel outside the lane's lock, so the
+// handler could pass the cancellation check and join after the Wait had
+// begun — a WaitGroup misuse the race detector caught once in ≈900 runs of
+// the machine-carnage scenario. A stress test: it cannot fail on a correct
+// node, and under -race fails on the old one about one run in three.
+func TestCloseRacesOrphanRepairStart(t *testing.T) {
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unknown hashutil.Hash
+	unknown[0] = 0xEE
+	orphan := craftTx(mgrKey, txn.KindData, []byte("orphan"), unknown, unknown, time.Now(), testParams().MinDifficulty)
+	for i := 0; i < 300; i++ {
+		net := &scriptedNet{peers: []string{"gateway:5600"}}
+		relay := newRelay(t, mgrKey, net)
+		acked := deliverAsync(t, net, "gateway:5600", orphan)
+		_ = relay.Close()
+		<-acked
 	}
 }

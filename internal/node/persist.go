@@ -1,7 +1,6 @@
 package node
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -13,10 +12,13 @@ import (
 	"github.com/b-iot/biot/internal/txn"
 )
 
-// Persistence: a full node configured with PersistPath journals every
-// admitted transaction to an append-only log and replays it on startup,
-// so a gateway restart loses nothing (the durability half of the
-// paper's §VIII "storage limitations" open problem).
+// Persistence: once EnablePersistence has opened a journal, a full node
+// writes every transaction that enters its ledger to that append-only log
+// and replays it on startup, so a gateway restart loses nothing (the
+// durability half of the paper's §VIII "storage limitations" open
+// problem). Records are queued in attach order (journalAttached), so every
+// record follows its parents and whatever a power cut leaves is a prefix
+// of the ledger that replays on its own (DESIGN.md §11).
 
 // ErrNotPersistent reports persistence operations on a memory-only node.
 var ErrNotPersistent = errors.New("node has no persistence configured")
@@ -33,12 +35,9 @@ func (n *FullNode) EnablePersistence(path string) (replayed int, err error) {
 // filesystem — the seam the chaos torture and soak suites inject disk
 // faults through.
 func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, err error) {
-	n.pendingMu.Lock()
-	if n.journal != nil {
-		n.pendingMu.Unlock()
-		return 0, fmt.Errorf("persistence already enabled at %s", n.journal.Path())
+	if log := n.journalLog(); log != nil {
+		return 0, fmt.Errorf("persistence already enabled at %s", log.Path())
 	}
-	n.pendingMu.Unlock()
 
 	// Relay admission holds while the journal replays (admitGossipBatch
 	// takes the read side). The gossip handler has been live since
@@ -51,12 +50,7 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 	// What the handler attached before this call was never offered to a
 	// journal; it is journaled below, once the log is open, unless the
 	// journal turns out to hold it already.
-	var early []*txn.Transaction
-	for _, t := range n.tangle.Export() {
-		if t.Kind != txn.KindGenesis {
-			early = append(early, t)
-		}
-	}
+	early := n.exportLedger()
 
 	// The cold index opens BEFORE the journal replays: a compacted
 	// (generation ≥ 1) segment replays boundary records through Restore,
@@ -73,78 +67,28 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 	}
 	n.tangle.RestoreColdEpoch(coldIdx.Epoch())
 
-	// Admission journals after attach, outside any shared lock, so with
-	// concurrent admissions a child can reach the journal just before
-	// its parent (journal order is not attach order). Replay therefore
-	// stashes generation-0 unknown-parent records instead of aborting
-	// and retries the stash to a fixpoint after the scan.
-	var (
-		deferredOrphans []*txn.Transaction
-		resolved        int                            // records that attached
-		duplicates      = map[hashutil.Hash]struct{}{} // records the ledger already held
-	)
-	replay := func(t *txn.Transaction, gen uint64) error {
+	// Replay is strict: a generation-0 record naming a parent that is
+	// neither earlier in the journal, genesis, nor in the cold index is not
+	// one this node wrote in attach order. The log is foreign, damaged, or
+	// from a build that queued records after the attach, and is refused,
+	// untouched, with the record named.
+	duplicates := map[hashutil.Hash]struct{}{} // records the ledger already held
+	log, err := store.OpenFSGen(fs, path, func(t *txn.Transaction, gen uint64) error {
 		err := n.replayTransaction(t, gen)
 		switch {
-		case err == nil:
-			resolved++
 		case errors.Is(err, tangle.ErrDuplicate):
 			duplicates[t.ID()] = struct{}{}
 			return nil
-		}
-		return err
-	}
-	log, err := store.OpenFSGen(fs, path, func(t *txn.Transaction, gen uint64) error {
-		err := replay(t, gen)
-		if gen == 0 && errors.Is(err, tangle.ErrUnknownParent) {
-			deferredOrphans = append(deferredOrphans, t)
-			return nil
+		case gen == 0 && errors.Is(err, tangle.ErrUnknownParent):
+			return fmt.Errorf("journal record %s precedes its parent or has none here "+
+				"(a foreign or damaged log, or one written before journal order was attach order; "+
+				"move it aside and let the node sync from its peers): %w", t.ID().Short(), err)
 		}
 		return err
 	})
 	if err != nil {
 		coldIdx.Close()
 		return 0, fmt.Errorf("enable persistence: %w", err)
-	}
-	fail := func(err error) (int, error) {
-		log.Close()
-		coldIdx.Close()
-		return 0, fmt.Errorf("enable persistence: %w", err)
-	}
-	for progress := true; progress && len(deferredOrphans) > 0; {
-		progress = false
-		rest := deferredOrphans[:0]
-		for _, t := range deferredOrphans {
-			switch err := replay(t, 0); {
-			case err == nil:
-				progress = true
-			case errors.Is(err, tangle.ErrUnknownParent):
-				rest = append(rest, t)
-			default:
-				return fail(err)
-			}
-		}
-		deferredOrphans = rest
-	}
-	if len(deferredOrphans) > 0 {
-		// A journal of which nothing resolves was written under another
-		// genesis: a foreign log. One of which the rest did is this
-		// node's own, cut off by a crash between a child's flush and its
-		// parent's (the parent was attached, and approvable, before its
-		// own record was queued). The child is an orphan like any a peer
-		// relays ahead of its parent: it parks, the repair lane pulls the
-		// parent from a peer, and refusing to boot would repair nothing.
-		if resolved+len(duplicates) == 0 {
-			return fail(fmt.Errorf("%d journaled records never resolve a parent: %w",
-				len(deferredOrphans), tangle.ErrUnknownParent))
-		}
-		now := n.cfg.Clock.Now()
-		ids := make([]hashutil.Hash, len(deferredOrphans))
-		for i, t := range deferredOrphans {
-			n.parkOrphan(context.Background(), "", t, now, n.cfg.ShardID)
-			ids[i] = t.ID()
-		}
-		n.repairOrphans("", ids)
 	}
 	var unjournaled []*txn.Transaction
 	for _, t := range early {
@@ -153,7 +97,9 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 		}
 	}
 	if err := log.AppendBatch(unjournaled); err != nil {
-		return fail(fmt.Errorf("journal %d transactions relayed before the log opened: %w", len(unjournaled), err))
+		log.Close()
+		coldIdx.Close()
+		return 0, fmt.Errorf("enable persistence: journal %d transactions relayed before the log opened: %w", len(unjournaled), err)
 	}
 	// Re-prune the evidence window to the persisted snapshot epoch:
 	// replay re-observes every journaled list, and without this a
@@ -233,76 +179,45 @@ func (n *FullNode) ClosePersistence() error {
 	return err
 }
 
-// replayTransaction re-admits a journaled transaction at startup. It
-// runs the same structural pipeline as live admission but skips the
-// rate limiter and the PoW check: the transaction met the difficulty
-// demanded *at its original admission*, which the credit state seen
-// during replay cannot reconstruct exactly — and the log is local,
-// already-trusted state, not an untrusted submission. A record the
-// ledger already holds returns tangle.ErrDuplicate with nothing changed;
-// the caller skips it.
+// replayTransaction re-admits a journaled transaction at startup through
+// the commit tail live admission uses. Replay's own is what surrounds it:
+// the structural check only — no rate limiter, and no PoW check, because
+// the transaction met the difficulty demanded *at its original admission*,
+// which the credit state seen during replay cannot reconstruct exactly,
+// and the log is local, already-trusted state; nothing counted as
+// Accepted; an attach that restores on a snapshot boundary. A record the
+// ledger already holds returns tangle.ErrDuplicate with nothing changed.
+//
+// The tail runs as of the record's own timestamp, so hyperbolic decay
+// continues from the original admission. Quality punishments re-derive
+// from the replayed data stream (the validator's per-device history
+// rebuilds in log order) and double-spend punishments re-fire through the
+// tangle's conflict detector; lazy-tip events may not (parent ages are a
+// property of the original arrival timing).
 func (n *FullNode) replayTransaction(t *txn.Transaction, generation uint64) error {
 	if err := t.VerifyBasic(); err != nil {
 		return fmt.Errorf("journaled transaction invalid: %w", err)
 	}
-	if t.Kind == txn.KindTransfer {
-		n.pendingMu.Lock()
-		n.pending[t.ID()] = t.Clone()
-		n.pendingMu.Unlock()
+	restoreOnBoundary := func(t *txn.Transaction, shard uint32) (tangle.Info, error) {
+		info, err := n.tangle.AttachShard(t, shard)
+		if errors.Is(err, tangle.ErrSnapshottedParent) ||
+			(generation > 0 && errors.Is(err, tangle.ErrUnknownParent)) {
+			// A parent this node's own cold index lists was folded away
+			// before the crash, whatever the segment (generation 0 when the
+			// crash fell between Compact and CompactJournal). A parent
+			// merely absent is a boundary only in a compacted segment,
+			// which loses only its tail. Restore re-creates the boundary.
+			info, err = n.tangle.RestoreShard(t, shard)
+		}
+		return info, err
 	}
 	// The journal does not record shards; re-derive the namespace from
-	// the kind and this gateway's own region, exactly as live admission
-	// of a local submission would.
-	shard := shardFor(t.Kind, n.cfg.ShardID)
-	info, err := n.tangle.AttachShard(t, shard)
-	if errors.Is(err, tangle.ErrSnapshottedParent) ||
-		(generation > 0 && errors.Is(err, tangle.ErrUnknownParent)) {
-		// The record sits on a snapshot boundary and Restore re-creates
-		// the boundary shape. A parent this node's own cold index lists
-		// was folded away before the crash, whatever the segment — a
-		// generation-0 journal sees that when the crash fell between
-		// Compact and CompactJournal. A parent merely absent is a
-		// boundary only in a compacted segment (generation > 0), which
-		// is written in attachment order and loses only its tail; a
-		// generation-0 segment was never compacted, so there it is a
-		// child journaled ahead of its parent or an orphan, and
-		// EnablePersistenceFS decides which.
-		info, err = n.tangle.RestoreShard(t, shard)
+	// the kind and this gateway's own region, as for a local submission.
+	_, err := n.commit(t, t.Timestamp, shardFor(t.Kind, n.cfg.ShardID), restoreOnBoundary)
+	if errors.Is(err, errListInvalid) {
+		return nil // on the ledger before the crash, and on it again
 	}
-	if errors.Is(err, tangle.ErrDuplicate) {
-		// The ledger holds it already: journaled twice, relayed to the
-		// live handler before this record was reached, or folded into
-		// the cold set by a Compact the journal never caught up with.
-		// The tangle's verdict, taken under its own lock, is the only
-		// check — a look before the attach is a window. The first copy
-		// did the accounting, and its pending-settlement entry is the
-		// identical clone stored above.
-		return err
-	}
-	if err != nil {
-		n.pendingMu.Lock()
-		delete(n.pending, t.ID())
-		n.pendingMu.Unlock()
-		return err
-	}
-	n.engine.Ledger().RecordTransaction(t.Sender(), info.ID, 1, t.Timestamp)
-	if t.Kind == txn.KindAuthorization {
-		// Observe, not Apply: stale lists are fine during replay — the
-		// newest wins the live view — and every valid list records into
-		// the evidence window so replayed nodes take the same admission
-		// verdicts as the nodes that saw the lists live.
-		_, _ = n.registry.Observe(t, t.Timestamp)
-	}
-	// Quality punishments re-derive deterministically from the replayed
-	// data stream (the validator's per-device history rebuilds in log
-	// order), timestamped at the original admission so hyperbolic decay
-	// continues from where it was. Double-spend punishments likewise
-	// re-fire through the tangle's conflict detector; lazy-tip events
-	// are the one class that may not re-derive (parent ages are a
-	// property of the original arrival timing).
-	n.checkQuality(t, info.ID, t.Timestamp)
-	n.drainDeferred()
-	return nil
+	return err
 }
 
 // Compact bounds the node's memory: it snapshots old confirmed
@@ -346,14 +261,31 @@ const evidenceMinVersions = 2
 // contents (write-temp/fsync/atomic-rename; see store.Compact). Run it
 // after Compact so the on-disk log shrinks with the in-memory state —
 // otherwise the journal grows forever and replay re-admits vertices the
-// snapshot already folded away. Genesis is skipped: every node derives
-// it from configuration, and replay would reject it as a duplicate
-// root. Returns the record count of the new segment.
+// snapshot already folded away. Returns the record count of the new
+// segment.
 func (n *FullNode) CompactJournal() (records int, err error) {
 	log := n.journalLog()
 	if log == nil {
 		return 0, ErrNotPersistent
 	}
+	// Exported inside the log's I/O exclusion: a reading flushed and
+	// acknowledged between an earlier export and the rewrite would sit in
+	// the old segment only, and the rename would drop it.
+	err = log.Compact(func() []*txn.Transaction {
+		txs := n.exportLedger()
+		records = len(txs)
+		return txs
+	})
+	if err != nil {
+		return 0, fmt.Errorf("compact journal: %w", err)
+	}
+	return records, nil
+}
+
+// exportLedger returns what a journal of the whole ledger holds: every
+// attached transaction in attach order but genesis, which every node
+// derives from configuration and replay would reject as a duplicate root.
+func (n *FullNode) exportLedger() []*txn.Transaction {
 	all := n.tangle.Export()
 	txs := all[:0]
 	for _, t := range all {
@@ -361,10 +293,7 @@ func (n *FullNode) CompactJournal() (records int, err error) {
 			txs = append(txs, t)
 		}
 	}
-	if err := log.Compact(txs); err != nil {
-		return 0, fmt.Errorf("compact journal: %w", err)
-	}
-	return len(txs), nil
+	return txs
 }
 
 // maxUnsyncedRelay bounds how many records the relay edge lets sit in the
@@ -375,52 +304,56 @@ func (n *FullNode) CompactJournal() (records int, err error) {
 // second page on, as every relay admission did before.
 const maxUnsyncedRelay = syncPageSize
 
-// synced is the barrier of a request that had nothing to wait for.
-var synced = func() <-chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// journalEnqueue queues admitted transactions for the journal as one
-// request — in call order, one write, one fsync, never split — and
-// returns its barrier: a channel closed once the fsync covering the
-// records has returned, or once it is known that none will. It does not
-// wait itself; the submission edge waits after it has queued the
-// fan-out, the relay edge mostly not at all (journalRelayed).
+// journalAttached queues one attached transaction for the journal: the
+// only call that does, beside the batch EnablePersistenceFS writes for
+// what the handler attached before the log existed. onTangleEvent is its
+// only caller — the tangle announces attaches serialized, in ledger order,
+// before the Attach that caused them returns — so record order is attach
+// order whichever edge the transaction came in by. Nothing is queued while
+// no journal is open (memory-only, or a replay of records the log holds).
 //
 // Journal failures must not fail admission (the ledger is already
 // updated) and do not stop the broadcast; the committer feeds them to
 // the JournalErrors counter, waited for or not, so operators notice a
 // dying disk, and the poisoned log turns JournalHealthy false.
-func (n *FullNode) journalEnqueue(txs []*txn.Transaction) (barrier <-chan struct{}) {
+func (n *FullNode) journalAttached(t *txn.Transaction) {
 	log := n.journalLog()
-	if log == nil || len(txs) == 0 {
-		return synced
+	if log == nil {
+		return
 	}
-	done := make(chan struct{})
-	start := time.Now()
-	log.Enqueue(txs, func(err error) {
+	flushed, start := make(chan struct{}), time.Now()
+	n.pendingMu.Lock()
+	n.unflushed[t.ID()] = flushed
+	n.pendingMu.Unlock()
+	log.Enqueue([]*txn.Transaction{t}, func(err error) {
 		if err != nil {
 			n.counters.JournalErrors.Inc()
 		}
 		n.pipeline.JournalLatency.Observe(time.Since(start))
-		close(done)
+		n.pendingMu.Lock()
+		delete(n.unflushed, t.ID())
+		n.pendingMu.Unlock()
+		close(flushed)
 	})
-	return done
 }
 
-// journalRelayed journals a relay-admitted batch; called at the end of
-// admitGossipBatch and retryParked. A relay's acknowledgement means
-// "verified and attached here", not "durable here": the batch is queued
-// and the handler returns, so the transport can hand over the pair's
-// next batch while this one's fsync runs. Only when more than
-// maxUnsyncedRelay records would be awaiting a flush does the handler
-// wait for its own barrier, which is back-pressure on the sender.
-func (n *FullNode) journalRelayed(txs []*txn.Transaction) {
-	log := n.journalLog()
-	wait := log != nil && log.Unsynced()+len(txs) > maxUnsyncedRelay
-	if barrier := n.journalEnqueue(txs); wait {
-		<-barrier
+// awaitJournal blocks until the flush covering id's own record — not a
+// later record's — has returned, whatever its verdict; not at all when
+// that record is not waiting for one, or when no more than backlog records
+// are. The submission edge promised durability and waits whatever the
+// backlog (0), after it has queued the fan-out. The relay edge did not: its
+// acknowledgement means "verified and attached here", so admitGossipBatch
+// and retryParked return with their records queued, letting the transport
+// hand over the pair's next batch while the fsync runs, and wait — for the
+// newest record they attached — only past maxUnsyncedRelay.
+func (n *FullNode) awaitJournal(id hashutil.Hash, backlog int) {
+	n.pendingMu.Lock()
+	flushed := n.unflushed[id]
+	if len(n.unflushed) <= backlog {
+		flushed = nil
+	}
+	n.pendingMu.Unlock()
+	if flushed != nil {
+		<-flushed
 	}
 }

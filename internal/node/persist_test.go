@@ -14,8 +14,6 @@ import (
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
 	"github.com/b-iot/biot/internal/quality"
-	"github.com/b-iot/biot/internal/store"
-	"github.com/b-iot/biot/internal/txn"
 )
 
 func TestPersistenceRestartRestoresLedger(t *testing.T) {
@@ -448,100 +446,4 @@ func TestCrashBetweenCompactAndCompactJournalRecovers(t *testing.T) {
 	if got := full2.Tangle().SnapshottedCount(); got != snapshotted {
 		t.Errorf("recovered snapshotted count = %d, want %d", got, snapshotted)
 	}
-}
-
-func TestPersistenceReplayToleratesJournalReorder(t *testing.T) {
-	// Admission journals after attach outside any shared lock, so with
-	// concurrent submitters a child can hit the journal just before its
-	// parent. Replay must tolerate that reorder in a generation-0
-	// segment (deferred-orphan retry) instead of rejecting the log as
-	// foreign. Simulate the worst case by rewriting a journal fully
-	// reversed — every child strictly precedes its parents.
-	ctx := context.Background()
-	fs := chaos.NewMemFS(11)
-	managerKey, err := identity.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func() *node.FullNode {
-		full, err := node.NewFull(node.FullConfig{
-			Key:        managerKey,
-			Role:       identity.RoleManager,
-			ManagerPub: managerKey.Public(),
-			Credit:     testParams(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return full
-	}
-
-	full := build()
-	if _, err := full.EnablePersistenceFS(fs, "ordered.journal"); err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := node.NewManager(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	device := newTestDevice(t, full)
-	mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
-	if _, err := mgr.PublishAuthorization(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var ids [][32]byte
-	for i := 0; i < 5; i++ {
-		res, err := device.PostReading(ctx, []byte("reordered"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, res.Info.ID)
-	}
-	if err := full.ClosePersistence(); err != nil {
-		t.Fatal(err)
-	}
-
-	var txs []*txn.Transaction
-	l, err := store.OpenFS(fs, "ordered.journal", func(tx *txn.Transaction) error {
-		txs = append(txs, tx)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	l2, err := store.OpenFS(fs, "reversed.journal", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := len(txs) - 1; i >= 0; i-- {
-		if err := l2.Append(txs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l2.Close()
-
-	full2 := build()
-	replayed, err := full2.EnablePersistenceFS(fs, "reversed.journal")
-	if err != nil {
-		t.Fatalf("reversed journal rejected: %v", err)
-	}
-	if replayed != len(txs) {
-		t.Errorf("replayed %d of %d records", replayed, len(txs))
-	}
-	for _, id := range ids {
-		if !full2.Tangle().Contains(id) {
-			t.Errorf("reading %x lost across reordered replay", id[:4])
-		}
-	}
-	// A truly foreign log must STILL be rejected: its orphans never
-	// resolve, so the retry loop makes no progress.
-	foreign := build()
-	if _, err := foreign.EnablePersistenceFS(chaos.NewMemFS(12), "empty.journal"); err != nil {
-		t.Fatal(err)
-	}
-	// (covered by TestPersistenceForeignLogRejected; retained here as a
-	// reminder that the reorder tolerance is gen-0 fixpoint, not "accept
-	// anything")
-	_ = foreign.ClosePersistence()
 }

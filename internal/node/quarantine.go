@@ -21,12 +21,12 @@ import (
 // O(cap) memory and nothing more.
 
 const (
-	// defaultQuarantineCap bounds parked entries.
-	defaultQuarantineCap = 256
-	// defaultQuarantineTTL is how long an entry may wait for its
-	// missing evidence before being dropped (sync re-offers it later if
-	// it ever resolves).
-	defaultQuarantineTTL = 30 * time.Second
+	// quarantineCap bounds parked entries.
+	quarantineCap = 256
+	// quarantineTTL is how long an entry may wait for its missing
+	// evidence before being dropped (sync re-offers it later if it ever
+	// resolves).
+	quarantineTTL = 30 * time.Second
 )
 
 // quarEntry is one parked transaction.
@@ -54,12 +54,6 @@ type quarantine struct {
 }
 
 func newQuarantine(capacity int, ttl time.Duration) *quarantine {
-	if capacity <= 0 {
-		capacity = defaultQuarantineCap
-	}
-	if ttl <= 0 {
-		ttl = defaultQuarantineTTL
-	}
 	return &quarantine{
 		cap:     capacity,
 		ttl:     ttl,

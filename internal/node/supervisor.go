@@ -44,6 +44,8 @@ type Supervisor struct {
 	state    SupervisorState
 	replayed int
 	stopCh   chan struct{} // closes when Stop/Kill tears the loops down
+	// startErr is why the last start attempt failed; nil once one succeeds.
+	startErr error
 
 	ready    atomic.Bool
 	restarts atomic.Int64
@@ -127,6 +129,9 @@ type Health struct {
 	// Memory is the node's footprint: the quantities the hot/cold split
 	// keeps O(frontier) (zero value while the node is down).
 	Memory MemoryStats `json:"memory"`
+	// StartError is why the last start or watchdog restart failed (a
+	// refused journal, a build error); empty once a start succeeds.
+	StartError string `json:"start_error,omitempty"`
 }
 
 // ErrSupervisorRunning reports a Start on a running supervisor.
@@ -174,8 +179,11 @@ func (s *Supervisor) Start() error {
 	return nil
 }
 
-// startLocked builds and wires one supervised unit. Caller holds mu.
-func (s *Supervisor) startLocked() error {
+// startLocked builds and wires one supervised unit, and keeps the error
+// it returns for Health: the watchdog retries a failed restart and has
+// nobody to return it to. Caller holds mu.
+func (s *Supervisor) startLocked() (err error) {
+	defer func() { s.startErr = err }()
 	n, err := s.cfg.Build()
 	if err != nil {
 		return fmt.Errorf("build supervised node: %w", err)
@@ -293,6 +301,7 @@ func (s *Supervisor) Health() Health {
 	n := s.node
 	state := s.state
 	replayed := s.replayed
+	startErr := s.startErr
 	s.mu.Unlock()
 
 	h := Health{
@@ -300,6 +309,9 @@ func (s *Supervisor) Health() Health {
 		Ready:    s.ready.Load(),
 		Restarts: s.restarts.Load(),
 		Replayed: replayed,
+	}
+	if startErr != nil {
+		h.StartError = startErr.Error()
 	}
 	if n == nil {
 		down := ComponentHealth{OK: false, Detail: "node down"}

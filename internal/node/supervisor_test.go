@@ -11,8 +11,10 @@ import (
 
 	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/gossip"
+	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
+	"github.com/b-iot/biot/internal/txn"
 )
 
 // supervisedGatewayConfig builds a Supervisor for one gateway that
@@ -215,6 +217,64 @@ func TestSupervisorMaxRestartsParksFailed(t *testing.T) {
 	}
 	if h := sup.Health(); h.State != "failed" || h.Journal.OK {
 		t.Fatalf("failed health = %+v", h)
+	}
+}
+
+// TestSupervisorHealthCarriesTheStartError: the watchdog retries a failed
+// restart and returns its error to nobody, so "never became ready" used to
+// be all an operator saw. Here the journal a restart finds holds a record
+// ahead of its parent; every restart is a replay refusal, the supervisor
+// parks failed, and /healthz says why, naming the record — until a start
+// succeeds.
+func TestSupervisorHealthCarriesTheStartError(t *testing.T) {
+	ctx := context.Background()
+	dep := newMultiNode(t, 1, nil)
+	fs := chaos.NewMemFS(5)
+	cfg := supervisedGatewayConfig(t, dep.bus, "gw-refused", dep.mgrKey.Public(), fs)
+	cfg.WatchInterval = 5 * time.Millisecond
+	cfg.BackoffBase = time.Millisecond
+	cfg.BackoffMax = 2 * time.Millisecond
+	cfg.MaxRestarts = 3
+	sup, err := node.NewSupervisor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop(ctx)
+	if h := sup.Health(); h.StartError != "" {
+		t.Fatalf("healthy start reports start error %q", h.StartError)
+	}
+
+	// The journal the restarts will find: a record whose parent no journal,
+	// genesis or cold index holds. Then the transport dies.
+	var unknown hashutil.Hash
+	unknown[0] = 0xEE
+	orphan := craftTx(dep.mgrKey, txn.KindData, []byte("orphan"), unknown, unknown, time.Now(), testParams().MinDifficulty)
+	writeJournal(t, fs, cfg.PersistPath, orphan)
+	sup.Node().Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for sup.State() != node.StateFailed {
+		if time.Now().After(deadline) {
+			t.Fatalf("supervisor never parked: state=%v restarts=%d", sup.State(), sup.Restarts())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if h := sup.Health(); !strings.Contains(h.StartError, "journal record "+orphan.ID().Short()) {
+		t.Fatalf("health of a supervisor whose restarts were all replay refusals = %+v; want the refusal, naming record %s",
+			h, orphan.ID().Short())
+	}
+
+	if err := fs.Remove(cfg.PersistPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Start(); err != nil {
+		t.Fatalf("start without the refused journal: %v", err)
+	}
+	if h := sup.Health(); h.StartError != "" || !h.Ready {
+		t.Fatalf("health after a successful start = %+v; want ready and no start error", h)
 	}
 }
 

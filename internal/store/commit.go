@@ -147,14 +147,6 @@ func (l *Log) BatchStats() BatchStats {
 	return l.batchStats
 }
 
-// Unsynced returns how many records have been enqueued and have no
-// verdict yet: queued, or in the batch being flushed.
-func (l *Log) Unsynced() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.unsynced
-}
-
 // queuedRecordsLocked counts records waiting in the queue. Caller
 // holds mu.
 func (l *Log) queuedRecordsLocked() int {
@@ -229,7 +221,6 @@ func (l *Log) Enqueue(txs []*txn.Transaction, done func(error)) {
 		return
 	}
 	l.queue = append(l.queue, &commitReq{buf: buf, n: len(txs), done: done})
-	l.unsynced += len(txs)
 	idle := !l.committing
 	l.committing = true
 	l.mu.Unlock()
@@ -302,13 +293,12 @@ func (l *Log) commit() {
 		default:
 			l.n += records
 			l.bytes += int64(len(buf))
-			l.unsynced -= records
 			l.batchStats.Commits++
 			l.batchStats.Records += uint64(records)
 			l.batchStats.Hist[batchBucket(records)]++
 		}
 		if poison != nil {
-			l.queue, l.unsynced = nil, 0 // Enqueue refuses from here on
+			l.queue = nil // Enqueue refuses from here on
 		}
 		l.mu.Unlock()
 		l.ioMu.Unlock()

@@ -177,9 +177,6 @@ func TestAppendReturnsAtItsOwnSync(t *testing.T) {
 		default:
 		}
 	}
-	if got := l.Unsynced(); got != 1 {
-		t.Fatalf("Unsynced = %d with one batch held at its Sync, want 1", got)
-	}
 }
 
 // TestEnqueueWithoutWaitIsDurableAfterClose: a record enqueued by a
@@ -285,9 +282,6 @@ func TestGroupCommitBatchFailureFailsEveryRequest(t *testing.T) {
 	}
 	if l.Healthy() {
 		t.Fatal("log still healthy after failed batch sync")
-	}
-	if got := l.Unsynced(); got != 0 {
-		t.Fatalf("Unsynced = %d after every request got its verdict, want 0", got)
 	}
 	if err := l.Append(sampleTx(t, key, "after")); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("append after poison = %v, want ErrPoisoned", err)
@@ -595,7 +589,7 @@ func TestGroupCommitConcurrentWithCompact(t *testing.T) {
 	}
 
 	compacted := make(chan error, 1)
-	go func() { compacted <- l.Compact(kept) }()
+	go func() { compacted <- l.Compact(exactly(kept)) }()
 	waitFor(t, "compaction to take the disk", func() bool {
 		if l.ioMu.TryLock() {
 			l.ioMu.Unlock()
@@ -650,5 +644,36 @@ func TestGroupCommitConcurrentWithCompact(t *testing.T) {
 		if !recovered[id] {
 			t.Fatalf("acknowledged append %s lost across concurrent compaction", id.String()[:8])
 		}
+	}
+}
+
+// TestCompactExportsInsideTheIOExclusion: Compact calls export holding
+// ioMu — after every flush that has returned, before any other, so a
+// record acknowledged before the call is in the caller's state for export
+// to return and one flushed after lands in the new segment — and not
+// holding mu, so that appenders keep enqueueing meanwhile.
+func TestCompactExportsInsideTheIOExclusion(t *testing.T) {
+	l, err := OpenFS(chaos.NewMemFS(7), "tx.log", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	tx := sampleTx(t, mustKey(t), "kept")
+	calls := 0
+	err = l.Compact(func() []*txn.Transaction {
+		calls++
+		if l.ioMu.TryLock() {
+			l.ioMu.Unlock()
+			t.Error("export called outside the I/O exclusion: a flush can fall between it and the rewrite")
+		}
+		if !l.mu.TryLock() {
+			t.Error("export called with the queue locked")
+		} else {
+			l.mu.Unlock()
+		}
+		return []*txn.Transaction{tx}
+	})
+	if err != nil || calls != 1 || l.Len() != 1 {
+		t.Fatalf("compact: err %v, export called %d times, %d records; want nil, 1, 1", err, calls, l.Len())
 	}
 }

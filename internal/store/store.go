@@ -100,7 +100,6 @@ type Log struct {
 	batchCfg   BatchConfig
 	batchStats BatchStats
 	queue      []*commitReq
-	unsynced   int       // records enqueued and still without a verdict
 	committing bool      // a committer goroutine is flushing the queue
 	idle       sync.Cond // on mu; signalled when the committer exits
 	closing    bool      // Close has begun: Enqueue refuses, the queue drains
@@ -321,16 +320,23 @@ func (l *Log) Append(t *txn.Transaction) error {
 	return l.AppendBatch([]*txn.Transaction{t})
 }
 
-// Compact atomically replaces the log's contents with txs, stamped with
-// the next generation. The replacement is written to a temp segment,
-// synced, then renamed over the live path — a crash at any point leaves
-// either the complete old segment or the complete new one. On success
-// the log continues appending to the new segment.
+// Compact atomically replaces the log's contents with what export
+// returns, stamped with the next generation. The replacement is written
+// to a temp segment, synced, then renamed over the live path — a crash at
+// any point leaves either the complete old segment or the complete new
+// one. On success the log continues appending to the new segment.
+//
+// export is called inside the log's I/O exclusion, after every flush that
+// has returned and before any that has not: a record acknowledged as
+// durable before the call is in the caller's state already, so export
+// must return it, and every later flush lands in the new segment. A
+// record queued but unflushed at that instant is in both; replay skips
+// the second copy.
 //
 // A poisoned log refuses to compact: the caller's in-memory state may
 // already have diverged from the durable log, and compaction would make
 // that divergence permanent.
-func (l *Log) Compact(txs []*txn.Transaction) error {
+func (l *Log) Compact(export func() []*txn.Transaction) error {
 	// ioMu keeps the rewrite exclusive with in-flight batch commits;
 	// appenders may keep enqueueing — the committer blocks on ioMu and
 	// commits to the new segment once the rename lands.
@@ -343,6 +349,7 @@ func (l *Log) Compact(txs []*txn.Transaction) error {
 	if err != nil {
 		return err
 	}
+	txs := export()
 
 	tmpPath := l.path + ".compact"
 	tmp, err := l.fs.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -35,6 +35,11 @@ func sampleTx(t *testing.T, key *identity.KeyPair, tag string) *txn.Transaction 
 	return tx
 }
 
+// exactly is a Compact export that returns txs whatever the log holds.
+func exactly(txs []*txn.Transaction) func() []*txn.Transaction {
+	return func() []*txn.Transaction { return txs }
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tx.log")

@@ -46,7 +46,7 @@ func TestPoisonOnFailedSync(t *testing.T) {
 		}
 	}
 	// Compaction also refuses.
-	if err := l.Compact(nil); !errors.Is(err, ErrPoisoned) {
+	if err := l.Compact(exactly(nil)); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("compact on poisoned log err = %v", err)
 	}
 	l.Close()
@@ -109,7 +109,7 @@ func TestCompactRewritesSegment(t *testing.T) {
 	}
 
 	// Keep the last 4.
-	if err := l.Compact(all[6:]); err != nil {
+	if err := l.Compact(exactly(all[6:])); err != nil {
 		t.Fatal(err)
 	}
 	if l.Generation() != 1 {
@@ -222,7 +222,7 @@ func TestRealFSStatsAndGeneration(t *testing.T) {
 	if err := l.Append(tx); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Compact([]*txn.Transaction{tx}); err != nil {
+	if err := l.Compact(exactly([]*txn.Transaction{tx})); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(sampleTx(t, key, "disk2")); err != nil {

@@ -79,7 +79,7 @@ func TestCrashPointTorture(t *testing.T) {
 			}
 			mustHave = append(mustHave, tx.ID())
 		}
-		if err := l.Compact(keep); err != nil {
+		if err := l.Compact(exactly(keep)); err != nil {
 			return mustHave
 		}
 		mustHave = ids(keep)

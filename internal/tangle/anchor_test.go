@@ -163,17 +163,30 @@ func TestObserverMayReenterTangle(t *testing.T) {
 
 // Events must be delivered in ledger order even under concurrent
 // attaches: for any single transaction, EventApproved weights are
-// non-decreasing, and a confirmation is seen at most once.
+// non-decreasing, a confirmation is seen at most once, and every
+// transaction is announced attached exactly once, after both its parents
+// and before its own Attach returns (what the node's journal order rests
+// on).
 func TestEventOrderUnderConcurrentAttach(t *testing.T) {
 	tg, _ := newTangle(t, DefaultConfig(), nil)
 
 	var obsMu sync.Mutex
 	lastWeight := make(map[hashutil.Hash]float64)
 	confirmed := make(map[hashutil.Hash]int)
+	g := tg.Genesis()
+	announced := map[hashutil.Hash]bool{g[0]: true, g[1]: true}
 	tg.Observe(ObserverFunc(func(ev Event) {
 		obsMu.Lock()
 		defer obsMu.Unlock()
 		switch ev.Kind {
+		case EventAttached:
+			if ev.Txn.ID() != ev.Tx || announced[ev.Tx] {
+				t.Errorf("attach of %s announced as %s, already announced: %v", ev.Tx.Short(), ev.Txn.ID().Short(), announced[ev.Tx])
+			}
+			if !announced[ev.Txn.Trunk] || !announced[ev.Txn.Branch] {
+				t.Errorf("%s announced attached ahead of a parent", ev.Tx.Short())
+			}
+			announced[ev.Tx] = true
 		case EventApproved:
 			if ev.Weight < lastWeight[ev.Tx] {
 				t.Errorf("approval weight of %s went backwards: %v after %v",
@@ -202,6 +215,11 @@ func TestEventOrderUnderConcurrentAttach(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				obsMu.Lock()
+				if !announced[tx.ID()] {
+					t.Errorf("Attach of %s returned before it was announced", tx.ID().Short())
+				}
+				obsMu.Unlock()
 			}
 		}(g)
 	}

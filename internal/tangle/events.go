@@ -6,6 +6,7 @@ import (
 
 	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
+	"github.com/b-iot/biot/internal/txn"
 )
 
 // EventKind classifies ledger events surfaced to observers.
@@ -28,6 +29,13 @@ const (
 	// w_k = 1 + direct approvers (consumed by the credit ledger, which
 	// measures CrP by transaction weight).
 	EventApproved
+	// EventAttached fires once for every transaction that enters the
+	// ledger — Attach, Restore and bootstrap alike — ahead of the other
+	// events of its attach. Delivered in ledger order like every event, it
+	// is the attachment order itself: every transaction is announced after
+	// its parents and before its Attach returns (the node journals from
+	// it).
+	EventAttached
 )
 
 // String implements fmt.Stringer.
@@ -43,6 +51,8 @@ func (k EventKind) String() string {
 		return "rejected"
 	case EventApproved:
 		return "approved"
+	case EventAttached:
+		return "attached"
 	default:
 		return fmt.Sprintf("event(%d)", int(k))
 	}
@@ -58,6 +68,9 @@ type Event struct {
 	At      time.Time
 	// Weight is set on EventApproved: the parent's updated w_k.
 	Weight float64
+	// Txn is set on EventAttached: the ledger's own copy of the attached
+	// transaction, shared and read-only.
+	Txn *txn.Transaction
 }
 
 // Observer receives ledger events. Events are collected under the

@@ -561,8 +561,9 @@ func (t *Tangle) insertLocked(tx *txn.Transaction, id hashutil.Hash, trunk, bran
 	t.shardOrder[shard] = append(t.shardOrder[shard], v)
 	t.byKind[tx.Kind] = append(t.byKind[tx.Kind], v)
 
+	events := append(t.evscratch[:0], Event{Kind: EventAttached, Tx: id, At: now, Txn: v.tx})
+
 	// Wire approvals and retire approved tips.
-	events := t.evscratch[:0]
 	for _, p := range [...]*vertex{trunk, branch} {
 		if p == nil {
 			continue // snapshotted parent on the Restore path
