@@ -19,7 +19,11 @@ vet:
 # under the race detector to exercise SelectTips readers against a
 # live attacher. The store runs ten more rounds: its group committer is
 # the one place every admission path meets, and its tests order
-# goroutines by released fsyncs, which only repetition checks.
+# goroutines by released fsyncs, which only repetition checks. The
+# allocation guards (txn's wire path, rpc's bytes per reading) run without
+# the race detector, whose own allocations they would otherwise count.
+# bench/ is a module of its own, so `./...` above never reaches it: its
+# vet and tests ride here.
 test: vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/store/
@@ -31,7 +35,9 @@ test: vet
 	$(GO) run ./cmd/biot-bench -fig latency -quick
 	$(GO) run ./cmd/biot-bench -fig mem -quick
 	$(GO) run ./cmd/biot-bench -fig shard -quick
-	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc' -count=1 ./internal/txn/
+	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc|TestPostReadingAllocationBudget' -count=1 ./internal/txn/ ./internal/rpc/
+	$(GO) test -run XXX -bench BenchmarkPostReadingOverRPC -benchtime 200x ./internal/rpc/
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestResidentVerticesStayBounded' -count=1 ./internal/tangle/
 
 # The fault-injection suite in one sweep: crash-point torture over the

@@ -8,9 +8,11 @@ import (
 
 	"github.com/b-iot/biot/internal/core"
 	"github.com/b-iot/biot/internal/dataauth"
+	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
 	"github.com/b-iot/biot/internal/tangle"
+	"github.com/b-iot/biot/internal/txn"
 )
 
 // testParams returns credit params with a low initial difficulty so
@@ -313,5 +315,59 @@ func TestShareKeyCrossDevice(t *testing.T) {
 	body, err := dataauth.Open(stored.Payload, &ownerKey)
 	if err != nil || string(body) != "shared config" {
 		t.Errorf("shared decrypt: %q, %v", body, err)
+	}
+}
+
+// swappingGateway answers every GetTransaction with one fixed, validly
+// signed transaction, whatever ID was asked for: a gateway lying about
+// what a tip hash names.
+type swappingGateway struct {
+	node.Gateway
+	decoy     *txn.Transaction
+	submitted int
+}
+
+func (g *swappingGateway) GetTransaction(hashutil.Hash) (*txn.Transaction, error) {
+	return g.decoy.Clone(), nil
+}
+
+func (g *swappingGateway) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info, error) {
+	g.submitted++
+	return g.Gateway.Submit(ctx, t)
+}
+
+// TestTipValidationBindsBodyToID: the device must validate the
+// transaction its tip ID names, not whatever well-signed body the gateway
+// hands back for it.
+func TestTipValidationBindsBodyToID(t *testing.T) {
+	dep := newTestDeployment(t)
+	ctx := context.Background()
+	honest := newTestDevice(t, dep.full)
+	dep.mgr.AuthorizeDevice(honest.Key().Public(), honest.Key().BoxPublic())
+	authz, err := dep.mgr.PublishAuthorization(ctx)
+	if err != nil {
+		t.Fatalf("publish authorization: %v", err)
+	}
+	if _, err := honest.PostReading(ctx, []byte("a real tip")); err != nil {
+		t.Fatalf("post reading: %v", err)
+	}
+	decoy, err := dep.full.GetTransaction(authz.Info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decoy.VerifyBasic(); err != nil {
+		t.Fatalf("the decoy must be validly signed for the test to mean anything: %v", err)
+	}
+
+	liar := &swappingGateway{Gateway: dep.full, decoy: decoy}
+	victim, err := node.NewLight(node.LightConfig{Key: honest.Key(), Gateway: liar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := victim.PostReading(ctx, []byte("built on a lie")); !errors.Is(err, node.ErrTipInvalid) {
+		t.Fatalf("PostReading over a body-swapping gateway: err = %v, want ErrTipInvalid", err)
+	}
+	if liar.submitted != 0 {
+		t.Errorf("device submitted %d transactions on unvalidated tips", liar.submitted)
 	}
 }

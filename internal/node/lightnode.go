@@ -131,12 +131,17 @@ func (l *LightNode) SetDataKey(k dataauth.Key, scheme dataauth.Scheme) {
 func (l *LightNode) HasDataKey() bool { return l.dataKey != nil }
 
 // validateTip implements Fig 6 step 5's "validate these two tips": the
-// device fetches each tip and checks its structure and signature before
-// bundling work on top of it.
+// device fetches each tip and checks that it is the transaction the ID
+// names, then its structure and signature, before bundling work on top of
+// it. Without the first check a gateway could have the device validate
+// one (well-signed) transaction while approving another.
 func (l *LightNode) validateTip(id hashutil.Hash) (*txn.Transaction, error) {
 	t, err := l.cfg.Gateway.GetTransaction(id)
 	if err != nil {
 		return nil, fmt.Errorf("fetch tip %s: %w", id.Short(), err)
+	}
+	if got := t.ID(); got != id {
+		return nil, fmt.Errorf("%w: asked for %s, gateway answered %s", ErrTipInvalid, id.Short(), got.Short())
 	}
 	if t.Kind == txn.KindGenesis {
 		return t, nil // genesis is pinned, not signature-checked

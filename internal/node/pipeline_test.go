@@ -212,26 +212,38 @@ func TestSlowPeerDropsNotStalls(t *testing.T) {
 	full := newPipelineNode(t, net, 64, 1, 1) // peer queue of one, no batching
 
 	// Every submission returns promptly even though the peer accepts
-	// nothing: overflow drops rather than stalling admission.
+	// nothing: overflow drops rather than stalling admission. The fan-out
+	// is asynchronous, so each submission is followed to where it comes to
+	// rest before the next is made: unpaced, the dispatcher can outrun the
+	// sender goroutine and drop what the window still had room for (≈ 1 run
+	// in 13 did).
+	p := full.Pipeline()
+	settled := func(i int) bool {
+		switch {
+		case i < node.SendWindow: // in flight
+			return p.InFlight.Value() == int64(i+1)
+		case i == node.SendWindow: // in the sender's hands, window full
+			return p.WindowStalls.Value() == 1
+		default: // queued, then dropped: either way the dispatcher is done with it
+			return p.QueueDepth.Value() == 0
+		}
+	}
 	for i := 0; i < n; i++ {
 		if _, err := full.Submit(ctx, mineOwnTx(t, full, fmt.Sprintf("slow-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The fan-out is asynchronous: let the dispatcher hand out (or drop)
-	// the last submission before the peer wakes up.
-	for deadline := time.Now().Add(5 * time.Second); full.Pipeline().QueueDepth.Value() > 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("dispatcher never drained the intake")
+		for deadline := time.Now().Add(5 * time.Second); !settled(i); {
+			if time.Now().After(deadline) {
+				t.Fatalf("submission %d never came to rest in the fan-out", i)
+			}
+			time.Sleep(50 * time.Microsecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	close(net.reqGate)
 	if err := full.FlushBroadcast(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	p := full.Pipeline()
 	_, total := net.snapshot()
 	if got := p.PeerDrops.Value(); got != 10 {
 		t.Errorf("%d drops for the slow peer, want 10 (window, sender and queue hold %d)", got, node.SendWindow+2)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"github.com/b-iot/biot/internal/hashutil"
@@ -24,8 +26,17 @@ import (
 // Client talks to a full node's RPC API and implements node.Gateway, so
 // a LightNode runs against a remote gateway exactly as it does against
 // an in-process one.
+//
+// It keeps what it can check and asks for what can change (DESIGN.md §7):
+// a transaction is immutable and named by its hash, so the tip bodies a
+// tips response carries are kept, once they hash to the IDs they came
+// under, for the GetTransaction calls tip validation makes next;
+// difficulty and status are the gateway's to change and are asked for
+// every time.
 type Client struct {
-	base        string
+	base        *url.URL // parsed once; nil when baseErr is set
+	baseErr     error
+	tips        tipCache
 	http        *http.Client
 	callTimeout time.Duration
 	maxAttempts int
@@ -67,9 +78,14 @@ func WithRetry(maxAttempts int, baseBackoff time.Duration) ClientOption {
 // NewClient creates a client for the node at baseURL
 // (e.g. "http://127.0.0.1:14265").
 func NewClient(baseURL string, opts ...ClientOption) *Client {
+	base, err := url.Parse(baseURL)
+	if err != nil {
+		base, err = nil, fmt.Errorf("%w: %v", ErrBadBaseURL, err)
+	}
 	c := &Client{
-		base: baseURL,
-		http: &http.Client{Timeout: 30 * time.Second},
+		base:    base,
+		baseErr: err,
+		http:    &http.Client{Timeout: 30 * time.Second},
 		jitter: func(d time.Duration) time.Duration {
 			if d <= 0 {
 				return 0
@@ -81,6 +97,46 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 		opt(c)
 	}
 	return c
+}
+
+// tipCacheSize is how many tip bodies a Client keeps. A device holds two
+// between a tips call and the validation that follows it; the table is
+// this much larger because one Client may serve many device sessions at
+// once.
+const tipCacheSize = 64
+
+// tipCache is a direct-mapped table of transactions, each filed under
+// the ID its own bytes hash to. Nothing in it can go stale — an ID names
+// one byte string for ever — so there is no expiry, only overwriting: a
+// newcomer takes the slot its ID maps to, and whoever wanted the previous
+// occupant misses and asks the gateway. Entries are shared between
+// callers and never written after they are stored.
+type tipCache struct {
+	slots [tipCacheSize]atomic.Pointer[txn.Transaction]
+}
+
+func (c *tipCache) slot(id hashutil.Hash) *atomic.Pointer[txn.Transaction] {
+	return &c.slots[binary.BigEndian.Uint16(id[:])%tipCacheSize]
+}
+
+// admit files body under id if, and only if, body is a transaction that
+// hashes to id: the gateway's word for what an ID names is never taken.
+func (c *tipCache) admit(id hashutil.Hash, body []byte) {
+	slot := c.slot(id)
+	if cur := slot.Load(); cur != nil && cur.ID() == id {
+		return
+	}
+	if t, err := txn.Decode(body); err == nil && t.ID() == id {
+		slot.Store(t)
+	}
+}
+
+// get returns the caller's own copy of the transaction named id, or nil.
+func (c *tipCache) get(id hashutil.Hash) *txn.Transaction {
+	if t := c.slot(id).Load(); t != nil && t.ID() == id {
+		return t.Clone()
+	}
+	return nil
 }
 
 // APIError is a non-2xx response from the node.
@@ -123,8 +179,41 @@ func transient(err error) bool {
 	return true
 }
 
-// get runs one idempotent GET with the client's retry policy.
-func (c *Client) get(ctx context.Context, path string, out any) error {
+// newRequest builds a request for an endpoint under the base URL parsed at
+// construction — what http.NewRequestWithContext does, less the url.Parse
+// per call. body may be nil.
+func (c *Client) newRequest(ctx context.Context, method, path, query string, body []byte) (*http.Request, error) {
+	if c.baseErr != nil {
+		return nil, c.baseErr
+	}
+	u := *c.base
+	u.Path += path
+	u.RawQuery = query
+	req := &http.Request{
+		Method:     method,
+		URL:        &u,
+		Host:       u.Host,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header, 1),
+	}
+	if body != nil {
+		req.Header["Content-Type"] = jsonContentType
+		req.ContentLength = int64(len(body))
+		// GetBody lets the transport replay the body when a kept-alive
+		// connection turns out to be dead before anything was written.
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+		req.Body, _ = req.GetBody()
+	}
+	return req.WithContext(ctx), nil
+}
+
+// get runs one idempotent GET with the client's retry policy. query is
+// the raw query string, empty for none.
+func (c *Client) get(ctx context.Context, path, query string, out any) error {
 	ctx, cancel := c.callCtx(ctx)
 	defer cancel()
 	attempts := c.maxAttempts
@@ -142,7 +231,7 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 			case <-time.After(backoff):
 			}
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+		req, err := c.newRequest(ctx, http.MethodGet, path, query, nil)
 		if err != nil {
 			return fmt.Errorf("build rpc GET %s: %w", path, err)
 		}
@@ -167,10 +256,12 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 }
 
 func decodeResponse(resp *http.Response, out any) error {
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
+	buf := getBuf()
+	defer putBuf(buf) // json.Unmarshal copies what it keeps
+	if err := readBody(buf, io.LimitReader(resp.Body, 16<<20), resp.ContentLength); err != nil {
 		return fmt.Errorf("read rpc response: %w", err)
 	}
+	body := buf.Bytes()
 	if resp.StatusCode/100 != 2 {
 		var apiErr ErrorResponse
 		msg := string(body)
@@ -210,7 +301,7 @@ func mapAPIError(apiErr *APIError) error {
 // Info fetches node information.
 func (c *Client) Info(ctx context.Context) (InfoResponse, error) {
 	var out InfoResponse
-	err := c.get(ctx, "/api/v1/info", &out)
+	err := c.get(ctx, "/api/v1/info", "", &out)
 	return out, err
 }
 
@@ -219,7 +310,7 @@ func (c *Client) Info(ctx context.Context) (InfoResponse, error) {
 // degraded document, not an error.
 func (c *Client) Health(ctx context.Context) (node.Health, error) {
 	var out node.Health
-	err := c.get(ctx, "/healthz", &out)
+	err := c.get(ctx, "/healthz", "", &out)
 	if err == nil {
 		return out, nil
 	}
@@ -235,20 +326,20 @@ func (c *Client) Health(ctx context.Context) (node.Health, error) {
 
 // Ready fetches /readyz and reports whether the node accepts traffic.
 func (c *Client) Ready(ctx context.Context) bool {
-	return c.get(ctx, "/readyz", nil) == nil
+	return c.get(ctx, "/readyz", "", nil) == nil
 }
 
 // Credit fetches the credit breakdown for an address.
 func (c *Client) Credit(ctx context.Context, addr identity.Address) (CreditResponse, error) {
 	var out CreditResponse
-	err := c.get(ctx, "/api/v1/credit?address="+addr.Hex(), &out)
+	err := c.get(ctx, "/api/v1/credit", "address="+addr.Hex(), &out)
 	return out, err
 }
 
 // Events fetches the recorded malicious events for an address.
 func (c *Client) Events(ctx context.Context, addr identity.Address) (EventsResponse, error) {
 	var out EventsResponse
-	err := c.get(ctx, "/api/v1/events?address="+addr.Hex(), &out)
+	err := c.get(ctx, "/api/v1/events", "address="+addr.Hex(), &out)
 	return out, err
 }
 
@@ -257,10 +348,12 @@ func (c *Client) TipsForApproval() (hashutil.Hash, hashutil.Hash, error) {
 	return c.TipsForApprovalCtx(context.Background())
 }
 
-// TipsForApprovalCtx is TipsForApproval with a caller deadline.
+// TipsForApprovalCtx is TipsForApproval with a caller deadline. The tip
+// bodies the gateway sends along are kept for GetTransactionCtx, each
+// only if it hashes to the ID it came under.
 func (c *Client) TipsForApprovalCtx(ctx context.Context) (hashutil.Hash, hashutil.Hash, error) {
 	var out TipsResponse
-	if err := c.get(ctx, "/api/v1/tips", &out); err != nil {
+	if err := c.get(ctx, "/api/v1/tips", "", &out); err != nil {
 		return hashutil.Zero, hashutil.Zero, err
 	}
 	trunk, err := hashutil.FromHex(out.Trunk)
@@ -270,6 +363,10 @@ func (c *Client) TipsForApprovalCtx(ctx context.Context) (hashutil.Hash, hashuti
 	branch, err := hashutil.FromHex(out.Branch)
 	if err != nil {
 		return hashutil.Zero, hashutil.Zero, fmt.Errorf("parse branch: %w", err)
+	}
+	c.tips.admit(trunk, out.TrunkRaw)
+	if branch != trunk {
+		c.tips.admit(branch, out.BranchRaw)
 	}
 	return trunk, branch, nil
 }
@@ -289,7 +386,7 @@ func (c *Client) DifficultyFor(addr identity.Address) int {
 // explicit error instead of the Gateway interface's 0 sentinel.
 func (c *Client) DifficultyForCtx(ctx context.Context, addr identity.Address) (int, error) {
 	var out DifficultyResponse
-	if err := c.get(ctx, "/api/v1/difficulty?address="+addr.Hex(), &out); err != nil {
+	if err := c.get(ctx, "/api/v1/difficulty", "address="+addr.Hex(), &out); err != nil {
 		return 0, err
 	}
 	return out.Difficulty, nil
@@ -300,17 +397,19 @@ func (c *Client) GetTransaction(id hashutil.Hash) (*txn.Transaction, error) {
 	return c.GetTransactionCtx(context.Background(), id)
 }
 
-// GetTransactionCtx is GetTransaction with a caller deadline.
+// GetTransactionCtx is GetTransaction with a caller deadline. A tip whose
+// body came with its name is answered from the tip cache; anything else —
+// never a tip, overwritten, or named by a gateway that sends no bodies —
+// is fetched.
 func (c *Client) GetTransactionCtx(ctx context.Context, id hashutil.Hash) (*txn.Transaction, error) {
+	if t := c.tips.get(id); t != nil {
+		return t, nil
+	}
 	var out TxResponse
-	if err := c.get(ctx, "/api/v1/transactions/"+id.Hex(), &out); err != nil {
+	if err := c.get(ctx, "/api/v1/transactions/"+id.Hex(), "", &out); err != nil {
 		return nil, err
 	}
-	raw, err := base64.StdEncoding.DecodeString(out.Raw)
-	if err != nil {
-		return nil, fmt.Errorf("decode transaction: %w", err)
-	}
-	return txn.Decode(raw)
+	return txn.Decode(out.Raw)
 }
 
 // TransactionsByKind implements node.Gateway.
@@ -324,15 +423,11 @@ func (c *Client) TransactionsByKindCtx(ctx context.Context, kind txn.Kind, offse
 	q.Set("kind", strconv.Itoa(int(kind)))
 	q.Set("offset", strconv.Itoa(offset))
 	var out TxPageResponse
-	if err := c.get(ctx, "/api/v1/transactions?"+q.Encode(), &out); err != nil {
+	if err := c.get(ctx, "/api/v1/transactions", q.Encode(), &out); err != nil {
 		return nil, err
 	}
 	txs := make([]*txn.Transaction, 0, len(out.Raw))
-	for _, b64 := range out.Raw {
-		raw, err := base64.StdEncoding.DecodeString(b64)
-		if err != nil {
-			return nil, fmt.Errorf("decode transaction page: %w", err)
-		}
+	for _, raw := range out.Raw {
 		t, err := txn.Decode(raw)
 		if err != nil {
 			return nil, err
@@ -348,18 +443,18 @@ func (c *Client) TransactionsByKindCtx(ctx context.Context, kind txn.Kind, offse
 func (c *Client) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info, error) {
 	ctx, cancel := c.callCtx(ctx)
 	defer cancel()
-	body, err := json.Marshal(SubmitRequest{
-		Raw: base64.StdEncoding.EncodeToString(t.Encode()),
-	})
-	if err != nil {
-		return tangle.Info{}, fmt.Errorf("encode submit request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/api/v1/transactions", bytes.NewReader(body))
+	// A SubmitRequest, written once into a buffer of its exact size. Not a
+	// pooled one: the transport may still be reading the body after Do
+	// has returned an error.
+	enc := t.Encode()
+	body := make([]byte, 0, len(`{"raw":""}`)+base64.StdEncoding.EncodedLen(len(enc)))
+	body = append(body, `{"raw":"`...)
+	body = base64.StdEncoding.AppendEncode(body, enc)
+	body = append(body, `"}`...)
+	req, err := c.newRequest(ctx, http.MethodPost, "/api/v1/transactions", "", body)
 	if err != nil {
 		return tangle.Info{}, fmt.Errorf("build submit request: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return tangle.Info{}, fmt.Errorf("rpc POST transactions: %w", err)
@@ -393,5 +488,6 @@ func parseStatus(s string) tangle.Status {
 	}
 }
 
-// ErrBadBaseURL reports a malformed base URL at construction time.
+// ErrBadBaseURL is what every call of a Client built on an unparsable
+// base URL returns.
 var ErrBadBaseURL = errors.New("malformed rpc base url")

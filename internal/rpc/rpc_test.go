@@ -25,7 +25,14 @@ type fixture struct {
 	srv    *httptest.Server
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
+	t.Helper()
+	return newFixtureBehind(t, func(h http.Handler) http.Handler { return h })
+}
+
+// newFixtureBehind is newFixture with the device side reaching the server
+// through wrap(handler) — a request counter, a lying gateway.
+func newFixtureBehind(t testing.TB, wrap func(http.Handler) http.Handler) *fixture {
 	t.Helper()
 	managerKey, err := identity.Generate()
 	if err != nil {
@@ -48,7 +55,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(full).Handler())
+	srv := httptest.NewServer(wrap(NewServer(full).Handler()))
 	t.Cleanup(srv.Close)
 	return &fixture{
 		mgr:    mgr,
@@ -60,7 +67,7 @@ func newFixture(t *testing.T) *fixture {
 
 // authorizedDevice creates and authorizes a light node running over the
 // RPC client.
-func (f *fixture) authorizedDevice(t *testing.T) *node.LightNode {
+func (f *fixture) authorizedDevice(t testing.TB) *node.LightNode {
 	t.Helper()
 	key, err := identity.Generate()
 	if err != nil {
@@ -281,6 +288,17 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s)", p, resp.StatusCode, body.Error)
 		}
+	}
+
+	// A submission body past the cap is refused, not buffered whole.
+	huge := `{"raw":"` + strings.Repeat("A", 2*maxSubmitBody) + `"}`
+	resp, err := http.Post(f.srv.URL+"/api/v1/transactions", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submission: status %d, want 413", resp.StatusCode)
 	}
 }
 

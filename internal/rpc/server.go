@@ -3,29 +3,46 @@
 // convenient RESTful HTTP interface, so light nodes can post
 // transactions to full nodes through the RPC interface", §V-A).
 //
-// Endpoints (all JSON):
+// Endpoints (all JSON, every response with a Content-Length):
 //
 //	GET  /api/v1/info                         node role, address, ledger stats
-//	GET  /api/v1/tips                         two parents for approval
+//	GET  /api/v1/tips                         two parents for approval: their IDs and,
+//	                                          as trunk_raw / branch_raw, their canonical
+//	                                          bytes (base64; branch_raw omitted when
+//	                                          branch = trunk, either omitted for a tip
+//	                                          pruned since it was selected)
 //	GET  /api/v1/difficulty?address=HEX       credit-based PoW difficulty
 //	GET  /api/v1/credit?address=HEX           CrP / CrN / Cr breakdown
 //	GET  /api/v1/transactions/{idhex}         one transaction (base64 canonical bytes)
 //	GET  /api/v1/transactions?kind=K&offset=N page of transactions by kind
-//	POST /api/v1/transactions                 submit {"raw": base64}
+//	POST /api/v1/transactions                 submit {"raw": base64}; a body over
+//	                                          maxSubmitBody is refused with 413
+//
+// Transaction bytes are served from the ledger's stored encoding (never a
+// clone re-encoded), so what tips carries for an ID is byte-identical to
+// what transactions/{id} answers for it.
 //
 // The Client type implements node.Gateway over this API, so a light node
-// runs identically in-process or across the network.
+// runs identically in-process or across the network. A reading costs it
+// three exchanges — tips, difficulty, submit (Fig 6 steps 4–5): the tip
+// bodies it must validate arrive with their names, and Client keeps them,
+// checked against those names, for the GetTransaction calls that follow
+// (DESIGN.md §7).
 package rpc
 
 import (
+	"bytes"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/b-iot/biot/internal/authz"
@@ -48,10 +65,15 @@ type InfoResponse struct {
 	AuthzSeq     uint64 `json:"authz_seq"`
 }
 
-// TipsResponse is the /tips payload.
+// TipsResponse is the /tips payload: the two parents to approve and the
+// canonical bytes of each, so that a device validating them (Fig 6 step
+// 5) need not ask again. BranchRaw is omitted when Branch equals Trunk; a
+// server from before the bodies were added sends neither.
 type TipsResponse struct {
-	Trunk  string `json:"trunk"`
-	Branch string `json:"branch"`
+	Trunk     string `json:"trunk"`
+	Branch    string `json:"branch"`
+	TrunkRaw  []byte `json:"trunk_raw,omitempty"`  // base64 of txn.Encode()
+	BranchRaw []byte `json:"branch_raw,omitempty"` // base64 of txn.Encode()
 }
 
 // DifficultyResponse is the /difficulty payload.
@@ -84,19 +106,26 @@ type EventsResponse struct {
 
 // TxResponse carries one canonical transaction encoding.
 type TxResponse struct {
-	Raw string `json:"raw"` // base64 of txn.Encode()
+	Raw []byte `json:"raw"` // base64 of txn.Encode()
 }
 
 // TxPageResponse carries a page of transactions.
 type TxPageResponse struct {
-	Raw    []string `json:"raw"`
+	Raw    [][]byte `json:"raw"`    // base64 of txn.Encode(), one per transaction
 	Offset int      `json:"offset"` // next offset to poll
 }
 
 // SubmitRequest is the POST /transactions body.
 type SubmitRequest struct {
-	Raw string `json:"raw"`
+	Raw []byte `json:"raw"` // base64 of txn.Encode()
 }
+
+// maxSubmitBody caps what POST /transactions reads from a device-facing
+// port: the largest transaction validation accepts (txn.MaxPayloadSize of
+// payload inside an envelope of parents, timestamp, issuer key, nonce and
+// signature, well under 1 KiB), base64-expanded, inside the {"raw":""}
+// wrapper.
+const maxSubmitBody = (txn.MaxPayloadSize+1024+2)/3*4 + 64
 
 // SubmitResponse reports an accepted submission.
 type SubmitResponse struct {
@@ -264,10 +293,75 @@ func (s *Server) Close() error {
 	return s.http.Close()
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// bufPool recycles the buffers responses are assembled in and bodies are
+// read into, on both ends of the wire (client.go reads into them too).
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBuf keeps the rare megabyte transaction from pinning a
+// megabyte to the pool: a buffer grown past it is left to the collector.
+const maxPooledBuf = 64 << 10
+
+func getBuf() *bytes.Buffer {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		bufPool.Put(buf)
+	}
+}
+
+// readBody reads r to its end into buf, sized once up front when the
+// peer declared a length instead of grown as the bytes arrive.
+func readBody(buf *bytes.Buffer, r io.Reader, declared int64) error {
+	if declared > 0 && declared <= maxPooledBuf {
+		buf.Grow(int(declared) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return err
+}
+
+// appendHex, appendBase64 and appendInt encode straight into buf.
+func appendHex(buf *bytes.Buffer, src []byte) {
+	buf.Grow(hex.EncodedLen(len(src)))
+	buf.Write(hex.AppendEncode(buf.AvailableBuffer(), src))
+}
+
+func appendBase64(buf *bytes.Buffer, src []byte) {
+	buf.Grow(base64.StdEncoding.EncodedLen(len(src)))
+	buf.Write(base64.StdEncoding.AppendEncode(buf.AvailableBuffer(), src))
+}
+
+func appendInt(buf *bytes.Buffer, n int) {
+	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(n), 10))
+}
+
+var jsonContentType = []string{"application/json"}
+
+// writeBody sends buf as the whole response, its length declared: one
+// write, never chunked.
+func writeBody(w http.ResponseWriter, status int, buf *bytes.Buffer) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(buf.Len())}
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // the device hung up: nothing to tell it
+}
+
+// writeJSON serves the endpoints off the device's per-reading path; the
+// ones on it (tips, difficulty, transactions, submit) assemble their
+// bodies by hand from hex and base64, which need no escaping.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		fmt.Fprintf(buf, `{"error":"encode response","code":%d}`+"\n", status)
+	}
+	writeBody(w, status, buf)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -294,7 +388,29 @@ func (s *Server) handleTips(w http.ResponseWriter, _ *http.Request, n *node.Full
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TipsResponse{Trunk: trunk.Hex(), Branch: branch.Hex()})
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.WriteString(`{"trunk":"`)
+	appendHex(buf, trunk[:])
+	buf.WriteString(`","branch":"`)
+	appendHex(buf, branch[:])
+	buf.WriteByte('"')
+	// A tip snapshotted away since SelectTips named it goes without its
+	// body; the device then asks for it and learns the same.
+	if raw, err := n.Tangle().Encoded(trunk); err == nil {
+		buf.WriteString(`,"trunk_raw":"`)
+		appendBase64(buf, raw)
+		buf.WriteByte('"')
+	}
+	if branch != trunk {
+		if raw, err := n.Tangle().Encoded(branch); err == nil {
+			buf.WriteString(`,"branch_raw":"`)
+			appendBase64(buf, raw)
+			buf.WriteByte('"')
+		}
+	}
+	buf.WriteString("}\n")
+	writeBody(w, http.StatusOK, buf)
 }
 
 func parseAddress(r *http.Request) (identity.Address, error) {
@@ -311,10 +427,14 @@ func (s *Server) handleDifficulty(w http.ResponseWriter, r *http.Request, n *nod
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DifficultyResponse{
-		Address:    addr.Hex(),
-		Difficulty: n.DifficultyFor(addr),
-	})
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.WriteString(`{"address":"`)
+	appendHex(buf, addr[:])
+	buf.WriteString(`","difficulty":`)
+	appendInt(buf, n.DifficultyFor(addr))
+	buf.WriteString("}\n")
+	writeBody(w, http.StatusOK, buf)
 }
 
 func (s *Server) handleCredit(w http.ResponseWriter, r *http.Request, n *node.FullNode) {
@@ -360,14 +480,17 @@ func (s *Server) handleGetTx(w http.ResponseWriter, r *http.Request, n *node.Ful
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	t, err := n.GetTransaction(id)
+	raw, err := n.Tangle().Encoded(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TxResponse{
-		Raw: base64.StdEncoding.EncodeToString(t.Encode()),
-	})
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.WriteString(`{"raw":"`)
+	appendBase64(buf, raw)
+	buf.WriteString("\"}\n")
+	writeBody(w, http.StatusOK, buf)
 }
 
 func (s *Server) handleListTx(w http.ResponseWriter, r *http.Request, n *node.FullNode) {
@@ -385,30 +508,42 @@ func (s *Server) handleListTx(w http.ResponseWriter, r *http.Request, n *node.Fu
 			return
 		}
 	}
-	txs, err := n.TransactionsByKind(txn.Kind(kindNum), offset)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+	page := n.Tangle().EncodedByKind(txn.Kind(kindNum), offset)
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.WriteString(`{"raw":[`)
+	for i, raw := range page {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		buf.WriteByte('"')
+		appendBase64(buf, raw)
+		buf.WriteByte('"')
 	}
-	resp := TxPageResponse{Offset: offset + len(txs)}
-	for _, t := range txs {
-		resp.Raw = append(resp.Raw, base64.StdEncoding.EncodeToString(t.Encode()))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	buf.WriteString(`],"offset":`)
+	appendInt(buf, offset+len(page))
+	buf.WriteString("}\n")
+	writeBody(w, http.StatusOK, buf)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, n *node.FullNode) {
+	body := getBuf()
+	defer putBuf(body)
+	if err := readBody(body, http.MaxBytesReader(w, r.Body, maxSubmitBody), r.ContentLength); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("read body: %w", err))
+		return
+	}
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 		return
 	}
-	raw, err := base64.StdEncoding.DecodeString(req.Raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode raw: %w", err))
-		return
-	}
-	t, err := txn.Decode(raw)
+	t, err := txn.Decode(req.Raw)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode transaction: %w", err))
 		return
@@ -418,11 +553,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, n *node.Fu
 		writeError(w, statusForSubmitError(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SubmitResponse{
-		ID:               info.ID.Hex(),
-		Status:           info.Status.String(),
-		CumulativeWeight: info.CumulativeWeight,
-	})
+	buf := body // the request has been decoded out of it
+	buf.Reset()
+	buf.WriteString(`{"id":"`)
+	appendHex(buf, info.ID[:])
+	buf.WriteString(`","status":"`)
+	buf.WriteString(info.Status.String()) // a fixed lower-case word
+	buf.WriteString(`","cumulative_weight":`)
+	appendInt(buf, info.CumulativeWeight)
+	buf.WriteString("}\n")
+	writeBody(w, http.StatusOK, buf)
 }
 
 // statusForSubmitError maps admission failures to HTTP statuses that the

@@ -115,21 +115,29 @@ func (t *Tangle) Observe(o Observer) {
 // Lock order is deliverMu → t.mu (briefly, to swap the queue out);
 // mutations enqueue under t.mu and call deliverPending only after
 // releasing it, so the reverse order never occurs.
+//
+// The queue is double-buffered: the slice being delivered is never the
+// one mutations append to (an observer may read the tangle, and another
+// goroutine may attach, while a batch is out), and once delivered it is
+// cleared — events pin transactions — and kept as the next swap's empty
+// queue.
 func (t *Tangle) deliverPending() {
 	t.deliverMu.Lock()
 	defer t.deliverMu.Unlock()
 	for {
 		t.mu.Lock()
 		events := t.pendingEvents
-		t.pendingEvents = nil
+		t.pendingEvents = t.spareEvents
 		t.mu.Unlock()
-		if len(events) == 0 {
-			return
-		}
 		for _, ev := range events {
 			for _, o := range t.observers {
 				o.OnEvent(ev)
 			}
+		}
+		clear(events)
+		t.spareEvents = events[:0]
+		if len(events) == 0 {
+			return
 		}
 	}
 }

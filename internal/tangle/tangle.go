@@ -215,7 +215,11 @@ type Tangle struct {
 	// pendingEvents collects events produced under the write lock;
 	// deliverMu serializes their delivery to observers after the lock
 	// is released, preserving ledger order (see deliverPending).
+	// spareEvents (guarded by deliverMu) is the emptied slice of the
+	// previous delivery, swapped in as the next pendingEvents so that
+	// the queue is not re-grown on every attach.
 	pendingEvents []Event
+	spareEvents   []Event
 	deliverMu     sync.Mutex
 
 	// walkers pools per-call RNG + scratch state so tip selection needs
@@ -369,6 +373,20 @@ func (t *Tangle) Get(id hashutil.Hash) (*txn.Transaction, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTx, id.Short())
 	}
 	return v.tx.Clone(), nil
+}
+
+// Encoded returns the canonical encoding of the transaction with the
+// given ID: the bytes the ledger's stored copy already holds, shared and
+// read-only. Where Get pays a Clone (and its caller an Encode), a reader
+// that only forwards the transaction — the RPC surface — pays nothing.
+func (t *Tangle) Encoded(id hashutil.Hash) ([]byte, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	v, ok := t.vertices[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownTx, id.Short())
+	}
+	return v.tx.Encode(), nil
 }
 
 // InfoOf returns the ledger view of the transaction with the given ID.
@@ -771,6 +789,29 @@ func (t *Tangle) OrderedIDs(from, limit int) []hashutil.Hash {
 func (t *Tangle) ByKind(kind txn.Kind, offset int) []*txn.Transaction {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	vs := t.kindPageLocked(kind, offset)
+	if vs == nil {
+		return nil // past the end: no page, not an empty one
+	}
+	return cloneTxs(vs)
+}
+
+// EncodedByKind is ByKind for a reader that only forwards the page: the
+// stored canonical encodings themselves (see Encoded), in attachment
+// order.
+func (t *Tangle) EncodedByKind(kind txn.Kind, offset int) [][]byte {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	vs := t.kindPageLocked(kind, offset)
+	out := make([][]byte, len(vs))
+	for i, v := range vs {
+		out[i] = v.tx.Encode()
+	}
+	return out
+}
+
+// kindPageLocked returns the vertices of one kind from offset on.
+func (t *Tangle) kindPageLocked(kind txn.Kind, offset int) []*vertex {
 	vs := t.byKind[kind]
 	if offset < 0 {
 		offset = 0
@@ -778,7 +819,7 @@ func (t *Tangle) ByKind(kind txn.Kind, offset int) []*txn.Transaction {
 	if offset >= len(vs) {
 		return nil
 	}
-	return cloneTxs(vs[offset:])
+	return vs[offset:]
 }
 
 // CountByKind returns how many transactions of the given kind are
