@@ -20,8 +20,9 @@ vet:
 # live attacher. The store runs ten more rounds: its group committer is
 # the one place every admission path meets, and its tests order
 # goroutines by released fsyncs, which only repetition checks. The
-# allocation guards (txn's wire path, rpc's bytes per reading) run without
-# the race detector, whose own allocations they would otherwise count.
+# allocation guards (txn's wire path, rpc's bytes per reading, identity's
+# batch kernel) run without the race detector, whose own allocations they
+# would otherwise count.
 # bench/ is a module of its own, so `./...` above never reaches it: its
 # vet and tests ride here.
 test: vet
@@ -35,7 +36,7 @@ test: vet
 	$(GO) run ./cmd/biot-bench -fig latency -quick
 	$(GO) run ./cmd/biot-bench -fig mem -quick
 	$(GO) run ./cmd/biot-bench -fig shard -quick
-	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc|TestPostReadingAllocationBudget' -count=1 ./internal/txn/ ./internal/rpc/
+	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/
 	$(GO) test -run XXX -bench BenchmarkPostReadingOverRPC -benchtime 200x ./internal/rpc/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestResidentVerticesStayBounded' -count=1 ./internal/tangle/
@@ -166,7 +167,8 @@ bench-all:
 # `bash bench/run.sh --workload W --trace 0` on seeds 1..10 plus one
 # pair on the held-out seed 20190707, then bench's own -compare.
 # TRACE=1 adds one traced pair per workload and prints the per-layer rows
-# of the journal and fan-out path side by side (see the script).
+# of the journal, the fan-out path and the bulk readers side by side (see
+# the script).
 #   make bench-pairs BASE=HEAD~1 [WORKLOADS="relay-fanout full-path"] [OUT=dir] [TRACE=1]
 bench-pairs:
 	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<ref> [WORKLOADS=...]"; exit 2; }
@@ -191,7 +193,7 @@ examples:
 	$(GO) run ./examples/attackdefense
 	$(GO) run ./examples/resilience
 
-# Short fuzz pass over the wire-format decoders.
+# Short fuzz pass over the wire-format decoders and the batch verifier.
 fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/txn/
 	$(GO) test -fuzz='^FuzzDecodeTransfer$$' -fuzztime=15s ./internal/txn/
@@ -199,6 +201,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzOpenEnvelope$$' -fuzztime=15s ./internal/dataauth/
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/gossip/
 	$(GO) test -fuzz='^FuzzDecodeFrame$$' -fuzztime=15s ./internal/gossip/
+	$(GO) test -fuzz='^FuzzVerifyBatchAgreesWithVerify$$' -fuzztime=30s ./internal/identity/
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt BENCH_pipeline.json

@@ -106,7 +106,8 @@ func uvarint(buf []byte) (uint64, int, error) {
 }
 
 // DecodeMessage parses the canonical binary form. Inputs with trailing
-// bytes, oversized counts or non-minimal varints are rejected.
+// bytes, oversized counts or non-minimal varints are rejected. The
+// returned Message's TxData aliases data and is valid only while data is.
 func DecodeMessage(data []byte) (Message, error) {
 	if len(data) > MaxMessageBytes {
 		return Message{}, fmt.Errorf("%w: %d bytes", ErrMessageSize, len(data))
@@ -149,10 +150,13 @@ func DecodeMessage(data []byte) (Message, error) {
 			return Message{}, fmt.Errorf("%w: tx entry truncated", ErrBadMessage)
 		}
 		// Zero-copy: each entry aliases the input datagram (cap-clipped
-		// so appends cannot bleed into the next entry). Frames arrive in
-		// per-message buffers and txn.Decode takes its own copy, so the
-		// only cost of aliasing is keeping the datagram alive until its
-		// transactions are decoded — which the handler does immediately.
+		// so appends cannot bleed into the next entry), and lives only as
+		// long as it does. The accept side reads request frames into
+		// pooled buffers that are reused once the Handler has returned and
+		// its reply is written, so a Handler may not keep TxData past the
+		// call; txn.Decode takes its own copy, and the handler decodes
+		// immediately. Reply frames on the dialing side are not pooled:
+		// the Message handed to the caller owns them.
 		txData = append(txData, rest[:l:l])
 		rest = rest[l:]
 	}

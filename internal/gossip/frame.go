@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
 // Mux frame layer: the unit of the persistent transport. One TCP
@@ -41,13 +43,26 @@ var ErrBadFrame = errors.New("malformed gossip frame")
 
 // EncodeFrame renders one mux frame (length word included).
 func EncodeFrame(kind byte, id uint64, payload []byte) []byte {
-	out := make([]byte, 4+frameOverhead+len(payload))
-	binary.BigEndian.PutUint32(out, uint32(frameOverhead+len(payload)))
-	out[4] = kind
-	binary.BigEndian.PutUint64(out[5:], id)
-	copy(out[4+frameOverhead:], payload)
-	return out
+	return appendFrame(nil, kind, id, payload)
 }
+
+// appendFrame renders one mux frame over dst's storage.
+func appendFrame(dst []byte, kind byte, id uint64, payload []byte) []byte {
+	dst = slices.Grow(dst[:0], 4+frameOverhead+len(payload))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(frameOverhead+len(payload)))
+	dst = append(dst, kind)
+	dst = binary.BigEndian.AppendUint64(dst, id)
+	return append(dst, payload...)
+}
+
+// framePool recycles the two frame buffers a transport knows to be dead
+// the moment it is done with them: a frame it has written (the socket
+// keeps nothing), and on the accept side a request frame whose handler has
+// returned and whose reply is written — a Handler must not keep
+// msg.TxData, which aliases the frame, past its return (txn.Decode copies).
+// A reply frame read on the dialing side is not pooled: the Message handed
+// to Request's caller aliases it for as long as the caller likes.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // DecodeFrame parses exactly one complete frame. Trailing bytes, unknown
 // kinds, oversized bodies, ping frames with payloads and truncated
@@ -76,11 +91,11 @@ func DecodeFrame(data []byte) (kind byte, id uint64, payload []byte, err error) 
 	return kind, id, payload, nil
 }
 
-// frameMessage renders one mux frame carrying msg, encoding the message
-// straight into the frame buffer: one allocation and no copy, where
-// EncodeFrame(kind, id, EncodeMessage(msg)) makes two and copies once.
-func frameMessage(kind byte, id uint64, msg Message) []byte {
-	out := make([]byte, 4+frameOverhead, 4+frameOverhead+messageSizeBound(msg))
+// frameMessage renders one mux frame carrying msg over dst's storage,
+// encoding the message straight into the frame buffer: no copy, where
+// EncodeFrame(kind, id, EncodeMessage(msg)) allocates twice and copies once.
+func frameMessage(dst []byte, kind byte, id uint64, msg Message) []byte {
+	out := slices.Grow(dst[:0], 4+frameOverhead+messageSizeBound(msg))[:4+frameOverhead]
 	out = appendMessage(out, msg)
 	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
 	out[4] = kind
@@ -89,8 +104,9 @@ func frameMessage(kind byte, id uint64, msg Message) []byte {
 }
 
 // readFrame receives one mux frame, rejecting oversized bodies before
-// buffering them. Returns the wire size consumed alongside the frame.
-func readFrame(reader *bufio.Reader) (kind byte, id uint64, payload []byte, wire int, err error) {
+// buffering them; the payload is read over into's storage when that is
+// large enough. Returns the wire size consumed alongside the frame.
+func readFrame(reader *bufio.Reader, into []byte) (kind byte, id uint64, payload []byte, wire int, err error) {
 	var hdr [4 + frameOverhead]byte
 	if _, err := io.ReadFull(reader, hdr[:]); err != nil {
 		return 0, 0, nil, 0, err
@@ -107,7 +123,7 @@ func readFrame(reader *bufio.Reader) (kind byte, id uint64, payload []byte, wire
 		return 0, 0, nil, 0, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, kind)
 	}
 	id = binary.BigEndian.Uint64(hdr[5:])
-	payload = make([]byte, body-frameOverhead)
+	payload = slices.Grow(into[:0], int(body-frameOverhead))[:body-frameOverhead]
 	if _, err := io.ReadFull(reader, payload); err != nil {
 		return 0, 0, nil, 0, err
 	}

@@ -118,6 +118,8 @@ type Message struct {
 type Handler interface {
 	// HandleGossip processes an incoming message and optionally returns
 	// a reply (sync responses). from identifies the sending peer.
+	// msg.TxData may alias a buffer the transport reuses once the call
+	// has returned: decode or copy what is to outlive it.
 	HandleGossip(from string, msg Message) (*Message, error)
 }
 

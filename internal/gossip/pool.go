@@ -173,7 +173,7 @@ func (p *peerConn) readLoop(conn net.Conn, gen int) {
 	defer p.net.wg.Done()
 	reader := bufio.NewReader(conn)
 	for {
-		kind, id, payload, wire, err := readFrame(reader)
+		kind, id, payload, wire, err := readFrame(reader, nil) // the reply aliases it
 		if err != nil {
 			p.teardown(gen, err)
 			return

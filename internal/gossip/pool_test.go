@@ -1,8 +1,10 @@
 package gossip
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -253,4 +255,50 @@ func TestTCPKeepalivePings(t *testing.T) {
 	if dials := a.Metrics().Dials.Value(); dials != 1 {
 		t.Errorf("dials = %d, want 1 (keepalive kept the connection)", dials)
 	}
+}
+
+// TestTCPPooledFramesCarryTheirOwnBytes: request frames are read into, and
+// frames are written out of, buffers the transport recycles the moment it
+// is done with them. Many exchanges of different sizes at once — sync
+// requests answered on goroutines of their own beside transaction batches
+// answered in frame order — must each show the handler its own payload
+// for as long as the handler runs, and bring back its own reply.
+func TestTCPPooledFramesCarryTheirOwnBytes(t *testing.T) {
+	a, _ := listenPooled(t)
+	b, _ := listenPooled(t)
+	a.AddPeer(b.Self())
+	payload := func(i, n int) []byte { return bytes.Repeat([]byte{byte(i)}, n) }
+	b.SetHandler(HandlerFunc(func(_ string, msg Message) (*Message, error) {
+		want := payload(int(msg.Offset), len(msg.TxData[0]))
+		runtime.Gosched() // let other frames come and go meanwhile
+		if !bytes.Equal(msg.TxData[0], want) {
+			t.Errorf("exchange %d: the handler saw another frame's bytes", msg.Offset)
+		}
+		if msg.Type == MsgTransaction {
+			return &Message{}, nil
+		}
+		return &Message{Type: MsgSyncResponse, Offset: msg.Offset, TxData: [][]byte{want}}, nil
+	}))
+
+	const exchanges = 200
+	var wg sync.WaitGroup
+	for i := 0; i < exchanges; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			typ, size := MsgSyncRequest, 1+(i*37)%3000
+			if i%3 == 0 {
+				typ = MsgTransaction
+			}
+			reply, err := a.Request(context.Background(), b.Self(),
+				Message{Type: typ, Offset: uint64(i), TxData: [][]byte{payload(i, size)}})
+			switch {
+			case err != nil:
+				t.Errorf("exchange %d: %v", i, err)
+			case typ == MsgSyncRequest && (reply.Offset != uint64(i) || len(reply.TxData) != 1 || !bytes.Equal(reply.TxData[0], payload(i, size))):
+				t.Errorf("exchange %d: the reply carries another exchange's bytes", i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -219,32 +219,42 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 	}()
 	var writeMu sync.Mutex
 	from := conn.RemoteAddr().String()
-	serve := func(h Handler, id uint64, msg Message) {
-		var frame []byte
+	// serve answers one request and hands back request, the pooled buffer
+	// msg aliases: the handler has returned and the reply is written.
+	serve := func(h Handler, id uint64, msg Message, request *[]byte) {
+		var reply *Message
 		if h != nil {
 			if r, herr := h.HandleGossip(from, msg); herr == nil && r != nil && !r.isZero() {
-				frame = frameMessage(FrameResponse, id, *r)
+				reply = r
 			}
 		}
-		if frame == nil {
-			frame = EncodeFrame(FrameResponse, id, emptyAck)
+		frame := framePool.Get().(*[]byte)
+		if reply != nil {
+			*frame = frameMessage(*frame, FrameResponse, id, *reply)
+		} else {
+			*frame = appendFrame(*frame, FrameResponse, id, emptyAck)
 		}
 		writeMu.Lock()
 		_ = conn.SetWriteDeadline(time.Now().Add(n.ioTO))
-		nw, _ := conn.Write(frame)
+		nw, _ := conn.Write(*frame)
 		writeMu.Unlock()
 		n.metrics.BytesOut.Add(int64(nw))
+		framePool.Put(frame)
+		framePool.Put(request)
 	}
 	sem := make(chan struct{}, maxInboundPerConn)
 	reader := bufio.NewReader(conn)
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(n.serverIdle))
-		kind, id, payload, wire, err := readFrame(reader)
+		request := framePool.Get().(*[]byte)
+		kind, id, payload, wire, err := readFrame(reader, *request)
 		if err != nil {
 			return // framing violation, idle timeout or peer gone
 		}
+		*request = payload
 		n.metrics.BytesIn.Add(int64(wire))
 		if kind != FrameRequest {
+			framePool.Put(request)
 			continue // pings refresh the deadline; stray responses are noise
 		}
 		msg, err := DecodeMessage(payload)
@@ -255,7 +265,7 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 		h := n.handler
 		n.mu.RUnlock()
 		if msg.Type == MsgTransaction {
-			serve(h, id, msg)
+			serve(h, id, msg, request)
 			continue
 		}
 		sem <- struct{}{}
@@ -263,7 +273,7 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			serve(h, id, msg)
+			serve(h, id, msg, request)
 		}()
 	}
 }
@@ -351,7 +361,11 @@ func (n *TCPNetwork) Request(ctx context.Context, peer string, msg Message) (Mes
 	if err != nil {
 		return Message{}, err
 	}
-	return pc.exchange(ctx, place, id, frameMessage(FrameRequest, id, msg))
+	frame := framePool.Get().(*[]byte)
+	*frame = frameMessage(*frame, FrameRequest, id, msg)
+	reply, err := pc.exchange(ctx, place, id, *frame)
+	framePool.Put(frame) // written or never sent: nothing holds it now
+	return reply, err
 }
 
 // Close implements Network: it stops accepting, retires every pooled

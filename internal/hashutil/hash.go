@@ -78,27 +78,55 @@ func (h Hash) MarshalText() ([]byte, error) {
 
 // UnmarshalText implements encoding.TextUnmarshaler (hex).
 func (h *Hash) UnmarshalText(text []byte) error {
-	decoded, err := hex.DecodeString(string(text))
-	if err != nil {
-		return fmt.Errorf("decode hash hex: %w", err)
+	parsed, ok := decodeHex(text)
+	if !ok {
+		return fmt.Errorf("decode hash hex: %q is not %d hex characters", text, 2*Size)
 	}
-	if len(decoded) != Size {
-		return fmt.Errorf("hash length %d, want %d", len(decoded), Size)
-	}
-	copy(h[:], decoded)
+	*h = parsed
 	return nil
 }
 
 // ErrBadHashHex reports an undecodable hash string.
 var ErrBadHashHex = errors.New("malformed hash hex")
 
-// FromHex parses a 64-character hex string into a Hash.
+// FromHex parses a 64-character hex string into a Hash. It decodes in
+// place and allocates nothing unless it fails: the RPC surface parses a
+// hash or three per exchange.
 func FromHex(s string) (Hash, error) {
-	var h Hash
-	if err := h.UnmarshalText([]byte(s)); err != nil {
-		return Zero, fmt.Errorf("%w: %v", ErrBadHashHex, err)
+	h, ok := decodeHex(s)
+	if !ok {
+		return Zero, fmt.Errorf("%w: %q is not %d hex characters", ErrBadHashHex, s, 2*Size)
 	}
 	return h, nil
+}
+
+// decodeHex decodes exactly 2·Size hex digits of either case, and reports
+// whether s was that.
+func decodeHex[S string | []byte](s S) (h Hash, ok bool) {
+	if len(s) != 2*Size {
+		return Zero, false
+	}
+	for i := range h {
+		hi, lo := unhex(s[2*i]), unhex(s[2*i+1])
+		if hi > 0xF || lo > 0xF {
+			return Zero, false
+		}
+		h[i] = hi<<4 | lo
+	}
+	return h, true
+}
+
+// unhex returns the value of one hex digit, above 0xF for anything else.
+func unhex(c byte) byte {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0'
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10
+	}
+	return 0xFF
 }
 
 // LeadingZeroBits counts the number of consecutive zero bits at the start

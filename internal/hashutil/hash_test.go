@@ -189,3 +189,21 @@ func TestMarshalTextRoundTrip(t *testing.T) {
 		t.Error("text round trip mismatch")
 	}
 }
+
+// TestFromHexAllocatesNothing pins the success path: the RPC surface
+// parses hashes on every exchange.
+func TestFromHexAllocatesNothing(t *testing.T) {
+	for _, in := range []string{Sum([]byte("x")).Hex(), strings.ToUpper(Sum([]byte("y")).Hex())} {
+		want, err := FromHex(in)
+		if err != nil || !strings.EqualFold(want.Hex(), in) {
+			t.Fatalf("FromHex(%q) = %v, %v", in, want, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if got, err := FromHex(in); err != nil || got != want {
+				t.Fatalf("FromHex(%q) = %v, %v", in, got, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("FromHex(%q) allocates %v times, want 0", in, allocs)
+		}
+	}
+}

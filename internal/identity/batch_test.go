@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"github.com/b-iot/biot/internal/identity/edwards25519"
 )
 
 // batchFixture builds one (pubs, messages, sigs) triple set from a
@@ -232,4 +234,101 @@ func TestVerifyBatchDoesNotMutateInputs(t *testing.T) {
 	if !bytes.Equal(pubCopy, pubs[0]) || !bytes.Equal(sigCopy, sigs[0]) || !bytes.Equal(msgCopy, msgs[0]) {
 		t.Fatal("VerifyBatch mutated caller buffers")
 	}
+}
+
+// TestVerifyBatchStaleScratchNeverLeaks runs a full batch and then a
+// batch of two through the same goroutine — so the same pooled scratch —
+// with one bad signature at every position of each in turn, and the
+// clean ones between. Whatever the longer batch left in the slots the
+// shorter one does not fill, every verdict must be Verify's.
+func TestVerifyBatchStaleScratchNeverLeaks(t *testing.T) {
+	const full = 64 // the node's chunk
+	rng := rand.New(rand.NewSource(23))
+	corrupt := func(sigs [][]byte, at int) [][]byte {
+		out := append([][]byte(nil), sigs...)
+		out[at] = append([]byte(nil), sigs[at]...)
+		out[at][rng.Intn(len(out[at]))] ^= 1 << uint(rng.Intn(8))
+		return out
+	}
+	bigPubs, bigMsgs, bigSigs := buildBatch(t, rng, make([]batchCase, full))
+	pubs, msgs, sigs := buildBatch(t, rng, make([]batchCase, 2))
+	for bad := 0; bad <= full; bad++ { // bad == full: a clean full batch
+		big := bigSigs
+		if bad < full {
+			big = corrupt(bigSigs, bad)
+		}
+		checkAgreement(t, bigPubs, bigMsgs, big)
+		for small := 0; small <= 2; small++ { // small == 2: a clean pair
+			pair := sigs
+			if small < 2 {
+				pair = corrupt(sigs, small)
+			}
+			checkAgreement(t, pubs, msgs, pair)
+			errs := VerifyBatch(pubs, msgs, pair)
+			for i := range pair {
+				if wantBad := i == small; wantBad != (errs != nil && errs[i] != nil) {
+					t.Fatalf("after a full batch with entry %d bad, pair entry %d (bad entry %d): verdict %v",
+						bad, i, small, errs)
+				}
+			}
+		}
+	}
+}
+
+// smallOrder reports whether pub decodes to one of the curve's eight
+// points of small order.
+func smallOrder(pub []byte) bool {
+	p, err := new(edwards25519.Point).SetBytes(pub)
+	if err != nil {
+		return false
+	}
+	for i := 0; i < 3; i++ {
+		p.Add(p, p)
+	}
+	return p.Equal(edwards25519.NewIdentityPoint()) == 1
+}
+
+// FuzzVerifyBatchAgreesWithVerify is the same property under mutation:
+// layout picks each entry's kind of damage, raw — when long enough —
+// replaces the first entry's key and signature bytes outright, and the
+// batch is followed through the same scratch by its own first two
+// entries.
+//
+// One family of inputs is left out, because there the property is known
+// not to hold and never did: under a key of small order a signature can be
+// off by a small-order point only, and z times such a point vanishes for
+// one random coefficient z in eight (or four, or two) — the batch
+// equation then accepts what Verify, which multiplies by no cofactor,
+// refuses. Without the secret key that takes a small-order issuer; what
+// it would take to close is one cofactored rule on both paths, a change
+// of what a valid signature is (ROADMAP, leftovers).
+func FuzzVerifyBatchAgreesWithVerify(f *testing.F) {
+	f.Add(int64(1), []byte{0, 0, 0, 0}, []byte(nil))
+	f.Add(int64(2), []byte{0, 1, 2, 3, 4, 5, 0, 0}, []byte(nil))
+	f.Add(int64(3), bytes.Repeat([]byte{0}, 67), []byte(nil))
+	f.Add(int64(4), []byte{0, 0, 0}, append(bytes.Repeat([]byte{0xFF}, 31), 0x7F)) // a key that is no field element's canonical form
+	f.Add(int64(5), []byte{0, 0}, append([]byte{3}, make([]byte, 95)...))          // arbitrary key bytes, an all-zero signature
+	f.Fuzz(func(t *testing.T, seed int64, layout, raw []byte) {
+		if len(layout) > 129 {
+			layout = layout[:129]
+		}
+		cases := make([]batchCase, len(layout))
+		for i, b := range layout {
+			cases[i] = batchCase(b % byte(numBatchCases))
+		}
+		pubs, msgs, sigs := buildBatch(t, rand.New(rand.NewSource(seed)), cases)
+		if len(pubs) > 0 && len(raw) >= 32 {
+			if smallOrder(raw[:32]) {
+				t.Skip("a small-order issuer: see above")
+			}
+			pubs[0] = append(PublicKey(nil), raw[:32]...)
+			if len(raw) >= 96 {
+				sigs[0] = append([]byte(nil), raw[32:96]...)
+			}
+		}
+		checkAgreement(t, pubs, msgs, sigs)
+		if len(pubs) > 2 {
+			checkAgreement(t, pubs[:2], msgs[:2], sigs[:2])
+		}
+	})
 }

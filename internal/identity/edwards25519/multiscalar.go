@@ -1,5 +1,24 @@
 package edwards25519
 
+import "sync"
+
+// multiScalarScratch is the working memory of one
+// VarTimeMultiScalarBaseMult call: a width-5 NAF table (1 280 B) and a
+// 256-digit NAF per dynamic point, 1.5 KB a point, which a call used to
+// make afresh. It may be handed from call to call without clearing
+// because a call reads only entries [0, n) and overwrites every one of
+// them — all eight table rows (FromP3) and all 256 digits (an array
+// assignment) — before the ladder reads any.
+type multiScalarScratch struct {
+	tables []nafLookupTable5
+	nafs   [][256]int8
+}
+
+// multiScalarPool holds one scratch per concurrently running call. A
+// scratch grows to the largest batch it has served; the node verifies in
+// chunks of 64 signatures, 128 points (≈ 200 KB).
+var multiScalarPool = sync.Pool{New: func() any { return new(multiScalarScratch) }}
+
 // VarTimeMultiScalarBaseMult sets v = b*B + Σ scalars[i]*points[i],
 // where B is the canonical generator, and returns v.
 //
@@ -19,8 +38,13 @@ func (v *Point) VarTimeMultiScalarBaseMult(b *Scalar, scalars []*Scalar, points 
 
 	// Dynamic points get width-5 NAF tables built at runtime; the fixed
 	// basepoint reuses the precomputed width-8 table (sparser digits).
-	tables := make([]nafLookupTable5, len(points))
-	nafs := make([][256]int8, len(scalars))
+	scratch := multiScalarPool.Get().(*multiScalarScratch)
+	defer multiScalarPool.Put(scratch)
+	if cap(scratch.tables) < len(points) {
+		scratch.tables = make([]nafLookupTable5, len(points))
+		scratch.nafs = make([][256]int8, len(points))
+	}
+	tables, nafs := scratch.tables[:len(points)], scratch.nafs[:len(points)]
 	for i, p := range points {
 		tables[i].FromP3(p)
 		nafs[i] = scalars[i].nonAdjacentForm(5)

@@ -1,6 +1,15 @@
 package node
 
-import "time"
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"github.com/b-iot/biot/internal/chaos"
+	"github.com/b-iot/biot/internal/store"
+	"github.com/b-iot/biot/internal/tangle"
+	"github.com/b-iot/biot/internal/txn"
+)
 
 // Constants the external tests pin behaviour against.
 const (
@@ -18,4 +27,45 @@ func NewVerifiedCache(capacity int) *VerifiedCache { return newVerifiedCache(cap
 // the given bounds, for the test that fills it.
 func (n *FullNode) SetQuarantineBounds(capacity int, ttl time.Duration) {
 	n.quar = newQuarantine(capacity, ttl)
+}
+
+// ReplayPerRecord is journal replay as it stood before it took the
+// journal in runs (commit 41c52ea): one record at a time on the store's
+// per-record callback, VerifyBasic and then the commit tail, on one
+// goroutine. It survives here only, as the oracle the replay equivalence
+// test holds the new path against.
+func (n *FullNode) ReplayPerRecord(fs chaos.FS, path string) error {
+	coldIdx, err := store.OpenColdIndex(fs, path+".cold")
+	if err != nil {
+		return err
+	}
+	if err := n.tangle.SetColdStore(coldIdx); err != nil {
+		coldIdx.Close()
+		return err
+	}
+	n.tangle.RestoreColdEpoch(coldIdx.Epoch())
+	log, err := store.OpenFSGen(fs, path, func(t *txn.Transaction, gen uint64) error {
+		if err := t.VerifyBasic(); err != nil {
+			return fmt.Errorf("journaled transaction invalid: %w", err)
+		}
+		err := n.replayTransaction(t, gen)
+		switch {
+		case errors.Is(err, tangle.ErrDuplicate):
+			return nil
+		case gen == 0 && errors.Is(err, tangle.ErrUnknownParent):
+			return fmt.Errorf("journal record %s precedes its parent or has none here: %w", t.ID().Short(), err)
+		}
+		return err
+	})
+	if err != nil {
+		coldIdx.Close()
+		return err
+	}
+	if epoch := coldIdx.Epoch(); !epoch.IsZero() {
+		n.registry.PruneVersions(epoch, evidenceMinVersions)
+	}
+	n.pendingMu.Lock()
+	n.journal, n.coldIdx = log, coldIdx // ClosePersistence closes both
+	n.pendingMu.Unlock()
+	return nil
 }

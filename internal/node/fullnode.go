@@ -197,12 +197,11 @@ type FullNode struct {
 	pipeline PipelineMetrics
 	bcast    *broadcaster // nil when Network is nil
 
-	// verified + verifySem are the inbound verification stage: a
-	// bounded CPU pool checking gossiped transactions concurrently, and
-	// the set of IDs whose verification recently passed (gossip echoes
-	// skip the repeated signature work).
-	verified  *verifiedCache
-	verifySem chan struct{}
+	// verify settles signatures in bulk for every path that ingests
+	// transactions in bulk; verified is the set of IDs whose verification
+	// recently passed (gossip echoes skip the repeated signature work).
+	verify   *verifyStage
+	verified *verifiedCache
 
 	// quar parks relayed transactions whose admission evidence is not
 	// resolvable yet; kickMu makes the retry loop single-flight and
@@ -309,7 +308,6 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 		},
 		pipeline:   newPipelineMetrics(),
 		verified:   newVerifiedCache(verifiedCacheSize),
-		verifySem:  newVerifySem(),
 		quar:       newQuarantine(quarantineCap, quarantineTTL),
 		pending:    make(map[hashutil.Hash]*txn.Transaction),
 		unflushed:  make(map[hashutil.Hash]chan struct{}),
@@ -317,6 +315,7 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 		syncCursor: make(map[string]uint64),
 		syncTurn:   make(map[string]*sync.Mutex),
 	}
+	n.verify = newVerifyStage(n.pipeline)
 	n.repair.ctx, n.repair.cancel = context.WithCancel(context.Background())
 	tg.Observe(tangle.ObserverFunc(n.onTangleEvent))
 	if conf.Network != nil {
@@ -816,12 +815,14 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 		// like request size, stays constant no matter how large the
 		// ledger grows, and serving a sync holds the tangle read lock
 		// for one page.
-		size, export := n.tangle.Size, n.tangle.ExportRange
+		// The page is built from the ledger's stored encodings, shared
+		// and read-only; the transport copies them into its frame.
+		size, page := n.tangle.Size, n.tangle.EncodedRange
 		if msg.Scoped {
 			shard := uint32(msg.Shard)
 			size = func() int { return n.tangle.ShardSize(shard) }
-			export = func(from, limit int) []*txn.Transaction {
-				return n.tangle.ExportShardRange(shard, from, limit)
+			page = func(from, limit int) ([]hashutil.Hash, [][]byte) {
+				return n.tangle.EncodedShardRange(shard, from, limit)
 			}
 		}
 		total := size()
@@ -829,19 +830,22 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 		if msg.Offset < uint64(total) {
 			off = int(msg.Offset)
 		}
-		page := export(off, syncPageSize)
-		data := make([][]byte, 0, len(page))
-		for _, t := range page {
-			if _, known := have[t.ID()]; !known {
-				data = append(data, t.Encode())
+		ids, data := page(off, syncPageSize)
+		if len(have) > 0 {
+			unknown := data[:0]
+			for i, id := range ids {
+				if _, known := have[id]; !known {
+					unknown = append(unknown, data[i])
+				}
 			}
+			data = unknown
 		}
 		return &gossip.Message{
 			Type:   gossip.MsgSyncResponse,
 			TxData: data,
-			Offset: uint64(off + len(page)),
+			Offset: uint64(off + len(ids)),
 			Total:  uint64(total),
-			More:   len(page) == syncPageSize,
+			More:   len(ids) == syncPageSize,
 			Shard:  msg.Shard,
 			Scoped: msg.Scoped,
 		}, nil
@@ -1272,6 +1276,14 @@ func (n *FullNode) setCursor(key string, cursor uint64) {
 // returns one page — both directions stay constant-size as the DAG
 // grows. The cursor persists across calls, so a steady-state sync only
 // ever pages the peer's new tail.
+//
+// One page is kept in flight: the cursor of page k+1 is page k's
+// reply.Offset, known the moment k arrives, so k+1 is requested before k
+// is admitted and the link round trip overlaps the verification and
+// attach of the page before — a catch-up is paced by the slower of the
+// two, not by their sum. Pages are still admitted strictly in order. The
+// request's Have window is then one page stale; what it would have pruned
+// arrives and is skipped as a duplicate at Contains.
 func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string, scope syncScope) {
 	if net == nil {
 		return
@@ -1293,29 +1305,58 @@ func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string
 	turn := n.turnFor(key)
 	turn.Lock()
 	defer turn.Unlock()
+
+	type fetched struct {
+		reply gossip.Message
+		err   error
+	}
+	// fetch requests the page at cursor in the background; the request in
+	// flight when syncFrom returns is cancelled and waited for.
+	ctx, cancel := context.WithCancel(ctx)
+	var inFlight chan fetched
+	fetch := func(cursor uint64) {
+		inFlight = make(chan fetched, 1)
+		go func(out chan<- fetched) {
+			reply, err := net.Request(ctx, peer, gossip.Message{
+				Type:   gossip.MsgSyncRequest,
+				Have:   n.recentHave(),
+				Offset: cursor,
+				Shard:  uint64(scope.shard),
+				Scoped: scope.scoped,
+			})
+			out <- fetched{reply, err}
+		}(inFlight)
+	}
+	defer func() {
+		cancel()
+		if inFlight != nil {
+			<-inFlight
+		}
+	}()
+
 	cursor := n.cursorFor(key)
 	clean := true
+	fetch(cursor)
 	for page := 0; page < maxSyncPages; page++ {
-		if ctx.Err() != nil {
-			return
-		}
-		reply, err := net.Request(ctx, peer, gossip.Message{
-			Type:   gossip.MsgSyncRequest,
-			Have:   n.recentHave(),
-			Offset: cursor,
-			Shard:  uint64(scope.shard),
-			Scoped: scope.scoped,
-		})
-		if err != nil || reply.Type != gossip.MsgSyncResponse {
+		got := <-inFlight
+		inFlight = nil
+		reply := got.reply
+		if got.err != nil || reply.Type != gossip.MsgSyncResponse || ctx.Err() != nil {
 			return
 		}
 		if reply.Total < cursor {
 			// The peer's ledger shrank past our cursor (restart or
-			// snapshot compaction): rewind and re-page.
+			// snapshot compaction): rewind and re-page. Nothing was
+			// requested beyond this reply, so nothing stale is in flight.
 			cursor = 0
 			clean = true
 			n.setCursor(key, 0)
+			fetch(0)
 			continue
+		}
+		advanced := reply.Offset > cursor
+		if advanced && reply.More && page+1 < maxSyncPages {
+			fetch(reply.Offset)
 		}
 		pages.Inc()
 		if n.admitGossipBatch(ctx, peer, reply.TxData, false, hint) > 0 {
@@ -1328,7 +1369,7 @@ func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string
 			// property of the old full-diff exchange at paged cost.
 			clean = false
 		}
-		if reply.Offset <= cursor {
+		if !advanced {
 			// No forward progress: a confused peer must not spin us.
 			return
 		}

@@ -71,28 +71,18 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 	// neither earlier in the journal, genesis, nor in the cold index is not
 	// one this node wrote in attach order. The log is foreign, damaged, or
 	// from a build that queued records after the attach, and is refused,
-	// untouched, with the record named.
-	duplicates := map[hashutil.Hash]struct{}{} // records the ledger already held
-	log, err := store.OpenFSGen(fs, path, func(t *txn.Transaction, gen uint64) error {
-		err := n.replayTransaction(t, gen)
-		switch {
-		case errors.Is(err, tangle.ErrDuplicate):
-			duplicates[t.ID()] = struct{}{}
-			return nil
-		case gen == 0 && errors.Is(err, tangle.ErrUnknownParent):
-			return fmt.Errorf("journal record %s precedes its parent or has none here "+
-				"(a foreign or damaged log, or one written before journal order was attach order; "+
-				"move it aside and let the node sync from its peers): %w", t.ID().Short(), err)
-		}
-		return err
-	})
+	// untouched, with the record named — as is one whose signature or
+	// structure does not check.
+	replay := journalReplay{node: n, duplicates: map[hashutil.Hash]struct{}{}}
+	log, err := store.OpenFSRuns(fs, path, replay.take)
 	if err != nil {
+		replay.join()
 		coldIdx.Close()
 		return 0, fmt.Errorf("enable persistence: %w", err)
 	}
 	var unjournaled []*txn.Transaction
 	for _, t := range early {
-		if _, held := duplicates[t.ID()]; !held {
+		if _, held := replay.duplicates[t.ID()]; !held {
 			unjournaled = append(unjournaled, t)
 		}
 	}
@@ -179,14 +169,100 @@ func (n *FullNode) ClosePersistence() error {
 	return err
 }
 
-// replayTransaction re-admits a journaled transaction at startup through
-// the commit tail live admission uses. Replay's own is what surrounds it:
-// the structural check only — no rate limiter, and no PoW check, because
-// the transaction met the difficulty demanded *at its original admission*,
-// which the credit state seen during replay cannot reconstruct exactly,
-// and the log is local, already-trusted state; nothing counted as
-// Accepted; an attach that restores on a snapshot boundary. A record the
-// ledger already holds returns tangle.ErrDuplicate with nothing changed.
+// journalReplay takes the journal from store.OpenFSRuns a run at a time
+// and works one run behind the reader: while the signatures of the run
+// just read are settled across the verification pool (replay holds
+// replayGate, the gateway is down, nothing else wants the cores), the run
+// before it — its verdicts in — goes through the commit tail in journal
+// order on the reader's goroutine. Recovery then takes about the longer of
+// read + commit and verify ÷ cores, not their sum on one core. What it
+// refuses, and why, is what a record-at-a-time replay refuses: records
+// are judged in journal order, and the first one that fails — its own
+// checks or its attach — ends the replay with that record named.
+type journalReplay struct {
+	node *FullNode
+	// duplicates are the records the ledger already held (relayed before
+	// the log opened): the journal has them, so they are not appended again.
+	duplicates map[hashutil.Hash]struct{}
+
+	held     []*txn.Transaction // the run being verified
+	verdicts chan []error       // receives held's verdicts, once
+}
+
+// take is the store's callback: start on run, then commit the one held.
+// The empty run that ends the journal starts nothing and commits the last.
+func (r *journalReplay) take(run []*txn.Transaction, gen uint64) error {
+	held, verdicts := r.held, r.verdicts
+	r.held, r.verdicts = run, nil
+	if len(run) > 0 {
+		r.verdicts = make(chan []error, 1)
+		go func(out chan<- []error) { out <- r.node.verifyJournaled(run) }(r.verdicts)
+	}
+	if len(held) == 0 {
+		return nil
+	}
+	return r.commit(held, <-verdicts, gen)
+}
+
+// join waits out the verification a replay that ended early left running.
+func (r *journalReplay) join() {
+	if r.verdicts != nil {
+		<-r.verdicts
+	}
+}
+
+// commit re-admits one verified run in journal order.
+func (r *journalReplay) commit(run []*txn.Transaction, verdicts []error, gen uint64) error {
+	for i, t := range run {
+		if verdicts != nil && verdicts[i] != nil {
+			return fmt.Errorf("journal record %s is invalid: %w", t.ID().Short(), verdicts[i])
+		}
+		err := r.node.replayTransaction(t, gen)
+		switch {
+		case err == nil:
+		case errors.Is(err, tangle.ErrDuplicate):
+			r.duplicates[t.ID()] = struct{}{}
+		case gen == 0 && errors.Is(err, tangle.ErrUnknownParent):
+			return fmt.Errorf("journal record %s precedes its parent or has none here "+
+				"(a foreign or damaged log, or one written before journal order was attach order; "+
+				"move it aside and let the node sync from its peers): %w", t.ID().Short(), err)
+		default:
+			return fmt.Errorf("journal record %s: %w", t.ID().Short(), err)
+		}
+	}
+	return nil
+}
+
+// verifyJournaled is VerifyBasic for a run of journal records: the
+// signatures through the verify stage, the structure of each beside it,
+// and per record the error VerifyBasic would have returned.
+func (n *FullNode) verifyJournaled(run []*txn.Transaction) []error {
+	errs := n.verify.settle(run)
+	for i, t := range run {
+		var err error
+		if serr := t.VerifyStructure(); serr != nil {
+			err = serr
+		} else if errs != nil && errs[i] != nil {
+			err = fmt.Errorf("%w: %v", txn.ErrBadTxSignature, errs[i])
+		} else {
+			continue
+		}
+		if errs == nil {
+			errs = make([]error, len(run))
+		}
+		errs[i] = err
+	}
+	return errs
+}
+
+// replayTransaction re-admits a verified journaled transaction at startup
+// through the commit tail live admission uses. Replay's own is what
+// surrounds it: no rate limiter, and no PoW check, because the transaction
+// met the difficulty demanded *at its original admission*, which the
+// credit state seen during replay cannot reconstruct exactly, and the log
+// is local, already-trusted state; nothing counted as Accepted; an attach
+// that restores on a snapshot boundary. A record the ledger already holds
+// returns tangle.ErrDuplicate with nothing changed.
 //
 // The tail runs as of the record's own timestamp, so hyperbolic decay
 // continues from the original admission. Quality punishments re-derive
@@ -195,9 +271,6 @@ func (n *FullNode) ClosePersistence() error {
 // tangle's conflict detector; lazy-tip events may not (parent ages are a
 // property of the original arrival timing).
 func (n *FullNode) replayTransaction(t *txn.Transaction, generation uint64) error {
-	if err := t.VerifyBasic(); err != nil {
-		return fmt.Errorf("journaled transaction invalid: %w", err)
-	}
 	restoreOnBoundary := func(t *txn.Transaction, shard uint32) (tangle.Info, error) {
 		info, err := n.tangle.AttachShard(t, shard)
 		if errors.Is(err, tangle.ErrSnapshottedParent) ||

@@ -119,7 +119,7 @@ func (q *quarantine) drain() []*quarEntry {
 			out = append(out, e)
 		}
 	}
-	q.entries = make(map[hashutil.Hash]*quarEntry, q.cap)
+	clear(q.entries) // kept: a kick with one parked orphan must not cost a capacity-sized map
 	q.order = q.order[:0]
 	return out
 }

@@ -73,11 +73,99 @@ func (c *verifiedCache) Add(id hashutil.Hash) {
 	}
 }
 
-// newVerifySem sizes the inbound verification pool: verification is
-// CPU-bound (ECDSA + hashing), so the bound is the core count, shared
-// across every concurrently arriving gossip batch.
-func newVerifySem() chan struct{} {
-	return make(chan struct{}, runtime.GOMAXPROCS(0))
+// verifyStage is the verify of verify → gate → commit → replicate: the one
+// place signatures are settled in bulk. Relayed batches and sync pages
+// (verifyInboundBatch) and journal replay (verifyJournaled) hand it a run
+// of transactions and get back what is wrong with each; what a failure
+// means — a counted reject, a refused journal — stays with the caller.
+type verifyStage struct {
+	// sem is the verification pool: verification is CPU-bound (Ed25519 +
+	// hashing), so the bound is the core count, shared across every run in
+	// flight — concurrently arriving gossip batches included.
+	sem     chan struct{}
+	metrics PipelineMetrics
+}
+
+func newVerifyStage(metrics PipelineMetrics) *verifyStage {
+	return &verifyStage{sem: make(chan struct{}, runtime.GOMAXPROCS(0)), metrics: metrics}
+}
+
+// batchVerifyChunk caps how many signatures one VerifyBatch call
+// settles, and so how large the kernel's pooled scratch grows. The
+// shared-ladder saving grows with batch size but so does the cost of a
+// fallback (one bad signature re-verifies the whole chunk
+// per-signature), and chunking is also what spreads a large run across
+// the verification pool's cores.
+const batchVerifyChunk = 64
+
+// settle checks the issuer signature of every transaction in txs,
+// batchVerifyChunk at a time across the verification pool, and reports
+// per transaction: nil when every signature verifies, else a slice in
+// input order whose entry is nil for the valid ones. A chunk of k costs one
+// shared doubling ladder instead of k independent double-scalar
+// multiplications, and a failed chunk falls back to per-signature
+// attribution, so offenders are named exactly as identity.Verify would
+// name them. A run of one chunk is settled on the caller's goroutine.
+func (v *verifyStage) settle(txs []*txn.Transaction) []error {
+	if len(txs) <= batchVerifyChunk {
+		return v.settleChunk(txs)
+	}
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		errs []error
+	)
+	for start := 0; start < len(txs); start += batchVerifyChunk {
+		end := min(start+batchVerifyChunk, len(txs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			chunk := v.settleChunk(txs[start:end])
+			if chunk == nil {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if errs == nil {
+				errs = make([]error, len(txs))
+			}
+			copy(errs[start:], chunk)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// settleChunk settles one chunk with one identity.VerifyBatch call, on a
+// slot of the pool.
+func (v *verifyStage) settleChunk(txs []*txn.Transaction) []error {
+	if len(txs) == 0 {
+		return nil
+	}
+	v.sem <- struct{}{}
+	v.metrics.VerifyBusy.Inc()
+	v.metrics.VerifyPeak.StoreMax(v.metrics.VerifyBusy.Value())
+	defer func() {
+		v.metrics.VerifyBusy.Dec()
+		<-v.sem
+	}()
+	var (
+		pubs [batchVerifyChunk]identity.PublicKey
+		msgs [batchVerifyChunk][]byte
+		sigs [batchVerifyChunk][]byte
+	)
+	for i, t := range txs {
+		pubs[i], msgs[i], sigs[i] = t.Issuer, t.SigningBytes(), t.Signature
+	}
+	start := time.Now()
+	errs := identity.VerifyBatch(pubs[:len(txs)], msgs[:len(txs)], sigs[:len(txs)])
+	v.metrics.VerifyLatency.Observe(time.Since(start))
+	v.metrics.BatchVerifies.Inc()
+	v.metrics.BatchVerified.Add(int64(len(txs)))
+	if errs != nil {
+		v.metrics.BatchFallbacks.Inc()
+	}
+	return errs
 }
 
 // verifyCached runs the full inbound verification for one transaction,
@@ -106,15 +194,8 @@ func (n *FullNode) verifyCached(t *txn.Transaction, now time.Time) error {
 	return err
 }
 
-// batchVerifyChunk caps how many signatures one VerifyBatch call
-// settles. The shared-ladder saving grows with batch size but so does
-// the cost of a fallback (one bad signature re-verifies the whole
-// chunk per-signature), and chunking is also what spreads a large
-// inbound batch across the verification pool's cores.
-const batchVerifyChunk = 64
-
-// verifyInboundBatch verifies a run of transactions and returns the
-// survivors in input order. The serialized attach that follows stays
+// verifyInboundBatch verifies a run of relayed transactions and returns
+// the survivors in input order. The serialized attach that follows stays
 // out of this stage, so the expensive checks of independent
 // transactions overlap across cores — and across concurrently arriving
 // batches from different peers.
@@ -123,11 +204,8 @@ const batchVerifyChunk = 64
 // per-transaction checks inline: verified-set lookup, structure,
 // authorization, and the relay PoW floor — all allocation-free against
 // the decoded transaction's cached encoding. Stage two settles every
-// surviving signature with chunked identity.VerifyBatch calls on the
-// verification pool: a chunk of k costs one shared doubling ladder
-// instead of k independent double-scalar multiplications, and a failed
-// chunk falls back to per-signature attribution so offenders are
-// rejected exactly as the sequential path would.
+// surviving signature through the verify stage; an offender is rejected
+// exactly as the sequential path would reject it.
 func (n *FullNode) verifyInboundBatch(txs []*txn.Transaction, now time.Time) []*txn.Transaction {
 	switch len(txs) {
 	case 0:
@@ -140,7 +218,8 @@ func (n *FullNode) verifyInboundBatch(txs []*txn.Transaction, now time.Time) []*
 	}
 
 	ok := make([]bool, len(txs))
-	pending := make([]int, 0, len(txs)) // indices awaiting signature settlement
+	pending := make([]*txn.Transaction, 0, len(txs)) // awaiting signature settlement
+	at := make([]int, 0, len(txs))                   // pending[j] is txs[at[j]]
 	for i, t := range txs {
 		if n.verified.Contains(t.ID()) {
 			n.pipeline.VerifyCacheHits.Inc()
@@ -148,54 +227,18 @@ func (n *FullNode) verifyInboundBatch(txs []*txn.Transaction, now time.Time) []*
 			continue
 		}
 		if n.precheckInbound(t) == nil {
-			pending = append(pending, i)
+			pending, at = append(pending, t), append(at, i)
 		}
 	}
-
-	var wg sync.WaitGroup
-	for start := 0; start < len(pending); start += batchVerifyChunk {
-		end := start + batchVerifyChunk
-		if end > len(pending) {
-			end = len(pending)
+	errs := n.verify.settle(pending)
+	for j, t := range pending {
+		if errs != nil && errs[j] != nil {
+			n.counters.Rejected.Inc()
+			continue
 		}
-		chunk := pending[start:end]
-		n.verifySem <- struct{}{} // global CPU bound across batches
-		n.pipeline.VerifyBusy.Inc()
-		n.pipeline.VerifyPeak.StoreMax(n.pipeline.VerifyBusy.Value())
-		wg.Add(1)
-		go func(chunk []int) {
-			defer wg.Done()
-			defer func() {
-				n.pipeline.VerifyBusy.Dec()
-				<-n.verifySem
-			}()
-			pubs := make([]identity.PublicKey, len(chunk))
-			msgs := make([][]byte, len(chunk))
-			sigs := make([][]byte, len(chunk))
-			for j, i := range chunk {
-				pubs[j] = txs[i].Issuer
-				msgs[j] = txs[i].SigningBytes()
-				sigs[j] = txs[i].Signature
-			}
-			start := time.Now()
-			errs := identity.VerifyBatch(pubs, msgs, sigs)
-			n.pipeline.VerifyLatency.Observe(time.Since(start))
-			n.pipeline.BatchVerifies.Inc()
-			n.pipeline.BatchVerified.Add(int64(len(chunk)))
-			if errs != nil {
-				n.pipeline.BatchFallbacks.Inc()
-			}
-			for j, i := range chunk {
-				if errs != nil && errs[j] != nil {
-					n.counters.Rejected.Inc()
-					continue
-				}
-				ok[i] = true
-				n.verified.Add(txs[i].ID())
-			}
-		}(chunk)
+		ok[at[j]] = true
+		n.verified.Add(t.ID())
 	}
-	wg.Wait()
 
 	out := txs[:0]
 	for i, t := range txs {

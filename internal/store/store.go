@@ -42,6 +42,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -141,6 +142,37 @@ func OpenFS(fs chaos.FS, path string, apply func(*txn.Transaction) error) (*Log,
 // be absent (they sat beyond the snapshot boundary), and callers use gen
 // to relax parent resolution exactly then and no wider.
 func OpenFSGen(fs chaos.FS, path string, apply func(*txn.Transaction, uint64) error) (*Log, error) {
+	if apply == nil {
+		return openFS(fs, path, 1, nil)
+	}
+	return openFS(fs, path, 1, func(run []*txn.Transaction, gen uint64) error {
+		if len(run) == 0 {
+			return nil // the end of the journal: nothing a per-record caller holds back
+		}
+		return apply(run[0], gen)
+	})
+}
+
+// ReplayRun is how many records OpenFSRuns hands over at a time: enough
+// that a caller settling a run's signatures in batches has a batch for
+// each of eight cores, few enough that the run it works behind the reader
+// is a small share of a journal worth hurrying over.
+const ReplayRun = 512
+
+// OpenFSRuns is OpenFSGen for a caller that takes the journal in bulk:
+// apply receives the intact records in order, up to ReplayRun at a time,
+// each run in a slice of its own that the caller may keep working on
+// while the next is read. After the last record — and before a torn tail
+// is cut, so that a refusal still leaves the file as it was found — apply
+// is called once more with an empty run: a caller working a run behind
+// the reader settles what it still holds there.
+func OpenFSRuns(fs chaos.FS, path string, apply func(run []*txn.Transaction, gen uint64) error) (*Log, error) {
+	return openFS(fs, path, ReplayRun, apply)
+}
+
+// openFS opens the log and replays it through apply, runLen records at a
+// time and then the empty run that ends the journal.
+func openFS(fs chaos.FS, path string, runLen int, apply func([]*txn.Transaction, uint64) error) (*Log, error) {
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("open tx log: %w", err)
@@ -153,7 +185,7 @@ func OpenFSGen(fs chaos.FS, path string, apply func(*txn.Transaction, uint64) er
 		f.Close()
 		return nil, err
 	}
-	validLen, count, err := l.replay(base, apply)
+	validLen, count, err := l.replay(base, runLen, apply)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -249,50 +281,107 @@ func putSegHeader(b []byte, gen uint64) {
 	binary.BigEndian.PutUint64(b[8:16], gen)
 }
 
-// replay reads records from base, calling apply for each intact one. It
-// returns the byte offset of the last intact record's end.
-func (l *Log) replay(base int64, apply func(*txn.Transaction, uint64) error) (validLen int64, count int, err error) {
+// replayBuffer is what replay reads the segment through: large enough
+// that a few hundred records cost one read of the file, where a header
+// and a body read apiece cost two each.
+const replayBuffer = 64 << 10
+
+// replay reads records from base and hands the intact ones to apply in
+// order, runLen at a time, then the empty run. It returns the byte offset
+// of the last intact record's end. Whatever ends the read — the clean end
+// of the file, a tear, a record that does not decode — the records read
+// before it are applied first and ended with the empty run, so apply has
+// seen, whole, exactly the prefix a record-at-a-time replay would have
+// shown it before stopping there.
+func (l *Log) replay(base int64, runLen int, apply func([]*txn.Transaction, uint64) error) (validLen int64, count int, err error) {
 	if _, err := l.f.Seek(base, io.SeekStart); err != nil {
 		return 0, 0, fmt.Errorf("seek records start: %w", err)
 	}
-	offset := base
-	header := make([]byte, headerSize)
-	for {
-		if _, err := io.ReadFull(l.f, header); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return offset, count, nil // clean end or torn header
+	var (
+		reader   = bufio.NewReaderSize(l.f, replayBuffer)
+		header   [headerSize]byte
+		body     []byte // reused: txn.Decode copies what it keeps
+		run      []*txn.Transaction
+		runStart = base
+		offset   = base
+	)
+	// flush applies the records read and not yet applied; at the end of
+	// the journal, the empty run after them.
+	flush := func(end bool) error {
+		if len(run) > 0 {
+			if err := apply(run, l.gen); err != nil {
+				return fmt.Errorf("replay records from %d: %w", runStart, err)
 			}
-			return 0, 0, fmt.Errorf("read record header: %w", err)
+			run, runStart = nil, offset // the caller may have kept the slice
+		}
+		if end && apply != nil {
+			if err := apply(nil, l.gen); err != nil {
+				return fmt.Errorf("replay records before %d: %w", offset, err)
+			}
+		}
+		return nil
+	}
+	// stop ends the replay at the last intact record: a clean end or a tear.
+	stop := func() (int64, int, error) {
+		if err := flush(true); err != nil {
+			return 0, 0, err
+		}
+		return offset, count, nil
+	}
+	// fail ends it on an error of the file's own, behind any the records
+	// before it raise: they get the empty run too, so that a caller working
+	// a run behind has judged every one of them.
+	fail := func(err error) (int64, int, error) {
+		if ferr := flush(true); ferr != nil {
+			err = ferr
+		}
+		return 0, 0, err
+	}
+	for {
+		if _, err := io.ReadFull(reader, header[:]); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return stop() // clean end or torn header
+			}
+			return fail(fmt.Errorf("read record header: %w", err))
 		}
 		if binary.BigEndian.Uint32(header[0:4]) != recordMagic {
-			return offset, count, nil // tear or garbage: stop here
+			return stop() // tear or garbage: stop here
 		}
 		length := binary.BigEndian.Uint32(header[4:8])
 		if length == 0 || length > maxRecordLen {
-			return offset, count, nil
+			return stop()
 		}
-		data := make([]byte, length)
-		if _, err := io.ReadFull(l.f, data); err != nil {
+		if uint32(cap(body)) < length {
+			body = make([]byte, length)
+		}
+		data := body[:length]
+		if _, err := io.ReadFull(reader, data); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return offset, count, nil // torn body
+				return stop() // torn body
 			}
-			return 0, 0, fmt.Errorf("read record body: %w", err)
+			return fail(fmt.Errorf("read record body: %w", err))
 		}
 		if crc32.Checksum(data, castagnoli) != binary.BigEndian.Uint32(header[8:12]) {
-			return offset, count, nil // corrupt record: treat as tear
+			return stop() // corrupt record: treat as tear
 		}
 		t, err := txn.Decode(data)
 		if err != nil {
-			return 0, 0, fmt.Errorf("%w: undecodable record at %d: %v",
-				ErrCorruptLog, offset, err)
-		}
-		if apply != nil {
-			if err := apply(t, l.gen); err != nil {
-				return 0, 0, fmt.Errorf("replay record at %d: %w", offset, err)
-			}
+			return fail(fmt.Errorf("%w: undecodable record at %d: %v",
+				ErrCorruptLog, offset, err))
 		}
 		offset += headerSize + int64(length)
 		count++
+		if apply == nil {
+			continue
+		}
+		if run == nil {
+			run = make([]*txn.Transaction, 0, runLen)
+		}
+		if run = append(run, t); len(run) == runLen {
+			if err := flush(false); err != nil {
+				return 0, 0, err
+			}
+		}
 	}
 }
 

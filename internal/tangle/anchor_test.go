@@ -1,6 +1,7 @@
 package tangle
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -259,6 +260,20 @@ func TestExportRangePagination(t *testing.T) {
 		for i := range full {
 			if full[i].ID() != paged[i].ID() {
 				t.Fatalf("pageSize %d: tx %d differs", pageSize, i)
+			}
+		}
+		// The forwarding twin serves the same range: the same IDs, and
+		// for each the stored bytes ExportRange's clone would encode to.
+		for from := 0; from < len(full)+pageSize; from += pageSize {
+			page := tg.ExportRange(from, pageSize)
+			ids, encodings := tg.EncodedRange(from, pageSize)
+			if len(ids) != len(page) || len(encodings) != len(page) {
+				t.Fatalf("pageSize %d from %d: %d ids and %d encodings for %d txs", pageSize, from, len(ids), len(encodings), len(page))
+			}
+			for i, tx := range page {
+				if ids[i] != tx.ID() || !bytes.Equal(encodings[i], tx.Encode()) {
+					t.Fatalf("pageSize %d from %d: entry %d differs from ExportRange's", pageSize, from, i)
+				}
 			}
 		}
 	}

@@ -71,18 +71,15 @@ func (t *Tangle) ResidentByShard() map[uint32]int {
 func (t *Tangle) ExportShardRange(shard uint32, from, limit int) []*txn.Transaction {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ids := t.shardOrder[shard]
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(ids) || limit <= 0 {
-		return nil
-	}
-	end := from + limit
-	if end > len(ids) {
-		end = len(ids)
-	}
-	return cloneTxs(ids[from:end])
+	return cloneTxs(pageOf(t.shardOrder[shard], from, limit))
+}
+
+// EncodedShardRange is EncodedRange over one namespace's attachment
+// order.
+func (t *Tangle) EncodedShardRange(shard uint32, from, limit int) (ids []hashutil.Hash, encodings [][]byte) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return encodedPage(pageOf(t.shardOrder[shard], from, limit))
 }
 
 // OrderedShardIDs returns up to limit attached transaction IDs starting
@@ -91,16 +88,5 @@ func (t *Tangle) ExportShardRange(shard uint32, from, limit int) []*txn.Transact
 func (t *Tangle) OrderedShardIDs(shard uint32, from, limit int) []hashutil.Hash {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ids := t.shardOrder[shard]
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(ids) || limit <= 0 {
-		return nil
-	}
-	end := from + limit
-	if end > len(ids) {
-		end = len(ids)
-	}
-	return idsOf(ids[from:end])
+	return idsOf(pageOf(t.shardOrder[shard], from, limit))
 }

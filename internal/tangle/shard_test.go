@@ -1,6 +1,7 @@
 package tangle
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -62,14 +63,21 @@ func TestShardOrderPartitionsAttachmentOrder(t *testing.T) {
 		if len(txs) != 4 {
 			t.Fatalf("shard %d export page: %d txs, want 4", s, len(txs))
 		}
+		pageIDs, encodings := tg.EncodedShardRange(s, 2, 4)
 		for i, tx := range txs {
 			if tx.ID() != ids[s][2+i] {
 				t.Fatalf("shard %d export page mismatch at %d", s, i)
+			}
+			if pageIDs[i] != tx.ID() || !bytes.Equal(encodings[i], tx.Encode()) {
+				t.Fatalf("shard %d encoded page differs from the export page at %d", s, i)
 			}
 		}
 	}
 
 	// Paging past the end and empty namespaces return nil.
+	if ids, _ := tg.EncodedShardRange(9, 0, 10); ids != nil {
+		t.Fatal("an empty namespace has an encoded page")
+	}
 	if tg.OrderedShardIDs(1, 100, 10) != nil || tg.ExportShardRange(9, 0, 10) != nil {
 		t.Fatal("out-of-range pages must be nil")
 	}

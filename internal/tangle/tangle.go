@@ -732,21 +732,49 @@ func (t *Tangle) Export() []*txn.Transaction {
 func (t *Tangle) ExportRange(from, limit int) []*txn.Transaction {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return cloneTxs(pageOf(t.order, from, limit))
+}
+
+// EncodedRange is ExportRange for a reader that only forwards the page —
+// the sync responder: the IDs of the same range and, beside them, the
+// stored canonical encodings themselves (see Encoded), shared and
+// read-only, where ExportRange pays a deep Clone of every transaction and
+// its caller an Encode of every clone.
+func (t *Tangle) EncodedRange(from, limit int) (ids []hashutil.Hash, encodings [][]byte) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return encodedPage(pageOf(t.order, from, limit))
+}
+
+// pageOf returns the up-to-limit vertices of vs from index from on; nil
+// past the end.
+func pageOf(vs []*vertex, from, limit int) []*vertex {
 	if from < 0 {
 		from = 0
 	}
-	if from >= len(t.order) || limit <= 0 {
+	if from >= len(vs) || limit <= 0 {
 		return nil
 	}
-	end := from + limit
-	if end > len(t.order) {
-		end = len(t.order)
+	return vs[from:min(from+limit, len(vs))]
+}
+
+// encodedPage returns the vertices' IDs and stored encodings.
+func encodedPage(vs []*vertex) (ids []hashutil.Hash, encodings [][]byte) {
+	if len(vs) == 0 {
+		return nil, nil
 	}
-	return cloneTxs(t.order[from:end])
+	ids, encodings = make([]hashutil.Hash, len(vs)), make([][]byte, len(vs))
+	for i, v := range vs {
+		ids[i], encodings[i] = v.id, v.tx.Encode()
+	}
+	return ids, encodings
 }
 
 // cloneTxs returns deep copies of the vertices' transactions.
 func cloneTxs(vs []*vertex) []*txn.Transaction {
+	if len(vs) == 0 {
+		return nil
+	}
 	out := make([]*txn.Transaction, len(vs))
 	for i, v := range vs {
 		out[i] = v.tx.Clone()
@@ -756,6 +784,9 @@ func cloneTxs(vs []*vertex) []*txn.Transaction {
 
 // idsOf returns the vertices' IDs.
 func idsOf(vs []*vertex) []hashutil.Hash {
+	if len(vs) == 0 {
+		return nil
+	}
 	out := make([]hashutil.Hash, len(vs))
 	for i, v := range vs {
 		out[i] = v.id
@@ -769,17 +800,7 @@ func idsOf(vs []*vertex) []hashutil.Hash {
 func (t *Tangle) OrderedIDs(from, limit int) []hashutil.Hash {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(t.order) || limit <= 0 {
-		return nil
-	}
-	end := from + limit
-	if end > len(t.order) {
-		end = len(t.order)
-	}
-	return idsOf(t.order[from:end])
+	return idsOf(pageOf(t.order, from, limit))
 }
 
 // ByKind returns the transactions of the given kind in attachment

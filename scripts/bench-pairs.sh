@@ -15,8 +15,9 @@
 #
 # TRACE=1 adds one traced base/head pair per workload (seed 1, after that
 # workload's untraced pairs) and prints, side by side, the per-layer rows
-# a change to the journal or the fan-out path is expected to move: where
-# an end-to-end difference came from, not whether there is one.
+# a change to the journal, the fan-out path or the bulk readers (replay,
+# catch-up sync, batch verification) is expected to move: where an
+# end-to-end difference came from, not whether there is one.
 set -euo pipefail
 
 base_ref=${1:?usage: scripts/bench-pairs.sh <base-ref> [workload ...]}
@@ -93,7 +94,9 @@ print()
 for (wl, m), (hw, bw, t) in sorted(wins.items()):
     print(f"{wl:16} {m:16} head wins {hw} of {hw + bw + t} pairs (base {bw}, ties {t})")
 layers = ["node.submit_ms_max", "node.queue_wait_ms", "replicate_p50_ms", "gossip.request_ms_p50",
-          "node.relay_handle_us_per_tx", "store.fsyncs_per_tx", "trace.stage_sum_gap_frac"]
+          "node.relay_handle_us_per_tx", "store.fsyncs_per_tx", "trace.stage_sum_gap_frac",
+          "recovery_s", "catchup_tps", "node.replay_us_per_tx", "node.sync_page_ms", "node.sync_pages",
+          "identity.verify_batch_us_per_sig", "go.gc_cycles", "admit_p95_ms"]
 for (kind, wl, seed), sides in sorted(runs.items()):
     b, h = sides.get("base"), sides.get("head")
     if kind == "traced" and b and h:
