@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-chaos test-scenarios test-scenarios-long test-flake test-shard race cover bench bench-gossip bench-store bench-scenarios bench-latency bench-mem bench-shard bench-all bench-pairs loc figures examples fuzz clean
+.PHONY: all build vet test test-short test-chaos test-scenarios test-scenarios-long test-flake test-shard race cover bench bench-gossip bench-store bench-scenarios bench-latency bench-mem bench-shard bench-all bench-pairs loc mem figures examples fuzz clean
 
 all: build vet test
 
@@ -20,9 +20,11 @@ vet:
 # live attacher. The store runs ten more rounds: its group committer is
 # the one place every admission path meets, and its tests order
 # goroutines by released fsyncs, which only repetition checks. The
-# allocation guards (txn's wire path, rpc's bytes per reading, identity's
-# batch kernel) run without the race detector, whose own allocations they
-# would otherwise count.
+# allocation guards (txn's wire path and the ID a decode seeds, rpc's
+# bytes per reading, identity's batch kernel) and the two byte guards
+# (tangle's bytes per resident vertex, node's per relayed transaction) run
+# without the race detector, whose own allocations they would otherwise
+# count.
 # bench/ is a module of its own, so `./...` above never reaches it: its
 # vet and tests ride here.
 test: vet
@@ -36,7 +38,7 @@ test: vet
 	$(GO) run ./cmd/biot-bench -fig latency -quick
 	$(GO) run ./cmd/biot-bench -fig mem -quick
 	$(GO) run ./cmd/biot-bench -fig shard -quick
-	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/
+	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/tangle/ ./internal/node/
 	$(GO) test -run XXX -bench BenchmarkPostReadingOverRPC -benchtime 200x ./internal/rpc/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestResidentVerticesStayBounded' -count=1 ./internal/tangle/
@@ -181,6 +183,14 @@ loc:
 		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)" "$${d%/}"; \
 	done
 
+# RAM per resident transaction — the two byte guards, verbose, reduced to
+# their figures: bytes per attached vertex (the ledger alone) and per
+# relayed transaction (a whole journal-less node). A change that touches
+# what a node keeps per transaction quotes them before → after (CHANGES.md).
+mem:
+	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction' -count=1 -v ./internal/tangle/ ./internal/node/); status=$$?; \
+		echo "$$out" | grep -E 'bytes retained|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
+
 # Regenerate every paper figure with full (Pi-emulated) parameters.
 figures:
 	$(GO) run ./cmd/biot-bench -fig all
@@ -193,10 +203,12 @@ examples:
 	$(GO) run ./examples/attackdefense
 	$(GO) run ./examples/resilience
 
-# Short fuzz pass over the wire-format decoders and the batch verifier.
+# Short fuzz pass over the wire-format decoders (the view over canonical
+# bytes against Decode among them) and the batch verifier.
 fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/txn/
 	$(GO) test -fuzz='^FuzzDecodeTransfer$$' -fuzztime=15s ./internal/txn/
+	$(GO) test -fuzz='^FuzzViewAgreesWithDecode$$' -fuzztime=30s ./internal/txn/
 	$(GO) test -fuzz='^FuzzDecrypt$$' -fuzztime=30s ./internal/dataauth/
 	$(GO) test -fuzz='^FuzzOpenEnvelope$$' -fuzztime=15s ./internal/dataauth/
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/gossip/

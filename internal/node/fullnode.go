@@ -218,11 +218,12 @@ type FullNode struct {
 	pendingMu sync.Mutex
 	pending   map[hashutil.Hash]*txn.Transaction // transfers awaiting confirmation
 	deferred  []tangle.Event                     // settlement events awaiting drainDeferred
+	drained   []tangle.Event                     // the last drain's slice, emptied: the next deferred
 	journal   *store.Log                         // nil unless EnablePersistence was called
 	unflushed map[hashutil.Hash]chan struct{}    // journal records queued and not flushed; closed when they are
 	coldIdx   *store.ColdIndex                   // durable pruned-ID index; nil when memory-only
 
-	// replayGate holds relay admission (read side, admitGossipBatch)
+	// replayGate holds admission (read side: Submit, admitGossipBatch)
 	// while EnablePersistenceFS replays the journal (write side).
 	replayGate sync.RWMutex
 
@@ -369,7 +370,7 @@ func (n *FullNode) Clock() clock.Clock { return n.cfg.Clock }
 func (n *FullNode) onTangleEvent(ev tangle.Event) {
 	switch ev.Kind {
 	case tangle.EventAttached:
-		n.journalAttached(ev.Txn)
+		n.journalAttached(ev.Tx, ev.Txn.Bytes())
 	case tangle.EventLazyTips:
 		n.engine.Ledger().RecordMalicious(ev.Node, core.EventRecord{
 			Behaviour: core.BehaviourLazyTips,
@@ -394,11 +395,19 @@ func (n *FullNode) onTangleEvent(ev tangle.Event) {
 }
 
 // drainDeferred settles confirmed transfers and discards rejected ones.
-// Called after Attach returns (outside the tangle lock).
+// Called after Attach returns (outside the tangle lock). The queue is
+// double-buffered like the tangle's own: the slice a drain worked through
+// is cleared and becomes the next queue, so it is not regrown from nothing
+// for every confirmation. Drains may overlap; a later one that finds no
+// spare starts an empty queue, and the larger slice is the one kept.
 func (n *FullNode) drainDeferred() {
 	n.pendingMu.Lock()
 	events := n.deferred
-	n.deferred = nil
+	if len(events) == 0 {
+		n.pendingMu.Unlock()
+		return
+	}
+	n.deferred, n.drained = n.drained, nil
 	n.pendingMu.Unlock()
 
 	for _, ev := range events {
@@ -424,6 +433,13 @@ func (n *FullNode) drainDeferred() {
 			_ = n.tokens.Apply(t)
 		}
 	}
+
+	clear(events)
+	n.pendingMu.Lock()
+	if cap(events) > cap(n.drained) {
+		n.drained = events[:0]
+	}
+	n.pendingMu.Unlock()
 }
 
 func (n *FullNode) allowRate(addr identity.Address, now time.Time) bool {
@@ -497,6 +513,11 @@ func (n *FullNode) InfoOf(id hashutil.Hash) (tangle.Info, error) {
 // *before* admitting anything — the caller backs off and retries, and
 // the local ledger never diverges from what was gossiped.
 func (n *FullNode) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info, error) {
+	// A submission that attached while the journal was replaying would find
+	// no log to be queued for and be reported admitted with no record of it
+	// on disk: like a relayed batch, it waits for the replay.
+	n.replayGate.RLock()
+	defer n.replayGate.RUnlock()
 	var release func()
 	if n.bcast != nil {
 		var err error

@@ -472,6 +472,82 @@ func TestReplayRacedByLiveGossipHandler(t *testing.T) {
 	}
 }
 
+// TestSubmitWaitsOutTheReplay: a submission that lands while the journal
+// is replaying must not be answered "admitted" for a reading no journal
+// holds. The replay here is held inside its window — the journal read, the
+// ledger exported, the log not yet the node's — on the Sync of the record
+// for a transaction relayed before it began. A Submit made there used to
+// attach, find no log to be queued for, have nothing to wait on and return
+// nil; now it waits at the gate with relay admission, returns only once the
+// journal is open and its own record flushed, and a reboot finds it.
+func TestSubmitWaitsOutTheReplay(t *testing.T) {
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := newHeldFS(26)
+	net := &scriptedNet{}
+	rebooted := newRelay(t, mgrKey, net)
+	g := genesisIDs(t, rebooted)
+	floor := testParams().MinDifficulty
+	a := craftTx(mgrKey, txn.KindData, []byte("a"), g[0], g[1], time.Now(), floor)
+	early := craftTx(mgrKey, txn.KindData, []byte("relayed before the replay"), g[0], g[1], time.Now(), floor)
+	reading := craftTx(mgrKey, txn.KindData, []byte("submitted during the replay"), g[0], g[1], time.Now(),
+		rebooted.DifficultyFor(mgrKey.Address()))
+	writeJournal(t, fs.MemFS, "gw.journal", a)
+	net.deliver(t, "gateway:5600", early) // attached, and owed to the journal once it opens
+
+	// The hold begins with the first read of the journal, so the Sync it
+	// catches is the one behind early's record: the replay is over, the
+	// node has no log yet.
+	var once sync.Once
+	tapped := &tapFS{FS: fs, path: "gw.journal", tap: func() { once.Do(fs.hold) }}
+	booted := make(chan struct{})
+	var bootErr error
+	go func() {
+		defer close(booted)
+		_, bootErr = rebooted.EnablePersistenceFS(tapped, "gw.journal")
+	}()
+	fs.waitBlocked(t)
+
+	done := make(chan struct{})
+	var submitErr error
+	go func() {
+		defer close(done)
+		_, submitErr = rebooted.Submit(context.Background(), reading)
+	}()
+	// A Submit waiting at the gate shows nothing, so it is given time to
+	// get it wrong: ungated, it has attached and returned in well under this.
+	select {
+	case <-done:
+		t.Fatalf("Submit returned (%v) while the journal was replaying and the node had no log", submitErr)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if rebooted.Tangle().Contains(reading.ID()) {
+		t.Fatal("a submission attached while the journal was replaying")
+	}
+
+	fs.open()
+	awaitReturn(t, "EnablePersistenceFS, its Sync released", booted)
+	if bootErr != nil {
+		t.Fatalf("boot: %v", bootErr)
+	}
+	awaitReturn(t, "Submit, the journal open", done)
+	if submitErr != nil {
+		t.Fatalf("submit: %v", submitErr)
+	}
+	if err := rebooted.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Reboot()
+	ids := journaledIDs(t, fs.MemFS, "gw.journal")
+	for name, tx := range map[string]*txn.Transaction{"a": a, "early": early, "the submission": reading} {
+		if ids[tx.ID()] != 1 {
+			t.Errorf("journal after a power cut holds %s ×%d, want once", name, ids[tx.ID()])
+		}
+	}
+}
+
 // TestReplayRefusesRecordAheadOfItsParent: a record is queued for the
 // journal by its attach, in ledger order, so this node never writes a
 // generation-0 journal in which a record's parent is neither earlier in

@@ -39,12 +39,14 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 		return 0, fmt.Errorf("persistence already enabled at %s", log.Path())
 	}
 
-	// Relay admission holds while the journal replays (admitGossipBatch
-	// takes the read side). The gossip handler has been live since
-	// NewFull, and a relayed batch racing the replay is at best repeated
-	// work — its parents are mostly still on disk, so it parks as orphans
-	// and pulls from peers the ledger this call is reading — and at worst
-	// attaches a copy of the record being replayed.
+	// Admission holds while the journal replays (Submit and
+	// admitGossipBatch take the read side). The gossip handler has been
+	// live since NewFull, and a relayed batch racing the replay is at best
+	// repeated work — its parents are mostly still on disk, so it parks as
+	// orphans and pulls from peers the ledger this call is reading — and at
+	// worst attaches a copy of the record being replayed. A submission
+	// attaching between the export below and the log's opening would be
+	// acknowledged to its device and journaled nowhere.
 	n.replayGate.Lock()
 	defer n.replayGate.Unlock()
 	// What the handler attached before this call was never offered to a
@@ -377,9 +379,11 @@ func (n *FullNode) exportLedger() []*txn.Transaction {
 // second page on, as every relay admission did before.
 const maxUnsyncedRelay = syncPageSize
 
-// journalAttached queues one attached transaction for the journal: the
-// only call that does, beside the batch EnablePersistenceFS writes for
-// what the handler attached before the log existed. onTangleEvent is its
+// journalAttached queues one attached transaction for the journal — the
+// canonical encoding the ledger keeps, as the attach announced it; the log
+// frames those bytes as they are — and is the only call that does, beside
+// the batch EnablePersistenceFS writes for what the handler attached before
+// the log existed. onTangleEvent is its
 // only caller — the tangle announces attaches serialized, in ledger order,
 // before the Attach that caused them returns — so record order is attach
 // order whichever edge the transaction came in by. Nothing is queued while
@@ -389,22 +393,22 @@ const maxUnsyncedRelay = syncPageSize
 // updated) and do not stop the broadcast; the committer feeds them to
 // the JournalErrors counter, waited for or not, so operators notice a
 // dying disk, and the poisoned log turns JournalHealthy false.
-func (n *FullNode) journalAttached(t *txn.Transaction) {
+func (n *FullNode) journalAttached(id hashutil.Hash, enc []byte) {
 	log := n.journalLog()
 	if log == nil {
 		return
 	}
 	flushed, start := make(chan struct{}), time.Now()
 	n.pendingMu.Lock()
-	n.unflushed[t.ID()] = flushed
+	n.unflushed[id] = flushed
 	n.pendingMu.Unlock()
-	log.Enqueue([]*txn.Transaction{t}, func(err error) {
+	log.Enqueue([][]byte{enc}, func(err error) {
 		if err != nil {
 			n.counters.JournalErrors.Inc()
 		}
 		n.pipeline.JournalLatency.Observe(time.Since(start))
 		n.pendingMu.Lock()
-		delete(n.unflushed, t.ID())
+		delete(n.unflushed, id)
 		n.pendingMu.Unlock()
 		close(flushed)
 	})

@@ -188,22 +188,23 @@ func (l *Log) refusalLocked() error {
 	return nil
 }
 
-// Enqueue frames txs as one request — written together, covered by the
-// same fsync, never split across batches — and queues it behind every
+// Enqueue frames encodings — canonical transaction encodings, which it
+// reads and does not keep — as one request: written together, covered by
+// the same fsync, never split across batches, and queued behind every
 // request enqueued before. It does not wait for the disk. done is called
 // exactly once with the request's verdict: nil once the Sync covering
 // its records has returned, otherwise why none will. It runs on the
 // committer goroutine, or inside Enqueue when the request is refused at
 // the door (a closed or poisoned log, an oversized record), and must not
 // block: the next flush waits for it. An empty request succeeds at once.
-func (l *Log) Enqueue(txs []*txn.Transaction, done func(error)) {
-	if len(txs) == 0 {
+func (l *Log) Enqueue(encodings [][]byte, done func(error)) {
+	if len(encodings) == 0 {
 		done(nil)
 		return
 	}
 	var buf []byte
-	for _, t := range txs {
-		rec, err := encodeRecord(t)
+	for _, enc := range encodings {
+		rec, err := encodeRecord(enc)
 		if err != nil {
 			done(err)
 			return
@@ -220,7 +221,7 @@ func (l *Log) Enqueue(txs []*txn.Transaction, done func(error)) {
 		done(err)
 		return
 	}
-	l.queue = append(l.queue, &commitReq{buf: buf, n: len(txs), done: done})
+	l.queue = append(l.queue, &commitReq{buf: buf, n: len(encodings), done: done})
 	idle := !l.committing
 	l.committing = true
 	l.mu.Unlock()
@@ -321,7 +322,11 @@ func (l *Log) commit() {
 // every record is durable; on error none should be trusted. An empty
 // batch is a no-op.
 func (l *Log) AppendBatch(txs []*txn.Transaction) error {
+	encodings := make([][]byte, len(txs))
+	for i, t := range txs {
+		encodings[i] = t.Encode()
+	}
 	done := make(chan error, 1)
-	l.Enqueue(txs, func(err error) { done <- err })
+	l.Enqueue(encodings, func(err error) { done <- err })
 	return <-done
 }

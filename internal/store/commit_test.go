@@ -188,7 +188,7 @@ func TestEnqueueWithoutWaitIsDurableAfterClose(t *testing.T) {
 	tx := sampleTx(t, key, "fire-and-forget")
 
 	verdict := make(chan error, 1)
-	l.Enqueue([]*txn.Transaction{tx}, func(err error) { verdict <- err })
+	l.Enqueue([][]byte{tx.Encode()}, func(err error) { verdict <- err })
 	waitFlushing(t, l)
 
 	closed := make(chan error, 1)
@@ -199,7 +199,7 @@ func TestEnqueueWithoutWaitIsDurableAfterClose(t *testing.T) {
 		return l.closing
 	})
 	refused := make(chan error, 1)
-	l.Enqueue([]*txn.Transaction{sampleTx(t, key, "late")}, func(err error) { refused <- err })
+	l.Enqueue([][]byte{sampleTx(t, key, "late").Encode()}, func(err error) { refused <- err })
 	if err := <-refused; !errors.Is(err, ErrClosed) {
 		t.Fatalf("enqueue during Close = %v, want ErrClosed", err)
 	}
@@ -256,7 +256,7 @@ func TestGroupCommitBatchFailureFailsEveryRequest(t *testing.T) {
 	behind := make(chan error, 2)
 	go func() { behind <- l.Append(sampleTx(t, key, "behind-waiting")) }()
 	waitQueued(t, l, followers+1)
-	l.Enqueue([]*txn.Transaction{sampleTx(t, key, "behind-no-wait")}, func(err error) { behind <- err })
+	l.Enqueue([][]byte{sampleTx(t, key, "behind-no-wait").Encode()}, func(err error) { behind <- err })
 
 	gate <- struct{}{} // the first batch of 1 succeeds
 	if err := verdictOf(t, "first appender", first); err != nil {

@@ -30,7 +30,7 @@ func fuzzLogBytes(n int) []byte {
 			Nonce:     uint64(i),
 		}
 		tx.Sign(key)
-		rec, err := encodeRecord(tx)
+		rec, err := encodeRecord(tx.Encode())
 		if err != nil {
 			panic(err)
 		}
@@ -108,7 +108,7 @@ func FuzzReplay(f *testing.F) {
 		l, err := OpenFS(fs, "tx.log", func(tx *txn.Transaction) error {
 			// Every admitted record must be a well-formed transaction
 			// whose canonical encoding frames back into a valid record.
-			if _, rerr := encodeRecord(tx); rerr != nil {
+			if _, rerr := encodeRecord(tx.Encode()); rerr != nil {
 				t.Fatalf("admitted unencodable record: %v", rerr)
 			}
 			applied++

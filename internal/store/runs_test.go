@@ -33,7 +33,7 @@ func runsFixture(t *testing.T, n int, torn bool) (fs *chaos.MemFS, ids []string)
 		t.Fatal(err)
 	}
 	if torn {
-		rec, err := encodeRecord(sampleTx(t, key, "torn"))
+		rec, err := encodeRecord(sampleTx(t, key, "torn").Encode())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -385,9 +385,8 @@ func (l *Log) replay(base int64, runLen int, apply func([]*txn.Transaction, uint
 	}
 }
 
-// encodeRecord frames one transaction.
-func encodeRecord(t *txn.Transaction) ([]byte, error) {
-	data := t.Encode()
+// encodeRecord frames one transaction's canonical encoding.
+func encodeRecord(data []byte) ([]byte, error) {
 	if len(data) > maxRecordLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrRecordLarge, len(data))
 	}
@@ -457,7 +456,7 @@ func (l *Log) Compact(export func() []*txn.Transaction) error {
 	}
 	written := int64(segHeaderSize)
 	for _, t := range txs {
-		buf, err := encodeRecord(t)
+		buf, err := encodeRecord(t.Encode())
 		if err != nil {
 			return fail("encode compact record", err)
 		}

@@ -162,7 +162,7 @@ func TestCompactRewritesSegment(t *testing.T) {
 // bytes exactly as found.
 func TestHeaderlessJournalRefused(t *testing.T) {
 	fs := chaos.NewMemFS(4)
-	rec, err := encodeRecord(sampleTx(t, mustKey(t), "legacy"))
+	rec, err := encodeRecord(sampleTx(t, mustKey(t), "legacy").Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func (t *Tangle) dropAnchorLocked(id hashutil.Hash) {
 // anchorGaugesLocked refreshes the exported anchor gauges.
 func (t *Tangle) anchorGaugesLocked() {
 	t.met.AnchorCount.Set(int64(len(t.anchors)))
-	top := 0
+	top := int32(0)
 	for _, id := range t.anchors {
 		if a, ok := t.vertices[id]; ok && a.height > top {
 			top = a.height

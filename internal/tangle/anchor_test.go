@@ -181,10 +181,10 @@ func TestEventOrderUnderConcurrentAttach(t *testing.T) {
 		defer obsMu.Unlock()
 		switch ev.Kind {
 		case EventAttached:
-			if ev.Txn.ID() != ev.Tx || announced[ev.Tx] {
-				t.Errorf("attach of %s announced as %s, already announced: %v", ev.Tx.Short(), ev.Txn.ID().Short(), announced[ev.Tx])
+			if id := hashutil.Sum(ev.Txn.Bytes()); id != ev.Tx || announced[ev.Tx] {
+				t.Errorf("attach of %s announced as %s, already announced: %v", ev.Tx.Short(), id.Short(), announced[ev.Tx])
 			}
-			if !announced[ev.Txn.Trunk] || !announced[ev.Txn.Branch] {
+			if !announced[ev.Txn.Trunk()] || !announced[ev.Txn.Branch()] {
 				t.Errorf("%s announced attached ahead of a parent", ev.Tx.Short())
 			}
 			announced[ev.Tx] = true
@@ -327,12 +327,12 @@ func scanOldestApproved(tg *Tangle) (hashutil.Hash, bool) {
 	defer tg.mu.RUnlock()
 	var best *vertex
 	for _, v := range tg.vertices {
-		if v.firstApprovedAt.IsZero() || v.tx.Kind == txn.KindGenesis {
+		if v.firstApprovedAt == 0 || v.enc.Kind() == txn.KindGenesis {
 			continue
 		}
 		if best == nil ||
-			v.firstApprovedAt.Before(best.firstApprovedAt) ||
-			(v.firstApprovedAt.Equal(best.firstApprovedAt) && v.id.Compare(best.id) < 0) {
+			v.firstApprovedAt < best.firstApprovedAt ||
+			(v.firstApprovedAt == best.firstApprovedAt && v.id.Compare(best.id) < 0) {
 			best = v
 		}
 	}

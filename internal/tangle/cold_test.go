@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/b-iot/biot/internal/clock"
 	"github.com/b-iot/biot/internal/hashutil"
@@ -274,18 +275,24 @@ func TestResidentVerticesStayBounded(t *testing.T) {
 // TestBytesPerAttachedVertex is the companion guard on the size of one
 // resident vertex: what the heap still holds per transaction once a
 // relay has decoded it from the wire, attached it and let go of the
-// decoded value. The ledger keeps ONE copy of the transaction's bytes —
-// the wire encoding, which the stored transaction's Issuer, Payload and
-// Signature alias — and its attachment-order indexes and approver lists
-// hold vertices by pointer. Before that (three fresh slices per attach,
-// 32-byte IDs in every index) this fixture measured 1 214 bytes a vertex
-// on go1.24 linux/amd64; it measures 867 now. The bound is the earlier
-// figure less 20 %.
+// decoded value. The ledger keeps the transaction's canonical encoding
+// and nothing decoded from it — one 128-byte vertex views those bytes
+// (the struct size is asserted here too) — and its attachment-order
+// indexes and approver lists hold vertices by pointer. On go1.24
+// linux/amd64 this fixture measured 1 214 bytes a vertex with three
+// fresh slices per attach and 32-byte IDs in every index, 867 with a
+// decoded txn.Transaction (192 B) and its encoding cache (80 B) beside
+// the encoding and a 160-byte vertex, and measures 563 now: the ≈ 288 B
+// encoding, the vertex, and ≈ 147 B of map slot, index words and
+// approver lists (DESIGN.md §14 has the table).
 func TestBytesPerAttachedVertex(t *testing.T) {
 	const (
 		n     = 4000
-		bound = 970 // bytes per vertex; see above
+		bound = 600 // bytes per vertex; see above
 	)
+	if size := unsafe.Sizeof(vertex{}); size > 128 {
+		t.Errorf("vertex struct is %d bytes, want ≤ 128 (one allocator size class)", size)
+	}
 	tg, key := newTangle(t, DefaultConfig(), nil)
 	payload := strings.Repeat("r", 64) // the benchmark's reading size
 

@@ -17,7 +17,7 @@ import (
 // credit mechanism (fed by the EventDoubleSpend) supplies the punishment
 // the original consensus lacks.
 func (t *Tangle) recordSpendLocked(v *vertex, tr txn.Transfer, now time.Time) []Event {
-	key := txn.SpendKeyOf(v.tx, tr)
+	key := v.enc.SpendKey(tr)
 	t.spends[key] = append(t.spends[key], v.id)
 	group := t.spends[key]
 	if len(group) == 1 {
@@ -96,7 +96,7 @@ func (t *Tangle) resolveConflictLocked(group []hashutil.Hash, now time.Time) []E
 			t.restoreParentTipsLocked(v)
 			events = append(events, Event{
 				Kind:    EventRejected,
-				Node:    v.tx.Sender(),
+				Node:    v.enc.Sender(),
 				Tx:      v.id,
 				Related: []hashutil.Hash{winnerID},
 				At:      now,
@@ -116,8 +116,8 @@ func beats(a, b *vertex) bool {
 	if a.cumWeight != b.cumWeight {
 		return a.cumWeight > b.cumWeight
 	}
-	if !a.attachedAt.Equal(b.attachedAt) {
-		return a.attachedAt.Before(b.attachedAt)
+	if a.attachedAt != b.attachedAt {
+		return a.attachedAt < b.attachedAt
 	}
 	return a.id.Compare(b.id) < 0
 }
@@ -127,7 +127,7 @@ func beats(a, b *vertex) bool {
 // the frontier's only vertex would leave the tangle with an empty tip
 // pool and nothing for honest nodes to approve.
 func (t *Tangle) restoreParentTipsLocked(v *vertex) {
-	for _, pid := range [...]hashutil.Hash{v.tx.Trunk, v.tx.Branch} {
+	for _, pid := range [...]hashutil.Hash{v.enc.Trunk(), v.enc.Branch()} {
 		p, ok := t.vertices[pid]
 		if !ok || p.status == StatusRejected {
 			continue
@@ -161,14 +161,14 @@ func (t *Tangle) ConflictsOf(id hashutil.Hash) []hashutil.Hash {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	v, ok := t.vertices[id]
-	if !ok || v.tx.Kind != txn.KindTransfer {
+	if !ok {
 		return nil
 	}
-	tr, err := txn.TransferOf(v.tx)
+	tr, err := v.enc.Transfer()
 	if err != nil {
 		return nil
 	}
-	group := t.spends[txn.SpendKeyOf(v.tx, tr)]
+	group := t.spends[v.enc.SpendKey(tr)]
 	if len(group) <= 1 {
 		return nil
 	}

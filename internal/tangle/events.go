@@ -68,9 +68,9 @@ type Event struct {
 	At      time.Time
 	// Weight is set on EventApproved: the parent's updated w_k.
 	Weight float64
-	// Txn is set on EventAttached: the ledger's own copy of the attached
-	// transaction, shared and read-only.
-	Txn *txn.Transaction
+	// Txn is set on EventAttached: the attached transaction as the ledger
+	// keeps it — its canonical encoding, shared and read-only.
+	Txn txn.View
 }
 
 // Observer receives ledger events. Events are collected under the
@@ -119,7 +119,7 @@ func (t *Tangle) Observe(o Observer) {
 // The queue is double-buffered: the slice being delivered is never the
 // one mutations append to (an observer may read the tangle, and another
 // goroutine may attach, while a batch is out), and once delivered it is
-// cleared — events pin transactions — and kept as the next swap's empty
+// cleared — events pin encodings — and kept as the next swap's empty
 // queue.
 func (t *Tangle) deliverPending() {
 	t.deliverMu.Lock()

@@ -67,12 +67,13 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 	defer t.mu.Unlock()
 
 	var drop []hashutil.Hash
+	cutoffNanos := cutoff.UnixNano()
 	for _, v := range t.order {
 		id := v.id
-		if !v.attachedAt.Before(cutoff) {
+		if v.attachedAt >= cutoffNanos {
 			break // order is chronological: nothing later qualifies
 		}
-		if v.status != StatusConfirmed || retainedKind(v.tx.Kind) {
+		if v.status != StatusConfirmed || retainedKind(v.enc.Kind()) {
 			continue
 		}
 		if _, isTip := t.tips[id]; isTip {
@@ -106,7 +107,7 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 	for _, id := range drop {
 		v := t.vertices[id]
 		v.pruned = true
-		for _, pid := range [...]hashutil.Hash{v.tx.Trunk, v.tx.Branch} {
+		for _, pid := range [...]hashutil.Hash{v.enc.Trunk(), v.enc.Branch()} {
 			if p, live := t.vertices[pid]; live {
 				for i, a := range p.approvers {
 					if a == v {
@@ -135,10 +136,10 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 	t.boundary = make(map[hashutil.Hash]struct{})
 	t.order = compactLive(t.order)
 	for _, v := range t.order {
-		if v.tx.Kind == txn.KindGenesis {
+		if v.enc.Kind() == txn.KindGenesis {
 			continue
 		}
-		for _, pid := range [...]hashutil.Hash{v.tx.Trunk, v.tx.Branch} {
+		for _, pid := range [...]hashutil.Hash{v.enc.Trunk(), v.enc.Branch()} {
 			if _, live := t.vertices[pid]; !live {
 				t.boundary[pid] = struct{}{}
 				delete(departed, pid)
@@ -220,22 +221,22 @@ func (t *Tangle) RestoreShard(tx *txn.Transaction, shard uint32) (Info, error) {
 }
 
 func (t *Tangle) restoreLocked(tx *txn.Transaction, shard uint32) (Info, error) {
-	id := tx.ID()
+	id, enc := tx.ID(), tx.View()
 	if _, dup := t.vertices[id]; dup {
 		return Info{}, fmt.Errorf("%w: %s", ErrDuplicate, id.Short())
 	}
 	if t.wasColdLocked(id) {
 		return Info{}, fmt.Errorf("%w: %s (snapshotted)", ErrDuplicate, id.Short())
 	}
-	trunk := t.vertices[tx.Trunk]
-	branch := t.vertices[tx.Branch]
+	trunk := t.vertices[enc.Trunk()]
+	branch := t.vertices[enc.Branch()]
 	if trunk == nil {
-		t.restoreBoundaryLocked(tx.Trunk)
+		t.restoreBoundaryLocked(enc.Trunk())
 	}
 	if branch == nil {
-		t.restoreBoundaryLocked(tx.Branch)
+		t.restoreBoundaryLocked(enc.Branch())
 	}
-	info := t.insertLocked(tx, id, trunk, branch, shard)
+	info := t.insertLocked(enc, id, trunk, branch, shard)
 	t.updateMemGaugesLocked()
 	return info, nil
 }

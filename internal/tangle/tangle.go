@@ -68,7 +68,7 @@ func (c Config) Validate() error {
 }
 
 // Status describes a vertex's ledger state.
-type Status int
+type Status uint8
 
 const (
 	// StatusPending: attached, accumulating weight.
@@ -93,42 +93,50 @@ func (s Status) String() string {
 	}
 }
 
+// vertex is what the ledger keeps per resident transaction: the
+// transaction's immutable canonical encoding — nothing decoded; parents,
+// kind and issuer are read from it where they are wanted — and the DAG
+// bookkeeping beside it, packed into 128 bytes (instants as unix
+// nanoseconds, counters in 32 bits; TestBytesPerAttachedVertex asserts the
+// size).
 type vertex struct {
-	tx *txn.Transaction
-	id hashutil.Hash
+	// enc views the canonical encoding, shared with whoever attached the
+	// transaction and never written.
+	enc txn.View
+	id  hashutil.Hash
 	// approvers are the vertices that approve this one directly, held
 	// by pointer like the attachment-order indexes. One a snapshot has
 	// pruned is replaced by prunedApprover, so the count survives and
 	// the pruned vertex does not stay reachable through its parent.
 	approvers  []*vertex
-	cumWeight  int
-	status     Status
-	attachedAt time.Time
+	attachedAt int64 // unix nanoseconds on the ledger clock
 	// firstApprovedAt is when the vertex gained its first approver
-	// (left the tip pool); zero while still a tip.
-	firstApprovedAt time.Time
-	// height is the DAG height: 0 for genesis, 1+max(parent heights)
-	// otherwise. Walk anchors report it so operators can see how far
-	// from genesis the confirmed frontier has moved.
-	height int
+	// (left the tip pool), in unix nanoseconds; zero while still a tip.
+	firstApprovedAt int64
 	// mark is the epoch stamp used by propagateWeightLocked to detect
 	// already-visited vertices without allocating a per-attach set.
 	mark uint64
-	// shard is the tangle namespace the vertex belongs to: 0 for the
-	// control plane (genesis, authorization lists), >= 1 for region
-	// data shards. Assigned at attach time by the admission layer and
-	// immutable afterwards.
-	shard uint32
-	// pruned marks a vertex a snapshot removed from the live set, for
-	// the attachment-order indexes that hold it by pointer.
-	pruned bool
 	// authSeq is the admission evidence: the highest authorization-list
 	// sequence in this vertex's past cone, maintained incrementally as
 	// max(parent authSeqs) — plus the vertex's own decoded sequence when
 	// it IS an authorization list. Boundary-rooted vertices (restore,
 	// bootstrap) under-approximate toward 0, which is safe: evidence
 	// only widens the membership scan (see authz.EvidenceVerdict).
-	authSeq uint64
+	authSeq   uint64
+	cumWeight int32
+	// height is the DAG height: 0 for genesis, 1+max(parent heights)
+	// otherwise. Walk anchors report it so operators can see how far
+	// from genesis the confirmed frontier has moved.
+	height int32
+	// shard is the tangle namespace the vertex belongs to: 0 for the
+	// control plane (genesis, authorization lists), >= 1 for region
+	// data shards. Assigned at attach time by the admission layer and
+	// immutable afterwards.
+	shard  uint32
+	status Status
+	// pruned marks a vertex a snapshot removed from the live set, for
+	// the attachment-order indexes that hold it by pointer.
+	pruned bool
 }
 
 // prunedApprover stands in a live vertex's approver list for every
@@ -290,11 +298,11 @@ func New(cfg Config, managerPub identity.PublicKey, clk clock.Clock) (*Tangle, e
 		met:        newMetrics(),
 	}
 	t.walkers.New = func() any { return t.newWalker() }
-	now := clk.Now()
+	now := clk.Now().UnixNano()
 	for i, g := range GenesisTransactions(managerPub) {
 		id := g.ID()
 		v := &vertex{
-			tx:         g,
+			enc:        g.View(),
 			id:         id,
 			status:     StatusConfirmed, // genesis is trusted by fiat
 			attachedAt: now,
@@ -372,12 +380,12 @@ func (t *Tangle) Get(id hashutil.Hash) (*txn.Transaction, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTx, id.Short())
 	}
-	return v.tx.Clone(), nil
+	return v.enc.Transaction(v.id), nil
 }
 
 // Encoded returns the canonical encoding of the transaction with the
-// given ID: the bytes the ledger's stored copy already holds, shared and
-// read-only. Where Get pays a Clone (and its caller an Encode), a reader
+// given ID: the bytes the ledger itself keeps, shared and read-only.
+// Where Get builds a transaction (and its caller pays an Encode), a reader
 // that only forwards the transaction — the RPC surface — pays nothing.
 func (t *Tangle) Encoded(id hashutil.Hash) ([]byte, error) {
 	t.mu.RLock()
@@ -386,7 +394,7 @@ func (t *Tangle) Encoded(id hashutil.Hash) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTx, id.Short())
 	}
-	return v.tx.Encode(), nil
+	return v.enc.Bytes(), nil
 }
 
 // InfoOf returns the ledger view of the transaction with the given ID.
@@ -403,12 +411,12 @@ func (t *Tangle) InfoOf(id hashutil.Hash) (Info, error) {
 func (t *Tangle) infoLocked(v *vertex) Info {
 	return Info{
 		ID:               v.id,
-		Sender:           v.tx.Sender(),
-		Kind:             v.tx.Kind,
+		Sender:           v.enc.Sender(),
+		Kind:             v.enc.Kind(),
 		Status:           v.status,
 		DirectApprovers:  len(v.approvers),
-		CumulativeWeight: v.cumWeight,
-		AttachedAt:       v.attachedAt,
+		CumulativeWeight: int(v.cumWeight),
+		AttachedAt:       time.Unix(0, v.attachedAt),
 	}
 }
 
@@ -451,7 +459,7 @@ func (t *Tangle) AttachShard(tx *txn.Transaction, shard uint32) (Info, error) {
 }
 
 func (t *Tangle) attachLocked(tx *txn.Transaction, shard uint32) (Info, error) {
-	id := tx.ID()
+	id, enc := tx.ID(), tx.View()
 
 	if _, dup := t.vertices[id]; dup {
 		return Info{}, fmt.Errorf("%w: %s", ErrDuplicate, id.Short())
@@ -459,28 +467,29 @@ func (t *Tangle) attachLocked(tx *txn.Transaction, shard uint32) (Info, error) {
 	if t.wasColdLocked(id) {
 		return Info{}, fmt.Errorf("%w: %s (snapshotted)", ErrDuplicate, id.Short())
 	}
-	trunk, ok := t.vertices[tx.Trunk]
+	trunkID, branchID := enc.Trunk(), enc.Branch()
+	trunk, ok := t.vertices[trunkID]
 	if !ok {
-		if !t.bootstrapAttachableLocked(tx.Trunk) {
-			if t.wasColdLocked(tx.Trunk) {
-				return Info{}, fmt.Errorf("%w: trunk %s", ErrSnapshottedParent, tx.Trunk.Short())
+		if !t.bootstrapAttachableLocked(trunkID) {
+			if t.wasColdLocked(trunkID) {
+				return Info{}, fmt.Errorf("%w: trunk %s", ErrSnapshottedParent, trunkID.Short())
 			}
-			return Info{}, fmt.Errorf("%w: trunk %s", ErrUnknownParent, tx.Trunk.Short())
+			return Info{}, fmt.Errorf("%w: trunk %s", ErrUnknownParent, trunkID.Short())
 		}
 		trunk = nil // boundary root during bootstrap: attach without the parent
 	}
-	branch, ok := t.vertices[tx.Branch]
+	branch, ok := t.vertices[branchID]
 	if !ok {
-		if !t.bootstrapAttachableLocked(tx.Branch) {
-			if t.wasColdLocked(tx.Branch) {
-				return Info{}, fmt.Errorf("%w: branch %s", ErrSnapshottedParent, tx.Branch.Short())
+		if !t.bootstrapAttachableLocked(branchID) {
+			if t.wasColdLocked(branchID) {
+				return Info{}, fmt.Errorf("%w: branch %s", ErrSnapshottedParent, branchID.Short())
 			}
-			return Info{}, fmt.Errorf("%w: branch %s", ErrUnknownParent, tx.Branch.Short())
+			return Info{}, fmt.Errorf("%w: branch %s", ErrUnknownParent, branchID.Short())
 		}
 		branch = nil
 	}
 
-	info := t.insertLocked(tx, id, trunk, branch, shard)
+	info := t.insertLocked(enc, id, trunk, branch, shard)
 	t.met.ResidentVertices.Set(int64(len(t.vertices)))
 	return info, nil
 }
@@ -539,14 +548,15 @@ func (t *Tangle) AuthSeqOf(id hashutil.Hash) (seq uint64, ok bool) {
 // folded away by a pre-crash snapshot: the vertex attaches as a
 // pruned-boundary root (no approval is credited to the missing parent,
 // and its height restarts relative to the boundary).
-func (t *Tangle) insertLocked(tx *txn.Transaction, id hashutil.Hash, trunk, branch *vertex, shard uint32) Info {
+func (t *Tangle) insertLocked(enc txn.View, id hashutil.Hash, trunk, branch *vertex, shard uint32) Info {
 	now := t.clk.Now()
+	nowNanos := now.UnixNano()
 	lazy := false
 	if trunk != nil && branch != nil {
-		lazy = t.lazyParentsLocked(trunk, branch, now)
+		lazy = t.lazyParentsLocked(trunk, branch, nowNanos)
 	}
 
-	height := 0
+	height := int32(0)
 	if trunk != nil {
 		height = trunk.height
 	}
@@ -560,16 +570,17 @@ func (t *Tangle) insertLocked(tx *txn.Transaction, id hashutil.Hash, trunk, bran
 	if branch != nil && branch.authSeq > authSeq {
 		authSeq = branch.authSeq
 	}
-	if tx.Kind == txn.KindAuthorization {
-		if list, err := authz.DecodeList(tx.Payload); err == nil && list.Seq > authSeq {
+	kind := enc.Kind()
+	if kind == txn.KindAuthorization {
+		if list, err := authz.DecodeList(enc.Payload()); err == nil && list.Seq > authSeq {
 			authSeq = list.Seq
 		}
 	}
 	v := &vertex{
-		tx:         tx.Stored(),
+		enc:        enc,
 		id:         id,
 		status:     StatusPending,
-		attachedAt: now,
+		attachedAt: nowNanos,
 		height:     height + 1,
 		shard:      shard,
 		authSeq:    authSeq,
@@ -577,9 +588,9 @@ func (t *Tangle) insertLocked(tx *txn.Transaction, id hashutil.Hash, trunk, bran
 	t.vertices[id] = v
 	t.order = append(t.order, v)
 	t.shardOrder[shard] = append(t.shardOrder[shard], v)
-	t.byKind[tx.Kind] = append(t.byKind[tx.Kind], v)
+	t.byKind[kind] = append(t.byKind[kind], v)
 
-	events := append(t.evscratch[:0], Event{Kind: EventAttached, Tx: id, At: now, Txn: v.tx})
+	events := append(t.evscratch[:0], Event{Kind: EventAttached, Tx: id, At: now, Txn: enc})
 
 	// Wire approvals and retire approved tips.
 	for _, p := range [...]*vertex{trunk, branch} {
@@ -587,17 +598,18 @@ func (t *Tangle) insertLocked(tx *txn.Transaction, id hashutil.Hash, trunk, bran
 			continue // snapshotted parent on the Restore path
 		}
 		p.approvers = append(p.approvers, v)
-		if p.firstApprovedAt.IsZero() {
-			p.firstApprovedAt = now
-			if p.tx.Kind != txn.KindGenesis {
+		genesis := p.enc.Kind() == txn.KindGenesis
+		if p.firstApprovedAt == 0 {
+			p.firstApprovedAt = nowNanos
+			if !genesis {
 				t.approvedOrder = append(t.approvedOrder, p)
 			}
 		}
 		t.removeTipLocked(p.id)
-		if p.tx.Kind != txn.KindGenesis {
+		if !genesis {
 			events = append(events, Event{
 				Kind:   EventApproved,
-				Node:   p.tx.Sender(),
+				Node:   p.enc.Sender(),
 				Tx:     p.id,
 				At:     now,
 				Weight: 1 + float64(len(p.approvers)),
@@ -616,16 +628,16 @@ func (t *Tangle) insertLocked(tx *txn.Transaction, id hashutil.Hash, trunk, bran
 	if lazy {
 		events = append(events, Event{
 			Kind:    EventLazyTips,
-			Node:    tx.Sender(),
+			Node:    enc.Sender(),
 			Tx:      id,
 			At:      now,
-			Related: []hashutil.Hash{tx.Trunk, tx.Branch},
+			Related: []hashutil.Hash{enc.Trunk(), enc.Branch()},
 		})
 	}
 
 	// Double-spend bookkeeping for transfers.
-	if tx.Kind == txn.KindTransfer {
-		if tr, err := txn.TransferOf(tx); err == nil {
+	if kind == txn.KindTransfer {
+		if tr, err := enc.Transfer(); err == nil {
 			events = append(events, t.recordSpendLocked(v, tr, now)...)
 		}
 	}
@@ -640,12 +652,12 @@ func (t *Tangle) insertLocked(tx *txn.Transaction, id hashutil.Hash, trunk, bran
 // parents were already approved (left the tip pool) longer ago than
 // LazyParentAge. A node approving parents that are still tips is by
 // definition contributing, however old those tips are.
-func (t *Tangle) lazyParentsLocked(trunk, branch *vertex, now time.Time) bool {
+func (t *Tangle) lazyParentsLocked(trunk, branch *vertex, nowNanos int64) bool {
 	for _, p := range [...]*vertex{trunk, branch} {
-		if p.firstApprovedAt.IsZero() {
+		if p.firstApprovedAt == 0 {
 			return false // still a tip
 		}
-		if now.Sub(p.firstApprovedAt) < t.cfg.LazyParentAge {
+		if time.Duration(nowNanos-p.firstApprovedAt) < t.cfg.LazyParentAge {
 			return false
 		}
 	}
@@ -674,8 +686,8 @@ func (t *Tangle) propagateWeightLocked(v *vertex, events []Event) []Event {
 			stack = append(stack, a)
 		}
 	}
-	push(v.tx.Trunk)
-	push(v.tx.Branch)
+	push(v.enc.Trunk())
+	push(v.enc.Branch())
 
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
@@ -684,20 +696,20 @@ func (t *Tangle) propagateWeightLocked(v *vertex, events []Event) []Event {
 		if a.status == StatusConfirmed {
 			continue // frozen: do not descend further
 		}
-		if a.cumWeight >= t.cfg.ConfirmationWeight && a.status == StatusPending {
+		if int(a.cumWeight) >= t.cfg.ConfirmationWeight && a.status == StatusPending {
 			a.status = StatusConfirmed
 			t.nConfirmed++
 			t.addAnchorLocked(a)
 			events = append(events, Event{
 				Kind: EventConfirmed,
-				Node: a.tx.Sender(),
+				Node: a.enc.Sender(),
 				Tx:   a.id,
 				At:   t.clk.Now(),
 			})
 		}
-		if a.tx.Kind != txn.KindGenesis {
-			push(a.tx.Trunk)
-			push(a.tx.Branch)
+		if a.enc.Kind() != txn.KindGenesis {
+			push(a.enc.Trunk())
+			push(a.enc.Branch())
 		}
 	}
 	t.wstack = stack // keep the grown capacity for the next attach
@@ -765,19 +777,19 @@ func encodedPage(vs []*vertex) (ids []hashutil.Hash, encodings [][]byte) {
 	}
 	ids, encodings = make([]hashutil.Hash, len(vs)), make([][]byte, len(vs))
 	for i, v := range vs {
-		ids[i], encodings[i] = v.id, v.tx.Encode()
+		ids[i], encodings[i] = v.id, v.enc.Bytes()
 	}
 	return ids, encodings
 }
 
-// cloneTxs returns deep copies of the vertices' transactions.
+// cloneTxs returns the vertices' transactions, each the caller's own.
 func cloneTxs(vs []*vertex) []*txn.Transaction {
 	if len(vs) == 0 {
 		return nil
 	}
 	out := make([]*txn.Transaction, len(vs))
 	for i, v := range vs {
-		out[i] = v.tx.Clone()
+		out[i] = v.enc.Transaction(v.id)
 	}
 	return out
 }
@@ -826,7 +838,7 @@ func (t *Tangle) EncodedByKind(kind txn.Kind, offset int) [][]byte {
 	vs := t.kindPageLocked(kind, offset)
 	out := make([][]byte, len(vs))
 	for i, v := range vs {
-		out[i] = v.tx.Encode()
+		out[i] = v.enc.Bytes()
 	}
 	return out
 }

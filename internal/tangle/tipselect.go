@@ -139,7 +139,7 @@ func (t *Tangle) weightedWalkLocked(w *walker, anchored bool) hashutil.Hash {
 	if id, ok := t.walkFromLocked(w, start); ok {
 		return id
 	}
-	if start.tx.Kind != txn.KindGenesis {
+	if start.enc.Kind() != txn.KindGenesis {
 		// Correctness fallback: the anchored cone has no reachable tip;
 		// retry from genesis before giving up on the walk entirely.
 		t.met.WalkFallbacks.Inc()
@@ -227,7 +227,7 @@ func (t *Tangle) OldestApproved() (hashutil.Hash, bool) {
 	// the tie on the smaller ID, matching the original scan's order.
 	best := t.approvedOrder[0]
 	for _, v := range t.approvedOrder[1:] {
-		if !v.firstApprovedAt.Equal(best.firstApprovedAt) {
+		if v.firstApprovedAt != best.firstApprovedAt {
 			break
 		}
 		if v.id.Compare(best.id) < 0 {

@@ -13,13 +13,12 @@ import (
 // test` fails if the admission path drifts above them.
 //
 //   - decodeVerifyIDBudget covers the full inbound cost of one relayed
-//     transaction: Decode (transaction struct + one owned buffer + one
-//     cache snapshot), ID (one cache snapshot carrying the digest),
-//     signature verify and PoW check (zero — they run over the cached
-//     encoding).
+//     transaction: Decode (one owned buffer + the transaction struct and
+//     its cache snapshot, digest included, in one), ID, signature verify
+//     and PoW check (zero — they run over the cached encoding).
 //   - Steady-state re-encode, re-ID, signing-bytes and PoW digest are
 //     pinned at zero: that is the "stop re-serializing" contract.
-const decodeVerifyIDBudget = 4
+const decodeVerifyIDBudget = 2
 
 func wireTx(tb testing.TB) (*Transaction, []byte) {
 	tb.Helper()
@@ -56,6 +55,34 @@ func TestWirePathAllocationBudget(t *testing.T) {
 	})
 	if got > decodeVerifyIDBudget {
 		t.Fatalf("decode+ID+verify+PoW allocates %.1f/op, budget %d", got, decodeVerifyIDBudget)
+	}
+}
+
+// TestDecodeSeedsTheID: Decode hashes the bytes it has just copied and
+// publishes one cache snapshot carrying the digest, so the first ID() of
+// every relayed, synced or replayed transaction allocates nothing. (It
+// used to publish a second 80-byte snapshot and drop the first.)
+func TestDecodeSeedsTheID(t *testing.T) {
+	tx, raw := wireTx(t)
+	want := tx.ID()
+	const runs = 200
+	fresh := make([]*Transaction, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range fresh {
+		d, err := Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = d
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if fresh[next].ID() != want {
+			t.Fatal("decoded transaction has a different ID")
+		}
+		next++
+	})
+	if got != 0 {
+		t.Fatalf("the first ID() after Decode allocates %.1f/op, want 0", got)
 	}
 }
 

@@ -3,11 +3,8 @@ package txn
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"time"
 
 	"github.com/b-iot/biot/internal/hashutil"
-	"github.com/b-iot/biot/internal/identity"
 )
 
 // Wire format (all integers big-endian):
@@ -128,130 +125,23 @@ func (t *Transaction) appendEncode(buf []byte, full bool) []byte {
 	return buf
 }
 
-type decoder struct {
-	data []byte
-	off  int
-}
-
-func (d *decoder) remaining() int { return len(d.data) - d.off }
-
-func (d *decoder) take(n int) ([]byte, error) {
-	if d.remaining() < n {
-		return nil, fmt.Errorf("%w: need %d bytes at offset %d, have %d",
-			ErrTruncated, n, d.off, d.remaining())
-	}
-	out := d.data[d.off : d.off+n]
-	d.off += n
-	return out, nil
-}
-
-func (d *decoder) uint16() (uint16, error) {
-	b, err := d.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(b), nil
-}
-
-func (d *decoder) uint32() (uint32, error) {
-	b, err := d.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-func (d *decoder) uint64() (uint64, error) {
-	b, err := d.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
 // Decode parses a full canonical encoding produced by Encode.
 //
 // The wire format is positional, so the input IS the canonical
-// encoding: Decode copies it once, seeds the transaction's encoding
-// cache with that copy, and sub-slices Issuer, Payload and Signature
-// from it — one buffer allocation for the whole transaction, and
-// ID/Encode/SigningBytes/VerifyBasic never re-serialize. The decoded
-// transaction's byte-slice fields alias the cache; Clone before
-// mutating them.
+// encoding: Decode copies it once, checks the copy (ViewOf), seeds the
+// transaction's encoding cache with it and its digest, and sub-slices
+// Issuer, Payload and Signature from it — one buffer allocation for the
+// whole transaction, and ID/Encode/SigningBytes/VerifyBasic never
+// re-serialize or re-hash. The decoded transaction's byte-slice fields
+// alias the cache; Clone before mutating them.
 func Decode(data []byte) (*Transaction, error) {
-	owned := append([]byte(nil), data...)
-	d := &decoder{data: owned}
-	magic, err := d.uint16()
+	v, err := ViewOf(append([]byte(nil), data...))
 	if err != nil {
 		return nil, err
 	}
-	if magic != wireMagic {
-		return nil, fmt.Errorf("%w: 0x%04x", ErrBadMagic, magic)
-	}
-	header, err := d.take(2)
-	if err != nil {
-		return nil, err
-	}
-	if header[0] != wireVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, header[0])
-	}
-	t := &Transaction{Kind: Kind(header[1])}
-	trunk, err := d.take(hashutil.Size)
-	if err != nil {
-		return nil, err
-	}
-	copy(t.Trunk[:], trunk)
-	branch, err := d.take(hashutil.Size)
-	if err != nil {
-		return nil, err
-	}
-	copy(t.Branch[:], branch)
-	tsNanos, err := d.uint64()
-	if err != nil {
-		return nil, err
-	}
-	t.Timestamp = time.Unix(0, int64(tsNanos)).UTC()
-	issuerLen, err := d.uint16()
-	if err != nil {
-		return nil, err
-	}
-	issuer, err := d.take(int(issuerLen))
-	if err != nil {
-		return nil, err
-	}
-	t.Issuer = identity.PublicKey(issuer)
-	payloadLen, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if payloadLen > MaxPayloadSize {
-		return nil, fmt.Errorf("%w: payload %d bytes", ErrFieldTooLarge, payloadLen)
-	}
-	payload, err := d.take(int(payloadLen))
-	if err != nil {
-		return nil, err
-	}
-	t.Payload = payload
-	signingLen := d.off
-	if t.Nonce, err = d.uint64(); err != nil {
-		return nil, err
-	}
-	sigLen, err := d.uint16()
-	if err != nil {
-		return nil, err
-	}
-	sig, err := d.take(int(sigLen))
-	if err != nil {
-		return nil, err
-	}
-	t.Signature = sig
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTrailingBytes, d.remaining())
-	}
-	// The input was parsed positionally start to finish, so owned is
-	// bit-identical to what re-encoding the fields would produce: seed
-	// the cache and the wire path never serializes this transaction
-	// again.
-	t.cache.Store(&wireCache{enc: owned, signingLen: signingLen})
-	return t, nil
+	// Every transaction that is decoded is identified next (deduplication,
+	// the verified set, the attach), so the digest is taken here, over the
+	// bytes just copied, and the cache is published once: ID would
+	// otherwise replace a snapshot without a digest by one with.
+	return v.decoded(v.Issuer(), v.Payload(), v.Signature(), hashutil.Sum(v.enc)), nil
 }

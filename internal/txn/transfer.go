@@ -58,11 +58,16 @@ func DecodeTransfer(data []byte) (Transfer, error) {
 // TransferOf extracts and validates the transfer body of t. It returns
 // ErrBadTransferBody-wrapped errors for non-transfer or malformed
 // transactions.
-func TransferOf(t *Transaction) (Transfer, error) {
-	if t.Kind != KindTransfer {
-		return Transfer{}, fmt.Errorf("%w: kind %v", ErrBadTransferBody, t.Kind)
+func TransferOf(t *Transaction) (Transfer, error) { return transferOf(t.Kind, t.Payload) }
+
+// Transfer is TransferOf for a viewed transaction.
+func (v View) Transfer() (Transfer, error) { return transferOf(v.Kind(), v.Payload()) }
+
+func transferOf(kind Kind, payload []byte) (Transfer, error) {
+	if kind != KindTransfer {
+		return Transfer{}, fmt.Errorf("%w: kind %v", ErrBadTransferBody, kind)
 	}
-	tr, err := DecodeTransfer(t.Payload)
+	tr, err := DecodeTransfer(payload)
 	if err != nil {
 		return Transfer{}, err
 	}
@@ -83,4 +88,9 @@ type SpendKey struct {
 // SpendKeyOf returns the spend key consumed by a transfer transaction.
 func SpendKeyOf(t *Transaction, tr Transfer) SpendKey {
 	return SpendKey{Account: t.Sender(), Seq: tr.Seq}
+}
+
+// SpendKey is SpendKeyOf for a viewed transaction.
+func (v View) SpendKey(tr Transfer) SpendKey {
+	return SpendKey{Account: v.Sender(), Seq: tr.Seq}
 }

@@ -246,34 +246,3 @@ func (t *Transaction) Clone() *Transaction {
 	}
 	return cp
 }
-
-// Stored returns the copy a ledger keeps for good: a new Transaction
-// whose Issuer, Payload and Signature alias the immutable canonical
-// encoding it shares with t, where Clone allocates three fresh slices.
-// The transaction's bytes then exist once — in the encoding the wire
-// path already holds — however many holders there are. The slices are
-// capacity-clipped, so an append reallocates instead of writing into
-// the encoding, but their contents must be treated as read-only: a
-// holder hands out Clones, never the stored value. t itself stays
-// under the usual cache contract (a new nonce, Sign or Invalidate give
-// it a fresh snapshot and leave this one alone).
-func (t *Transaction) Stored() *Transaction {
-	t.ID() // so that the shared snapshot carries the digest
-	c := t.ensureCache()
-	issuer := wireIssuerOffset
-	issuerEnd := issuer + len(t.Issuer)
-	payload := issuerEnd + 4
-	sig := c.signingLen + 8 + 2
-	cp := &Transaction{
-		Trunk:     t.Trunk,
-		Branch:    t.Branch,
-		Issuer:    identity.PublicKey(c.enc[issuer:issuerEnd:issuerEnd]),
-		Timestamp: t.Timestamp,
-		Kind:      t.Kind,
-		Payload:   c.enc[payload:c.signingLen:c.signingLen],
-		Nonce:     t.Nonce,
-		Signature: c.enc[sig:len(c.enc):len(c.enc)],
-	}
-	cp.cache.Store(c)
-	return cp
-}

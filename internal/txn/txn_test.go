@@ -160,52 +160,63 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestStoredSharesTheEncoding: the stored copy is one allocation, its
-// byte slices are views of the encoding it shares with the original,
-// and neither an append on a view nor a later change to the original
-// reaches the stored bytes.
-func TestStoredSharesTheEncoding(t *testing.T) {
+// TestViewMaterialisesACloneOverSharedBytes: the view reads every field
+// where the wire has it, over the transaction's own encoding, and the
+// transaction it builds is Clone's — byte slices of its own, with no spare
+// capacity reaching anything else — around a cache that shares the viewed
+// bytes and already carries the ID.
+func TestViewMaterialisesACloneOverSharedBytes(t *testing.T) {
 	for name, tx := range map[string]*Transaction{
 		"built":   sampleTx(t, mustKey(t)),
 		"decoded": mustDecode(t, sampleTx(t, mustKey(t)).Encode()),
 	} {
 		t.Run(name, func(t *testing.T) {
-			st := tx.Stored()
-			if st.ID() != tx.ID() || !bytes.Equal(st.Encode(), tx.Encode()) {
-				t.Fatal("stored copy differs from the original")
+			v := tx.View()
+			enc := v.Bytes()
+			if !aliases(enc, tx.Encode()) {
+				t.Fatal("the view copied the encoding")
 			}
-			if err := st.VerifyBasic(); err != nil {
-				t.Fatalf("stored copy does not verify: %v", err)
-			}
-			if !bytes.Equal(st.Issuer, tx.Issuer) || !bytes.Equal(st.Payload, tx.Payload) ||
-				!bytes.Equal(st.Signature, tx.Signature) || st.Nonce != tx.Nonce ||
-				st.Kind != tx.Kind || !st.Timestamp.Equal(tx.Timestamp) ||
-				st.Trunk != tx.Trunk || st.Branch != tx.Branch {
-				t.Fatal("stored copy's fields differ from the original's")
-			}
-			enc := st.Encode()
-			for field, view := range map[string][]byte{"issuer": st.Issuer, "payload": st.Payload, "signature": st.Signature} {
+			for field, view := range map[string][]byte{"issuer": v.Issuer(), "payload": v.Payload(), "signature": v.Signature()} {
 				if cap(view) != len(view) {
-					t.Errorf("%s view has spare capacity %d: an append would write into the encoding", field, cap(view)-len(view))
+					t.Errorf("%s has spare capacity %d: an append would write into the encoding", field, cap(view)-len(view))
 				}
 				if !aliases(view, enc) {
 					t.Errorf("%s is a separate allocation, not a view of the encoding", field)
 				}
 			}
 
-			before := append([]byte(nil), enc...)
-			_ = append(st.Payload, 0xFF)
-			tx.Payload = []byte("rewritten by the caller")
-			tx.Invalidate()
-			_ = tx.ID()
-			if !bytes.Equal(st.Encode(), before) || st.VerifyBasic() != nil {
-				t.Error("the stored copy changed with the original")
+			got := v.Transaction(tx.ID())
+			if got.ID() != tx.ID() || !aliases(got.Encode(), enc) {
+				t.Fatal("the materialised transaction does not share the viewed encoding")
+			}
+			if err := got.VerifyBasic(); err != nil {
+				t.Fatalf("materialised transaction does not verify: %v", err)
+			}
+			if !bytes.Equal(got.Issuer, tx.Issuer) || !bytes.Equal(got.Payload, tx.Payload) ||
+				!bytes.Equal(got.Signature, tx.Signature) || got.Nonce != tx.Nonce ||
+				got.Kind != tx.Kind || !got.Timestamp.Equal(tx.Timestamp) ||
+				got.Trunk != tx.Trunk || got.Branch != tx.Branch {
+				t.Fatal("materialised fields differ from the original's")
+			}
+			if n := testing.AllocsPerRun(100, func() { _ = got.ID() }); n != 0 {
+				t.Errorf("ID on a materialised transaction made %.0f allocations, want 0", n)
 			}
 
-			fresh := mustDecode(t, before)
-			_ = fresh.ID()
-			if n := testing.AllocsPerRun(100, func() { _ = fresh.Stored() }); n != 1 {
-				t.Errorf("Stored made %.0f allocations, want 1", n)
+			before := append([]byte(nil), enc...)
+			for _, field := range [][]byte{got.Issuer, got.Payload, got.Signature} {
+				if aliases(field, enc) {
+					t.Fatal("a materialised field aliases the encoding")
+				}
+				_ = append(field, 0xFF)
+				for i := range field {
+					field[i] ^= 0xFF
+				}
+			}
+			again := v.Transaction(tx.ID())
+			if !bytes.Equal(enc, before) || again.VerifyBasic() != nil ||
+				!bytes.Equal(again.Issuer, tx.Issuer) || !bytes.Equal(again.Payload, tx.Payload) ||
+				!bytes.Equal(again.Signature, tx.Signature) {
+				t.Error("overwriting one materialised transaction reached the encoding or the next one")
 			}
 		})
 	}
