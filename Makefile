@@ -21,10 +21,10 @@ vet:
 # the one place every admission path meets, and its tests order
 # goroutines by released fsyncs, which only repetition checks. The
 # allocation guards (txn's wire path and the ID a decode seeds, rpc's
-# bytes per reading, identity's batch kernel) and the two byte guards
-# (tangle's bytes per resident vertex, node's per relayed transaction) run
-# without the race detector, whose own allocations they would otherwise
-# count.
+# bytes per reading, identity's batch kernel, a histogram's flat memory)
+# and the byte guards (tangle's bytes per resident vertex, node's per
+# relayed transaction, core's per credit record) run without the race
+# detector, whose own allocations they would otherwise count.
 # bench/ is a module of its own, so `./...` above never reaches it: its
 # vet and tests ride here.
 test: vet
@@ -38,7 +38,7 @@ test: vet
 	$(GO) run ./cmd/biot-bench -fig latency -quick
 	$(GO) run ./cmd/biot-bench -fig mem -quick
 	$(GO) run ./cmd/biot-bench -fig shard -quick
-	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/tangle/ ./internal/node/
+	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/core/
 	$(GO) test -run XXX -bench BenchmarkPostReadingOverRPC -benchtime 200x ./internal/rpc/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestResidentVerticesStayBounded' -count=1 ./internal/tangle/
@@ -183,12 +183,14 @@ loc:
 		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)" "$${d%/}"; \
 	done
 
-# RAM per resident transaction — the two byte guards, verbose, reduced to
-# their figures: bytes per attached vertex (the ledger alone) and per
-# relayed transaction (a whole journal-less node). A change that touches
-# what a node keeps per transaction quotes them before → after (CHANGES.md).
+# RAM per resident transaction — the byte guards, verbose, reduced to
+# their figures: bytes per attached vertex (the ledger alone), per relayed
+# transaction (a whole journal-less node), per credit record (the credit
+# ledger alone), and per observed latency histogram (fixed, not per
+# transaction). A change that touches what a node keeps per transaction
+# quotes them before → after (CHANGES.md).
 mem:
-	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction' -count=1 -v ./internal/tangle/ ./internal/node/); status=$$?; \
+	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/); status=$$?; \
 		echo "$$out" | grep -E 'bytes retained|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
 
 # Regenerate every paper figure with full (Pi-emulated) parameters.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"sync"
 	"time"
@@ -11,11 +12,26 @@ import (
 )
 
 // TxRecord is one valid transaction attributed to a node: its approval
-// weight and the instant it was observed.
+// weight and the instant it was observed. It is how a record travels
+// (credit digests, DESIGN.md §16); the ledger keeps it packed as a txRec.
 type TxRecord struct {
 	ID     hashutil.Hash
 	Weight float64
 	At     time.Time
+}
+
+// txRec is a TxRecord as the ledger keeps it: 48 bytes, the instant as
+// Unix nanoseconds and the weight as the exact float64 it was recorded
+// with — credit reaches difficulty, on which every node must agree, so
+// nothing here is rounded.
+type txRec struct {
+	id     hashutil.Hash
+	at     int64
+	weight float64
+}
+
+func (r txRec) export() TxRecord {
+	return TxRecord{ID: r.id, Weight: r.weight, At: time.Unix(0, r.at)}
 }
 
 // EventRecord is one detected malicious behaviour.
@@ -45,12 +61,14 @@ type Ledger struct {
 
 	mu    sync.RWMutex
 	nodes map[identity.Address]*nodeRecord
+	accts []*nodeRecord // by nodeRecord.slot
+	index recIndex      // (account, ID) → position in the account's txs
 }
 
 type nodeRecord struct {
-	txs     []TxRecord // ordered by At
-	txIndex map[hashutil.Hash]int
-	events  []EventRecord // ordered by At, capped at MaxEventsRetained
+	slot   uint32
+	txs    []txRec       // ordered by at
+	events []EventRecord // ordered by At, capped at MaxEventsRetained
 
 	// Rolling CrP window: txs[winLo:winHi] are exactly the records with
 	// winNow−ΔT ≤ At ≤ winNow, and winSum is their summed weight. A
@@ -62,7 +80,7 @@ type nodeRecord struct {
 	winLo    int
 	winHi    int
 	winSum   float64
-	winNow   time.Time
+	winNow   int64 // Unix nanoseconds
 
 	// Carry for events evicted by the retention cap: evCarry is their
 	// summed punishment coefficient, evCarryAt the newest evicted
@@ -94,6 +112,7 @@ func NewLedger(params Params) (*Ledger, error) {
 	return &Ledger{
 		params: params,
 		nodes:  make(map[identity.Address]*nodeRecord),
+		index:  recIndex{seed: maphash.MakeSeed()},
 	}, nil
 }
 
@@ -103,8 +122,9 @@ func (l *Ledger) Params() Params { return l.params }
 func (l *Ledger) record(addr identity.Address) *nodeRecord {
 	rec, ok := l.nodes[addr]
 	if !ok {
-		rec = &nodeRecord{txIndex: make(map[hashutil.Hash]int)}
+		rec = &nodeRecord{slot: uint32(len(l.accts))}
 		l.nodes[addr] = rec
+		l.accts = append(l.accts, rec)
 	}
 	return rec
 }
@@ -124,16 +144,13 @@ func (l *Ledger) RecordTransaction(addr identity.Address, id hashutil.Hash, weig
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rec := l.record(addr)
-	if idx, ok := rec.txIndex[id]; ok {
-		if weight > rec.txs[idx].Weight {
-			rec.winAdjustWeight(idx, weight-rec.txs[idx].Weight)
-			rec.txs[idx].Weight = weight
-		}
+	if idx, ok := l.index.find(rec, id); ok {
+		rec.raiseWeight(idx, weight)
 		return
 	}
-	tr := TxRecord{ID: id, Weight: weight, At: at}
+	tr := txRec{id: id, at: at.UnixNano(), weight: weight}
 	rec.winNoteInsert(tr, l.params.DeltaT)
-	rec.insertTx(tr)
+	l.insertTx(rec, tr)
 }
 
 // RemoveTransaction withdraws a previously recorded transaction — the
@@ -146,15 +163,15 @@ func (l *Ledger) RemoveTransaction(addr identity.Address, id hashutil.Hash) {
 	if !ok {
 		return
 	}
-	idx, ok := rec.txIndex[id]
+	idx, ok := l.index.find(rec, id)
 	if !ok {
 		return
 	}
-	rec.winNoteRemove(idx, rec.txs[idx].Weight)
+	rec.winNoteRemove(idx, rec.txs[idx].weight)
+	l.index.remove(l.accts, rec, idx)
 	rec.txs = append(rec.txs[:idx], rec.txs[idx+1:]...)
-	delete(rec.txIndex, id)
 	for i := idx; i < len(rec.txs); i++ {
-		rec.txIndex[rec.txs[i].ID] = i
+		l.index.move(rec, i+1, i)
 	}
 }
 
@@ -173,13 +190,17 @@ func (l *Ledger) UpdateWeight(addr identity.Address, id hashutil.Hash, weight fl
 	if !ok {
 		return
 	}
-	idx, ok := rec.txIndex[id]
-	if !ok {
-		return
+	if idx, ok := l.index.find(rec, id); ok {
+		rec.raiseWeight(idx, weight)
 	}
-	if weight > rec.txs[idx].Weight {
-		rec.winAdjustWeight(idx, weight-rec.txs[idx].Weight)
-		rec.txs[idx].Weight = weight
+}
+
+// raiseWeight sets the weight of the record at idx to weight if that is
+// larger: weights only grow.
+func (r *nodeRecord) raiseWeight(idx int, weight float64) {
+	if weight > r.txs[idx].weight {
+		r.winAdjustWeight(idx, weight-r.txs[idx].weight)
+		r.txs[idx].weight = weight
 	}
 }
 
@@ -203,16 +224,28 @@ func (l *Ledger) RecordMalicious(addr identity.Address, ev EventRecord) {
 	rec.evVer++
 }
 
-// insertTx keeps the slice ordered by At (records usually arrive in
-// order; the tail scan is O(1) amortized) and the ID index consistent.
-func (r *nodeRecord) insertTx(tr TxRecord) {
-	r.txs = append(r.txs, tr)
-	i := len(r.txs) - 1
-	for ; i > 0 && r.txs[i].At.Before(r.txs[i-1].At); i-- {
-		r.txs[i], r.txs[i-1] = r.txs[i-1], r.txs[i]
-		r.txIndex[r.txs[i].ID] = i
+// insertTx keeps rec.txs ordered by at — a record goes after every one
+// not later than it; records usually arrive in order, so the tail scan is
+// O(1) amortized — and the index consistent. The slice grows by a quarter
+// rather than append's doubling: it is most of what a record costs.
+func (l *Ledger) insertTx(rec *nodeRecord, tr txRec) {
+	n := len(rec.txs)
+	if n == cap(rec.txs) {
+		grown := make([]txRec, n, n+n/4+4)
+		copy(grown, rec.txs)
+		rec.txs = grown
 	}
-	r.txIndex[r.txs[i].ID] = i
+	i := n
+	for i > 0 && tr.at < rec.txs[i-1].at {
+		i--
+	}
+	rec.txs = rec.txs[:n+1]
+	copy(rec.txs[i+1:], rec.txs[i:n])
+	rec.txs[i] = tr
+	for j := n; j > i; j-- { // the last first: slot values stay unique
+		l.index.move(rec, j-1, j)
+	}
+	l.index.add(l.accts, rec, i)
 }
 
 func insertEvent(evs []EventRecord, ev EventRecord) []EventRecord {
@@ -229,18 +262,17 @@ func insertEvent(evs []EventRecord, ev EventRecord) []EventRecord {
 // older than the window lands at or before winLo, an in-window one
 // within [winLo, winHi], and a future one at or after winHi — so the
 // index range stays aligned without knowing the exact insert position.
-func (r *nodeRecord) winNoteInsert(tr TxRecord, deltaT time.Duration) {
+func (r *nodeRecord) winNoteInsert(tr txRec, deltaT time.Duration) {
 	if !r.winValid {
 		return
 	}
-	ws := r.winNow.Add(-deltaT)
 	switch {
-	case tr.At.Before(ws): // already expired relative to winNow
+	case tr.at < r.winNow-int64(deltaT): // already expired relative to winNow
 		r.winLo++
 		r.winHi++
-	case tr.At.After(r.winNow): // not yet visible; next advance adds it
+	case tr.at > r.winNow: // not yet visible; next advance adds it
 	default:
-		r.winSum += tr.Weight
+		r.winSum += tr.weight
 		r.winHi++
 	}
 }
@@ -295,33 +327,32 @@ func (l *Ledger) PositiveCredit(addr identity.Address, now time.Time) float64 {
 
 // positiveLocked advances rec's rolling window to now and returns CrP.
 // Caller holds the write lock.
-func (l *Ledger) positiveLocked(rec *nodeRecord, now time.Time) float64 {
-	windowStart := now.Add(-l.params.DeltaT)
-	if !rec.winValid || now.Before(rec.winNow) {
+func (l *Ledger) positiveLocked(rec *nodeRecord, at time.Time) float64 {
+	now := at.UnixNano()
+	windowStart := now - int64(l.params.DeltaT)
+	if !rec.winValid || now < rec.winNow {
 		// First query, post-prune, or a time rewind (virtual clocks in
 		// tests and replays): rebuild the window by binary search.
-		rec.winLo = sort.Search(len(rec.txs), func(i int) bool {
-			return !rec.txs[i].At.Before(windowStart)
-		})
+		rec.winLo = rec.firstAtOrAfter(windowStart)
 		rec.winHi = rec.winLo + sort.Search(len(rec.txs)-rec.winLo, func(i int) bool {
-			return rec.txs[rec.winLo+i].At.After(now)
+			return rec.txs[rec.winLo+i].at > now
 		})
 		rec.winSum = 0
 		for _, tr := range rec.txs[rec.winLo:rec.winHi] {
-			rec.winSum += tr.Weight
+			rec.winSum += tr.weight
 		}
 		rec.winValid = true
 		rec.winNow = now
 		return rec.winSum / l.params.DeltaT.Seconds()
 	}
-	// Advance: admit records that became visible (At ≤ now) ...
-	for rec.winHi < len(rec.txs) && !rec.txs[rec.winHi].At.After(now) {
-		rec.winSum += rec.txs[rec.winHi].Weight
+	// Advance: admit records that became visible (at ≤ now) ...
+	for rec.winHi < len(rec.txs) && rec.txs[rec.winHi].at <= now {
+		rec.winSum += rec.txs[rec.winHi].weight
 		rec.winHi++
 	}
-	// ... and evict records that expired (At < now − ΔT).
-	for rec.winLo < rec.winHi && rec.txs[rec.winLo].At.Before(windowStart) {
-		rec.winSum -= rec.txs[rec.winLo].Weight
+	// ... and evict records that expired (at < now − ΔT).
+	for rec.winLo < rec.winHi && rec.txs[rec.winLo].at < windowStart {
+		rec.winSum -= rec.txs[rec.winLo].weight
 		rec.winLo++
 	}
 	if rec.winLo == rec.winHi {
@@ -335,19 +366,22 @@ func (l *Ledger) positiveLocked(rec *nodeRecord, now time.Time) float64 {
 // search for the window start and a linear sum. It does not touch the
 // rolling state; property tests pin the incremental path against it,
 // and storebench uses it as the before-optimization baseline.
-func (l *Ledger) rescanPositiveLocked(rec *nodeRecord, now time.Time) float64 {
-	windowStart := now.Add(-l.params.DeltaT)
-	idx := sort.Search(len(rec.txs), func(i int) bool {
-		return !rec.txs[i].At.Before(windowStart)
-	})
+func (l *Ledger) rescanPositiveLocked(rec *nodeRecord, at time.Time) float64 {
+	now := at.UnixNano()
 	var sum float64
-	for _, tr := range rec.txs[idx:] {
-		if tr.At.After(now) {
+	for _, tr := range rec.txs[rec.firstAtOrAfter(now-int64(l.params.DeltaT)):] {
+		if tr.at > now {
 			break // ignore records from the future (virtual-clock replays)
 		}
-		sum += tr.Weight
+		sum += tr.weight
 	}
 	return sum / l.params.DeltaT.Seconds()
+}
+
+// firstAtOrAfter is the index of the first record not before instant t
+// (Unix nanoseconds).
+func (r *nodeRecord) firstAtOrAfter(t int64) int {
+	return sort.Search(len(r.txs), func(i int) bool { return r.txs[i].at >= t })
 }
 
 // NegativeCredit evaluates CrN (Eqn 4) for addr at instant now:
@@ -499,23 +533,16 @@ func (l *Ledger) Prune(now time.Time, keep time.Duration) int {
 	if keep < l.params.DeltaT {
 		keep = l.params.DeltaT
 	}
-	cutoff := now.Add(-keep)
+	cutoff := now.Add(-keep).UnixNano()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	pruned := 0
-	for _, rec := range l.nodes {
-		idx := sort.Search(len(rec.txs), func(i int) bool {
-			return !rec.txs[i].At.Before(cutoff)
-		})
+	pruned, kept := 0, 0
+	for _, rec := range l.accts {
+		idx := rec.firstAtOrAfter(cutoff)
+		kept += len(rec.txs) - idx
 		if idx > 0 {
 			pruned += idx
-			for _, tr := range rec.txs[:idx] {
-				delete(rec.txIndex, tr.ID)
-			}
 			rec.txs = append(rec.txs[:0], rec.txs[idx:]...)
-			for i, tr := range rec.txs {
-				rec.txIndex[tr.ID] = i
-			}
 			if rec.winValid {
 				if idx <= rec.winLo {
 					// Only already-evicted records were dropped; the
@@ -530,6 +557,9 @@ func (l *Ledger) Prune(now time.Time, keep time.Duration) int {
 				}
 			}
 		}
+	}
+	if pruned > 0 {
+		l.index.rebuild(l.accts, kept) // every position moved; this also shrinks the table
 	}
 	return pruned
 }

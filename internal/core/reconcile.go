@@ -51,7 +51,7 @@ func (l *Ledger) DigestPage(from, maxAccounts int, now time.Time, window time.Du
 	if window < l.params.DeltaT {
 		window = l.params.DeltaT
 	}
-	cutoff := now.Add(-window)
+	cutoff := now.Add(-window).UnixNano()
 
 	addrs := l.Nodes()
 	total = len(addrs)
@@ -75,11 +75,8 @@ func (l *Ledger) DigestPage(from, maxAccounts int, now time.Time, window time.Du
 			continue // pruned between Nodes() and here
 		}
 		acct := DigestAccount{Addr: addr}
-		for _, tr := range rec.txs {
-			if tr.At.Before(cutoff) {
-				continue
-			}
-			acct.Txs = append(acct.Txs, tr)
+		for _, tr := range rec.txs[rec.firstAtOrAfter(cutoff):] {
+			acct.Txs = append(acct.Txs, tr.export())
 		}
 		if len(rec.events) > 0 {
 			acct.Events = append(acct.Events, rec.events...)
@@ -161,10 +158,10 @@ func (l *Ledger) recordedWeight(addr identity.Address, id hashutil.Hash) *float6
 	if !ok {
 		return nil
 	}
-	idx, ok := rec.txIndex[id]
+	idx, ok := l.index.find(rec, id)
 	if !ok {
 		return nil
 	}
-	w := rec.txs[idx].Weight
+	w := rec.txs[idx].weight
 	return &w
 }

@@ -79,8 +79,10 @@ type PipelineMetrics struct {
 	// current and peak occupancy (bounded by GOMAXPROCS).
 	VerifyBusy *metrics.Gauge
 	VerifyPeak *metrics.Gauge
-	// VerifyCacheHits counts gossip echoes whose repeated signature
-	// work was skipped via the verified-ID set.
+	// VerifyCacheHits counts relayed transactions (gossip echoes, sync
+	// page overlap) dropped at tangle.Contains because they are attached
+	// already: the verify work the ledger itself spared. The name is the
+	// verified-ID set's, which this replaced; bench reads it.
 	VerifyCacheHits *metrics.Counter
 	// BatchVerifies counts identity.VerifyBatch calls on the inbound
 	// path; BatchVerified counts the signatures they settled (ratio =

@@ -18,10 +18,13 @@ const (
 	MaxUnsyncedRelay  = maxUnsyncedRelay
 )
 
-// VerifiedCache exposes the verified-ID set to its test.
-type VerifiedCache = verifiedCache
-
-func NewVerifiedCache(capacity int) *VerifiedCache { return newVerifiedCache(capacity) }
+// UnflushedJournal counts the records queued for the journal whose flush
+// has not returned.
+func (n *FullNode) UnflushedJournal() int {
+	n.pendingMu.Lock()
+	defer n.pendingMu.Unlock()
+	return len(n.unflushed)
+}
 
 // SetQuarantineBounds replaces the node's (empty) quarantine with one of
 // the given bounds, for the test that fills it.

@@ -197,11 +197,9 @@ type FullNode struct {
 	pipeline PipelineMetrics
 	bcast    *broadcaster // nil when Network is nil
 
-	// verify settles signatures in bulk for every path that ingests
-	// transactions in bulk; verified is the set of IDs whose verification
-	// recently passed (gossip echoes skip the repeated signature work).
-	verify   *verifyStage
-	verified *verifiedCache
+	// verify settles signatures for every path that ingests transactions
+	// in bulk, a relayed batch of one included.
+	verify *verifyStage
 
 	// quar parks relayed transactions whose admission evidence is not
 	// resolvable yet; kickMu makes the retry loop single-flight and
@@ -308,7 +306,6 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 			CreditEventsMerged: &metrics.Counter{},
 		},
 		pipeline:   newPipelineMetrics(),
-		verified:   newVerifiedCache(verifiedCacheSize),
 		quar:       newQuarantine(quarantineCap, quarantineTTL),
 		pending:    make(map[hashutil.Hash]*txn.Transaction),
 		unflushed:  make(map[hashutil.Hash]chan struct{}),
@@ -937,8 +934,14 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 			// remaining transactions are independent admissions.
 			continue
 		}
+		// An echo of what is attached already costs nothing past here: no
+		// signature check, no gate.
 		id := t.ID()
-		if _, dup := seen[id]; dup || n.tangle.Contains(id) {
+		if n.tangle.Contains(id) {
+			n.pipeline.VerifyCacheHits.Inc()
+			continue
+		}
+		if _, dup := seen[id]; dup {
 			continue
 		}
 		if seen != nil {
@@ -994,7 +997,7 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 		for end < len(txs) && txs[end].Kind != txn.KindAuthorization {
 			end++
 		}
-		survivors := n.verifyInboundBatch(txs[start:end], now)
+		survivors := n.verifyInboundBatch(txs[start:end])
 		failed += end - start - len(survivors)
 		for _, t := range survivors {
 			attach(t)

@@ -358,10 +358,14 @@ func TestRelayUnsyncedBoundMakesHandlerWait(t *testing.T) {
 
 	waited := deliverAsync(t, net, "gateway:5600", over)
 	waitFor(t, "the batch over the bound is attached", func() bool { return relay.Tangle().Contains(over.ID()) })
+	// Its record is queued after the attach is visible; the flushes below
+	// must find it there.
+	waitFor(t, "the record over the bound is queued", func() bool { return relay.UnflushedJournal() == len(page)+1 })
 	// The page's flushes: whole commit cycles go by. A record is a request
 	// of its own, so the page goes to the disk store.DefaultMaxBatch
-	// records at a time behind the flush already held, and the record over
-	// the bound rides in the one after those.
+	// records at a time behind the flush already held (one sync page, so
+	// all of it in one), and the record over the bound rides in the last of
+	// those — the one held when the loop ends.
 	for flushed := 0; flushed < len(page); flushed += store.DefaultMaxBatch {
 		fs.release()
 		fs.waitBlocked(t)

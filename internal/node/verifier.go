@@ -6,72 +6,9 @@ import (
 	"time"
 
 	"github.com/b-iot/biot/internal/authz"
-	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/txn"
 )
-
-// verifiedCacheSize bounds the set of recently verified transaction
-// IDs. Gossip is redundant by design — the same transaction arrives
-// from several peers and again in sync pages — and signature + PoW
-// verification is the admitted hot cost of the inbound path, so a hit
-// here skips the entire ECDSA check for an echo.
-const verifiedCacheSize = 8192
-
-// verifiedCache is a small mutex-guarded set of the transaction IDs
-// whose structural, signature and relay-PoW checks most recently passed
-// on this node. Membership does NOT cache an authorization verdict: the
-// evidence-at-admission gate is re-evaluated at the attach stage on
-// every attempt (it is monotone — a cached Authorized can only stay
-// authorized — but an Unresolved entry must keep retrying as lists
-// arrive).
-//
-// It keeps two generations: an ID enters the young one, and when that
-// holds half the capacity it becomes the old one and the previous old
-// one is forgotten. An ID is therefore remembered for at least cap/2
-// and at most cap further insertions — recency by insertion, which is
-// what echo suppression needs (an echo follows its original within a
-// round trip or a sync page) — at one map slot an entry. The
-// list-backed LRU this replaces paid a list element, a boxed key and a
-// pointer-valued slot for each: 1.7 MB a node at this capacity against
-// 0.6 MB, on every node whether or not an echo ever arrives.
-type verifiedCache struct {
-	mu         sync.Mutex
-	half       int
-	young, old map[hashutil.Hash]struct{}
-}
-
-func newVerifiedCache(capacity int) *verifiedCache {
-	half := (capacity + 1) / 2
-	return &verifiedCache{
-		half:  half,
-		young: make(map[hashutil.Hash]struct{}, half),
-		old:   make(map[hashutil.Hash]struct{}, half),
-	}
-}
-
-// Contains reports membership.
-func (c *verifiedCache) Contains(id hashutil.Hash) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.young[id]; ok {
-		return true
-	}
-	_, ok := c.old[id]
-	return ok
-}
-
-// Add inserts id, retiring the older generation once the younger one
-// is full.
-func (c *verifiedCache) Add(id hashutil.Hash) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.young[id] = struct{}{}
-	if len(c.young) >= c.half {
-		clear(c.old)
-		c.young, c.old = c.old, c.young
-	}
-}
 
 // verifyStage is the verify of verify → gate → commit → replicate: the one
 // place signatures are settled in bulk. Relayed batches and sync pages
@@ -168,83 +105,36 @@ func (v *verifyStage) settleChunk(txs []*txn.Transaction) []error {
 	return errs
 }
 
-// verifyCached runs the full inbound verification for one transaction,
-// short-circuiting through the verified-ID set on gossip echoes. It
-// performs exactly the batch path's checks in the same order —
-// precheckInbound (structure, evidence gate, relay PoW floor) then the
-// Ed25519 signature — so the two paths count rejections identically.
-func (n *FullNode) verifyCached(t *txn.Transaction, now time.Time) error {
-	id := t.ID()
-	if n.verified.Contains(id) {
-		n.pipeline.VerifyCacheHits.Inc()
-		return nil
-	}
-	start := time.Now()
-	err := n.precheckInbound(t)
-	if err == nil {
-		if serr := identity.Verify(t.Issuer, t.SigningBytes(), t.Signature); serr != nil {
-			n.counters.Rejected.Inc()
-			err = serr
-		}
-	}
-	n.pipeline.VerifyLatency.Observe(time.Since(start))
-	if err == nil {
-		n.verified.Add(id)
-	}
-	return err
-}
-
-// verifyInboundBatch verifies a run of relayed transactions and returns
-// the survivors in input order. The serialized attach that follows stays
-// out of this stage, so the expensive checks of independent
-// transactions overlap across cores — and across concurrently arriving
-// batches from different peers.
+// verifyInboundBatch verifies a run of relayed transactions — a batch of
+// one like any other — and returns the survivors in input order, in
+// txs's own backing array. The serialized attach that follows stays out
+// of this stage, so the expensive checks of independent transactions
+// overlap across cores — and across concurrently arriving batches from
+// different peers.
 //
 // The work runs in two stages. Stage one performs the cheap
-// per-transaction checks inline: verified-set lookup, structure,
-// authorization, and the relay PoW floor — all allocation-free against
-// the decoded transaction's cached encoding. Stage two settles every
-// surviving signature through the verify stage; an offender is rejected
-// exactly as the sequential path would reject it.
-func (n *FullNode) verifyInboundBatch(txs []*txn.Transaction, now time.Time) []*txn.Transaction {
-	switch len(txs) {
-	case 0:
-		return nil
-	case 1:
-		if n.verifyCached(txs[0], now) != nil {
-			return nil
-		}
-		return txs
-	}
-
-	ok := make([]bool, len(txs))
-	pending := make([]*txn.Transaction, 0, len(txs)) // awaiting signature settlement
-	at := make([]int, 0, len(txs))                   // pending[j] is txs[at[j]]
-	for i, t := range txs {
-		if n.verified.Contains(t.ID()) {
-			n.pipeline.VerifyCacheHits.Inc()
-			ok[i] = true
-			continue
-		}
+// per-transaction checks inline: structure, authorization, and the relay
+// PoW floor — all allocation-free against the decoded transaction's
+// cached encoding. Stage two settles every surviving signature through
+// the verify stage (a lone one single-verified, below
+// identity.MinBatchSize); an offender is counted once, whichever way its
+// signature was settled. Echoes of attached transactions never get here:
+// admitGossipBatch drops them at tangle.Contains.
+func (n *FullNode) verifyInboundBatch(txs []*txn.Transaction) []*txn.Transaction {
+	pending := txs[:0]
+	for _, t := range txs {
 		if n.precheckInbound(t) == nil {
-			pending, at = append(pending, t), append(at, i)
+			pending = append(pending, t)
 		}
 	}
 	errs := n.verify.settle(pending)
+	out := pending[:0]
 	for j, t := range pending {
 		if errs != nil && errs[j] != nil {
 			n.counters.Rejected.Inc()
 			continue
 		}
-		ok[at[j]] = true
-		n.verified.Add(t.ID())
-	}
-
-	out := txs[:0]
-	for i, t := range txs {
-		if ok[i] {
-			out = append(out, t)
-		}
+		out = append(out, t)
 	}
 	return out
 }

@@ -17,6 +17,9 @@
 //	GET  /api/v1/transactions?kind=K&offset=N page of transactions by kind
 //	POST /api/v1/transactions                 submit {"raw": base64}; a body over
 //	                                          maxSubmitBody is refused with 413
+//	GET  /metrics                             Prometheus text (not JSON): the node's
+//	                                          counters and pipeline gauges and
+//	                                          latency histograms
 //
 // Transaction bytes are served from the ledger's stored encoding (never a
 // clone re-encoded), so what tips carries for an ID is byte-identical to
@@ -48,6 +51,7 @@ import (
 	"github.com/b-iot/biot/internal/authz"
 	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
+	"github.com/b-iot/biot/internal/metrics"
 	"github.com/b-iot/biot/internal/node"
 	"github.com/b-iot/biot/internal/tangle"
 	"github.com/b-iot/biot/internal/txn"
@@ -193,6 +197,7 @@ func NewServer(n *node.FullNode, opts ...ServerOption) *Server {
 	s.mux.HandleFunc("GET /api/v1/transactions/{id}", s.withNode(s.handleGetTx))
 	s.mux.HandleFunc("GET /api/v1/transactions", s.withNode(s.handleListTx))
 	s.mux.HandleFunc("POST /api/v1/transactions", s.withNode(s.handleSubmit))
+	s.mux.HandleFunc("GET /metrics", s.withNode(s.handleMetrics))
 	return s
 }
 
@@ -338,13 +343,20 @@ func appendInt(buf *bytes.Buffer, n int) {
 	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(n), 10))
 }
 
-var jsonContentType = []string{"application/json"}
+var (
+	jsonContentType       = []string{"application/json"}
+	prometheusContentType = []string{"text/plain; version=0.0.4; charset=utf-8"}
+)
 
-// writeBody sends buf as the whole response, its length declared: one
-// write, never chunked.
+// writeBody sends buf as the whole response, a JSON document, its length
+// declared: one write, never chunked.
 func writeBody(w http.ResponseWriter, status int, buf *bytes.Buffer) {
+	writeTyped(w, status, jsonContentType, buf)
+}
+
+func writeTyped(w http.ResponseWriter, status int, contentType []string, buf *bytes.Buffer) {
 	h := w.Header()
-	h["Content-Type"] = jsonContentType
+	h["Content-Type"] = contentType
 	h["Content-Length"] = []string{strconv.Itoa(buf.Len())}
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes()) // the device hung up: nothing to tell it
@@ -563,6 +575,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, n *node.Fu
 	appendInt(buf, info.CumulativeWeight)
 	buf.WriteString("}\n")
 	writeBody(w, http.StatusOK, buf)
+}
+
+// handleMetrics serves the node's metrics in the Prometheus text format:
+// every counter of CountersView as biot_node_*_total, and every counter,
+// gauge and histogram of Pipeline as biot_pipeline_* — fixed structs of
+// fixed-size values, so the page is bounded however long the node runs.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request, n *node.FullNode) {
+	buf := getBuf()
+	defer putBuf(buf)
+	b := metrics.AppendPrometheus(buf.AvailableBuffer(), "biot_node", n.CountersView())
+	buf.Write(metrics.AppendPrometheus(b, "biot_pipeline", n.Pipeline()))
+	writeTyped(w, http.StatusOK, prometheusContentType, buf)
 }
 
 // statusForSubmitError maps admission failures to HTTP statuses that the

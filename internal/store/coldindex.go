@@ -3,10 +3,11 @@
 // by a local snapshot is appended here; the tangle consults the index
 // when an admission check misses both the live vertices and the
 // boundary-root set. The index's in-memory footprint is FIXED — a bloom
-// filter plus a tiny run directory — no matter how many IDs accumulate
-// over the node's lifetime; that fixed bound is what makes pruning
-// actually shrink node memory instead of trading a vertex map for an ID
-// map.
+// filter, allocated with the first run read or written (a node that has
+// never pruned pays nothing), plus a tiny run directory — no matter how
+// many IDs accumulate over the node's lifetime; that fixed bound is what
+// makes pruning actually shrink node memory instead of trading a vertex
+// map for an ID map.
 //
 // File layout: a fixed header followed by runs, each run a sorted batch
 // of 32-byte IDs from one snapshot epoch.
@@ -48,13 +49,13 @@ import (
 )
 
 const (
-	coldMagic    uint32 = 0xB10CC01D
-	coldVersion  uint32 = 1
-	coldHdrSize         = 8
-	runMagic     uint32 = 0xB10CF05E
-	runHdrSize          = 20
-	coldIDSize          = 32
-	maxRunCount         = 1 << 28 // sanity bound on a run header's count
+	coldMagic   uint32 = 0xB10CC01D
+	coldVersion uint32 = 1
+	coldHdrSize        = 8
+	runMagic    uint32 = 0xB10CF05E
+	runHdrSize         = 20
+	coldIDSize         = 32
+	maxRunCount        = 1 << 28 // sanity bound on a run header's count
 	// maxColdRuns triggers a merge: bounds per-lookup disk probes and
 	// dedupes re-added boundary roots.
 	maxColdRuns = 16
@@ -86,10 +87,10 @@ type ColdIndex struct {
 	f     chaos.File
 	path  string
 	runs  []coldRun
-	n     int   // IDs on disk (duplicates counted until merged)
-	bytes int64 // file size
-	bloom []uint64
-	err   error // sticky poison
+	n     int      // IDs on disk (duplicates counted until merged)
+	bytes int64    // file size
+	bloom []uint64 // nil until the first run is read or written: nothing is cold
+	err   error    // sticky poison
 }
 
 // OpenColdIndex opens (creating if needed) the cold index at path on
@@ -100,7 +101,7 @@ func OpenColdIndex(fs chaos.FS, path string) (*ColdIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("open cold index: %w", err)
 	}
-	c := &ColdIndex{fs: fs, f: f, path: path, bloom: make([]uint64, coldBloomBits/64)}
+	c := &ColdIndex{fs: fs, f: f, path: path}
 	if err := c.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -225,12 +226,18 @@ func bloomIdx(b []byte) [4]uint32 {
 }
 
 func (c *ColdIndex) bloomSetBytes(b []byte) {
+	if c.bloom == nil {
+		c.bloom = make([]uint64, coldBloomBits/64)
+	}
 	for _, i := range bloomIdx(b) {
 		c.bloom[i/64] |= 1 << (i % 64)
 	}
 }
 
 func (c *ColdIndex) bloomMaybe(id hashutil.Hash) bool {
+	if c.bloom == nil {
+		return false
+	}
 	for _, i := range bloomIdx(id[:]) {
 		if c.bloom[i/64]&(1<<(i%64)) == 0 {
 			return false

@@ -232,3 +232,48 @@ func TestColdIndexWriteFaultPoisons(t *testing.T) {
 		t.Fatalf("durable id unreadable after poison (ok=%v err=%v)", ok, err)
 	}
 }
+
+// TestColdIndexBloomWaitsForTheFirstRun: a journaling node that has never
+// pruned pays nothing for the 256 KiB bloom filter — it is allocated when
+// the first run is written, or read back on open — and a nil filter
+// answers "not cold" without touching the disk.
+func TestColdIndexBloomWaitsForTheFirstRun(t *testing.T) {
+	fs := chaos.NewMemFS(1)
+	c, err := OpenColdIndex(fs, "cold.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.bloom != nil {
+		t.Fatal("a fresh index allocated its bloom filter")
+	}
+	if ok, err := c.Contains(coldID(1)); ok || err != nil {
+		t.Fatalf("Contains on an empty index = %v, %v", ok, err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	empty, err := OpenColdIndex(fs, "cold.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.bloom != nil {
+		t.Fatal("reopening an index with no runs allocated its bloom filter")
+	}
+	if err := empty.AddBatch([]hashutil.Hash{coldID(1)}, coldEpoch(0)); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := empty.Contains(coldID(1)); !ok || err != nil || empty.bloom == nil {
+		t.Fatalf("after the first run: Contains = %v, %v; bloom allocated %v", ok, err, empty.bloom != nil)
+	}
+	if err := empty.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenColdIndex(fs, "cold.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if ok, err := re.Contains(coldID(1)); !ok || err != nil {
+		t.Fatalf("after reopening a run: Contains = %v, %v", ok, err)
+	}
+}

@@ -52,8 +52,11 @@ import (
 // operation or a done callback.
 
 // DefaultMaxBatch is the records-per-fsync cap when BatchConfig leaves
-// MaxBatch zero.
-const DefaultMaxBatch = 64
+// MaxBatch zero: one catch-up sync page (the node's syncPageSize). A
+// journaling relay queues a page it attaches as that many one-record
+// requests, behind whatever flush holds the disk, and the page then
+// costs one fsync.
+const DefaultMaxBatch = 256
 
 // BatchConfig tunes the group committer.
 type BatchConfig struct {

@@ -142,6 +142,36 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
+// TestSyncPageIsOneFsyncBehindTheFlushInFlight pins DefaultMaxBatch to a
+// catch-up sync page (the node's syncPageSize, 256): a journaling relay
+// queues a page as 256 one-record requests, in attach order, while its
+// committer holds the disk, and the whole page must ride the next fsync —
+// two Syncs in all, where a cap of 64 made it 1 + 4.
+func TestSyncPageIsOneFsyncBehindTheFlushInFlight(t *testing.T) {
+	const page = 256
+	l, _, gate := openGated(t)
+	defer func() { close(gate); l.Close() }()
+	key := mustKey(t)
+
+	verdicts := make(chan error, page+1)
+	done := func(err error) { verdicts <- err }
+	l.Enqueue([][]byte{sampleTx(t, key, "in flight").Encode()}, done)
+	waitFlushing(t, l)
+	for i := 0; i < page; i++ {
+		l.Enqueue([][]byte{sampleTx(t, key, fmt.Sprintf("page-%d", i)).Encode()}, done)
+	}
+	gate <- struct{}{} // the flush in flight
+	gate <- struct{}{} // the page
+	for i := 0; i < page+1; i++ {
+		if err := verdictOf(t, fmt.Sprintf("record %d", i), verdicts); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if stats := l.BatchStats(); stats.Commits != 2 || stats.Hist[batchBucket(page)] != 1 {
+		t.Fatalf("a sync page behind a held flush took %d fsyncs (batches %v), want 2: 1 + the page", stats.Commits, stats.Hist)
+	}
+}
+
 // TestAppendReturnsAtItsOwnSync: under a continuous stream of appenders
 // — the queue is never empty when a flush ends — no Append outlives the
 // Sync that covered it. Each round queues one more appender behind the

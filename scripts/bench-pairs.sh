@@ -15,9 +15,10 @@
 #
 # TRACE=1 adds one traced base/head pair per workload (seed 1, after that
 # workload's untraced pairs) and prints, side by side, the per-layer rows
-# a change to the journal, the fan-out path or the bulk readers (replay,
-# catch-up sync, batch verification) is expected to move: where an
-# end-to-end difference came from, not whether there is one.
+# a change to the journal, the fan-out path, the bulk readers (replay,
+# catch-up sync, batch verification) or the node's own metrics is
+# expected to move: where an end-to-end difference came from, not whether
+# there is one.
 set -euo pipefail
 
 base_ref=${1:?usage: scripts/bench-pairs.sh <base-ref> [workload ...]}
@@ -96,7 +97,8 @@ for (wl, m), (hw, bw, t) in sorted(wins.items()):
 layers = ["node.submit_ms_max", "node.queue_wait_ms", "replicate_p50_ms", "gossip.request_ms_p50",
           "node.relay_handle_us_per_tx", "store.fsyncs_per_tx", "trace.stage_sum_gap_frac",
           "recovery_s", "catchup_tps", "node.replay_us_per_tx", "node.sync_page_ms", "node.sync_pages",
-          "identity.verify_batch_us_per_sig", "go.gc_cycles", "admit_p95_ms"]
+          "identity.verify_batch_us_per_sig", "identity.verify_us", "node.verify_cache_hits",
+          "metrics.observe_ns", "metrics.hist_samples_end", "go.gc_cycles", "admit_p95_ms"]
 for (kind, wl, seed), sides in sorted(runs.items()):
     b, h = sides.get("base"), sides.get("head")
     if kind == "traced" and b and h:
