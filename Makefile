@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-chaos test-scenarios test-scenarios-long test-flake test-shard race cover bench bench-gossip bench-store bench-scenarios bench-latency bench-mem bench-shard bench-all bench-pairs loc mem figures examples fuzz clean
+.PHONY: all build vet test test-short test-chaos test-scenarios test-scenarios-long test-flake test-shard race cover bench bench-pairs loc mem figures examples fuzz clean
 
 all: build vet test
 
@@ -24,7 +24,9 @@ vet:
 # bytes per reading, identity's batch kernel, a histogram's flat memory)
 # and the byte guards (tangle's bytes per resident vertex, node's per
 # relayed transaction, core's per credit record) run without the race
-# detector, whose own allocations they would otherwise count.
+# detector, whose own allocations they would otherwise count; so does
+# the shard-scaling guard (four regions admit ≥ 0.8× four times one),
+# which the detector's CPU cost would turn into a measure of the cores.
 # bench/ is a module of its own, so `./...` above never reaches it: its
 # vet and tests ride here.
 test: vet
@@ -33,12 +35,7 @@ test: vet
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchtime 20x ./internal/gossip/
-	$(GO) run ./cmd/biot-bench -fig chaos -quick
-	$(GO) run ./cmd/biot-bench -fig store -quick
-	$(GO) run ./cmd/biot-bench -fig latency -quick
-	$(GO) run ./cmd/biot-bench -fig mem -quick
-	$(GO) run ./cmd/biot-bench -fig shard -quick
-	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/core/
+	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/scenario/
 	$(GO) test -run XXX -bench BenchmarkPostReadingOverRPC -benchtime 200x ./internal/rpc/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestResidentVerticesStayBounded' -count=1 ./internal/tangle/
@@ -79,11 +76,14 @@ test-scenarios-long:
 # two-shard convergence/leakage property, the multi-region roam
 # scenario (device carries credit across regions, border gateway
 # crash-reboots mid-run, zero durable loss), and the keyfile identity
-# round trip. A failing scenario prints its seed; replay with
+# round trip; then, without the race detector, the scaling guard (four
+# single-gateway regions on 5 ms-fsync disks admit ≥ 0.8× four times one).
+# A failing scenario prints its seed; replay with
 # BIOT_SCENARIO_SEED=<seed> make test-shard.
 test-shard:
 	$(GO) test -race -run 'TestShardedRegionsConvergeWithoutLeakage' -count=1 -v ./internal/node/
 	$(GO) test -race -run 'TestMultiRegionRoam' -count=1 -v ./internal/scenario/
+	$(GO) test -run 'TestShardAdmissionScalesWithRegions' -count=1 -v ./internal/scenario/
 	$(GO) test -race -run 'TestKeyfileRoundTripsAcrossSupervisorRestart' -count=1 ./cmd/biot-node/
 
 # Fast feedback loop: no race detector, skip the long soak/stress tests.
@@ -97,71 +97,13 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# One testing.B bench per paper figure + ablations (laptop-scale).
-# Also snapshots the submission-pipeline scaling curve to
-# BENCH_pipeline.json, the ledger depth-scaling curve to
-# BENCH_tangle.json and the pooled transport's fan-out curve to
-# BENCH_gossip.json (the latter two are committed; the committed
-# BENCH_gossip.json also holds the retired one-shot transport's
-# columns, which this no longer regenerates).
+# One testing.B bench per paper figure + ablations (laptop-scale), plus
+# the tangle and gossip hot-path suites. Performance claims rest on the
+# end-to-end benchmark instead (bench/, BENCHMARK.json, make bench-pairs).
 bench:
 	$(GO) test -run XXX -bench . -benchmem .
 	$(GO) test -run XXX -bench BenchmarkTangle -benchmem ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchmem ./internal/gossip/
-	$(GO) run ./cmd/biot-bench -fig pipeline -quick -json BENCH_pipeline.json
-	$(GO) run ./cmd/biot-bench -fig tangle -json BENCH_tangle.json
-	$(GO) run ./cmd/biot-bench -fig gossip -json BENCH_gossip.json
-	$(GO) run ./cmd/biot-bench -fig chaos -json BENCH_chaos.json
-	$(GO) run ./cmd/biot-bench -fig store -json BENCH_store.json
-
-# The pooled transport's fan-out figure alone (rewrites
-# BENCH_gossip.json without the historical one-shot columns).
-bench-gossip:
-	$(GO) test -run XXX -bench BenchmarkGossip -benchmem ./internal/gossip/
-	$(GO) run ./cmd/biot-bench -fig gossip -json BENCH_gossip.json
-
-# The durable-write-path figure alone (regenerates BENCH_store.json):
-# per-record fsync vs group commit, plus credit-query rescan vs
-# incremental.
-bench-store:
-	$(GO) run ./cmd/biot-bench -fig store -json BENCH_store.json
-
-# The 100+-node scenario-matrix survival table alone (regenerates
-# BENCH_scenarios.json).
-bench-scenarios:
-	$(GO) run ./cmd/biot-bench -fig scenarios -json BENCH_scenarios.json
-
-# The open-loop admission-latency sweep alone (rewrites
-# BENCH_latency.json without the historical per-tx baseline rows):
-# offered-rate sweep over the batched-verification path,
-# coordinated-omission-safe percentiles.
-bench-latency:
-	$(GO) run ./cmd/biot-bench -fig latency -json BENCH_latency.json
-
-# The bounded-memory figure alone (regenerates BENCH_mem.json):
-# steady-state resident/heap vs ledger lifetime with and without epoch
-# snapshots, plus snapshot-bootstrap vs full-replay join time.
-bench-mem:
-	$(GO) run ./cmd/biot-bench -fig mem -json BENCH_mem.json
-
-# The sharded-topology scaling figure alone (regenerates
-# BENCH_shard.json): aggregate admitted tx/s at 1..4 region gateways
-# with a fixed per-disk fsync latency as the bottleneck; the run
-# fails unless 4 gateways deliver ≥0.8× the ideal 4×-baseline line
-# with convergence, leakage, and credit-parity gates all green.
-bench-shard:
-	$(GO) run ./cmd/biot-bench -fig shard -json BENCH_shard.json
-
-# Regenerate every committed BENCH_*.json snapshot in one sweep.
-bench-all:
-	$(GO) run ./cmd/biot-bench -fig tangle -json BENCH_tangle.json
-	$(GO) run ./cmd/biot-bench -fig gossip -json BENCH_gossip.json
-	$(GO) run ./cmd/biot-bench -fig chaos -json BENCH_chaos.json
-	$(GO) run ./cmd/biot-bench -fig store -json BENCH_store.json
-	$(GO) run ./cmd/biot-bench -fig scenarios -json BENCH_scenarios.json
-	$(GO) run ./cmd/biot-bench -fig latency -json BENCH_latency.json
-	$(GO) run ./cmd/biot-bench -fig mem -json BENCH_mem.json
-	$(GO) run ./cmd/biot-bench -fig shard -json BENCH_shard.json
 
 # The paired-run protocol for a change that claims a gain on the
 # end-to-end benchmark (bench/, BENCHMARK.json): BASE exported next to
@@ -176,12 +118,14 @@ bench-pairs:
 	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<ref> [WORKLOADS=...]"; exit 2; }
 	scripts/bench-pairs.sh $(BASE) $(WORKLOADS)
 
-# Non-test Go lines per internal package — the count a change that claims
-# to simplify quotes before → after (CHANGES.md).
+# Non-test Go lines per package (internal/*, cmd/*, and the root package
+# as ".") and their total — the count a change that claims to simplify
+# quotes before → after (CHANGES.md).
 loc:
-	@for d in internal/*/; do \
-		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)" "$${d%/}"; \
-	done
+	@total=0; for d in internal/*/ cmd/*/ ./; do \
+		n=$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l); total=$$((total + n)); \
+		printf '%6d %s\n' "$$n" "$${d%/}"; \
+	done; printf '%6d total\n' "$$total"
 
 # RAM per resident transaction — the byte guards, verbose, reduced to
 # their figures: bytes per attached vertex (the ledger alone), per relayed
@@ -218,4 +162,4 @@ fuzz:
 	$(GO) test -fuzz='^FuzzVerifyBatchAgreesWithVerify$$' -fuzztime=30s ./internal/identity/
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt BENCH_pipeline.json
+	rm -f cover.out test_output.txt bench_output.txt

@@ -8,7 +8,6 @@ package biot_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -420,39 +419,5 @@ func BenchmarkAblationLambda2(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.Rows[len(res.Rows)-1].PenaltyRatio, "penalty@2.0")
-	}
-}
-
-// BenchmarkSubmitPipeline measures the staged submission pipeline's
-// scaling with concurrent submitters (lock-free admission → short attach
-// critical section → async batched fan-out). The speedup metric is TPS
-// relative to the single-submitter sub-benchmark; `make bench` writes the
-// same curve to BENCH_pipeline.json via cmd/biot-bench.
-func BenchmarkSubmitPipeline(b *testing.B) {
-	counts := []int{1, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		counts = append(counts, p)
-	}
-	base := experiments.QuickPipelineConfig()
-	var baseline float64
-	for _, n := range counts {
-		b.Run(fmt.Sprintf("submitters=%d", n), func(b *testing.B) {
-			cfg := base
-			cfg.SubmitterCounts = []int{n}
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunPipeline(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row := res.Rows[0]
-				b.ReportMetric(row.TPS, "tps")
-				if n == 1 {
-					baseline = row.TPS
-				}
-				if baseline > 0 {
-					b.ReportMetric(row.TPS/baseline, "speedup")
-				}
-			}
-		})
 	}
 }

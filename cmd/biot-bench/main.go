@@ -1,30 +1,18 @@
 // Command biot-bench regenerates every table and figure of the paper's
 // evaluation (§VI) plus the measured security matrix. See DESIGN.md §3
 // for the experiment index and EXPERIMENTS.md for paper-vs-measured
-// numbers.
+// numbers. Performance is measured end to end by the bench/ module
+// (BENCHMARK.json), not here.
 //
 // Usage:
 //
-//	biot-bench -fig all                # everything (default)
-//	biot-bench -fig 7                  # PoW time vs difficulty
+//	biot-bench -fig all                # every figure, in table order (default)
+//	biot-bench -fig 7                  # one figure
 //	biot-bench -fig 7 -quick           # CI-scale variant
-//	biot-bench -fig 8a | 8b            # credit timeline, 1 or 2 attacks
-//	biot-bench -fig 9                  # four control experiments
-//	biot-bench -fig 10                 # AES time vs message length
-//	biot-bench -fig security           # §VI-C threat scenarios, measured
-//	biot-bench -fig throughput         # DAG vs chain baseline
-//	biot-bench -fig keydist            # Fig-4 protocol experiment
-//	biot-bench -fig pipeline           # parallel-submission scaling
-//	biot-bench -fig tangle             # ledger hot-path depth scaling
-//	biot-bench -fig gossip             # transport fan-out: pooled vs one-shot
-//	biot-bench -fig chaos              # crash recovery + replay throughput
-//	biot-bench -fig store              # group-commit journal + credit query cost
-//	biot-bench -fig scenarios          # 100+-node scenario-matrix survival table
-//	biot-bench -fig latency            # open-loop admission-latency sweep
-//	biot-bench -fig mem                # bounded-memory ledger + snapshot join time
-//	biot-bench -fig shard              # sharded multi-gateway aggregate scaling
 //	biot-bench -fig 9 -csv out.csv     # also write CSV
-//	biot-bench -fig pipeline -json BENCH_pipeline.json
+//
+// `biot-bench -h` lists the figure names; the figures table below is the
+// one place they are defined.
 package main
 
 import (
@@ -44,173 +32,62 @@ type renderable interface {
 	CSV(w io.Writer) error
 }
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 7, 8a, 8b, 9, 10, security, throughput, keydist, pipeline, tangle, gossip, chaos, store, scenarios, latency, mem, shard, all")
-	quick := flag.Bool("quick", false, "CI-scale parameters (smaller sweeps, no device emulation)")
-	csvPath := flag.String("csv", "", "also write the result as CSV to this file (single figure only)")
-	jsonPath := flag.String("json", "", "also write the result as JSON to this file (single figure only; figures that support it)")
-	flag.Parse()
-
-	if err := run(*fig, *quick, *csvPath, *jsonPath); err != nil {
-		fmt.Fprintln(os.Stderr, "biot-bench:", err)
-		os.Exit(1)
-	}
+// figure is one table or figure of the evaluation. quick selects the
+// CI-scale parameters where the figure has any.
+type figure struct {
+	name string
+	run  func(ctx context.Context, quick bool) (renderable, error)
 }
 
-// jsonable is implemented by results with a machine-readable snapshot.
-type jsonable interface {
-	JSON(w io.Writer) error
-}
-
-func run(fig string, quick bool, csvPath, jsonPath string) error {
-	ctx := context.Background()
-	figs := []string{fig}
-	if fig == "all" {
-		figs = []string{"7", "8a", "8b", "9", "10", "security", "throughput", "keydist", "scale", "lazyresist", "lambda", "pipeline", "tangle", "gossip", "chaos", "store", "scenarios", "latency", "mem", "shard"}
-		if csvPath != "" {
-			return fmt.Errorf("-csv requires a single figure")
-		}
-		if jsonPath != "" {
-			return fmt.Errorf("-json requires a single figure")
-		}
-	}
-	for i, f := range figs {
-		if i > 0 {
-			fmt.Println()
-		}
-		res, err := runOne(ctx, f, quick)
-		if err != nil {
-			return fmt.Errorf("figure %s: %w", f, err)
-		}
-		if err := res.Render(os.Stdout); err != nil {
-			return err
-		}
-		if csvPath != "" {
-			out, err := os.Create(csvPath)
-			if err != nil {
-				return fmt.Errorf("create csv: %w", err)
-			}
-			if err := res.CSV(out); err != nil {
-				out.Close()
-				return err
-			}
-			if err := out.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "csv written to %s\n", csvPath)
-		}
-		if jsonPath != "" {
-			j, ok := res.(jsonable)
-			if !ok {
-				return fmt.Errorf("figure %s has no JSON snapshot", f)
-			}
-			out, err := os.Create(jsonPath)
-			if err != nil {
-				return fmt.Errorf("create json: %w", err)
-			}
-			if err := j.JSON(out); err != nil {
-				out.Close()
-				return err
-			}
-			if err := out.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "json written to %s\n", jsonPath)
-		}
-	}
-	return nil
-}
-
-func runOne(ctx context.Context, fig string, quick bool) (renderable, error) {
-	switch strings.ToLower(fig) {
-	case "7":
+// figures is every figure biot-bench regenerates, in the order -fig all
+// runs them.
+var figures = []figure{
+	// Fig 7: PoW time vs difficulty.
+	{"7", func(ctx context.Context, quick bool) (renderable, error) {
 		cfg := experiments.DefaultFig7Config()
 		if quick {
 			cfg = experiments.QuickFig7Config()
 		}
 		return experiments.RunFig7(ctx, cfg)
-	case "8a":
+	}},
+	// Fig 8: credit timeline under one attack (a) or two (b).
+	{"8a", func(context.Context, bool) (renderable, error) {
 		return experiments.RunFig8(experiments.DefaultFig8Config())
-	case "8b":
+	}},
+	{"8b", func(context.Context, bool) (renderable, error) {
 		return experiments.RunFig8(experiments.Fig8bConfig())
-	case "9":
+	}},
+	// Fig 9: the four control experiments.
+	{"9", func(context.Context, bool) (renderable, error) {
 		return experiments.RunFig9(experiments.DefaultFig9Config())
-	case "10":
+	}},
+	// Fig 10: AES time vs message length.
+	{"10", func(ctx context.Context, quick bool) (renderable, error) {
 		cfg := experiments.DefaultFig10Config()
 		if quick {
 			cfg.MaxExp = 16
 			cfg.Trials = 3
 		}
 		return experiments.RunFig10(ctx, cfg)
-	case "security":
+	}},
+	// §VI-C threat scenarios, measured.
+	{"security", func(ctx context.Context, _ bool) (renderable, error) {
 		return experiments.RunSecurity(ctx, experiments.DefaultSecurityConfig())
-	case "throughput":
+	}},
+	// DAG vs the §II single-chain baseline.
+	{"throughput", func(ctx context.Context, quick bool) (renderable, error) {
 		cfg := experiments.DefaultThroughputConfig()
 		if quick {
 			cfg = experiments.QuickThroughputConfig()
 		}
 		return experiments.RunThroughput(ctx, cfg)
-	case "keydist":
+	}},
+	// Fig 4 key-distribution protocol.
+	{"keydist", func(context.Context, bool) (renderable, error) {
 		return experiments.RunKeyDist(experiments.DefaultKeyDistConfig())
-	case "lambda":
-		return experiments.RunLambdaSweep(experiments.DefaultLambdaSweepConfig())
-	case "lazyresist":
-		return experiments.RunLazyResist(experiments.DefaultLazyResistConfig())
-	case "pipeline":
-		cfg := experiments.DefaultPipelineConfig()
-		if quick {
-			cfg = experiments.QuickPipelineConfig()
-		}
-		return experiments.RunPipeline(ctx, cfg)
-	case "tangle":
-		cfg := experiments.DefaultTangleBenchConfig()
-		if quick {
-			cfg = experiments.QuickTangleBenchConfig()
-		}
-		return experiments.RunTangleBench(cfg)
-	case "gossip":
-		cfg := experiments.DefaultGossipBenchConfig()
-		if quick {
-			cfg = experiments.QuickGossipBenchConfig()
-		}
-		return experiments.RunGossipBench(ctx, cfg)
-	case "chaos":
-		cfg := experiments.DefaultChaosBenchConfig()
-		if quick {
-			cfg = experiments.QuickChaosBenchConfig()
-		}
-		return experiments.RunChaosBench(ctx, cfg)
-	case "store":
-		cfg := experiments.DefaultStoreBenchConfig()
-		if quick {
-			cfg = experiments.QuickStoreBenchConfig()
-		}
-		return experiments.RunStoreBench(ctx, cfg)
-	case "scenarios":
-		cfg := experiments.DefaultScenarioMatrixConfig()
-		if quick {
-			cfg = experiments.QuickScenarioMatrixConfig()
-		}
-		return experiments.RunScenarioMatrix(ctx, cfg)
-	case "latency":
-		cfg := experiments.DefaultLatencyBenchConfig()
-		if quick {
-			cfg = experiments.QuickLatencyBenchConfig()
-		}
-		return experiments.RunLatencyBench(ctx, cfg)
-	case "mem":
-		cfg := experiments.DefaultMemBenchConfig()
-		if quick {
-			cfg = experiments.QuickMemBenchConfig()
-		}
-		return experiments.RunMemBench(ctx, cfg)
-	case "shard":
-		cfg := experiments.DefaultShardBenchConfig()
-		if quick {
-			cfg = experiments.QuickShardBenchConfig()
-		}
-		return experiments.RunShardBench(ctx, cfg)
-	case "scale":
+	}},
+	// Devices vs admitted throughput and acceptance latency.
+	{"scale", func(ctx context.Context, quick bool) (renderable, error) {
 		cfg := experiments.DefaultScalabilityConfig()
 		if quick {
 			cfg.DeviceCounts = []int{1, 2, 4}
@@ -218,7 +95,85 @@ func runOne(ctx context.Context, fig string, quick bool) (renderable, error) {
 			cfg.Difficulty = 8
 		}
 		return experiments.RunScalability(ctx, cfg)
-	default:
-		return nil, fmt.Errorf("unknown figure %q", fig)
+	}},
+	// Lazy-tip attack: uniform vs weighted-walk tip selection.
+	{"lazyresist", func(context.Context, bool) (renderable, error) {
+		return experiments.RunLazyResist(experiments.DefaultLazyResistConfig())
+	}},
+	// λ2 punishment-strictness sweep.
+	{"lambda", func(context.Context, bool) (renderable, error) {
+		return experiments.RunLambdaSweep(experiments.DefaultLambdaSweepConfig())
+	}},
+}
+
+// figureNames lists the figure names in table order, comma-separated.
+func figureNames() string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
 	}
+	return strings.Join(names, ", ")
+}
+
+func main() {
+	fig := flag.String("fig", "all", "figure to regenerate: "+figureNames()+", all")
+	quick := flag.Bool("quick", false, "CI-scale parameters (smaller sweeps, no device emulation)")
+	csvPath := flag.String("csv", "", "also write the result as CSV to this file (single figure only)")
+	flag.Parse()
+
+	if err := run(*fig, *quick, *csvPath); err != nil {
+		fmt.Fprintln(os.Stderr, "biot-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// lookup returns the named figure.
+func lookup(name string) (figure, error) {
+	for _, f := range figures {
+		if f.name == strings.ToLower(name) {
+			return f, nil
+		}
+	}
+	return figure{}, fmt.Errorf("unknown figure %q (want one of %s, all)", name, figureNames())
+}
+
+func run(fig string, quick bool, csvPath string) error {
+	figs := figures
+	if fig != "all" {
+		f, err := lookup(fig)
+		if err != nil {
+			return err
+		}
+		figs = []figure{f}
+	} else if csvPath != "" {
+		return fmt.Errorf("-csv requires a single figure")
+	}
+	for i, f := range figs {
+		if i > 0 {
+			fmt.Println()
+		}
+		res, err := f.run(context.Background(), quick)
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", f.name, err)
+		}
+		if err := res.Render(os.Stdout); err != nil {
+			return err
+		}
+		if csvPath == "" {
+			continue
+		}
+		out, err := os.Create(csvPath)
+		if err != nil {
+			return fmt.Errorf("create csv: %w", err)
+		}
+		if err := res.CSV(out); err != nil {
+			out.Close()
+			return err
+		}
+		if err := out.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "csv written to %s\n", csvPath)
+	}
+	return nil
 }

@@ -6,16 +6,20 @@ import (
 	"testing"
 )
 
-// TestRunOneQuickFigures smoke-tests every figure the harness knows, in
+// heavierFigures take seconds even in quick mode; -short skips them.
+var heavierFigures = map[string]bool{"7": true, "10": true, "throughput": true, "scale": true}
+
+// TestRunOneQuickFigures smoke-tests every light figure in the table, in
 // its quick configuration, rendering to io.Discard.
 func TestRunOneQuickFigures(t *testing.T) {
-	figs := []string{"8a", "8b", "9", "security", "keydist", "lazyresist", "lambda", "gossip", "latency"}
-	for _, fig := range figs {
-		fig := fig
-		t.Run(fig, func(t *testing.T) {
-			res, err := runOne(context.Background(), fig, true)
+	for _, f := range figures {
+		if heavierFigures[f.name] {
+			continue
+		}
+		t.Run(f.name, func(t *testing.T) {
+			res, err := f.run(context.Background(), true)
 			if err != nil {
-				t.Fatalf("runOne(%s): %v", fig, err)
+				t.Fatalf("figure %s: %v", f.name, err)
 			}
 			if err := res.Render(io.Discard); err != nil {
 				t.Fatalf("render: %v", err)
@@ -31,12 +35,14 @@ func TestRunOneHeavierFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavier figures skipped in -short mode")
 	}
-	for _, fig := range []string{"7", "10", "throughput", "scale"} {
-		fig := fig
-		t.Run(fig, func(t *testing.T) {
-			res, err := runOne(context.Background(), fig, true)
+	for _, f := range figures {
+		if !heavierFigures[f.name] {
+			continue
+		}
+		t.Run(f.name, func(t *testing.T) {
+			res, err := f.run(context.Background(), true)
 			if err != nil {
-				t.Fatalf("runOne(%s): %v", fig, err)
+				t.Fatalf("figure %s: %v", f.name, err)
 			}
 			if err := res.Render(io.Discard); err != nil {
 				t.Fatalf("render: %v", err)
@@ -46,7 +52,7 @@ func TestRunOneHeavierFigures(t *testing.T) {
 }
 
 func TestRunOneUnknownFigure(t *testing.T) {
-	if _, err := runOne(context.Background(), "42z", false); err == nil {
+	if _, err := lookup("42z"); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }

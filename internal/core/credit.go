@@ -364,8 +364,7 @@ func (l *Ledger) positiveLocked(rec *nodeRecord, at time.Time) float64 {
 
 // rescanPositiveLocked is the from-scratch CrP reference: a binary
 // search for the window start and a linear sum. It does not touch the
-// rolling state; property tests pin the incremental path against it,
-// and storebench uses it as the before-optimization baseline.
+// rolling state; property tests pin the incremental path against it.
 func (l *Ledger) rescanPositiveLocked(rec *nodeRecord, at time.Time) float64 {
 	now := at.UnixNano()
 	var sum float64
@@ -469,8 +468,8 @@ func (l *Ledger) CreditOf(addr identity.Address, now time.Time) Credit {
 // RescanCredit evaluates credit from scratch — full window rescan, no
 // rolling sums, no CrN cache (the carry term for cap-evicted events
 // still applies; it is part of the definition once events are gone).
-// It is the reference the property tests compare the incremental path
-// against, and the baseline mode of the storebench credit benchmark.
+// It is the reference the property tests and the scenario oracle
+// compare the incremental path against.
 func (l *Ledger) RescanCredit(addr identity.Address, now time.Time) Credit {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

@@ -446,127 +446,3 @@ func TestLambdaSweepStricterPunishment(t *testing.T) {
 		t.Error("negative λ2 accepted")
 	}
 }
-
-func TestScenarioMatrixExperimentAllCellsPass(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the CI-tier matrix runs 8 cells of 20 nodes each")
-	}
-	res, err := RunScenarioMatrix(context.Background(), QuickScenarioMatrixConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) < 6 {
-		t.Fatalf("matrix produced %d rows, want ≥ 6", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if !row.Converged || row.LostDurable > 0 || !row.CreditParityOK {
-			t.Errorf("cell %q: converged=%t lost=%d parity=%t",
-				row.Scenario, row.Converged, row.LostDurable, row.CreditParityOK)
-		}
-	}
-}
-
-// TestLatencyBenchSweep smoke-tests the open-loop latency sweep at a
-// tiny scale: every transaction is accounted for, quantiles are
-// ordered, and end-to-end latency carries at least the injected link
-// delay.
-func TestLatencyBenchSweep(t *testing.T) {
-	cfg := QuickLatencyBenchConfig()
-	cfg.Rates = []float64{300}
-	cfg.TxPerRate = 30
-	cfg.Devices = 4
-	cfg.ConfirmTimeout = 15 * time.Second // race-mode headroom
-	res, err := RunLatencyBench(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("got %d rows, want one per rate", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Submitted != cfg.TxPerRate {
-			t.Errorf("submitted %d, want %d (open-loop runs never drop sends)",
-				row.Submitted, cfg.TxPerRate)
-		}
-		if row.Failed != 0 {
-			t.Errorf("%d failures", row.Failed)
-		}
-		if row.AdmitP50 <= 0 || row.AdmitP50 > row.AdmitP99 || row.AdmitP99 > row.AdmitP999 {
-			t.Errorf("admit quantiles out of order: %v %v %v",
-				row.AdmitP50, row.AdmitP99, row.AdmitP999)
-		}
-		if row.E2EP50 < cfg.NetLatency {
-			t.Errorf("e2e p50 %v below the %v link delay", row.E2EP50, cfg.NetLatency)
-		}
-		if row.E2EP50 > row.E2EP99 || row.E2EP99 > row.E2EP999 {
-			t.Errorf("e2e quantiles out of order")
-		}
-		if row.VerifyNsPerTx <= 0 {
-			t.Errorf("no relay verification cost recorded")
-		}
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil || buf.Len() == 0 {
-		t.Fatalf("render: %v (%d bytes)", err, buf.Len())
-	}
-	buf.Reset()
-	if err := res.CSV(&buf); err != nil || !strings.Contains(buf.String(), "offered_tps") {
-		t.Fatalf("csv: %v", err)
-	}
-	buf.Reset()
-	if err := res.JSON(&buf); err != nil || !strings.Contains(buf.String(), "verify_ns_per_tx") {
-		t.Fatalf("json: %v", err)
-	}
-	if _, err := RunLatencyBench(context.Background(), LatencyBenchConfig{}); err == nil {
-		t.Error("empty config accepted")
-	}
-}
-
-// TestShardBenchSweep smoke-tests the sharded-topology scaling sweep
-// at CI scale: every cell's correctness gates (control-namespace
-// convergence, zero cross-shard leakage, credit agreement and oracle
-// parity) must hold even where the throughput headline is not gated.
-func TestShardBenchSweep(t *testing.T) {
-	cfg := QuickShardBenchConfig()
-	res, err := RunShardBench(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != len(cfg.Gateways) {
-		t.Fatalf("got %d cells, want %d", len(res.Cells), len(cfg.Gateways))
-	}
-	for _, c := range res.Cells {
-		if want := c.Gateways * cfg.Devices * cfg.Ops; c.Admitted != want {
-			t.Errorf("%d gateways: admitted %d, want %d", c.Gateways, c.Admitted, want)
-		}
-		if !c.Converged || !c.NoLeakage {
-			t.Errorf("%d gateways: converged=%v leakage-free=%v", c.Gateways, c.Converged, c.NoLeakage)
-		}
-		if !c.CreditAgree || !c.CreditParity {
-			t.Errorf("%d gateways: credit agree=%v parity=%v", c.Gateways, c.CreditAgree, c.CreditParity)
-		}
-		for si, size := range c.ShardSizes {
-			if want := cfg.Devices * cfg.Ops; size != want {
-				t.Errorf("%d gateways: shard %d holds %d vertices, want %d", c.Gateways, si+1, size, want)
-			}
-		}
-		if c.Gateways > 1 && c.BackbonePages == 0 {
-			t.Errorf("%d gateways: no backbone sync pages pulled", c.Gateways)
-		}
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil || buf.Len() == 0 {
-		t.Fatalf("render: %v (%d bytes)", err, buf.Len())
-	}
-	buf.Reset()
-	if err := res.CSV(&buf); err != nil || !strings.Contains(buf.String(), "backbone_sync_pages") {
-		t.Fatalf("csv: %v", err)
-	}
-	buf.Reset()
-	if err := res.JSON(&buf); err != nil || !strings.Contains(buf.String(), "scaling") {
-		t.Fatalf("json: %v", err)
-	}
-	if _, err := RunShardBench(context.Background(), ShardBenchConfig{}); err == nil {
-		t.Error("empty config accepted")
-	}
-}

@@ -4,7 +4,8 @@
 // (aligned text table, the same rows/series the paper reports) and CSV
 // output. The cmd/biot-bench binary and the repository's testing.B
 // benches both drive these harnesses; EXPERIMENTS.md records
-// paper-vs-measured numbers.
+// paper-vs-measured numbers. The package holds the paper's figures only:
+// the engineering layers are measured end to end by the bench/ module.
 package experiments
 
 import (

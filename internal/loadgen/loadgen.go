@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/b-iot/biot/internal/clock"
@@ -30,7 +29,7 @@ import (
 // and the instant the operation was *scheduled* to fire (which is in
 // the past by the generator's lateness when the timeline slips). A
 // non-nil error marks the sample failed; failed samples keep their
-// timing but are excluded from latency quantiles.
+// timing and carry the error in Sample.Err.
 type Op func(i int, scheduled time.Time) error
 
 // Config parameterizes one fixed-rate run.
@@ -84,35 +83,11 @@ type Sample struct {
 
 // Result is one run's complete record.
 type Result struct {
-	// OfferedRate is the configured arrival rate (ops/sec).
-	OfferedRate float64
-	// Elapsed spans first scheduled instant to last completion.
-	Elapsed time.Duration
 	// Samples holds every operation in issue order. Nothing is dropped:
 	// len(Samples) == Config.Count always.
 	Samples []Sample
 	// Failed counts samples with a non-nil Err.
 	Failed int
-}
-
-// AchievedRate is completions per second of elapsed time. A healthy
-// run tracks OfferedRate; a saturated system falls below it.
-func (r Result) AchievedRate() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(len(r.Samples)-r.Failed) / r.Elapsed.Seconds()
-}
-
-// Latencies returns the open-loop latencies of the successful samples.
-func (r Result) Latencies() []time.Duration {
-	out := make([]time.Duration, 0, len(r.Samples))
-	for _, s := range r.Samples {
-		if s.Err == nil {
-			out = append(out, s.Latency)
-		}
-	}
-	return out
 }
 
 // ErrInterrupted reports a run cut short by context cancellation. The
@@ -195,63 +170,14 @@ dispatch:
 		}
 	}
 
-	res := Result{OfferedRate: cfg.Rate, Samples: samples[:issued]}
-	var last time.Time
+	res := Result{Samples: samples[:issued]}
 	for _, s := range res.Samples {
 		if s.Err != nil {
 			res.Failed++
 		}
-		if end := s.Scheduled.Add(s.Latency); end.After(last) {
-			last = end
-		}
-	}
-	if !last.IsZero() {
-		res.Elapsed = last.Sub(start)
 	}
 	if interrupted {
 		return res, ErrInterrupted
 	}
 	return res, nil
-}
-
-// Summary holds the latency quantiles of one run.
-type Summary struct {
-	Count               int
-	Mean                time.Duration
-	P50, P90, P99, P999 time.Duration
-	Max                 time.Duration
-}
-
-// Summarize computes quantiles over durs. The input is not mutated.
-func Summarize(durs []time.Duration) Summary {
-	if len(durs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]time.Duration(nil), durs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var total time.Duration
-	for _, d := range sorted {
-		total += d
-	}
-	return Summary{
-		Count: len(sorted),
-		Mean:  total / time.Duration(len(sorted)),
-		P50:   quantile(sorted, 0.50),
-		P90:   quantile(sorted, 0.90),
-		P99:   quantile(sorted, 0.99),
-		P999:  quantile(sorted, 0.999),
-		Max:   sorted[len(sorted)-1],
-	}
-}
-
-// quantile returns the nearest-rank q-quantile of a sorted slice.
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted)) + 0.5)
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

@@ -27,9 +27,6 @@ func TestRunIssuesEveryOperation(t *testing.T) {
 	if res.Failed != 0 {
 		t.Fatalf("Failed = %d, want 0", res.Failed)
 	}
-	if res.OfferedRate != 5000 {
-		t.Fatalf("OfferedRate = %v", res.OfferedRate)
-	}
 }
 
 // TestRunScheduleIsFixedRate pins the open-loop property: scheduled
@@ -100,9 +97,6 @@ func TestRunRecordsFailures(t *testing.T) {
 	if res.Failed != 10 {
 		t.Fatalf("Failed = %d, want 10", res.Failed)
 	}
-	if got := len(res.Latencies()); got != 30 {
-		t.Fatalf("Latencies() kept %d samples, want 30 (failures excluded)", got)
-	}
 	if !errors.Is(res.Samples[0].Err, wantErr) {
 		t.Fatalf("sample 0 error = %v", res.Samples[0].Err)
 	}
@@ -133,52 +127,5 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Config{Rate: 1, Count: 0}, nil); err == nil {
 		t.Fatal("zero count accepted")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	durs := make([]time.Duration, 1000)
-	for i := range durs {
-		durs[i] = time.Duration(i+1) * time.Millisecond
-	}
-	s := Summarize(durs)
-	if s.Count != 1000 {
-		t.Fatalf("Count = %d", s.Count)
-	}
-	if s.P50 < 490*time.Millisecond || s.P50 > 510*time.Millisecond {
-		t.Fatalf("P50 = %v", s.P50)
-	}
-	if s.P99 < 985*time.Millisecond || s.P99 > 995*time.Millisecond {
-		t.Fatalf("P99 = %v", s.P99)
-	}
-	if s.P999 < 995*time.Millisecond || s.P999 > time.Second {
-		t.Fatalf("P999 = %v", s.P999)
-	}
-	if s.Max != time.Second {
-		t.Fatalf("Max = %v", s.Max)
-	}
-	if s.Mean != 500500*time.Microsecond {
-		t.Fatalf("Mean = %v", s.Mean)
-	}
-	if got := Summarize(nil); got != (Summary{}) {
-		t.Fatalf("Summarize(nil) = %+v", got)
-	}
-	// Input must not be reordered.
-	if durs[0] != time.Millisecond {
-		t.Fatal("Summarize mutated its input")
-	}
-}
-
-func TestAchievedRate(t *testing.T) {
-	r := Result{
-		Elapsed: 2 * time.Second,
-		Samples: make([]Sample, 100),
-		Failed:  20,
-	}
-	if got := r.AchievedRate(); got != 40 {
-		t.Fatalf("AchievedRate = %v, want 40", got)
-	}
-	if (Result{}).AchievedRate() != 0 {
-		t.Fatal("empty result rate")
 	}
 }

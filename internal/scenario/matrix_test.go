@@ -129,8 +129,7 @@ func TestFlakeSweep(t *testing.T) {
 	}
 }
 
-// TestSpecByName pins the registry surface the soak test and the
-// bench experiment depend on.
+// TestSpecByName pins the registry surface the soak test depends on.
 func TestSpecByName(t *testing.T) {
 	if _, ok := SpecByName("machine-carnage", TierCI); !ok {
 		t.Fatal("machine-carnage missing from the matrix")

@@ -17,14 +17,13 @@
 //
 // Every random choice — disk tear survival, gossip fault schedules,
 // churn victims — derives from one seed, so a failing cell is replayed
-// by pinning BIOT_SCENARIO_SEED. Each run produces a machine-readable
-// Result row; biot-bench -fig scenarios collects the rows into
-// BENCH_scenarios.json.
+// by pinning BIOT_SCENARIO_SEED. Each run produces one Result row;
+// TestScenarioMatrix and TestScenarioMatrixLong run every cell of a tier
+// and fail on any row that breaks an assertion.
 package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -39,8 +38,7 @@ const (
 	// TierCI is the 20-node tier (gateways + devices + manager) that
 	// runs in the ordinary test suite.
 	TierCI Tier = iota
-	// TierLong is the 100+-node tier behind make test-scenarios-long
-	// and biot-bench -fig scenarios.
+	// TierLong is the 100+-node tier behind make test-scenarios-long.
 	TierLong
 )
 
@@ -50,12 +48,6 @@ func (t Tier) String() string {
 		return "long"
 	}
 	return "ci"
-}
-
-// MarshalJSON writes the tier by name, so result snapshots read
-// "long"/"ci" instead of an enum ordinal.
-func (t Tier) MarshalJSON() ([]byte, error) {
-	return json.Marshal(t.String())
 }
 
 // Spec is one named scenario: a deployment shape, a link profile, and

@@ -62,8 +62,7 @@ const DefaultMaxBatch = 256
 type BatchConfig struct {
 	// MaxBatch caps how many records one fsync covers. Zero selects
 	// DefaultMaxBatch; 1 degenerates to the per-record-fsync write path
-	// (every record still pays its own Sync — the baseline mode the
-	// storebench experiment measures against).
+	// (every record still pays its own Sync).
 	MaxBatch int
 	// MaxDelay is how long the committer lingers with a less-than-full
 	// batch before flushing, trading latency for batch size. Zero (the
@@ -95,16 +94,8 @@ type BatchStats struct {
 	// Records is the number of records those fsyncs made durable.
 	Records uint64
 	// Hist is the per-fsync batch-size histogram; bucket i counts
-	// commits whose record count fell in BatchBucketLabels()[i].
+	// commits whose record count fell in bucket i (see batchHistBuckets).
 	Hist [batchHistBuckets]uint64
-}
-
-// BatchBucketLabels returns the histogram bucket boundaries, aligned
-// with BatchStats.Hist.
-func BatchBucketLabels() [batchHistBuckets]string {
-	return [batchHistBuckets]string{
-		"1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65-128", ">128",
-	}
 }
 
 // batchBucket maps a batch's record count to its histogram bucket.

@@ -9,9 +9,11 @@ import (
 	"time"
 	"unsafe"
 
+	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/clock"
 	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
+	"github.com/b-iot/biot/internal/store"
 	"github.com/b-iot/biot/internal/txn"
 )
 
@@ -215,60 +217,86 @@ func TestBeginBootstrapRequiresFreshTangle(t *testing.T) {
 }
 
 // TestResidentVerticesStayBounded is the memory regression guard: under
-// continuous traffic with periodic epoch snapshots, the resident vertex
-// count must plateau at O(keep-window), however long the node runs, and
-// the boundary set must stay O(frontier) — for a linear chain, a
-// handful of roots, NOT a set growing with pruned history.
+// continuous traffic with periodic snapshots, the resident vertex count
+// must plateau at O(keep-window), however long the node runs, and the
+// boundary set must stay O(frontier) — for a linear chain, a handful of
+// roots, NOT a set growing with pruned history. It holds for both ways a
+// node prunes: Snapshot with the in-memory cold set of a node without
+// persistence, and the epoch grid a persisting node cuts on (SnapshotEpoch
+// with the interval equal to the keep window) over an on-disk cold index,
+// aged through 20 keep windows.
 func TestResidentVerticesStayBounded(t *testing.T) {
-	vc := clock.NewVirtual(time.Unix(1_700_000_000, 0))
-	cfg := DefaultConfig()
-	cfg.ConfirmationWeight = 3
-	tg, key := newTangle(t, cfg, vc)
-
-	const (
-		rounds   = 12
-		perRound = 50
-		keep     = 5 * time.Minute
-	)
-	last := tg.Genesis()[0]
-	maxResident, maxBoundary := 0, 0
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < perRound; i++ {
-			vc.Advance(30 * time.Second)
-			tx := buildTx(t, key, last, last, fmt.Sprintf("r%d-%d", r, i))
-			info, err := tg.Attach(tx)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name      string
+		step      time.Duration // virtual time between chain steps
+		rounds    int
+		perRound  int
+		keep      time.Duration
+		coldIndex bool
+	}{
+		{name: "snapshot-cold-set", step: 30 * time.Second, rounds: 12, perRound: 50, keep: 5 * time.Minute},
+		{name: "epoch-cold-index", step: time.Second, rounds: 20, perRound: 60, keep: time.Minute, coldIndex: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vc := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+			cfg := DefaultConfig()
+			cfg.ConfirmationWeight = 3
+			tg, key := newTangle(t, cfg, vc)
+			snapshot := func() { tg.Snapshot(vc.Now(), tc.keep) }
+			if tc.coldIndex {
+				cold, err := store.OpenColdIndex(chaos.NewMemFS(1), "resident.cold")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cold.Close()
+				if err := tg.SetColdStore(cold); err != nil {
+					t.Fatal(err)
+				}
+				snapshot = func() { tg.SnapshotEpoch(vc.Now(), tc.keep, tc.keep) }
 			}
-			last = info.ID
-		}
-		tg.Snapshot(vc.Now(), keep)
-		if s := tg.Size(); s > maxResident {
-			maxResident = s
-		}
-		if b := tg.BoundaryCount(); b > maxBoundary {
-			maxBoundary = b
-		}
-	}
-	total := rounds * perRound
-	if tg.SnapshottedCount() < total/2 {
-		t.Fatalf("guard fixture barely pruned: %d of %d", tg.SnapshottedCount(), total)
-	}
-	// keep covers 10 chain steps at 30s spacing; one round of slack plus
-	// the unsettled tail bounds the plateau far below total history.
-	if bound := 2*perRound + 20; maxResident > bound {
-		t.Errorf("resident vertices peaked at %d, want ≤ %d (history %d)", maxResident, bound, total)
-	}
-	if maxBoundary > 8 {
-		t.Errorf("boundary grew to %d roots on a linear chain", maxBoundary)
-	}
-	// The gauges agree with the structures they mirror.
-	m := tg.Metrics()
-	if got, want := int(m.ResidentVertices.Value()), tg.Size(); got != want {
-		t.Errorf("ResidentVertices gauge = %d, want %d", got, want)
-	}
-	if got, want := int(m.ColdTotal.Value()), tg.SnapshottedCount(); got != want {
-		t.Errorf("ColdTotal gauge = %d, want %d", got, want)
+
+			last := tg.Genesis()[0]
+			maxResident, maxBoundary := 0, 0
+			for r := 0; r < tc.rounds; r++ {
+				for i := 0; i < tc.perRound; i++ {
+					vc.Advance(tc.step)
+					tx := buildTx(t, key, last, last, fmt.Sprintf("r%d-%d", r, i))
+					info, err := tg.Attach(tx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					last = info.ID
+				}
+				snapshot()
+				if s := tg.Size(); s > maxResident {
+					maxResident = s
+				}
+				if b := tg.BoundaryCount(); b > maxBoundary {
+					maxBoundary = b
+				}
+			}
+			total := tc.rounds * tc.perRound
+			if tg.SnapshottedCount() < total/2 {
+				t.Fatalf("guard fixture barely pruned: %d of %d", tg.SnapshottedCount(), total)
+			}
+			// A round spans at least one keep window; one round of slack
+			// (the epoch grid's cut trails now by up to two windows) plus the
+			// unsettled tail bounds the plateau far below total history.
+			if bound := 2*tc.perRound + 20; maxResident > bound {
+				t.Errorf("resident vertices peaked at %d, want ≤ %d (history %d)", maxResident, bound, total)
+			}
+			if maxBoundary > 8 {
+				t.Errorf("boundary grew to %d roots on a linear chain", maxBoundary)
+			}
+			// The gauges agree with the structures they mirror.
+			m := tg.Metrics()
+			if got, want := int(m.ResidentVertices.Value()), tg.Size(); got != want {
+				t.Errorf("ResidentVertices gauge = %d, want %d", got, want)
+			}
+			if got, want := int(m.ColdTotal.Value()), tg.SnapshottedCount(); got != want {
+				t.Errorf("ColdTotal gauge = %d, want %d", got, want)
+			}
+		})
 	}
 }
 
