@@ -20,9 +20,10 @@ vet:
 # live attacher. The store runs ten more rounds: its group committer is
 # the one place every admission path meets, and its tests order
 # goroutines by released fsyncs, which only repetition checks. The
-# allocation guards (txn's wire path and the ID a decode seeds, rpc's
-# bytes per reading, identity's batch kernel, a histogram's flat memory)
-# and the byte guards (tangle's bytes per resident vertex, node's per
+# allocation guards (txn's wire path and the ID a decode seeds, node's
+# relayed batch and journal replay beyond each transaction's resident
+# copy, rpc's bytes per reading, identity's batch kernel, a histogram's
+# flat memory) and the byte guards (tangle's bytes per resident vertex, node's per
 # relayed transaction, core's per credit record) run without the race
 # detector, whose own allocations they would otherwise count; so does
 # the shard-scaling guard (four regions admit ≥ 0.8× four times one),
@@ -35,7 +36,7 @@ test: vet
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchtime 20x ./internal/gossip/
-	$(GO) test -run 'TestWirePathAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/scenario/
+	$(GO) test -run 'TestWirePathAllocationBudget|TestRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/scenario/
 	$(GO) test -run XXX -bench BenchmarkPostReadingOverRPC -benchtime 200x ./internal/rpc/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestResidentVerticesStayBounded' -count=1 ./internal/tangle/
@@ -131,11 +132,13 @@ loc:
 # their figures: bytes per attached vertex (the ledger alone), per relayed
 # transaction (a whole journal-less node), per credit record (the credit
 # ledger alone), and per observed latency histogram (fixed, not per
-# transaction). A change that touches what a node keeps per transaction
-# quotes them before → after (CHANGES.md).
+# transaction) — and beside them what the two bulk edges, a relayed batch
+# and a journal replay, allocate per transaction beyond the copy the
+# ledger keeps. A change that touches what a node keeps or allocates per
+# transaction quotes them before → after (CHANGES.md).
 mem:
-	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/); status=$$?; \
-		echo "$$out" | grep -E 'bytes retained|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
+	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram|TestRelayBatchAllocationBudget|TestReplayAllocationBudget' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/); status=$$?; \
+		echo "$$out" | grep -E 'bytes retained|beyond its resident copy|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
 
 # Regenerate every paper figure with full (Pi-emulated) parameters.
 figures:
@@ -150,7 +153,8 @@ examples:
 	$(GO) run ./examples/resilience
 
 # Short fuzz pass over the wire-format decoders (the view over canonical
-# bytes against Decode among them) and the batch verifier.
+# bytes against Decode among them), the journal replay (its view-yielding
+# path against OpenFS) and the batch verifier.
 fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/txn/
 	$(GO) test -fuzz='^FuzzDecodeTransfer$$' -fuzztime=15s ./internal/txn/
@@ -159,6 +163,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzOpenEnvelope$$' -fuzztime=15s ./internal/dataauth/
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/gossip/
 	$(GO) test -fuzz='^FuzzDecodeFrame$$' -fuzztime=15s ./internal/gossip/
+	$(GO) test -fuzz='^FuzzReplay$$' -fuzztime=15s ./internal/store/
 	$(GO) test -fuzz='^FuzzVerifyBatchAgreesWithVerify$$' -fuzztime=30s ./internal/identity/
 
 clean:

@@ -110,7 +110,7 @@ func (r *Registry) Manager() identity.Address { return r.manager }
 // callers that treat stale deliveries as ordinary history should use
 // Observe instead.
 func (r *Registry) Apply(t *txn.Transaction, at time.Time) error {
-	applied, list, err := r.observe(t, at)
+	applied, list, err := r.observe(t.View(), at)
 	if err != nil {
 		return err
 	}

@@ -87,22 +87,23 @@ func (v *memberView) member(addr identity.Address) bool {
 //
 // at should be the list's deterministic record stamp (its embedded
 // timestamp clamped to the local clock), so prune decisions replay
-// identically.
-func (r *Registry) Observe(t *txn.Transaction, at time.Time) (applied bool, err error) {
-	applied, _, err = r.observe(t, at)
+// identically. The list is read from the viewed bytes, none of which the
+// registry keeps.
+func (r *Registry) Observe(v txn.View, at time.Time) (applied bool, err error) {
+	applied, _, err = r.observe(v, at)
 	return applied, err
 }
 
 // observe is the shared validation + window + current-view update
 // behind Apply and Observe.
-func (r *Registry) observe(t *txn.Transaction, at time.Time) (applied bool, list List, err error) {
-	if t.Kind != txn.KindAuthorization {
-		return false, List{}, fmt.Errorf("%w: kind %v", ErrNotAuthList, t.Kind)
+func (r *Registry) observe(v txn.View, at time.Time) (applied bool, list List, err error) {
+	if v.Kind() != txn.KindAuthorization {
+		return false, List{}, fmt.Errorf("%w: kind %v", ErrNotAuthList, v.Kind())
 	}
-	if t.Sender() != r.manager {
-		return false, List{}, fmt.Errorf("%w: issuer %s", ErrNotManager, t.Sender().Short())
+	if sender := v.Sender(); sender != r.manager {
+		return false, List{}, fmt.Errorf("%w: issuer %s", ErrNotManager, sender.Short())
 	}
-	list, err = DecodeList(t.Payload)
+	list, err = DecodeList(v.Payload())
 	if err != nil {
 		return false, List{}, err
 	}

@@ -232,7 +232,7 @@ func TestEvidenceWindowPropertyVsModel(t *testing.T) {
 		rev := revisions[seq]
 		tx := authTx(t, mgr, rev.list)
 		tx.Timestamp = stampOf(seq)
-		if _, err := reg.Observe(tx, stampOf(seq)); err != nil {
+		if _, err := reg.Observe(tx.View(), stampOf(seq)); err != nil {
 			t.Fatalf("observe seq %d: %v", seq, err)
 		}
 		model.deliver(seq, rev.members, stampOf(seq))
@@ -254,10 +254,10 @@ func TestObserveStaleListNeverRollsBack(t *testing.T) {
 
 	withDev := List{Seq: 1, Devices: []string{identity.EncodePublic(dev.Public())}}
 	without := List{Seq: 2}
-	if _, err := reg.Observe(authTx(t, mgr, withDev), time.Unix(60, 0)); err != nil {
+	if _, err := reg.Observe(authTx(t, mgr, withDev).View(), time.Unix(60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Observe(authTx(t, mgr, without), time.Unix(120, 0)); err != nil {
+	if _, err := reg.Observe(authTx(t, mgr, without).View(), time.Unix(120, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if reg.IsAuthorizedDevice(dev.Address()) {
@@ -266,7 +266,7 @@ func TestObserveStaleListNeverRollsBack(t *testing.T) {
 
 	// Re-offer the older list: success (it IS valid history), applied
 	// false, and no observable rollback.
-	applied, err := reg.Observe(authTx(t, mgr, withDev), time.Unix(180, 0))
+	applied, err := reg.Observe(authTx(t, mgr, withDev).View(), time.Unix(180, 0))
 	if err != nil {
 		t.Fatalf("re-offered older list errored: %v", err)
 	}
@@ -302,11 +302,11 @@ func TestGappedListParksInWindow(t *testing.T) {
 	l1 := List{Seq: 1, Devices: []string{identity.EncodePublic(devA.Public())}}
 	l2 := List{Seq: 2, Devices: []string{identity.EncodePublic(devB.Public())}}
 	l3 := List{Seq: 3}
-	if _, err := reg.Observe(authTx(t, mgr, l1), time.Unix(60, 0)); err != nil {
+	if _, err := reg.Observe(authTx(t, mgr, l1).View(), time.Unix(60, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// N+2 before N+1.
-	if _, err := reg.Observe(authTx(t, mgr, l3), time.Unix(180, 0)); err != nil {
+	if _, err := reg.Observe(authTx(t, mgr, l3).View(), time.Unix(180, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Seq(); got != 3 {
@@ -321,7 +321,7 @@ func TestGappedListParksInWindow(t *testing.T) {
 		t.Fatalf("EvidenceVerdict(devB, 2) = (%v, %d), want (unresolved, 2)", v, miss)
 	}
 	// The gap fills when N+1 arrives — without disturbing the view.
-	applied, err := reg.Observe(authTx(t, mgr, l2), time.Unix(120, 0))
+	applied, err := reg.Observe(authTx(t, mgr, l2).View(), time.Unix(120, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestGappedListParksInWindow(t *testing.T) {
 	// A duplicate of sequence 2 with different content (hostile replay)
 	// cannot overwrite the recorded version.
 	forged := List{Seq: 2}
-	if _, err := reg.Observe(authTx(t, mgr, forged), time.Unix(240, 0)); err != nil {
+	if _, err := reg.Observe(authTx(t, mgr, forged).View(), time.Unix(240, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if member, ok := reg.MemberAt(devB.Address(), 2); !ok || !member {
@@ -361,7 +361,7 @@ func TestWindowCapRaisesFloor(t *testing.T) {
 		if seq <= 6 {
 			l.Devices = []string{identity.EncodePublic(dev.Public())}
 		}
-		if _, err := reg.Observe(authTx(t, mgr, l), time.Unix(int64(seq)*60, 0)); err != nil {
+		if _, err := reg.Observe(authTx(t, mgr, l).View(), time.Unix(int64(seq)*60, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,7 +390,7 @@ func TestPruneVersionsKeepsFloorAndCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 5; seq++ {
-		if _, err := reg.Observe(authTx(t, mgr, List{Seq: seq}), time.Unix(int64(seq)*60, 0)); err != nil {
+		if _, err := reg.Observe(authTx(t, mgr, List{Seq: seq}).View(), time.Unix(int64(seq)*60, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

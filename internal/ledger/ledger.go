@@ -76,16 +76,17 @@ func (l *Ledger) NextSeq(addr identity.Address) uint64 {
 	return l.nextSeq[addr]
 }
 
-// Apply settles a confirmed transfer transaction into balances. It
-// returns an error (leaving state unchanged) when the transfer is
-// malformed, replays a consumed sequence, skips ahead, or overdraws.
-func (l *Ledger) Apply(t *txn.Transaction) error {
-	tr, err := txn.TransferOf(t)
+// Apply settles the viewed confirmed transfer, filed under id, into
+// balances. It returns an error (leaving state unchanged) when the
+// transfer is malformed, replays a consumed sequence, skips ahead, or
+// overdraws.
+func (l *Ledger) Apply(v txn.View, id hashutil.Hash) error {
+	tr, err := v.Transfer()
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNotTransfer, err)
 	}
-	from := t.Sender()
-	key := txn.SpendKeyOf(t, tr)
+	from := v.Sender()
+	key := v.SpendKey(tr)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -105,7 +106,7 @@ func (l *Ledger) Apply(t *txn.Transaction) error {
 	l.balances[from] -= tr.Amount
 	l.balances[tr.To] += tr.Amount
 	l.nextSeq[from] = tr.Seq + 1
-	l.spent[key] = t.ID()
+	l.spent[key] = id
 	return nil
 }
 

@@ -33,6 +33,9 @@ func transfer(t *testing.T, key *identity.KeyPair, to identity.Address, amount, 
 	return tx
 }
 
+// apply settles tx into l the way the node does, from its view.
+func apply(l *Ledger, tx *txn.Transaction) error { return l.Apply(tx.View(), tx.ID()) }
+
 func TestMintAndBalance(t *testing.T) {
 	l := New()
 	addr := mustKey(t).Address()
@@ -52,7 +55,7 @@ func TestApplyTransfer(t *testing.T) {
 	bob := mustKey(t).Address()
 	l.Mint(alice.Address(), 100)
 
-	if err := l.Apply(transfer(t, alice, bob, 30, 0)); err != nil {
+	if err := apply(l, transfer(t, alice, bob, 30, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if l.Balance(alice.Address()) != 70 || l.Balance(bob) != 30 {
@@ -68,10 +71,10 @@ func TestApplyRejectsSeqReplay(t *testing.T) {
 	alice := mustKey(t)
 	bob := mustKey(t).Address()
 	l.Mint(alice.Address(), 100)
-	if err := l.Apply(transfer(t, alice, bob, 10, 0)); err != nil {
+	if err := apply(l, transfer(t, alice, bob, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
-	err := l.Apply(transfer(t, alice, bob, 20, 0))
+	err := apply(l, transfer(t, alice, bob, 20, 0))
 	if !errors.Is(err, ErrSeqReplayed) {
 		t.Errorf("err = %v, want ErrSeqReplayed", err)
 	}
@@ -85,7 +88,7 @@ func TestApplyRejectsSeqSkip(t *testing.T) {
 	alice := mustKey(t)
 	bob := mustKey(t).Address()
 	l.Mint(alice.Address(), 100)
-	if err := l.Apply(transfer(t, alice, bob, 10, 5)); !errors.Is(err, ErrSeqOutOfOrder) {
+	if err := apply(l, transfer(t, alice, bob, 10, 5)); !errors.Is(err, ErrSeqOutOfOrder) {
 		t.Errorf("err = %v, want ErrSeqOutOfOrder", err)
 	}
 }
@@ -95,7 +98,7 @@ func TestApplyRejectsOverdraw(t *testing.T) {
 	alice := mustKey(t)
 	bob := mustKey(t).Address()
 	l.Mint(alice.Address(), 5)
-	if err := l.Apply(transfer(t, alice, bob, 10, 0)); !errors.Is(err, ErrInsufficientFunds) {
+	if err := apply(l, transfer(t, alice, bob, 10, 0)); !errors.Is(err, ErrInsufficientFunds) {
 		t.Errorf("err = %v, want ErrInsufficientFunds", err)
 	}
 	if l.NextSeq(alice.Address()) != 0 {
@@ -108,7 +111,7 @@ func TestApplyRejectsNonTransfer(t *testing.T) {
 	alice := mustKey(t)
 	tx := transfer(t, alice, mustKey(t).Address(), 1, 0)
 	tx.Kind = txn.KindData
-	if err := l.Apply(tx); !errors.Is(err, ErrNotTransfer) {
+	if err := apply(l, tx); !errors.Is(err, ErrNotTransfer) {
 		t.Errorf("err = %v, want ErrNotTransfer", err)
 	}
 }
@@ -119,7 +122,7 @@ func TestSpender(t *testing.T) {
 	bob := mustKey(t).Address()
 	l.Mint(alice.Address(), 10)
 	tx := transfer(t, alice, bob, 10, 0)
-	if err := l.Apply(tx); err != nil {
+	if err := apply(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	id, ok := l.Spender(txn.SpendKey{Account: alice.Address(), Seq: 0})
@@ -135,7 +138,7 @@ func TestSelfTransferConservesSupply(t *testing.T) {
 	l := New()
 	alice := mustKey(t)
 	l.Mint(alice.Address(), 42)
-	if err := l.Apply(transfer(t, alice, alice.Address(), 10, 0)); err != nil {
+	if err := apply(l, transfer(t, alice, alice.Address(), 10, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if l.Balance(alice.Address()) != 42 {
@@ -172,7 +175,7 @@ func TestSupplyConservationProperty(t *testing.T) {
 		supply := l.Supply()
 		seq := uint64(0)
 		for _, a := range amounts {
-			err := l.Apply(transfer(t, alice, bobAddr, uint64(a)+1, seq))
+			err := apply(l, transfer(t, alice, bobAddr, uint64(a)+1, seq))
 			if err == nil {
 				seq++
 			}
@@ -200,10 +203,10 @@ func TestLedgerLevelDoubleSpend(t *testing.T) {
 
 	first := transfer(t, alice, v1, 60, 0)
 	second := transfer(t, alice, v2, 60, 0)
-	if err := l.Apply(first); err != nil {
+	if err := apply(l, first); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Apply(second); !errors.Is(err, ErrSeqReplayed) {
+	if err := apply(l, second); !errors.Is(err, ErrSeqReplayed) {
 		t.Errorf("double spend settled: %v", err)
 	}
 	if l.Balance(v2) != 0 {

@@ -5,11 +5,14 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
+	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/gossip"
 	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
+	"github.com/b-iot/biot/internal/tangle"
 	"github.com/b-iot/biot/internal/txn"
 )
 
@@ -129,4 +132,92 @@ func TestLedgerBytesSurviveTheirCallers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBulkEdgesKeepTheirOwnBytes: what a relay batch, a sync page or a
+// journal replay attaches is the ledger's own copy. Each edge is fed from
+// buffers the test owns — the batch's and the page's entries, the journal
+// file — which are overwritten once the edge has returned; every stored
+// encoding must still be the transaction's, and hash to the ID it is filed
+// under. (The journal's records are read one after another, so a view left
+// over the reader's reused buffer would also show here.)
+func TestBulkEdgesKeepTheirOwnBytes(t *testing.T) {
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := tangle.GenesisTransactions(mgrKey.Public())
+	trunk, branch := roots[0].ID(), roots[1].ID()
+	txs := make([]*txn.Transaction, 40)
+	for i := range txs {
+		txs[i] = craftTx(mgrKey, txn.KindData, []byte(fmt.Sprintf("reading-%d", i)), trunk, branch, time.Now(), testParams().MinDifficulty)
+		trunk, branch = txs[i].ID(), trunk
+	}
+	// owned returns fresh copies of the encodings, for the edge to read.
+	owned := func() [][]byte {
+		out := make([][]byte, len(txs))
+		for i, tx := range txs {
+			out[i] = bytes.Clone(tx.Encode())
+		}
+		return out
+	}
+	overwrite := func(bufs ...[]byte) {
+		for _, b := range bufs {
+			for i := range b {
+				b[i] = 0xFF
+			}
+		}
+	}
+	check := func(t *testing.T, n *node.FullNode) {
+		t.Helper()
+		for _, tx := range txs {
+			enc, err := n.Tangle().Encoded(tx.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hashutil.Sum(enc) != tx.ID() || !bytes.Equal(enc, tx.Encode()) {
+				t.Fatalf("the stored encoding of %s changed with its source buffer", tx.ID().Short())
+			}
+		}
+	}
+
+	t.Run("relay-batch", func(t *testing.T) {
+		net := &scriptedNet{}
+		relay := newRelay(t, mgrKey, net)
+		wire := owned()
+		if _, err := net.handler.HandleGossip("peer", gossip.Message{Type: gossip.MsgTransaction, TxData: wire}); err != nil {
+			t.Fatal(err)
+		}
+		overwrite(wire...)
+		check(t, relay)
+	})
+	t.Run("sync-page", func(t *testing.T) {
+		net := &scriptedNet{peers: []string{"peer"}}
+		relay := newRelay(t, mgrKey, net)
+		page := owned()
+		net.serve = func(string, gossip.Message) (gossip.Message, error) {
+			return gossip.Message{Type: gossip.MsgSyncResponse, TxData: page, Offset: uint64(len(page)), Total: uint64(len(page))}, nil
+		}
+		relay.SyncAll(context.Background())
+		overwrite(page...)
+		check(t, relay)
+	})
+	t.Run("replay-run", func(t *testing.T) {
+		fs := chaos.NewMemFS(3)
+		writeJournal(t, fs, "gw.journal", txs...)
+		relay := newRelay(t, mgrKey, &scriptedNet{})
+		if _, err := relay.EnablePersistenceFS(fs, "gw.journal"); err != nil {
+			t.Fatal(err)
+		}
+		if err := relay.ClosePersistence(); err != nil {
+			t.Fatal(err)
+		}
+		file, err := fs.ReadFile("gw.journal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		overwrite(file)
+		fs.WriteFile("gw.journal", file)
+		check(t, relay)
+	})
 }

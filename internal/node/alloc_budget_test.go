@@ -1,0 +1,154 @@
+//go:build !race
+
+package node_test
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+
+	"github.com/b-iot/biot/internal/chaos"
+	"github.com/b-iot/biot/internal/gossip"
+	"github.com/b-iot/biot/internal/identity"
+	"github.com/b-iot/biot/internal/node"
+	"github.com/b-iot/biot/internal/tangle"
+	"github.com/b-iot/biot/internal/txn"
+)
+
+// Allocation guards for the two bulk edges, a relayed batch and a journal
+// replay: what each allocates per transaction beyond the one copy of its
+// encoding the ledger keeps — the vertex, the credit record, index growth,
+// the edge's own scratch. On go1.24 linux/amd64 the fixtures measured
+// 1 092 B in 4.1 allocations (relay) and 1 030 B in 4.2 (replay) per
+// transaction while every edge decoded each one into a txn.Transaction,
+// and measure 751 B in 3.0 and 857 B in 3.2 now that they carry views of
+// bytes; the budgets are those figures plus about 10 %.
+const (
+	relayBatchBytesBudget  = 830
+	relayBatchAllocsBudget = 3.3
+	replayBytesBudget      = 945
+	replayAllocsBudget     = 3.5
+)
+
+// chainedTxs mines n data transactions from key, each approving the one
+// before, rooted in the deployment's genesis.
+func chainedTxs(t *testing.T, key *identity.KeyPair, n int) []*txn.Transaction {
+	t.Helper()
+	roots := tangle.GenesisTransactions(key.Public())
+	trunk, branch := roots[0].ID(), roots[1].ID()
+	txs := make([]*txn.Transaction, n)
+	for i := range txs {
+		payload := []byte(fmt.Sprintf("%064d", i)) // the benchmark's reading size
+		txs[i] = craftTx(key, txn.KindData, payload, trunk, branch, time.Now(), testParams().MinDifficulty)
+		trunk, branch = txs[i].ID(), trunk
+	}
+	return txs
+}
+
+// beyondResidentCopy runs admit, which attaches txs, and returns the heap
+// allocations and bytes it made per transaction beyond one allocation of
+// each transaction's encoding.
+func beyondResidentCopy(txs []*txn.Transaction, admit func()) (allocs, bytes float64) {
+	encoded := 0
+	for _, tx := range txs {
+		encoded += len(tx.Encode())
+	}
+	// No collection inside the window: one would empty the pools the
+	// verify kernel and admitGossipBatch keep their scratch in, and the
+	// refill would be counted. Nor a forced one just before it: runtime.GC
+	// finishes a cycle already under way and then runs its own, and two
+	// cycles empty a pool. Whatever earlier collections left, the kernel's
+	// scratch is primed once collection is off. (The tests run on one P
+	// for the same reason: a pool's cache is per P.)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	primeVerifyKernel(txs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	admit()
+	runtime.ReadMemStats(&after)
+	n := float64(len(txs))
+	return float64(after.Mallocs-before.Mallocs)/n - 1, float64(after.TotalAlloc-before.TotalAlloc-uint64(encoded)) / n
+}
+
+// primeVerifyKernel batch-verifies one full verify chunk of txs's
+// signatures, leaving the kernel's pooled scratch at the size the node's
+// chunks need.
+func primeVerifyKernel(txs []*txn.Transaction) {
+	txs = txs[:min(len(txs), node.BatchVerifyChunk)]
+	pubs := make([]identity.PublicKey, len(txs))
+	msgs, sigs := make([][]byte, len(txs)), make([][]byte, len(txs))
+	for i, tx := range txs {
+		v := tx.View()
+		pubs[i], msgs[i], sigs[i] = v.Issuer(), v.SigningBytes(), v.Signature()
+	}
+	if errs := identity.VerifyBatch(pubs, msgs, sigs); errs != nil {
+		panic(fmt.Sprintf("priming the verify kernel: %v", errs))
+	}
+}
+
+// TestRelayBatchAllocationBudget: 64-transaction relayed batches through
+// admitGossipBatch, on a journal-less relay.
+func TestRelayBatchAllocationBudget(t *testing.T) {
+	const batch, warm, measured = 64, 4, 16
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &scriptedNet{}
+	relay := newRelay(t, mgrKey, net)
+	txs := chainedTxs(t, mgrKey, batch*(warm+measured))
+	wire := make([][]byte, len(txs))
+	for i, tx := range txs {
+		wire[i] = tx.Encode()
+	}
+	deliver := func(from, to int) {
+		for at := from; at < to; at += batch {
+			msg := gossip.Message{Type: gossip.MsgTransaction, TxData: wire[at : at+batch]}
+			if _, err := net.handler.HandleGossip("gateway:5600", msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deliver(0, batch*warm)
+	allocs, bytes := beyondResidentCopy(txs[batch*warm:], func() { deliver(batch*warm, len(txs)) })
+	if got := relay.Tangle().Size(); got != len(txs)+2 {
+		t.Fatalf("relay holds %d transactions, want %d", got, len(txs)+2)
+	}
+	t.Logf("%.1f allocations, %.0f bytes allocated per relayed transaction beyond its resident copy", allocs, bytes)
+	if allocs > relayBatchAllocsBudget || bytes > relayBatchBytesBudget {
+		t.Errorf("a relayed transaction costs %.1f allocations and %.0f bytes beyond its resident copy, budget %.1f and %d",
+			allocs, bytes, relayBatchAllocsBudget, relayBatchBytesBudget)
+	}
+}
+
+// TestReplayAllocationBudget: a gateway booting on a 1 000-record journal.
+func TestReplayAllocationBudget(t *testing.T) {
+	const records = 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := chainedTxs(t, mgrKey, records)
+	fs := chaos.NewMemFS(5)
+	writeJournal(t, fs, "gw.journal", txs...)
+	relay := newRelay(t, mgrKey, &scriptedNet{})
+	t.Cleanup(func() { _ = relay.ClosePersistence() })
+	var replayed int
+	allocs, bytes := beyondResidentCopy(txs, func() {
+		if replayed, err = relay.EnablePersistenceFS(fs, "gw.journal"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if replayed != records {
+		t.Fatalf("replayed %d records, want %d", replayed, records)
+	}
+	t.Logf("%.1f allocations, %.0f bytes allocated per replayed transaction beyond its resident copy", allocs, bytes)
+	if allocs > replayAllocsBudget || bytes > replayBytesBudget {
+		t.Errorf("a replayed transaction costs %.1f allocations and %.0f bytes beyond its resident copy, budget %.1f and %d",
+			allocs, bytes, replayAllocsBudget, replayBytesBudget)
+	}
+}

@@ -2,15 +2,19 @@ package node_test
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/b-iot/biot/internal/authz"
+	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/clock"
 	"github.com/b-iot/biot/internal/gossip"
 	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
+	"github.com/b-iot/biot/internal/tangle"
 	"github.com/b-iot/biot/internal/txn"
 )
 
@@ -273,15 +277,29 @@ func TestQuarantineBounded(t *testing.T) {
 	}
 }
 
-// TestRelayRejectCounterParity pins exact-reject accounting across the
-// two inbound verification paths: one three-transaction batch settles
-// its signatures with the shared-ladder VerifyBatch, while the same
-// transactions delivered as three one-transaction batches each take the
-// per-transaction verifyCached path. Both must classify the set — one
-// clean admission, one bad signature, one Sybil — into identical
-// counter deltas, with each reject counted exactly once.
+// TestRelayRejectCounterParity pins exact-reject accounting across every
+// bulk edge by which bytes reach the ledger. One clean admission, one bad
+// signature, one Sybil — all three approving a parent P — and a rogue
+// authorization list (a non-manager's, its signature corrupted too) are
+// delivered as one batch (the signatures settled together by the verify
+// stage), as one-transaction batches (each a batch of one through the same
+// stage), as a sync page that syncFrom pulls, and ahead of P, so that the
+// data transactions park in the quarantine and are retried from there when
+// P lands. Each delivery must classify the set into the exact counter
+// values below, each reject counted once. A parked orphan's first sight
+// counts a Quarantined and a reject of its own (the attach it used to
+// cost, which fifo_test and bench's node.rejected read), so the quarantine
+// delivery adds its two parked orphans to both; the deliveries are
+// compared with each other net of those.
+//
+// The rogue list pins the order of a relayed list's checks: the manager
+// check runs before the signature, so a list failing both counts one
+// Unauthorized and no Rejected.
+//
+// The fifth delivery is the journal: a node's own trusted state, which no
+// relay gate judges. There the bad signature is refused by the same verify
+// stage — the boot fails naming it — and no counter moves.
 func TestRelayRejectCounterParity(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
 	mgrKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -294,56 +312,117 @@ func TestRelayRejectCounterParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	floor := testParams().MinDifficulty
+	now := time.Now()
+	roots := tangle.GenesisTransactions(mgrKey.Public())
+	g := [2]hashutil.Hash{roots[0].ID(), roots[1].ID()}
+	list1 := craftAuthTx(t, mgrKey,
+		authz.List{Seq: 1, Devices: []string{identity.EncodePublic(devKey.Public())}},
+		g[0], g[1], now)
+	parent := craftTx(devKey, txn.KindData, []byte("p"), g[0], g[1], now, floor)
+	valid := craftTx(devKey, txn.KindData, []byte("v"), parent.ID(), g[0], now, floor)
+	badSig := craftTx(devKey, txn.KindData, []byte("b"), parent.ID(), g[0], now, floor)
+	badSig.Signature[0] ^= 0xFF // corrupt BEFORE the encoding caches
+	sybil := craftTx(sybilKey, txn.KindData, []byte("s"), parent.ID(), g[0], now, floor)
+	rogueList := craftAuthTx(t, sybilKey,
+		authz.List{Seq: 2, Devices: []string{identity.EncodePublic(sybilKey.Public())}},
+		g[0], g[1], now)
+	rogueList.Signature[0] ^= 0xFF
+	set := []*txn.Transaction{valid, badSig, sybil, rogueList}
 
-	run := func(t *testing.T, oneBatch bool) node.Counters {
-		in := newInjectedNode(t, mgrKey, clk, nil)
-		g := genesisIDs(t, in.n)
-		list1 := craftAuthTx(t, mgrKey,
-			authz.List{Seq: 1, Devices: []string{identity.EncodePublic(devKey.Public())}},
-			g[0], g[1], clk.Now())
-		in.send(t, list1)
-
-		floor := testParams().MinDifficulty
-		valid := craftTx(devKey, txn.KindData, []byte("v"), g[0], g[1], clk.Now(), floor)
-		badSig := craftTx(devKey, txn.KindData, []byte("b"), g[0], g[1], clk.Now(), floor)
-		badSig.Signature[0] ^= 0xFF // corrupt BEFORE the encoding caches
-		sybil := craftTx(sybilKey, txn.KindData, []byte("s"), g[0], g[1], clk.Now(), floor)
-		if oneBatch {
-			in.send(t, valid, badSig, sybil)
-		} else {
-			in.send(t, valid)
-			in.send(t, badSig)
-			in.send(t, sybil)
-		}
-
-		if !in.n.Tangle().Contains(valid.ID()) {
-			t.Fatal("valid transaction rejected")
-		}
-		return in.n.CountersView()
+	deliveries := map[string]func(t *testing.T, relay *node.FullNode, net *scriptedNet){
+		"one-batch": func(t *testing.T, _ *node.FullNode, net *scriptedNet) {
+			net.deliver(t, "peer", list1, parent)
+			net.deliver(t, "peer", set...)
+		},
+		"batches-of-one": func(t *testing.T, _ *node.FullNode, net *scriptedNet) {
+			net.deliver(t, "peer", list1, parent)
+			for _, tx := range set {
+				net.deliver(t, "peer", tx)
+			}
+		},
+		"sync-page": func(t *testing.T, relay *node.FullNode, net *scriptedNet) {
+			net.deliver(t, "peer", list1, parent)
+			serveLedger(net, set...)
+			relay.SyncAll(context.Background())
+		},
+		"quarantine-retry": func(t *testing.T, relay *node.FullNode, net *scriptedNet) {
+			net.deliver(t, "peer", list1)
+			net.deliver(t, "peer", set...)
+			if got := relay.QuarantineLen(); got != 2 {
+				t.Fatalf("%d parked ahead of their parent, want valid and sybil", got)
+			}
+			net.deliver(t, "peer", parent)
+			c := relay.CountersView()
+			if got := c.QuarantineRepairs.Value(); got != 1 {
+				t.Errorf("QuarantineRepairs = %d, want 1 (valid)", got)
+			}
+			if got := relay.QuarantineLen(); got != 0 {
+				t.Errorf("QuarantineLen = %d after the retry, want 0", got)
+			}
+		},
 	}
-
-	batch := run(t, true)
-	each := run(t, false)
-
+	parked := map[string]int64{"quarantine-retry": 2} // orphans parked on first sight, by delivery
 	type row struct {
-		name        string
-		batch, each int64
-		want        int64
+		name   string
+		of     func(node.Counters) int64
+		want   int64 // before any parked orphan
+		parked bool  // each parked orphan adds one
 	}
-	for _, r := range []row{
-		{"Accepted", batch.Accepted.Value(), each.Accepted.Value(), 2}, // list1 + valid
-		{"Rejected", batch.Rejected.Value(), each.Rejected.Value(), 1}, // bad signature, once
-		{"Unauthorized", batch.Unauthorized.Value(), each.Unauthorized.Value(), 0},
-		{"StaleAuthRejects", batch.StaleAuthRejects.Value(), each.StaleAuthRejects.Value(), 1}, // the Sybil, once
-		{"Quarantined", batch.Quarantined.Value(), each.Quarantined.Value(), 0},
-	} {
-		if r.batch != r.each {
-			t.Errorf("%s: batch path %d != per-tx path %d", r.name, r.batch, r.each)
-		}
-		if r.batch != r.want {
-			t.Errorf("%s = %d, want exactly %d", r.name, r.batch, r.want)
+	rows := []row{
+		{"Accepted", func(c node.Counters) int64 { return c.Accepted.Value() }, 3, false}, // list1, parent, valid
+		{"Rejected", func(c node.Counters) int64 { return c.Rejected.Value() }, 1, true},  // the bad signature, once
+		{"Quarantined", func(c node.Counters) int64 { return c.Quarantined.Value() }, 0, true},
+		{"Unauthorized", func(c node.Counters) int64 { return c.Unauthorized.Value() }, 1, false},         // the rogue list, once
+		{"StaleAuthRejects", func(c node.Counters) int64 { return c.StaleAuthRejects.Value() }, 1, false}, // the Sybil, once
+	}
+	netOf := map[string][]int64{} // by row, each delivery's value net of its parked orphans
+	for name, deliver := range deliveries {
+		t.Run(name, func(t *testing.T) {
+			net := &scriptedNet{peers: []string{"peer"}}
+			relay := newRelay(t, mgrKey, net)
+			deliver(t, relay, net)
+			if !relay.Tangle().Contains(valid.ID()) {
+				t.Fatal("valid transaction rejected")
+			}
+			c := relay.CountersView()
+			for _, r := range rows {
+				v, extra := r.of(c), int64(0)
+				if r.parked {
+					extra = parked[name]
+				}
+				netOf[r.name] = append(netOf[r.name], v-extra)
+				if v != r.want+extra {
+					t.Errorf("%s = %d, want exactly %d", r.name, v, r.want+extra)
+				}
+			}
+		})
+	}
+	for _, r := range rows {
+		for _, v := range netOf[r.name] {
+			if v != netOf[r.name][0] {
+				t.Errorf("%s net of parked orphans differs between deliveries: %v", r.name, netOf[r.name])
+				break
+			}
 		}
 	}
+
+	t.Run("journal-replay", func(t *testing.T) {
+		fs := chaos.NewMemFS(7)
+		writeJournal(t, fs, "gw.journal", append([]*txn.Transaction{list1, parent}, set...)...)
+		relay := newRelay(t, mgrKey, &scriptedNet{})
+		_, err := relay.EnablePersistenceFS(fs, "gw.journal")
+		if !errors.Is(err, txn.ErrBadTxSignature) || !strings.Contains(err.Error(), badSig.ID().Short()) {
+			t.Fatalf("boot = %v; want the bad signature refused, naming %s", err, badSig.ID().Short())
+		}
+		c := relay.CountersView()
+		for name, v := range map[string]int64{"Accepted": c.Accepted.Value(), "Rejected": c.Rejected.Value(),
+			"Unauthorized": c.Unauthorized.Value(), "StaleAuthRejects": c.StaleAuthRejects.Value()} {
+			if v != 0 {
+				t.Errorf("%s = %d after a replay, want 0: a journal is judged by its refusal", name, v)
+			}
+		}
+	})
 }
 
 // genesisIDs returns the node's two genesis root IDs.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/b-iot/biot/internal/chaos"
+	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/store"
 	"github.com/b-iot/biot/internal/tangle"
 	"github.com/b-iot/biot/internal/txn"
@@ -16,6 +17,7 @@ const (
 	SendWindow        = sendWindow
 	OrphanRepairGrace = orphanRepairGrace
 	MaxUnsyncedRelay  = maxUnsyncedRelay
+	BatchVerifyChunk  = batchVerifyChunk
 )
 
 // UnflushedJournal counts the records queued for the journal whose flush
@@ -47,16 +49,17 @@ func (n *FullNode) ReplayPerRecord(fs chaos.FS, path string) error {
 		return err
 	}
 	n.tangle.RestoreColdEpoch(coldIdx.Epoch())
-	log, err := store.OpenFSGen(fs, path, func(t *txn.Transaction, gen uint64) error {
-		if err := t.VerifyBasic(); err != nil {
+	log, err := store.OpenFSGen(fs, path, func(v txn.View, gen uint64) error {
+		if err := v.VerifyBasic(); err != nil {
 			return fmt.Errorf("journaled transaction invalid: %w", err)
 		}
-		err := n.replayTransaction(t, gen)
+		rec := newInflight(v, hashutil.Sum(v.Bytes()), n.cfg.ShardID)
+		err := n.replayTransaction(rec, gen)
 		switch {
 		case errors.Is(err, tangle.ErrDuplicate):
 			return nil
 		case gen == 0 && errors.Is(err, tangle.ErrUnknownParent):
-			return fmt.Errorf("journal record %s precedes its parent or has none here: %w", t.ID().Short(), err)
+			return fmt.Errorf("journal record %s precedes its parent or has none here: %w", rec.id.Short(), err)
 		}
 		return err
 	})

@@ -187,23 +187,37 @@ type journalReplay struct {
 	// the log opened): the journal has them, so they are not appended again.
 	duplicates map[hashutil.Hash]struct{}
 
-	held     []*txn.Transaction // the run being verified
-	verdicts chan []error       // receives held's verdicts, once
+	held     []inflight   // the run being verified
+	verdicts chan []error // receives held's verdicts, once
+	spare    []inflight   // the run committed last, reused for the next read
 }
 
 // take is the store's callback: start on run, then commit the one held.
 // The empty run that ends the journal starts nothing and commits the last.
-func (r *journalReplay) take(run []*txn.Transaction, gen uint64) error {
+// The store reads each record into bytes of its own, so a run's views are
+// the ledger's from here on; each is filed with this gateway's region, as
+// a local submission is (the journal does not record shards).
+func (r *journalReplay) take(run []txn.View, gen uint64) error {
 	held, verdicts := r.held, r.verdicts
-	r.held, r.verdicts = run, nil
+	r.held, r.verdicts = nil, nil
 	if len(run) > 0 {
-		r.verdicts = make(chan []error, 1)
-		go func(out chan<- []error) { out <- r.node.verifyJournaled(run) }(r.verdicts)
+		recs := r.spare
+		if cap(recs) < len(run) {
+			recs = make([]inflight, len(run))
+		}
+		recs = recs[:len(run)]
+		for i, v := range run {
+			recs[i] = newInflight(v, hashutil.Hash{}, r.node.cfg.ShardID)
+		}
+		r.held, r.verdicts = recs, make(chan []error, 1)
+		go func(out chan<- []error) { out <- r.node.verifyJournaled(recs) }(r.verdicts)
 	}
 	if len(held) == 0 {
 		return nil
 	}
-	return r.commit(held, <-verdicts, gen)
+	err := r.commit(held, <-verdicts, gen)
+	r.spare = held
+	return err
 }
 
 // join waits out the verification a replay that ended early left running.
@@ -214,35 +228,40 @@ func (r *journalReplay) join() {
 }
 
 // commit re-admits one verified run in journal order.
-func (r *journalReplay) commit(run []*txn.Transaction, verdicts []error, gen uint64) error {
-	for i, t := range run {
+func (r *journalReplay) commit(run []inflight, verdicts []error, gen uint64) error {
+	for i, rec := range run {
 		if verdicts != nil && verdicts[i] != nil {
-			return fmt.Errorf("journal record %s is invalid: %w", t.ID().Short(), verdicts[i])
+			return fmt.Errorf("journal record %s is invalid: %w", rec.id.Short(), verdicts[i])
 		}
-		err := r.node.replayTransaction(t, gen)
+		err := r.node.replayTransaction(rec, gen)
 		switch {
 		case err == nil:
 		case errors.Is(err, tangle.ErrDuplicate):
-			r.duplicates[t.ID()] = struct{}{}
+			r.duplicates[rec.id] = struct{}{}
 		case gen == 0 && errors.Is(err, tangle.ErrUnknownParent):
 			return fmt.Errorf("journal record %s precedes its parent or has none here "+
 				"(a foreign or damaged log, or one written before journal order was attach order; "+
-				"move it aside and let the node sync from its peers): %w", t.ID().Short(), err)
+				"move it aside and let the node sync from its peers): %w", rec.id.Short(), err)
 		default:
-			return fmt.Errorf("journal record %s: %w", t.ID().Short(), err)
+			return fmt.Errorf("journal record %s: %w", rec.id.Short(), err)
 		}
 	}
 	return nil
 }
 
-// verifyJournaled is VerifyBasic for a run of journal records: the
-// signatures through the verify stage, the structure of each beside it,
-// and per record the error VerifyBasic would have returned.
-func (n *FullNode) verifyJournaled(run []*txn.Transaction) []error {
+// verifyJournaled identifies a run of journal records and is VerifyBasic
+// for them: the digests and the structure of each, the signatures through
+// the verify stage beside them, and per record the error VerifyBasic would
+// have returned. It runs beside the commit of the run before, so the
+// hashing, like the signatures, is off the reader's goroutine.
+func (n *FullNode) verifyJournaled(run []inflight) []error {
+	for i := range run {
+		run[i].id = hashutil.Sum(run[i].Bytes())
+	}
 	errs := n.verify.settle(run)
-	for i, t := range run {
+	for i, rec := range run {
 		var err error
-		if serr := t.VerifyStructure(); serr != nil {
+		if serr := rec.VerifyStructure(); serr != nil {
 			err = serr
 		} else if errs != nil && errs[i] != nil {
 			err = fmt.Errorf("%w: %v", txn.ErrBadTxSignature, errs[i])
@@ -272,9 +291,9 @@ func (n *FullNode) verifyJournaled(run []*txn.Transaction) []error {
 // rebuilds in log order) and double-spend punishments re-fire through the
 // tangle's conflict detector; lazy-tip events may not (parent ages are a
 // property of the original arrival timing).
-func (n *FullNode) replayTransaction(t *txn.Transaction, generation uint64) error {
-	restoreOnBoundary := func(t *txn.Transaction, shard uint32) (tangle.Info, error) {
-		info, err := n.tangle.AttachShard(t, shard)
+func (n *FullNode) replayTransaction(rec inflight, generation uint64) error {
+	restoreOnBoundary := func(v txn.View, id hashutil.Hash, shard uint32) (tangle.Info, error) {
+		info, err := n.tangle.AttachShard(v, id, shard)
 		if errors.Is(err, tangle.ErrSnapshottedParent) ||
 			(generation > 0 && errors.Is(err, tangle.ErrUnknownParent)) {
 			// A parent this node's own cold index lists was folded away
@@ -282,13 +301,11 @@ func (n *FullNode) replayTransaction(t *txn.Transaction, generation uint64) erro
 			// crash fell between Compact and CompactJournal). A parent
 			// merely absent is a boundary only in a compacted segment,
 			// which loses only its tail. Restore re-creates the boundary.
-			info, err = n.tangle.RestoreShard(t, shard)
+			info, err = n.tangle.RestoreShard(v, id, shard)
 		}
 		return info, err
 	}
-	// The journal does not record shards; re-derive the namespace from
-	// the kind and this gateway's own region, as for a local submission.
-	_, err := n.commit(t, t.Timestamp, shardFor(t.Kind, n.cfg.ShardID), restoreOnBoundary)
+	_, err := n.commit(rec, rec.Timestamp(), restoreOnBoundary)
 	if errors.Is(err, errListInvalid) {
 		return nil // on the ledger before the crash, and on it again
 	}

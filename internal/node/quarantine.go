@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/b-iot/biot/internal/hashutil"
-	"github.com/b-iot/biot/internal/txn"
 )
 
 // Quarantine-and-repair lane for relayed transactions whose admission
@@ -31,15 +30,15 @@ const (
 
 // quarEntry is one parked transaction.
 type quarEntry struct {
-	tx *txn.Transaction
+	// rec is the transaction as the gate filed it, its namespace
+	// included, so a later kick attaches it into the same shard its relay
+	// targeted.
+	rec inflight
 	// from is the peer that relayed it (the anti-entropy probe target).
 	from string
 	// missingSeq is the first unobserved list sequence blocking the
 	// evidence verdict; 0 when the block is an unattached parent.
 	missingSeq uint64
-	// shard is the namespace hint the transaction arrived with, so a
-	// later kick attaches it into the same shard its relay targeted.
-	shard uint32
 	// deadline is the entry's TTL expiry.
 	deadline time.Time
 }
@@ -64,20 +63,35 @@ func newQuarantine(capacity int, ttl time.Duration) *quarantine {
 // park inserts (or refreshes) an entry. fresh reports whether the
 // transaction was not already parked; evicted is how many oldest
 // entries were displaced to stay under capacity.
-func (q *quarantine) park(t *txn.Transaction, from string, missingSeq uint64, now time.Time, shard uint32) (fresh bool, evicted int) {
-	id := t.ID()
+func (q *quarantine) park(rec inflight, from string, missingSeq uint64, now time.Time) (fresh bool, evicted int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if e, ok := q.entries[id]; ok {
-		// Already parked: refresh the blocking reason but keep the
-		// original deadline — re-offers must not extend a stay forever.
+	if e, ok := q.entries[rec.id]; ok {
+		// Already parked: refresh the blocking reason and the namespace
+		// the latest relay declared, but keep the original deadline —
+		// re-offers must not extend a stay forever.
 		e.missingSeq = missingSeq
 		e.from = from
-		e.shard = shard
+		e.rec.shard = rec.shard
 		return false, 0
 	}
-	q.entries[id] = &quarEntry{tx: t, from: from, missingSeq: missingSeq, shard: shard, deadline: now.Add(q.ttl)}
-	q.order = append(q.order, id)
+	return true, q.insertLocked(&quarEntry{rec: rec, from: from, missingSeq: missingSeq, deadline: now.Add(q.ttl)})
+}
+
+// repark reinserts a drained entry, preserving its original deadline.
+func (q *quarantine) repark(e *quarEntry) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if _, ok := q.entries[e.rec.id]; !ok {
+		q.insertLocked(e)
+	}
+}
+
+// insertLocked files e last in FIFO order and evicts the oldest entries
+// past capacity, returning how many.
+func (q *quarantine) insertLocked(e *quarEntry) (evicted int) {
+	q.entries[e.rec.id] = e
+	q.order = append(q.order, e.rec.id)
 	for len(q.entries) > q.cap {
 		victim := q.order[0]
 		q.order = q.order[1:]
@@ -86,24 +100,7 @@ func (q *quarantine) park(t *txn.Transaction, from string, missingSeq uint64, no
 			evicted++
 		}
 	}
-	return true, evicted
-}
-
-// repark reinserts a drained entry, preserving its original deadline.
-func (q *quarantine) repark(e *quarEntry) {
-	id := e.tx.ID()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, ok := q.entries[id]; ok {
-		return
-	}
-	q.entries[id] = e
-	q.order = append(q.order, id)
-	for len(q.entries) > q.cap {
-		victim := q.order[0]
-		q.order = q.order[1:]
-		delete(q.entries, victim)
-	}
+	return evicted
 }
 
 // drain removes and returns every parked entry in FIFO order.

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -13,8 +14,9 @@ import (
 // verifyStage is the verify of verify → gate → commit → replicate: the one
 // place signatures are settled in bulk. Relayed batches and sync pages
 // (verifyInboundBatch) and journal replay (verifyJournaled) hand it a run
-// of transactions and get back what is wrong with each; what a failure
-// means — a counted reject, a refused journal — stays with the caller.
+// of in-flight records — views of bytes, nothing decoded — and get back
+// what is wrong with each; what a failure means — a counted reject, a
+// refused journal — stays with the caller.
 type verifyStage struct {
 	// sem is the verification pool: verification is CPU-bound (Ed25519 +
 	// hashing), so the bound is the core count, shared across every run in
@@ -35,7 +37,7 @@ func newVerifyStage(metrics PipelineMetrics) *verifyStage {
 // the verification pool's cores.
 const batchVerifyChunk = 64
 
-// settle checks the issuer signature of every transaction in txs,
+// settle checks the issuer signature of every record in recs,
 // batchVerifyChunk at a time across the verification pool, and reports
 // per transaction: nil when every signature verifies, else a slice in
 // input order whose entry is nil for the valid ones. A chunk of k costs one
@@ -43,28 +45,28 @@ const batchVerifyChunk = 64
 // multiplications, and a failed chunk falls back to per-signature
 // attribution, so offenders are named exactly as identity.Verify would
 // name them. A run of one chunk is settled on the caller's goroutine.
-func (v *verifyStage) settle(txs []*txn.Transaction) []error {
-	if len(txs) <= batchVerifyChunk {
-		return v.settleChunk(txs)
+func (v *verifyStage) settle(recs []inflight) []error {
+	if len(recs) <= batchVerifyChunk {
+		return v.settleChunk(recs)
 	}
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
 		errs []error
 	)
-	for start := 0; start < len(txs); start += batchVerifyChunk {
-		end := min(start+batchVerifyChunk, len(txs))
+	for start := 0; start < len(recs); start += batchVerifyChunk {
+		end := min(start+batchVerifyChunk, len(recs))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			chunk := v.settleChunk(txs[start:end])
+			chunk := v.settleChunk(recs[start:end])
 			if chunk == nil {
 				return
 			}
 			mu.Lock()
 			defer mu.Unlock()
 			if errs == nil {
-				errs = make([]error, len(txs))
+				errs = make([]error, len(recs))
 			}
 			copy(errs[start:], chunk)
 		}()
@@ -75,8 +77,8 @@ func (v *verifyStage) settle(txs []*txn.Transaction) []error {
 
 // settleChunk settles one chunk with one identity.VerifyBatch call, on a
 // slot of the pool.
-func (v *verifyStage) settleChunk(txs []*txn.Transaction) []error {
-	if len(txs) == 0 {
+func (v *verifyStage) settleChunk(recs []inflight) []error {
+	if len(recs) == 0 {
 		return nil
 	}
 	v.sem <- struct{}{}
@@ -91,14 +93,14 @@ func (v *verifyStage) settleChunk(txs []*txn.Transaction) []error {
 		msgs [batchVerifyChunk][]byte
 		sigs [batchVerifyChunk][]byte
 	)
-	for i, t := range txs {
-		pubs[i], msgs[i], sigs[i] = t.Issuer, t.SigningBytes(), t.Signature
+	for i, rec := range recs {
+		pubs[i], msgs[i], sigs[i] = rec.Issuer(), rec.SigningBytes(), rec.Signature()
 	}
 	start := time.Now()
-	errs := identity.VerifyBatch(pubs[:len(txs)], msgs[:len(txs)], sigs[:len(txs)])
+	errs := identity.VerifyBatch(pubs[:len(recs)], msgs[:len(recs)], sigs[:len(recs)])
 	v.metrics.VerifyLatency.Observe(time.Since(start))
 	v.metrics.BatchVerifies.Inc()
-	v.metrics.BatchVerified.Add(int64(len(txs)))
+	v.metrics.BatchVerified.Add(int64(len(recs)))
 	if errs != nil {
 		v.metrics.BatchFallbacks.Inc()
 	}
@@ -107,42 +109,42 @@ func (v *verifyStage) settleChunk(txs []*txn.Transaction) []error {
 
 // verifyInboundBatch verifies a run of relayed transactions — a batch of
 // one like any other — and returns the survivors in input order, in
-// txs's own backing array. The serialized attach that follows stays out
+// recs's own backing array. The serialized attach that follows stays out
 // of this stage, so the expensive checks of independent transactions
 // overlap across cores — and across concurrently arriving batches from
 // different peers.
 //
 // The work runs in two stages. Stage one performs the cheap
 // per-transaction checks inline: structure, authorization, and the relay
-// PoW floor — all allocation-free against the decoded transaction's
-// cached encoding. Stage two settles every surviving signature through
-// the verify stage (a lone one single-verified, below
-// identity.MinBatchSize); an offender is counted once, whichever way its
-// signature was settled. Echoes of attached transactions never get here:
-// admitGossipBatch drops them at tangle.Contains.
-func (n *FullNode) verifyInboundBatch(txs []*txn.Transaction) []*txn.Transaction {
-	pending := txs[:0]
-	for _, t := range txs {
-		if n.precheckInbound(t) == nil {
-			pending = append(pending, t)
+// PoW floor — all allocation-free, read from the viewed bytes. Stage two
+// settles every surviving signature through the verify stage (a lone one
+// single-verified, below identity.MinBatchSize); an offender is counted
+// once, whichever way its signature was settled. Echoes of attached
+// transactions never get here: admitGossipBatch drops them at
+// tangle.Contains.
+func (n *FullNode) verifyInboundBatch(recs []inflight) []inflight {
+	pending := recs[:0]
+	for _, rec := range recs {
+		if n.precheckInbound(rec.View) == nil {
+			pending = append(pending, rec)
 		}
 	}
 	errs := n.verify.settle(pending)
 	out := pending[:0]
-	for j, t := range pending {
+	for j, rec := range pending {
 		if errs != nil && errs[j] != nil {
 			n.counters.Rejected.Inc()
 			continue
 		}
-		out = append(out, t)
+		out = append(out, rec)
 	}
 	return out
 }
 
 // precheckInbound runs every relay-admission check except the
 // signature: structure, the evidence-at-admission authorization gate,
-// and the relay PoW floor — the Ed25519 verification is factored out
-// for batch settlement.
+// and the relay PoW floor — gossip broadcasts and sync pages alike; the
+// Ed25519 verification is factored out for batch settlement.
 //
 // The authorization gate here is advisory DoS protection, not the
 // decision: only a DEFINITIVE Unauthorized verdict (the sender is a
@@ -151,19 +153,27 @@ func (n *FullNode) verifyInboundBatch(txs []*txn.Transaction) []*txn.Transaction
 // Authorized and Unresolved both continue; the authoritative verdict
 // is re-taken at the attach stage, where an Unresolved transaction
 // parks in quarantine instead of being dropped.
-func (n *FullNode) precheckInbound(t *txn.Transaction) error {
-	if err := t.VerifyStructure(); err != nil {
+func (n *FullNode) precheckInbound(v txn.View) error {
+	if err := v.VerifyStructure(); err != nil {
 		n.counters.Rejected.Inc()
 		return err
 	}
-	if t.Kind == txn.KindAuthorization {
-		if t.Sender() != n.registry.Manager() {
+	if v.Kind() == txn.KindAuthorization {
+		if v.Sender() != n.registry.Manager() {
 			n.counters.Unauthorized.Inc()
 			return authz.ErrNotManager
 		}
-	} else if verdict, _, ok := n.relayAuthVerdict(t); ok && verdict == authz.VerdictUnauthorized {
+	} else if verdict, _, ok := n.relayAuthVerdict(v); ok && verdict == authz.VerdictUnauthorized {
 		n.counters.StaleAuthRejects.Inc()
 		return ErrUnauthorizedDevice
 	}
-	return n.verifyRelayDifficulty(t)
+	// The PoW floor, not this node's credit-derived demand: that is enforced
+	// once, at the submission edge (admit). A relay cannot re-derive it — the
+	// miner's view may count weight from the transaction's own descendants —
+	// and demanding it wedged catch-up sync forever in the chaos soak.
+	if err := v.VerifyPoW(n.engine.Ledger().Params().MinDifficulty); err != nil {
+		n.counters.Rejected.Inc()
+		return fmt.Errorf("%w: %v", ErrWrongDifficulty, err)
+	}
+	return nil
 }

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,7 +84,11 @@ func fuzzBatchedLogBytes() []byte {
 // mutation — truncations, bit flips, forged headers, length-field
 // attacks — replay must never panic and never admit a record whose
 // bytes don't round-trip the CRC'd encoding (apply only sees records
-// that passed magic+length+CRC+decode).
+// that passed magic+length+CRC+decode). The two ways in must agree on
+// every input, record for record: the view-yielding replay a node boots
+// on (OpenFSRuns) and OpenFS, through which bench's durability gate reads
+// a journal — the same IDs in the same order, the same verdict, and the
+// same stop offset and file after the open.
 func FuzzReplay(f *testing.F) {
 	valid := fuzzLogBytes(3)
 	f.Add([]byte{})
@@ -102,23 +108,46 @@ func FuzzReplay(f *testing.F) {
 	f.Add(batched[:len(batched)-11]) // crash mid-batch: torn batch tail
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		runsFS := chaos.NewMemFS(1)
+		runsFS.WriteFile("tx.log", data)
+		var viewed []hashutil.Hash
+		rl, rerr := OpenFSRuns(runsFS, "tx.log", func(run []txn.View, _ uint64) error {
+			for _, v := range run {
+				viewed = append(viewed, hashutil.Sum(v.Bytes()))
+			}
+			return nil
+		})
+
 		fs := chaos.NewMemFS(1)
 		fs.WriteFile("tx.log", data)
-		applied := 0
+		var ids []hashutil.Hash
 		l, err := OpenFS(fs, "tx.log", func(tx *txn.Transaction) error {
 			// Every admitted record must be a well-formed transaction
 			// whose canonical encoding frames back into a valid record.
 			if _, rerr := encodeRecord(tx.Encode()); rerr != nil {
 				t.Fatalf("admitted unencodable record: %v", rerr)
 			}
-			applied++
+			tx.Invalidate() // identified from the decoded fields, re-encoded
+			ids = append(ids, tx.ID())
 			return nil
 		})
+		if (rerr == nil) != (err == nil) {
+			t.Fatalf("the replay in runs says %v, OpenFS says %v", rerr, err)
+		}
+		if !slices.Equal(viewed, ids) {
+			t.Fatalf("the replay in runs viewed %d records, OpenFS applied %d, not the same ones in the same order", len(viewed), len(ids))
+		}
 		if err != nil {
 			return // rejecting a mutated log is fine; panicking is not
 		}
-		if l.Len() != applied {
-			t.Fatalf("Len=%d but applied %d", l.Len(), applied)
+		defer rl.Close()
+		afterRuns, _ := runsFS.ReadFile("tx.log")
+		after, _ := fs.ReadFile("tx.log")
+		if rl.Bytes() != l.Bytes() || rl.Len() != l.Len() || !bytes.Equal(afterRuns, after) {
+			t.Fatalf("the replay in runs stopped at %d bytes (%d records), OpenFS at %d (%d)", rl.Bytes(), rl.Len(), l.Bytes(), l.Len())
+		}
+		if l.Len() != len(ids) {
+			t.Fatalf("Len=%d but applied %d", l.Len(), len(ids))
 		}
 		// The survivor must accept appends: recovery leaves a live log.
 		tx := &txn.Transaction{

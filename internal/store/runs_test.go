@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/b-iot/biot/internal/chaos"
+	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/txn"
 )
 
@@ -57,11 +58,11 @@ func TestOpenFSRunsHandsOverRunsThenTheEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var (
-		kept  [][]*txn.Transaction
+		kept  [][]txn.View
 		sizes []int
 		ended bool
 	)
-	l, err := OpenFSRuns(fs, "tx.log", func(run []*txn.Transaction, gen uint64) error {
+	l, err := OpenFSRuns(fs, "tx.log", func(run []txn.View, gen uint64) error {
 		if ended {
 			t.Error("a run after the empty run")
 		}
@@ -85,8 +86,8 @@ func TestOpenFSRunsHandsOverRunsThenTheEnd(t *testing.T) {
 	}
 	var got []string
 	for _, run := range kept { // read after the open: nothing was overwritten
-		for _, tx := range run {
-			got = append(got, tx.ID().Hex())
+		for _, v := range run {
+			got = append(got, hashutil.Sum(v.Bytes()).Hex())
 		}
 	}
 	if fmt.Sprint(got) != fmt.Sprint(ids) {
@@ -110,7 +111,7 @@ func TestOpenFSRunsRefusalAtTheEndLeavesTheFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	refused := errors.New("the last record does not check")
-	_, err = OpenFSRuns(fs, "tx.log", func(run []*txn.Transaction, gen uint64) error {
+	_, err = OpenFSRuns(fs, "tx.log", func(run []txn.View, gen uint64) error {
 		if len(run) == 0 {
 			return refused
 		}
@@ -150,7 +151,7 @@ func TestOpenFSRunsJudgesWhatPrecedesAnUndecodableRecord(t *testing.T) {
 		appendJunkRecord(t, fs)
 		refused := errors.New("a record in the last run does not check")
 		var sizes []int
-		_, err := OpenFSRuns(fs, "tx.log", func(run []*txn.Transaction, gen uint64) error {
+		_, err := OpenFSRuns(fs, "tx.log", func(run []txn.View, gen uint64) error {
 			sizes = append(sizes, len(run))
 			if len(run) == 0 && refuse {
 				return refused
@@ -166,15 +167,16 @@ func TestOpenFSRunsJudgesWhatPrecedesAnUndecodableRecord(t *testing.T) {
 	}
 }
 
-// TestOpenFSGenStaysPerRecord: the per-record contract bench and the
-// gate read journals through — each record applied before the next is
-// decoded, so an undecodable one is met with everything before it applied.
+// TestOpenFSGenStaysPerRecord: the per-record contract OpenFS — what
+// bench and its gate read journals through — wraps: each record applied
+// before the next is read, so an undecodable one is met with everything
+// before it applied.
 func TestOpenFSGenStaysPerRecord(t *testing.T) {
 	fs, ids := runsFixture(t, 5, false)
 	appendJunkRecord(t, fs)
 	var applied []string
-	_, err := OpenFSGen(fs, "tx.log", func(tx *txn.Transaction, gen uint64) error {
-		applied = append(applied, tx.ID().Hex())
+	_, err := OpenFSGen(fs, "tx.log", func(v txn.View, gen uint64) error {
+		applied = append(applied, hashutil.Sum(v.Bytes()).Hex())
 		return nil
 	})
 	if !errors.Is(err, ErrCorruptLog) {

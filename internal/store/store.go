@@ -52,6 +52,7 @@ import (
 	"sync"
 
 	"github.com/b-iot/biot/internal/chaos"
+	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/txn"
 )
 
@@ -127,25 +128,30 @@ func Open(path string, apply func(*txn.Transaction) error) (*Log, error) {
 // intact record through apply in order, truncates (and syncs) any torn
 // tail, and leaves the log ready for appends. apply errors abort the
 // open (a record that no longer applies indicates a foreign or corrupt
-// log).
+// log). It is OpenFSGen with each record built into a transaction of the
+// callback's own.
 func OpenFS(fs chaos.FS, path string, apply func(*txn.Transaction) error) (*Log, error) {
 	if apply == nil {
 		return OpenFSGen(fs, path, nil)
 	}
-	return OpenFSGen(fs, path, func(t *txn.Transaction, _ uint64) error { return apply(t) })
+	return OpenFSGen(fs, path, func(v txn.View, _ uint64) error {
+		return apply(v.Transaction(hashutil.Sum(v.Bytes())))
+	})
 }
 
-// OpenFSGen is OpenFS with a generation-aware apply callback: gen is the
+// OpenFSGen is OpenFS for a caller that takes each record as the view of
+// its canonical encoding, with a generation-aware callback: gen is the
 // segment generation being replayed — 0 for a fresh log, >0 once
 // compaction has rewritten the segment. Replay of a compacted
 // segment is the one situation where a record's parents may legitimately
 // be absent (they sat beyond the snapshot boundary), and callers use gen
-// to relax parent resolution exactly then and no wider.
-func OpenFSGen(fs chaos.FS, path string, apply func(*txn.Transaction, uint64) error) (*Log, error) {
+// to relax parent resolution exactly then and no wider. Each view is over
+// bytes of the record's own, which the caller may keep.
+func OpenFSGen(fs chaos.FS, path string, apply func(txn.View, uint64) error) (*Log, error) {
 	if apply == nil {
 		return openFS(fs, path, 1, nil)
 	}
-	return openFS(fs, path, 1, func(run []*txn.Transaction, gen uint64) error {
+	return openFS(fs, path, 1, func(run []txn.View, gen uint64) error {
 		if len(run) == 0 {
 			return nil // the end of the journal: nothing a per-record caller holds back
 		}
@@ -166,13 +172,13 @@ const ReplayRun = 512
 // is cut, so that a refusal still leaves the file as it was found — apply
 // is called once more with an empty run: a caller working a run behind
 // the reader settles what it still holds there.
-func OpenFSRuns(fs chaos.FS, path string, apply func(run []*txn.Transaction, gen uint64) error) (*Log, error) {
+func OpenFSRuns(fs chaos.FS, path string, apply func(run []txn.View, gen uint64) error) (*Log, error) {
 	return openFS(fs, path, ReplayRun, apply)
 }
 
 // openFS opens the log and replays it through apply, runLen records at a
 // time and then the empty run that ends the journal.
-func openFS(fs chaos.FS, path string, runLen int, apply func([]*txn.Transaction, uint64) error) (*Log, error) {
+func openFS(fs chaos.FS, path string, runLen int, apply func([]txn.View, uint64) error) (*Log, error) {
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("open tx log: %w", err)
@@ -293,15 +299,15 @@ const replayBuffer = 64 << 10
 // before it are applied first and ended with the empty run, so apply has
 // seen, whole, exactly the prefix a record-at-a-time replay would have
 // shown it before stopping there.
-func (l *Log) replay(base int64, runLen int, apply func([]*txn.Transaction, uint64) error) (validLen int64, count int, err error) {
+func (l *Log) replay(base int64, runLen int, apply func([]txn.View, uint64) error) (validLen int64, count int, err error) {
 	if _, err := l.f.Seek(base, io.SeekStart); err != nil {
 		return 0, 0, fmt.Errorf("seek records start: %w", err)
 	}
 	var (
 		reader   = bufio.NewReaderSize(l.f, replayBuffer)
 		header   [headerSize]byte
-		body     []byte // reused: txn.Decode copies what it keeps
-		run      []*txn.Transaction
+		body     []byte // reused while nothing is applied, so nothing is kept
+		run      []txn.View
 		runStart = base
 		offset   = base
 	)
@@ -351,10 +357,17 @@ func (l *Log) replay(base int64, runLen int, apply func([]*txn.Transaction, uint
 		if length == 0 || length > maxRecordLen {
 			return stop()
 		}
-		if uint32(cap(body)) < length {
-			body = make([]byte, length)
+		// A record that is applied is read into a buffer of its own, once:
+		// the view apply receives is over bytes the caller may keep.
+		var data []byte
+		if apply == nil {
+			if uint32(cap(body)) < length {
+				body = make([]byte, length)
+			}
+			data = body[:length]
+		} else {
+			data = make([]byte, length)
 		}
-		data := body[:length]
 		if _, err := io.ReadFull(reader, data); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return stop() // torn body
@@ -364,7 +377,7 @@ func (l *Log) replay(base int64, runLen int, apply func([]*txn.Transaction, uint
 		if crc32.Checksum(data, castagnoli) != binary.BigEndian.Uint32(header[8:12]) {
 			return stop() // corrupt record: treat as tear
 		}
-		t, err := txn.Decode(data)
+		v, err := txn.ViewOf(data)
 		if err != nil {
 			return fail(fmt.Errorf("%w: undecodable record at %d: %v",
 				ErrCorruptLog, offset, err))
@@ -375,9 +388,9 @@ func (l *Log) replay(base int64, runLen int, apply func([]*txn.Transaction, uint
 			continue
 		}
 		if run == nil {
-			run = make([]*txn.Transaction, 0, runLen)
+			run = make([]txn.View, 0, runLen)
 		}
-		if run = append(run, t); len(run) == runLen {
+		if run = append(run, v); len(run) == runLen {
 			if err := flush(false); err != nil {
 				return 0, 0, err
 			}

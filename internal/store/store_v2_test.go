@@ -170,7 +170,7 @@ func TestHeaderlessJournalRefused(t *testing.T) {
 	fs.WriteFile("tx.log", original)
 
 	for attempt := 1; attempt <= 2; attempt++ {
-		l, err := OpenFSGen(fs, "tx.log", func(*txn.Transaction, uint64) error {
+		l, err := OpenFSGen(fs, "tx.log", func(txn.View, uint64) error {
 			t.Fatal("replayed a record from a headerless journal")
 			return nil
 		})

@@ -20,7 +20,8 @@ func TestShardOrderPartitionsAttachmentOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("select tips: %v", err)
 		}
-		info, err := tg.AttachShard(buildTx(t, key, trunk, branch, fmt.Sprintf("s%d-%d", shard, i)), shard)
+		tx := buildTx(t, key, trunk, branch, fmt.Sprintf("s%d-%d", shard, i))
+		info, err := tg.AttachShard(tx.View(), tx.ID(), shard)
 		if err != nil {
 			t.Fatalf("attach: %v", err)
 		}
@@ -95,7 +96,8 @@ func TestShardOrderSurvivesSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("select tips: %v", err)
 		}
-		if _, err := tg.AttachShard(buildTx(t, key, trunk, branch, fmt.Sprintf("s%d-%d", shard, i)), shard); err != nil {
+		tx := buildTx(t, key, trunk, branch, fmt.Sprintf("s%d-%d", shard, i))
+		if _, err := tg.AttachShard(tx.View(), tx.ID(), shard); err != nil {
 			t.Fatalf("attach: %v", err)
 		}
 		clk.Advance(time.Second)

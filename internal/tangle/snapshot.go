@@ -203,16 +203,17 @@ func compactLive(vs []*vertex) []*vertex {
 // BeginBootstrap, which widens Attach only for the manifest's boundary
 // roots.)
 func (t *Tangle) Restore(tx *txn.Transaction) (Info, error) {
-	return t.RestoreShard(tx, 0)
+	return t.RestoreShard(tx.View(), tx.ID(), 0)
 }
 
-// RestoreShard is Restore with the vertex tagged into the given tangle
-// namespace (journal records carry no shard tag, so the replay layer
-// re-derives the namespace from the transaction kind and the node's
-// own shard assignment).
-func (t *Tangle) RestoreShard(tx *txn.Transaction, shard uint32) (Info, error) {
+// RestoreShard is Restore for the viewed transaction filed under id (see
+// AttachShard), with the vertex tagged into the given tangle namespace
+// (journal records carry no shard tag, so the replay layer re-derives the
+// namespace from the transaction kind and the node's own shard
+// assignment).
+func (t *Tangle) RestoreShard(enc txn.View, id hashutil.Hash, shard uint32) (Info, error) {
 	t.mu.Lock()
-	info, err := t.restoreLocked(tx, shard)
+	info, err := t.restoreLocked(enc, id, shard)
 	t.mu.Unlock()
 	if err == nil {
 		t.deliverPending()
@@ -220,8 +221,7 @@ func (t *Tangle) RestoreShard(tx *txn.Transaction, shard uint32) (Info, error) {
 	return info, err
 }
 
-func (t *Tangle) restoreLocked(tx *txn.Transaction, shard uint32) (Info, error) {
-	id, enc := tx.ID(), tx.View()
+func (t *Tangle) restoreLocked(enc txn.View, id hashutil.Hash, shard uint32) (Info, error) {
 	if _, dup := t.vertices[id]; dup {
 		return Info{}, fmt.Errorf("%w: %s", ErrDuplicate, id.Short())
 	}

@@ -441,16 +441,18 @@ func (t *Tangle) Weight(id hashutil.Hash) (float64, error) {
 // transaction is still attached (the DAG keeps both branches) but the
 // lighter branch is marked rejected.
 func (t *Tangle) Attach(tx *txn.Transaction) (Info, error) {
-	return t.AttachShard(tx, 0)
+	return t.AttachShard(tx.View(), tx.ID(), 0)
 }
 
-// AttachShard is Attach with the vertex tagged into the given tangle
-// namespace (0 = control plane, >= 1 = region data shards). The DAG
-// itself is shared — parents may live in any namespace — only the
-// attachment-order indexes are per shard.
-func (t *Tangle) AttachShard(tx *txn.Transaction, shard uint32) (Info, error) {
+// AttachShard is Attach for the viewed transaction filed under id — the
+// digest of its bytes, which the ledger keeps as they are and never
+// writes — with the vertex tagged into the given tangle namespace (0 =
+// control plane, >= 1 = region data shards). The DAG itself is shared —
+// parents may live in any namespace — only the attachment-order indexes
+// are per shard.
+func (t *Tangle) AttachShard(enc txn.View, id hashutil.Hash, shard uint32) (Info, error) {
 	t.mu.Lock()
-	info, err := t.attachLocked(tx, shard)
+	info, err := t.attachLocked(enc, id, shard)
 	t.mu.Unlock()
 	if err == nil {
 		t.deliverPending()
@@ -458,9 +460,7 @@ func (t *Tangle) AttachShard(tx *txn.Transaction, shard uint32) (Info, error) {
 	return info, err
 }
 
-func (t *Tangle) attachLocked(tx *txn.Transaction, shard uint32) (Info, error) {
-	id, enc := tx.ID(), tx.View()
-
+func (t *Tangle) attachLocked(enc txn.View, id hashutil.Hash, shard uint32) (Info, error) {
 	if _, dup := t.vertices[id]; dup {
 		return Info{}, fmt.Errorf("%w: %s", ErrDuplicate, id.Short())
 	}

@@ -128,20 +128,22 @@ func (t *Transaction) appendEncode(buf []byte, full bool) []byte {
 // Decode parses a full canonical encoding produced by Encode.
 //
 // The wire format is positional, so the input IS the canonical
-// encoding: Decode copies it once, checks the copy (ViewOf), seeds the
-// transaction's encoding cache with it and its digest, and sub-slices
+// encoding: Decode copies it once and checks the copy (ViewCopy), seeds
+// the transaction's encoding cache with it and its digest, and sub-slices
 // Issuer, Payload and Signature from it — one buffer allocation for the
 // whole transaction, and ID/Encode/SigningBytes/VerifyBasic never
 // re-serialize or re-hash. The decoded transaction's byte-slice fields
-// alias the cache; Clone before mutating them.
+// alias the cache; Clone before mutating them. A reader that only checks,
+// identifies and keeps the bytes needs no Transaction: ViewCopy is all of
+// Decode but the struct.
 func Decode(data []byte) (*Transaction, error) {
-	v, err := ViewOf(append([]byte(nil), data...))
+	v, err := ViewCopy(data)
 	if err != nil {
 		return nil, err
 	}
-	// Every transaction that is decoded is identified next (deduplication,
-	// the verified set, the attach), so the digest is taken here, over the
-	// bytes just copied, and the cache is published once: ID would
-	// otherwise replace a snapshot without a digest by one with.
+	// A decoded transaction is identified next (deduplication, the attach),
+	// so the digest is taken here, over the bytes just copied, and the cache
+	// is published once: ID would otherwise replace a snapshot without a
+	// digest by one with.
 	return v.decoded(v.Issuer(), v.Payload(), v.Signature(), hashutil.Sum(v.enc)), nil
 }

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -58,7 +59,9 @@ func FuzzDecode(f *testing.F) {
 // FuzzViewAgreesWithDecode checks the two readers of the wire format
 // against each other: the view refuses exactly the inputs Decode refuses,
 // every accessor returns what Decode put in the field of the same name,
-// and the transaction a view materialises is the one Decode built.
+// the transaction a view materialises is the one Decode built, and the
+// view verifies (structure, signature, PoW) exactly as the decoded
+// transaction does.
 func FuzzViewAgreesWithDecode(f *testing.F) {
 	key, err := identity.Generate()
 	if err != nil {
@@ -124,6 +127,13 @@ func FuzzViewAgreesWithDecode(f *testing.F) {
 		dt, derr := TransferOf(d)
 		if vt != dt || (verr == nil) != (derr == nil) {
 			t.Fatalf("transfer bodies disagree: view %+v (%v), decoded %+v (%v)", vt, verr, dt, derr)
+		}
+		// The bulk edges check the view, the submission edge the decoded
+		// fields: one rule, so one verdict.
+		for _, pair := range [][2]error{{v.VerifyBasic(), d.VerifyBasic()}, {v.VerifyPoW(4), d.VerifyPoW(4)}} {
+			if fmt.Sprint(pair[0]) != fmt.Sprint(pair[1]) {
+				t.Fatalf("the view and the decoded transaction verify differently: %v, %v", pair[0], pair[1])
+			}
 		}
 	})
 }

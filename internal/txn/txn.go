@@ -176,21 +176,28 @@ var (
 // The batch-verification path runs it per transaction and then settles
 // all the signatures with one identity.VerifyBatch call.
 func (t *Transaction) VerifyStructure() error {
-	if len(t.Issuer) == 0 {
+	return checkStructure(t.Kind, len(t.Issuer), len(t.Payload), t.Trunk, t.Branch)
+}
+
+// checkStructure is the one structural-validity rule, for a transaction's
+// fields and a view's bytes alike, so that the submission edge and the
+// bulk edges cannot drift apart.
+func checkStructure(kind Kind, issuerLen, payloadLen int, trunk, branch hashutil.Hash) error {
+	if issuerLen == 0 {
 		return ErrNoIssuer
 	}
-	if !t.Kind.Valid() {
+	if !kind.Valid() {
 		return ErrBadKind
 	}
-	if len(t.Payload) > MaxPayloadSize {
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(t.Payload))
+	if payloadLen > MaxPayloadSize {
+		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, payloadLen)
 	}
-	if t.Kind == KindGenesis {
-		if !t.Trunk.IsZero() || !t.Branch.IsZero() {
+	if kind == KindGenesis {
+		if !trunk.IsZero() || !branch.IsZero() {
 			return ErrGenesisParents
 		}
 	} else {
-		if t.Trunk.IsZero() || t.Branch.IsZero() {
+		if trunk.IsZero() || branch.IsZero() {
 			return ErrMissingParents
 		}
 	}
@@ -208,7 +215,13 @@ func (t *Transaction) VerifyBasic() error {
 	if err := t.VerifyStructure(); err != nil {
 		return err
 	}
-	if err := identity.Verify(t.Issuer, t.SigningBytes(), t.Signature); err != nil {
+	return checkSignature(t.Issuer, t.SigningBytes(), t.Signature)
+}
+
+// checkSignature verifies one issuer signature, wrapped as VerifyBasic
+// reports it.
+func checkSignature(issuer identity.PublicKey, signing, sig []byte) error {
+	if err := identity.Verify(issuer, signing, sig); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadTxSignature, err)
 	}
 	return nil
@@ -217,9 +230,13 @@ func (t *Transaction) VerifyBasic() error {
 // VerifyPoW checks that the transaction's nonce satisfies the given
 // difficulty (leading zero bits of the Eqn-6 output).
 func (t *Transaction) VerifyPoW(difficulty int) error {
-	if !t.PowDigest().MeetsDifficulty(difficulty) {
+	return checkPoW(t.PowDigest(), difficulty)
+}
+
+func checkPoW(digest hashutil.Hash, difficulty int) error {
+	if !digest.MeetsDifficulty(difficulty) {
 		return fmt.Errorf("%w: have %d bits, need %d",
-			ErrInsufficientWork, t.PowDigest().LeadingZeroBits(), difficulty)
+			ErrInsufficientWork, digest.LeadingZeroBits(), difficulty)
 	}
 	return nil
 }

@@ -91,6 +91,37 @@ func ViewOf(enc []byte) (View, error) {
 // keeps that encoding current).
 func (t *Transaction) View() View { return View{enc: t.ensureCache().enc} }
 
+// ViewCopy is ViewOf over a private copy of data, which is copied before
+// it is checked: the view a reader keeps of bytes their holder will reuse
+// or change — a pooled gossip frame, a peer's sync page. Decode is ViewCopy
+// and a Transaction built around the copy.
+func ViewCopy(data []byte) (View, error) { return ViewOf(append([]byte(nil), data...)) }
+
+// VerifyStructure is Transaction.VerifyStructure for a viewed
+// transaction: the same rule, read from the bytes.
+func (v View) VerifyStructure() error {
+	return checkStructure(v.Kind(), len(v.Issuer()), len(v.Payload()), v.Trunk(), v.Branch())
+}
+
+// VerifyBasic is Transaction.VerifyBasic for a viewed transaction.
+func (v View) VerifyBasic() error {
+	if err := v.VerifyStructure(); err != nil {
+		return err
+	}
+	return checkSignature(v.Issuer(), v.SigningBytes(), v.Signature())
+}
+
+// VerifyPoW is Transaction.VerifyPoW for a viewed transaction.
+func (v View) VerifyPoW(difficulty int) error {
+	return checkPoW(PowDigest(v.Trunk(), v.Branch(), v.Nonce()), difficulty)
+}
+
+// SigningBytes returns the prefix of the encoding the issuer signed.
+func (v View) SigningBytes() []byte {
+	n := v.signingLen()
+	return v.enc[:n:n]
+}
+
 // Bytes returns the canonical encoding itself, shared and read-only.
 func (v View) Bytes() []byte { return v.enc }
 
