@@ -22,7 +22,7 @@ vet:
 # goroutines by released fsyncs, which only repetition checks. The
 # allocation guards (txn's wire path and the ID a decode seeds, node's
 # relayed batch and journal replay beyond each transaction's resident
-# copy, rpc's bytes per reading, identity's batch kernel, a histogram's
+# copy and its Submit of a pre-mined transaction, rpc's bytes per reading, identity's batch kernel, a histogram's
 # flat memory) and the byte guards (tangle's bytes per resident vertex, node's per
 # relayed transaction, core's per credit record) run without the race
 # detector, whose own allocations they would otherwise count; so does
@@ -36,7 +36,7 @@ test: vet
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchtime 20x ./internal/gossip/
-	$(GO) test -run 'TestWirePathAllocationBudget|TestRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/scenario/
+	$(GO) test -run 'TestWirePathAllocationBudget|TestRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/scenario/
 	$(GO) test -run XXX -bench BenchmarkPostReadingOverRPC -benchtime 200x ./internal/rpc/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestResidentVerticesStayBounded' -count=1 ./internal/tangle/
@@ -134,11 +134,12 @@ loc:
 # ledger alone), and per observed latency histogram (fixed, not per
 # transaction) — and beside them what the two bulk edges, a relayed batch
 # and a journal replay, allocate per transaction beyond the copy the
-# ledger keeps. A change that touches what a node keeps or allocates per
+# ledger keeps, and what one Submit of a pre-mined transaction allocates.
+# A change that touches what a node keeps or allocates per
 # transaction quotes them before → after (CHANGES.md).
 mem:
-	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram|TestRelayBatchAllocationBudget|TestReplayAllocationBudget' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/); status=$$?; \
-		echo "$$out" | grep -E 'bytes retained|beyond its resident copy|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
+	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram|TestRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/); status=$$?; \
+		echo "$$out" | grep -E 'bytes retained|beyond its resident copy|per submitted transaction|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
 
 # Regenerate every paper figure with full (Pi-emulated) parameters.
 figures:

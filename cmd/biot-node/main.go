@@ -55,8 +55,6 @@ func run() error {
 		difficulty       = flag.Int("difficulty", 11, "initial PoW difficulty D0")
 		rateLimit        = flag.Int("rate-limit", 50, "per-device submissions per second (0 = unlimited)")
 		persistPath      = flag.String("persist", "", "transaction log path; the ledger survives restarts when set")
-		journalBatch     = flag.Int("journal-batch", 0, "max admitted records per journal fsync (0 = store default, 1 = fsync per record)")
-		journalDelay     = flag.Duration("journal-delay", 0, "how long the journal committer lingers for a fuller batch (0 = flush immediately)")
 		withQuality      = flag.Bool("quality", false, "enable sensor data quality control on plaintext readings")
 		snapshotKeep     = flag.Duration("snapshot-keep", 0, "compact the ledger periodically, keeping this much history (0 = never)")
 		snapshotInterval = flag.Duration("snapshot-interval", 0, "quantize compaction cutoffs to this epoch so all gateways cut at the same boundary (0 = unaligned)")
@@ -136,12 +134,9 @@ func run() error {
 			RateLimit:  *rateLimit,
 			Quality:    validator,
 
-			ShardID:  uint32(*shard),
-			Backbone: backbone,
-
-			JournalMaxBatch: *journalBatch,
-			JournalMaxDelay: *journalDelay,
-			SnapshotEpoch:   *snapshotInterval,
+			ShardID:       uint32(*shard),
+			Backbone:      backbone,
+			SnapshotEpoch: *snapshotInterval,
 		})
 		if err != nil {
 			if backbone != nil {

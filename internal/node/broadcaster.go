@@ -11,11 +11,15 @@ import (
 	"github.com/b-iot/biot/internal/metrics"
 )
 
-// Broadcast pipeline defaults (overridable through FullConfig).
+// Broadcast pipeline bounds. broadcastQueue bounds admissions awaiting
+// fan-out — when full, Submit rejects with ErrBroadcastBacklog before
+// admitting; broadcastPeerQueue bounds each peer's private queue (a slow
+// peer overflows by dropping; sync repairs it); broadcastBatch caps how
+// many transactions one datagram coalesces.
 const (
-	defaultBroadcastQueue     = 1024
-	defaultBroadcastPeerQueue = 256
-	defaultBroadcastBatch     = 32
+	broadcastQueue     = 1024
+	broadcastPeerQueue = 256
+	broadcastBatch     = 32
 )
 
 // sendWindow bounds the batches one peer's sender keeps in flight. A
@@ -141,12 +145,10 @@ type broadcastItem struct {
 // stalls the pipeline — its queue overflows by dropping (counted), and
 // the tangle sync protocol repairs the gap.
 type broadcaster struct {
-	net       gossip.Network
-	counters  Counters
+	node      *FullNode // its regional network, its shard stamped on every batch
 	pipeline  PipelineMetrics
 	maxBatch  int
 	peerQueue int
-	shard     uint32 // stamped on outgoing MsgTransaction batches
 
 	intake   chan broadcastItem
 	reserved atomic.Int64 // slots promised to in-flight admissions
@@ -168,24 +170,14 @@ type peerSender struct {
 	queue chan broadcastItem
 }
 
-func newBroadcaster(net gossip.Network, counters Counters, pipeline PipelineMetrics, queue, peerQueue, maxBatch int, shard uint32) *broadcaster {
-	if queue <= 0 {
-		queue = defaultBroadcastQueue
-	}
-	if peerQueue <= 0 {
-		peerQueue = defaultBroadcastPeerQueue
-	}
-	if maxBatch <= 0 {
-		maxBatch = defaultBroadcastBatch
-	}
+// newBroadcaster starts n's fan-out.
+func newBroadcaster(n *FullNode) *broadcaster {
 	b := &broadcaster{
-		net:       net,
-		counters:  counters,
-		pipeline:  pipeline,
-		maxBatch:  maxBatch,
-		peerQueue: peerQueue,
-		shard:     shard,
-		intake:    make(chan broadcastItem, queue),
+		node:      n,
+		pipeline:  n.pipeline,
+		maxBatch:  broadcastBatch,
+		peerQueue: broadcastPeerQueue,
+		intake:    make(chan broadcastItem, broadcastQueue),
 		senders:   make(map[string]*peerSender),
 	}
 	b.wg.Add(1)
@@ -194,17 +186,17 @@ func newBroadcaster(net gossip.Network, counters Counters, pipeline PipelineMetr
 }
 
 // reserve claims one intake slot ahead of admission, so a successful
-// admit can always enqueue without blocking. The returned release frees
-// the slot if admission fails.
-func (b *broadcaster) reserve() (release func(), err error) {
+// admit can always enqueue without blocking; unreserve frees the slot if
+// admission fails.
+func (b *broadcaster) reserve() error {
 	for {
 		cur := b.reserved.Load()
 		if cur >= int64(cap(b.intake)) {
-			return nil, ErrBroadcastBacklog
+			return ErrBroadcastBacklog
 		}
 		if b.reserved.CompareAndSwap(cur, cur+1) {
 			b.pipeline.QueueDepth.Inc()
-			return b.unreserve, nil
+			return nil
 		}
 	}
 }
@@ -289,7 +281,7 @@ func (b *broadcaster) dispatch() {
 		// The peer list and the senders are resolved once per burst:
 		// everything already waiting in the intake fans out to the same
 		// set.
-		senders := b.sendersFor(b.net.Peers())
+		senders := b.sendersFor(b.node.cfg.Network.Peers())
 		b.fanOut(it, senders)
 	burst:
 		for {
@@ -450,10 +442,10 @@ func (b *broadcaster) sendLoop(s *peerSender) {
 
 func (b *broadcaster) send(peer string, batch [][]byte) {
 	start := time.Now()
-	_, err := b.net.Request(context.Background(), peer, gossip.Message{
+	_, err := b.node.cfg.Network.Request(context.Background(), peer, gossip.Message{
 		Type:   gossip.MsgTransaction,
 		TxData: batch,
-		Shard:  uint64(b.shard),
+		Shard:  uint64(b.node.cfg.ShardID),
 		Scoped: true,
 	})
 	b.pipeline.BroadcastLatency.Observe(time.Since(start))
@@ -463,5 +455,5 @@ func (b *broadcaster) send(peer string, batch [][]byte) {
 	}
 	b.pipeline.BatchesSent.Inc()
 	b.pipeline.TxBroadcast.Add(int64(len(batch)))
-	b.counters.GossipOut.Inc()
+	b.node.counters.GossipOut.Inc()
 }

@@ -34,6 +34,31 @@ func (n *FullNode) SetQuarantineBounds(capacity int, ttl time.Duration) {
 	n.quar = newQuarantine(capacity, ttl)
 }
 
+// SetBroadcastBounds replaces the node's fan-out, before anything was
+// submitted to it, with one whose intake holds queue transactions, each
+// peer's queue peerQueue, and a batch at most batch — for the tests that
+// saturate or shape them. Zero keeps that bound.
+func (n *FullNode) SetBroadcastBounds(queue, peerQueue, batch int) {
+	n.bcast.close()
+	or := func(v, bound int) int {
+		if v == 0 {
+			return bound
+		}
+		return v
+	}
+	b := &broadcaster{
+		node:      n,
+		pipeline:  n.pipeline,
+		maxBatch:  or(batch, broadcastBatch),
+		peerQueue: or(peerQueue, broadcastPeerQueue),
+		intake:    make(chan broadcastItem, or(queue, broadcastQueue)),
+		senders:   make(map[string]*peerSender),
+	}
+	b.wg.Add(1)
+	go b.dispatch()
+	n.bcast = b
+}
+
 // ReplayPerRecord is journal replay as it stood before it took the
 // journal in runs (commit 41c52ea): one record at a time on the store's
 // per-record callback, VerifyBasic and then the commit tail, on one

@@ -110,16 +110,16 @@ func runChain(t *testing.T, connect func(*testing.T) (gossip.Network, gossip.Net
 	}
 	defer relay.Close()
 	sender, err := node.NewFull(node.FullConfig{
-		Key:            mgrKey,
-		Role:           identity.RoleManager,
-		ManagerPub:     mgrKey.Public(),
-		Credit:         testParams(),
-		Network:        senderNet,
-		BroadcastBatch: 1, // one transaction per batch: order is all that holds the chain together
+		Key:        mgrKey,
+		Role:       identity.RoleManager,
+		ManagerPub: mgrKey.Public(),
+		Credit:     testParams(),
+		Network:    senderNet,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sender.SetBroadcastBounds(0, 0, 1) // one transaction per batch: order is all that holds the chain together
 	defer sender.Close()
 
 	// The sender's only tip is the transaction just submitted, so each

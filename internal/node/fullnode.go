@@ -92,27 +92,6 @@ type FullConfig struct {
 	// persistent offender's PoW difficulty.
 	Quality *quality.Validator
 
-	// Broadcast pipeline tuning (zero selects defaults; only consulted
-	// when Network is non-nil). BroadcastQueue bounds admissions awaiting
-	// fan-out — when full, Submit rejects with ErrBroadcastBacklog before
-	// admitting. BroadcastPeerQueue bounds each peer's private queue (a
-	// slow peer overflows by dropping; sync repairs it) and
-	// BroadcastBatch caps how many transactions one datagram coalesces.
-	BroadcastQueue     int
-	BroadcastPeerQueue int
-	BroadcastBatch     int
-
-	// Journal group-commit tuning (zero selects the store defaults;
-	// only consulted once EnablePersistence opens a journal).
-	// JournalMaxBatch caps how many admitted records one fsync covers —
-	// 1 restores the old per-record-fsync write path. JournalMaxDelay
-	// lets the committer linger for a fuller batch, trading
-	// admission latency for fewer fsyncs; zero flushes immediately and
-	// batches form only from writers that queued during the previous
-	// flush.
-	JournalMaxBatch int
-	JournalMaxDelay time.Duration
-
 	// SnapshotEpoch, when positive, quantizes Compact's prune cutoff to
 	// multiples of this interval, so gateways compacting at different
 	// instants still cut at the same settled epoch boundary and serve
@@ -197,9 +176,11 @@ type FullNode struct {
 	pipeline PipelineMetrics
 	bcast    *broadcaster // nil when Network is nil
 
-	// verify settles signatures for every path that ingests transactions
-	// in bulk, a relayed batch of one included.
-	verify *verifyStage
+	// verify settles signatures for every path into the ledger, a
+	// submission included; submission and relayed are what the gate
+	// demands on the submission edge and on the relay edges (see edges).
+	verify              *verifyStage
+	submission, relayed edge
 
 	// quar parks relayed transactions whose admission evidence is not
 	// resolvable yet; kickMu makes the retry loop single-flight and
@@ -314,11 +295,11 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 		syncTurn:   make(map[string]*sync.Mutex),
 	}
 	n.verify = newVerifyStage(n.pipeline)
+	n.submission, n.relayed = n.edges()
 	n.repair.ctx, n.repair.cancel = context.WithCancel(context.Background())
 	tg.Observe(tangle.ObserverFunc(n.onTangleEvent))
 	if conf.Network != nil {
-		n.bcast = newBroadcaster(conf.Network, n.counters, n.pipeline,
-			conf.BroadcastQueue, conf.BroadcastPeerQueue, conf.BroadcastBatch, conf.ShardID)
+		n.bcast = newBroadcaster(n)
 		conf.Network.SetHandler(gossip.HandlerFunc(n.handleGossip))
 	}
 	if conf.Backbone != nil {
@@ -482,11 +463,12 @@ func (n *FullNode) InfoOf(id hashutil.Hash) (tangle.Info, error) {
 	return n.tangle.InfoOf(id)
 }
 
-// Submit runs the full admission pipeline on a light-node submission:
-// structural + signature verification, authorization (Sybil/DDoS
-// defense), rate limiting, credit-based PoW verification, attachment,
-// credit accounting, authorization-list application, journaling and
-// gossip broadcast. Safe to call from many goroutines concurrently.
+// Submit runs the full admission pipeline on a light-node submission: the
+// gate at the submission edge's demands — structure, authorization by the
+// live registry (Sybil/DDoS defense), credit-based PoW, signature, rate
+// limit — then attachment, credit accounting, authorization-list
+// application, journaling and gossip broadcast. Safe to call from many
+// goroutines concurrently.
 //
 // On a journaling node Submit returns only after the fsync covering the
 // transaction's journal record, not one covering a later record;
@@ -512,17 +494,34 @@ func (n *FullNode) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info,
 	// on disk: like a relayed batch, it waits for the replay.
 	n.replayGate.RLock()
 	defer n.replayGate.RUnlock()
-	var release func()
+	if err := ctx.Err(); err != nil {
+		return tangle.Info{}, err
+	}
 	if n.bcast != nil {
-		var err error
-		if release, err = n.bcast.reserve(); err != nil {
+		if err := n.bcast.reserve(); err != nil {
 			return tangle.Info{}, err
 		}
 	}
-	info, err := n.admit(ctx, t)
+	// A submission is a run of one through the gate, like a relayed batch of
+	// one, and rides in the same pooled scratch: a run escapes to the
+	// verify stage's workers.
+	now, admitStart := n.cfg.Clock.Now(), time.Now()
+	sc := batchScratchPool.Get().(*batchScratch)
+	sc.recs = append(sc.recs, newInflight(t.View(), t.ID(), n.cfg.ShardID))
+	errs, rec := n.gate(sc.recs, n.submission, now), sc.recs[0]
+	sc.put()
+	var info tangle.Info
+	var err error
+	if errs != nil {
+		err = errs[0]
+		n.countRefusal(err)
+	} else {
+		n.pipeline.AdmitLatency.Observe(time.Since(admitStart))
+		info, err = n.attachVerified(rec, now)
+	}
 	if err != nil {
-		if release != nil {
-			release()
+		if n.bcast != nil {
+			n.bcast.unreserve()
 		}
 		return tangle.Info{}, err
 	}
@@ -596,50 +595,6 @@ func (n *FullNode) Close() error {
 	n.repair.mu.Unlock()
 	n.repair.wg.Wait()
 	return nil
-}
-
-// admit is the submission edge's serial pipeline for one transaction: the
-// Sybil/DDoS gate (structure, signature, authorization), the rate limit,
-// and the credit-based PoW check — the difficulty demanded of the sender
-// derives from the shared behaviour records, so the gateway and an honest
-// device agree on it. All of that is lock-free with respect to node-local
-// mutexes (signature and difficulty verification dominate and run fully
-// concurrently); the attach + credit update that follows is the short
-// critical section, serialized inside the tangle and credit ledger's own
-// locks. Inbound gossip batches bypass this in favour of admitGossipBatch,
-// which runs the verification stage in parallel.
-func (n *FullNode) admit(ctx context.Context, t *txn.Transaction) (tangle.Info, error) {
-	if err := ctx.Err(); err != nil {
-		return tangle.Info{}, err
-	}
-	now := n.cfg.Clock.Now()
-	admitStart := time.Now()
-
-	if err := t.VerifyBasic(); err != nil {
-		n.counters.Rejected.Inc()
-		return tangle.Info{}, fmt.Errorf("verify transaction: %w", err)
-	}
-	sender := t.Sender()
-	// Authorization lists themselves must come from the manager.
-	if t.Kind == txn.KindAuthorization {
-		if sender != n.registry.Manager() {
-			n.counters.Unauthorized.Inc()
-			return tangle.Info{}, fmt.Errorf("%w: authorization list from %s", authz.ErrNotManager, sender.Short())
-		}
-	} else if !n.registry.IsAuthorizedDevice(sender) && !n.registry.IsGateway(sender) {
-		n.counters.Unauthorized.Inc()
-		return tangle.Info{}, fmt.Errorf("%w: %s", ErrUnauthorizedDevice, sender.Short())
-	}
-	if !n.allowRate(sender, now) {
-		n.counters.RateLimited.Inc()
-		return tangle.Info{}, fmt.Errorf("%w: %s", ErrRateLimited, sender.Short())
-	}
-	if err := t.VerifyPoW(n.engine.DifficultyFor(sender, now)); err != nil {
-		n.counters.Rejected.Inc()
-		return tangle.Info{}, fmt.Errorf("%w: %v", ErrWrongDifficulty, err)
-	}
-	n.pipeline.AdmitLatency.Observe(time.Since(admitStart))
-	return n.attachVerified(newInflight(t.View(), t.ID(), n.cfg.ShardID), now)
 }
 
 // inflight is one transaction on its way into the ledger, whichever edge
@@ -895,13 +850,8 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 	defer n.replayGate.RUnlock()
 	now := n.cfg.Clock.Now()
 	sc := batchScratchPool.Get().(*batchScratch)
-	defer func() {
-		clear(sc.recs) // a pooled slice must not keep a rejected transaction's bytes alive
-		clear(sc.seen)
-		sc.recs = sc.recs[:0]
-		batchScratchPool.Put(sc)
-	}()
-	recs, seen := sc.recs[:0], sc.seen
+	defer sc.put()
+	recs, seen := sc.recs, sc.seen
 	for _, r := range raw {
 		v, err := txn.ViewCopy(r)
 		if err != nil {
@@ -932,29 +882,6 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 	defer func() { n.awaitJournal(last, maxUnsyncedRelay) }()
 
 	var orphans []hashutil.Hash
-	attach := func(rec inflight) {
-		switch outcome, missing := n.admitRelayed(rec, now); outcome {
-		case relayAttached:
-			last = rec.id
-		case relayDuplicate:
-		case relayUnresolved:
-			n.parkQuarantine(ctx, from, rec, missing, now)
-			failed++
-		case relayOrphan:
-			// Park rather than drop: the missing parent is usually right
-			// behind (a later batch, or later in the same sync), its
-			// descendants certainly are, and dropping is the orphan
-			// cascade behind the old revocation-storm flake. First sight
-			// counts a reject, as the attach it used to cost did; the
-			// retries do not.
-			n.counters.Rejected.Inc()
-			n.parkOrphan(ctx, from, rec, now)
-			orphans = append(orphans, rec.id)
-			failed++
-		default: // a Sybil, or the attach failed: syncFrom keeps the page dirty
-			failed++
-		}
-	}
 	for start := 0; start < len(recs); {
 		end := start + 1
 		if recs[start].Kind() != txn.KindAuthorization {
@@ -962,10 +889,45 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 				end++
 			}
 		}
-		survivors := n.verifyInboundBatch(recs[start:end])
-		failed += end - start - len(survivors)
-		for _, rec := range survivors {
-			attach(rec)
+		run := recs[start:end]
+		errs := n.gate(run, n.relayed, now)
+		for i, rec := range run {
+			if errs != nil && errs[i] != nil {
+				n.countRefusal(errs[i])
+				failed++
+				continue
+			}
+			switch outcome, missing := n.admitRelayed(rec, now); outcome {
+			case relayAttached:
+				last = rec.id
+				continue
+			case relayDuplicate:
+				continue
+			case relayUnresolved:
+				n.parkQuarantine(ctx, from, rec, missing, now)
+			case relayOrphan:
+				// Park rather than drop: the missing parent is usually right
+				// behind (a later batch, or later in the same sync), its
+				// descendants certainly are, and dropping is the orphan
+				// cascade behind the old revocation-storm flake. First sight
+				// counts a reject, as the attach it used to cost did; the
+				// retries do not. An authorization list takes effect in the
+				// registry at once: it is manager-signed and verified, list
+				// sequences never roll back, and the manager's publish waits
+				// only for the fan-out, so a revocation must bind this
+				// gateway's submission edge from the moment it is seen, not
+				// from the moment its parents happen to arrive. (The probe
+				// folds lists in the same way; attach observes the list again,
+				// which is then a no-op. An undecodable list fails here as it
+				// will when it attaches, which is where it is counted.)
+				n.counters.Rejected.Inc()
+				if rec.Kind() == txn.KindAuthorization {
+					_, _ = n.observeList(rec.View, now)
+				}
+				n.parkQuarantine(ctx, from, rec, 0, now)
+				orphans = append(orphans, rec.id)
+			}
+			failed++ // a Sybil, a parked one, or the attach failed: syncFrom keeps the page dirty
 		}
 		start = end
 	}
@@ -979,8 +941,9 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 }
 
 // batchScratch is the working set of one admitGossipBatch call — its
-// records and the IDs it has seen — pooled: per-call allocation of both
-// costs bench's recover-catchup 1.86 → 1.92 KiB alloc_kb_per_tx.
+// records and the IDs it has seen — or of one Submit, pooled: per-call
+// allocation of both costs bench's recover-catchup 1.86 → 1.92 KiB
+// alloc_kb_per_tx, and a submission's record one allocation in four.
 type batchScratch struct {
 	recs []inflight
 	seen map[hashutil.Hash]struct{}
@@ -989,6 +952,15 @@ type batchScratch struct {
 var batchScratchPool = sync.Pool{New: func() any {
 	return &batchScratch{seen: make(map[hashutil.Hash]struct{})}
 }}
+
+// put empties sc — a pooled slice must not keep a rejected transaction's
+// bytes alive — and returns it to the pool.
+func (sc *batchScratch) put() {
+	clear(sc.recs)
+	clear(sc.seen)
+	sc.recs = sc.recs[:0]
+	batchScratchPool.Put(sc)
+}
 
 // relayOutcome is what the relay gate did with one transaction.
 type relayOutcome int
@@ -1034,23 +1006,6 @@ func (n *FullNode) admitRelayed(rec inflight, now time.Time) (outcome relayOutco
 		return relayOrphan, 0
 	}
 	return relayFailed, 0
-}
-
-// parkOrphan parks a verified relayed transaction whose parent is not
-// attached yet. An authorization list takes effect in the registry at
-// once: it is manager-signed and verified, list sequences never roll
-// back, and the manager's publish waits only for the fan-out, so a
-// revocation must bind this gateway's submission edge from the moment
-// it is seen, not from the moment its parents happen to arrive. (The
-// anti-entropy probe folds lists in the same way; attach observes the
-// list again, which is then a no-op.)
-func (n *FullNode) parkOrphan(ctx context.Context, from string, rec inflight, now time.Time) {
-	if rec.Kind() == txn.KindAuthorization {
-		// An undecodable list fails here as it will when it attaches,
-		// which is where it is counted.
-		_, _ = n.observeList(rec.View, now)
-	}
-	n.parkQuarantine(ctx, from, rec, 0, now)
 }
 
 // observeList folds a verified manager-signed authorization list into
@@ -1183,14 +1138,20 @@ func (n *FullNode) probeAuthList(ctx context.Context, from string, seq uint64) {
 		return
 	}
 	// A list is only observed, never attached, so its view may alias the
-	// reply: the registry keeps none of its bytes.
+	// reply: the registry keeps none of its bytes. The reply passes the
+	// relay edges' gate and counts nothing.
 	now := n.cfg.Clock.Now()
+	var lists []inflight
 	for _, raw := range reply.TxData {
-		v, err := txn.ViewOf(raw)
-		if err != nil || v.Kind() != txn.KindAuthorization || v.Sender() != n.registry.Manager() || v.VerifyBasic() != nil {
-			continue
+		if v, err := txn.ViewOf(raw); err == nil && v.Kind() == txn.KindAuthorization {
+			lists = append(lists, newInflight(v, hashutil.Hash{}, 0))
 		}
-		_, _ = n.observeList(v, now)
+	}
+	errs := n.gate(lists, n.relayed, now)
+	for i, rec := range lists {
+		if errs == nil || errs[i] == nil {
+			_, _ = n.observeList(rec.View, now)
+		}
 	}
 	n.kickQuarantine(now)
 }

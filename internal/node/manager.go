@@ -135,6 +135,16 @@ func (m *Manager) PublishAuthorization(ctx context.Context) (SubmitResult, error
 // M1 to the ledger. The caller pumps the exchange with
 // PumpKeyDistribution until IssuedKey reports completion.
 func (m *Manager) StartKeyDistribution(ctx context.Context, device identity.Address, opts ...keydist.Option) (string, error) {
+	return m.openSession(ctx, device, "M1", func(devicePub identity.PublicKey, opts []keydist.Option) (*keydist.ManagerSession, error) {
+		return keydist.NewManagerSession(m.full.cfg.Key, devicePub, opts...)
+	}, opts)
+}
+
+// openSession opens a Fig-4 session with device, which build makes from
+// the device's registered key, and posts its M1 to the ledger; what names
+// the M1 in an error.
+func (m *Manager) openSession(ctx context.Context, device identity.Address, what string,
+	build func(identity.PublicKey, []keydist.Option) (*keydist.ManagerSession, error), opts []keydist.Option) (string, error) {
 	m.mu.Lock()
 	boxPub, okBox := m.boxKeys[device]
 	m.mu.Unlock()
@@ -146,8 +156,7 @@ func (m *Manager) StartKeyDistribution(ctx context.Context, device identity.Addr
 		return "", fmt.Errorf("%w: %s (not in applied authorization list)", ErrUnknownDevice, device.Short())
 	}
 
-	opts = append([]keydist.Option{keydist.WithClock(m.full.cfg.Clock)}, opts...)
-	session, err := keydist.NewManagerSession(m.full.cfg.Key, devicePub, opts...)
+	session, err := build(devicePub, append([]keydist.Option{keydist.WithClock(m.full.cfg.Clock)}, opts...))
 	if err != nil {
 		return "", err
 	}
@@ -170,7 +179,7 @@ func (m *Manager) StartKeyDistribution(ctx context.Context, device identity.Addr
 		return "", err
 	}
 	if _, err := m.client.SubmitRaw(ctx, txn.KindKeyDist, payload); err != nil {
-		return "", fmt.Errorf("post M1: %w", err)
+		return "", fmt.Errorf("post %s: %w", what, err)
 	}
 	m.mu.Lock()
 	m.sessions[sid] = &managerKeySession{session: session, device: device}
@@ -267,44 +276,9 @@ func (m *Manager) ShareKey(ctx context.Context, owner, recipient identity.Addres
 	if !ok {
 		return "", fmt.Errorf("%w: %s (no issued key to share)", ErrNoSession, owner.Short())
 	}
-	m.mu.Lock()
-	boxPub, okBox := m.boxKeys[recipient]
-	m.mu.Unlock()
-	if !okBox {
-		return "", fmt.Errorf("%w: %s (no box key)", ErrUnknownDevice, recipient.Short())
-	}
-	recipientPub, ok := m.full.Registry().DeviceKey(recipient)
-	if !ok {
-		return "", fmt.Errorf("%w: %s (not in applied authorization list)", ErrUnknownDevice, recipient.Short())
-	}
-
-	opts = append([]keydist.Option{keydist.WithClock(m.full.cfg.Clock)}, opts...)
-	session := keydist.NewManagerSessionWithKey(m.full.cfg.Key, recipientPub, secret, opts...)
-	m1, err := session.M1(boxPub)
-	if err != nil {
-		return "", err
-	}
-	sid, err := newSessionID(rand.Reader)
-	if err != nil {
-		return "", err
-	}
-	payload, err := keydist.EncodeEnvelope(keydist.Envelope{
-		Session: sid,
-		From:    m.Address(),
-		To:      recipient,
-		Stage:   keydist.StageM1,
-		Body:    m1,
-	})
-	if err != nil {
-		return "", err
-	}
-	if _, err := m.client.SubmitRaw(ctx, txn.KindKeyDist, payload); err != nil {
-		return "", fmt.Errorf("post shared-key M1: %w", err)
-	}
-	m.mu.Lock()
-	m.sessions[sid] = &managerKeySession{session: session, device: recipient}
-	m.mu.Unlock()
-	return sid, nil
+	return m.openSession(ctx, recipient, "shared-key M1", func(recipientPub identity.PublicKey, opts []keydist.Option) (*keydist.ManagerSession, error) {
+		return keydist.NewManagerSessionWithKey(m.full.cfg.Key, recipientPub, secret, opts...), nil
+	}, opts)
 }
 
 func newSessionID(r io.Reader) (string, error) {

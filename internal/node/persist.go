@@ -101,10 +101,6 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 	if epoch := coldIdx.Epoch(); !epoch.IsZero() {
 		n.registry.PruneVersions(epoch, evidenceMinVersions)
 	}
-	log.SetBatchConfig(store.BatchConfig{
-		MaxBatch: n.cfg.JournalMaxBatch,
-		MaxDelay: n.cfg.JournalMaxDelay,
-	})
 	n.pendingMu.Lock()
 	n.journal = log
 	n.coldIdx = coldIdx
@@ -209,8 +205,17 @@ func (r *journalReplay) take(run []txn.View, gen uint64) error {
 		for i, v := range run {
 			recs[i] = newInflight(v, hashutil.Hash{}, r.node.cfg.ShardID)
 		}
+		// Identified and gated beside the commit of the run before, so the
+		// hashing, like the signatures, is off the reader's goroutine.
 		r.held, r.verdicts = recs, make(chan []error, 1)
-		go func(out chan<- []error) { out <- r.node.verifyJournaled(recs) }(r.verdicts)
+		go func(out chan<- []error) {
+			for i := range recs {
+				recs[i].id = hashutil.Sum(recs[i].Bytes())
+			}
+			// The journal edge demands no issuer rule and no proof of work
+			// (see replayTransaction).
+			out <- r.node.gate(recs, edge{}, time.Time{})
+		}(r.verdicts)
 	}
 	if len(held) == 0 {
 		return nil
@@ -247,33 +252,6 @@ func (r *journalReplay) commit(run []inflight, verdicts []error, gen uint64) err
 		}
 	}
 	return nil
-}
-
-// verifyJournaled identifies a run of journal records and is VerifyBasic
-// for them: the digests and the structure of each, the signatures through
-// the verify stage beside them, and per record the error VerifyBasic would
-// have returned. It runs beside the commit of the run before, so the
-// hashing, like the signatures, is off the reader's goroutine.
-func (n *FullNode) verifyJournaled(run []inflight) []error {
-	for i := range run {
-		run[i].id = hashutil.Sum(run[i].Bytes())
-	}
-	errs := n.verify.settle(run)
-	for i, rec := range run {
-		var err error
-		if serr := rec.VerifyStructure(); serr != nil {
-			err = serr
-		} else if errs != nil && errs[i] != nil {
-			err = fmt.Errorf("%w: %v", txn.ErrBadTxSignature, errs[i])
-		} else {
-			continue
-		}
-		if errs == nil {
-			errs = make([]error, len(run))
-		}
-		errs[i] = err
-	}
-	return errs
 }
 
 // replayTransaction re-admits a verified journaled transaction at startup

@@ -69,18 +69,16 @@ func newPipelineNode(t *testing.T, net gossip.Network, queue, peerQueue, batch i
 		t.Fatal(err)
 	}
 	full, err := node.NewFull(node.FullConfig{
-		Key:                key,
-		Role:               identity.RoleManager,
-		ManagerPub:         key.Public(),
-		Credit:             testParams(),
-		Network:            net,
-		BroadcastQueue:     queue,
-		BroadcastPeerQueue: peerQueue,
-		BroadcastBatch:     batch,
+		Key:        key,
+		Role:       identity.RoleManager,
+		ManagerPub: key.Public(),
+		Credit:     testParams(),
+		Network:    net,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	full.SetBroadcastBounds(queue, peerQueue, batch)
 	t.Cleanup(func() { _ = full.Close() })
 	return full
 }

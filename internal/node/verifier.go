@@ -1,22 +1,18 @@
 package node
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
-	"github.com/b-iot/biot/internal/authz"
 	"github.com/b-iot/biot/internal/identity"
-	"github.com/b-iot/biot/internal/txn"
 )
 
 // verifyStage is the verify of verify → gate → commit → replicate: the one
-// place signatures are settled in bulk. Relayed batches and sync pages
-// (verifyInboundBatch) and journal replay (verifyJournaled) hand it a run
-// of in-flight records — views of bytes, nothing decoded — and get back
-// what is wrong with each; what a failure means — a counted reject, a
-// refused journal — stays with the caller.
+// place signatures are settled. The gate hands it a run of in-flight
+// records — views of bytes, nothing decoded — from every edge: a
+// submission (a run of one), a relayed batch, a sync page, a probe reply,
+// a journal run; and gets back what is wrong with each.
 type verifyStage struct {
 	// sem is the verification pool: verification is CPU-bound (Ed25519 +
 	// hashing), so the bound is the core count, shared across every run in
@@ -105,75 +101,4 @@ func (v *verifyStage) settleChunk(recs []inflight) []error {
 		v.metrics.BatchFallbacks.Inc()
 	}
 	return errs
-}
-
-// verifyInboundBatch verifies a run of relayed transactions — a batch of
-// one like any other — and returns the survivors in input order, in
-// recs's own backing array. The serialized attach that follows stays out
-// of this stage, so the expensive checks of independent transactions
-// overlap across cores — and across concurrently arriving batches from
-// different peers.
-//
-// The work runs in two stages. Stage one performs the cheap
-// per-transaction checks inline: structure, authorization, and the relay
-// PoW floor — all allocation-free, read from the viewed bytes. Stage two
-// settles every surviving signature through the verify stage (a lone one
-// single-verified, below identity.MinBatchSize); an offender is counted
-// once, whichever way its signature was settled. Echoes of attached
-// transactions never get here: admitGossipBatch drops them at
-// tangle.Contains.
-func (n *FullNode) verifyInboundBatch(recs []inflight) []inflight {
-	pending := recs[:0]
-	for _, rec := range recs {
-		if n.precheckInbound(rec.View) == nil {
-			pending = append(pending, rec)
-		}
-	}
-	errs := n.verify.settle(pending)
-	out := pending[:0]
-	for j, rec := range pending {
-		if errs != nil && errs[j] != nil {
-			n.counters.Rejected.Inc()
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// precheckInbound runs every relay-admission check except the
-// signature: structure, the evidence-at-admission authorization gate,
-// and the relay PoW floor — gossip broadcasts and sync pages alike; the
-// Ed25519 verification is factored out for batch settlement.
-//
-// The authorization gate here is advisory DoS protection, not the
-// decision: only a DEFINITIVE Unauthorized verdict (the sender is a
-// member of no retained list version reachable from the transaction's
-// evidence — a Sybil) rejects early, sparing the signature work.
-// Authorized and Unresolved both continue; the authoritative verdict
-// is re-taken at the attach stage, where an Unresolved transaction
-// parks in quarantine instead of being dropped.
-func (n *FullNode) precheckInbound(v txn.View) error {
-	if err := v.VerifyStructure(); err != nil {
-		n.counters.Rejected.Inc()
-		return err
-	}
-	if v.Kind() == txn.KindAuthorization {
-		if v.Sender() != n.registry.Manager() {
-			n.counters.Unauthorized.Inc()
-			return authz.ErrNotManager
-		}
-	} else if verdict, _, ok := n.relayAuthVerdict(v); ok && verdict == authz.VerdictUnauthorized {
-		n.counters.StaleAuthRejects.Inc()
-		return ErrUnauthorizedDevice
-	}
-	// The PoW floor, not this node's credit-derived demand: that is enforced
-	// once, at the submission edge (admit). A relay cannot re-derive it — the
-	// miner's view may count weight from the transaction's own descendants —
-	// and demanding it wedged catch-up sync forever in the chaos soak.
-	if err := v.VerifyPoW(n.engine.Ledger().Params().MinDifficulty); err != nil {
-		n.counters.Rejected.Inc()
-		return fmt.Errorf("%w: %v", ErrWrongDifficulty, err)
-	}
-	return nil
 }

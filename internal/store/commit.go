@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/b-iot/biot/internal/txn"
 )
@@ -30,7 +29,7 @@ import (
 //
 //  1. Enqueue locks mu, queues its request, and — if no committer is
 //     running — starts one.
-//  2. The committer loops: take up to MaxBatch records from the queue
+//  2. The committer loops: take up to maxBatch records from the queue
 //     head, release mu (new requests keep queueing while the disk is
 //     busy — that is where batches come from), write the concatenated
 //     records, Sync once, and deliver the verdict to every request in
@@ -51,37 +50,14 @@ import (
 // guards the queue and cheap state, and is never held across a disk
 // operation or a done callback.
 
-// DefaultMaxBatch is the records-per-fsync cap when BatchConfig leaves
-// MaxBatch zero: one catch-up sync page (the node's syncPageSize). A
-// journaling relay queues a page it attaches as that many one-record
-// requests, behind whatever flush holds the disk, and the page then
-// costs one fsync.
+// DefaultMaxBatch caps how many records one fsync covers: one catch-up
+// sync page (the node's syncPageSize). A journaling relay queues a page it
+// attaches as that many one-record requests, behind whatever flush holds
+// the disk, and the page then costs one fsync. There is no linger: the
+// committer flushes what has queued the moment the disk is free, so
+// batches form only from what queued during the previous flush, which
+// adds no latency when the log is uncontended (DESIGN.md §11).
 const DefaultMaxBatch = 256
-
-// BatchConfig tunes the group committer.
-type BatchConfig struct {
-	// MaxBatch caps how many records one fsync covers. Zero selects
-	// DefaultMaxBatch; 1 degenerates to the per-record-fsync write path
-	// (every record still pays its own Sync).
-	MaxBatch int
-	// MaxDelay is how long the committer lingers with a less-than-full
-	// batch before flushing, trading latency for batch size. Zero (the
-	// default) flushes immediately: batches then form naturally from
-	// whatever queued while the previous flush held the disk, which
-	// adds no latency when the log is uncontended.
-	MaxDelay time.Duration
-}
-
-// withDefaults normalizes the config.
-func (c BatchConfig) withDefaults() BatchConfig {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxDelay < 0 {
-		c.MaxDelay = 0
-	}
-	return c
-}
 
 // batchHistBuckets is the number of batch-size histogram buckets:
 // 1, 2, 3-4, 5-8, 9-16, 17-32, 33-64, 65-128, >128.
@@ -124,16 +100,6 @@ type commitReq struct {
 	done func(error)
 }
 
-// SetBatchConfig tunes the group committer; safe to call at any time
-// (the next batch observes the new config). The zero value restores
-// defaults.
-func (l *Log) SetBatchConfig(cfg BatchConfig) {
-	cfg = cfg.withDefaults()
-	l.mu.Lock()
-	l.batchCfg = cfg
-	l.mu.Unlock()
-}
-
 // BatchStats returns a snapshot of the committer's accounting.
 func (l *Log) BatchStats() BatchStats {
 	l.mu.Lock()
@@ -141,25 +107,14 @@ func (l *Log) BatchStats() BatchStats {
 	return l.batchStats
 }
 
-// queuedRecordsLocked counts records waiting in the queue. Caller
-// holds mu.
-func (l *Log) queuedRecordsLocked() int {
-	n := 0
-	for _, req := range l.queue {
-		n += req.n
-	}
-	return n
-}
-
-// takeBatchLocked removes up to MaxBatch records' worth of requests
-// from the queue head. A single request larger than MaxBatch still
+// takeBatchLocked removes up to maxBatch records' worth of requests
+// from the queue head. A single request larger than maxBatch still
 // commits alone (a request is atomic at the barrier — it is never
 // split). Caller holds mu.
 func (l *Log) takeBatchLocked() (batch []*commitReq, records int) {
-	maxB := l.batchCfg.MaxBatch
 	cut := 0
 	for _, req := range l.queue {
-		if cut > 0 && records+req.n > maxB {
+		if cut > 0 && records+req.n > l.maxBatch {
 			break
 		}
 		records += req.n
@@ -237,15 +192,7 @@ func (l *Log) commit() {
 			l.mu.Unlock()
 			return
 		}
-		// A short batch may linger to let more requests pile up; with the
-		// default MaxDelay of 0 batches form only from the natural
-		// enqueue-during-fsync overlap.
-		delay := l.batchCfg.MaxDelay
-		short := l.queuedRecordsLocked() < l.batchCfg.MaxBatch
 		l.mu.Unlock()
-		if delay > 0 && short {
-			time.Sleep(delay)
-		}
 
 		l.ioMu.Lock()
 		l.mu.Lock()

@@ -273,7 +273,7 @@ func TestGroupCommitBatchFailureFailsEveryRequest(t *testing.T) {
 	key := mustKey(t)
 
 	const followers = 4
-	l.SetBatchConfig(BatchConfig{MaxBatch: followers}) // the failing batch holds the followers and no more
+	l.maxBatch = followers // the failing batch holds the followers and no more
 	first := make(chan error, 1)
 	go func() { first <- l.Append(sampleTx(t, key, "first")) }()
 	waitFlushing(t, l)
@@ -400,7 +400,7 @@ func TestCrashMidBatchConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.SetBatchConfig(BatchConfig{MaxBatch: 8})
+		l.maxBatch = 8
 		fs.CrashAfter(crash)
 
 		var (

@@ -99,7 +99,7 @@ type Log struct {
 	stats RecoveryStats
 
 	// Group-commit state (see commit.go).
-	batchCfg   BatchConfig
+	maxBatch   int // records one fsync covers at most: DefaultMaxBatch
 	batchStats BatchStats
 	queue      []*commitReq
 	committing bool      // a committer goroutine is flushing the queue
@@ -183,7 +183,7 @@ func openFS(fs chaos.FS, path string, runLen int, apply func([]txn.View, uint64)
 	if err != nil {
 		return nil, fmt.Errorf("open tx log: %w", err)
 	}
-	l := &Log{fs: fs, f: f, path: path, batchCfg: BatchConfig{}.withDefaults()}
+	l := &Log{fs: fs, f: f, path: path, maxBatch: DefaultMaxBatch}
 	l.idle.L = &l.mu
 
 	base, size, err := l.readSegHeader()
