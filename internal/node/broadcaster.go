@@ -49,10 +49,10 @@ type PipelineMetrics struct {
 	// AttachLatency covers the short critical section: tangle attach +
 	// credit update. Its clock stops before the journal.
 	AttachLatency *metrics.Histogram
-	// JournalLatency covers one journal request from enqueue to its
-	// durability barrier — queueing behind earlier requests plus the
-	// flush — on both edges: a submission waits it out (beside its
-	// fan-out), a relayed batch usually does not.
+	// JournalLatency covers one journal record from enqueue to its
+	// verdict — queueing behind earlier records plus the flush — on both
+	// edges: a submission waits it out (beside its fan-out), a relayed
+	// batch usually does not.
 	JournalLatency *metrics.Histogram
 	// BroadcastLatency covers one batched peer send in the async stage.
 	BroadcastLatency *metrics.Histogram

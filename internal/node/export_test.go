@@ -23,9 +23,10 @@ const (
 // UnflushedJournal counts the records queued for the journal whose flush
 // has not returned.
 func (n *FullNode) UnflushedJournal() int {
-	n.pendingMu.Lock()
-	defer n.pendingMu.Unlock()
-	return len(n.unflushed)
+	if log := n.journalLog(); log != nil {
+		return log.Unflushed()
+	}
+	return 0
 }
 
 // SetQuarantineBounds replaces the node's (empty) quarantine with one of

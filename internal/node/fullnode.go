@@ -195,12 +195,11 @@ type FullNode struct {
 	repair orphanRepair
 
 	pendingMu sync.Mutex
-	pending   map[hashutil.Hash]txn.View      // transfers awaiting confirmation, over the ledger's bytes
-	deferred  []tangle.Event                  // settlement events awaiting drainDeferred
-	drained   []tangle.Event                  // the last drain's slice, emptied: the next deferred
-	journal   *store.Log                      // nil unless EnablePersistence was called
-	unflushed map[hashutil.Hash]chan struct{} // journal records queued and not flushed; closed when they are
-	coldIdx   *store.ColdIndex                // durable pruned-ID index; nil when memory-only
+	pending   map[hashutil.Hash]txn.View // transfers awaiting confirmation, over the ledger's bytes
+	deferred  []tangle.Event             // settlement events awaiting drainDeferred
+	drained   []tangle.Event             // the last drain's slice, emptied: the next deferred
+	journal   *store.Log                 // nil unless EnablePersistence was called
+	coldIdx   *store.ColdIndex           // durable pruned-ID index; nil when memory-only
 
 	// replayGate holds admission (read side: Submit, admitGossipBatch)
 	// while EnablePersistenceFS replays the journal (write side).
@@ -289,7 +288,6 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 		pipeline:   newPipelineMetrics(),
 		quar:       newQuarantine(quarantineCap, quarantineTTL),
 		pending:    make(map[hashutil.Hash]txn.View),
-		unflushed:  make(map[hashutil.Hash]chan struct{}),
 		limiter:    make(map[identity.Address]*rateBucket),
 		syncCursor: make(map[string]uint64),
 		syncTurn:   make(map[string]*sync.Mutex),
@@ -348,7 +346,7 @@ func (n *FullNode) Clock() clock.Clock { return n.cfg.Clock }
 func (n *FullNode) onTangleEvent(ev tangle.Event) {
 	switch ev.Kind {
 	case tangle.EventAttached:
-		n.journalAttached(ev.Tx, ev.Txn.Bytes())
+		n.journalAttached(ev.Seq, ev.Txn.Bytes())
 	case tangle.EventLazyTips:
 		n.engine.Ledger().RecordMalicious(ev.Node, core.EventRecord{
 			Behaviour: core.BehaviourLazyTips,
@@ -507,7 +505,8 @@ func (n *FullNode) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info,
 	// verify stage's workers.
 	now, admitStart := n.cfg.Clock.Now(), time.Now()
 	sc := batchScratchPool.Get().(*batchScratch)
-	sc.recs = append(sc.recs, newInflight(t.View(), t.ID(), n.cfg.ShardID))
+	id := t.ID() // first: a device's transaction gets one snapshot, with its digest
+	sc.recs = append(sc.recs, newInflight(t.View(), id, n.cfg.ShardID))
 	errs, rec := n.gate(sc.recs, n.submission, now), sc.recs[0]
 	sc.put()
 	var info tangle.Info
@@ -529,7 +528,7 @@ func (n *FullNode) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info,
 		// The reservation is consumed by the dispatcher; no release here.
 		n.bcast.enqueue(t.Encode())
 	}
-	n.awaitJournal(info.ID, 0)
+	n.awaitJournal(info.Seq, 0)
 	return info, nil
 }
 
@@ -878,7 +877,7 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 	// admission is not a client-facing durability promise (a record lost to
 	// a crash in the gap is repaired by the next sync), and the transport
 	// holds the pair's next batch until this one returns.
-	var last hashutil.Hash // the newest transaction this call attached
+	var last uint64 // the attach sequence of the newest transaction this call attached
 	defer func() { n.awaitJournal(last, maxUnsyncedRelay) }()
 
 	var orphans []hashutil.Hash
@@ -897,14 +896,14 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 				failed++
 				continue
 			}
-			switch outcome, missing := n.admitRelayed(rec, now); outcome {
+			switch outcome, seq := n.admitRelayed(rec, now); outcome {
 			case relayAttached:
-				last = rec.id
+				last = seq
 				continue
 			case relayDuplicate:
 				continue
 			case relayUnresolved:
-				n.parkQuarantine(ctx, from, rec, missing, now)
+				n.parkQuarantine(ctx, from, rec, seq, now)
 			case relayOrphan:
 				// Park rather than drop: the missing parent is usually right
 				// behind (a later batch, or later in the same sync), its
@@ -978,9 +977,11 @@ const (
 // from a peer and for one retried out of the quarantine alike. The
 // authoritative evidence-at-admission verdict is taken just before attach
 // (DESIGN.md §15): a definitive Unauthorized is a Sybil and is dropped;
-// Unresolved (the evidence scan hit the list-sequence gap missingSeq) and
-// an orphan are the caller's to park; the rest goes to attachVerified.
-func (n *FullNode) admitRelayed(rec inflight, now time.Time) (outcome relayOutcome, missingSeq uint64) {
+// Unresolved and an orphan are the caller's to park; the rest goes to
+// attachVerified. seq is the list-sequence gap the evidence scan hit when
+// the outcome is relayUnresolved, and the attach sequence when it is
+// relayAttached.
+func (n *FullNode) admitRelayed(rec inflight, now time.Time) (outcome relayOutcome, seq uint64) {
 	verdict, missing, ok := n.relayAuthVerdict(rec.View)
 	switch {
 	case !ok:
@@ -996,10 +997,10 @@ func (n *FullNode) admitRelayed(rec inflight, now time.Time) (outcome relayOutco
 	case verdict == authz.VerdictUnresolved:
 		return relayUnresolved, missing
 	}
-	_, err := n.attachVerified(rec, now)
+	info, err := n.attachVerified(rec, now)
 	switch {
 	case err == nil:
-		return relayAttached, 0
+		return relayAttached, info.Seq
 	case errors.Is(err, tangle.ErrDuplicate):
 		return relayDuplicate, 0
 	case errors.Is(err, tangle.ErrUnknownParent):
@@ -1085,7 +1086,7 @@ func (n *FullNode) kickQuarantine(now time.Time) {
 // attached entry may be the missing parent of another — hence the loop
 // until a full pass makes no progress.
 func (n *FullNode) retryParked(now time.Time) {
-	var last hashutil.Hash // the newest transaction this kick attached
+	var last uint64 // the attach sequence of the newest transaction this kick attached
 	for progress := true; progress; {
 		progress = false
 		for _, e := range n.quar.drain() {
@@ -1096,15 +1097,15 @@ func (n *FullNode) retryParked(now time.Time) {
 				n.counters.QuarantineDrops.Inc()
 				continue
 			}
-			switch outcome, missing := n.admitRelayed(e.rec, now); outcome {
+			switch outcome, seq := n.admitRelayed(e.rec, now); outcome {
 			case relayAttached:
-				last = e.rec.id
+				last = seq
 				n.counters.QuarantineRepairs.Inc()
 				progress = true
 			case relayOrphan:
 				n.quar.repark(e)
 			case relayUnresolved:
-				e.missingSeq = missing
+				e.missingSeq = seq
 				n.quar.repark(e)
 			case relayFailed:
 				n.counters.QuarantineDrops.Inc()

@@ -101,6 +101,7 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 	if epoch := coldIdx.Epoch(); !epoch.IsZero() {
 		n.registry.PruneVersions(epoch, evidenceMinVersions)
 	}
+	log.Observe(n.observeJournal)
 	n.pendingMu.Lock()
 	n.journal = log
 	n.coldIdx = coldIdx
@@ -374,58 +375,48 @@ func (n *FullNode) exportLedger() []*txn.Transaction {
 // second page on, as every relay admission did before.
 const maxUnsyncedRelay = syncPageSize
 
-// journalAttached queues one attached transaction for the journal — the
-// canonical encoding the ledger keeps, as the attach announced it; the log
-// frames those bytes as they are — and is the only call that does, beside
-// the batch EnablePersistenceFS writes for what the handler attached before
-// the log existed. onTangleEvent is its
-// only caller — the tangle announces attaches serialized, in ledger order,
-// before the Attach that caused them returns — so record order is attach
-// order whichever edge the transaction came in by. Nothing is queued while
+// journalAttached queues one attached transaction for the journal: the
+// canonical encoding the ledger keeps, as the attach announced it, under
+// its attach sequence, which is all the log acknowledges it by. It is the
+// only call that queues a record, beside the batch EnablePersistenceFS
+// writes for what the handler attached before the log existed.
+// onTangleEvent is its only caller — the tangle announces attaches
+// serialized, in ledger order, before the Attach that caused them returns
+// — so record order is attach order whichever edge the transaction came
+// in by, and the numbers grow as the log requires. Nothing is queued while
 // no journal is open (memory-only, or a replay of records the log holds).
 //
 // Journal failures must not fail admission (the ledger is already
-// updated) and do not stop the broadcast; the committer feeds them to
-// the JournalErrors counter, waited for or not, so operators notice a
+// updated) and do not stop the broadcast; the log reports each record's
+// verdict to observeJournal, waited for or not, so operators notice a
 // dying disk, and the poisoned log turns JournalHealthy false.
-func (n *FullNode) journalAttached(id hashutil.Hash, enc []byte) {
-	log := n.journalLog()
-	if log == nil {
-		return
+func (n *FullNode) journalAttached(seq uint64, enc []byte) {
+	if log := n.journalLog(); log != nil {
+		_ = log.Enqueue(enc, seq) // a refusal reaches observeJournal
 	}
-	flushed, start := make(chan struct{}), time.Now()
-	n.pendingMu.Lock()
-	n.unflushed[id] = flushed
-	n.pendingMu.Unlock()
-	log.Enqueue([][]byte{enc}, func(err error) {
-		if err != nil {
-			n.counters.JournalErrors.Inc()
-		}
-		n.pipeline.JournalLatency.Observe(time.Since(start))
-		n.pendingMu.Lock()
-		delete(n.unflushed, id)
-		n.pendingMu.Unlock()
-		close(flushed)
-	})
 }
 
-// awaitJournal blocks until the flush covering id's own record — not a
-// later record's — has returned, whatever its verdict; not at all when
-// that record is not waiting for one, or when no more than backlog records
-// are. The submission edge promised durability and waits whatever the
+// observeJournal is the journal's observer: one JournalLatency sample per
+// record, and one JournalErrors count per record that did not become
+// durable.
+func (n *FullNode) observeJournal(wait time.Duration, err error) {
+	if err != nil {
+		n.counters.JournalErrors.Inc()
+	}
+	n.pipeline.JournalLatency.Observe(wait)
+}
+
+// awaitJournal blocks until the flush covering the record with attach
+// sequence seq — not a later record's — has returned, whatever its
+// verdict; not at all when no more than backlog records are waiting for a
+// flush. The submission edge promised durability and waits whatever the
 // backlog (0), after it has queued the fan-out. The relay edge did not: its
 // acknowledgement means "verified and attached here", so admitGossipBatch
 // and retryParked return with their records queued, letting the transport
 // hand over the pair's next batch while the fsync runs, and wait — for the
 // newest record they attached — only past maxUnsyncedRelay.
-func (n *FullNode) awaitJournal(id hashutil.Hash, backlog int) {
-	n.pendingMu.Lock()
-	flushed := n.unflushed[id]
-	if len(n.unflushed) <= backlog {
-		flushed = nil
-	}
-	n.pendingMu.Unlock()
-	if flushed != nil {
-		<-flushed
+func (n *FullNode) awaitJournal(seq uint64, backlog int) {
+	if log := n.journalLog(); log != nil && log.Unflushed() > backlog {
+		_ = log.Await(seq)
 	}
 }

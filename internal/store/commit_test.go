@@ -53,6 +53,18 @@ func openGated(t *testing.T) (*Log, *chaos.MemFS, chan struct{}) {
 	return l, mem, gate
 }
 
+// enqueueAwait queues enc as the next record and hands its verdict to
+// done: at once when the log refuses it at the door, otherwise once Await
+// has it, from a goroutine of its own.
+func enqueueAwait(l *Log, enc []byte, done func(error)) {
+	seq, err := l.enqueue([][]byte{enc}, 0, true)
+	if err != nil {
+		done(err)
+		return
+	}
+	go func() { done(l.Await(seq)) }()
+}
+
 // waitFor polls until cond holds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -155,10 +167,10 @@ func TestSyncPageIsOneFsyncBehindTheFlushInFlight(t *testing.T) {
 
 	verdicts := make(chan error, page+1)
 	done := func(err error) { verdicts <- err }
-	l.Enqueue([][]byte{sampleTx(t, key, "in flight").Encode()}, done)
+	enqueueAwait(l, sampleTx(t, key, "in flight").Encode(), done)
 	waitFlushing(t, l)
 	for i := 0; i < page; i++ {
-		l.Enqueue([][]byte{sampleTx(t, key, fmt.Sprintf("page-%d", i)).Encode()}, done)
+		enqueueAwait(l, sampleTx(t, key, fmt.Sprintf("page-%d", i)).Encode(), done)
 	}
 	gate <- struct{}{} // the flush in flight
 	gate <- struct{}{} // the page
@@ -169,6 +181,40 @@ func TestSyncPageIsOneFsyncBehindTheFlushInFlight(t *testing.T) {
 	}
 	if stats := l.BatchStats(); stats.Commits != 2 || stats.Hist[batchBucket(page)] != 1 {
 		t.Fatalf("a sync page behind a held flush took %d fsyncs (batches %v), want 2: 1 + the page", stats.Commits, stats.Hist)
+	}
+}
+
+// TestRequestIsNeverSplitAcrossFlushes: the records of one AppendBatch
+// are one request. Queued behind two single records while a flush is
+// held, with room for four records a flush, the three-record batch does
+// not ride with the singles to fill the flush: it commits alone, after
+// them, in a flush of its own.
+func TestRequestIsNeverSplitAcrossFlushes(t *testing.T) {
+	l, _, gate := openGated(t)
+	defer func() { close(gate); l.Close() }()
+	key := mustKey(t)
+	l.maxBatch = 4
+
+	verdicts := make(chan error, 4)
+	done := func(err error) { verdicts <- err }
+	enqueueAwait(l, sampleTx(t, key, "in flight").Encode(), done)
+	waitFlushing(t, l)
+	enqueueAwait(l, sampleTx(t, key, "single 1").Encode(), done)
+	enqueueAwait(l, sampleTx(t, key, "single 2").Encode(), done)
+	batch := []*txn.Transaction{sampleTx(t, key, "batch 1"), sampleTx(t, key, "batch 2"), sampleTx(t, key, "batch 3")}
+	go func() { verdicts <- l.AppendBatch(batch) }()
+	waitQueued(t, l, 5)
+	for i := 0; i < 3; i++ {
+		gate <- struct{}{}
+	}
+	for i := 0; i < 4; i++ {
+		if err := verdictOf(t, "a request", verdicts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := l.BatchStats()
+	if stats.Commits != 3 || stats.Hist[batchBucket(1)] != 1 || stats.Hist[batchBucket(2)] != 1 || stats.Hist[batchBucket(3)] != 1 {
+		t.Fatalf("%d flushes, batches %v; want 3: the record in flight, the two singles, the three-record request", stats.Commits, stats.Hist)
 	}
 }
 
@@ -218,7 +264,7 @@ func TestEnqueueWithoutWaitIsDurableAfterClose(t *testing.T) {
 	tx := sampleTx(t, key, "fire-and-forget")
 
 	verdict := make(chan error, 1)
-	l.Enqueue([][]byte{tx.Encode()}, func(err error) { verdict <- err })
+	enqueueAwait(l, tx.Encode(), func(err error) { verdict <- err })
 	waitFlushing(t, l)
 
 	closed := make(chan error, 1)
@@ -229,7 +275,7 @@ func TestEnqueueWithoutWaitIsDurableAfterClose(t *testing.T) {
 		return l.closing
 	})
 	refused := make(chan error, 1)
-	l.Enqueue([][]byte{sampleTx(t, key, "late").Encode()}, func(err error) { refused <- err })
+	enqueueAwait(l, sampleTx(t, key, "late").Encode(), func(err error) { refused <- err })
 	if err := <-refused; !errors.Is(err, ErrClosed) {
 		t.Fatalf("enqueue during Close = %v, want ErrClosed", err)
 	}
@@ -286,7 +332,7 @@ func TestGroupCommitBatchFailureFailsEveryRequest(t *testing.T) {
 	behind := make(chan error, 2)
 	go func() { behind <- l.Append(sampleTx(t, key, "behind-waiting")) }()
 	waitQueued(t, l, followers+1)
-	l.Enqueue([][]byte{sampleTx(t, key, "behind-no-wait").Encode()}, func(err error) { behind <- err })
+	enqueueAwait(l, sampleTx(t, key, "behind-no-wait").Encode(), func(err error) { behind <- err })
 
 	gate <- struct{}{} // the first batch of 1 succeeds
 	if err := verdictOf(t, "first appender", first); err != nil {

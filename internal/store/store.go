@@ -50,6 +50,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"time"
 
 	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/hashutil"
@@ -101,10 +102,26 @@ type Log struct {
 	// Group-commit state (see commit.go).
 	maxBatch   int // records one fsync covers at most: DefaultMaxBatch
 	batchStats BatchStats
-	queue      []*commitReq
+	queue      []queuedRecord
 	committing bool      // a committer goroutine is flushing the queue
 	idle       sync.Cond // on mu; signalled when the committer exits
 	closing    bool      // Close has begun: Enqueue refuses, the queue drains
+	// The numbers records are acknowledged by: the last queued; the durable
+	// watermark, the last a Sync covered; the last of the batch whose write
+	// or Sync failed; and the last whose verdict is in — flushed, failed or
+	// refused — past which Await waits on flushed.
+	queued, durable, failed, settled uint64
+	unflushed                        int       // records queued whose flush has not returned
+	flushed                          sync.Cond // on mu; broadcast once per flush
+	observe                          Observer
+	opened                           time.Time // what queuedRecord.at counts from
+
+	// The committer's own: the batch it flushes and the buffer it frames
+	// that batch into, both reused from flush to flush; and l.commit bound
+	// once, so that starting a committer allocates no closure.
+	batch     []queuedRecord
+	frame     []byte
+	committer func()
 }
 
 // Errors.
@@ -183,8 +200,10 @@ func openFS(fs chaos.FS, path string, runLen int, apply func([]txn.View, uint64)
 	if err != nil {
 		return nil, fmt.Errorf("open tx log: %w", err)
 	}
-	l := &Log{fs: fs, f: f, path: path, maxBatch: DefaultMaxBatch}
+	l := &Log{fs: fs, f: f, path: path, maxBatch: DefaultMaxBatch, opened: time.Now()}
 	l.idle.L = &l.mu
+	l.flushed.L = &l.mu
+	l.committer = l.commit
 
 	base, size, err := l.readSegHeader()
 	if err != nil {
@@ -403,12 +422,16 @@ func encodeRecord(data []byte) ([]byte, error) {
 	if len(data) > maxRecordLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrRecordLarge, len(data))
 	}
-	buf := make([]byte, headerSize+len(data))
-	binary.BigEndian.PutUint32(buf[0:4], recordMagic)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(data)))
-	binary.BigEndian.PutUint32(buf[8:12], crc32.Checksum(data, castagnoli))
-	copy(buf[headerSize:], data)
-	return buf, nil
+	return appendRecord(make([]byte, 0, headerSize+len(data)), data), nil
+}
+
+// appendRecord appends the framed record of data — header, CRC, the bytes
+// — to dst.
+func appendRecord(dst, data []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, recordMagic)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(data)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(data, castagnoli))
+	return append(dst, data...)
 }
 
 // Append durably records a transaction. The record is synced to stable
@@ -567,7 +590,7 @@ func (l *Log) Bytes() int64 {
 func (l *Log) Path() string { return l.path }
 
 // Close flushes what is queued and releases the file handle. Enqueue
-// refuses with ErrClosed from the moment Close begins; every request
+// refuses with ErrClosed from the moment Close begins; every record
 // already queued — waited for or not — gets its verdict from the
 // committer first, so nothing that was enqueued is dropped unflushed.
 func (l *Log) Close() error {

@@ -71,6 +71,10 @@ type Event struct {
 	// Txn is set on EventAttached: the attached transaction as the ledger
 	// keeps it — its canonical encoding, shared and read-only.
 	Txn txn.View
+	// Seq is set on EventAttached: the attach sequence, which numbers every
+	// attach of this ledger from 1 in the order the attaches are announced
+	// (the node's journal acknowledges records by it).
+	Seq uint64
 }
 
 // Observer receives ledger events. Events are collected under the

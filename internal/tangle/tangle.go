@@ -152,6 +152,9 @@ type Info struct {
 	DirectApprovers  int
 	CumulativeWeight int
 	AttachedAt       time.Time
+	// Seq is the attach sequence the attach that returned this Info gave
+	// the vertex (see Event.Seq); zero from InfoOf, which does not keep it.
+	Seq uint64
 }
 
 // Tangle is the DAG ledger. Safe for concurrent use. Mutations
@@ -199,6 +202,10 @@ type Tangle struct {
 	// non-rejected, confirmed vertex — Snapshot and conflict
 	// resolution purge entries that stop qualifying.
 	anchors []hashutil.Hash
+
+	// attaches numbers the vertices in attachment order: the last attach
+	// sequence given (Event.Seq, Info.Seq).
+	attaches uint64
 
 	// epoch + wstack back the allocation-free weight propagation:
 	// vertices visited in the current propagation carry mark == epoch,
@@ -590,7 +597,8 @@ func (t *Tangle) insertLocked(enc txn.View, id hashutil.Hash, trunk, branch *ver
 	t.shardOrder[shard] = append(t.shardOrder[shard], v)
 	t.byKind[kind] = append(t.byKind[kind], v)
 
-	events := append(t.evscratch[:0], Event{Kind: EventAttached, Tx: id, At: now, Txn: enc})
+	t.attaches++
+	events := append(t.evscratch[:0], Event{Kind: EventAttached, Tx: id, At: now, Txn: enc, Seq: t.attaches})
 
 	// Wire approvals and retire approved tips.
 	for _, p := range [...]*vertex{trunk, branch} {
@@ -643,6 +651,7 @@ func (t *Tangle) insertLocked(enc txn.View, id hashutil.Hash, trunk, branch *ver
 	}
 
 	info := t.infoLocked(v)
+	info.Seq = t.attaches
 	t.pendingEvents = append(t.pendingEvents, events...)
 	t.evscratch = events[:0] // keep the grown capacity for the next attach
 	return info

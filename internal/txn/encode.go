@@ -3,6 +3,7 @@ package txn
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"github.com/b-iot/biot/internal/hashutil"
 )
@@ -62,13 +63,27 @@ type wireCache struct {
 // Encode/ID/SigningBytes/VerifyBasic call — Sign and Invalidate reset
 // the cache; direct mutation of any other field afterwards is a
 // contract violation (Clone first, or call Invalidate).
-func (t *Transaction) ensureCache() *wireCache {
-	if c := t.cache.Load(); c != nil &&
-		binary.BigEndian.Uint64(c.enc[c.signingLen:]) == t.Nonce {
-		return c
+func (t *Transaction) ensureCache() *wireCache { return t.snapshot(false) }
+
+// snapshot is ensureCache for a caller that may also want the digest:
+// with withID, the snapshot returned carries it. A snapshot is published
+// once and never written — a concurrent reader may hold it — so one that
+// lacks the digest is replaced by one that has it, and a transaction with
+// no current snapshot gets one built with the digest in it, not two.
+func (t *Transaction) snapshot(withID bool) *wireCache {
+	c := t.cache.Load()
+	if c != nil && binary.BigEndian.Uint64(c.enc[c.signingLen:]) == t.Nonce {
+		if c.idValid || !withID {
+			return c
+		}
+		c = &wireCache{enc: c.enc, signingLen: c.signingLen}
+	} else {
+		c = &wireCache{enc: t.appendEncode(nil, true)}
+		c.signingLen = len(c.enc) - 8 - 2 - len(t.Signature)
 	}
-	c := &wireCache{enc: t.appendEncode(nil, true)}
-	c.signingLen = len(c.enc) - 8 - 2 - len(t.Signature)
+	if withID {
+		c.id, c.idValid = hashutil.Sum(c.enc), true
+	}
 	t.cache.Store(c)
 	return c
 }
@@ -99,15 +114,14 @@ func (t *Transaction) Invalidate() {
 	t.cache.Store(nil)
 }
 
-// appendEncode serializes from the struct fields, bypassing the cache.
+// appendEncode serializes from the struct fields, bypassing the cache,
+// growing buf once if what it has spare does not fit the encoding.
 func (t *Transaction) appendEncode(buf []byte, full bool) []byte {
 	size := 2 + 1 + 1 + hashutil.Size*2 + 8 + 2 + len(t.Issuer) + 4 + len(t.Payload)
 	if full {
 		size += 8 + 2 + len(t.Signature)
 	}
-	if buf == nil {
-		buf = make([]byte, 0, size)
-	}
+	buf = slices.Grow(buf, size)
 	buf = binary.BigEndian.AppendUint16(buf, wireMagic)
 	buf = append(buf, wireVersion, byte(t.Kind))
 	buf = append(buf, t.Trunk[:]...)

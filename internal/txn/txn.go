@@ -106,15 +106,7 @@ type Transaction struct {
 // signature). Any mutation changes the ID. The digest is computed once
 // per encoding and cached.
 func (t *Transaction) ID() hashutil.Hash {
-	c := t.ensureCache()
-	if c.idValid {
-		return c.id
-	}
-	// Publish a fresh snapshot rather than writing into the shared one:
-	// a concurrent reader may hold c.
-	withID := &wireCache{enc: c.enc, signingLen: c.signingLen, id: hashutil.Sum(c.enc), idValid: true}
-	t.cache.Store(withID)
-	return withID.id
+	return t.snapshot(true).id
 }
 
 // Sender returns the issuing account's address.
@@ -151,12 +143,19 @@ func (t *Transaction) SigningBytes() []byte {
 // Sign signs the transaction with key and stores the signature. The
 // issuer field is set from the key; callers sign before running PoW.
 // Sign resets the encoding cache: it changes Issuer and Signature, and
-// the signing prefix must be serialized from the updated fields.
+// the signing prefix must be serialized from the updated fields. The
+// prefix is serialized for the signer only, so a reading's fits on the
+// stack.
 func (t *Transaction) Sign(key *identity.KeyPair) {
 	t.cache.Store(nil)
 	t.Issuer = key.Public()
-	t.Signature = key.Sign(t.appendEncode(nil, false))
+	var prefix [signingStack]byte
+	t.Signature = key.Sign(t.appendEncode(prefix[:0], false))
 }
+
+// signingStack is how long a signing prefix Sign serializes without a heap
+// allocation: a reading's, sealed or not, with room to spare.
+const signingStack = 512
 
 // Validation errors. They are matched by gateways to decide whether a
 // submission is merely malformed or evidence of misbehaviour.
