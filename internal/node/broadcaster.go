@@ -2,7 +2,6 @@ package node
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,13 +10,10 @@ import (
 	"github.com/b-iot/biot/internal/metrics"
 )
 
-// Broadcast pipeline bounds. broadcastQueue bounds admissions awaiting
-// fan-out — when full, Submit rejects with ErrBroadcastBacklog before
-// admitting; broadcastPeerQueue bounds each peer's private queue (a slow
+// Fan-out bounds. broadcastPeerQueue bounds each peer's queue (a slow
 // peer overflows by dropping; sync repairs it); broadcastBatch caps how
 // many transactions one datagram coalesces.
 const (
-	broadcastQueue     = 1024
 	broadcastPeerQueue = 256
 	broadcastBatch     = 32
 )
@@ -32,12 +28,6 @@ const (
 // trip is eight times the gap between submissions, small enough that a
 // dead peer pins eight batches of memory, not a queue's worth.
 const sendWindow = 8
-
-// ErrBroadcastBacklog reports that the node's asynchronous broadcast
-// queue is full. The submission was NOT admitted — the caller (a light
-// node) should back off and resubmit; this is the pipeline's
-// backpressure signal, distinct from rate limiting which is per-device.
-var ErrBroadcastBacklog = errors.New("gossip broadcast queue is full")
 
 // PipelineMetrics exposes the submission pipeline's observability
 // surface: per-stage latency histograms and queue instrumentation, so a
@@ -64,9 +54,6 @@ type PipelineMetrics struct {
 	// fan-out pace.
 	InFlight     *metrics.Gauge
 	WindowStalls *metrics.Counter
-	// QueueDepth is the intake queue's current occupancy (reserved
-	// slots included).
-	QueueDepth *metrics.Gauge
 	// BatchesSent counts peer datagrams; TxBroadcast counts the
 	// transactions they carried (TxBroadcast/BatchesSent = mean batch).
 	BatchesSent *metrics.Counter
@@ -110,7 +97,6 @@ func newPipelineMetrics() PipelineMetrics {
 		BroadcastLatency: &metrics.Histogram{},
 		InFlight:         &metrics.Gauge{},
 		WindowStalls:     &metrics.Counter{},
-		QueueDepth:       &metrics.Gauge{},
 		BatchesSent:      &metrics.Counter{},
 		TxBroadcast:      &metrics.Counter{},
 		PeerDrops:        &metrics.Counter{},
@@ -127,42 +113,42 @@ func newPipelineMetrics() PipelineMetrics {
 	}
 }
 
-// broadcastItem is one unit flowing through the pipeline: an encoded
-// transaction, or a flush marker (tx nil) used as an ordering barrier.
+// broadcastItem is one entry of a peer's queue: an encoded transaction,
+// or a flush marker (tx nil) used as an ordering barrier.
 type broadcastItem struct {
 	tx    []byte
 	flush *sync.WaitGroup
 }
 
 // broadcaster is the asynchronous fan-out stage of the submission
-// pipeline: a bounded intake queue feeding one dispatcher goroutine,
-// which distributes work to per-peer bounded queues each drained by one
-// sender goroutine that coalesces consecutive transactions into batched
-// MsgTransaction datagrams and keeps up to sendWindow of them in flight.
+// pipeline, in two steps: enqueue puts a transaction's bytes on every
+// peer's bounded queue from the submitter's own goroutine, and one sender
+// per peer drains its queue, coalescing consecutive transactions into
+// batched MsgTransaction datagrams and keeping up to sendWindow of them in
+// flight.
 //
-// Backpressure: intake capacity is reserved before admission and
-// surfaces as ErrBroadcastBacklog when exhausted. A slow peer never
-// stalls the pipeline — its queue overflows by dropping (counted), and
-// the tangle sync protocol repairs the gap.
+// Nothing here pushes back on admission: a peer whose queue is full drops
+// the transaction (counted) and the tangle sync protocol repairs the gap,
+// so a slow peer costs itself and no one else.
 type broadcaster struct {
 	node      *FullNode // its regional network, its shard stamped on every batch
 	pipeline  PipelineMetrics
 	maxBatch  int
 	peerQueue int
 
-	intake   chan broadcastItem
-	reserved atomic.Int64 // slots promised to in-flight admissions
+	// mu serializes the producers against close: enqueue and flush send
+	// holding the read side, close takes the write side before it closes
+	// the queues, so a send can never meet a closed queue. closed is set
+	// under it and read without it.
+	mu     sync.RWMutex
+	closed atomic.Bool
 
-	// sendMu serializes producers against close: sends hold the read
-	// side, close takes the write side before closing the intake, so a
-	// send can never hit a closed channel.
-	sendMu sync.RWMutex
-	closed bool
+	// sendersMu guards senders and orders enqueues: every peer's queue
+	// holds the transactions in one order.
+	sendersMu sync.Mutex
+	senders   map[string]*peerSender
 
-	mu      sync.Mutex
-	senders map[string]*peerSender
-
-	wg sync.WaitGroup // dispatcher + sender goroutines
+	wg sync.WaitGroup // sender goroutines
 }
 
 type peerSender struct {
@@ -170,72 +156,69 @@ type peerSender struct {
 	queue chan broadcastItem
 }
 
-// newBroadcaster starts n's fan-out.
+// newBroadcaster returns n's fan-out; a peer's sender starts with the
+// first transaction or flush addressed to it.
 func newBroadcaster(n *FullNode) *broadcaster {
-	b := &broadcaster{
+	return &broadcaster{
 		node:      n,
 		pipeline:  n.pipeline,
 		maxBatch:  broadcastBatch,
 		peerQueue: broadcastPeerQueue,
-		intake:    make(chan broadcastItem, broadcastQueue),
 		senders:   make(map[string]*peerSender),
 	}
-	b.wg.Add(1)
-	go b.dispatch()
-	return b
 }
 
-// reserve claims one intake slot ahead of admission, so a successful
-// admit can always enqueue without blocking; unreserve frees the slot if
-// admission fails.
-func (b *broadcaster) reserve() error {
-	for {
-		cur := b.reserved.Load()
-		if cur >= int64(cap(b.intake)) {
-			return ErrBroadcastBacklog
-		}
-		if b.reserved.CompareAndSwap(cur, cur+1) {
-			b.pipeline.QueueDepth.Inc()
-			return nil
-		}
-	}
-}
-
-// unreserve gives one intake slot back: the admission failed, or the
-// dispatcher has taken the transaction out of the intake.
-func (b *broadcaster) unreserve() {
-	b.reserved.Add(-1)
-	b.pipeline.QueueDepth.Dec()
-}
-
-// enqueue hands an encoded transaction to the async stage. The caller
-// must hold a reservation; the send therefore never blocks.
+// enqueue puts an encoded transaction on every current peer's queue
+// without waiting: a peer whose queue is full misses it (PeerDrops).
+// encoded must not change afterwards; the senders hold it until it is
+// sent.
 func (b *broadcaster) enqueue(encoded []byte) {
-	b.sendMu.RLock()
-	defer b.sendMu.RUnlock()
-	if b.closed {
-		b.unreserve()
+	peers := b.node.cfg.Network.Peers()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if b.closed.Load() {
 		return
 	}
-	b.intake <- broadcastItem{tx: encoded}
+	b.sendersMu.Lock()
+	defer b.sendersMu.Unlock()
+	for _, name := range peers {
+		select {
+		case b.sender(name).queue <- broadcastItem{tx: encoded}:
+		default:
+			b.pipeline.PeerDrops.Inc() // slow peer: sync repairs it
+		}
+	}
 }
 
 // flush blocks until every transaction enqueued before the call has
 // been attempted against every current peer (acknowledged, failed or
-// dropped) — the barrier tests and graceful shutdown use.
+// dropped) — the barrier tests and graceful shutdown use. A marker must
+// not be dropped, so it waits for room in a full queue; that holds off
+// close, not enqueue.
 func (b *broadcaster) flush(ctx context.Context) error {
-	var wg sync.WaitGroup
-	wg.Add(1) // matched by the dispatcher after fan-out
-
-	b.sendMu.RLock()
-	if b.closed {
-		b.sendMu.RUnlock()
+	peers := b.node.cfg.Network.Peers()
+	b.mu.RLock()
+	if b.closed.Load() {
+		b.mu.RUnlock()
 		return nil
 	}
-	// Markers carry no reservation, so this send can briefly block on a
-	// full intake; the dispatcher is always draining, so it progresses.
-	b.intake <- broadcastItem{flush: &wg}
-	b.sendMu.RUnlock()
+	b.sendersMu.Lock()
+	senders := make([]*peerSender, len(peers))
+	for i, name := range peers {
+		senders[i] = b.sender(name)
+	}
+	b.sendersMu.Unlock()
+	var wg sync.WaitGroup
+	for _, s := range senders {
+		wg.Add(1) // matched by the sender once the batches ahead complete
+		select {
+		case s.queue <- broadcastItem{flush: &wg}:
+		case <-ctx.Done():
+			b.mu.RUnlock()
+			return ctx.Err()
+		}
+	}
+	b.mu.RUnlock()
 
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -247,106 +230,32 @@ func (b *broadcaster) flush(ctx context.Context) error {
 	}
 }
 
-// isClosed reports whether close has run — the transport-health probe.
-func (b *broadcaster) isClosed() bool {
-	b.sendMu.RLock()
-	defer b.sendMu.RUnlock()
-	return b.closed
+// sender returns the queue worker of peer name, starting it on first
+// use. The caller holds sendersMu and the read side of mu.
+func (b *broadcaster) sender(name string) *peerSender {
+	s, ok := b.senders[name]
+	if !ok {
+		s = &peerSender{name: name, queue: make(chan broadcastItem, b.peerQueue)}
+		b.senders[name] = s
+		b.wg.Add(1)
+		go b.sendLoop(s)
+	}
+	return s
 }
 
-// saturated reports a full intake queue: admissions are about to hit
-// ErrBroadcastBacklog. A readiness probe that sheds load here lets the
-// queue drain instead of bouncing submissions off the hard limit.
-func (b *broadcaster) saturated() bool {
-	return b.reserved.Load() >= int64(cap(b.intake))
-}
-
-// close stops the pipeline: the dispatcher drains the intake, sender
-// queues are closed and drained, and all goroutines join.
+// close stops the pipeline: sender queues are closed and drained, and
+// the senders join.
 func (b *broadcaster) close() {
-	b.sendMu.Lock()
-	if b.closed {
-		b.sendMu.Unlock()
+	b.mu.Lock()
+	if b.closed.Swap(true) {
+		b.mu.Unlock()
 		return
 	}
-	b.closed = true
-	close(b.intake)
-	b.sendMu.Unlock()
-	b.wg.Wait()
-}
-
-func (b *broadcaster) dispatch() {
-	defer b.wg.Done()
-	for it := range b.intake {
-		// The peer list and the senders are resolved once per burst:
-		// everything already waiting in the intake fans out to the same
-		// set.
-		senders := b.sendersFor(b.node.cfg.Network.Peers())
-		b.fanOut(it, senders)
-	burst:
-		for {
-			select {
-			case next, ok := <-b.intake:
-				if !ok {
-					break burst
-				}
-				b.fanOut(next, senders)
-			default:
-				break burst
-			}
-		}
-	}
-	// Shutdown: close sender queues and let them drain.
-	b.mu.Lock()
-	senders := make([]*peerSender, 0, len(b.senders))
 	for _, s := range b.senders {
-		senders = append(senders, s)
-	}
-	b.mu.Unlock()
-	for _, s := range senders {
 		close(s.queue)
 	}
-}
-
-// fanOut hands one intake item to every sender's queue.
-func (b *broadcaster) fanOut(it broadcastItem, senders []*peerSender) {
-	if it.flush != nil {
-		// Barrier: propagate to every current peer queue with a blocking
-		// send (a flush must not be dropped), then release the
-		// dispatcher's own count.
-		for _, s := range senders {
-			it.flush.Add(1)
-			s.queue <- it
-		}
-		it.flush.Done()
-		return
-	}
-	b.unreserve()
-	for _, s := range senders {
-		select {
-		case s.queue <- it:
-		default:
-			b.pipeline.PeerDrops.Inc() // slow peer: sync repairs it
-		}
-	}
-}
-
-// sendersFor returns (starting where needed) the queue workers of peers.
-func (b *broadcaster) sendersFor(peers []string) []*peerSender {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]*peerSender, len(peers))
-	for i, name := range peers {
-		s, ok := b.senders[name]
-		if !ok {
-			s = &peerSender{name: name, queue: make(chan broadcastItem, b.peerQueue)}
-			b.senders[name] = s
-			b.wg.Add(1)
-			go b.sendLoop(s)
-		}
-		out[i] = s
-	}
-	return out
+	b.mu.Unlock()
+	b.wg.Wait()
 }
 
 // sendLoop drains one peer's queue, coalescing consecutive transactions

@@ -36,27 +36,18 @@ func (n *FullNode) SetQuarantineBounds(capacity int, ttl time.Duration) {
 }
 
 // SetBroadcastBounds replaces the node's fan-out, before anything was
-// submitted to it, with one whose intake holds queue transactions, each
-// peer's queue peerQueue, and a batch at most batch — for the tests that
-// saturate or shape them. Zero keeps that bound.
-func (n *FullNode) SetBroadcastBounds(queue, peerQueue, batch int) {
+// submitted to it, with one whose peer queues hold peerQueue transactions
+// and whose batches hold at most batch — for the tests that saturate or
+// shape them. Zero keeps that bound.
+func (n *FullNode) SetBroadcastBounds(peerQueue, batch int) {
 	n.bcast.close()
-	or := func(v, bound int) int {
-		if v == 0 {
-			return bound
-		}
-		return v
+	b := newBroadcaster(n)
+	if peerQueue > 0 {
+		b.peerQueue = peerQueue
 	}
-	b := &broadcaster{
-		node:      n,
-		pipeline:  n.pipeline,
-		maxBatch:  or(batch, broadcastBatch),
-		peerQueue: or(peerQueue, broadcastPeerQueue),
-		intake:    make(chan broadcastItem, or(queue, broadcastQueue)),
-		senders:   make(map[string]*peerSender),
+	if batch > 0 {
+		b.maxBatch = batch
 	}
-	b.wg.Add(1)
-	go b.dispatch()
 	n.bcast = b
 }
 

@@ -119,7 +119,7 @@ func runChain(t *testing.T, connect func(*testing.T) (gossip.Network, gossip.Net
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender.SetBroadcastBounds(0, 0, 1) // one transaction per batch: order is all that holds the chain together
+	sender.SetBroadcastBounds(0, 1) // one transaction per batch: order is all that holds the chain together
 	defer sender.Close()
 
 	// The sender's only tip is the transaction just submitted, so each

@@ -481,11 +481,11 @@ func (n *FullNode) InfoOf(id hashutil.Hash) (tangle.Info, error) {
 // back from a relay, and the device's retry is then a duplicate
 // (DESIGN.md §11).
 //
-// Broadcast is asynchronous: peers observe the transaction shortly
-// after it is queued (FlushBroadcast provides a barrier). When the
-// broadcast queue is saturated Submit rejects with ErrBroadcastBacklog
-// *before* admitting anything — the caller backs off and retries, and
-// the local ledger never diverges from what was gossiped.
+// Broadcast is asynchronous: Submit puts the ledger's bytes on every
+// peer's queue without waiting, and peers observe the transaction shortly
+// after (FlushBroadcast provides a barrier). The network never refuses a
+// submission: a peer whose queue is full misses the transaction and sync
+// repairs the gap.
 func (n *FullNode) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info, error) {
 	// A submission that attached while the journal was replaying would find
 	// no log to be queued for and be reported admitted with no record of it
@@ -494,11 +494,6 @@ func (n *FullNode) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info,
 	defer n.replayGate.RUnlock()
 	if err := ctx.Err(); err != nil {
 		return tangle.Info{}, err
-	}
-	if n.bcast != nil {
-		if err := n.bcast.reserve(); err != nil {
-			return tangle.Info{}, err
-		}
 	}
 	// A submission is a run of one through the gate, like a relayed batch of
 	// one, and rides in the same pooled scratch: a run escapes to the
@@ -519,14 +514,10 @@ func (n *FullNode) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info,
 		info, err = n.attachVerified(rec, now)
 	}
 	if err != nil {
-		if n.bcast != nil {
-			n.bcast.unreserve()
-		}
 		return tangle.Info{}, err
 	}
 	if n.bcast != nil {
-		// The reservation is consumed by the dispatcher; no release here.
-		n.bcast.enqueue(t.Encode())
+		n.bcast.enqueue(rec.Bytes())
 	}
 	n.awaitJournal(info.Seq, 0)
 	return info, nil
@@ -564,14 +555,7 @@ func (n *FullNode) TransportHealthy() bool {
 	if n.cfg.Network == nil {
 		return true
 	}
-	return n.bcast != nil && !n.bcast.isClosed()
-}
-
-// PipelineSaturated reports the broadcast intake queue is at capacity,
-// i.e. the next Submit would be rejected with ErrBroadcastBacklog. The
-// readiness probe uses it to shed load before the hard limit bites.
-func (n *FullNode) PipelineSaturated() bool {
-	return n.bcast != nil && n.bcast.saturated()
+	return n.bcast != nil && !n.bcast.closed.Load()
 }
 
 // LedgerMetrics exposes the tangle's anchored tip-selection gauges

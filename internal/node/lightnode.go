@@ -211,11 +211,6 @@ func (l *LightNode) submit(ctx context.Context, kind txn.Kind, payload []byte) (
 			if errors.Is(err, ErrWrongDifficulty) || errors.Is(err, tangle.ErrUnknownParent) {
 				continue // difficulty shifted or tips re-orged: retry fresh
 			}
-			if errors.Is(err, ErrBroadcastBacklog) {
-				// The gateway's fan-out queue is saturated; re-mining the
-				// proof of work is the device's natural backoff.
-				continue
-			}
 			return SubmitResult{}, err
 		}
 		return SubmitResult{Info: info, Difficulty: difficulty, Pow: res}, nil

@@ -16,12 +16,11 @@ import (
 	"github.com/b-iot/biot/internal/txn"
 )
 
-// stubNet is a controllable gossip.Network for pipeline tests: Peers
-// and Request can be gated to stall the dispatcher or the per-peer
-// senders at precise points, and every sent batch is recorded.
+// stubNet is a controllable gossip.Network for pipeline tests: Request
+// can be gated to stall the per-peer senders, and every sent batch is
+// recorded.
 type stubNet struct {
 	peerNames []string
-	peersGate chan struct{} // when non-nil, Peers blocks until closed
 	reqGate   chan struct{} // when non-nil, Request blocks until closed
 
 	mu      sync.Mutex
@@ -29,14 +28,8 @@ type stubNet struct {
 	total   int
 }
 
-func (s *stubNet) Self() string { return "stub" }
-
-func (s *stubNet) Peers() []string {
-	if s.peersGate != nil {
-		<-s.peersGate
-	}
-	return s.peerNames
-}
+func (s *stubNet) Self() string    { return "stub" }
+func (s *stubNet) Peers() []string { return s.peerNames }
 
 func (s *stubNet) Broadcast(ctx context.Context, msg gossip.Message) error { return nil }
 
@@ -62,7 +55,7 @@ func (s *stubNet) snapshot() (batches []int, total int) {
 
 // newPipelineNode builds a manager full node over a stub network (the
 // manager address is always authorized, so tests can submit directly).
-func newPipelineNode(t *testing.T, net gossip.Network, queue, peerQueue, batch int) *node.FullNode {
+func newPipelineNode(t *testing.T, net gossip.Network, peerQueue, batch int) *node.FullNode {
 	t.Helper()
 	key, err := identity.Generate()
 	if err != nil {
@@ -78,7 +71,7 @@ func newPipelineNode(t *testing.T, net gossip.Network, queue, peerQueue, batch i
 	if err != nil {
 		t.Fatal(err)
 	}
-	full.SetBroadcastBounds(queue, peerQueue, batch)
+	full.SetBroadcastBounds(peerQueue, batch)
 	t.Cleanup(func() { _ = full.Close() })
 	return full
 }
@@ -105,56 +98,11 @@ func mineOwnTx(t *testing.T, full *node.FullNode, payload string) *txn.Transacti
 	return tr
 }
 
-func TestSubmitBacklogBackpressure(t *testing.T) {
-	ctx := context.Background()
-	net := &stubNet{peerNames: []string{"peer"}, peersGate: make(chan struct{})}
-	full := newPipelineNode(t, net, 1, 0, 0) // intake capacity 1
-
-	// With the dispatcher stalled in Peers, at most two submissions pass
-	// (one held by the dispatcher, one in the intake) before the typed
-	// backpressure error surfaces.
-	var backlogTx *txn.Transaction
-	var backlogErr error
-	for i := 0; i < 10; i++ {
-		tr := mineOwnTx(t, full, fmt.Sprintf("bp-%d", i))
-		if _, err := full.Submit(ctx, tr); err != nil {
-			backlogTx, backlogErr = tr, err
-			break
-		}
-	}
-	if backlogErr == nil {
-		t.Fatal("saturated pipeline accepted every submission")
-	}
-	if !errors.Is(backlogErr, node.ErrBroadcastBacklog) {
-		t.Fatalf("err = %v, want ErrBroadcastBacklog", backlogErr)
-	}
-	// Backpressure fires before admission: the ledger must not contain
-	// the rejected transaction.
-	if full.Tangle().Contains(backlogTx.ID()) {
-		t.Error("rejected submission was attached anyway")
-	}
-
-	close(net.peersGate)
-	if err := full.FlushBroadcast(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// The pipeline recovers once drained.
-	if _, err := full.Submit(ctx, mineOwnTx(t, full, "bp-after")); err != nil {
-		t.Fatalf("submit after drain: %v", err)
-	}
-	if err := full.FlushBroadcast(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if d := full.Pipeline().QueueDepth.Value(); d != 0 {
-		t.Errorf("queue depth after flush = %d", d)
-	}
-}
-
 func TestBroadcastBatchesCoalesce(t *testing.T) {
 	ctx := context.Background()
 	const n, maxBatch = 20, 8
 	net := &stubNet{peerNames: []string{"peer"}, reqGate: make(chan struct{})}
-	full := newPipelineNode(t, net, 64, 64, maxBatch)
+	full := newPipelineNode(t, net, 64, maxBatch)
 
 	// The sender stalls on its first Request while the rest of the
 	// submissions pile up behind it, forcing coalescing.
@@ -200,41 +148,52 @@ func TestBroadcastBatchesCoalesce(t *testing.T) {
 	}
 }
 
-func TestSlowPeerDropsNotStalls(t *testing.T) {
-	ctx := context.Background()
-	// A stalled peer holds a full window of batches in flight, one more in
-	// the sender's hands and one in its queue; everything past that bound
-	// must drop.
-	const n = node.SendWindow + 2 + 10
-	net := &stubNet{peerNames: []string{"slow"}, reqGate: make(chan struct{})}
-	full := newPipelineNode(t, net, 64, 1, 1) // peer queue of one, no batching
-
-	// Every submission returns promptly even though the peer accepts
-	// nothing: overflow drops rather than stalling admission. The fan-out
-	// is asynchronous, so each submission is followed to where it comes to
-	// rest before the next is made: unpaced, the dispatcher can outrun the
-	// sender goroutine and drop what the window still had room for (≈ 1 run
-	// in 13 did).
+// fillStalledPeer submits to full — whose one peer accepts nothing, and
+// whose peer queue holds one transaction without batching — until that
+// peer holds all it can: a full window of batches in flight, one more in
+// the sender's hands, one in the queue. The sender is asynchronous, so
+// each submission is followed until the sender has taken it: unpaced, a
+// submission can find the one before still in the queue and drop what the
+// window still had room for.
+func fillStalledPeer(t *testing.T, full *node.FullNode) {
+	t.Helper()
 	p := full.Pipeline()
-	settled := func(i int) bool {
-		switch {
-		case i < node.SendWindow: // in flight
-			return p.InFlight.Value() == int64(i+1)
-		case i == node.SendWindow: // in the sender's hands, window full
-			return p.WindowStalls.Value() == 1
-		default: // queued, then dropped: either way the dispatcher is done with it
-			return p.QueueDepth.Value() == 0
-		}
-	}
-	for i := 0; i < n; i++ {
-		if _, err := full.Submit(ctx, mineOwnTx(t, full, fmt.Sprintf("slow-%d", i))); err != nil {
+	for i := 0; i < node.SendWindow+2; i++ {
+		if _, err := full.Submit(context.Background(), mineOwnTx(t, full, fmt.Sprintf("held-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		for deadline := time.Now().Add(5 * time.Second); !settled(i); {
+		settled := func() bool {
+			switch {
+			case i < node.SendWindow: // in flight
+				return p.InFlight.Value() == int64(i+1)
+			case i == node.SendWindow: // in the sender's hands, window full
+				return p.WindowStalls.Value() == 1
+			default: // queued
+				return true
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); !settled(); {
 			if time.Now().After(deadline) {
 				t.Fatalf("submission %d never came to rest in the fan-out", i)
 			}
 			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
+func TestSlowPeerDropsNotStalls(t *testing.T) {
+	ctx := context.Background()
+	const extra = 10
+	net := &stubNet{peerNames: []string{"slow"}, reqGate: make(chan struct{})}
+	full := newPipelineNode(t, net, 1, 1) // peer queue of one, no batching
+
+	// Every submission past what the stalled peer holds returns promptly
+	// even though the peer accepts nothing: overflow drops rather than
+	// stalling admission.
+	fillStalledPeer(t, full)
+	for i := 0; i < extra; i++ {
+		if _, err := full.Submit(ctx, mineOwnTx(t, full, fmt.Sprintf("slow-%d", i))); err != nil {
+			t.Fatal(err)
 		}
 	}
 	close(net.reqGate)
@@ -242,12 +201,51 @@ func TestSlowPeerDropsNotStalls(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	p := full.Pipeline()
 	_, total := net.snapshot()
-	if got := p.PeerDrops.Value(); got != 10 {
-		t.Errorf("%d drops for the slow peer, want 10 (window, sender and queue hold %d)", got, node.SendWindow+2)
+	if got := p.PeerDrops.Value(); got != extra {
+		t.Errorf("%d drops for the slow peer, want %d (window, sender and queue hold %d)", got, extra, node.SendWindow+2)
 	}
-	if got := p.PeerDrops.Value() + int64(total); got != n {
-		t.Errorf("drops+delivered = %d, want %d", got, n)
+	if got := p.PeerDrops.Value() + int64(total); got != node.SendWindow+2+extra {
+		t.Errorf("drops+delivered = %d, want %d", got, node.SendWindow+2+extra)
+	}
+}
+
+// TestSubmitIsNeverRefusedByTheFanOut: a flush waits for room in a
+// stalled peer's full queue; the submissions made meanwhile — more than
+// any fan-out buffer holds — are all admitted, each dropped for that peer
+// rather than refused.
+func TestSubmitIsNeverRefusedByTheFanOut(t *testing.T) {
+	ctx := context.Background()
+	const more = 1100 // past the 1 024 transactions the fan-out used to buffer
+	net := &stubNet{peerNames: []string{"slow"}, reqGate: make(chan struct{})}
+	full := newPipelineNode(t, net, 1, 1)
+	fillStalledPeer(t, full)
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- full.FlushBroadcast(ctx) }()
+	for i := 0; i < more; i++ {
+		if _, err := full.Submit(ctx, mineOwnTx(t, full, fmt.Sprintf("more-%d", i))); err != nil {
+			t.Fatalf("submission %d behind a held flush: %v", i, err)
+		}
+	}
+	select {
+	case err := <-flushed:
+		t.Fatalf("flush returned (%v) with the peer accepting nothing", err)
+	default:
+	}
+	close(net.reqGate)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+
+	p := full.Pipeline()
+	_, total := net.snapshot()
+	if got := p.PeerDrops.Value(); got != more {
+		t.Errorf("%d drops for the stalled peer, want %d", got, more)
+	}
+	if total != node.SendWindow+2 {
+		t.Errorf("delivered %d, want the %d the peer held", total, node.SendWindow+2)
 	}
 }
 
@@ -255,7 +253,7 @@ func TestConcurrentSubmitPipeline(t *testing.T) {
 	ctx := context.Background()
 	const workers, perWorker = 8, 5
 	net := &stubNet{peerNames: []string{"a", "b"}}
-	full := newPipelineNode(t, net, 0, 0, 0)
+	full := newPipelineNode(t, net, 0, 0)
 
 	// Mine outside the submission window so the race is on Submit.
 	txs := make([]*txn.Transaction, workers*perWorker)
@@ -298,10 +296,50 @@ func TestConcurrentSubmitPipeline(t *testing.T) {
 	}
 }
 
+// TestCloseRacingSubmitsAndFlushes: submissions and flushes running
+// while the node closes neither meet a closed queue nor hang, and no
+// transaction reaches a peer twice.
+func TestCloseRacingSubmitsAndFlushes(t *testing.T) {
+	ctx := context.Background()
+	const workers, perWorker = 4, 8
+	net := &stubNet{peerNames: []string{"a", "b"}}
+	full := newPipelineNode(t, net, 4, 0)
+	txs := make([]*txn.Transaction, workers*perWorker)
+	for i := range txs {
+		txs[i] = mineOwnTx(t, full, fmt.Sprintf("race-%d", i))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for _, tr := range txs[w*perWorker : (w+1)*perWorker] {
+				if _, err := full.Submit(ctx, tr); err != nil {
+					t.Errorf("submit: %v", err)
+				}
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			if err := full.FlushBroadcast(ctx); err != nil {
+				t.Errorf("flush: %v", err)
+			}
+		}()
+	}
+	if err := full.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	_, total := net.snapshot()
+	if placed := int64(total) + full.Pipeline().PeerDrops.Value(); placed > 2*int64(len(txs)) {
+		t.Errorf("%d deliveries and drops for %d transactions to 2 peers", placed, len(txs))
+	}
+}
+
 func TestCloseIsIdempotentAndLocalOnly(t *testing.T) {
 	ctx := context.Background()
 	net := &stubNet{peerNames: []string{"peer"}}
-	full := newPipelineNode(t, net, 0, 0, 0)
+	full := newPipelineNode(t, net, 0, 0)
 
 	if _, err := full.Submit(ctx, mineOwnTx(t, full, "pre-close")); err != nil {
 		t.Fatal(err)
@@ -344,7 +382,7 @@ type windowNet struct {
 func newWindowNode(t *testing.T) (*windowNet, *node.FullNode) {
 	t.Helper()
 	net := &windowNet{arrived: make(chan [][]byte), release: make(chan error), done: make(chan struct{})}
-	full := newPipelineNode(t, net, 0, 0, 0)
+	full := newPipelineNode(t, net, 0, 0)
 	t.Cleanup(func() { close(net.done) })
 	return net, full
 }
@@ -418,9 +456,9 @@ func (w *windowNet) acknowledge(t *testing.T, n int, outcome error) {
 	}
 }
 
-// submitQueued admits n fresh transactions, waits until the dispatcher
-// has handed all of them to the peer's sender, and returns their
-// encodings in submission order.
+// submitQueued admits n fresh transactions — each on the peer's queue by
+// the time its Submit returns — and returns their encodings in
+// submission order.
 func submitQueued(t *testing.T, full *node.FullNode, tag string, n int) [][]byte {
 	t.Helper()
 	out := make([][]byte, n)
@@ -430,12 +468,6 @@ func submitQueued(t *testing.T, full *node.FullNode, tag string, n int) [][]byte
 			t.Fatal(err)
 		}
 		out[i] = tr.Encode()
-	}
-	for deadline := time.Now().Add(5 * time.Second); full.Pipeline().QueueDepth.Value() > 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("dispatcher never drained the intake")
-		}
-		time.Sleep(time.Millisecond)
 	}
 	return out
 }

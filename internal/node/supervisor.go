@@ -335,17 +335,13 @@ func (s *Supervisor) Health() Health {
 	} else {
 		h.Transport = ComponentHealth{OK: false, Detail: "broadcast pipeline closed"}
 	}
+	// Nothing in the pipeline refuses work — a slow peer's full queue
+	// drops, counted — so its verdict reports and never fails.
 	p := n.Pipeline()
 	journal := p.JournalLatency.Summarize()
-	fanout := fmt.Sprintf("%d batches in flight, %d window stalls, journal barrier median %v p95 %v over %d requests",
-		p.InFlight.Value(), p.WindowStalls.Value(), journal.Median, journal.P95, journal.Count)
-	if n.PipelineSaturated() {
-		h.Pipeline = ComponentHealth{OK: false, Detail: fmt.Sprintf(
-			"intake queue saturated (%d), %s", p.QueueDepth.Value(), fanout)}
-	} else {
-		h.Pipeline = ComponentHealth{OK: true, Detail: fmt.Sprintf(
-			"queue depth %d, %s", p.QueueDepth.Value(), fanout)}
-	}
+	h.Pipeline = ComponentHealth{OK: true, Detail: fmt.Sprintf(
+		"%d batches in flight, %d window stalls, %d peer drops, journal barrier median %v p95 %v over %d requests",
+		p.InFlight.Value(), p.WindowStalls.Value(), p.PeerDrops.Value(), journal.Median, journal.P95, journal.Count)}
 	h.Memory = n.MemoryStats()
 	return h
 }
@@ -405,8 +401,6 @@ func (g supervisedGateway) TransactionsByKind(kind txn.Kind, offset int) ([]*txn
 
 // healthyProbe is the watchdog's restart predicate: restart when the
 // journal poisoned (persistent nodes) or the transport died under us.
-// Pipeline saturation is load, not failure — it sheds through /readyz,
-// not through a restart.
 func (s *Supervisor) healthyProbe(n *FullNode) bool {
 	if s.cfg.PersistPath != "" && !n.JournalHealthy() {
 		return false

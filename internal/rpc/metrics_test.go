@@ -84,7 +84,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		accepted   = "biot_node_accepted_total"
 	)
 	before := scrapeMetrics(t, f.srv.URL)
-	for _, name := range []string{admitCount, accepted, "biot_pipeline_queue_depth", "biot_pipeline_verify_cache_hits_total"} {
+	for _, name := range []string{admitCount, accepted, "biot_pipeline_in_flight", "biot_pipeline_verify_cache_hits_total"} {
 		if _, ok := before[name]; !ok {
 			t.Fatalf("/metrics lacks %s", name)
 		}
