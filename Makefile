@@ -23,8 +23,9 @@ vet:
 # allocation guards (txn's wire path, the ID a decode seeds and a device's
 # build-sign-mine of a reading, node's relayed batch — journaled or not —
 # and journal replay beyond each transaction's resident copy and its
-# Submit of a pre-mined transaction, journaled or not, rpc's bytes per
-# reading, identity's batch kernel, a histogram's
+# Submit of a pre-mined transaction, journaled or not, gossip's
+# one-transaction exchange over TCP, rpc's bytes per reading, identity's
+# batch kernel, a histogram's
 # flat memory) and the byte guards (tangle's bytes per resident vertex, node's per
 # relayed transaction, core's per credit record) run without the race
 # detector, whose own allocations they would otherwise count; so does
@@ -38,7 +39,7 @@ test: vet
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchtime 20x ./internal/gossip/
-	$(GO) test -run 'TestWirePathAllocationBudget|TestDeviceBuildAllocationBudget|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/scenario/
+	$(GO) test -run 'TestWirePathAllocationBudget|TestDeviceBuildAllocationBudget|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestExchangeAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/gossip/ ./internal/core/ ./internal/scenario/
 	$(GO) test -run XXX -bench BenchmarkPostReadingOverRPC -benchtime 200x ./internal/rpc/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestResidentVerticesStayBounded' -count=1 ./internal/tangle/
@@ -136,13 +137,14 @@ loc:
 # ledger alone), and per observed latency histogram (fixed, not per
 # transaction) — and beside them what the two bulk edges, a relayed batch
 # (on a journal-less and a journaling relay) and a journal replay, allocate
-# per transaction beyond the copy the ledger keeps, and what one Submit of
-# a pre-mined transaction allocates, journaled or not.
+# per transaction beyond the copy the ledger keeps, what one Submit of
+# a pre-mined transaction allocates, journaled or not, and what one
+# one-transaction gossip exchange allocates on both ends of the link.
 # A change that touches what a node keeps or allocates per
 # transaction quotes them before → after (CHANGES.md).
 mem:
-	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/); status=$$?; \
-		echo "$$out" | grep -E 'bytes retained|beyond its resident copy|per submitted transaction|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
+	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestExchangeAllocationBudget' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/ ./internal/gossip/); status=$$?; \
+		echo "$$out" | grep -E 'bytes retained|beyond its resident copy|per submitted transaction|per one-transaction exchange|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
 
 # Regenerate every paper figure with full (Pi-emulated) parameters.
 figures:

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,8 +55,8 @@ type FaultyNetwork struct {
 	rng     *rand.Rand
 	faults  NetFaults
 	blocked map[string]bool
-	held    map[string]gossip.Message  // reorder buffer, one slot per peer
-	fifo    map[string]chan struct{}   // per-peer delivery chain tail
+	held    map[string]gossip.Message // reorder buffer, one slot per peer
+	fifo    map[string]chan struct{}  // per-peer delivery chain tail
 
 	// Injected/Dropped/Duplicated/Delayed count injected events for
 	// test assertions.
@@ -180,7 +181,11 @@ func (n *FaultyNetwork) plan(peer string, msg gossip.Message, datagram bool) sen
 			p.msgs = append(p.msgs, held)
 			n.Reordered++
 		} else if f.ReorderProb > 0 && n.rng.Float64() < f.ReorderProb {
-			// Hold this one back for the next datagram to this peer.
+			// Hold this one back for the next datagram to this peer. The
+			// sender reuses its batch once Request returns, so the held
+			// datagram keeps a copy of the entries (their bytes are
+			// immutable).
+			msg.TxData = slices.Clone(msg.TxData)
 			n.held[peer] = msg
 			return sendPlan{held: true}
 		}

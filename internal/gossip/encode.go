@@ -109,6 +109,13 @@ func uvarint(buf []byte) (uint64, int, error) {
 // bytes, oversized counts or non-minimal varints are rejected. The
 // returned Message's TxData aliases data and is valid only while data is.
 func DecodeMessage(data []byte) (Message, error) {
+	return decodeMessage(data, nil)
+}
+
+// decodeMessage is DecodeMessage with the TxData headers appended to
+// scratch[:0] when it has room for them: a caller that reuses the result
+// for its next message decodes a batch without allocating.
+func decodeMessage(data []byte, scratch [][]byte) (Message, error) {
 	if len(data) > MaxMessageBytes {
 		return Message{}, fmt.Errorf("%w: %d bytes", ErrMessageSize, len(data))
 	}
@@ -138,7 +145,10 @@ func DecodeMessage(data []byte) (Message, error) {
 	}
 	var txData [][]byte
 	if txCount > 0 {
-		txData = make([][]byte, 0, txCount)
+		txData = scratch[:0]
+		if uint64(cap(txData)) < txCount {
+			txData = make([][]byte, 0, txCount)
+		}
 	}
 	for i := uint64(0); i < txCount; i++ {
 		l, n, err := uvarint(rest)
@@ -155,8 +165,8 @@ func DecodeMessage(data []byte) (Message, error) {
 		// pooled buffers that are reused once the Handler has returned and
 		// its reply is written, so a Handler may not keep TxData past the
 		// call; txn.Decode takes its own copy, and the handler decodes
-		// immediately. Reply frames on the dialing side are not pooled:
-		// the Message handed to the caller owns them.
+		// immediately. A reply frame on the dialing side that carries
+		// entries is the reply's: the Message handed to the caller owns it.
 		txData = append(txData, rest[:l:l])
 		rest = rest[l:]
 	}

@@ -61,7 +61,10 @@ func appendFrame(dst []byte, kind byte, id uint64, payload []byte) []byte {
 // returned and whose reply is written — a Handler must not keep
 // msg.TxData, which aliases the frame, past its return (txn.Decode copies).
 // A reply frame read on the dialing side is not pooled: the Message handed
-// to Request's caller aliases it for as long as the caller likes.
+// to Request's caller aliases it for as long as the caller likes. (The
+// read loop reads its next frame over one nothing kept, such as the empty
+// ack; drawn from this pool, a frame kept by its reply would take a
+// pooled buffer with it, and the next frame written would allocate anew.)
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // DecodeFrame parses exactly one complete frame. Trailing bytes, unknown
@@ -105,10 +108,12 @@ func frameMessage(dst []byte, kind byte, id uint64, msg Message) []byte {
 
 // readFrame receives one mux frame, rejecting oversized bodies before
 // buffering them; the payload is read over into's storage when that is
-// large enough. Returns the wire size consumed alongside the frame.
+// large enough. The header is read in place from the reader's buffer, so
+// a frame whose payload fits into costs no allocation. Returns the wire
+// size consumed alongside the frame.
 func readFrame(reader *bufio.Reader, into []byte) (kind byte, id uint64, payload []byte, wire int, err error) {
-	var hdr [4 + frameOverhead]byte
-	if _, err := io.ReadFull(reader, hdr[:]); err != nil {
+	hdr, err := reader.Peek(4 + frameOverhead)
+	if err != nil {
 		return 0, 0, nil, 0, err
 	}
 	body := binary.BigEndian.Uint32(hdr[:4])
@@ -123,6 +128,7 @@ func readFrame(reader *bufio.Reader, into []byte) (kind byte, id uint64, payload
 		return 0, 0, nil, 0, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, kind)
 	}
 	id = binary.BigEndian.Uint64(hdr[5:])
+	_, _ = reader.Discard(len(hdr)) // peeked: cannot fail
 	payload = slices.Grow(into[:0], int(body-frameOverhead))[:body-frameOverhead]
 	if _, err := io.ReadFull(reader, payload); err != nil {
 		return 0, 0, nil, 0, err

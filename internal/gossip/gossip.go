@@ -7,8 +7,11 @@
 //
 //   - Bus: an in-memory network for simulations and tests, with
 //     configurable latency and partition injection;
-//   - TCP: a line-delimited JSON protocol over real sockets, used by the
-//     cmd/biot-node binary.
+//   - TCP: persistent multiplexed connections over real sockets, used by
+//     the cmd/biot-node binary. Each exchange is a request frame and a
+//     response frame — a length word, a kind byte and a request ID in
+//     front of one Message in the canonical binary codec (frame.go,
+//     encode.go) — so many exchanges share one socket at once.
 package gossip
 
 import (
@@ -143,7 +146,9 @@ type Network interface {
 	// are collected; a broadcast succeeds if any peer was reached (or
 	// there are no peers).
 	Broadcast(ctx context.Context, msg Message) error
-	// Request sends msg to one peer and waits for its reply.
+	// Request sends msg to one peer and waits for its reply. msg is the
+	// caller's again once Request returns: an implementation that keeps
+	// any of it longer (a decorator holding a datagram back) copies it.
 	Request(ctx context.Context, peer string, msg Message) (Message, error)
 	// SetHandler installs the inbound message handler. Must be called
 	// before the network receives traffic.

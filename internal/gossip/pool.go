@@ -42,13 +42,32 @@ type peerConn struct {
 	lastSend time.Time
 
 	pendingMu sync.Mutex
-	pending   map[uint64]*pendingCall
+	pending   map[uint64]*call
 }
 
-type pendingCall struct {
-	gen int
-	ch  chan exchangeResult
+// call is one exchange's record in its peer's pending table: the
+// connection generation the request went out on, the channel its one
+// result arrives on, and the timer its wait for that result runs
+// against. Records are pooled. Whoever takes a record out of the table —
+// complete with the reply, or failPending with the connection's error —
+// sends its one result into ch, which has room for it, so the send never
+// waits. The exchange puts the record back in the pool only after it has
+// received that result and stopped and drained the timer. An exchange
+// that stops waiting first (reply timeout, context cancelled, failed
+// write) abandons its record instead: a result may already be on its way
+// into ch, and in a record no one reuses a late reply lands in garbage,
+// never in a later exchange.
+type call struct {
+	gen   int
+	ch    chan exchangeResult
+	timer *time.Timer
 }
+
+var callPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop() // before it could fire: its channel is empty
+	return &call{ch: make(chan exchangeResult, 1), timer: t}
+}}
 
 type exchangeResult struct {
 	msg Message
@@ -56,7 +75,7 @@ type exchangeResult struct {
 }
 
 func newPeerConn(n *TCPNetwork, addr string) *peerConn {
-	return &peerConn{net: n, addr: addr, order: newFifo(), pending: make(map[uint64]*pendingCall)}
+	return &peerConn{net: n, addr: addr, order: newFifo(), pending: make(map[uint64]*call)}
 }
 
 // ensure returns the live connection, dialing if necessary. A dial
@@ -117,16 +136,18 @@ func (p *peerConn) scheduleBackoffLocked() {
 // connection: frame is a complete request frame carrying request id,
 // and place is the caller's ticket from p.order, which exchange
 // releases. Multiple exchanges are safely in flight at once, and their
-// frames go out in ticket order.
+// frames go out in ticket order. An exchange that gets its reply
+// allocates nothing: its record comes from callPool and goes back to it.
 func (p *peerConn) exchange(ctx context.Context, place ticket, id uint64, frame []byte) (Message, error) {
 	conn, gen, err := p.ensure(ctx)
 	if err != nil {
 		place.release()
 		return Message{}, err
 	}
-	ch := make(chan exchangeResult, 1)
+	c := callPool.Get().(*call)
+	c.gen = gen
 	p.pendingMu.Lock()
-	p.pending[id] = &pendingCall{gen: gen, ch: ch}
+	p.pending[id] = c
 	p.pendingMu.Unlock()
 	p.net.metrics.InFlight.Inc()
 	defer p.net.metrics.InFlight.Dec()
@@ -146,20 +167,26 @@ func (p *peerConn) exchange(ctx context.Context, place ticket, id uint64, frame 
 		return Message{}, fmt.Errorf("write to %s: %w", p.addr, werr)
 	}
 
-	deadline := ctx.Done()
-	timer := time.NewTimer(p.net.ioTO)
-	defer timer.Stop()
+	c.timer.Reset(p.net.ioTO)
 	select {
-	case res := <-ch:
+	case res := <-c.ch:
+		// Under the module's go 1.22 timer semantics a timer that fired
+		// as it was stopped may deliver its tick after Stop returns false,
+		// so the drain waits for it; under the later ones Stop empties the
+		// channel itself and reports true.
+		if !c.timer.Stop() {
+			<-c.timer.C
+		}
+		callPool.Put(c)
 		if res.err != nil {
 			return Message{}, fmt.Errorf("exchange with %s: %w", p.addr, res.err)
 		}
 		p.net.metrics.ExchangeRTT.Observe(time.Since(start))
 		return res.msg, nil
-	case <-deadline:
+	case <-ctx.Done():
 		p.drop(id)
 		return Message{}, ctx.Err()
-	case <-timer.C:
+	case <-c.timer.C:
 		p.drop(id)
 		return Message{}, fmt.Errorf("exchange with %s: reply timeout", p.addr)
 	}
@@ -168,22 +195,29 @@ func (p *peerConn) exchange(ctx context.Context, place ticket, id uint64, frame 
 // readLoop routes inbound frames on one dialed connection: responses
 // complete their pending exchange; anything else is a keepalive echo or
 // protocol noise and is dropped. A read error tears the connection down
-// and fails every exchange still pending on it.
+// and fails every exchange still pending on it. A reply that carries
+// something keeps its frame, which the Message handed to Request's caller
+// aliases; a frame nothing keeps — the empty ack that answers every
+// transaction batch among them — is read over by the next one.
 func (p *peerConn) readLoop(conn net.Conn, gen int) {
 	defer p.net.wg.Done()
 	reader := bufio.NewReader(conn)
+	var frame []byte // the last frame read, while nothing keeps it
 	for {
-		kind, id, payload, wire, err := readFrame(reader, nil) // the reply aliases it
+		kind, id, payload, wire, err := readFrame(reader, frame)
 		if err != nil {
 			p.teardown(gen, err)
 			return
 		}
 		p.net.metrics.BytesIn.Add(int64(wire))
-		if kind != FrameResponse {
-			continue
+		frame = payload
+		if kind == FrameResponse {
+			msg, derr := DecodeMessage(payload)
+			if derr == nil && !msg.isZero() {
+				frame = nil // the reply aliases it: its caller's now
+			}
+			p.complete(id, exchangeResult{msg: msg, err: derr})
 		}
-		msg, derr := DecodeMessage(payload)
-		p.complete(id, exchangeResult{msg: msg, err: derr})
 	}
 }
 
@@ -261,13 +295,13 @@ func (p *peerConn) close() {
 
 func (p *peerConn) complete(id uint64, res exchangeResult) {
 	p.pendingMu.Lock()
-	call, ok := p.pending[id]
+	c, ok := p.pending[id]
 	if ok {
 		delete(p.pending, id)
 	}
 	p.pendingMu.Unlock()
 	if ok {
-		call.ch <- res
+		c.ch <- res
 	}
 }
 
@@ -280,10 +314,10 @@ func (p *peerConn) drop(id uint64) {
 func (p *peerConn) failPending(gen int, cause error) {
 	p.pendingMu.Lock()
 	var failed []chan exchangeResult
-	for id, call := range p.pending {
-		if call.gen == gen {
+	for id, c := range p.pending {
+		if c.gen == gen {
 			delete(p.pending, id)
-			failed = append(failed, call.ch)
+			failed = append(failed, c.ch)
 		}
 	}
 	p.pendingMu.Unlock()

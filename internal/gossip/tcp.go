@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -207,7 +208,9 @@ func (n *TCPNetwork) acceptLoop() {
 // handler goroutine, so a slow sync response does not block the next
 // inbound transaction batch on the same socket. Response writes are
 // serialized; responses may therefore interleave out of request order,
-// which the request ID makes safe.
+// which the request ID makes safe. A batch served inline decodes its
+// TxData headers into the connection's scratch, reused batch after batch:
+// like the frame they point into, the Handler may not keep them.
 func (n *TCPNetwork) serveConn(conn net.Conn) {
 	var wg sync.WaitGroup
 	defer func() {
@@ -244,6 +247,7 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 	}
 	sem := make(chan struct{}, maxInboundPerConn)
 	reader := bufio.NewReader(conn)
+	var txData [][]byte // the inline batch's TxData headers
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(n.serverIdle))
 		request := framePool.Get().(*[]byte)
@@ -257,7 +261,7 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 			framePool.Put(request)
 			continue // pings refresh the deadline; stray responses are noise
 		}
-		msg, err := DecodeMessage(payload)
+		msg, err := decodeMessage(payload, txData)
 		if err != nil {
 			return // valid frame, invalid message: drop the confused peer
 		}
@@ -266,8 +270,13 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 		n.mu.RUnlock()
 		if msg.Type == MsgTransaction {
 			serve(h, id, msg, request)
+			clear(msg.TxData) // let the frame go with its buffer
+			if cap(msg.TxData) > cap(txData) {
+				txData = msg.TxData
+			}
 			continue
 		}
+		msg.TxData = slices.Clone(msg.TxData) // the next batch reuses the scratch
 		sem <- struct{}{}
 		wg.Add(1)
 		go func() {

@@ -276,11 +276,20 @@ func (b *broadcaster) close() {
 // rather than a goroutine a batch because a new goroutine grows its
 // stack on the way into the transport, which is long enough for the
 // next one to get there first a few times in a thousand.)
+//
+// A window slot is a batch slice: the sender takes a free one to fill and
+// the worker gives it back, emptied, once its Request has returned. A
+// transport keeps nothing of the message it was handed, so sendWindow
+// slices, grown once to the largest batch, carry every batch to this peer.
 func (b *broadcaster) sendLoop(s *peerSender) {
 	defer b.wg.Done()
 	var inflight sync.WaitGroup
 	defer inflight.Wait() // close: sends still in flight finish first
-	window := make(chan struct{}, sendWindow)
+	// The free window slots.
+	window := make(chan [][]byte, sendWindow)
+	for range sendWindow {
+		window <- nil
+	}
 	jobs := make(chan [][]byte)
 	defer close(jobs)
 	// Buffered, so that reporting never parks the reporting worker:
@@ -292,7 +301,8 @@ func (b *broadcaster) sendLoop(s *peerSender) {
 			running <- struct{}{}
 			b.send(s.name, batch)
 			b.pipeline.InFlight.Dec()
-			<-window
+			clear(batch)
+			window <- batch[:0]
 			inflight.Done()
 		}
 	}
@@ -304,13 +314,14 @@ func (b *broadcaster) sendLoop(s *peerSender) {
 			it.flush.Done()
 			continue
 		}
+		var batch [][]byte
 		select {
-		case window <- struct{}{}:
+		case batch = <-window:
 		default:
 			b.pipeline.WindowStalls.Inc()
-			window <- struct{}{}
+			batch = <-window
 		}
-		batch := [][]byte{it.tx}
+		batch = append(batch, it.tx)
 		var barrier *sync.WaitGroup
 	coalesce:
 		for len(batch) < b.maxBatch {

@@ -713,6 +713,10 @@ func (n *FullNode) commit(rec inflight, at time.Time,
 	return info, err
 }
 
+// batchAck is the reply to every transaction batch. It is shared, so an
+// acknowledgement allocates nothing; transports only read a reply.
+var batchAck gossip.Message
+
 // handleGossip processes inbound gossip. Transaction batches run
 // through the parallel verification stage; sync requests are answered
 // one bounded page at a time.
@@ -728,7 +732,7 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 			hint = uint32(msg.Shard)
 		}
 		n.admitGossipBatch(context.Background(), from, msg.TxData, true, hint)
-		return &gossip.Message{}, nil
+		return &batchAck, nil
 	case gossip.MsgSyncRequest:
 		have := make(map[hashutil.Hash]struct{}, len(msg.Have))
 		for _, id := range msg.Have {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -406,7 +407,7 @@ func (w *windowNet) Request(ctx context.Context, peer string, msg gossip.Message
 		w.mu.Unlock()
 	}()
 	select {
-	case w.arrived <- msg.TxData:
+	case w.arrived <- slices.Clone(msg.TxData): // the sender reuses its batch once Request returns
 	case <-w.done:
 		return gossip.Message{}, gossip.ErrClosed
 	}

@@ -4,9 +4,15 @@ import (
 	"bufio"
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/b-iot/biot/internal/core"
+	"github.com/b-iot/biot/internal/gossip"
+	"github.com/b-iot/biot/internal/identity"
+	"github.com/b-iot/biot/internal/node"
 )
 
 // scrapeMetrics GETs /metrics and parses the Prometheus text format as a
@@ -98,5 +104,66 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := after[accepted] - before[accepted]; got != 1 {
 		t.Errorf("%s moved by %v for one reading, want 1", accepted, got)
+	}
+}
+
+// TestMetricsServeTheGossipTransport: a node whose network is a TCP
+// gossip transport serves that transport's surface beside its own — dials,
+// bytes, the exchange round-trip histogram — and one exchange with a peer
+// shows in it; a node on any other network lists none of it.
+func TestMetricsServeTheGossipTransport(t *testing.T) {
+	const (
+		dials = "biot_gossip_dials_total"
+		rtt   = "biot_gossip_exchange_rtt_seconds_count"
+	)
+	if _, ok := scrapeMetrics(t, newFixture(t).srv.URL)[dials]; ok {
+		t.Errorf("a node without a TCP transport lists %s", dials)
+	}
+
+	listen := func() *gossip.TCPNetwork {
+		n, err := gossip.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		return n
+	}
+	tcp, peer := listen(), listen()
+	peer.SetHandler(gossip.HandlerFunc(func(string, gossip.Message) (*gossip.Message, error) {
+		return &gossip.Message{}, nil
+	}))
+	key, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := node.NewFull(node.FullConfig{
+		Key:        key,
+		Role:       identity.RoleManager,
+		ManagerPub: key.Public(),
+		Credit:     core.DefaultParams(),
+		Network:    tcp,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = full.Close() })
+	srv := httptest.NewServer(NewServer(full).Handler())
+	t.Cleanup(srv.Close)
+
+	before := scrapeMetrics(t, srv.URL)
+	for _, name := range []string{dials, rtt, "biot_gossip_bytes_out_total", "biot_gossip_in_flight", "biot_gossip_pings_total"} {
+		if _, ok := before[name]; !ok {
+			t.Fatalf("/metrics lacks %s", name)
+		}
+	}
+	if _, err := tcp.Request(context.Background(), peer.Self(), gossip.Message{Type: gossip.MsgTransaction}); err != nil {
+		t.Fatal(err)
+	}
+	after := scrapeMetrics(t, srv.URL)
+	if got := after[dials] - before[dials]; got != 1 {
+		t.Errorf("%s moved by %v for the first exchange with a peer, want 1", dials, got)
+	}
+	if got := after[rtt] - before[rtt]; got != 1 {
+		t.Errorf("%s moved by %v for one exchange, want 1", rtt, got)
 	}
 }

@@ -19,7 +19,8 @@
 //	                                          maxSubmitBody is refused with 413
 //	GET  /metrics                             Prometheus text (not JSON): the node's
 //	                                          counters and pipeline gauges and
-//	                                          latency histograms
+//	                                          latency histograms, and its TCP
+//	                                          gossip transport's
 //
 // Transaction bytes are served from the ledger's stored encoding (never a
 // clone re-encoded), so what tips carries for an ID is byte-identical to
@@ -49,6 +50,7 @@ import (
 	"time"
 
 	"github.com/b-iot/biot/internal/authz"
+	"github.com/b-iot/biot/internal/gossip"
 	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/metrics"
@@ -578,15 +580,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, n *node.Fu
 }
 
 // handleMetrics serves the node's metrics in the Prometheus text format:
-// every counter of CountersView as biot_node_*_total, and every counter,
-// gauge and histogram of Pipeline as biot_pipeline_* — fixed structs of
-// fixed-size values, so the page is bounded however long the node runs.
+// every counter of CountersView as biot_node_*_total, every counter,
+// gauge and histogram of Pipeline as biot_pipeline_*, and, when the
+// node's network is a transport that keeps them (gossip.TCPNetwork; a
+// decorated or in-memory network does not), its TransportMetrics as
+// biot_gossip_* — fixed structs of fixed-size values, so the page is
+// bounded however long the node runs.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request, n *node.FullNode) {
 	buf := getBuf()
 	defer putBuf(buf)
 	b := metrics.AppendPrometheus(buf.AvailableBuffer(), "biot_node", n.CountersView())
-	buf.Write(metrics.AppendPrometheus(b, "biot_pipeline", n.Pipeline()))
+	b = metrics.AppendPrometheus(b, "biot_pipeline", n.Pipeline())
+	if t, ok := n.Network().(transport); ok {
+		b = metrics.AppendPrometheus(b, "biot_gossip", t.Metrics())
+	}
+	buf.Write(b)
 	writeTyped(w, http.StatusOK, prometheusContentType, buf)
+}
+
+// transport is a gossip network that keeps a transport's metrics.
+type transport interface {
+	Metrics() gossip.TransportMetrics
 }
 
 // statusForSubmitError maps admission failures to HTTP statuses that the
