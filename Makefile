@@ -9,8 +9,14 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# go vet, then two gates of the source itself: gofmt must have nothing to
+# rewrite, and every exported function or method in internal/ must have a
+# reference somewhere in this module or bench/ (scripts/unused-exports.sh,
+# which also lists, without failing, the ones only tests reach).
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
+	@scripts/unused-exports.sh
 
 # The default test run is race-enabled: the submission pipeline is
 # concurrent by design, so a non-race pass proves little. The bench
@@ -23,8 +29,9 @@ vet:
 # allocation guards (txn's wire path, the ID a decode seeds and a device's
 # build-sign-mine of a reading, node's relayed batch — journaled or not —
 # and journal replay beyond each transaction's resident copy and its
-# Submit of a pre-mined transaction, journaled or not, gossip's
-# one-transaction exchange over TCP, rpc's bytes per reading, identity's
+# Submit of a pre-mined transaction, journaled or not, a journal
+# compaction per record it rewrites, gossip's one-transaction exchange
+# over TCP, rpc's bytes per reading, identity's
 # batch kernel, a histogram's
 # flat memory) and the byte guards (tangle's bytes per resident vertex, node's per
 # relayed transaction, core's per credit record) run without the race
@@ -39,7 +46,7 @@ test: vet
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchtime 20x ./internal/gossip/
-	$(GO) test -run 'TestWirePathAllocationBudget|TestDeviceBuildAllocationBudget|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestExchangeAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/gossip/ ./internal/core/ ./internal/scenario/
+	$(GO) test -run 'TestWirePathAllocationBudget|TestDeviceBuildAllocationBudget|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestExchangeAllocationBudget|TestCompactJournalAllocationBudget|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/gossip/ ./internal/core/ ./internal/scenario/
 	$(GO) test -run XXX -bench BenchmarkPostReadingOverRPC -benchtime 200x ./internal/rpc/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestResidentVerticesStayBounded' -count=1 ./internal/tangle/
@@ -138,13 +145,14 @@ loc:
 # transaction) — and beside them what the two bulk edges, a relayed batch
 # (on a journal-less and a journaling relay) and a journal replay, allocate
 # per transaction beyond the copy the ledger keeps, what one Submit of
-# a pre-mined transaction allocates, journaled or not, and what one
+# a pre-mined transaction allocates, journaled or not, what a journal
+# compaction allocates per record it rewrites, and what one
 # one-transaction gossip exchange allocates on both ends of the link.
 # A change that touches what a node keeps or allocates per
 # transaction quotes them before → after (CHANGES.md).
 mem:
-	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestExchangeAllocationBudget' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/ ./internal/gossip/); status=$$?; \
-		echo "$$out" | grep -E 'bytes retained|beyond its resident copy|per submitted transaction|per one-transaction exchange|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
+	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestCompactJournalAllocationBudget|TestExchangeAllocationBudget' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/ ./internal/gossip/); status=$$?; \
+		echo "$$out" | grep -E 'bytes retained|beyond its resident copy|per submitted transaction|per compacted record|per one-transaction exchange|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
 
 # Regenerate every paper figure with full (Pi-emulated) parameters.
 figures:
@@ -168,7 +176,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzDecrypt$$' -fuzztime=30s ./internal/dataauth/
 	$(GO) test -fuzz='^FuzzOpenEnvelope$$' -fuzztime=15s ./internal/dataauth/
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/gossip/
-	$(GO) test -fuzz='^FuzzDecodeFrame$$' -fuzztime=15s ./internal/gossip/
+	$(GO) test -fuzz='^FuzzReadFrame$$' -fuzztime=15s ./internal/gossip/
 	$(GO) test -fuzz='^FuzzReplay$$' -fuzztime=15s ./internal/store/
 	$(GO) test -fuzz='^FuzzVerifyBatchAgreesWithVerify$$' -fuzztime=30s ./internal/identity/
 

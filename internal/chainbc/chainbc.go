@@ -167,13 +167,6 @@ func (c *Chain) Height() uint64 {
 	return c.head.height
 }
 
-// Head returns the current main-chain tip block.
-func (c *Chain) Head() *Block {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.head.block
-}
-
 // MempoolLen returns the number of queued transactions.
 func (c *Chain) MempoolLen() int {
 	c.mu.Lock()

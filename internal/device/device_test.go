@@ -102,94 +102,6 @@ func TestTemperatureStaysPlausible(t *testing.T) {
 	}
 }
 
-func TestWorkloadValidation(t *testing.T) {
-	s := NewSensor(SensorTemperature, 1)
-	if _, err := NewWorkload(nil, ArrivalPeriodic, time.Second, 1); err == nil {
-		t.Error("nil sensor accepted")
-	}
-	if _, err := NewWorkload(s, ArrivalPeriodic, 0, 1); err == nil {
-		t.Error("zero period accepted")
-	}
-	if _, err := NewWorkload(s, ArrivalPattern(9), time.Second, 1); err == nil {
-		t.Error("unknown pattern accepted")
-	}
-}
-
-func TestPeriodicWorkloadSchedule(t *testing.T) {
-	s := NewSensor(SensorTemperature, 1)
-	w, err := NewWorkload(s, ArrivalPeriodic, time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readings := w.Schedule(t0, 10*time.Second)
-	if len(readings) != 9 { // at 1s..9s (10s is outside [0,10))
-		t.Fatalf("readings = %d", len(readings))
-	}
-	for i, r := range readings {
-		want := t0.Add(time.Duration(i+1) * time.Second)
-		if !r.At.Equal(want) {
-			t.Errorf("reading %d at %v, want %v", i, r.At, want)
-		}
-	}
-}
-
-func TestPoissonWorkloadMeanGap(t *testing.T) {
-	s := NewSensor(SensorTemperature, 1)
-	w, err := NewWorkload(s, ArrivalPoisson, time.Second, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total time.Duration
-	const n = 2000
-	for i := 0; i < n; i++ {
-		total += w.NextGap()
-	}
-	mean := total / n
-	if mean < 800*time.Millisecond || mean > 1200*time.Millisecond {
-		t.Errorf("poisson mean gap = %v, want ≈1s", mean)
-	}
-}
-
-func TestBurstyWorkloadHasBursts(t *testing.T) {
-	s := NewSensor(SensorTemperature, 1)
-	w, err := NewWorkload(s, ArrivalBursty, time.Second, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short, long := 0, 0
-	for i := 0; i < 500; i++ {
-		gap := w.NextGap()
-		if gap < 100*time.Millisecond {
-			short++
-		} else {
-			long++
-		}
-	}
-	if short == 0 || long == 0 {
-		t.Errorf("bursty pattern degenerate: %d short, %d long", short, long)
-	}
-}
-
-func TestWorkloadScheduleDeterministic(t *testing.T) {
-	mk := func() []Reading {
-		s := NewSensor(SensorVibration, 5)
-		w, err := NewWorkload(s, ArrivalPoisson, time.Second, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.Schedule(t0, 30*time.Second)
-	}
-	a, b := mk(), mk()
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !a[i].At.Equal(b[i].At) || a[i].Value != b[i].Value {
-			t.Fatal("schedules diverged")
-		}
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	if SensorTemperature.String() != "temperature" ||
 		SensorMachineConfig.String() != "machine-config" {
@@ -197,12 +109,5 @@ func TestKindStrings(t *testing.T) {
 	}
 	if !strings.HasPrefix(SensorKind(42).String(), "sensor(") {
 		t.Error("unknown kind fallback missing")
-	}
-	if ArrivalPeriodic.String() != "periodic" || ArrivalPoisson.String() != "poisson" ||
-		ArrivalBursty.String() != "bursty" {
-		t.Error("pattern strings wrong")
-	}
-	if !strings.HasPrefix(ArrivalPattern(42).String(), "arrival(") {
-		t.Error("unknown pattern fallback missing")
 	}
 }

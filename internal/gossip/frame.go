@@ -67,33 +67,6 @@ func appendFrame(dst []byte, kind byte, id uint64, payload []byte) []byte {
 // pooled buffer with it, and the next frame written would allocate anew.)
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// DecodeFrame parses exactly one complete frame. Trailing bytes, unknown
-// kinds, oversized bodies, ping frames with payloads and truncated
-// inputs are rejected; on success the frame re-encodes to the identical
-// byte string (fuzz-enforced).
-func DecodeFrame(data []byte) (kind byte, id uint64, payload []byte, err error) {
-	if len(data) < 4+frameOverhead {
-		return 0, 0, nil, fmt.Errorf("%w: truncated header", ErrBadFrame)
-	}
-	body := binary.BigEndian.Uint32(data)
-	if body > MaxMessageBytes+frameOverhead {
-		return 0, 0, nil, fmt.Errorf("%w: frame body of %d bytes", ErrMessageSize, body)
-	}
-	if body < frameOverhead || uint64(len(data)) != 4+uint64(body) {
-		return 0, 0, nil, fmt.Errorf("%w: length mismatch", ErrBadFrame)
-	}
-	kind = data[4]
-	if kind != FrameRequest && kind != FrameResponse && kind != FramePing {
-		return 0, 0, nil, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, kind)
-	}
-	id = binary.BigEndian.Uint64(data[5:])
-	payload = append([]byte(nil), data[4+frameOverhead:]...)
-	if kind == FramePing && len(payload) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: ping with payload", ErrBadFrame)
-	}
-	return kind, id, payload, nil
-}
-
 // frameMessage renders one mux frame carrying msg over dst's storage,
 // encoding the message straight into the frame buffer: no copy, where
 // EncodeFrame(kind, id, EncodeMessage(msg)) allocates twice and copies once.

@@ -1,14 +1,28 @@
 package gossip
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"runtime"
 	"testing"
 	"time"
 )
+
+// readOnly reads data as the transport reads a connection, expecting it
+// to hold exactly one frame: it returns that frame and the wire size
+// readFrame reported, or the error that refused it. Bytes left over after
+// the frame are the cut-off start of another: io.ErrUnexpectedEOF.
+func readOnly(data []byte) (kind byte, id uint64, payload []byte, wire int, err error) {
+	kind, id, payload, wire, err = readFrame(bufio.NewReader(bytes.NewReader(data)), nil)
+	if err == nil && wire != len(data) {
+		err = io.ErrUnexpectedEOF
+	}
+	return kind, id, payload, wire, err
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -23,9 +37,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	for i, tc := range cases {
 		raw := EncodeFrame(tc.kind, tc.id, tc.payload)
-		kind, id, payload, err := DecodeFrame(raw)
+		kind, id, payload, _, err := readOnly(raw)
 		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
+			t.Fatalf("case %d: read: %v", i, err)
 		}
 		if kind != tc.kind || id != tc.id || !bytes.Equal(payload, tc.payload) {
 			t.Errorf("case %d: round trip mismatch", i)
@@ -53,15 +67,15 @@ func TestFrameDecodeRejects(t *testing.T) {
 		{"truncated header", valid[:4]},
 		{"truncated body", valid[:len(valid)-1]},
 		{"trailing byte", append(append([]byte(nil), valid...), 0x00)},
-		{"length below overhead", []byte{0, 0, 0, 1, byte(FrameRequest)}},
+		{"length below overhead", append([]byte{0, 0, 0, 1, byte(FrameRequest)}, make([]byte, 8)...)},
 		{"unknown kind", append([]byte{0, 0, 0, 9, 0xFF}, make([]byte, 8)...)},
 		{"ping with payload", ping},
 		{"oversized body", append(oversized, make([]byte, frameOverhead)...)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, _, err := DecodeFrame(tc.data); err == nil {
-				t.Error("decode accepted malformed frame")
+			if _, _, _, _, err := readOnly(tc.data); err == nil {
+				t.Error("read accepted malformed frame")
 			}
 		})
 	}
@@ -141,33 +155,20 @@ func TestTCPServerInterleavedFrames(t *testing.T) {
 
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	got := map[uint64]bool{}
-	raw := make([]byte, 0, 4096)
-	chunk := make([]byte, 1024)
+	reader := bufio.NewReader(conn)
 	for len(got) < 2 {
-		nr, rerr := conn.Read(chunk)
-		if rerr != nil {
-			t.Fatalf("read responses: %v (got %v)", rerr, got)
+		kind, id, payload, _, err := readFrame(reader, nil)
+		if err != nil {
+			t.Fatalf("read response frame: %v (got %v)", err, got)
 		}
-		raw = append(raw, chunk[:nr]...)
-		for len(raw) >= 4 {
-			body := binary.BigEndian.Uint32(raw)
-			if uint64(len(raw)) < 4+uint64(body) {
-				break
-			}
-			kind, id, payload, derr := DecodeFrame(raw[:4+body])
-			if derr != nil {
-				t.Fatalf("decode response frame: %v", derr)
-			}
-			if kind != FrameResponse {
-				t.Fatalf("unexpected frame kind %d", kind)
-			}
-			msg, merr := DecodeMessage(payload)
-			if merr != nil || msg.Type != MsgSyncResponse {
-				t.Fatalf("bad response payload: %v %+v", merr, msg)
-			}
-			got[id] = true
-			raw = raw[4+body:]
+		if kind != FrameResponse {
+			t.Fatalf("unexpected frame kind %d", kind)
 		}
+		msg, merr := DecodeMessage(payload)
+		if merr != nil || msg.Type != MsgSyncResponse {
+			t.Fatalf("bad response payload: %v %+v", merr, msg)
+		}
+		got[id] = true
 	}
 	if !got[101] || !got[102] {
 		t.Fatalf("response ids = %v, want 101 and 102", got)
@@ -206,10 +207,11 @@ func TestTCPCloseReleasesGoroutines(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame checks the mux frame layer never panics and is
-// bijective on its accepted set, mirroring FuzzDecodeMessage one layer
-// down the stack.
-func FuzzDecodeFrame(f *testing.F) {
+// FuzzReadFrame checks the frame reader the transport runs never panics
+// and is bijective on its accepted set, mirroring FuzzDecodeMessage one
+// layer down the stack: an accepted frame re-encodes to exactly the bytes
+// it consumed, and the wire size it reports is that count.
+func FuzzReadFrame(f *testing.F) {
 	f.Add(EncodeFrame(FrameRequest, 1, EncodeMessage(Message{Type: MsgTransaction, TxData: [][]byte{{1, 2}}})))
 	f.Add(EncodeFrame(FrameResponse, 1<<33, EncodeMessage(Message{})))
 	f.Add(EncodeFrame(FramePing, 0, nil))
@@ -219,14 +221,21 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 16))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, id, payload, err := DecodeFrame(data)
+		src := bytes.NewReader(data)
+		reader := bufio.NewReader(src)
+		kind, id, payload, wire, err := readFrame(reader, nil)
 		if err != nil {
-			if errors.Is(err, ErrBadFrame) || errors.Is(err, ErrMessageSize) {
+			if errors.Is(err, ErrBadFrame) || errors.Is(err, ErrMessageSize) ||
+				errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return
 			}
 			t.Fatalf("unexpected error class: %v", err)
 		}
-		if !bytes.Equal(EncodeFrame(kind, id, payload), data) {
+		consumed := len(data) - src.Len() - reader.Buffered()
+		if wire != consumed {
+			t.Fatalf("wire size %d, consumed %d bytes", wire, consumed)
+		}
+		if !bytes.Equal(EncodeFrame(kind, id, payload), data[:consumed]) {
 			t.Fatal("accepted frame does not round-trip")
 		}
 	})

@@ -36,62 +36,3 @@ func MerkleRoot(leaves []Hash) (Hash, error) {
 	}
 	return level[0], nil
 }
-
-// MerkleProof is an inclusion proof for one leaf: the sibling hashes from
-// the leaf to the root, with Left indicating the sibling's side.
-type MerkleProof struct {
-	Index    int
-	Siblings []Hash
-	Lefts    []bool // Lefts[i] is true when Siblings[i] is the left child
-}
-
-// BuildMerkleProof produces an inclusion proof for leaves[index].
-func BuildMerkleProof(leaves []Hash, index int) (MerkleProof, error) {
-	if len(leaves) == 0 {
-		return MerkleProof{}, ErrEmptyMerkle
-	}
-	if index < 0 || index >= len(leaves) {
-		return MerkleProof{}, errors.New("merkle proof index out of range")
-	}
-	level := make([]Hash, len(leaves))
-	for i, leaf := range leaves {
-		level[i] = SumConcat(leafPrefix, leaf[:])
-	}
-	proof := MerkleProof{Index: index}
-	pos := index
-	for len(level) > 1 {
-		sib := pos ^ 1
-		if sib >= len(level) {
-			sib = pos // duplicated node
-		}
-		proof.Siblings = append(proof.Siblings, level[sib])
-		proof.Lefts = append(proof.Lefts, sib < pos)
-		next := make([]Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			j := i + 1
-			if j == len(level) {
-				j = i
-			}
-			next = append(next, SumConcat(interiorPrefix, level[i][:], level[j][:]))
-		}
-		level = next
-		pos /= 2
-	}
-	return proof, nil
-}
-
-// VerifyMerkleProof checks that leaf is included under root per proof.
-func VerifyMerkleProof(root Hash, leaf Hash, proof MerkleProof) bool {
-	if len(proof.Siblings) != len(proof.Lefts) {
-		return false
-	}
-	cur := SumConcat(leafPrefix, leaf[:])
-	for i, sib := range proof.Siblings {
-		if proof.Lefts[i] {
-			cur = SumConcat(interiorPrefix, sib[:], cur[:])
-		} else {
-			cur = SumConcat(interiorPrefix, cur[:], sib[:])
-		}
-	}
-	return cur == root
-}

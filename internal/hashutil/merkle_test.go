@@ -84,86 +84,6 @@ func TestMerkleLeafInteriorDomainSeparation(t *testing.T) {
 	}
 }
 
-func TestMerkleProofAllLeaves(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 13} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			leaves := leavesN(n)
-			root, err := MerkleRoot(leaves)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range leaves {
-				proof, err := BuildMerkleProof(leaves, i)
-				if err != nil {
-					t.Fatalf("proof %d: %v", i, err)
-				}
-				if !VerifyMerkleProof(root, leaves[i], proof) {
-					t.Errorf("proof %d did not verify", i)
-				}
-			}
-		})
-	}
-}
-
-func TestMerkleProofRejectsWrongLeaf(t *testing.T) {
-	leaves := leavesN(6)
-	root, err := MerkleRoot(leaves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := BuildMerkleProof(leaves, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if VerifyMerkleProof(root, leaves[3], proof) {
-		t.Error("proof verified for the wrong leaf")
-	}
-	tampered := leaves[2]
-	tampered[0] ^= 1
-	if VerifyMerkleProof(root, tampered, proof) {
-		t.Error("proof verified for a tampered leaf")
-	}
-}
-
-func TestMerkleProofRejectsWrongRoot(t *testing.T) {
-	leaves := leavesN(6)
-	proof, err := BuildMerkleProof(leaves, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if VerifyMerkleProof(Sum([]byte("other root")), leaves[0], proof) {
-		t.Error("proof verified under the wrong root")
-	}
-}
-
-func TestMerkleProofIndexOutOfRange(t *testing.T) {
-	leaves := leavesN(3)
-	for _, idx := range []int{-1, 3, 100} {
-		if _, err := BuildMerkleProof(leaves, idx); err == nil {
-			t.Errorf("index %d accepted", idx)
-		}
-	}
-	if _, err := BuildMerkleProof(nil, 0); err == nil {
-		t.Error("empty leaves accepted")
-	}
-}
-
-func TestMerkleProofMalformed(t *testing.T) {
-	leaves := leavesN(4)
-	root, err := MerkleRoot(leaves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := BuildMerkleProof(leaves, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof.Lefts = proof.Lefts[:len(proof.Lefts)-1] // length mismatch
-	if VerifyMerkleProof(root, leaves[1], proof) {
-		t.Error("malformed proof verified")
-	}
-}
-
 // Property: merkle roots over distinct leaf multisets (different first
 // leaf) differ — collision resistance at the structural level.
 func TestMerkleRootInjectiveish(t *testing.T) {

@@ -5,7 +5,8 @@
 // elements) is vendored from the Go standard library's internal
 // crypto/internal/fips140/edwards25519 package (BSD-licensed; the
 // original copyright headers are retained), with the internal-only
-// byteorder/subtle shims replaced by their public equivalents. It is
+// byteorder/subtle shims replaced by their public equivalents and the
+// exported operations nothing here calls left out. It is
 // vendored because the standard library exposes no batch-verification
 // primitive, and this repository takes no external module dependencies.
 //

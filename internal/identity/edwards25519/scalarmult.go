@@ -135,80 +135,3 @@ var basepointNafTablePrecomp struct {
 	table    nafLookupTable8
 	initOnce sync.Once
 }
-
-// VarTimeDoubleScalarBaseMult sets v = a * A + b * B, where B is the canonical
-// generator, and returns v.
-//
-// Execution time depends on the inputs.
-func (v *Point) VarTimeDoubleScalarBaseMult(a *Scalar, A *Point, b *Scalar) *Point {
-	checkInitialized(A)
-
-	// Similarly to the single variable-base approach, we compute
-	// digits and use them with a lookup table.  However, because
-	// we are allowed to do variable-time operations, we don't
-	// need constant-time lookups or constant-time digit
-	// computations.
-	//
-	// So we use a non-adjacent form of some width w instead of
-	// radix 16.  This is like a binary representation (one digit
-	// for each binary place) but we allow the digits to grow in
-	// magnitude up to 2^{w-1} so that the nonzero digits are as
-	// sparse as possible.  Intuitively, this "condenses" the
-	// "mass" of the scalar onto sparse coefficients (meaning
-	// fewer additions).
-
-	basepointNafTable := basepointNafTable()
-	var aTable nafLookupTable5
-	aTable.FromP3(A)
-	// Because the basepoint is fixed, we can use a wider NAF
-	// corresponding to a bigger table.
-	aNaf := a.nonAdjacentForm(5)
-	bNaf := b.nonAdjacentForm(8)
-
-	// Find the first nonzero coefficient.
-	i := 255
-	for j := i; j >= 0; j-- {
-		if aNaf[j] != 0 || bNaf[j] != 0 {
-			break
-		}
-	}
-
-	multA := &projCached{}
-	multB := &affineCached{}
-	tmp1 := &projP1xP1{}
-	tmp2 := &projP2{}
-	tmp2.Zero()
-
-	// Move from high to low bits, doubling the accumulator
-	// at each iteration and checking whether there is a nonzero
-	// coefficient to look up a multiple of.
-	for ; i >= 0; i-- {
-		tmp1.Double(tmp2)
-
-		// Only update v if we have a nonzero coeff to add in.
-		if aNaf[i] > 0 {
-			v.fromP1xP1(tmp1)
-			aTable.SelectInto(multA, aNaf[i])
-			tmp1.Add(v, multA)
-		} else if aNaf[i] < 0 {
-			v.fromP1xP1(tmp1)
-			aTable.SelectInto(multA, -aNaf[i])
-			tmp1.Sub(v, multA)
-		}
-
-		if bNaf[i] > 0 {
-			v.fromP1xP1(tmp1)
-			basepointNafTable.SelectInto(multB, bNaf[i])
-			tmp1.AddAffine(v, multB)
-		} else if bNaf[i] < 0 {
-			v.fromP1xP1(tmp1)
-			basepointNafTable.SelectInto(multB, -bNaf[i])
-			tmp1.SubAffine(v, multB)
-		}
-
-		tmp2.FromP1xP1(tmp1)
-	}
-
-	v.fromP2(tmp2)
-	return v
-}

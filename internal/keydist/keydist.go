@@ -105,9 +105,9 @@ func openSigned(senderPub identity.PublicKey, sealed []byte, decrypt func([]byte
 	return nil
 }
 
-func newNonce(r io.Reader) ([]byte, error) {
+func newNonce() ([]byte, error) {
 	n := make([]byte, NonceSize)
-	if _, err := io.ReadFull(r, n); err != nil {
+	if _, err := io.ReadFull(rand.Reader, n); err != nil {
 		return nil, fmt.Errorf("generate nonce: %w", err)
 	}
 	return n, nil
@@ -131,7 +131,6 @@ type ManagerSession struct {
 	devicePub identity.PublicKey
 	clk       clock.Clock
 	freshness time.Duration
-	entropy   io.Reader
 
 	secret dataauth.Key
 	nonceA []byte
@@ -144,7 +143,6 @@ type DeviceSession struct {
 	managerPub identity.PublicKey
 	clk        clock.Clock
 	freshness  time.Duration
-	entropy    io.Reader
 
 	secret dataauth.Key
 	nonceB []byte
@@ -157,14 +155,12 @@ type Option func(*options)
 type options struct {
 	clk       clock.Clock
 	freshness time.Duration
-	entropy   io.Reader
 }
 
 func buildOptions(opts []Option) options {
 	o := options{
 		clk:       clock.Real(),
 		freshness: DefaultFreshness,
-		entropy:   rand.Reader,
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -182,17 +178,12 @@ func WithFreshness(d time.Duration) Option {
 	return func(o *options) { o.freshness = d }
 }
 
-// WithEntropy sets the nonce/key entropy source (deterministic tests).
-func WithEntropy(r io.Reader) Option {
-	return func(o *options) { o.entropy = r }
-}
-
 // NewManagerSession prepares a distribution of a fresh SK_S to the
 // device with the given signing and box public keys.
 func NewManagerSession(manager *identity.KeyPair, devicePub identity.PublicKey, opts ...Option) (*ManagerSession, error) {
 	o := buildOptions(opts)
 	var secret dataauth.Key
-	if _, err := io.ReadFull(o.entropy, secret[:]); err != nil {
+	if _, err := io.ReadFull(rand.Reader, secret[:]); err != nil {
 		return nil, fmt.Errorf("generate symmetric secret: %w", err)
 	}
 	return &ManagerSession{
@@ -200,7 +191,6 @@ func NewManagerSession(manager *identity.KeyPair, devicePub identity.PublicKey, 
 		devicePub: devicePub,
 		clk:       o.clk,
 		freshness: o.freshness,
-		entropy:   o.entropy,
 		secret:    secret,
 	}, nil
 }
@@ -214,7 +204,6 @@ func NewManagerSessionWithKey(manager *identity.KeyPair, devicePub identity.Publ
 		devicePub: devicePub,
 		clk:       o.clk,
 		freshness: o.freshness,
-		entropy:   o.entropy,
 		secret:    secret,
 	}
 }
@@ -228,7 +217,7 @@ func (m *ManagerSession) M1(deviceBoxPub []byte) ([]byte, error) {
 	if m.state != 0 {
 		return nil, fmt.Errorf("%w: M1 already sent", ErrBadState)
 	}
-	nonceA, err := newNonce(m.entropy)
+	nonceA, err := newNonce()
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +283,6 @@ func NewDeviceSession(device *identity.KeyPair, managerPub identity.PublicKey, o
 		managerPub: managerPub,
 		clk:        o.clk,
 		freshness:  o.freshness,
-		entropy:    o.entropy,
 	}
 }
 
@@ -320,7 +308,7 @@ func (d *DeviceSession) HandleM1(msg1 []byte) ([]byte, error) {
 	if len(body.NonceA) != NonceSize {
 		return nil, fmt.Errorf("M1: %w: nonce_a length %d", ErrBadMessage, len(body.NonceA))
 	}
-	nonceB, err := newNonce(d.entropy)
+	nonceB, err := newNonce()
 	if err != nil {
 		return nil, err
 	}

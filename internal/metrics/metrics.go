@@ -1,18 +1,15 @@
 // Package metrics provides the light-weight instrumentation a node keeps
 // for its whole life and the evaluation harness reads: counters, gauges,
-// fixed-size latency histograms with quantile summaries, windowed
-// throughput (TPS) meters, and their Prometheus text exposition.
+// fixed-size latency histograms with quantile summaries, and their
+// Prometheus text exposition.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/b-iot/biot/internal/clock"
 )
 
 // Counter is a monotonically increasing event counter.
@@ -229,71 +226,4 @@ func (h *Histogram) Summarize() Summary {
 // nearestRank is the 1-based rank of the q-quantile of n samples.
 func nearestRank(n uint64, q float64) uint64 {
 	return min(max(uint64(math.Ceil(q*float64(n))), 1), n)
-}
-
-// TPSMeter measures throughput over the interval between Start and Stop.
-type TPSMeter struct {
-	clk clock.Clock
-
-	mu      sync.Mutex
-	started time.Time
-	stopped time.Time
-	events  int64
-}
-
-// NewTPSMeter creates a meter on the given clock (nil means real time).
-func NewTPSMeter(clk clock.Clock) *TPSMeter {
-	if clk == nil {
-		clk = clock.Real()
-	}
-	return &TPSMeter{clk: clk}
-}
-
-// Start begins (or restarts) the measurement window.
-func (m *TPSMeter) Start() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.started = m.clk.Now()
-	m.stopped = time.Time{}
-	m.events = 0
-}
-
-// Record counts one event.
-func (m *TPSMeter) Record() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events++
-}
-
-// Stop ends the window.
-func (m *TPSMeter) Stop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stopped = m.clk.Now()
-}
-
-// Events returns the number of recorded events.
-func (m *TPSMeter) Events() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.events
-}
-
-// TPS returns events per second over the window. If Stop was not called
-// the window extends to now.
-func (m *TPSMeter) TPS() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.started.IsZero() {
-		return 0
-	}
-	end := m.stopped
-	if end.IsZero() {
-		end = m.clk.Now()
-	}
-	secs := end.Sub(m.started).Seconds()
-	if secs <= 0 {
-		return 0
-	}
-	return float64(m.events) / secs
 }

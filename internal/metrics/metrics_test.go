@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 	"unsafe"
-
-	"github.com/b-iot/biot/internal/clock"
 )
 
 func TestCounter(t *testing.T) {
@@ -278,61 +276,6 @@ func TestSummaryString(t *testing.T) {
 	h.Observe(time.Millisecond)
 	if h.Summarize().String() == "" {
 		t.Error("empty summary string")
-	}
-}
-
-func TestTPSMeter(t *testing.T) {
-	vc := clock.NewVirtual(time.Unix(0, 0))
-	m := NewTPSMeter(vc)
-	if m.TPS() != 0 {
-		t.Error("unstarted meter reports TPS")
-	}
-	m.Start()
-	for i := 0; i < 30; i++ {
-		m.Record()
-	}
-	vc.Advance(10 * time.Second)
-	m.Stop()
-	if got := m.TPS(); got != 3.0 {
-		t.Errorf("TPS = %v, want 3", got)
-	}
-	if m.Events() != 30 {
-		t.Errorf("events = %d", m.Events())
-	}
-}
-
-func TestTPSMeterRunningWindow(t *testing.T) {
-	vc := clock.NewVirtual(time.Unix(0, 0))
-	m := NewTPSMeter(vc)
-	m.Start()
-	m.Record()
-	vc.Advance(time.Second)
-	if got := m.TPS(); got != 1.0 {
-		t.Errorf("running TPS = %v", got)
-	}
-	m.Start() // restart resets
-	if m.Events() != 0 {
-		t.Error("restart kept events")
-	}
-}
-
-func TestTPSMeterZeroDuration(t *testing.T) {
-	vc := clock.NewVirtual(time.Unix(0, 0))
-	m := NewTPSMeter(vc)
-	m.Start()
-	m.Record()
-	m.Stop() // zero elapsed
-	if got := m.TPS(); got != 0 {
-		t.Errorf("zero-window TPS = %v", got)
-	}
-}
-
-func TestNewTPSMeterNilClock(t *testing.T) {
-	m := NewTPSMeter(nil)
-	m.Start()
-	m.Record()
-	if m.Events() != 1 {
-		t.Error("nil-clock meter broken")
 	}
 }
 

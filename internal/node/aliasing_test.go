@@ -30,10 +30,10 @@ func scribble(tx *txn.Transaction) {
 // built over those bytes, so the bytes must be out of every caller's
 // reach. A submitter overwrites its transaction once Submit has returned;
 // the relay's copies arrived in pooled TCP frames that a second wave of
-// traffic has since reused; every transaction Get, ByKind and ExportRange
-// hand out is overwritten too. On both nodes each stored encoding must
-// still hash to the ID it is filed under, and a second Get must return the
-// transaction as it was submitted. (Run under -race: a slice that reached
+// traffic has since reused; every transaction Get, TransactionsByKind and
+// ExportRange hand out is overwritten too. On both nodes each stored
+// encoding must still hash to the ID it is filed under, and a second Get
+// must return the transaction as it was submitted. (Run under -race: a slice that reached
 // the ledger's bytes would also race the broadcaster reading them.)
 func TestLedgerBytesSurviveTheirCallers(t *testing.T) {
 	ctx := context.Background()
@@ -108,7 +108,11 @@ func TestLedgerBytesSurviveTheirCallers(t *testing.T) {
 			}
 			scribble(first)
 		}
-		for _, tx := range tg.ByKind(txn.KindData, 0) {
+		byKind, err := n.TransactionsByKind(txn.KindData, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, tx := range byKind {
 			scribble(tx)
 		}
 		for _, tx := range tg.ExportRange(0, tg.Size()) {

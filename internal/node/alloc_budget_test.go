@@ -54,7 +54,64 @@ const (
 	journaledRelayAllocsBudget  = 3.3
 	journaledSubmitBytesBudget  = 820
 	journaledSubmitAllocsBudget = 3.3
+
+	compactBytesBudget  = 365
+	compactAllocsBudget = 0.1
 )
+
+// TestCompactJournalAllocationBudget: CompactJournal on a relay that
+// journaled 2 048 relayed transactions over quietFS — what rewriting the
+// journal allocates per record it writes. On go1.24 linux/amd64 it measured
+// 3.0 allocations and 713 B per record while the rewrite cloned and
+// re-encoded every resident transaction and framed each record into a
+// buffer of its own; it measures 0.00 allocations and 332 B — the segment
+// buffer, and the page of IDs and encodings it is framed from — now that
+// the ledger's own encodings are framed into one buffer. The byte budget is
+// that figure plus about 10 %; the allocation budget is a floor, since 10 %
+// of nothing would fail on any allocation the runtime makes in the window.
+func TestCompactJournalAllocationBudget(t *testing.T) {
+	const batch, records = 64, 2048
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &scriptedNet{}
+	relay := newJournalingRelay(t, mgrKey, net, quietFS{}, "relay.journal")
+	t.Cleanup(func() { _ = relay.ClosePersistence() })
+	txs := chainedTxs(t, mgrKey, records)
+	for at := 0; at < records; at += batch {
+		wire := make([][]byte, batch)
+		for i, tx := range txs[at : at+batch] {
+			wire[i] = tx.Encode()
+		}
+		if _, err := net.handler.HandleGossip("gateway:5600", gossip.Message{Type: gossip.MsgTransaction, TxData: wire}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for relay.UnflushedJournal() > 0 {
+		runtime.Gosched()
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	compacted, err := relay.CompactJournal()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compacted != records {
+		t.Fatalf("compacted %d records, want %d", compacted, records)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / records
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / records
+	t.Logf("%.2f allocations, %.0f bytes allocated per compacted record", allocs, bytes)
+	if allocs > compactAllocsBudget || bytes > compactBytesBudget {
+		t.Errorf("a compacted record costs %.2f allocations and %.0f bytes, budget %.2f and %d",
+			allocs, bytes, compactAllocsBudget, compactBytesBudget)
+	}
+}
 
 // chainedTxs mines n data transactions from key, each approving the one
 // before, rooted in the deployment's genesis.

@@ -375,5 +375,4 @@ func (b *broadcaster) send(peer string, batch [][]byte) {
 	}
 	b.pipeline.BatchesSent.Inc()
 	b.pipeline.TxBroadcast.Add(int64(len(batch)))
-	b.node.counters.GossipOut.Inc()
 }

@@ -151,7 +151,10 @@ func TestEvidenceGatePinnedRegression(t *testing.T) {
 	if _, err := mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
 	}
-	lists := full.Tangle().ByKind(txn.KindAuthorization, 0)
+	lists, err := full.TransactionsByKind(txn.KindAuthorization, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(lists) != 1 {
 		t.Fatalf("%d authorization lists on the manager, want 1", len(lists))
 	}
@@ -428,7 +431,10 @@ func TestRelayRejectCounterParity(t *testing.T) {
 // genesisIDs returns the node's two genesis root IDs.
 func genesisIDs(t *testing.T, n *node.FullNode) [2]hashutil.Hash {
 	t.Helper()
-	roots := n.Tangle().ByKind(txn.KindGenesis, 0)
+	roots, err := n.TransactionsByKind(txn.KindGenesis, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(roots) != 2 {
 		t.Fatalf("%d genesis roots, want 2", len(roots))
 	}

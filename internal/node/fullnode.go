@@ -58,8 +58,6 @@ type FullConfig struct {
 	// Policy maps credit to difficulty; nil selects the default
 	// additive policy.
 	Policy core.DifficultyPolicy
-	// TipStrategy selects parents for light nodes; zero selects uniform.
-	TipStrategy tangle.TipStrategy
 
 	// Clock is the time source; nil selects the real clock.
 	Clock clock.Clock
@@ -119,9 +117,6 @@ func (c *FullConfig) withDefaults() (FullConfig, error) {
 	if cfg.Credit == (core.Params{}) {
 		cfg.Credit = core.DefaultParams()
 	}
-	if !cfg.TipStrategy.Valid() {
-		cfg.TipStrategy = tangle.StrategyUniform
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real()
 	}
@@ -150,7 +145,6 @@ type Counters struct {
 	QuarantineRepairs *metrics.Counter
 	AuthListProbes    *metrics.Counter
 	GossipIn          *metrics.Counter
-	GossipOut         *metrics.Counter
 	JournalErrors     *metrics.Counter
 	QualityViolations *metrics.Counter
 	// Backbone reconciliation: scoped control-plane pages pulled from
@@ -278,7 +272,6 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 			QuarantineRepairs:  &metrics.Counter{},
 			AuthListProbes:     &metrics.Counter{},
 			GossipIn:           &metrics.Counter{},
-			GossipOut:          &metrics.Counter{},
 			JournalErrors:      &metrics.Counter{},
 			QualityViolations:  &metrics.Counter{},
 			BackboneSyncPages:  &metrics.Counter{},
@@ -442,7 +435,7 @@ func (n *FullNode) DifficultyFor(addr identity.Address) int {
 // TipsForApproval selects two parents for a light node (Fig 6 step 4:
 // "get two random tips information from gateways").
 func (n *FullNode) TipsForApproval() (trunk, branch hashutil.Hash, err error) {
-	return n.tangle.SelectTips(n.cfg.TipStrategy)
+	return n.tangle.SelectTips(tangle.StrategyUniform)
 }
 
 // GetTransaction returns an attached transaction by ID, for light-node
@@ -451,9 +444,18 @@ func (n *FullNode) GetTransaction(id hashutil.Hash) (*txn.Transaction, error) {
 	return n.tangle.Get(id)
 }
 
-// TransactionsByKind pages through attached transactions of one kind.
+// TransactionsByKind pages through attached transactions of one kind,
+// each decoded into a copy of the caller's own; nil past the end.
 func (n *FullNode) TransactionsByKind(kind txn.Kind, offset int) ([]*txn.Transaction, error) {
-	return n.tangle.ByKind(kind, offset), nil
+	var out []*txn.Transaction
+	for _, enc := range n.tangle.EncodedByKind(kind, offset) {
+		t, err := txn.Decode(enc)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, nil
 }
 
 // InfoOf returns ledger metadata for a transaction.

@@ -161,6 +161,16 @@ func newJournalingRelay(t *testing.T, mgrKey *identity.KeyPair, net *scriptedNet
 	return relay
 }
 
+// encodingsOf returns the transactions' canonical encodings, the records
+// a journal holds.
+func encodingsOf(txs []*txn.Transaction) [][]byte {
+	out := make([][]byte, len(txs))
+	for i, tx := range txs {
+		out[i] = tx.Encode()
+	}
+	return out
+}
+
 // writeJournal writes txs as the whole journal at path.
 func writeJournal(t *testing.T, fs chaos.FS, path string, txs ...*txn.Transaction) {
 	t.Helper()
@@ -168,7 +178,7 @@ func writeJournal(t *testing.T, fs chaos.FS, path string, txs ...*txn.Transactio
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.AppendBatch(txs); err != nil {
+	if err := log.AppendBatch(encodingsOf(txs)); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {

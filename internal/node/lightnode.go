@@ -43,20 +43,19 @@ type LightConfig struct {
 	Worker *pow.Worker
 	// Clock is the device's time source; nil selects the real clock.
 	Clock clock.Clock
-	// MaxSubmitRetries bounds resubmission when difficulty shifted
-	// between query and submission (e.g. a malicious event landed).
-	// Zero selects 3.
-	MaxSubmitRetries int
 }
+
+// submitAttempts bounds resubmission when difficulty shifted between
+// query and submission (e.g. a malicious event landed).
+const submitAttempts = 3
 
 // LightNode is an IoT device: it validates tips, runs PoW, and submits
 // transactions through a gateway. It keeps no ledger state beyond its
 // own spend sequence and (when issued) its symmetric data key.
 type LightNode struct {
-	cfg     LightConfig
-	worker  *pow.Worker
-	clk     clock.Clock
-	retries int
+	cfg    LightConfig
+	worker *pow.Worker
+	clk    clock.Clock
 
 	// dataKey is the distributed SK_S; nil until key distribution
 	// completes (only sensitive-data devices receive one).
@@ -94,15 +93,10 @@ func NewLight(cfg LightConfig) (*LightNode, error) {
 	if clk == nil {
 		clk = clock.Real()
 	}
-	retries := cfg.MaxSubmitRetries
-	if retries <= 0 {
-		retries = 3
-	}
 	return &LightNode{
 		cfg:     cfg,
 		worker:  worker,
 		clk:     clk,
-		retries: retries,
 		scheme:  dataauth.SchemeGCM,
 		PowTime: &metrics.Histogram{},
 	}, nil
@@ -161,10 +155,10 @@ type SubmitResult struct {
 
 // submit builds, signs, mines and submits one transaction of the given
 // kind: the Fig-6 steps 4-5 loop. On difficulty or tip races it refreshes
-// and retries up to MaxSubmitRetries times.
+// and tries again, up to submitAttempts attempts in all.
 func (l *LightNode) submit(ctx context.Context, kind txn.Kind, payload []byte) (SubmitResult, error) {
 	var lastErr error
-	for attempt := 0; attempt < l.retries; attempt++ {
+	for attempt := 0; attempt < submitAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return SubmitResult{}, err
 		}

@@ -196,11 +196,15 @@ func (m *Manager) PumpKeyDistribution(ctx context.Context) (int, error) {
 	offset := m.kdOffset
 	m.mu.Unlock()
 
-	msgs := m.full.Tangle().ByKind(txn.KindKeyDist, offset)
+	msgs := m.full.Tangle().EncodedByKind(txn.KindKeyDist, offset)
 	completed := 0
-	for _, t := range msgs {
+	for _, enc := range msgs {
 		offset++
-		env, err := keydist.DecodeEnvelope(t.Payload)
+		v, err := txn.ViewOf(enc)
+		if err != nil {
+			continue
+		}
+		env, err := keydist.DecodeEnvelope(v.Payload())
 		if err != nil || !env.AddressedTo(m.Address()) || env.Stage != keydist.StageM2 {
 			continue
 		}

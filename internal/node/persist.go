@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/b-iot/biot/internal/chaos"
@@ -52,7 +53,7 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 	// What the handler attached before this call was never offered to a
 	// journal; it is journaled below, once the log is open, unless the
 	// journal turns out to hold it already.
-	early := n.exportLedger()
+	earlyIDs, early := n.exportLedger()
 
 	// The cold index opens BEFORE the journal replays: a compacted
 	// (generation ≥ 1) segment replays boundary records through Restore,
@@ -82,10 +83,10 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 		coldIdx.Close()
 		return 0, fmt.Errorf("enable persistence: %w", err)
 	}
-	var unjournaled []*txn.Transaction
-	for _, t := range early {
-		if _, held := replay.duplicates[t.ID()]; !held {
-			unjournaled = append(unjournaled, t)
+	var unjournaled [][]byte
+	for i, enc := range early {
+		if _, held := replay.duplicates[earlyIDs[i]]; !held {
+			unjournaled = append(unjournaled, enc)
 		}
 	}
 	if err := log.AppendBatch(unjournaled); err != nil {
@@ -342,10 +343,10 @@ func (n *FullNode) CompactJournal() (records int, err error) {
 	// Exported inside the log's I/O exclusion: a reading flushed and
 	// acknowledged between an earlier export and the rewrite would sit in
 	// the old segment only, and the rename would drop it.
-	err = log.Compact(func() []*txn.Transaction {
-		txs := n.exportLedger()
-		records = len(txs)
-		return txs
+	err = log.Compact(func() [][]byte {
+		_, encodings := n.exportLedger()
+		records = len(encodings)
+		return encodings
 	})
 	if err != nil {
 		return 0, fmt.Errorf("compact journal: %w", err)
@@ -353,18 +354,20 @@ func (n *FullNode) CompactJournal() (records int, err error) {
 	return records, nil
 }
 
-// exportLedger returns what a journal of the whole ledger holds: every
+// exportLedger returns what a journal of the whole ledger holds: the IDs
+// and the ledger's own canonical encodings (shared, read-only) of every
 // attached transaction in attach order but genesis, which every node
 // derives from configuration and replay would reject as a duplicate root.
-func (n *FullNode) exportLedger() []*txn.Transaction {
-	all := n.tangle.Export()
-	txs := all[:0]
-	for _, t := range all {
-		if t.Kind != txn.KindGenesis {
-			txs = append(txs, t)
+func (n *FullNode) exportLedger() (ids []hashutil.Hash, encodings [][]byte) {
+	all, encs := n.tangle.EncodedRange(0, math.MaxInt)
+	genesis := n.tangle.Genesis()
+	ids, encodings = all[:0], encs[:0]
+	for i, id := range all {
+		if id != genesis[0] && id != genesis[1] {
+			ids, encodings = append(ids, id), append(encodings, encs[i])
 		}
 	}
-	return txs
+	return ids, encodings
 }
 
 // maxUnsyncedRelay bounds how many records the relay edge lets sit in the

@@ -30,9 +30,6 @@ import (
 // creditPageAccounts bounds one credit-digest page.
 const creditPageAccounts = 64
 
-// ShardID returns the data namespace this gateway admits into.
-func (n *FullNode) ShardID() uint32 { return n.cfg.ShardID }
-
 // serveCreditPage answers one MsgCreditRequest: a bounded page of this
 // node's credit state, address-ordered, JSON-encoded in TxData[0].
 func (n *FullNode) serveCreditPage(msg gossip.Message) (*gossip.Message, error) {

@@ -95,7 +95,7 @@ func TestSoakFiveNodeConvergence(t *testing.T) {
 	dep.flush(t)
 	idSet := func(n *node.FullNode) map[string]bool {
 		set := make(map[string]bool)
-		for _, tr := range n.Tangle().Export() {
+		for _, tr := range n.Tangle().ExportRange(0, n.Tangle().Size()) {
 			set[tr.ID().String()] = true
 		}
 		return set

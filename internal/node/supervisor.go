@@ -69,20 +69,21 @@ type SupervisorConfig struct {
 	// WatchInterval is the watchdog probe period; zero disables the
 	// watchdog (Start/Stop/Kill still work).
 	WatchInterval time.Duration
-	// BackoffBase/BackoffMax shape the restart backoff: the first
-	// restart waits BackoffBase, doubling per consecutive failure up to
-	// BackoffMax. Defaults: 100ms / 5s.
+	// BackoffBase shapes the restart backoff: the first retry of a
+	// failed restart waits BackoffBase, doubling per consecutive failure
+	// up to restartBackoffMax. Default: 100ms.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MaxRestarts caps watchdog restarts; exceeding it parks the
-	// supervisor in StateFailed (operators page). Zero means unlimited.
-	MaxRestarts int
 
 	// CompactEvery, when positive, runs Compact(CompactKeep) +
 	// CompactJournal on that period.
 	CompactEvery time.Duration
 	CompactKeep  time.Duration
 }
+
+// restartBackoffMax caps the wait between failed restart attempts. The
+// watchdog never gives up: a node that cannot start keeps retrying at
+// this pace, with the reason in Health's StartError.
+const restartBackoffMax = 5 * time.Second
 
 // SupervisorState enumerates the lifecycle states.
 type SupervisorState int32
@@ -91,7 +92,6 @@ const (
 	StateStopped SupervisorState = iota
 	StateRunning
 	StateDraining
-	StateFailed
 )
 
 // String implements fmt.Stringer.
@@ -103,8 +103,6 @@ func (s SupervisorState) String() string {
 		return "running"
 	case StateDraining:
 		return "draining"
-	case StateFailed:
-		return "failed"
 	default:
 		return fmt.Sprintf("state(%d)", int32(s))
 	}
@@ -145,9 +143,6 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 100 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 5 * time.Second
 	}
 	fs := cfg.FS
 	if fs == nil {
@@ -433,20 +428,12 @@ func (s *Supervisor) watch(stopCh chan struct{}) {
 }
 
 // restart tears the sick node down and brings a fresh one up, backing
-// off between failed attempts. It returns false when the supervisor
-// should stop trying (parked failed, or stopCh closed).
+// off between failed attempts, for as long as it takes. It returns true
+// once a fresh node is up, false once stopCh closes.
 func (s *Supervisor) restart(stopCh chan struct{}) bool {
 	backoff := s.cfg.BackoffBase
 	for {
-		count := s.restarts.Add(1)
-		if s.cfg.MaxRestarts > 0 && count > int64(s.cfg.MaxRestarts) {
-			s.restarts.Add(-1) // the cap-refusal is not a restart
-			s.mu.Lock()
-			s.teardownLocked(context.Background(), false)
-			s.state = StateFailed
-			s.mu.Unlock()
-			return false
-		}
+		s.restarts.Add(1)
 		s.mu.Lock()
 		// Teardown is non-graceful: a poisoned journal's pipeline may
 		// hold unjournaled admissions, but flushing them to peers would
@@ -462,9 +449,7 @@ func (s *Supervisor) restart(stopCh chan struct{}) bool {
 			return false
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > s.cfg.BackoffMax {
-			backoff = s.cfg.BackoffMax
-		}
+		backoff = min(2*backoff, restartBackoffMax)
 	}
 }
 

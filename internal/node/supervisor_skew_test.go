@@ -192,7 +192,7 @@ func TestSupervisorWatchdogUnderClockSkew(t *testing.T) {
 
 func tangleIDs(n *node.FullNode) map[string]bool {
 	set := make(map[string]bool)
-	for _, tr := range n.Tangle().Export() {
+	for _, tr := range n.Tangle().ExportRange(0, n.Tangle().Size()) {
 		set[tr.ID().String()] = true
 	}
 	return set

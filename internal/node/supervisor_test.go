@@ -176,57 +176,11 @@ func TestSupervisorWatchdogRestartsPoisonedJournal(t *testing.T) {
 	}
 }
 
-func TestSupervisorMaxRestartsParksFailed(t *testing.T) {
-	ctx := context.Background()
-	dep := newMultiNode(t, 1, nil)
-	fs := chaos.NewMemFS(3)
-	cfg := supervisedGatewayConfig(t, dep.bus, "gw-park", dep.mgrKey.Public(), fs)
-	inner := cfg.Build
-	started := false
-	cfg.Build = func() (*node.FullNode, error) {
-		if started {
-			return nil, errors.New("scripted build failure")
-		}
-		started = true
-		return inner()
-	}
-	cfg.WatchInterval = 5 * time.Millisecond
-	cfg.BackoffBase = time.Millisecond
-	cfg.BackoffMax = 2 * time.Millisecond
-	cfg.MaxRestarts = 3
-	sup, err := node.NewSupervisor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Stop(ctx)
-
-	// Kill the transport out from under the supervisor: unhealthy, and
-	// every rebuild fails.
-	sup.Node().Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for sup.State() != node.StateFailed {
-		if time.Now().After(deadline) {
-			t.Fatalf("supervisor never parked: state=%v restarts=%d", sup.State(), sup.Restarts())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if sup.Ready() {
-		t.Fatal("failed supervisor claims readiness")
-	}
-	if h := sup.Health(); h.State != "failed" || h.Journal.OK {
-		t.Fatalf("failed health = %+v", h)
-	}
-}
-
 // TestSupervisorHealthCarriesTheStartError: the watchdog retries a failed
 // restart and returns its error to nobody, so "never became ready" used to
 // be all an operator saw. Here the journal a restart finds holds a record
-// ahead of its parent; every restart is a replay refusal, the supervisor
-// parks failed, and /healthz says why, naming the record — until a start
+// ahead of its parent; every restart is a replay refusal, the watchdog
+// keeps retrying, and /healthz says why, naming the record — until a start
 // succeeds.
 func TestSupervisorHealthCarriesTheStartError(t *testing.T) {
 	ctx := context.Background()
@@ -235,8 +189,6 @@ func TestSupervisorHealthCarriesTheStartError(t *testing.T) {
 	cfg := supervisedGatewayConfig(t, dep.bus, "gw-refused", dep.mgrKey.Public(), fs)
 	cfg.WatchInterval = 5 * time.Millisecond
 	cfg.BackoffBase = time.Millisecond
-	cfg.BackoffMax = 2 * time.Millisecond
-	cfg.MaxRestarts = 3
 	sup, err := node.NewSupervisor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -258,15 +210,15 @@ func TestSupervisorHealthCarriesTheStartError(t *testing.T) {
 	sup.Node().Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for sup.State() != node.StateFailed {
+	for h := sup.Health(); !strings.Contains(h.StartError, "journal record "+orphan.ID().Short()); h = sup.Health() {
 		if time.Now().After(deadline) {
-			t.Fatalf("supervisor never parked: state=%v restarts=%d", sup.State(), sup.Restarts())
+			t.Fatalf("health of a supervisor whose restarts were all replay refusals = %+v; want the refusal, naming record %s",
+				h, orphan.ID().Short())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if h := sup.Health(); !strings.Contains(h.StartError, "journal record "+orphan.ID().Short()) {
-		t.Fatalf("health of a supervisor whose restarts were all replay refusals = %+v; want the refusal, naming record %s",
-			h, orphan.ID().Short())
+	if err := sup.Stop(ctx); err != nil {
+		t.Fatal(err)
 	}
 
 	if err := fs.Remove(cfg.PersistPath); err != nil {

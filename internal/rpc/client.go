@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -33,15 +32,16 @@ import (
 // under, for the GetTransaction calls tip validation makes next;
 // difficulty and status are the gateway's to change and are asked for
 // every time.
+//
+// Every call makes one attempt, bounded by the caller's context.
+// Retrying is the caller's: a light node refreshes tips and difficulty
+// and submits again, and a submission whose response was lost may have
+// been admitted, so resending it blindly is not the transport's call.
 type Client struct {
-	base        *url.URL // parsed once; nil when baseErr is set
-	baseErr     error
-	tips        tipCache
-	http        *http.Client
-	callTimeout time.Duration
-	maxAttempts int
-	baseBackoff time.Duration
-	jitter      func(time.Duration) time.Duration
+	base    *url.URL // parsed once; nil when baseErr is set
+	baseErr error
+	tips    tipCache
+	http    *http.Client
 }
 
 var _ node.Gateway = (*Client)(nil)
@@ -52,27 +52,6 @@ type ClientOption func(*Client)
 // WithHTTPClient replaces the underlying *http.Client.
 func WithHTTPClient(h *http.Client) ClientOption {
 	return func(c *Client) { c.http = h }
-}
-
-// WithCallTimeout bounds each call that arrives without its own
-// deadline. Callers passing a context that already has one keep it.
-func WithCallTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.callTimeout = d }
-}
-
-// WithRetry enables retries for idempotent GETs: up to maxAttempts
-// total tries separated by jittered exponential backoff starting at
-// baseBackoff, retrying only transient failures — network errors and
-// 502/503/504 (a supervised gateway answers 503 mid-restart; retrying
-// rides out the watchdog). Submissions (POST) are NEVER auto-retried:
-// a submit whose response was lost may have been admitted, and a
-// re-submission would either burn a duplicate-admission error or, for
-// re-mined payloads, double-spend the reading.
-func WithRetry(maxAttempts int, baseBackoff time.Duration) ClientOption {
-	return func(c *Client) {
-		c.maxAttempts = maxAttempts
-		c.baseBackoff = baseBackoff
-	}
 }
 
 // NewClient creates a client for the node at baseURL
@@ -86,12 +65,6 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 		base:    base,
 		baseErr: err,
 		http:    &http.Client{Timeout: 30 * time.Second},
-		jitter: func(d time.Duration) time.Duration {
-			if d <= 0 {
-				return 0
-			}
-			return time.Duration(rand.Int63n(int64(d)))
-		},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -150,35 +123,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("rpc status %d: %s", e.Status, e.Message)
 }
 
-// callCtx applies the configured default timeout to a context that has
-// no deadline of its own.
-func (c *Client) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.callTimeout <= 0 {
-		return ctx, func() {}
-	}
-	if _, ok := ctx.Deadline(); ok {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, c.callTimeout)
-}
-
-// transient reports whether a GET failure is worth retrying: a network
-// error (no response at all) or a gateway-down status. Application
-// errors — 4xx, 500 — are deterministic and retried never.
-func transient(err error) bool {
-	var apiErr *APIError
-	if errors.As(err, &apiErr) {
-		switch apiErr.Status {
-		case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			return true
-		}
-		return false
-	}
-	// No structured status: the request never completed (dial refused,
-	// connection reset, EOF mid-body).
-	return true
-}
-
 // newRequest builds a request for an endpoint under the base URL parsed at
 // construction — what http.NewRequestWithContext does, less the url.Parse
 // per call. body may be nil.
@@ -211,48 +155,18 @@ func (c *Client) newRequest(ctx context.Context, method, path, query string, bod
 	return req.WithContext(ctx), nil
 }
 
-// get runs one idempotent GET with the client's retry policy. query is
-// the raw query string, empty for none.
+// get runs one GET. query is the raw query string, empty for none.
 func (c *Client) get(ctx context.Context, path, query string, out any) error {
-	ctx, cancel := c.callCtx(ctx)
-	defer cancel()
-	attempts := c.maxAttempts
-	if attempts < 1 {
-		attempts = 1
+	req, err := c.newRequest(ctx, http.MethodGet, path, query, nil)
+	if err != nil {
+		return fmt.Errorf("build rpc GET %s: %w", path, err)
 	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			backoff := c.baseBackoff << (attempt - 1)
-			backoff += c.jitter(backoff / 2)
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("rpc GET %s: %w (last error: %w)", path, ctx.Err(), lastErr)
-			case <-time.After(backoff):
-			}
-		}
-		req, err := c.newRequest(ctx, http.MethodGet, path, query, nil)
-		if err != nil {
-			return fmt.Errorf("build rpc GET %s: %w", path, err)
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			lastErr = fmt.Errorf("rpc GET %s: %w", path, err)
-			if ctx.Err() != nil {
-				return lastErr // deadline consumed: retrying cannot help
-			}
-			continue
-		}
-		err = func() error {
-			defer resp.Body.Close()
-			return decodeResponse(resp, out)
-		}()
-		if err == nil || !transient(err) {
-			return err
-		}
-		lastErr = err
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return fmt.Errorf("rpc GET %s: %w", path, err)
 	}
-	return lastErr
+	defer resp.Body.Close()
+	return decodeResponse(resp, out)
 }
 
 func decodeResponse(resp *http.Response, out any) error {
@@ -437,12 +351,9 @@ func (c *Client) TransactionsByKindCtx(ctx context.Context, kind txn.Kind, offse
 	return txs, nil
 }
 
-// Submit implements node.Gateway. Submissions are sent exactly once —
-// WithRetry never applies here (see its doc) — but they do honour the
-// call timeout and the caller's context.
+// Submit implements node.Gateway. Submissions are sent exactly once,
+// bounded by the caller's context.
 func (c *Client) Submit(ctx context.Context, t *txn.Transaction) (tangle.Info, error) {
-	ctx, cancel := c.callCtx(ctx)
-	defer cancel()
 	// A SubmitRequest, written once into a buffer of its exact size. Not a
 	// pooled one: the transport may still be reading the body after Do
 	// has returned an error.

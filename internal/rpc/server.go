@@ -220,11 +220,11 @@ func (s *Server) withNode(h func(http.ResponseWriter, *http.Request, *node.FullN
 	}
 }
 
-// handleHealthz reports supervised health: 200 while the node is
-// running (or restarting — the watchdog still owns it), 503 once the
-// supervisor has given up (state "failed"). The body is the full
+// handleHealthz reports supervised health: with a health source, 200
+// whatever the state — the node is running, or restarting and still owned
+// by the watchdog, which never gives up — and the body is the full
 // node.Health document, so operators see journal/transport/pipeline
-// detail in one probe.
+// detail in one probe. Without one, 200 while a node is resolvable.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.health == nil {
 		status := http.StatusOK
@@ -234,12 +234,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, status, map[string]string{"state": "running"})
 		return
 	}
-	h := s.health.Health()
-	status := http.StatusOK
-	if h.State == node.StateFailed.String() {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, h)
+	writeJSON(w, http.StatusOK, s.health.Health())
 }
 
 // handleReadyz is the load-balancer probe: 200 only while the node is

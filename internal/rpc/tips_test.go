@@ -207,7 +207,11 @@ func TestTipsCarryTheStoredBytes(t *testing.T) {
 func TestMismatchedTipBodyIsNotCached(t *testing.T) {
 	f, w := newWiredFixture(t)
 	dev := f.authorizedDevice(t)
-	decoy := f.full.Tangle().ByKind(txn.KindAuthorization, 0)[0]
+	lists, err := f.full.TransactionsByKind(txn.KindAuthorization, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoy := lists[0]
 	if _, err := dev.PostReading(context.Background(), []byte("so that the tip is not the decoy")); err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package store
 import (
 	"fmt"
 	"time"
-
-	"github.com/b-iot/biot/internal/txn"
 )
 
 // Group commit: the remedy for the one-fsync-per-record write path that
@@ -355,17 +353,15 @@ func (l *Log) commit() {
 	l.mu.Unlock()
 }
 
-// AppendBatch durably records a group of transactions behind a single
-// durability barrier: one request, numbered on from the last record
-// queued, then Await for its last record. On success every record is
-// durable; on error none should be trusted. An empty batch is a no-op.
-func (l *Log) AppendBatch(txs []*txn.Transaction) error {
-	if len(txs) == 0 {
+// AppendBatch durably records a group of canonical transaction encodings
+// behind a single durability barrier: one request, numbered on from the
+// last record queued, then Await for its last record. The log keeps the
+// slices, uncopied, until that flush has returned. On success every
+// record is durable; on error none should be trusted. An empty batch is a
+// no-op.
+func (l *Log) AppendBatch(encodings [][]byte) error {
+	if len(encodings) == 0 {
 		return nil
-	}
-	encodings := make([][]byte, len(txs))
-	for i, t := range txs {
-		encodings[i] = t.Encode()
 	}
 	last, err := l.enqueue(encodings, 0, true)
 	if err != nil {

@@ -202,7 +202,7 @@ func TestRequestIsNeverSplitAcrossFlushes(t *testing.T) {
 	enqueueAwait(l, sampleTx(t, key, "single 1").Encode(), done)
 	enqueueAwait(l, sampleTx(t, key, "single 2").Encode(), done)
 	batch := []*txn.Transaction{sampleTx(t, key, "batch 1"), sampleTx(t, key, "batch 2"), sampleTx(t, key, "batch 3")}
-	go func() { verdicts <- l.AppendBatch(batch) }()
+	go func() { verdicts <- l.AppendBatch(encodings(batch)) }()
 	waitQueued(t, l, 5)
 	for i := 0; i < 3; i++ {
 		gate <- struct{}{}
@@ -516,7 +516,7 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	if err := l.AppendBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := l.AppendBatch(batch); err != nil {
+	if err := l.AppendBatch(encodings(batch)); err != nil {
 		t.Fatal(err)
 	}
 	if l.Len() != 5 {
@@ -578,7 +578,7 @@ func TestCrashPointTortureBatched(t *testing.T) {
 		}
 		defer l.Close()
 		for _, b := range batches {
-			if err := l.AppendBatch(b); err != nil {
+			if err := l.AppendBatch(encodings(b)); err != nil {
 				return mustHave
 			}
 			for _, tx := range b {
@@ -736,7 +736,7 @@ func TestCompactExportsInsideTheIOExclusion(t *testing.T) {
 	defer l.Close()
 	tx := sampleTx(t, mustKey(t), "kept")
 	calls := 0
-	err = l.Compact(func() []*txn.Transaction {
+	err = l.Compact(func() [][]byte {
 		calls++
 		if l.ioMu.TryLock() {
 			l.ioMu.Unlock()
@@ -747,7 +747,7 @@ func TestCompactExportsInsideTheIOExclusion(t *testing.T) {
 		} else {
 			l.mu.Unlock()
 		}
-		return []*txn.Transaction{tx}
+		return [][]byte{tx.Encode()}
 	})
 	if err != nil || calls != 1 || l.Len() != 1 {
 		t.Fatalf("compact: err %v, export called %d times, %d records; want nil, 1, 1", err, calls, l.Len())

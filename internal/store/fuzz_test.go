@@ -68,7 +68,7 @@ func fuzzBatchedLogBytes() []byte {
 			tx.Sign(key)
 			batch = append(batch, tx)
 		}
-		if err := l.AppendBatch(batch); err != nil {
+		if err := l.AppendBatch(encodings(batch)); err != nil {
 			panic(err)
 		}
 	}

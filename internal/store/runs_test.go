@@ -27,7 +27,7 @@ func runsFixture(t *testing.T, n int, torn bool) (fs *chaos.MemFS, ids []string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(txs); err != nil {
+	if err := l.AppendBatch(encodings(txs)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

@@ -135,12 +135,6 @@ var (
 	ErrPoisoned = errors.New("transaction log poisoned by earlier I/O failure")
 )
 
-// Open opens (creating if needed) the log at path on the real
-// filesystem. See OpenFS.
-func Open(path string, apply func(*txn.Transaction) error) (*Log, error) {
-	return OpenFS(chaos.OS(), path, apply)
-}
-
 // OpenFS opens (creating if needed) the log at path on fs, replays every
 // intact record through apply in order, truncates (and syncs) any torn
 // tail, and leaves the log ready for appends. apply errors abort the
@@ -417,14 +411,6 @@ func (l *Log) replay(base int64, runLen int, apply func([]txn.View, uint64) erro
 	}
 }
 
-// encodeRecord frames one transaction's canonical encoding.
-func encodeRecord(data []byte) ([]byte, error) {
-	if len(data) > maxRecordLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrRecordLarge, len(data))
-	}
-	return appendRecord(make([]byte, 0, headerSize+len(data)), data), nil
-}
-
 // appendRecord appends the framed record of data — header, CRC, the bytes
 // — to dst.
 func appendRecord(dst, data []byte) []byte {
@@ -441,14 +427,15 @@ func appendRecord(dst, data []byte) []byte {
 // or sync poisons the log: the durable tail is unknown, so every
 // subsequent Append fails with ErrPoisoned until the log is reopened.
 func (l *Log) Append(t *txn.Transaction) error {
-	return l.AppendBatch([]*txn.Transaction{t})
+	return l.AppendBatch([][]byte{t.Encode()})
 }
 
-// Compact atomically replaces the log's contents with what export
-// returns, stamped with the next generation. The replacement is written
-// to a temp segment, synced, then renamed over the live path — a crash at
-// any point leaves either the complete old segment or the complete new
-// one. On success the log continues appending to the new segment.
+// Compact atomically replaces the log's contents with the canonical
+// transaction encodings export returns, stamped with the next generation.
+// The replacement is framed into one buffer, written to a temp segment in
+// one write, synced, then renamed over the live path — a crash at any
+// point leaves either the complete old segment or the complete new one.
+// On success the log continues appending to the new segment.
 //
 // export is called inside the log's I/O exclusion, after every flush that
 // has returned and before any that has not: a record acknowledged as
@@ -460,7 +447,7 @@ func (l *Log) Append(t *txn.Transaction) error {
 // A poisoned log refuses to compact: the caller's in-memory state may
 // already have diverged from the durable log, and compaction would make
 // that divergence permanent.
-func (l *Log) Compact(export func() []*txn.Transaction) error {
+func (l *Log) Compact(export func() [][]byte) error {
 	// ioMu keeps the rewrite exclusive with in-flight batch commits;
 	// appenders may keep enqueueing — the committer blocks on ioMu and
 	// commits to the new segment once the rename lands.
@@ -473,7 +460,19 @@ func (l *Log) Compact(export func() []*txn.Transaction) error {
 	if err != nil {
 		return err
 	}
-	txs := export()
+	encodings := export()
+	size := segHeaderSize
+	for _, enc := range encodings {
+		if len(enc) > maxRecordLen {
+			return fmt.Errorf("frame compact record: %w: %d bytes", ErrRecordLarge, len(enc))
+		}
+		size += headerSize + len(enc)
+	}
+	segment := make([]byte, segHeaderSize, size)
+	putSegHeader(segment, gen+1)
+	for _, enc := range encodings {
+		segment = appendRecord(segment, enc)
+	}
 
 	tmpPath := l.path + ".compact"
 	tmp, err := l.fs.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -485,21 +484,8 @@ func (l *Log) Compact(export func() []*txn.Transaction) error {
 		_ = l.fs.Remove(tmpPath)
 		return fmt.Errorf("%s: %w", step, err)
 	}
-	hdr := make([]byte, segHeaderSize)
-	putSegHeader(hdr, gen+1)
-	if _, err := tmp.Write(hdr); err != nil {
-		return fail("write compact header", err)
-	}
-	written := int64(segHeaderSize)
-	for _, t := range txs {
-		buf, err := encodeRecord(t.Encode())
-		if err != nil {
-			return fail("encode compact record", err)
-		}
-		if _, err := tmp.Write(buf); err != nil {
-			return fail("write compact record", err)
-		}
-		written += int64(len(buf))
+	if _, err := tmp.Write(segment); err != nil {
+		return fail("write compact segment", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		return fail("sync compact segment", err)
@@ -535,8 +521,8 @@ func (l *Log) Compact(export func() []*txn.Transaction) error {
 	old := l.f
 	l.f = f
 	l.gen = gen + 1
-	l.n = len(txs)
-	l.bytes = written
+	l.n = len(encodings)
+	l.bytes = int64(len(segment))
 	l.mu.Unlock()
 	old.Close()
 	return nil

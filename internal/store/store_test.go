@@ -2,11 +2,13 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/txn"
@@ -36,8 +38,27 @@ func sampleTx(t *testing.T, key *identity.KeyPair, tag string) *txn.Transaction 
 }
 
 // exactly is a Compact export that returns txs whatever the log holds.
-func exactly(txs []*txn.Transaction) func() []*txn.Transaction {
-	return func() []*txn.Transaction { return txs }
+func exactly(txs []*txn.Transaction) func() [][]byte {
+	return func() [][]byte { return encodings(txs) }
+}
+
+// encodeRecord frames one transaction's canonical encoding as a journal
+// record.
+func encodeRecord(data []byte) ([]byte, error) {
+	if len(data) > maxRecordLen {
+		return nil, fmt.Errorf("%w: %d bytes", ErrRecordLarge, len(data))
+	}
+	return appendRecord(make([]byte, 0, headerSize+len(data)), data), nil
+}
+
+// encodings returns the transactions' canonical encodings: the records
+// AppendBatch and Compact take.
+func encodings(txs []*txn.Transaction) [][]byte {
+	out := make([][]byte, len(txs))
+	for i, tx := range txs {
+		out[i] = tx.Encode()
+	}
+	return out
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
@@ -45,7 +66,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "tx.log")
 	key := mustKey(t)
 
-	log1, err := Open(path, nil)
+	log1, err := OpenFS(chaos.OS(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +86,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 
 	var got []hashutil.Hash
-	log2, err := Open(path, func(tx *txn.Transaction) error {
+	log2, err := OpenFS(chaos.OS(), path, func(tx *txn.Transaction) error {
 		got = append(got, tx.ID())
 		return nil
 	})
@@ -89,7 +110,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestAppendAfterReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.log")
 	key := mustKey(t)
-	log1, err := Open(path, nil)
+	log1, err := OpenFS(chaos.OS(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +119,7 @@ func TestAppendAfterReopen(t *testing.T) {
 	}
 	log1.Close()
 
-	log2, err := Open(path, nil)
+	log2, err := OpenFS(chaos.OS(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +129,7 @@ func TestAppendAfterReopen(t *testing.T) {
 	log2.Close()
 
 	count := 0
-	log3, err := Open(path, func(*txn.Transaction) error { count++; return nil })
+	log3, err := OpenFS(chaos.OS(), path, func(*txn.Transaction) error { count++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +142,7 @@ func TestAppendAfterReopen(t *testing.T) {
 func TestTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.log")
 	key := mustKey(t)
-	log1, err := Open(path, nil)
+	log1, err := OpenFS(chaos.OS(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +164,7 @@ func TestTornTailTruncated(t *testing.T) {
 	f.Close()
 
 	count := 0
-	log2, err := Open(path, func(*txn.Transaction) error { count++; return nil })
+	log2, err := OpenFS(chaos.OS(), path, func(*txn.Transaction) error { count++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +178,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	log2.Close()
 	count = 0
-	log3, err := Open(path, func(*txn.Transaction) error { count++; return nil })
+	log3, err := OpenFS(chaos.OS(), path, func(*txn.Transaction) error { count++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +191,7 @@ func TestTornTailTruncated(t *testing.T) {
 func TestCorruptRecordTreatedAsTear(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.log")
 	key := mustKey(t)
-	log1, err := Open(path, nil)
+	log1, err := OpenFS(chaos.OS(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +215,7 @@ func TestCorruptRecordTreatedAsTear(t *testing.T) {
 	}
 
 	count := 0
-	log2, err := Open(path, func(*txn.Transaction) error { count++; return nil })
+	log2, err := OpenFS(chaos.OS(), path, func(*txn.Transaction) error { count++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +228,7 @@ func TestCorruptRecordTreatedAsTear(t *testing.T) {
 func TestReplayApplyErrorAborts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.log")
 	key := mustKey(t)
-	log1, err := Open(path, nil)
+	log1, err := OpenFS(chaos.OS(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +238,14 @@ func TestReplayApplyErrorAborts(t *testing.T) {
 	log1.Close()
 
 	wantErr := errors.New("apply failed")
-	if _, err := Open(path, func(*txn.Transaction) error { return wantErr }); !errors.Is(err, wantErr) {
+	if _, err := OpenFS(chaos.OS(), path, func(*txn.Transaction) error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestAppendAfterClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.log")
-	log1, err := Open(path, nil)
+	log1, err := OpenFS(chaos.OS(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +261,7 @@ func TestAppendAfterClose(t *testing.T) {
 func TestEmptyLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.log")
 	count := 0
-	l, err := Open(path, func(*txn.Transaction) error { count++; return nil })
+	l, err := OpenFS(chaos.OS(), path, func(*txn.Transaction) error { count++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

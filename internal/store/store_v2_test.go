@@ -214,7 +214,7 @@ func TestRealFSStatsAndGeneration(t *testing.T) {
 	// The same v2 behaviour through chaos.OS() on a real temp dir.
 	path := filepath.Join(t.TempDir(), "tx.log")
 	key := mustKey(t)
-	l, err := Open(path, nil)
+	l, err := OpenFS(chaos.OS(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRealFSStatsAndGeneration(t *testing.T) {
 	l.Close()
 
 	count := 0
-	l2, err := Open(path, func(*txn.Transaction) error { count++; return nil })
+	l2, err := OpenFS(chaos.OS(), path, func(*txn.Transaction) error { count++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestCrashPointTorture(t *testing.T) {
 		}
 		return out
 	}
-	h1 := ids(pre)                       // history if compaction never committed
+	h1 := ids(pre)                        // history if compaction never committed
 	h2 := append(ids(keep), ids(post)...) // history once it did
 
 	// workload drives the cycle, recording after each completed step

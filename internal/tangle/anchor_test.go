@@ -244,7 +244,7 @@ func TestExportRangePagination(t *testing.T) {
 	tg, _ := newTangle(t, DefaultConfig(), nil)
 	growChain(t, tg, nil, 37, "p")
 
-	full := tg.Export()
+	full := tg.ExportRange(0, tg.Size())
 	for _, pageSize := range []int{1, 7, 36, 1000} {
 		var paged []*txn.Transaction
 		for from := 0; ; from += pageSize {

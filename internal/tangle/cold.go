@@ -198,13 +198,6 @@ func (t *Tangle) EndBootstrap() {
 	t.mu.Unlock()
 }
 
-// Bootstrapping reports whether the tangle is in bootstrap mode.
-func (t *Tangle) Bootstrapping() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.bootstrapping
-}
-
 // updateMemGaugesLocked refreshes the memory-footprint gauges. Called
 // on the mutation paths that change the live or cold population.
 func (t *Tangle) updateMemGaugesLocked() {

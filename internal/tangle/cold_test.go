@@ -170,7 +170,7 @@ func TestBootstrapAttachesLiveRegion(t *testing.T) {
 	if err := fresh.BeginBootstrap(seasoned.BoundaryRoots(), seasoned.ColdEpoch()); err != nil {
 		t.Fatal(err)
 	}
-	for _, tx := range seasoned.Export() {
+	for _, tx := range seasoned.ExportRange(0, seasoned.Size()) {
 		if tx.Kind == txn.KindGenesis {
 			continue
 		}
@@ -181,7 +181,7 @@ func TestBootstrapAttachesLiveRegion(t *testing.T) {
 	fresh.EndBootstrap()
 
 	want := make(map[hashutil.Hash]struct{})
-	for _, tx := range seasoned.Export() {
+	for _, tx := range seasoned.ExportRange(0, seasoned.Size()) {
 		want[tx.ID()] = struct{}{}
 	}
 	if got := fresh.Size(); got != len(want) {

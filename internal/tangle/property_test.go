@@ -126,7 +126,7 @@ func checkInvariants(t *testing.T, tg *Tangle, st *propState, step int) {
 
 	// 1. Topological export order.
 	seen := make(map[hashutil.Hash]bool)
-	exported := tg.Export()
+	exported := tg.ExportRange(0, tg.Size())
 	for _, tx := range exported {
 		if tx.Kind != txn.KindGenesis {
 			if !seen[tx.Trunk] || !seen[tx.Branch] {

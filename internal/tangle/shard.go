@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"github.com/b-iot/biot/internal/hashutil"
-	"github.com/b-iot/biot/internal/txn"
 )
 
 // Shard namespaces partition the attachment order, not the DAG: every
@@ -64,16 +63,6 @@ func (t *Tangle) ResidentByShard() map[uint32]int {
 	return out
 }
 
-// ExportShardRange returns up to limit transactions starting at index
-// from of the namespace's attachment order — the shard-scoped analogue
-// of ExportRange, with the same paging tolerance: a snapshot between
-// pages compacts the order and consumers repair via dedup on attach.
-func (t *Tangle) ExportShardRange(shard uint32, from, limit int) []*txn.Transaction {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return cloneTxs(pageOf(t.shardOrder[shard], from, limit))
-}
-
 // EncodedShardRange is EncodedRange over one namespace's attachment
 // order.
 func (t *Tangle) EncodedShardRange(shard uint32, from, limit int) (ids []hashutil.Hash, encodings [][]byte) {
@@ -84,7 +73,7 @@ func (t *Tangle) EncodedShardRange(shard uint32, from, limit int) (ids []hashuti
 
 // OrderedShardIDs returns up to limit attached transaction IDs starting
 // at index from of the namespace's attachment order — the ID-only
-// companion of ExportShardRange.
+// companion of EncodedShardRange.
 func (t *Tangle) OrderedShardIDs(shard uint32, from, limit int) []hashutil.Hash {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

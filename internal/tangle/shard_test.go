@@ -1,7 +1,6 @@
 package tangle
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -60,17 +59,13 @@ func TestShardOrderPartitionsAttachmentOrder(t *testing.T) {
 				t.Fatalf("ShardOf(%s) = %d,%v, want %d", id.Short(), sh, ok, s)
 			}
 		}
-		txs := tg.ExportShardRange(s, 2, 4)
-		if len(txs) != 4 {
-			t.Fatalf("shard %d export page: %d txs, want 4", s, len(txs))
-		}
 		pageIDs, encodings := tg.EncodedShardRange(s, 2, 4)
-		for i, tx := range txs {
-			if tx.ID() != ids[s][2+i] {
-				t.Fatalf("shard %d export page mismatch at %d", s, i)
-			}
-			if pageIDs[i] != tx.ID() || !bytes.Equal(encodings[i], tx.Encode()) {
-				t.Fatalf("shard %d encoded page differs from the export page at %d", s, i)
+		if len(pageIDs) != 4 || len(encodings) != 4 {
+			t.Fatalf("shard %d encoded page: %d ids, %d encodings, want 4", s, len(pageIDs), len(encodings))
+		}
+		for i, id := range pageIDs {
+			if id != ids[s][2+i] || hashutil.Sum(encodings[i]) != id {
+				t.Fatalf("shard %d encoded page mismatch at %d", s, i)
 			}
 		}
 	}
@@ -79,7 +74,7 @@ func TestShardOrderPartitionsAttachmentOrder(t *testing.T) {
 	if ids, _ := tg.EncodedShardRange(9, 0, 10); ids != nil {
 		t.Fatal("an empty namespace has an encoded page")
 	}
-	if tg.OrderedShardIDs(1, 100, 10) != nil || tg.ExportShardRange(9, 0, 10) != nil {
+	if tg.OrderedShardIDs(1, 100, 10) != nil {
 		t.Fatal("out-of-range pages must be nil")
 	}
 }

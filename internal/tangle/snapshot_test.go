@@ -81,7 +81,7 @@ func TestSnapshotKeepsTipsAndPending(t *testing.T) {
 	}
 	// Everything still present is either unconfirmed, a tip, or a
 	// parent of something unconfirmed.
-	for _, tx := range tg.Export() {
+	for _, tx := range tg.ExportRange(0, tg.Size()) {
 		info, err := tg.InfoOf(tx.ID())
 		if err != nil {
 			t.Fatal(err)
@@ -204,7 +204,7 @@ func TestSnapshotExportStillTopological(t *testing.T) {
 	// Export remains in attachment order; parents of retained txs are
 	// either retained (and earlier) or snapshotted.
 	seen := make(map[string]bool)
-	for _, tx := range tg.Export() {
+	for _, tx := range tg.ExportRange(0, tg.Size()) {
 		seen[tx.ID().Hex()] = true
 		if tx.Trunk.IsZero() { // genesis
 			continue

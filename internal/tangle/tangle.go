@@ -537,19 +537,6 @@ func (t *Tangle) EvidenceSeq(trunk, branch hashutil.Hash) (seq uint64, ok bool) 
 	return seq, true
 }
 
-// AuthSeqOf reports the attached vertex's admission evidence (the
-// highest authorization-list sequence in its past cone); ok is false
-// for unknown IDs.
-func (t *Tangle) AuthSeqOf(id hashutil.Hash) (seq uint64, ok bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	v, ok := t.vertices[id]
-	if !ok {
-		return 0, false
-	}
-	return v.authSeq, true
-}
-
 // insertLocked wires a validated transaction into the DAG. trunk or
 // branch may be nil on the Restore path only, meaning that parent was
 // folded away by a pre-crash snapshot: the vertex attaches as a
@@ -734,16 +721,6 @@ func (t *Tangle) Tips() []hashutil.Hash {
 	return out
 }
 
-// Export returns all transactions in attachment order, for syncing a
-// freshly joined full node. The slice and transactions are copies.
-// Large tangles should prefer ExportRange, which bounds how long the
-// read lock is held per call.
-func (t *Tangle) Export() []*txn.Transaction {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return cloneTxs(t.order)
-}
-
 // ExportRange returns up to limit transactions starting at index from
 // of the attachment order. Callers page through history with a moving
 // offset so no single call holds the read lock for a full-history copy.
@@ -753,7 +730,15 @@ func (t *Tangle) Export() []*txn.Transaction {
 func (t *Tangle) ExportRange(from, limit int) []*txn.Transaction {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return cloneTxs(pageOf(t.order, from, limit))
+	vs := pageOf(t.order, from, limit)
+	if len(vs) == 0 {
+		return nil
+	}
+	out := make([]*txn.Transaction, len(vs))
+	for i, v := range vs {
+		out[i] = v.enc.Transaction(v.id)
+	}
+	return out
 }
 
 // EncodedRange is ExportRange for a reader that only forwards the page —
@@ -791,18 +776,6 @@ func encodedPage(vs []*vertex) (ids []hashutil.Hash, encodings [][]byte) {
 	return ids, encodings
 }
 
-// cloneTxs returns the vertices' transactions, each the caller's own.
-func cloneTxs(vs []*vertex) []*txn.Transaction {
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make([]*txn.Transaction, len(vs))
-	for i, v := range vs {
-		out[i] = v.enc.Transaction(v.id)
-	}
-	return out
-}
-
 // idsOf returns the vertices' IDs.
 func idsOf(vs []*vertex) []hashutil.Hash {
 	if len(vs) == 0 {
@@ -824,23 +797,11 @@ func (t *Tangle) OrderedIDs(from, limit int) []hashutil.Hash {
 	return idsOf(pageOf(t.order, from, limit))
 }
 
-// ByKind returns the transactions of the given kind in attachment
-// order, starting at the given offset into that kind's history. Callers
-// poll with a moving offset to consume only new messages (the
-// key-distribution transport does this).
-func (t *Tangle) ByKind(kind txn.Kind, offset int) []*txn.Transaction {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	vs := t.kindPageLocked(kind, offset)
-	if vs == nil {
-		return nil // past the end: no page, not an empty one
-	}
-	return cloneTxs(vs)
-}
-
-// EncodedByKind is ByKind for a reader that only forwards the page: the
-// stored canonical encodings themselves (see Encoded), in attachment
-// order.
+// EncodedByKind returns the stored canonical encodings (see Encoded) of
+// the transactions of the given kind, shared and read-only, in attachment
+// order from the given offset into that kind's history. Callers poll with
+// a moving offset to consume only new messages (the key-distribution
+// transport does this).
 func (t *Tangle) EncodedByKind(kind txn.Kind, offset int) [][]byte {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -862,27 +823,6 @@ func (t *Tangle) kindPageLocked(kind txn.Kind, offset int) []*vertex {
 		return nil
 	}
 	return vs[offset:]
-}
-
-// CountByKind returns how many transactions of the given kind are
-// attached.
-func (t *Tangle) CountByKind(kind txn.Kind) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.byKind[kind])
-}
-
-// Missing returns, from the given candidate IDs, those not yet attached.
-func (t *Tangle) Missing(ids []hashutil.Hash) []hashutil.Hash {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []hashutil.Hash
-	for _, id := range ids {
-		if _, ok := t.vertices[id]; !ok {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Stats summarizes ledger state for RPC/monitoring.

@@ -1,6 +1,7 @@
 package tangle
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -261,7 +262,7 @@ func TestTopologicalInvariant(t *testing.T) {
 		attachOne(t, tg, key, fmt.Sprintf("tx-%d", i))
 	}
 	seen := make(map[hashutil.Hash]bool)
-	for _, tx := range tg.Export() {
+	for _, tx := range tg.ExportRange(0, tg.Size()) {
 		if tx.Kind != txn.KindGenesis {
 			if !seen[tx.Trunk] || !seen[tx.Branch] {
 				t.Fatalf("tx %s references a later or missing parent", tx.ID().Short())
@@ -297,16 +298,15 @@ func TestExportOrderAndMissing(t *testing.T) {
 	tg, key := newTangle(t, DefaultConfig(), nil)
 	a := attachOne(t, tg, key, "a")
 	b := attachOne(t, tg, key, "b")
-	exported := tg.Export()
+	exported := tg.ExportRange(0, tg.Size())
 	if len(exported) != 4 {
 		t.Fatalf("export = %d txs, want 4", len(exported))
 	}
 	if exported[2].ID() != a.ID || exported[3].ID() != b.ID {
 		t.Error("export order is not attachment order")
 	}
-	missing := tg.Missing([]hashutil.Hash{a.ID, hashutil.Sum([]byte("nope"))})
-	if len(missing) != 1 || missing[0] != hashutil.Sum([]byte("nope")) {
-		t.Errorf("missing = %v", missing)
+	if !tg.Contains(a.ID) || tg.Contains(hashutil.Sum([]byte("nope"))) {
+		t.Error("Contains disagrees with the export")
 	}
 }
 
@@ -315,24 +315,21 @@ func TestByKindPaging(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		attachOne(t, tg, key, fmt.Sprintf("d%d", i))
 	}
-	if n := tg.CountByKind(txn.KindData); n != 5 {
-		t.Errorf("CountByKind = %d", n)
-	}
-	page1 := tg.ByKind(txn.KindData, 0)
+	page1 := tg.EncodedByKind(txn.KindData, 0)
 	if len(page1) != 5 {
 		t.Fatalf("page = %d", len(page1))
 	}
-	page2 := tg.ByKind(txn.KindData, 3)
+	page2 := tg.EncodedByKind(txn.KindData, 3)
 	if len(page2) != 2 {
 		t.Errorf("offset page = %d", len(page2))
 	}
-	if page2[0].ID() != page1[3].ID() {
+	if !bytes.Equal(page2[0], page1[3]) {
 		t.Error("offset paging inconsistent")
 	}
-	if got := tg.ByKind(txn.KindData, 10); got != nil {
+	if got := tg.EncodedByKind(txn.KindData, 10); len(got) != 0 {
 		t.Error("past-the-end offset returned data")
 	}
-	if got := tg.ByKind(txn.KindData, -1); len(got) != 5 {
+	if got := tg.EncodedByKind(txn.KindData, -1); len(got) != 5 {
 		t.Error("negative offset not floored")
 	}
 }

@@ -1,0 +1,92 @@
+#!/usr/bin/env bash
+# Exported functions and methods under internal/ that nothing calls.
+#
+#   scripts/unused-exports.sh
+#
+# Every exported func or method declared in a non-test file under
+# internal/ is looked for, by name, in the Go source of this module and
+# of the bench/ module (both read only): any line that names it, other
+# than its own declaration and comment lines, is a reference. The check
+# fails on a name nothing references, unless the allowlist below names it
+# with the reason it has no caller in the source: a method the standard
+# library reaches through an interface, or by reflection. A name that only
+# tests reference is printed and does not fail the check: a test oracle or
+# a paper-equation probe may be kept on purpose.
+#
+# The match is by name, not by type, so a method shares its references
+# with every other function or method of that name: the check can miss an
+# unused export whose name is common, and never reports a used one.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+# name<TAB>why nothing in the source calls it
+allow='MarshalText	encoding.TextMarshaler: encoding/json calls it on map keys and values
+UnmarshalText	encoding.TextUnmarshaler: encoding/json calls it on map keys and values
+Error	error: reached through the interface by fmt and errors
+String	fmt.Stringer: reached through the interface by fmt'
+
+mapfile -t files < <(find . -name '*.go' -not -path './.bench_build/*' -not -path '*/testdata/*')
+status=0
+report=$(awk -v allow="$allow" '
+	BEGIN {
+		n = split(allow, lines, "\n")
+		for (i = 1; i <= n; i++) {
+			split(lines[i], f, "\t")
+			allowed[f[1]] = 1
+		}
+	}
+	FNR == 1 {
+		test = FILENAME ~ /_test\.go$/
+		declares = !test && FILENAME ~ /^\.\/internal\//
+	}
+	/^[ \t]*\/\// { next }
+	{
+		line = $0
+		skip = ""
+		if (line ~ /^func /) {
+			head = line
+			sub(/^func (\([^)]*\) )?/, "", head)
+			if (match(head, /^[A-Z][A-Za-z0-9_]*/)) {
+				skip = substr(head, 1, RLENGTH)
+				if (declares) {
+					decl[skip] = decl[skip] " " FILENAME ":" FNR
+				}
+			}
+		}
+		while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+			tok = substr(line, RSTART, RLENGTH)
+			line = substr(line, RSTART + RLENGTH)
+			if (tok == skip) {
+				skip = ""
+				continue
+			}
+			if (test) {
+				testRefs[tok]++
+			} else {
+				refs[tok]++
+			}
+		}
+	}
+	END {
+		unused = 0
+		for (name in decl) {
+			if (refs[name] > 0) {
+				continue
+			}
+			if (testRefs[name] > 0) {
+				printf "test-only: %s (%s )\n", name, decl[name]
+				continue
+			}
+			if (name in allowed) {
+				continue
+			}
+			printf "UNUSED: %s (%s )\n", name, decl[name]
+			unused++
+		}
+		exit unused > 0
+	}' "${files[@]}") || status=$?
+sort <<<"$report"
+if [ "$status" -ne 0 ]; then
+	echo "exported functions or methods in internal/ that nothing references: delete them" >&2
+fi
+exit "$status"
