@@ -109,13 +109,14 @@ func uvarint(buf []byte) (uint64, int, error) {
 // bytes, oversized counts or non-minimal varints are rejected. The
 // returned Message's TxData aliases data and is valid only while data is.
 func DecodeMessage(data []byte) (Message, error) {
-	return decodeMessage(data, nil)
+	return decodeMessage(data, nil, nil)
 }
 
 // decodeMessage is DecodeMessage with the TxData headers appended to
-// scratch[:0] when it has room for them: a caller that reuses the result
-// for its next message decodes a batch without allocating.
-func decodeMessage(data []byte, scratch [][]byte) (Message, error) {
+// txScratch[:0], and the Have IDs copied into haveScratch[:0], when they
+// have room: a caller that reuses the result for its next message decodes
+// a batch, or a sync request's window, without allocating.
+func decodeMessage(data []byte, txScratch [][]byte, haveScratch []hashutil.Hash) (Message, error) {
 	if len(data) > MaxMessageBytes {
 		return Message{}, fmt.Errorf("%w: %d bytes", ErrMessageSize, len(data))
 	}
@@ -145,7 +146,7 @@ func decodeMessage(data []byte, scratch [][]byte) (Message, error) {
 	}
 	var txData [][]byte
 	if txCount > 0 {
-		txData = scratch[:0]
+		txData = txScratch[:0]
 		if uint64(cap(txData)) < txCount {
 			txData = make([][]byte, 0, txCount)
 		}
@@ -165,8 +166,9 @@ func decodeMessage(data []byte, scratch [][]byte) (Message, error) {
 		// pooled buffers that are reused once the Handler has returned and
 		// its reply is written, so a Handler may not keep TxData past the
 		// call; txn.Decode takes its own copy, and the handler decodes
-		// immediately. A reply frame on the dialing side that carries
-		// entries is the reply's: the Message handed to the caller owns it.
+		// immediately. A reply frame on the dialing side is read into the
+		// ReplyBuffer its caller lent, or else is the reply's own: the
+		// Message handed to the caller owns it.
 		txData = append(txData, rest[:l:l])
 		rest = rest[l:]
 	}
@@ -181,7 +183,11 @@ func decodeMessage(data []byte, scratch [][]byte) (Message, error) {
 	}
 	var have []hashutil.Hash
 	if haveCount > 0 {
-		have = make([]hashutil.Hash, haveCount)
+		have = haveScratch[:0]
+		if uint64(cap(have)) < haveCount {
+			have = make([]hashutil.Hash, 0, haveCount)
+		}
+		have = have[:haveCount]
 		for i := range have {
 			copy(have[i][:], rest[:hashutil.Size])
 			rest = rest[hashutil.Size:]

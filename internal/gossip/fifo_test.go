@@ -97,7 +97,7 @@ func TestTCPPairOrderFollowsRequestStart(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := a.nextReq.Add(1)
-			if _, err := pc.exchange(ctx, places[i], id, frameMessage(nil, FrameRequest, id, batch(i))); err != nil {
+			if _, err := pc.exchange(ctx, places[i], id, frameMessage(nil, FrameRequest, id, batch(i)), nil); err != nil {
 				t.Errorf("batch %d: %v", i, err)
 			}
 		}(i)

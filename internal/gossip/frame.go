@@ -55,16 +55,11 @@ func appendFrame(dst []byte, kind byte, id uint64, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// framePool recycles the two frame buffers a transport knows to be dead
-// the moment it is done with them: a frame it has written (the socket
-// keeps nothing), and on the accept side a request frame whose handler has
-// returned and whose reply is written — a Handler must not keep
-// msg.TxData, which aliases the frame, past its return (txn.Decode copies).
-// A reply frame read on the dialing side is not pooled: the Message handed
-// to Request's caller aliases it for as long as the caller likes. (The
-// read loop reads its next frame over one nothing kept, such as the empty
-// ack; drawn from this pool, a frame kept by its reply would take a
-// pooled buffer with it, and the next frame written would allocate anew.)
+// framePool recycles the frame buffers a transport writes: once written,
+// the socket keeps nothing. (Request frames read on the accept side are
+// pooled with what is decoded out of them, in requestPool; a reply frame
+// read on the dialing side is read into the caller's ReplyBuffer, or kept
+// by the Message handed to Request's caller for as long as it likes.)
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // frameMessage renders one mux frame carrying msg over dst's storage,
@@ -85,29 +80,50 @@ func frameMessage(dst []byte, kind byte, id uint64, msg Message) []byte {
 // a frame whose payload fits into costs no allocation. Returns the wire
 // size consumed alongside the frame.
 func readFrame(reader *bufio.Reader, into []byte) (kind byte, id uint64, payload []byte, wire int, err error) {
-	hdr, err := reader.Peek(4 + frameOverhead)
+	kind, id, size, err := readFrameHeader(reader)
 	if err != nil {
 		return 0, 0, nil, 0, err
 	}
+	if payload, err = readFramePayload(reader, kind, size, into); err != nil {
+		return 0, 0, nil, 0, err
+	}
+	return kind, id, payload, 4 + frameOverhead + size, nil
+}
+
+// readFrameHeader is readFrame's first half: it consumes one frame's
+// header and returns the size of the payload that follows, so that a
+// reader can choose the storage for it by the frame's kind and request ID.
+func readFrameHeader(reader *bufio.Reader) (kind byte, id uint64, size int, err error) {
+	hdr, err := reader.Peek(4 + frameOverhead)
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	body := binary.BigEndian.Uint32(hdr[:4])
 	if body > MaxMessageBytes+frameOverhead {
-		return 0, 0, nil, 0, fmt.Errorf("%w: frame body of %d bytes", ErrMessageSize, body)
+		return 0, 0, 0, fmt.Errorf("%w: frame body of %d bytes", ErrMessageSize, body)
 	}
 	if body < frameOverhead {
-		return 0, 0, nil, 0, fmt.Errorf("%w: length mismatch", ErrBadFrame)
+		return 0, 0, 0, fmt.Errorf("%w: length mismatch", ErrBadFrame)
 	}
 	kind = hdr[4]
 	if kind != FrameRequest && kind != FrameResponse && kind != FramePing {
-		return 0, 0, nil, 0, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, kind)
+		return 0, 0, 0, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, kind)
 	}
 	id = binary.BigEndian.Uint64(hdr[5:])
 	_, _ = reader.Discard(len(hdr)) // peeked: cannot fail
-	payload = slices.Grow(into[:0], int(body-frameOverhead))[:body-frameOverhead]
+	return kind, id, int(body - frameOverhead), nil
+}
+
+// readFramePayload is readFrame's second half: the size-byte payload of a
+// frame of the given kind, read over into's storage when that is large
+// enough.
+func readFramePayload(reader *bufio.Reader, kind byte, size int, into []byte) ([]byte, error) {
+	payload := slices.Grow(into[:0], size)[:size]
 	if _, err := io.ReadFull(reader, payload); err != nil {
-		return 0, 0, nil, 0, err
+		return nil, err
 	}
-	if kind == FramePing && len(payload) != 0 {
-		return 0, 0, nil, 0, fmt.Errorf("%w: ping with payload", ErrBadFrame)
+	if kind == FramePing && size != 0 {
+		return nil, fmt.Errorf("%w: ping with payload", ErrBadFrame)
 	}
-	return kind, id, payload, int(4 + body), nil
+	return payload, nil
 }

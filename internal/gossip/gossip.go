@@ -121,8 +121,8 @@ type Message struct {
 type Handler interface {
 	// HandleGossip processes an incoming message and optionally returns
 	// a reply (sync responses). from identifies the sending peer.
-	// msg.TxData may alias a buffer the transport reuses once the call
-	// has returned: decode or copy what is to outlive it.
+	// msg.TxData and msg.Have may alias buffers the transport reuses once
+	// the call has returned: decode or copy what is to outlive it.
 	HandleGossip(from string, msg Message) (*Message, error)
 }
 
@@ -149,6 +149,8 @@ type Network interface {
 	// Request sends msg to one peer and waits for its reply. msg is the
 	// caller's again once Request returns: an implementation that keeps
 	// any of it longer (a decorator holding a datagram back) copies it.
+	// A reply may be read into a buffer the caller lent under ctx
+	// (WithReplyBuffer): a decorator passes ctx on to the transport.
 	Request(ctx context.Context, peer string, msg Message) (Message, error)
 	// SetHandler installs the inbound message handler. Must be called
 	// before the network receives traffic.

@@ -46,19 +46,21 @@ type peerConn struct {
 }
 
 // call is one exchange's record in its peer's pending table: the
-// connection generation the request went out on, the channel its one
-// result arrives on, and the timer its wait for that result runs
-// against. Records are pooled. Whoever takes a record out of the table —
-// complete with the reply, or failPending with the connection's error —
-// sends its one result into ch, which has room for it, so the send never
-// waits. The exchange puts the record back in the pool only after it has
-// received that result and stopped and drained the timer. An exchange
-// that stops waiting first (reply timeout, context cancelled, failed
-// write) abandons its record instead: a result may already be on its way
-// into ch, and in a record no one reuses a late reply lands in garbage,
-// never in a later exchange.
+// connection generation the request went out on, the buffer its caller
+// lent for the reply (nil for none), the channel its one result arrives
+// on, and the timer its wait for that result runs against. Records are
+// pooled. Whoever takes a record out of the table — complete with the
+// reply, or failPending with the connection's error — sends its one result
+// into ch, which has room for it, so the send never waits. The exchange
+// puts the record back in the pool only after it has received that result
+// and stopped and drained the timer. An exchange that stops waiting first
+// (reply timeout, context cancelled, failed write) abandons its record
+// instead: a result may already be on its way into ch, and in a record no
+// one reuses a late reply lands in garbage, never in a later exchange. Its
+// caller abandons the lent buffer by the same rule (see ReplyBuffer).
 type call struct {
 	gen   int
+	into  *ReplyBuffer
 	ch    chan exchangeResult
 	timer *time.Timer
 }
@@ -136,16 +138,17 @@ func (p *peerConn) scheduleBackoffLocked() {
 // connection: frame is a complete request frame carrying request id,
 // and place is the caller's ticket from p.order, which exchange
 // releases. Multiple exchanges are safely in flight at once, and their
-// frames go out in ticket order. An exchange that gets its reply
-// allocates nothing: its record comes from callPool and goes back to it.
-func (p *peerConn) exchange(ctx context.Context, place ticket, id uint64, frame []byte) (Message, error) {
+// frames go out in ticket order. The reply is read into into when the
+// caller lent one. An exchange that gets its reply allocates nothing: its
+// record comes from callPool and goes back to it.
+func (p *peerConn) exchange(ctx context.Context, place ticket, id uint64, frame []byte, into *ReplyBuffer) (Message, error) {
 	conn, gen, err := p.ensure(ctx)
 	if err != nil {
 		place.release()
 		return Message{}, err
 	}
 	c := callPool.Get().(*call)
-	c.gen = gen
+	c.gen, c.into = gen, into
 	p.pendingMu.Lock()
 	p.pending[id] = c
 	p.pendingMu.Unlock()
@@ -177,6 +180,7 @@ func (p *peerConn) exchange(ctx context.Context, place ticket, id uint64, frame 
 		if !c.timer.Stop() {
 			<-c.timer.C
 		}
+		c.into = nil
 		callPool.Put(c)
 		if res.err != nil {
 			return Message{}, fmt.Errorf("exchange with %s: %w", p.addr, res.err)
@@ -195,30 +199,63 @@ func (p *peerConn) exchange(ctx context.Context, place ticket, id uint64, frame 
 // readLoop routes inbound frames on one dialed connection: responses
 // complete their pending exchange; anything else is a keepalive echo or
 // protocol noise and is dropped. A read error tears the connection down
-// and fails every exchange still pending on it. A reply that carries
-// something keeps its frame, which the Message handed to Request's caller
-// aliases; a frame nothing keeps — the empty ack that answers every
-// transaction batch among them — is read over by the next one.
+// and fails every exchange still pending on it. A reply whose caller lent
+// a ReplyBuffer is read and decoded into it. Otherwise a reply that
+// carries something keeps its frame, which the Message handed to
+// Request's caller aliases; a frame nothing keeps — the empty ack that
+// answers every transaction batch among them — is read over by the next
+// one.
 func (p *peerConn) readLoop(conn net.Conn, gen int) {
 	defer p.net.wg.Done()
 	reader := bufio.NewReader(conn)
 	var frame []byte // the last frame read, while nothing keeps it
 	for {
-		kind, id, payload, wire, err := readFrame(reader, frame)
+		kind, id, size, err := readFrameHeader(reader)
+		var into *ReplyBuffer
+		var payload []byte
+		if err == nil {
+			dst := frame
+			if kind == FrameResponse {
+				if into = p.lentBuffer(id); into != nil {
+					dst = into.frame
+				}
+			}
+			payload, err = readFramePayload(reader, kind, size, dst)
+		}
 		if err != nil {
 			p.teardown(gen, err)
 			return
 		}
-		p.net.metrics.BytesIn.Add(int64(wire))
-		frame = payload
-		if kind == FrameResponse {
-			msg, derr := DecodeMessage(payload)
-			if derr == nil && !msg.isZero() {
-				frame = nil // the reply aliases it: its caller's now
-			}
-			p.complete(id, exchangeResult{msg: msg, err: derr})
+		p.net.metrics.BytesIn.Add(int64(4 + frameOverhead + size))
+		if kind != FrameResponse {
+			frame = payload
+			continue
 		}
+		var msg Message
+		var derr error
+		if into != nil {
+			into.frame = payload
+			if msg, derr = decodeMessage(payload, into.txData, nil); derr == nil && cap(msg.TxData) > cap(into.txData) {
+				into.txData = msg.TxData[:0]
+			}
+		} else if msg, derr = DecodeMessage(payload); derr == nil && !msg.isZero() {
+			frame = nil // the reply aliases it: its caller's now
+		} else {
+			frame = payload
+		}
+		p.complete(id, exchangeResult{msg: msg, err: derr})
 	}
+}
+
+// lentBuffer returns the buffer the pending exchange with request ID id
+// lent for its reply, or nil.
+func (p *peerConn) lentBuffer(id uint64) *ReplyBuffer {
+	p.pendingMu.Lock()
+	defer p.pendingMu.Unlock()
+	if c := p.pending[id]; c != nil {
+		return c.into
+	}
+	return nil
 }
 
 // keepaliveLoop pings an idle connection so the peer's idle deadline

@@ -5,11 +5,12 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/b-iot/biot/internal/hashutil"
 )
 
 // TCPNetwork implements Network over real sockets with a persistent
@@ -208,9 +209,11 @@ func (n *TCPNetwork) acceptLoop() {
 // handler goroutine, so a slow sync response does not block the next
 // inbound transaction batch on the same socket. Response writes are
 // serialized; responses may therefore interleave out of request order,
-// which the request ID makes safe. A batch served inline decodes its
-// TxData headers into the connection's scratch, reused batch after batch:
-// like the frame they point into, the Handler may not keep them.
+// which the request ID makes safe. Each request is read into a pooled
+// inboundRequest and decoded into its scratch — a batch's TxData headers,
+// a sync request's Have window — which is reused once the Handler has
+// returned and the reply is written: like the frame, the Handler may not
+// keep them.
 func (n *TCPNetwork) serveConn(conn net.Conn) {
 	var wg sync.WaitGroup
 	defer func() {
@@ -222,9 +225,9 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 	}()
 	var writeMu sync.Mutex
 	from := conn.RemoteAddr().String()
-	// serve answers one request and hands back request, the pooled buffer
-	// msg aliases: the handler has returned and the reply is written.
-	serve := func(h Handler, id uint64, msg Message, request *[]byte) {
+	// serve answers one request and hands back req, which msg aliases: the
+	// handler has returned and the reply is written.
+	serve := func(h Handler, id uint64, msg Message, req *inboundRequest) {
 		var reply *Message
 		if h != nil {
 			if r, herr := h.HandleGossip(from, msg); herr == nil && r != nil && !r.isZero() {
@@ -243,47 +246,65 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 		writeMu.Unlock()
 		n.metrics.BytesOut.Add(int64(nw))
 		framePool.Put(frame)
-		framePool.Put(request)
+		requestPool.Put(req)
 	}
 	sem := make(chan struct{}, maxInboundPerConn)
 	reader := bufio.NewReader(conn)
-	var txData [][]byte // the inline batch's TxData headers
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(n.serverIdle))
-		request := framePool.Get().(*[]byte)
-		kind, id, payload, wire, err := readFrame(reader, *request)
+		req := requestPool.Get().(*inboundRequest)
+		kind, id, payload, wire, err := readFrame(reader, req.frame)
 		if err != nil {
 			return // framing violation, idle timeout or peer gone
 		}
-		*request = payload
+		req.frame = payload
 		n.metrics.BytesIn.Add(int64(wire))
 		if kind != FrameRequest {
-			framePool.Put(request)
+			requestPool.Put(req)
 			continue // pings refresh the deadline; stray responses are noise
 		}
-		msg, err := decodeMessage(payload, txData)
+		msg, err := decodeMessage(payload, req.txData, req.have)
 		if err != nil {
 			return // valid frame, invalid message: drop the confused peer
 		}
+		req.keep(msg)
 		n.mu.RLock()
 		h := n.handler
 		n.mu.RUnlock()
 		if msg.Type == MsgTransaction {
-			serve(h, id, msg, request)
-			clear(msg.TxData) // let the frame go with its buffer
-			if cap(msg.TxData) > cap(txData) {
-				txData = msg.TxData
-			}
+			serve(h, id, msg, req)
 			continue
 		}
-		msg.TxData = slices.Clone(msg.TxData) // the next batch reuses the scratch
 		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			serve(h, id, msg, request)
+			serve(h, id, msg, req)
 		}()
+	}
+}
+
+// inboundRequest is one request frame read on the accept side and the
+// scratch its message is decoded into: TxData headers, which point into
+// the frame, and the Have IDs, copied out of it. The three are pooled
+// together, so the headers never keep another request's frame alive.
+type inboundRequest struct {
+	frame  []byte
+	txData [][]byte
+	have   []hashutil.Hash
+}
+
+var requestPool = sync.Pool{New: func() any { return new(inboundRequest) }}
+
+// keep remembers the scratch msg was decoded into when decoding had to
+// grow it, so the next request reuses the larger.
+func (r *inboundRequest) keep(msg Message) {
+	if cap(msg.TxData) > cap(r.txData) {
+		r.txData = msg.TxData[:0]
+	}
+	if cap(msg.Have) > cap(r.have) {
+		r.have = msg.Have[:0]
 	}
 }
 
@@ -339,7 +360,7 @@ func (n *TCPNetwork) Broadcast(ctx context.Context, msg Message) error {
 			defer wg.Done()
 			pc, place, id, err := n.begin(ctx, addr)
 			if err == nil {
-				_, err = pc.exchange(ctx, place, id, EncodeFrame(FrameRequest, id, payload))
+				_, err = pc.exchange(ctx, place, id, EncodeFrame(FrameRequest, id, payload), nil)
 			}
 			if err != nil {
 				mu.Lock()
@@ -372,7 +393,7 @@ func (n *TCPNetwork) Request(ctx context.Context, peer string, msg Message) (Mes
 	}
 	frame := framePool.Get().(*[]byte)
 	*frame = frameMessage(*frame, FrameRequest, id, msg)
-	reply, err := pc.exchange(ctx, place, id, *frame)
+	reply, err := pc.exchange(ctx, place, id, *frame, ReplyBufferOf(ctx))
 	framePool.Put(frame) // written or never sent: nothing holds it now
 	return reply, err
 }

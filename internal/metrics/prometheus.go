@@ -8,20 +8,32 @@ import (
 
 // AppendPrometheus appends the Prometheus text exposition (format 0.0.4)
 // of set — a struct, or a pointer to one, whose exported *Counter, *Gauge
-// and *Histogram fields are its metrics — to dst. Each is named
-// prefix_<field in snake case>: a counter with _total, a gauge as is, a
-// histogram in seconds with _seconds, as one cumulative _bucket line per
-// non-empty bucket (≤ 251), +Inf, _sum and _count. Other fields and nil
-// pointers are skipped, so the output is bounded by the struct.
+// and *Histogram fields are its metrics, and whose exported integer fields
+// are read as gauges (a snapshot struct such as a node's memory stats) —
+// to dst. Each is named prefix_<field in snake case>: a counter with
+// _total, a gauge as is, a histogram in seconds with _seconds, as one
+// cumulative _bucket line per non-empty bucket (≤ 251), +Inf, _sum and
+// _count. Other fields and nil pointers are skipped, so the output is
+// bounded by the struct.
 func AppendPrometheus(dst []byte, prefix string, set any) []byte {
 	v := reflect.Indirect(reflect.ValueOf(set))
 	for i := 0; i < v.NumField(); i++ {
-		f := v.Type().Field(i)
-		if !f.IsExported() || v.Field(i).Kind() != reflect.Pointer || v.Field(i).IsNil() {
+		f, fv := v.Type().Field(i), v.Field(i)
+		if !f.IsExported() {
 			continue
 		}
 		name := prefix + "_" + snakeCase(f.Name)
-		switch m := v.Field(i).Interface().(type) {
+		switch {
+		case fv.CanInt():
+			dst = appendSample(appendType(dst, name, "gauge"), name, "", float64(fv.Int()))
+			continue
+		case fv.CanUint():
+			dst = appendSample(appendType(dst, name, "gauge"), name, "", float64(fv.Uint()))
+			continue
+		case fv.Kind() != reflect.Pointer || fv.IsNil():
+			continue
+		}
+		switch m := fv.Interface().(type) {
 		case *Counter:
 			dst = appendSample(appendType(dst, name+"_total", "counter"), name+"_total", "", float64(m.Value()))
 		case *Gauge:

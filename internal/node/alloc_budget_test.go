@@ -10,14 +10,12 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/core"
 	"github.com/b-iot/biot/internal/gossip"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
-	"github.com/b-iot/biot/internal/tangle"
 	"github.com/b-iot/biot/internal/txn"
 )
 
@@ -27,8 +25,10 @@ import (
 // the edge's own scratch. On go1.24 linux/amd64 the fixtures measured
 // 1 092 B in 4.1 allocations (relay) and 1 030 B in 4.2 (replay) per
 // transaction while every edge decoded each one into a txn.Transaction,
-// and measure 751 B in 3.0 and 857 B in 3.2 now that they carry views of
-// bytes; the budgets are those figures plus about 10 %. A Submit of a
+// and measured 751 B in 3.0 and 857 B in 3.2 once they carried views of
+// bytes; the budgets are those figures plus about 10 %. (The ledger's
+// indexes no longer re-copy themselves as they grow, and the two measure
+// 561 B and 664 B; the budgets were left where they were.) A Submit of a
 // pre-mined transaction measured 3.0 allocations and 746 B while the
 // submission edge checked its own signature; its budget, that figure plus
 // 10 %, holds it there now that the signature is settled by the verify
@@ -111,21 +111,6 @@ func TestCompactJournalAllocationBudget(t *testing.T) {
 		t.Errorf("a compacted record costs %.2f allocations and %.0f bytes, budget %.2f and %d",
 			allocs, bytes, compactAllocsBudget, compactBytesBudget)
 	}
-}
-
-// chainedTxs mines n data transactions from key, each approving the one
-// before, rooted in the deployment's genesis.
-func chainedTxs(t *testing.T, key *identity.KeyPair, n int) []*txn.Transaction {
-	t.Helper()
-	roots := tangle.GenesisTransactions(key.Public())
-	trunk, branch := roots[0].ID(), roots[1].ID()
-	txs := make([]*txn.Transaction, n)
-	for i := range txs {
-		payload := []byte(fmt.Sprintf("%064d", i)) // the benchmark's reading size
-		txs[i] = craftTx(key, txn.KindData, payload, trunk, branch, time.Now(), testParams().MinDifficulty)
-		trunk, branch = txs[i].ID(), trunk
-	}
-	return txs
 }
 
 // beyondResidentCopy runs admit, which attaches txs, and returns the heap
@@ -366,3 +351,46 @@ func (f *quietFile) Seek(offset int64, whence int) (int64, error) {
 func (f *quietFile) Sync() error               { return nil }
 func (f *quietFile) Truncate(size int64) error { f.size = size; return nil }
 func (f *quietFile) Close() error              { return nil }
+
+// TestCatchUpAllocationBudget: a fresh relay SyncAlls a gateway holding
+// 4 096 journaled transactions over loopback TCP — both ends of the
+// exchange, the pager, the responder and the transport, and the admission
+// of every page — and what that allocates per synced transaction beyond
+// its resident copy. On go1.24 linux/amd64 it measured 1 512 B in 3.2
+// allocations while every page was read into a fresh frame, the responder
+// built a map of the requester's Have window and the requester a fresh
+// one, and the ledger re-copied its ID map and indexes as it grew; it
+// measures 701 B in 3.1 now, most of it the vertex and the credit record.
+// The budgets are those figures plus about 10 %.
+func TestCatchUpAllocationBudget(t *testing.T) {
+	const (
+		records      = 4096
+		bytesBudget  = 770
+		allocsBudget = 3.4
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := chainedTxs(t, mgrKey, records)
+	fs := chaos.NewMemFS(5)
+	writeJournal(t, fs, "gw.journal", txs...)
+	gateway, gwNet := newTCPNode(t, mgrKey)
+	if _, err := gateway.EnablePersistenceFS(fs, "gw.journal"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gateway.ClosePersistence() })
+	relay, relayNet := newTCPNode(t, mgrKey)
+	relayNet.AddPeer(gwNet.Self())
+
+	allocs, bytes := beyondResidentCopy(txs, func() { relay.SyncAll(context.Background()) })
+	if got := relay.Tangle().Size(); got != records+2 {
+		t.Fatalf("relay holds %d transactions after the catch-up, want %d", got, records+2)
+	}
+	t.Logf("%.1f allocations, %.0f bytes allocated per synced transaction beyond its resident copy", allocs, bytes)
+	if allocs > allocsBudget || bytes > bytesBudget {
+		t.Errorf("a synced transaction costs %.1f allocations and %.0f bytes beyond its resident copy, budget %.1f and %d",
+			allocs, bytes, allocsBudget, bytesBudget)
+	}
+}

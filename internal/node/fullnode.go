@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -736,50 +737,7 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 		n.admitGossipBatch(context.Background(), from, msg.TxData, true, hint)
 		return &batchAck, nil
 	case gossip.MsgSyncRequest:
-		have := make(map[hashutil.Hash]struct{}, len(msg.Have))
-		for _, id := range msg.Have {
-			have[id] = struct{}{}
-		}
-		// One page per request: the requester's cursor (msg.Offset)
-		// walks our attachment order — the whole ledger's, or one
-		// namespace's when the request is scoped — so response size,
-		// like request size, stays constant no matter how large the
-		// ledger grows, and serving a sync holds the tangle read lock
-		// for one page.
-		// The page is built from the ledger's stored encodings, shared
-		// and read-only; the transport copies them into its frame.
-		size, page := n.tangle.Size, n.tangle.EncodedRange
-		if msg.Scoped {
-			shard := uint32(msg.Shard)
-			size = func() int { return n.tangle.ShardSize(shard) }
-			page = func(from, limit int) ([]hashutil.Hash, [][]byte) {
-				return n.tangle.EncodedShardRange(shard, from, limit)
-			}
-		}
-		total := size()
-		off := total
-		if msg.Offset < uint64(total) {
-			off = int(msg.Offset)
-		}
-		ids, data := page(off, syncPageSize)
-		if len(have) > 0 {
-			unknown := data[:0]
-			for i, id := range ids {
-				if _, known := have[id]; !known {
-					unknown = append(unknown, data[i])
-				}
-			}
-			data = unknown
-		}
-		return &gossip.Message{
-			Type:   gossip.MsgSyncResponse,
-			TxData: data,
-			Offset: uint64(off + len(ids)),
-			Total:  uint64(total),
-			More:   len(ids) == syncPageSize,
-			Shard:  msg.Shard,
-			Scoped: msg.Scoped,
-		}, nil
+		return n.serveSyncPage(msg), nil
 	case gossip.MsgCreditRequest:
 		return n.serveCreditPage(msg)
 	case gossip.MsgAuthListRequest:
@@ -1164,14 +1122,65 @@ const (
 	maxSyncPages = 4096
 )
 
-// recentHave returns the newest syncHaveWindow attached IDs.
-func (n *FullNode) recentHave() []hashutil.Hash {
+// recentHave writes the newest syncHaveWindow attached IDs over dst.
+func (n *FullNode) recentHave(dst []hashutil.Hash) []hashutil.Hash {
 	from := n.tangle.Size() - syncHaveWindow
 	if from < 0 {
 		from = 0
 	}
-	return n.tangle.OrderedIDs(from, syncHaveWindow)
+	return n.tangle.AppendOrderedIDs(dst[:0], from, syncHaveWindow)
 }
+
+// serveSyncPage answers one sync request with one page. The requester's
+// cursor (msg.Offset) walks this node's attachment order — the whole
+// ledger's, or one namespace's when the request is scoped — so response
+// size, like request size, stays constant no matter how large the ledger
+// grows, and serving a sync holds the tangle read lock for one page. The
+// page is the ledger's stored encodings, shared and read-only; the
+// transport copies them into its frame. What the requester's Have window
+// names is left out: the window is copied into pooled scratch, sorted,
+// and each vertex of the page is looked up in it by binary search.
+func (n *FullNode) serveSyncPage(msg gossip.Message) *gossip.Message {
+	var known func(id *hashutil.Hash) bool
+	if len(msg.Have) > 0 {
+		window := haveWindowPool.Get().(*[]hashutil.Hash)
+		defer haveWindowPool.Put(window)
+		sorted := append((*window)[:0], msg.Have...)
+		slices.SortFunc(sorted, hashutil.Hash.Compare)
+		*window = sorted
+		known = func(id *hashutil.Hash) bool {
+			_, found := slices.BinarySearchFunc(sorted, *id, hashutil.Hash.Compare)
+			return found
+		}
+	}
+	total := n.tangle.Size()
+	if msg.Scoped {
+		total = n.tangle.ShardSize(uint32(msg.Shard))
+	}
+	off := total
+	if msg.Offset < uint64(total) {
+		off = int(msg.Offset)
+	}
+	var data [][]byte
+	var scanned int
+	if msg.Scoped {
+		data, scanned = n.tangle.AppendEncodedShardRange(nil, uint32(msg.Shard), off, syncPageSize, known)
+	} else {
+		data, scanned = n.tangle.AppendEncodedRange(nil, off, syncPageSize, known)
+	}
+	return &gossip.Message{
+		Type:   gossip.MsgSyncResponse,
+		TxData: data,
+		Offset: uint64(off + scanned),
+		Total:  uint64(total),
+		More:   scanned == syncPageSize,
+		Shard:  msg.Shard,
+		Scoped: msg.Scoped,
+	}
+}
+
+// haveWindowPool holds the scratch serveSyncPage sorts Have windows in.
+var haveWindowPool = sync.Pool{New: func() any { return new([]hashutil.Hash) }}
 
 // syncScope selects what one sync exchange pages: the peer's whole
 // ledger (the zero value — regional peers, bootstrap, orphan repair) or
@@ -1236,6 +1245,14 @@ func (n *FullNode) setCursor(key string, cursor uint64) {
 // two, not by their sum. Pages are still admitted strictly in order. The
 // request's Have window is then one page stale; what it would have pruned
 // arrives and is skipped as a duplicate at Contains.
+//
+// The pager owns what its pages are read into: two reply buffers lent to
+// the transport (gossip.ReplyBuffer) — the page being admitted and the
+// page in flight — and one Have window, written over for every request.
+// A buffer is lent again only after admitGossipBatch has returned with
+// the page it held (admission copies every transaction it keeps); the
+// one lent to the exchange in flight when syncFrom returns, cancelled or
+// failed, is abandoned with the call.
 func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string, scope syncScope) {
 	if net == nil {
 		return
@@ -1262,22 +1279,31 @@ func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string
 		reply gossip.Message
 		err   error
 	}
-	// fetch requests the page at cursor in the background; the request in
-	// flight when syncFrom returns is cancelled and waited for.
+	// fetch requests the page at cursor in the background, into the reply
+	// buffer the previous page did not use; the request in flight when
+	// syncFrom returns is cancelled and waited for.
 	ctx, cancel := context.WithCancel(ctx)
-	var inFlight chan fetched
+	var (
+		inFlight chan fetched
+		have     []hashutil.Hash
+		bufs     [2]gossip.ReplyBuffer
+		lend     = [2]context.Context{gossip.WithReplyBuffer(ctx, &bufs[0]), gossip.WithReplyBuffer(ctx, &bufs[1])}
+		next     int
+	)
 	fetch := func(cursor uint64) {
 		inFlight = make(chan fetched, 1)
-		go func(out chan<- fetched) {
+		go func(ctx context.Context, out chan<- fetched) {
+			have = n.recentHave(have)
 			reply, err := net.Request(ctx, peer, gossip.Message{
 				Type:   gossip.MsgSyncRequest,
-				Have:   n.recentHave(),
+				Have:   have,
 				Offset: cursor,
 				Shard:  uint64(scope.shard),
 				Scoped: scope.scoped,
 			})
 			out <- fetched{reply, err}
-		}(inFlight)
+		}(lend[next], inFlight)
+		next ^= 1
 	}
 	defer func() {
 		cancel()

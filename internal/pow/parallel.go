@@ -2,7 +2,6 @@ package pow
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -46,14 +45,6 @@ func (w *Worker) SearchParallel(ctx context.Context, trunk, branch hashutil.Hash
 	}
 	start := time.Now()
 
-	// Precompute the fixed prefix hash(TX1) || hash(TX2) once; each
-	// worker copies it so nonce writes never share memory.
-	inner1 := hashutil.Sum(trunk[:])
-	inner2 := hashutil.Sum(branch[:])
-	var prefix [hashutil.Size*2 + 8]byte
-	copy(prefix[:hashutil.Size], inner1[:])
-	copy(prefix[hashutil.Size:], inner2[:])
-
 	var (
 		best     atomic.Uint64 // lowest valid nonce found so far
 		attempts atomic.Uint64 // shared MaxAttempts budget
@@ -68,7 +59,10 @@ func (w *Worker) SearchParallel(ctx context.Context, trunk, branch hashutil.Hash
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
-			msg := prefix
+			// Each lane hashes the fixed prefix hash(TX1) || hash(TX2)
+			// once, into state of its own.
+			eqn := newEqn6(trunk, branch)
+			defer eqn.put()
 			var local uint64
 			for nonce := uint64(lane); ; nonce += uint64(workers) {
 				// A candidate above the best hit cannot improve the
@@ -83,8 +77,7 @@ func (w *Worker) SearchParallel(ctx context.Context, trunk, branch hashutil.Hash
 					return
 				}
 				local++
-				binary.BigEndian.PutUint64(msg[hashutil.Size*2:], nonce)
-				digest := hashutil.Sum(msg[:])
+				digest := eqn.digest(nonce)
 				// Device emulation: burn extra rounds per attempt,
 				// exactly as the serial path does.
 				burn := digest

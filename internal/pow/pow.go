@@ -17,7 +17,6 @@ package pow
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -90,12 +89,9 @@ func (w *Worker) Search(ctx context.Context, trunk, branch hashutil.Hash, diffic
 	}
 	start := time.Now()
 
-	// Precompute the fixed prefix hash(TX1) || hash(TX2) once.
-	inner1 := hashutil.Sum(trunk[:])
-	inner2 := hashutil.Sum(branch[:])
-	var msg [hashutil.Size*2 + 8]byte
-	copy(msg[:hashutil.Size], inner1[:])
-	copy(msg[hashutil.Size:], inner2[:])
+	// The fixed prefix hash(TX1) || hash(TX2) is hashed once.
+	eqn := newEqn6(trunk, branch)
+	defer eqn.put()
 
 	extra := w.CostFactor - 1
 	var attempts uint64
@@ -107,8 +103,7 @@ func (w *Worker) Search(ctx context.Context, trunk, branch hashutil.Hash, diffic
 			return Result{}, fmt.Errorf("%w after %d attempts", ErrExhausted, attempts)
 		}
 		attempts++
-		binary.BigEndian.PutUint64(msg[hashutil.Size*2:], nonce)
-		digest := hashutil.Sum(msg[:])
+		digest := eqn.digest(nonce)
 		// Device emulation: burn extra rounds per attempt. The burn
 		// must not influence which nonces are valid — the protocol
 		// judges the canonical Eqn-6 digest only.

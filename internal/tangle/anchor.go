@@ -40,7 +40,7 @@ func (t *Tangle) addAnchorLocked(v *vertex) {
 	}
 	lowest, lowestHeight := -1, v.height+1
 	for i, id := range t.anchors {
-		if a, ok := t.vertices[id]; ok {
+		if a, ok := t.vertices.lookup(id); ok {
 			if a.height < lowestHeight {
 				lowest, lowestHeight = i, a.height
 			}
@@ -72,7 +72,7 @@ func (t *Tangle) anchorGaugesLocked() {
 	t.met.AnchorCount.Set(int64(len(t.anchors)))
 	top := int32(0)
 	for _, id := range t.anchors {
-		if a, ok := t.vertices[id]; ok && a.height > top {
+		if a, ok := t.vertices.lookup(id); ok && a.height > top {
 			top = a.height
 		}
 	}
@@ -86,7 +86,7 @@ func (t *Tangle) anchorGaugesLocked() {
 func (t *Tangle) anchorStartLocked(w *walker) *vertex {
 	for range t.anchors {
 		id := t.anchors[w.rng.Intn(len(t.anchors))]
-		if a, ok := t.vertices[id]; ok && a.status == StatusConfirmed {
+		if a, ok := t.vertices.lookup(id); ok && a.status == StatusConfirmed {
 			return a
 		}
 	}

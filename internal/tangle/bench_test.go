@@ -151,19 +151,6 @@ func BenchmarkTangleStatsNow(b *testing.B) {
 	}
 }
 
-// BenchmarkTangleOldestApproved pins the indexed oldest-approved path
-// used by the attack injectors.
-func BenchmarkTangleOldestApproved(b *testing.B) {
-	tg := benchTangle(b, 10_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := tg.OldestApproved(); !ok {
-			b.Fatal("no approved vertex")
-		}
-	}
-}
-
 // BenchmarkTangleExportRange measures one bounded sync page against the
 // tangle, the unit of work the node sync path holds the read lock for.
 func BenchmarkTangleExportRange(b *testing.B) {

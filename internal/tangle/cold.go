@@ -171,11 +171,11 @@ func (t *Tangle) ColdEpoch() time.Time {
 func (t *Tangle) BeginBootstrap(boundary []hashutil.Hash, epoch time.Time) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.order) != len(t.genesis) || t.nCold != 0 {
-		return fmt.Errorf("%w: %d vertices, %d cold", ErrNotFresh, len(t.order), t.nCold)
+	if t.order.len() != len(t.genesis) || t.nCold != 0 {
+		return fmt.Errorf("%w: %d vertices, %d cold", ErrNotFresh, t.order.len(), t.nCold)
 	}
 	for _, id := range boundary {
-		if _, ok := t.vertices[id]; ok {
+		if t.vertices.get(id) != nil {
 			continue // genesis shared with the peer
 		}
 		if _, ok := t.boundary[id]; ok {
@@ -201,7 +201,7 @@ func (t *Tangle) EndBootstrap() {
 // updateMemGaugesLocked refreshes the memory-footprint gauges. Called
 // on the mutation paths that change the live or cold population.
 func (t *Tangle) updateMemGaugesLocked() {
-	t.met.ResidentVertices.Set(int64(len(t.vertices)))
+	t.met.ResidentVertices.Set(int64(t.vertices.len()))
 	t.met.BoundaryRoots.Set(int64(len(t.boundary)))
 	t.met.ColdTotal.Set(int64(t.nCold))
 }

@@ -49,7 +49,7 @@ func (t *Tangle) resolveConflictLocked(group []hashutil.Hash, now time.Time) []E
 	var winnerID hashutil.Hash
 	snapshotWins := false
 	for _, id := range group {
-		if _, live := t.vertices[id]; !live && t.wasColdLocked(id) {
+		if t.vertices.get(id) == nil && t.wasColdLocked(id) {
 			snapshotWins = true
 			winnerID = id
 			break
@@ -58,7 +58,7 @@ func (t *Tangle) resolveConflictLocked(group []hashutil.Hash, now time.Time) []E
 	var winner *vertex
 	if !snapshotWins {
 		for _, id := range group {
-			cand := t.vertices[id]
+			cand := t.vertices.get(id)
 			if cand == nil {
 				continue
 			}
@@ -79,7 +79,7 @@ func (t *Tangle) resolveConflictLocked(group []hashutil.Hash, now time.Time) []E
 		t.nRejected--
 	}
 	for _, id := range group {
-		v := t.vertices[id]
+		v := t.vertices.get(id)
 		if v == nil || v == winner {
 			continue
 		}
@@ -128,7 +128,7 @@ func beats(a, b *vertex) bool {
 // pool and nothing for honest nodes to approve.
 func (t *Tangle) restoreParentTipsLocked(v *vertex) {
 	for _, pid := range [...]hashutil.Hash{v.enc.Trunk(), v.enc.Branch()} {
-		p, ok := t.vertices[pid]
+		p, ok := t.vertices.lookup(pid)
 		if !ok || p.status == StatusRejected {
 			continue
 		}
@@ -160,7 +160,7 @@ func relatedExcept(group []hashutil.Hash, except hashutil.Hash) []hashutil.Hash 
 func (t *Tangle) ConflictsOf(id hashutil.Hash) []hashutil.Hash {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v, ok := t.vertices[id]
+	v, ok := t.vertices.lookup(id)
 	if !ok {
 		return nil
 	}

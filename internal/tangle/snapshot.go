@@ -68,28 +68,25 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 
 	var drop []hashutil.Hash
 	cutoffNanos := cutoff.UnixNano()
-	for _, v := range t.order {
+	t.order.each(0, t.order.len(), func(v *vertex) bool {
 		id := v.id
 		if v.attachedAt >= cutoffNanos {
-			break // order is chronological: nothing later qualifies
+			return false // order is chronological: nothing later qualifies
 		}
 		if v.status != StatusConfirmed || retainedKind(v.enc.Kind()) {
-			continue
+			return true
 		}
 		if _, isTip := t.tips[id]; isTip {
-			continue
+			return true
 		}
-		settled := true
 		for _, a := range v.approvers {
 			if a.status == StatusPending {
-				settled = false
-				break
+				return true
 			}
 		}
-		if settled {
-			drop = append(drop, id)
-		}
-	}
+		drop = append(drop, id)
+		return true
+	})
 	if len(drop) == 0 {
 		return 0
 	}
@@ -105,10 +102,10 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 	}
 
 	for _, id := range drop {
-		v := t.vertices[id]
+		v := t.vertices.get(id)
 		v.pruned = true
 		for _, pid := range [...]hashutil.Hash{v.enc.Trunk(), v.enc.Branch()} {
-			if p, live := t.vertices[pid]; live {
+			if p, live := t.vertices.lookup(pid); live {
 				for i, a := range p.approvers {
 					if a == v {
 						p.approvers[i] = prunedApprover
@@ -116,7 +113,7 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 				}
 			}
 		}
-		delete(t.vertices, id)
+		t.vertices.remove(id)
 		t.markColdLocked(id)
 		// Every dropped vertex was confirmed; keep the incremental
 		// stats and the anchor invariant (anchors are live) intact.
@@ -126,26 +123,27 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 	t.nCold += len(drop)
 	t.coldEpoch = cutoff
 
-	// Rebuild the attachment order, kind indexes and first-approval
-	// queue without the dropped vertices, and recompute the boundary
+	// Compact the attachment-order indexes without the dropped vertices,
+	// and recompute the boundary
 	// roots: pruned parents still referenced by a live vertex. IDs
 	// whose last live child was dropped this round leave the boundary —
 	// the departed set is persisted (or kept in the fallback) so cold
 	// membership survives the demotion.
 	departed := t.boundary
 	t.boundary = make(map[hashutil.Hash]struct{})
-	t.order = compactLive(t.order)
-	for _, v := range t.order {
+	t.order.compact()
+	t.order.each(0, t.order.len(), func(v *vertex) bool {
 		if v.enc.Kind() == txn.KindGenesis {
-			continue
+			return true
 		}
 		for _, pid := range [...]hashutil.Hash{v.enc.Trunk(), v.enc.Branch()} {
-			if _, live := t.vertices[pid]; !live {
+			if t.vertices.get(pid) == nil {
 				t.boundary[pid] = struct{}{}
 				delete(departed, pid)
 			}
 		}
-	}
+		return true
+	})
 	if len(departed) > 0 && t.cold != nil {
 		ids := make([]hashutil.Hash, 0, len(departed))
 		for id := range departed {
@@ -160,28 +158,14 @@ func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.
 			}
 		}
 	}
-	for kind, vs := range t.byKind {
-		t.byKind[kind] = compactLive(vs)
+	for _, x := range t.byKind {
+		x.compact()
 	}
-	for shard, vs := range t.shardOrder {
-		t.shardOrder[shard] = compactLive(vs)
+	for _, x := range t.shardOrder {
+		x.compact()
 	}
-	t.approvedOrder = compactLive(t.approvedOrder)
 	t.updateMemGaugesLocked()
 	return len(drop)
-}
-
-// compactLive compacts vs in place to the vertices a snapshot left
-// live, clearing the vacated tail so the pruned ones can be collected.
-func compactLive(vs []*vertex) []*vertex {
-	kept := vs[:0]
-	for _, v := range vs {
-		if !v.pruned {
-			kept = append(kept, v)
-		}
-	}
-	clear(vs[len(kept):])
-	return kept
 }
 
 // Restore re-inserts a journaled transaction during crash recovery,
@@ -222,14 +206,14 @@ func (t *Tangle) RestoreShard(enc txn.View, id hashutil.Hash, shard uint32) (Inf
 }
 
 func (t *Tangle) restoreLocked(enc txn.View, id hashutil.Hash, shard uint32) (Info, error) {
-	if _, dup := t.vertices[id]; dup {
+	if t.vertices.get(id) != nil {
 		return Info{}, fmt.Errorf("%w: %s", ErrDuplicate, id.Short())
 	}
 	if t.wasColdLocked(id) {
 		return Info{}, fmt.Errorf("%w: %s (snapshotted)", ErrDuplicate, id.Short())
 	}
-	trunk := t.vertices[enc.Trunk()]
-	branch := t.vertices[enc.Branch()]
+	trunk := t.vertices.get(enc.Trunk())
+	branch := t.vertices.get(enc.Branch())
 	if trunk == nil {
 		t.restoreBoundaryLocked(enc.Trunk())
 	}

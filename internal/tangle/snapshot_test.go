@@ -243,25 +243,30 @@ func TestSnapshotUnpinsPrunedVertices(t *testing.T) {
 
 	tg.mu.RLock()
 	defer tg.mu.RUnlock()
-	indexes := map[string][]*vertex{"order": tg.order, "approvedOrder": tg.approvedOrder}
-	for kind, vs := range tg.byKind {
-		indexes[fmt.Sprintf("byKind[%v]", kind)] = vs
+	indexes := map[string]*pagedIndex{"order": &tg.order}
+	for kind, x := range tg.byKind {
+		indexes[fmt.Sprintf("byKind[%v]", kind)] = x
 	}
-	for shard, vs := range tg.shardOrder {
-		indexes[fmt.Sprintf("shardOrder[%d]", shard)] = vs
+	for shard, x := range tg.shardOrder {
+		indexes[fmt.Sprintf("shardOrder[%d]", shard)] = x
 	}
-	for name, vs := range indexes {
-		for _, v := range vs[:cap(vs)] { // the vacated tail too
-			if v != nil && v.pruned {
-				t.Errorf("%s still holds pruned vertex %s", name, v.id.Short())
+	for name, x := range indexes {
+		for _, page := range x.pages[:cap(x.pages)] { // released pages too
+			if page == nil {
+				continue
+			}
+			for _, v := range page { // the vacated tail too
+				if v != nil && v.pruned {
+					t.Errorf("%s still holds pruned vertex %s", name, v.id.Short())
+				}
 			}
 		}
 	}
-	for _, v := range tg.vertices {
+	tg.vertices.each(func(v *vertex) {
 		for _, a := range v.approvers {
 			if a.pruned && a != prunedApprover {
 				t.Errorf("live vertex %s still holds pruned approver %s", v.id.Short(), a.id.Short())
 			}
 		}
-	}
+	})
 }

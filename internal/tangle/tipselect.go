@@ -134,7 +134,7 @@ func (t *Tangle) weightedWalkLocked(w *walker, anchored bool) hashutil.Hash {
 	}
 	if start == nil {
 		t.met.GenesisWalks.Inc()
-		start = t.vertices[t.genesis[w.rng.Intn(2)]]
+		start = t.vertices.get(t.genesis[w.rng.Intn(2)])
 	}
 	if id, ok := t.walkFromLocked(w, start); ok {
 		return id
@@ -143,7 +143,7 @@ func (t *Tangle) weightedWalkLocked(w *walker, anchored bool) hashutil.Hash {
 		// Correctness fallback: the anchored cone has no reachable tip;
 		// retry from genesis before giving up on the walk entirely.
 		t.met.WalkFallbacks.Inc()
-		if id, ok := t.walkFromLocked(w, t.vertices[t.genesis[w.rng.Intn(2)]]); ok {
+		if id, ok := t.walkFromLocked(w, t.vertices.get(t.genesis[w.rng.Intn(2)])); ok {
 			return id
 		}
 	}
@@ -207,32 +207,4 @@ func (t *Tangle) stepLocked(w *walker, cur *vertex) *vertex {
 		}
 	}
 	return candidates[len(candidates)-1]
-}
-
-// OldestApproved returns the ID of the oldest already-approved,
-// non-genesis transaction — the favourite parent of a lazy attacker.
-// Used by the attack injectors; returns false when every non-genesis
-// vertex is still a tip.
-//
-// The candidates live in approvedOrder, appended in first-approval
-// order (ledger clock stamps are non-decreasing) and compacted by every
-// snapshot, so the answer is at the head: O(1) instead of a full scan.
-func (t *Tangle) OldestApproved() (hashutil.Hash, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.approvedOrder) == 0 {
-		return hashutil.Zero, false
-	}
-	// Entries sharing the head's approval time are contiguous; break
-	// the tie on the smaller ID, matching the original scan's order.
-	best := t.approvedOrder[0]
-	for _, v := range t.approvedOrder[1:] {
-		if v.firstApprovedAt != best.firstApprovedAt {
-			break
-		}
-		if v.id.Compare(best.id) < 0 {
-			best = v
-		}
-	}
-	return best.id, true
 }

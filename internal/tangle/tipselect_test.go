@@ -144,23 +144,6 @@ func TestWeightedWalkPrefersHeavyBranch(t *testing.T) {
 	}
 }
 
-func TestOldestApproved(t *testing.T) {
-	tg, key := newTangle(t, DefaultConfig(), nil)
-	if _, ok := tg.OldestApproved(); ok {
-		t.Error("fresh tangle reported an oldest approved tx")
-	}
-	first := attachOne(t, tg, key, "first")
-	// Approve it so it leaves the tip pool.
-	tx := buildTx(t, key, first.ID, first.ID, "approver")
-	if _, err := tg.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
-	id, ok := tg.OldestApproved()
-	if !ok || id != first.ID {
-		t.Errorf("OldestApproved = (%v, %v), want (%v, true)", id, ok, first.ID)
-	}
-}
-
 func TestTipStrategyStringValid(t *testing.T) {
 	if !StrategyUniform.Valid() || !StrategyWeightedWalk.Valid() {
 		t.Error("strategies invalid")
