@@ -59,8 +59,9 @@ func TestShardOrderPartitionsAttachmentOrder(t *testing.T) {
 				t.Fatalf("ShardOf(%s) = %d,%v, want %d", id.Short(), sh, ok, s)
 			}
 		}
-		pageIDs, encodings := tg.EncodedShardRange(s, 2, 4)
-		if len(pageIDs) != 4 || len(encodings) != 4 {
+		pageIDs := tg.OrderedShardIDs(s, 2, 4)
+		encodings, scanned := tg.AppendEncodedShardRange(nil, s, 2, 4, nil)
+		if len(pageIDs) != 4 || len(encodings) != 4 || scanned != 4 {
 			t.Fatalf("shard %d encoded page: %d ids, %d encodings, want 4", s, len(pageIDs), len(encodings))
 		}
 		for i, id := range pageIDs {
@@ -71,7 +72,7 @@ func TestShardOrderPartitionsAttachmentOrder(t *testing.T) {
 	}
 
 	// Paging past the end and empty namespaces return nil.
-	if ids, _ := tg.EncodedShardRange(9, 0, 10); ids != nil {
+	if encodings, scanned := tg.AppendEncodedShardRange(nil, 9, 0, 10, nil); encodings != nil || scanned != 0 {
 		t.Fatal("an empty namespace has an encoded page")
 	}
 	if tg.OrderedShardIDs(1, 100, 10) != nil {
