@@ -78,7 +78,6 @@ var (
 	ErrNotManager    = errors.New("authorization update not issued by the manager")
 	ErrNotAuthList   = errors.New("transaction is not an authorization list")
 	ErrStaleList     = errors.New("authorization list sequence not newer than applied")
-	ErrUnauthorized  = errors.New("device not authorized")
 	ErrBadListedKey  = errors.New("authorization list contains malformed key")
 	ErrNilManagerKey = errors.New("registry requires the manager address")
 )

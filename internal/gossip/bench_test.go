@@ -9,10 +9,10 @@ import (
 
 // benchFleet stands up one sender plus `peers` acking receivers on
 // loopback and returns the sender.
-func benchFleet(b *testing.B, peers int, opts ...TCPOption) *TCPNetwork {
+func benchFleet(b *testing.B, peers int, tune func(*TCPNetwork)) *TCPNetwork {
 	b.Helper()
 	ack := HandlerFunc(func(string, Message) (*Message, error) { return &Message{}, nil })
-	sender, err := ListenTCP("127.0.0.1:0", opts...)
+	sender, err := listenTCP("127.0.0.1:0", tune)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func benchMessage() Message {
 }
 
 func benchmarkBroadcast(b *testing.B, peers int) {
-	sender := benchFleet(b, peers)
+	sender := benchFleet(b, peers, nil)
 	msg := benchMessage()
 	ctx := context.Background()
 	// Warm-up pays first-dial costs outside the measurement.
@@ -65,7 +65,7 @@ func BenchmarkGossipBroadcastPooled8(b *testing.B) { benchmarkBroadcast(b, 8) }
 func BenchmarkGossipBroadcastPooled2(b *testing.B) { benchmarkBroadcast(b, 2) }
 
 func BenchmarkGossipRequestPooled(b *testing.B) {
-	sender := benchFleet(b, 1)
+	sender := benchFleet(b, 1, nil)
 	peer := sender.Peers()[0]
 	msg := benchMessage()
 	ctx := context.Background()
@@ -84,7 +84,7 @@ func BenchmarkGossipRequestPooled(b *testing.B) {
 // over one pooled connection — the multiplexing depth a full node's
 // parallel inbound pipeline generates during sync.
 func BenchmarkGossipRequestMultiplexed(b *testing.B) {
-	sender := benchFleet(b, 1, WithIOTimeout(30*time.Second))
+	sender := benchFleet(b, 1, func(n *TCPNetwork) { n.ioTO = 30 * time.Second })
 	peer := sender.Peers()[0]
 	msg := benchMessage()
 	ctx := context.Background()

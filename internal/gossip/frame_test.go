@@ -180,8 +180,8 @@ func TestTCPServerInterleavedFrames(t *testing.T) {
 // it started — the leak check the frame-robustness tests rely on.
 func TestTCPCloseReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	a, _ := listenPooled(t, WithKeepalive(10*time.Millisecond))
-	b, _ := listenPooled(t, WithKeepalive(10*time.Millisecond))
+	a, _ := listenPooled(t, func(n *TCPNetwork) { n.keepalive = 10 * time.Millisecond })
+	b, _ := listenPooled(t, func(n *TCPNetwork) { n.keepalive = 10 * time.Millisecond })
 	a.AddPeer(b.Self())
 	b.AddPeer(a.Self())
 	for i := 0; i < 5; i++ {

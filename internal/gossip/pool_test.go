@@ -11,15 +11,17 @@ import (
 )
 
 // listenPooled starts a pooled endpoint with fast backoff and short
-// reply timeouts so failure paths resolve in milliseconds.
-func listenPooled(t *testing.T, opts ...TCPOption) (*TCPNetwork, *echoHandler) {
+// reply timeouts so failure paths resolve in milliseconds; tunes, in
+// order, change its timings further before it accepts.
+func listenPooled(t *testing.T, tunes ...func(*TCPNetwork)) (*TCPNetwork, *echoHandler) {
 	t.Helper()
-	base := []TCPOption{
-		WithDialTimeout(2 * time.Second),
-		WithIOTimeout(2 * time.Second),
-		WithBackoff(time.Millisecond, 20*time.Millisecond),
-	}
-	n, err := ListenTCP("127.0.0.1:0", append(base, opts...)...)
+	n, err := listenTCP("127.0.0.1:0", func(n *TCPNetwork) {
+		n.dialTO, n.ioTO = 2*time.Second, 2*time.Second
+		n.backoffMin, n.backoffMax = time.Millisecond, 20*time.Millisecond
+		for _, tune := range tunes {
+			tune(n)
+		}
+	})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -84,7 +86,7 @@ func TestTCPConcurrentRequestsMultiplex(t *testing.T) {
 }
 
 func TestTCPBackoffFailsFast(t *testing.T) {
-	a, _ := listenPooled(t, WithBackoff(time.Hour, time.Hour))
+	a, _ := listenPooled(t, func(n *TCPNetwork) { n.backoffMin, n.backoffMax = time.Hour, time.Hour })
 	dead, _ := listenPooled(t)
 	addr := dead.Self()
 	_ = dead.Close()
@@ -134,7 +136,7 @@ func TestTCPPeerRestartReconnect(t *testing.T) {
 
 	// Restart on the same address: the pool must redial through its
 	// backoff schedule without any explicit reset.
-	b2, err := ListenTCP(addr, WithIOTimeout(2*time.Second))
+	b2, err := listenTCP(addr, func(n *TCPNetwork) { n.ioTO = 2 * time.Second })
 	if err != nil {
 		t.Fatalf("restart listener: %v", err)
 	}
@@ -233,7 +235,7 @@ func TestTCPConcurrentBroadcastRequestClose(t *testing.T) {
 }
 
 func TestTCPKeepalivePings(t *testing.T) {
-	a, _ := listenPooled(t, WithKeepalive(20*time.Millisecond))
+	a, _ := listenPooled(t, func(n *TCPNetwork) { n.keepalive = 20 * time.Millisecond })
 	b, _ := listenPooled(t)
 	a.AddPeer(b.Self())
 

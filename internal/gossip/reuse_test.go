@@ -54,7 +54,7 @@ func TestLateReplyNeverCompletesALaterExchange(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a, _ := listenPooled(t, WithIOTimeout(tc.ioTO))
+			a, _ := listenPooled(t, func(n *TCPNetwork) { n.ioTO = tc.ioTO })
 			b, _ := listenPooled(t)
 			a.AddPeer(b.Self())
 			peer := b.Self()

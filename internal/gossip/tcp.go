@@ -27,18 +27,12 @@ import (
 // Broadcast fans out to every peer concurrently, so one slow or dead
 // peer costs max(peer latency), not the sum.
 type TCPNetwork struct {
-	listener  net.Listener
-	dialTO    time.Duration
-	ioTO      time.Duration
-	keepalive time.Duration
-	// serverIdle is the per-frame read deadline on accepted
-	// connections; client keepalives refresh it, so only a genuinely
-	// dead or silent peer hits it.
-	serverIdle time.Duration
-	backoffMin time.Duration
-	backoffMax time.Duration
-	metrics    TransportMetrics
-	nextReq    atomic.Uint64
+	listener net.Listener
+	// The timings: the constants below, which only tests shorten.
+	dialTO, ioTO, keepalive time.Duration
+	backoffMin, backoffMax  time.Duration
+	metrics                 TransportMetrics
+	nextReq                 atomic.Uint64
 
 	mu    sync.RWMutex
 	peers map[string]struct{}
@@ -59,60 +53,45 @@ var _ Network = (*TCPNetwork)(nil)
 // connection, so one chatty peer cannot spawn unbounded goroutines.
 const maxInboundPerConn = 32
 
-// TCPOption customizes a TCPNetwork.
-type TCPOption func(*TCPNetwork)
-
-// WithDialTimeout sets the peer dial timeout (default 3 s).
-func WithDialTimeout(d time.Duration) TCPOption {
-	return func(n *TCPNetwork) { n.dialTO = d }
-}
-
-// WithIOTimeout sets the per-exchange write deadline and reply timeout
-// (default 10 s).
-func WithIOTimeout(d time.Duration) TCPOption {
-	return func(n *TCPNetwork) { n.ioTO = d }
-}
-
-// WithKeepalive sets the idle-ping interval on pooled connections
-// (default 15 s). Accepted connections tolerate 4x this interval of
-// silence before being dropped.
-func WithKeepalive(d time.Duration) TCPOption {
-	return func(n *TCPNetwork) { n.keepalive = d }
-}
-
-// WithBackoff sets the reconnect backoff range: the delay after the
-// first failed dial and the cap it exponentially grows to (defaults
-// 50 ms and 5 s).
-func WithBackoff(min, max time.Duration) TCPOption {
-	return func(n *TCPNetwork) { n.backoffMin, n.backoffMax = min, max }
-}
+// The transport's timings. A peer is dialled within dialTimeout; an
+// exchange's write, and the wait for its reply, each get ioTimeout; an idle
+// pooled connection is pinged every keepaliveEvery, and an accepted one
+// that stays silent for 4× that is dropped; a failed dial holds the next
+// one off for redialMin, doubling per failure up to redialMax.
+const (
+	dialTimeout    = 3 * time.Second
+	ioTimeout      = 10 * time.Second
+	keepaliveEvery = 15 * time.Second
+	redialMin      = 50 * time.Millisecond
+	redialMax      = 5 * time.Second
+)
 
 // ListenTCP starts a gossip endpoint on addr (e.g. "127.0.0.1:0").
-func ListenTCP(addr string, opts ...TCPOption) (*TCPNetwork, error) {
+func ListenTCP(addr string) (*TCPNetwork, error) {
+	return listenTCP(addr, nil)
+}
+
+// listenTCP is ListenTCP with tune, when non-nil, applied to the timings
+// before the accept loop starts: the seam through which tests shorten them.
+func listenTCP(addr string, tune func(*TCPNetwork)) (*TCPNetwork, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("gossip listen %s: %w", addr, err)
 	}
 	n := &TCPNetwork{
 		listener:   ln,
-		dialTO:     3 * time.Second,
-		ioTO:       10 * time.Second,
-		keepalive:  15 * time.Second,
-		backoffMin: 50 * time.Millisecond,
-		backoffMax: 5 * time.Second,
+		dialTO:     dialTimeout,
+		ioTO:       ioTimeout,
+		keepalive:  keepaliveEvery,
+		backoffMin: redialMin,
+		backoffMax: redialMax,
 		metrics:    newTransportMetrics(),
 		peers:      make(map[string]struct{}),
 		conns:      make(map[string]*peerConn),
 		accepted:   make(map[net.Conn]struct{}),
 	}
-	for _, opt := range opts {
-		opt(n)
-	}
-	if n.serverIdle <= 0 {
-		n.serverIdle = 4 * n.keepalive
-		if n.serverIdle < n.ioTO {
-			n.serverIdle = n.ioTO
-		}
+	if tune != nil {
+		tune(n)
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -250,8 +229,11 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 	}
 	sem := make(chan struct{}, maxInboundPerConn)
 	reader := bufio.NewReader(conn)
+	// The idle deadline per frame: the client's keepalives refresh it, so
+	// only a dead or silent peer reaches it.
+	idle := max(4*n.keepalive, n.ioTO)
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(n.serverIdle))
+		_ = conn.SetReadDeadline(time.Now().Add(idle))
 		req := requestPool.Get().(*inboundRequest)
 		kind, id, payload, wire, err := readFrame(reader, req.frame)
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 
 func listen(t *testing.T) (*TCPNetwork, *echoHandler) {
 	t.Helper()
-	n, err := ListenTCP("127.0.0.1:0", WithDialTimeout(2*time.Second), WithIOTimeout(5*time.Second))
+	n, err := listenTCP("127.0.0.1:0", func(n *TCPNetwork) { n.dialTO, n.ioTO = 2*time.Second, 5*time.Second })
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}

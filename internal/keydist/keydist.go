@@ -40,12 +40,11 @@ const DefaultFreshness = 30 * time.Second
 
 // Protocol errors.
 var (
-	ErrStaleMessage  = errors.New("message timestamp outside freshness window")
-	ErrBadNonce      = errors.New("challenge nonce mismatch")
-	ErrBadSigner     = errors.New("message signature invalid")
-	ErrBadState      = errors.New("protocol message out of order")
-	ErrBadMessage    = errors.New("malformed protocol message")
-	ErrSessionClosed = errors.New("session already completed or aborted")
+	ErrStaleMessage = errors.New("message timestamp outside freshness window")
+	ErrBadNonce     = errors.New("challenge nonce mismatch")
+	ErrBadSigner    = errors.New("message signature invalid")
+	ErrBadState     = errors.New("protocol message out of order")
+	ErrBadMessage   = errors.New("malformed protocol message")
 )
 
 // m1Body is the signed content of M1.

@@ -187,13 +187,7 @@ func (l *LightNode) submit(ctx context.Context, kind txn.Kind, payload []byte) (
 		t.Sign(l.cfg.Key)
 
 		difficulty := l.cfg.Gateway.DifficultyFor(l.Address())
-		var res pow.Result
-		if l.worker.Parallelism > 1 {
-			// Multi-core device classes opt in via Worker.Parallelism.
-			res, err = l.worker.AttachParallel(ctx, t, difficulty)
-		} else {
-			res, err = l.worker.Attach(ctx, t, difficulty)
-		}
+		res, err := l.worker.Attach(ctx, t, difficulty)
 		if err != nil {
 			return SubmitResult{}, fmt.Errorf("proof of work: %w", err)
 		}

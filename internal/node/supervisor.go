@@ -69,10 +69,6 @@ type SupervisorConfig struct {
 	// WatchInterval is the watchdog probe period; zero disables the
 	// watchdog (Start/Stop/Kill still work).
 	WatchInterval time.Duration
-	// BackoffBase shapes the restart backoff: the first retry of a
-	// failed restart waits BackoffBase, doubling per consecutive failure
-	// up to restartBackoffMax. Default: 100ms.
-	BackoffBase time.Duration
 
 	// CompactEvery, when positive, runs Compact(CompactKeep) +
 	// CompactJournal on that period.
@@ -80,10 +76,14 @@ type SupervisorConfig struct {
 	CompactKeep  time.Duration
 }
 
-// restartBackoffMax caps the wait between failed restart attempts. The
-// watchdog never gives up: a node that cannot start keeps retrying at
-// this pace, with the reason in Health's StartError.
-const restartBackoffMax = 5 * time.Second
+// The restart backoff: the first retry of a failed restart waits
+// restartBackoffMin, doubling per consecutive failure up to
+// restartBackoffMax. The watchdog never gives up: a node that cannot start
+// keeps retrying at that pace, with the reason in Health's StartError.
+const (
+	restartBackoffMin = 100 * time.Millisecond
+	restartBackoffMax = 5 * time.Second
+)
 
 // SupervisorState enumerates the lifecycle states.
 type SupervisorState int32
@@ -140,9 +140,6 @@ var ErrSupervisorRunning = errors.New("supervisor already running")
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.Build == nil {
 		return nil, errors.New("supervisor requires a Build closure")
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 100 * time.Millisecond
 	}
 	fs := cfg.FS
 	if fs == nil {
@@ -431,7 +428,7 @@ func (s *Supervisor) watch(stopCh chan struct{}) {
 // off between failed attempts, for as long as it takes. It returns true
 // once a fresh node is up, false once stopCh closes.
 func (s *Supervisor) restart(stopCh chan struct{}) bool {
-	backoff := s.cfg.BackoffBase
+	backoff := restartBackoffMin
 	for {
 		s.restarts.Add(1)
 		s.mu.Lock()

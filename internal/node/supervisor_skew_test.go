@@ -67,7 +67,6 @@ func TestSupervisorWatchdogUnderClockSkew(t *testing.T) {
 			PersistPath:   name + ".journal",
 			FS:            fs,
 			WatchInterval: 5 * time.Millisecond,
-			BackoffBase:   time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

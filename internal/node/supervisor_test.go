@@ -122,7 +122,6 @@ func TestSupervisorWatchdogRestartsPoisonedJournal(t *testing.T) {
 	fs := chaos.NewMemFS(2)
 	cfg := supervisedGatewayConfig(t, dep.bus, "gw-dog", dep.mgrKey.Public(), fs)
 	cfg.WatchInterval = 5 * time.Millisecond
-	cfg.BackoffBase = time.Millisecond
 	sup, err := node.NewSupervisor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +187,6 @@ func TestSupervisorHealthCarriesTheStartError(t *testing.T) {
 	fs := chaos.NewMemFS(5)
 	cfg := supervisedGatewayConfig(t, dep.bus, "gw-refused", dep.mgrKey.Public(), fs)
 	cfg.WatchInterval = 5 * time.Millisecond
-	cfg.BackoffBase = time.Millisecond
 	sup, err := node.NewSupervisor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +278,6 @@ func TestSupervisorGoroutineLeak(t *testing.T) {
 			WatchInterval: 2 * time.Millisecond,
 			CompactEvery:  3 * time.Millisecond,
 			CompactKeep:   time.Hour,
-			BackoffBase:   time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -26,10 +26,8 @@ func referenceSearch(trunk, branch hashutil.Hash, difficulty int) Result {
 }
 
 // TestSearchMatchesTheNaiveLoop: across random parents, difficulties 1–12
-// and CostFactor 1 and 3, Search and SearchParallel — one lane, where its
-// attempt count is defined as Search's, and several — find the nonce and
-// digest the naive loop finds, in as many attempts, and the digest is what
-// Verify checks.
+// and CostFactor 1 and 3, Search finds the nonce and digest the naive loop
+// finds, in as many attempts, and the digest is what Verify checks.
 func TestSearchMatchesTheNaiveLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for round := 0; round < 24; round++ {
@@ -39,26 +37,20 @@ func TestSearchMatchesTheNaiveLoop(t *testing.T) {
 		difficulty := 1 + round%12
 		want := referenceSearch(trunk, branch, difficulty)
 		for _, cost := range []int{1, 3} {
-			for _, lanes := range []int{0, 1, 3} {
-				name := fmt.Sprintf("round %d, difficulty %d, cost %d, lanes %d", round, difficulty, cost, lanes)
-				w := Worker{CostFactor: cost, Parallelism: lanes}
-				search := w.SearchParallel
-				if lanes == 0 {
-					search = w.Search
-				}
-				got, err := search(context.Background(), trunk, branch, difficulty)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if got.Nonce != want.Nonce || got.Digest != want.Digest {
-					t.Fatalf("%s: nonce %d digest %s, the naive loop %d %s", name, got.Nonce, got.Digest.Short(), want.Nonce, want.Digest.Short())
-				}
-				if lanes <= 1 && got.Attempts != want.Attempts {
-					t.Fatalf("%s: %d attempts, the naive loop %d", name, got.Attempts, want.Attempts)
-				}
-				if err := Verify(trunk, branch, got.Nonce, difficulty); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+			name := fmt.Sprintf("round %d, difficulty %d, cost %d", round, difficulty, cost)
+			w := Worker{CostFactor: cost}
+			got, err := w.Search(context.Background(), trunk, branch, difficulty)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got.Nonce != want.Nonce || got.Digest != want.Digest {
+				t.Fatalf("%s: nonce %d digest %s, the naive loop %d %s", name, got.Nonce, got.Digest.Short(), want.Nonce, want.Digest.Short())
+			}
+			if got.Attempts != want.Attempts {
+				t.Fatalf("%s: %d attempts, the naive loop %d", name, got.Attempts, want.Attempts)
+			}
+			if err := Verify(trunk, branch, got.Nonce, difficulty); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
 	}

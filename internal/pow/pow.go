@@ -41,17 +41,6 @@ type Worker struct {
 	// CostFactor-1 extra SHA-256 rounds. 0 and 1 both mean "no
 	// emulation".
 	CostFactor int
-
-	// MaxAttempts bounds the search; 0 means unbounded. When the bound
-	// is hit, Search returns ErrExhausted. For SearchParallel the bound
-	// is a shared budget across all lanes.
-	MaxAttempts uint64
-
-	// Parallelism is the number of goroutines SearchParallel fans the
-	// nonce space across; 0 selects GOMAXPROCS, 1 degenerates to the
-	// serial Search. Plain Search ignores it (IoT devices are modelled
-	// single-core; gateways and benches opt in).
-	Parallelism int
 }
 
 // Result describes a successful PoW search.
@@ -62,11 +51,8 @@ type Result struct {
 	Elapsed  time.Duration
 }
 
-// Search errors.
-var (
-	ErrBadDifficulty = errors.New("difficulty out of range")
-	ErrExhausted     = errors.New("nonce search exhausted attempt budget")
-)
+// ErrBadDifficulty reports a difficulty outside [MinDifficulty, MaxDifficulty].
+var ErrBadDifficulty = errors.New("difficulty out of range")
 
 // ClampDifficulty forces d into [MinDifficulty, MaxDifficulty].
 func ClampDifficulty(d int) int {
@@ -94,15 +80,10 @@ func (w *Worker) Search(ctx context.Context, trunk, branch hashutil.Hash, diffic
 	defer eqn.put()
 
 	extra := w.CostFactor - 1
-	var attempts uint64
 	for nonce := uint64(0); ; nonce++ {
 		if nonce%1024 == 0 && ctx.Err() != nil {
 			return Result{}, ctx.Err()
 		}
-		if w.MaxAttempts != 0 && attempts >= w.MaxAttempts {
-			return Result{}, fmt.Errorf("%w after %d attempts", ErrExhausted, attempts)
-		}
-		attempts++
 		digest := eqn.digest(nonce)
 		// Device emulation: burn extra rounds per attempt. The burn
 		// must not influence which nonces are valid — the protocol
@@ -116,7 +97,7 @@ func (w *Worker) Search(ctx context.Context, trunk, branch hashutil.Hash, diffic
 			return Result{
 				Nonce:    nonce,
 				Digest:   digest,
-				Attempts: attempts,
+				Attempts: nonce + 1,
 				Elapsed:  time.Since(start),
 			}, nil
 		}

@@ -57,14 +57,6 @@ func TestSearchContextCancel(t *testing.T) {
 	}
 }
 
-func TestSearchExhaustsBudget(t *testing.T) {
-	w := &Worker{MaxAttempts: 4}
-	trunk, branch := parents("budget")
-	if _, err := w.Search(context.Background(), trunk, branch, 40); !errors.Is(err, ErrExhausted) {
-		t.Errorf("err = %v, want ErrExhausted", err)
-	}
-}
-
 func TestCostFactorPreservesCanonicalDigest(t *testing.T) {
 	// Device emulation burns cycles but must not change which nonces
 	// are valid — the emulated worker's results must verify with the

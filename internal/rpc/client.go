@@ -33,7 +33,8 @@ import (
 // difficulty and status are the gateway's to change and are asked for
 // every time.
 //
-// Every call makes one attempt, bounded by the caller's context.
+// Every call makes one attempt, bounded by the caller's context where it
+// takes one and by the HTTP client's Timeout.
 // Retrying is the caller's: a light node refreshes tips and difficulty
 // and submits again, and a submission whose response was lost may have
 // been admitted, so resending it blindly is not the transport's call.
@@ -257,17 +258,12 @@ func (c *Client) Events(ctx context.Context, addr identity.Address) (EventsRespo
 	return out, err
 }
 
-// TipsForApproval implements node.Gateway.
+// TipsForApproval implements node.Gateway. The tip bodies the gateway
+// sends along are kept for GetTransaction, each only if it hashes to the
+// ID it came under.
 func (c *Client) TipsForApproval() (hashutil.Hash, hashutil.Hash, error) {
-	return c.TipsForApprovalCtx(context.Background())
-}
-
-// TipsForApprovalCtx is TipsForApproval with a caller deadline. The tip
-// bodies the gateway sends along are kept for GetTransactionCtx, each
-// only if it hashes to the ID it came under.
-func (c *Client) TipsForApprovalCtx(ctx context.Context) (hashutil.Hash, hashutil.Hash, error) {
 	var out TipsResponse
-	if err := c.get(ctx, "/api/v1/tips", "", &out); err != nil {
+	if err := c.get(context.Background(), "/api/v1/tips", "", &out); err != nil {
 		return hashutil.Zero, hashutil.Zero, err
 	}
 	trunk, err := hashutil.FromHex(out.Trunk)
@@ -289,38 +285,22 @@ func (c *Client) TipsForApprovalCtx(ctx context.Context) (hashutil.Hash, hashuti
 // an out-of-range difficulty that makes the subsequent PoW call fail
 // fast instead of mining against a guessed target.
 func (c *Client) DifficultyFor(addr identity.Address) int {
-	d, err := c.DifficultyForCtx(context.Background(), addr)
-	if err != nil {
+	var out DifficultyResponse
+	if err := c.get(context.Background(), "/api/v1/difficulty", "address="+addr.Hex(), &out); err != nil {
 		return 0
 	}
-	return d
+	return out.Difficulty
 }
 
-// DifficultyForCtx is DifficultyFor with a caller deadline and an
-// explicit error instead of the Gateway interface's 0 sentinel.
-func (c *Client) DifficultyForCtx(ctx context.Context, addr identity.Address) (int, error) {
-	var out DifficultyResponse
-	if err := c.get(ctx, "/api/v1/difficulty", "address="+addr.Hex(), &out); err != nil {
-		return 0, err
-	}
-	return out.Difficulty, nil
-}
-
-// GetTransaction implements node.Gateway.
+// GetTransaction implements node.Gateway. A tip whose body came with its
+// name is answered from the tip cache; anything else — never a tip,
+// overwritten, or named by a gateway that sends no bodies — is fetched.
 func (c *Client) GetTransaction(id hashutil.Hash) (*txn.Transaction, error) {
-	return c.GetTransactionCtx(context.Background(), id)
-}
-
-// GetTransactionCtx is GetTransaction with a caller deadline. A tip whose
-// body came with its name is answered from the tip cache; anything else —
-// never a tip, overwritten, or named by a gateway that sends no bodies —
-// is fetched.
-func (c *Client) GetTransactionCtx(ctx context.Context, id hashutil.Hash) (*txn.Transaction, error) {
 	if t := c.tips.get(id); t != nil {
 		return t, nil
 	}
 	var out TxResponse
-	if err := c.get(ctx, "/api/v1/transactions/"+id.Hex(), "", &out); err != nil {
+	if err := c.get(context.Background(), "/api/v1/transactions/"+id.Hex(), "", &out); err != nil {
 		return nil, err
 	}
 	return txn.Decode(out.Raw)
@@ -328,16 +308,11 @@ func (c *Client) GetTransactionCtx(ctx context.Context, id hashutil.Hash) (*txn.
 
 // TransactionsByKind implements node.Gateway.
 func (c *Client) TransactionsByKind(kind txn.Kind, offset int) ([]*txn.Transaction, error) {
-	return c.TransactionsByKindCtx(context.Background(), kind, offset)
-}
-
-// TransactionsByKindCtx is TransactionsByKind with a caller deadline.
-func (c *Client) TransactionsByKindCtx(ctx context.Context, kind txn.Kind, offset int) ([]*txn.Transaction, error) {
 	q := url.Values{}
 	q.Set("kind", strconv.Itoa(int(kind)))
 	q.Set("offset", strconv.Itoa(offset))
 	var out TxPageResponse
-	if err := c.get(ctx, "/api/v1/transactions", q.Encode(), &out); err != nil {
+	if err := c.get(context.Background(), "/api/v1/transactions", q.Encode(), &out); err != nil {
 		return nil, err
 	}
 	txs := make([]*txn.Transaction, 0, len(out.Raw))

@@ -34,6 +34,13 @@ func newFixture(t testing.TB) *fixture {
 // through wrap(handler) — a request counter, a lying gateway.
 func newFixtureBehind(t testing.TB, wrap func(http.Handler) http.Handler) *fixture {
 	t.Helper()
+	return newFixtureWith(t, wrap, func(*node.FullConfig) {})
+}
+
+// newFixtureWith is newFixtureBehind with tune applied to the gateway's
+// configuration before it is built.
+func newFixtureWith(t testing.TB, wrap func(http.Handler) http.Handler, tune func(*node.FullConfig)) *fixture {
+	t.Helper()
 	managerKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -42,12 +49,14 @@ func newFixtureBehind(t testing.TB, wrap func(http.Handler) http.Handler) *fixtu
 	params.InitialDifficulty = 4
 	params.MinDifficulty = 1
 	params.MaxDifficulty = 20
-	full, err := node.NewFull(node.FullConfig{
+	cfg := node.FullConfig{
 		Key:        managerKey,
 		Role:       identity.RoleManager,
 		ManagerPub: managerKey.Public(),
 		Credit:     params,
-	})
+	}
+	tune(&cfg)
+	full, err := node.NewFull(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -604,8 +603,9 @@ type transport interface {
 	Metrics() gossip.TransportMetrics
 }
 
-// statusForSubmitError maps admission failures to HTTP statuses that the
-// client maps back to sentinel errors.
+// statusForSubmitError maps admission failures to HTTP statuses, which the
+// client maps back to sentinel errors: all but 400, a transaction no node
+// admits, and 500, a fault in the node.
 func statusForSubmitError(err error) int {
 	switch {
 	case errors.Is(err, node.ErrUnauthorizedDevice), errors.Is(err, authz.ErrNotManager):
@@ -618,10 +618,11 @@ func statusForSubmitError(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, tangle.ErrUnknownParent):
 		return http.StatusUnprocessableEntity
+	case errors.Is(err, txn.ErrBadTxSignature), errors.Is(err, txn.ErrNoIssuer),
+		errors.Is(err, txn.ErrBadKind), errors.Is(err, txn.ErrPayloadTooLarge),
+		errors.Is(err, txn.ErrMissingParents), errors.Is(err, txn.ErrGenesisParents):
+		return http.StatusBadRequest // no node admits it, whatever its ledger
 	default:
-		if strings.Contains(err.Error(), "verify transaction") {
-			return http.StatusBadRequest
-		}
 		return http.StatusInternalServerError
 	}
 }

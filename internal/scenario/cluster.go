@@ -288,7 +288,6 @@ func NewCluster(spec Spec, seed int64) (*Cluster, error) {
 				PersistPath:   g.Name + ".journal",
 				FS:            g.Disk,
 				WatchInterval: 10 * time.Millisecond,
-				BackoffBase:   5 * time.Millisecond,
 			})
 			if err != nil {
 				return fail(err)
@@ -639,35 +638,40 @@ func (c *Cluster) checkNoLeakage() error {
 // evaluation against its RescanCredit oracle for every known account,
 // at the shared base instant (which is in the past for positively
 // skewed gateways — deliberately exercising the evaluator's rewind
-// path). It returns the account count of the reference node, the
-// worst relative divergence observed, and whether all nodes pass.
-func (c *Cluster) checkCreditParity() (accounts int, maxDelta float64, ok bool) {
-	now := c.Clk.Now()
-	ok = true
-	const eps = 1e-9
-	for i, n := range c.fulls() {
-		ledger := n.Engine().Ledger()
-		addrs := ledger.Nodes()
-		if i == 0 {
-			accounts = len(addrs)
-		}
-		for _, addr := range addrs {
-			oracle := ledger.RescanCredit(addr, now)
-			got := ledger.CreditOf(addr, now)
-			for _, pair := range [][2]float64{
-				{got.CrP, oracle.CrP}, {got.CrN, oracle.CrN}, {got.Cr, oracle.Cr},
-			} {
-				rel := math.Abs(pair[0]-pair[1]) / (1 + math.Abs(pair[0]) + math.Abs(pair[1]))
-				if rel > maxDelta {
-					maxDelta = rel
-				}
-				if rel > eps {
-					ok = false
-				}
+// path). In a flat deployment, where every full node holds every
+// admitted transaction, each node must also report the reference node's
+// credit: credit is a pure function of what was admitted. It returns the
+// account count of the reference node, the number of cross-node
+// comparisons, the worst relative divergence, and the first disagreement.
+func (c *Cluster) checkCreditParity() (accounts, crossNode int, maxDelta float64, err error) {
+	now, fulls, flat := c.Clk.Now(), c.fulls(), c.Spec.Regions == 0
+	ref := fulls[0].Engine().Ledger()
+	accounts = len(ref.Nodes())
+	agree := func(a, b core.Credit, format string, args ...any) {
+		for _, pair := range [][2]float64{{a.CrP, b.CrP}, {a.CrN, b.CrN}, {a.Cr, b.Cr}} {
+			rel := math.Abs(pair[0]-pair[1]) / (1 + math.Abs(pair[0]) + math.Abs(pair[1]))
+			maxDelta = max(maxDelta, rel)
+			if rel > 1e-9 && err == nil {
+				err = fmt.Errorf(format, args...)
 			}
 		}
 	}
-	return accounts, maxDelta, ok
+	for i, n := range fulls {
+		ledger := n.Engine().Ledger()
+		addrs := ledger.Nodes()
+		if flat && len(addrs) != accounts && err == nil {
+			err = fmt.Errorf("node %d knows %d accounts, the reference node %d", i, len(addrs), accounts)
+		}
+		for _, addr := range addrs {
+			got := ledger.CreditOf(addr, now)
+			agree(got, ledger.RescanCredit(addr, now), "incremental credit of %s on node %d diverged from the RescanCredit oracle", addr.Short(), i)
+			if flat && i > 0 {
+				crossNode++
+				agree(got, ref.CreditOf(addr, now), "credit of %s on node %d differs from the reference node's", addr.Short(), i)
+			}
+		}
+	}
+	return accounts, crossNode, maxDelta, err
 }
 
 // totalRestarts sums watchdog/explicit restarts across gateways.

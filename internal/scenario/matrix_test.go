@@ -44,9 +44,9 @@ func runMatrix(t *testing.T, tier Tier) {
 					seed, seed, spec.Name, err, res)
 			}
 			t.Logf("%s: %d nodes, %d/%d admitted, %d durable (0 lost), converged in %d sync rounds, "+
-				"tangle %d, credit parity max Δ %.2g, restarts %d%s",
+				"tangle %d, credit parity max Δ %.2g over %d cross-node comparisons, restarts %d%s",
 				spec.Name, res.Nodes, res.Admitted, res.Submitted, res.Durable,
-				res.SyncRounds, res.TangleSize, res.MaxCreditDelta, res.Restarts,
+				res.SyncRounds, res.TangleSize, res.MaxCreditDelta, res.CreditComparisons, res.Restarts,
 				notesSuffix(res.Notes))
 		})
 	}

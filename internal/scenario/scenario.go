@@ -13,7 +13,8 @@
 //     on a verifiably healthy journal may vanish;
 //   - zero cross-shard leakage: no node holds another region's data;
 //   - credit integrity: every node's incremental credit evaluation
-//     matches its from-scratch RescanCredit oracle.
+//     matches its from-scratch RescanCredit oracle, and in a flat
+//     deployment every node reports the same credit.
 //
 // Every random choice — disk tear survival, gossip fault schedules,
 // churn victims — derives from one seed, so a failing cell is replayed
@@ -130,11 +131,13 @@ type Result struct {
 	TangleSize int   `json:"tangle_size"`
 	ShardSizes []int `json:"shard_sizes,omitempty"`
 
-	Restarts        int64   `json:"watchdog_restarts"`
-	CreditAccounts  int     `json:"credit_accounts"`
-	CreditParityOK  bool    `json:"credit_parity_ok"`
-	MaxCreditDelta  float64 `json:"max_credit_delta"`
-	MaliciousEvents int     `json:"malicious_events"`
+	Restarts       int64 `json:"watchdog_restarts"`
+	CreditAccounts int   `json:"credit_accounts"`
+	// CreditComparisons counts cross-node credit comparisons (flat only).
+	CreditComparisons int     `json:"credit_comparisons"`
+	CreditParityOK    bool    `json:"credit_parity_ok"`
+	MaxCreditDelta    float64 `json:"max_credit_delta"`
+	MaliciousEvents   int     `json:"malicious_events"`
 
 	Notes     string  `json:"notes,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms"`
@@ -162,8 +165,8 @@ func (c *Cluster) row() Result {
 
 // Finish converges the cluster and fills + enforces the pinned
 // assertions: fixpoint reached, zero durable loss, zero cross-shard
-// leakage, credit parity on every node. The row is filled as far as
-// the run got even on failure.
+// leakage, credit parity on every node and, in a flat deployment, across
+// nodes. The row is filled as far as the run got even on failure.
 func (c *Cluster) Finish(ctx context.Context) (Result, error) {
 	rounds, converged, err := c.Converge(ctx)
 	res := c.row()
@@ -178,7 +181,9 @@ func (c *Cluster) Finish(ctx context.Context) (Result, error) {
 		}
 	}
 	res.Durable, res.LostDurable = c.checkZeroLoss()
-	res.CreditAccounts, res.MaxCreditDelta, res.CreditParityOK = c.checkCreditParity()
+	var creditErr error
+	res.CreditAccounts, res.CreditComparisons, res.MaxCreditDelta, creditErr = c.checkCreditParity()
+	res.CreditParityOK = creditErr == nil
 	res.MaliciousEvents = c.maliciousEvents()
 
 	if !converged {
@@ -191,9 +196,8 @@ func (c *Cluster) Finish(ctx context.Context) (Result, error) {
 	if err := c.checkNoLeakage(); err != nil {
 		return res, err
 	}
-	if !res.CreditParityOK {
-		return res, fmt.Errorf("incremental credit diverged from the RescanCredit oracle (max rel delta %.3g)",
-			res.MaxCreditDelta)
+	if creditErr != nil {
+		return res, fmt.Errorf("%w (max rel delta %.3g)", creditErr, res.MaxCreditDelta)
 	}
 	return res, nil
 }

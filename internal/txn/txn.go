@@ -164,7 +164,6 @@ var (
 	ErrBadKind          = errors.New("transaction has unknown payload kind")
 	ErrPayloadTooLarge  = errors.New("transaction payload exceeds maximum size")
 	ErrMissingParents   = errors.New("non-genesis transaction must approve two parents")
-	ErrSelfParent       = errors.New("transaction approves itself")
 	ErrBadTxSignature   = errors.New("transaction signature invalid")
 	ErrInsufficientWork = errors.New("proof of work does not meet required difficulty")
 	ErrGenesisParents   = errors.New("genesis transaction must reference zero parents")

@@ -6,12 +6,15 @@
 # Every exported func or method declared in a non-test file under
 # internal/ is looked for, by name, in the Go source of this module and
 # of the bench/ module (both read only): any line that names it, other
-# than its own declaration and comment lines, is a reference. The check
-# fails on a name nothing references, unless the allowlist below names it
-# with the reason it has no caller in the source: a method the standard
-# library reaches through an interface, or by reflection. A name that only
-# tests reference is printed and does not fail the check: a test oracle or
-# a paper-equation probe may be kept on purpose.
+# than its own declaration and comment lines, is a reference. A name the
+# allowlist below gives, with the reason it has no caller in the source (a
+# method the standard library reaches through an interface, or by
+# reflection), is skipped. The check fails on a name nothing references.
+# A name that only tests reference is printed and does not fail the check:
+# a test oracle or a paper-equation probe may be kept on purpose. Except an
+# option constructor (With*) that only tests call: it is a setting no
+# binary sets, and such a value is a constant of its package, which a test
+# that needs another value changes through an unexported seam.
 #
 # The match is by name, not by type, so a method shares its references
 # with every other function or method of that name: the check can miss an
@@ -68,25 +71,25 @@ report=$(awk -v allow="$allow" '
 		}
 	}
 	END {
-		unused = 0
+		failed = 0
 		for (name in decl) {
-			if (refs[name] > 0) {
+			if (name in allowed || refs[name] > 0) {
 				continue
 			}
-			if (testRefs[name] > 0) {
+			if (testRefs[name] == 0) {
+				printf "UNUSED: %s (%s )\n", name, decl[name]
+				failed++
+			} else if (name ~ /^With[A-Z]/) {
+				printf "TEST-ONLY OPTION: %s (%s )\n", name, decl[name]
+				failed++
+			} else {
 				printf "test-only: %s (%s )\n", name, decl[name]
-				continue
 			}
-			if (name in allowed) {
-				continue
-			}
-			printf "UNUSED: %s (%s )\n", name, decl[name]
-			unused++
 		}
-		exit unused > 0
+		exit failed > 0
 	}' "${files[@]}") || status=$?
 sort <<<"$report"
 if [ "$status" -ne 0 ]; then
-	echo "exported functions or methods in internal/ that nothing references: delete them" >&2
+	echo "exported functions or methods in internal/ that nothing references, or options only tests set: delete them" >&2
 fi
 exit "$status"
