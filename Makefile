@@ -10,10 +10,11 @@ build:
 	$(GO) build ./...
 
 # go vet, then two gates of the source itself: gofmt must have nothing to
-# rewrite, and every exported function or method in internal/ must have a
-# reference somewhere in this module or bench/ (scripts/unused-exports.sh,
-# which also lists, without failing, the ones only tests reach, and fails
-# on an option constructor, With*, that only tests call).
+# rewrite, and every exported function, method, constant or variable in
+# internal/ must have a reference somewhere in this module or bench/
+# (scripts/unused-exports.sh, which also lists, without failing, the ones
+# only tests reach, and fails on an option constructor, With*, that only
+# tests call).
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi

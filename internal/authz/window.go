@@ -197,10 +197,9 @@ func (r *Registry) enforceCapLocked() {
 // view (O(1) fast path) or of ANY retained version from the evidence
 // sequence up to the current one. When no membership hit exists but a
 // sequence in that range has not been observed yet, the verdict is
-// Unresolved and missingSeq names the first gap (every sequence is
-// ledger-backed, so a gap is always fillable by sync or an anti-
-// entropy probe).
-func (r *Registry) EvidenceVerdict(addr identity.Address, evidence uint64) (verdict Verdict, missingSeq uint64) {
+// Unresolved and gap names the first one (every sequence is
+// ledger-backed, so a gap is always fillable by sync).
+func (r *Registry) EvidenceVerdict(addr identity.Address, evidence uint64) (verdict Verdict, gap uint64) {
 	if addr == r.manager {
 		return VerdictAuthorized, 0
 	}

@@ -59,6 +59,20 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMessageTypeWireValues pins every message type's wire value: a peer
+// built before a type was retired still speaks the others by number.
+func TestMessageTypeWireValues(t *testing.T) {
+	for typ, want := range map[MsgType]int{
+		MsgTransaction: 1, MsgSyncRequest: 2, MsgSyncResponse: 3,
+		MsgSnapshotRequest: 4, MsgSnapshotResponse: 5,
+		MsgCreditRequest: 8, MsgCreditResponse: 9,
+	} {
+		if int(typ) != want {
+			t.Errorf("%v has wire value %d, want %d", typ, int(typ), want)
+		}
+	}
+}
+
 func TestMessageDecodeRejects(t *testing.T) {
 	valid := EncodeMessage(Message{Type: MsgTransaction, TxData: [][]byte{{1, 2}}})
 	cases := []struct {

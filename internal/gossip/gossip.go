@@ -40,19 +40,11 @@ const (
 	// MsgSnapshotResponse carries the JSON-encoded manifest in
 	// TxData[0].
 	MsgSnapshotResponse
-	// MsgAuthListRequest is the admission-evidence anti-entropy probe:
-	// it asks a peer for the authorization-list transaction with the
-	// sequence carried in Offset (every sequence is ledger-backed and
-	// lists are retained across snapshots, so a gap is always
-	// fillable).
-	MsgAuthListRequest
-	// MsgAuthListResponse returns the matching authorization-list
-	// transaction encodings (empty when the responder lacks it too).
-	MsgAuthListResponse
 	// MsgCreditRequest asks a backbone peer for one page of its credit
 	// digest: Offset is the requester's cursor into the responder's
-	// account order.
-	MsgCreditRequest
+	// account order. Its wire value stays 8 with 6 and 7 retired: peers
+	// tell types apart by number.
+	MsgCreditRequest MsgType = iota + 3
 	// MsgCreditResponse carries one JSON-encoded core.CreditDigest page
 	// in TxData[0]; Offset/Total/More page exactly like sync responses.
 	MsgCreditResponse
@@ -71,10 +63,6 @@ func (t MsgType) String() string {
 		return "snapshot-request"
 	case MsgSnapshotResponse:
 		return "snapshot-response"
-	case MsgAuthListRequest:
-		return "authlist-request"
-	case MsgAuthListResponse:
-		return "authlist-response"
 	case MsgCreditRequest:
 		return "credit-request"
 	case MsgCreditResponse:

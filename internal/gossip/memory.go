@@ -2,7 +2,6 @@ package gossip
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -271,9 +270,6 @@ func (p *BusPeer) Close() error {
 	p.bus.mu.Unlock()
 	return nil
 }
-
-// ErrBusClosed reports operations on a closed bus.
-var ErrBusClosed = errors.New("bus closed")
 
 // Close shuts the whole bus down.
 func (b *Bus) Close() error {

@@ -26,7 +26,17 @@ type Ledger struct {
 	balances map[identity.Address]uint64
 	nextSeq  map[identity.Address]uint64
 	spent    map[txn.SpendKey]hashutil.Hash
-	supply   uint64
+	// held are transfers Apply was given ahead of their sender's next
+	// sequence, by spend key: each settles when its predecessor does.
+	held   map[txn.SpendKey]settlement
+	supply uint64
+}
+
+// settlement is what settling a transfer needs of it beyond its spend key.
+type settlement struct {
+	id     hashutil.Hash
+	to     identity.Address
+	amount uint64
 }
 
 // Application errors.
@@ -43,6 +53,7 @@ func New() *Ledger {
 		balances: make(map[identity.Address]uint64),
 		nextSeq:  make(map[identity.Address]uint64),
 		spent:    make(map[txn.SpendKey]hashutil.Hash),
+		held:     make(map[txn.SpendKey]settlement),
 	}
 }
 
@@ -77,36 +88,55 @@ func (l *Ledger) NextSeq(addr identity.Address) uint64 {
 }
 
 // Apply settles the viewed confirmed transfer, filed under id, into
-// balances. It returns an error (leaving state unchanged) when the
+// balances. It returns an error (leaving balances unchanged) when the
 // transfer is malformed, replays a consumed sequence, skips ahead, or
-// overdraws.
+// overdraws. One that skips ahead is held, not lost — transfers confirm
+// in whatever order their branches gain weight — and settles the moment
+// its sender's sequence reaches it.
 func (l *Ledger) Apply(v txn.View, id hashutil.Hash) error {
 	tr, err := v.Transfer()
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNotTransfer, err)
 	}
-	from := v.Sender()
 	key := v.SpendKey(tr)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
+	s := settlement{id: id, to: tr.To, amount: tr.Amount}
+	if want := l.nextSeq[key.Account]; tr.Seq > want {
+		if _, ok := l.held[key]; !ok {
+			l.held[key] = s
+		}
+		return fmt.Errorf("%w: got seq %d, want %d; held until then", ErrSeqOutOfOrder, tr.Seq, want)
+	}
+	err = l.settleLocked(key, s)
+	for ok := err == nil; ok; {
+		key.Seq++
+		if s, ok = l.held[key]; ok {
+			delete(l.held, key)
+			ok = l.settleLocked(key, s) == nil
+		}
+	}
+	return err
+}
+
+// settleLocked moves t's amount from key's account to t's recipient and
+// consumes key, which is not ahead of the account's next sequence.
+func (l *Ledger) settleLocked(key txn.SpendKey, t settlement) error {
+	from := key.Account
 	if winner, dup := l.spent[key]; dup {
 		return fmt.Errorf("%w: seq %d of %s already spent by %s",
-			ErrSeqReplayed, tr.Seq, from.Short(), winner.Short())
+			ErrSeqReplayed, key.Seq, from.Short(), winner.Short())
 	}
-	if want := l.nextSeq[from]; tr.Seq != want {
-		return fmt.Errorf("%w: got seq %d, want %d", ErrSeqOutOfOrder, tr.Seq, want)
-	}
-	if l.balances[from] < tr.Amount {
+	if l.balances[from] < t.amount {
 		return fmt.Errorf("%w: balance %d < amount %d",
-			ErrInsufficientFunds, l.balances[from], tr.Amount)
+			ErrInsufficientFunds, l.balances[from], t.amount)
 	}
-
-	l.balances[from] -= tr.Amount
-	l.balances[tr.To] += tr.Amount
-	l.nextSeq[from] = tr.Seq + 1
-	l.spent[key] = id
+	l.balances[from] -= t.amount
+	l.balances[t.to] += t.amount
+	l.nextSeq[from] = key.Seq + 1
+	l.spent[key] = t.id
 	return nil
 }
 

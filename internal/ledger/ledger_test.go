@@ -216,3 +216,30 @@ func TestLedgerLevelDoubleSpend(t *testing.T) {
 		t.Error("balances wrong after double-spend attempt")
 	}
 }
+
+// A transfer that confirms ahead of its predecessor is held and settles
+// with it, in sequence order, once the predecessor does.
+func TestApplyHoldsSeqSkipUntilPredecessor(t *testing.T) {
+	l := New()
+	alice := mustKey(t)
+	bob := mustKey(t).Address()
+	l.Mint(alice.Address(), 100)
+	for _, seq := range []uint64{2, 1} {
+		if err := apply(l, transfer(t, alice, bob, 10, seq)); !errors.Is(err, ErrSeqOutOfOrder) {
+			t.Fatalf("seq %d: err = %v, want ErrSeqOutOfOrder", seq, err)
+		}
+	}
+	if l.Balance(bob) != 0 || l.NextSeq(alice.Address()) != 0 {
+		t.Fatal("a held transfer settled before its predecessor")
+	}
+	if err := apply(l, transfer(t, alice, bob, 10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if l.Balance(bob) != 30 || l.Balance(alice.Address()) != 70 || l.NextSeq(alice.Address()) != 3 {
+		t.Errorf("balances %d / %d, next seq %d; want 70 / 30, 3",
+			l.Balance(alice.Address()), l.Balance(bob), l.NextSeq(alice.Address()))
+	}
+	if err := apply(l, transfer(t, alice, bob, 10, 2)); !errors.Is(err, ErrSeqReplayed) {
+		t.Errorf("re-applying a settled held transfer: err = %v, want ErrSeqReplayed", err)
+	}
+}

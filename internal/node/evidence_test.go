@@ -55,9 +55,9 @@ func craftAuthTx(t *testing.T, mgrKey *identity.KeyPair, list authz.List, trunk,
 
 // injectedNode is a gateway receiving gossip from a bare injector peer:
 // the injector joins the bus WITHOUT a handler, so the node's reactive
-// lanes back to it (orphan sync, auth-list probes) fail harmlessly and
-// every admission decision is forced from exactly the bytes injected —
-// the deterministic reproduction of an arbitrary relay interleaving.
+// lane back to it (orphan sync) fails harmlessly and every admission
+// decision is forced from exactly the bytes injected — the deterministic
+// reproduction of an arbitrary relay interleaving.
 type injectedNode struct {
 	n   *node.FullNode
 	inj gossip.Network

@@ -87,8 +87,8 @@ func (n *FullNode) ReplayPerRecord(fs chaos.FS, path string) error {
 	if epoch := coldIdx.Epoch(); !epoch.IsZero() {
 		n.registry.PruneVersions(epoch, evidenceMinVersions)
 	}
-	n.pendingMu.Lock()
+	n.journalMu.Lock()
 	n.journal, n.coldIdx = log, coldIdx // ClosePersistence closes both
-	n.pendingMu.Unlock()
+	n.journalMu.Unlock()
 	return nil
 }

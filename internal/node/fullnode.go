@@ -144,7 +144,6 @@ type Counters struct {
 	Quarantined       *metrics.Counter
 	QuarantineDrops   *metrics.Counter
 	QuarantineRepairs *metrics.Counter
-	AuthListProbes    *metrics.Counter
 	GossipIn          *metrics.Counter
 	JournalErrors     *metrics.Counter
 	QualityViolations *metrics.Counter
@@ -189,12 +188,9 @@ type FullNode struct {
 	// single-flight, cancelled and joined by Close.
 	repair orphanRepair
 
-	pendingMu sync.Mutex
-	pending   map[hashutil.Hash]txn.View // transfers awaiting confirmation, over the ledger's bytes
-	deferred  []tangle.Event             // settlement events awaiting drainDeferred
-	drained   []tangle.Event             // the last drain's slice, emptied: the next deferred
-	journal   *store.Log                 // nil unless EnablePersistence was called
-	coldIdx   *store.ColdIndex           // durable pruned-ID index; nil when memory-only
+	journalMu sync.Mutex       // guards journal and coldIdx
+	journal   *store.Log       // nil unless EnablePersistence was called
+	coldIdx   *store.ColdIndex // durable pruned-ID index; nil when memory-only
 
 	// replayGate holds admission (read side: Submit, admitGossipBatch)
 	// while EnablePersistenceFS replays the journal (write side).
@@ -203,13 +199,10 @@ type FullNode struct {
 	limiterMu sync.Mutex
 	limiter   map[identity.Address]*rateBucket
 
-	// syncMu guards the per-peer sync cursors: how far into each peer's
-	// attachment order this node has already paged. Scoped (per-shard)
-	// cursors share the map under a "peer#shard" key.
-	syncMu     sync.Mutex
-	syncCursor map[string]uint64
-	// syncTurn serializes the pagers of one cursor (see syncFrom).
-	syncTurn map[string]*sync.Mutex
+	// cursors are the sync cursors by cursorKey: how far into each peer's
+	// attachment order, or one namespace's, this node has already paged.
+	cursorsMu sync.Mutex
+	cursors   map[string]*syncCursor
 
 	// lastReconcile is the unix-nano stamp of the last completed
 	// backbone reconciliation round (0 = never); MemoryStats derives
@@ -271,7 +264,6 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 			Quarantined:        &metrics.Counter{},
 			QuarantineDrops:    &metrics.Counter{},
 			QuarantineRepairs:  &metrics.Counter{},
-			AuthListProbes:     &metrics.Counter{},
 			GossipIn:           &metrics.Counter{},
 			JournalErrors:      &metrics.Counter{},
 			QualityViolations:  &metrics.Counter{},
@@ -279,12 +271,10 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 			CreditTxsMerged:    &metrics.Counter{},
 			CreditEventsMerged: &metrics.Counter{},
 		},
-		pipeline:   newPipelineMetrics(),
-		quar:       newQuarantine(quarantineCap, quarantineTTL),
-		pending:    make(map[hashutil.Hash]txn.View),
-		limiter:    make(map[identity.Address]*rateBucket),
-		syncCursor: make(map[string]uint64),
-		syncTurn:   make(map[string]*sync.Mutex),
+		pipeline: newPipelineMetrics(),
+		quar:     newQuarantine(quarantineCap, quarantineTTL),
+		limiter:  make(map[identity.Address]*rateBucket),
+		cursors:  make(map[string]*syncCursor),
 	}
 	n.verify = newVerifyStage(n.pipeline)
 	n.submission, n.relayed = n.edges()
@@ -334,9 +324,9 @@ func (n *FullNode) Clock() clock.Clock { return n.cfg.Clock }
 // onTangleEvent routes ledger events. Events are delivered serialized
 // in ledger order after the tangle lock is released (possibly on a
 // concurrent submitter's goroutine), so this must stay cheap and only
-// touch concurrency-safe state; heavier follow-ups (token settlement)
-// are deferred and drained after the attach completes. The same order is
-// why the journal is fed from here (journalAttached).
+// touch concurrency-safe state. The same order is why the journal is fed
+// from here (journalAttached), and why a confirmed transfer settles here:
+// the token ledger holds one that confirms ahead of its predecessor.
 func (n *FullNode) onTangleEvent(ev tangle.Event) {
 	switch ev.Kind {
 	case tangle.EventAttached:
@@ -357,56 +347,14 @@ func (n *FullNode) onTangleEvent(ev tangle.Event) {
 		})
 	case tangle.EventApproved:
 		n.engine.Ledger().UpdateWeight(ev.Node, ev.Tx, ev.Weight)
-	case tangle.EventConfirmed, tangle.EventRejected:
-		n.pendingMu.Lock()
-		n.deferred = append(n.deferred, ev)
-		n.pendingMu.Unlock()
-	}
-}
-
-// drainDeferred settles confirmed transfers and discards rejected ones.
-// Called after Attach returns (outside the tangle lock). The queue is
-// double-buffered like the tangle's own: the slice a drain worked through
-// is cleared and becomes the next queue, so it is not regrown from nothing
-// for every confirmation. Drains may overlap; a later one that finds no
-// spare starts an empty queue, and the larger slice is the one kept.
-func (n *FullNode) drainDeferred() {
-	n.pendingMu.Lock()
-	events := n.deferred
-	if len(events) == 0 {
-		n.pendingMu.Unlock()
-		return
-	}
-	n.deferred, n.drained = n.drained, nil
-	n.pendingMu.Unlock()
-
-	for _, ev := range events {
-		if ev.Kind != tangle.EventConfirmed {
-			// Rejected transfers stay tracked: conflict resolution can
-			// reinstate a branch that later grows heavier, and only a
-			// confirmation is final.
-			continue
-		}
-		n.pendingMu.Lock()
-		v, ok := n.pending[ev.Tx]
-		if ok {
-			delete(n.pending, ev.Tx)
-		}
-		n.pendingMu.Unlock()
-		if ok {
+	case tangle.EventConfirmed:
+		if ev.Txn.Kind() == txn.KindTransfer {
 			// Settlement can legitimately fail (e.g. overdraw after an
 			// earlier conflicting spend settled); the ledger stays
 			// consistent either way.
-			_ = n.tokens.Apply(v, ev.Tx)
+			_ = n.tokens.Apply(ev.Txn, ev.Tx)
 		}
 	}
-
-	clear(events)
-	n.pendingMu.Lock()
-	if cap(events) > cap(n.drained) {
-		n.drained = events[:0]
-	}
-	n.pendingMu.Unlock()
 }
 
 func (n *FullNode) allowRate(addr identity.Address, now time.Time) bool {
@@ -636,9 +584,8 @@ func (n *FullNode) attachVerified(rec inflight, now time.Time) (tangle.Info, err
 var errListInvalid = errors.New("authorization list on the ledger is invalid")
 
 // commit is the one tail every path into the ledger runs — submission,
-// relay and journal replay: track a transfer for settlement, write the
-// credit record, attach, check data quality, observe an authorization
-// list, settle what the attach confirmed. The state it leaves is a pure
+// relay and journal replay: write the credit record, attach, check data
+// quality, observe an authorization list. The state it leaves is a pure
 // function of WHAT was attached (Eqns 2–5), which is why replay shares it.
 // at is the admission instant: the clock at a live edge, the record's own
 // timestamp on replay. attach is AttachShard live; on replay it restores
@@ -646,15 +593,6 @@ var errListInvalid = errors.New("authorization list on the ledger is invalid")
 func (n *FullNode) commit(rec inflight, at time.Time,
 	attach func(txn.View, hashutil.Hash, uint32) (tangle.Info, error)) (tangle.Info, error) {
 	sender := rec.Sender()
-
-	// Track transfers for settlement before attaching, so the
-	// confirmation event (which may fire during Attach) finds it. The
-	// bytes are the ledger's own, never written, so nothing is copied.
-	if rec.Kind() == txn.KindTransfer {
-		n.pendingMu.Lock()
-		n.pending[rec.id] = rec.View
-		n.pendingMu.Unlock()
-	}
 
 	// Credit accounting: the sender earns a valid-transaction record at
 	// initial weight 1; approvals raise it via EventApproved. The record
@@ -685,9 +623,6 @@ func (n *FullNode) commit(rec inflight, at time.Time,
 			// A duplicate keeps what the first copy recorded (both are
 			// idempotent); anything else never entered the ledger.
 			n.engine.Ledger().RemoveTransaction(sender, rec.id)
-			n.pendingMu.Lock()
-			delete(n.pending, rec.id)
-			n.pendingMu.Unlock()
 		}
 		return tangle.Info{}, fmt.Errorf("attach: %w", err)
 	}
@@ -712,7 +647,6 @@ func (n *FullNode) commit(rec inflight, at time.Time,
 			err = fmt.Errorf("observe authorization list: %w: %v", errListInvalid, lerr)
 		}
 	}
-	n.drainDeferred()
 	return info, err
 }
 
@@ -734,26 +668,12 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 		if msg.Scoped {
 			hint = uint32(msg.Shard)
 		}
-		n.admitGossipBatch(context.Background(), from, msg.TxData, true, hint)
+		n.admitGossipBatch(from, msg.TxData, true, hint)
 		return &batchAck, nil
 	case gossip.MsgSyncRequest:
 		return n.serveSyncPage(msg), nil
 	case gossip.MsgCreditRequest:
 		return n.serveCreditPage(msg)
-	case gossip.MsgAuthListRequest:
-		// Anti-entropy probe for the evidence window: return the
-		// authorization-list transaction(s) with the requested sequence
-		// (msg.Offset). Lists are retained across snapshots, so any
-		// sequence this node ever admitted is servable.
-		var data [][]byte
-		for _, enc := range n.tangle.EncodedByKind(txn.KindAuthorization, 0) {
-			if v, err := txn.ViewOf(enc); err == nil {
-				if list, err := authz.DecodeList(v.Payload()); err == nil && list.Seq == msg.Offset {
-					data = append(data, enc)
-				}
-			}
-		}
-		return &gossip.Message{Type: gossip.MsgAuthListResponse, TxData: data}, nil
 	case gossip.MsgSnapshotRequest:
 		data, err := json.Marshal(n.SnapshotManifest())
 		if err != nil {
@@ -774,11 +694,12 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 // the node owns, checked and identified (txn.ViewCopy), deduplicated, and
 // filed with the namespace hint declares (newInflight); then parallel
 // verification and the serialized attach. It never waits on the network:
-// a transaction whose parent is not attached parks in the quarantine and
-// is retried when later arrivals attach (kickQuarantine). Peers keep
-// several batches in flight, so a parent is usually one batch behind
-// its child, not lost; on the relay path (repair set) a pull for one
-// that stays missing runs in the background (repairOrphans).
+// a transaction this node lacks something for — an unattached parent, or
+// an authorization list its evidence verdict needs — parks in the
+// quarantine and is retried when later arrivals attach (kickQuarantine).
+// Peers keep several batches in flight, so what is missing is usually one
+// batch behind, not lost; on the relay path (repair set) a pull for what
+// stays missing runs in the background (repairOrphans).
 //
 // Authorization lists change who verifies as authorized, so they are
 // segment boundaries: the batch is verified and attached in runs, with
@@ -792,7 +713,7 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 // today — typically because this node's credit view lags and the
 // difficulty check disagrees — may verify cleanly once more of the
 // ledger has arrived, so its page must be re-offered by a later sync.
-func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]byte, repair bool, hint uint32) (failed int) {
+func (n *FullNode) admitGossipBatch(from string, raw [][]byte, repair bool, hint uint32) (failed int) {
 	n.replayGate.RLock()
 	defer n.replayGate.RUnlock()
 	now := n.cfg.Clock.Now()
@@ -850,8 +771,6 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 				continue
 			case relayDuplicate:
 				continue
-			case relayUnresolved:
-				n.parkQuarantine(ctx, from, rec, seq, now)
 			case relayOrphan:
 				// Park rather than drop: the missing parent is usually right
 				// behind (a later batch, or later in the same sync), its
@@ -863,15 +782,19 @@ func (n *FullNode) admitGossipBatch(ctx context.Context, from string, raw [][]by
 				// sequences never roll back, and the manager's publish waits
 				// only for the fan-out, so a revocation must bind this
 				// gateway's submission edge from the moment it is seen, not
-				// from the moment its parents happen to arrive. (The probe
-				// folds lists in the same way; attach observes the list again,
-				// which is then a no-op. An undecodable list fails here as it
-				// will when it attaches, which is where it is counted.)
+				// from the moment its parents happen to arrive. (Attach
+				// observes the list again, which is then a no-op. An
+				// undecodable list fails here as it will when it attaches,
+				// which is where it is counted.)
 				n.counters.Rejected.Inc()
 				if rec.Kind() == txn.KindAuthorization {
 					_, _ = n.observeList(rec.View, now)
 				}
-				n.parkQuarantine(ctx, from, rec, 0, now)
+				fallthrough
+			case relayUnresolved:
+				// An evidence gap is a missing list: a ledger transaction
+				// like a missing parent, parked and repaired the same way.
+				n.parkQuarantine(rec, now)
 				orphans = append(orphans, rec.id)
 			}
 			failed++ // a Sybil, a parked one, or the attach failed: syncFrom keeps the page dirty
@@ -916,7 +839,7 @@ const (
 	relayAttached     relayOutcome = iota
 	relayDuplicate                 // the ledger holds it already
 	relayOrphan                    // a parent is not attached yet: park, retry when something attaches
-	relayUnresolved                // the evidence scan hit a list-sequence gap: park until the list arrives
+	relayUnresolved                // the evidence scan hit a list-sequence gap: park until the list attaches
 	relayUnauthorized              // a Sybil: drop
 	relayFailed                    // the attach refused it: drop
 )
@@ -926,11 +849,10 @@ const (
 // authoritative evidence-at-admission verdict is taken just before attach
 // (DESIGN.md §15): a definitive Unauthorized is a Sybil and is dropped;
 // Unresolved and an orphan are the caller's to park; the rest goes to
-// attachVerified. seq is the list-sequence gap the evidence scan hit when
-// the outcome is relayUnresolved, and the attach sequence when it is
+// attachVerified. seq is the attach sequence when the outcome is
 // relayAttached.
 func (n *FullNode) admitRelayed(rec inflight, now time.Time) (outcome relayOutcome, seq uint64) {
-	verdict, missing, ok := n.relayAuthVerdict(rec.View)
+	verdict, ok := n.relayAuthVerdict(rec.View)
 	switch {
 	case !ok:
 		if !n.tangle.WasSnapshotted(rec.Trunk()) && !n.tangle.WasSnapshotted(rec.Branch()) {
@@ -943,7 +865,7 @@ func (n *FullNode) admitRelayed(rec inflight, now time.Time) (outcome relayOutco
 		n.counters.StaleAuthRejects.Inc()
 		return relayUnauthorized, 0
 	case verdict == authz.VerdictUnresolved:
-		return relayUnresolved, missing
+		return relayUnresolved, 0
 	}
 	info, err := n.attachVerified(rec, now)
 	switch {
@@ -981,33 +903,29 @@ func (n *FullNode) observeList(v txn.View, now time.Time) (bool, error) {
 //
 // Returns ok=false when the verdict cannot be taken at all because a
 // parent is unattached (the caller falls through to the orphan path).
-// missing is the first unobserved list sequence when the verdict is
-// Unresolved — the anti-entropy probe target.
-func (n *FullNode) relayAuthVerdict(v txn.View) (verdict authz.Verdict, missing uint64, ok bool) {
+// An Unresolved verdict means a list sequence in the scanned range is
+// missing here: a ledger transaction like any other, which sync repairs.
+func (n *FullNode) relayAuthVerdict(v txn.View) (verdict authz.Verdict, ok bool) {
 	if k := v.Kind(); k == txn.KindAuthorization || k == txn.KindGenesis {
-		return authz.VerdictAuthorized, 0, true
+		return authz.VerdictAuthorized, true
 	}
 	seq, haveParents := n.tangle.EvidenceSeq(v.Trunk(), v.Branch())
 	if !haveParents {
-		return authz.VerdictUnresolved, 0, false
+		return authz.VerdictUnresolved, false
 	}
-	verdict, missing = n.registry.EvidenceVerdict(v.Sender(), seq)
-	return verdict, missing, true
+	verdict, _ = n.registry.EvidenceVerdict(v.Sender(), seq)
+	return verdict, true
 }
 
-// parkQuarantine parks one unresolvable relayed transaction and, when
-// the block is a known list-sequence gap, probes the relaying peer for
-// the missing list immediately.
-func (n *FullNode) parkQuarantine(ctx context.Context, from string, rec inflight, missingSeq uint64, now time.Time) {
-	fresh, evicted := n.quar.park(rec, from, missingSeq, now)
+// parkQuarantine parks one relayed transaction that waits for a parent or
+// an authorization list this node lacks.
+func (n *FullNode) parkQuarantine(rec inflight, now time.Time) {
+	fresh, evicted := n.quar.park(rec, now)
 	if fresh {
 		n.counters.Quarantined.Inc()
 	}
 	if evicted > 0 {
 		n.counters.QuarantineDrops.Add(int64(evicted))
-	}
-	if missingSeq > 0 {
-		n.probeAuthList(ctx, from, missingSeq)
 	}
 }
 
@@ -1050,10 +968,7 @@ func (n *FullNode) retryParked(now time.Time) {
 				last = seq
 				n.counters.QuarantineRepairs.Inc()
 				progress = true
-			case relayOrphan:
-				n.quar.repark(e)
-			case relayUnresolved:
-				e.missingSeq = seq
+			case relayOrphan, relayUnresolved:
 				n.quar.repark(e)
 			case relayFailed:
 				n.counters.QuarantineDrops.Inc()
@@ -1061,48 +976,6 @@ func (n *FullNode) retryParked(now time.Time) {
 		}
 	}
 	n.awaitJournal(last, maxUnsyncedRelay)
-}
-
-// probeAuthList asks the peer that relayed a transaction — or, when
-// that is not an address this node can dial, its first listed peer —
-// for the authorization list with the given sequence and folds a valid
-// reply into the evidence window. This is targeted anti-entropy: the
-// normal sync lane still delivers the list transaction for the ledger;
-// the probe just un-blocks evidence verdicts without waiting for a full
-// sync round.
-func (n *FullNode) probeAuthList(ctx context.Context, from string, seq uint64) {
-	if from == "" || seq == 0 {
-		return
-	}
-	peers := n.repairPeers(from)
-	if len(peers) == 0 {
-		return
-	}
-	n.counters.AuthListProbes.Inc()
-	reply, err := n.cfg.Network.Request(ctx, peers[0], gossip.Message{
-		Type:   gossip.MsgAuthListRequest,
-		Offset: seq,
-	})
-	if err != nil || reply.Type != gossip.MsgAuthListResponse {
-		return
-	}
-	// A list is only observed, never attached, so its view may alias the
-	// reply: the registry keeps none of its bytes. The reply passes the
-	// relay edges' gate and counts nothing.
-	now := n.cfg.Clock.Now()
-	var lists []inflight
-	for _, raw := range reply.TxData {
-		if v, err := txn.ViewOf(raw); err == nil && v.Kind() == txn.KindAuthorization {
-			lists = append(lists, newInflight(v, hashutil.Hash{}, 0))
-		}
-	}
-	errs := n.gate(lists, n.relayed, now)
-	for i, rec := range lists {
-		if errs == nil || errs[i] == nil {
-			_, _ = n.observeList(rec.View, now)
-		}
-	}
-	n.kickQuarantine(now)
 }
 
 // QuarantineLen reports how many relayed transactions are currently
@@ -1205,29 +1078,25 @@ func (s syncScope) cursorKey(peer string) string {
 	return fmt.Sprintf("%s#%d", peer, s.shard)
 }
 
-func (n *FullNode) cursorFor(key string) uint64 {
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
-	return n.syncCursor[key]
+// syncCursor is how far into one peer's attachment order (or one
+// namespace's) this node has paged. Its mutex is the pager's turn: one
+// syncFrom at a time pages a cursor, and only it, holding the turn, reads
+// or moves the position.
+type syncCursor struct {
+	sync.Mutex
+	pos uint64
 }
 
-// turnFor returns the lock that admits one pager at a time to the
-// cursor named key.
-func (n *FullNode) turnFor(key string) *sync.Mutex {
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
-	turn := n.syncTurn[key]
-	if turn == nil {
-		turn = new(sync.Mutex)
-		n.syncTurn[key] = turn
+// cursor returns the sync cursor named key, created at position 0.
+func (n *FullNode) cursor(key string) *syncCursor {
+	n.cursorsMu.Lock()
+	defer n.cursorsMu.Unlock()
+	c := n.cursors[key]
+	if c == nil {
+		c = new(syncCursor)
+		n.cursors[key] = c
 	}
-	return turn
-}
-
-func (n *FullNode) setCursor(key string, cursor uint64) {
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
-	n.syncCursor[key] = cursor
+	return c
 }
 
 // syncFrom pulls missing transactions from one peer over net and admits
@@ -1266,14 +1135,13 @@ func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string
 	if net == n.cfg.Backbone {
 		pages = n.counters.BackboneSyncPages
 	}
-	key := scope.cursorKey(peer)
 	// One pager per cursor: a second one (the background orphan repair
 	// beside an operator's SyncAll, two reconcile rounds) would fetch,
 	// decode and verify the same pages over again. It waits, and then
 	// pages only what the first left — usually nothing.
-	turn := n.turnFor(key)
-	turn.Lock()
-	defer turn.Unlock()
+	cur := n.cursor(scope.cursorKey(peer))
+	cur.Lock()
+	defer cur.Unlock()
 
 	type fetched struct {
 		reply gossip.Message
@@ -1312,7 +1180,7 @@ func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string
 		}
 	}()
 
-	cursor := n.cursorFor(key)
+	cursor := cur.pos
 	clean := true
 	fetch(cursor)
 	for page := 0; page < maxSyncPages; page++ {
@@ -1328,7 +1196,7 @@ func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string
 			// requested beyond this reply, so nothing stale is in flight.
 			cursor = 0
 			clean = true
-			n.setCursor(key, 0)
+			cur.pos = 0
 			fetch(0)
 			continue
 		}
@@ -1337,7 +1205,7 @@ func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string
 			fetch(reply.Offset)
 		}
 		pages.Inc()
-		if n.admitGossipBatch(ctx, peer, reply.TxData, false, hint) > 0 {
+		if n.admitGossipBatch(peer, reply.TxData, false, hint) > 0 {
 			// The page had admissions we could not complete — usually a
 			// difficulty check against a still-stale credit view, or an
 			// orphan whose parent lives on another peer. The in-call
@@ -1353,7 +1221,7 @@ func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string
 		}
 		cursor = reply.Offset
 		if clean {
-			n.setCursor(key, cursor)
+			cur.pos = cursor
 		}
 		if !reply.More {
 			return

@@ -14,10 +14,10 @@ import (
 // signature every way demands (DESIGN.md §7) — values, which gate applies
 // by one rule:
 //
-//	edge                authorization source   proof of work    rate limit
-//	Submit              live registry          DifficultyFor    yes
-//	relay, sync, probe  evidence verdict       MinDifficulty    no
-//	journal replay      none                   none             no
+//	edge             authorization source   proof of work    rate limit
+//	Submit           live registry          DifficultyFor    yes
+//	relay, sync      evidence verdict       MinDifficulty    no
+//	journal replay   none                   none             no
 type edge struct {
 	// authorize judges the sender of anything but an authorization list,
 	// which only the manager issues; nil demands no issuer rule at all.
@@ -49,7 +49,7 @@ func (n *FullNode) edges() (submission, relayed edge) {
 	}
 	relayed = edge{
 		authorize: func(v txn.View, _ identity.Address) error {
-			if verdict, _, ok := n.relayAuthVerdict(v); ok && verdict == authz.VerdictUnauthorized {
+			if verdict, ok := n.relayAuthVerdict(v); ok && verdict == authz.VerdictUnauthorized {
 				return errNoEvidence
 			}
 			return nil
@@ -76,8 +76,7 @@ var errNoEvidence = fmt.Errorf("%w: a member of no list its evidence reaches", E
 // The cheap checks come first, so a Sybil flood costs no signature
 // verification, and the rate limit last, so only a transaction that would
 // otherwise be admitted spends its sender's budget. What a refusal means —
-// a counted reject, a refused journal, an ignored probe reply — is the
-// caller's.
+// a counted reject or a refused journal — is the caller's.
 func (n *FullNode) gate(recs []inflight, e edge, now time.Time) []error {
 	var errs []error
 	passed := func(i int) bool { return errs == nil || errs[i] == nil }
@@ -137,7 +136,7 @@ func (n *FullNode) precheck(v txn.View, e edge, now time.Time) error {
 }
 
 // countRefusal files a refusal from the gate under its one counter (see
-// Counters). The live edges call it; replay and probe replies count nothing.
+// Counters). The live edges call it; replay counts nothing.
 func (n *FullNode) countRefusal(err error) {
 	switch c := n.counters; {
 	case errors.Is(err, errNoEvidence):

@@ -80,14 +80,14 @@ func (n *FullNode) MemoryGauges() MemoryGauges {
 	if lag, ok := n.ReconcileLag(); ok {
 		g.ReconcileLagMS = lag.Milliseconds()
 	}
-	n.pendingMu.Lock()
+	n.journalMu.Lock()
 	if n.journal != nil {
 		g.JournalBytes = n.journal.Bytes()
 	}
 	if n.coldIdx != nil {
 		g.ColdIndexBytes = n.coldIdx.Bytes()
 	}
-	n.pendingMu.Unlock()
+	n.journalMu.Unlock()
 	var rt runtime.MemStats
 	runtime.ReadMemStats(&rt)
 	g.HeapInuse = rt.HeapInuse

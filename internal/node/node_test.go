@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/b-iot/biot/internal/authz"
 	"github.com/b-iot/biot/internal/clock"
 	"github.com/b-iot/biot/internal/core"
 	"github.com/b-iot/biot/internal/dataauth"
@@ -295,6 +296,73 @@ func TestTransferSettlementOnConfirmation(t *testing.T) {
 	}
 	if bal := dep.full.Tokens().Balance(alice.Address()); bal != 60 {
 		t.Errorf("alice balance = %d, want 60", bal)
+	}
+}
+
+// TestTransferSettlesWhenConfirmedAheadOfItsPredecessor: alice's two
+// transfers sit on separate branches, and the later sequence confirms
+// first. It must settle once its predecessor does, not be lost because it
+// came out of order.
+func TestTransferSettlesWhenConfirmedAheadOfItsPredecessor(t *testing.T) {
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &scriptedNet{}
+	relay := newRelay(t, mgrKey, net)
+	relay.Tokens().Mint(alice.Address(), 100)
+
+	g := genesisIDs(t, relay)
+	floor, now := testParams().MinDifficulty, time.Now()
+	list := craftAuthTx(t, mgrKey, authz.List{Seq: 1, Devices: []string{identity.EncodePublic(alice.Public())}}, g[0], g[1], now)
+	spend := func(seq uint64) *txn.Transaction {
+		payload := txn.EncodeTransfer(txn.Transfer{To: bob.Address(), Amount: 10, Seq: seq})
+		return craftTx(alice, txn.KindTransfer, payload, list.ID(), list.ID(), now, floor)
+	}
+	first, second := spend(0), spend(1)
+	net.deliver(t, "peer", list, first, second)
+
+	// confirm grows a chain of readings on top of tx until tx confirms.
+	confirm := func(tx *txn.Transaction) {
+		t.Helper()
+		tip := tx.ID()
+		for i := 0; ; i++ {
+			info, err := relay.InfoOf(tx.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Status == tangle.StatusConfirmed {
+				return
+			}
+			if i == 20 {
+				t.Fatalf("%s not confirmed under %d approvers", tx.ID().Short(), i)
+			}
+			r := craftTx(alice, txn.KindData, []byte(fmt.Sprintf("%s-%d", tx.ID().Short(), i)), tip, tip, now, floor)
+			net.deliver(t, "peer", r)
+			tip = r.ID()
+		}
+	}
+	confirm(second)
+	if info, _ := relay.InfoOf(first.ID()); info.Status == tangle.StatusConfirmed {
+		t.Fatal("fixture: sequence 0 confirmed together with sequence 1")
+	}
+	if got := relay.Tokens().Balance(bob.Address()); got != 0 {
+		t.Errorf("bob holds %d before sequence 0 confirmed, want 0", got)
+	}
+	confirm(first)
+	if got := relay.Tokens().Balance(bob.Address()); got != 20 {
+		t.Errorf("bob holds %d after both transfers confirmed, want 20", got)
+	}
+	if got := relay.Tokens().Balance(alice.Address()); got != 80 {
+		t.Errorf("alice holds %d after both transfers confirmed, want 80", got)
 	}
 }
 

@@ -347,6 +347,102 @@ func TestOrphanAuthorizationListBindsAtOnce(t *testing.T) {
 	}
 }
 
+// TestEvidenceGapRepairedByOrphanLane: a relay that holds authorization
+// lists 1 and 3 is handed a reading whose evidence is list 1 and whose
+// sender is a member of list 2 only. The verdict is Unresolved, a gap like
+// a missing parent: the reading parks, and after the grace the repair lane
+// pulls the missing list from a listed peer — not only from the peer that
+// relayed the reading, which here has nothing to serve.
+func TestEvidenceGapRepairedByOrphanLane(t *testing.T) {
+	bus := gossip.NewBus()
+	t.Cleanup(func() { _ = bus.Close() })
+	join := func(name string) gossip.Network {
+		net, err := bus.Join(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	devKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	relayKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	manager, err := node.NewFull(node.FullConfig{
+		Key: mgrKey, Role: identity.RoleManager, ManagerPub: mgrKey.Public(),
+		Credit: testParams(), Network: join("a"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer manager.Close()
+	relay, err := node.NewFull(node.FullConfig{
+		Key: relayKey, Role: identity.RoleGateway, ManagerPub: mgrKey.Public(),
+		Credit: testParams(), Network: join("b"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	inj := join("inj") // relays to both and, without a handler, serves nothing
+	send := func(to string, txs ...*txn.Transaction) {
+		t.Helper()
+		data := make([][]byte, len(txs))
+		for i, tx := range txs {
+			data[i] = tx.Encode()
+		}
+		if _, err := inj.Request(context.Background(), to, gossip.Message{Type: gossip.MsgTransaction, TxData: data}); err != nil {
+			t.Fatalf("inject: %v", err)
+		}
+	}
+
+	g := genesisIDs(t, relay)
+	now := time.Now()
+	list1 := craftAuthTx(t, mgrKey, authz.List{Seq: 1}, g[0], g[1], now)
+	list2 := craftAuthTx(t, mgrKey, authz.List{Seq: 2, Devices: []string{identity.EncodePublic(devKey.Public())}},
+		list1.ID(), list1.ID(), now)
+	reading := craftTx(devKey, txn.KindData, []byte("reading"), list1.ID(), list1.ID(), now, testParams().MinDifficulty)
+	list3 := craftAuthTx(t, mgrKey, authz.List{Seq: 3}, list1.ID(), list1.ID(), now)
+	send("a", list1, list2, reading, list3)
+	if !manager.Tangle().Contains(reading.ID()) || manager.Registry().Seq() != 3 {
+		t.Fatal("fixture: the manager does not hold the lists and the reading")
+	}
+
+	send("b", list1, list3)
+	send("b", reading)
+	if relay.Tangle().Contains(reading.ID()) || relay.QuarantineLen() != 1 {
+		t.Fatalf("fixture: reading attached=%v with %d parked; want it parked on the list-2 gap",
+			relay.Tangle().Contains(reading.ID()), relay.QuarantineLen())
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); !relay.Tangle().Contains(reading.ID()); {
+		if time.Now().After(deadline) {
+			t.Fatalf("reading still parked after 5s, registry at list %d", relay.Registry().Seq())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	c := relay.CountersView()
+	if got := relay.Registry().Seq(); got != 3 {
+		t.Errorf("registry at list %d, want 3", got)
+	}
+	if got := c.StaleAuthRejects.Value(); got != 0 {
+		t.Errorf("StaleAuthRejects = %d, want 0", got)
+	}
+	if got := relay.QuarantineLen(); got != 0 {
+		t.Errorf("QuarantineLen = %d, want 0", got)
+	}
+	if got := relay.Pipeline().OrphanSyncs.Value(); got < 1 {
+		t.Errorf("OrphanSyncs = %d, want ≥ 1", got)
+	}
+}
+
 // TestCloseRacesOrphanRepairStart: a handler parking an orphan starts the
 // repair lane (joining its wait group) while Close cancels the lane and
 // waits for it. Close used to cancel outside the lane's lock, so the

@@ -103,17 +103,17 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 		n.registry.PruneVersions(epoch, evidenceMinVersions)
 	}
 	log.Observe(n.observeJournal)
-	n.pendingMu.Lock()
+	n.journalMu.Lock()
 	n.journal = log
 	n.coldIdx = coldIdx
-	n.pendingMu.Unlock()
+	n.journalMu.Unlock()
 	return log.Len(), nil
 }
 
 // journalLog returns the open journal, nil on a memory-only node.
 func (n *FullNode) journalLog() *store.Log {
-	n.pendingMu.Lock()
-	defer n.pendingMu.Unlock()
+	n.journalMu.Lock()
+	defer n.journalMu.Unlock()
 	return n.journal
 }
 
@@ -151,12 +151,12 @@ func (n *FullNode) JournalStats() (stats store.RecoveryStats, generation uint64,
 // relayed records no handler waited for — and closes it and the cold
 // index.
 func (n *FullNode) ClosePersistence() error {
-	n.pendingMu.Lock()
+	n.journalMu.Lock()
 	log := n.journal
 	idx := n.coldIdx
 	n.journal = nil
 	n.coldIdx = nil
-	n.pendingMu.Unlock()
+	n.journalMu.Unlock()
 	if log == nil {
 		return ErrNotPersistent
 	}

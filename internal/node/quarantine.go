@@ -8,22 +8,23 @@ import (
 	"github.com/b-iot/biot/internal/hashutil"
 )
 
-// Quarantine-and-repair lane for relayed transactions whose admission
-// evidence cannot be resolved yet (DESIGN.md §15): a sync or gossip
-// transaction whose authorization ancestor has not attached, or whose
-// evidence scan hits a list-sequence gap, parks here instead of being
-// dropped — dropping it would orphan its descendants, which is exactly
-// the interleaving behind the old revocation-storm flake. Entries are
-// retried whenever an authorization list lands (kickQuarantine) and
-// expire on a per-entry TTL; the map is capacity-bounded with FIFO
-// eviction, so a hostile flood of unresolvable transactions costs
-// O(cap) memory and nothing more.
+// Quarantine-and-repair lane for relayed transactions this node lacks
+// something for (DESIGN.md §9, §15): a sync or gossip transaction whose
+// parent has not attached, or whose evidence scan hits a list-sequence
+// gap — an authorization list is a ledger transaction like any other —
+// parks here instead of being dropped. Dropping it would orphan its
+// descendants, which is exactly the interleaving behind the old
+// revocation-storm flake. Entries are retried whenever something attaches
+// (kickQuarantine), pulled for in the background when that does not
+// happen (repairOrphans), and expire on a per-entry TTL; the map is
+// capacity-bounded with FIFO eviction, so a hostile flood of
+// unresolvable transactions costs O(cap) memory and nothing more.
 
 const (
 	// quarantineCap bounds parked entries.
 	quarantineCap = 256
-	// quarantineTTL is how long an entry may wait for its missing
-	// evidence before being dropped (sync re-offers it later if it ever
+	// quarantineTTL is how long an entry may wait for what it lacks
+	// before being dropped (sync re-offers it later if it ever
 	// resolves).
 	quarantineTTL = 30 * time.Second
 )
@@ -34,11 +35,6 @@ type quarEntry struct {
 	// included, so a later kick attaches it into the same shard its relay
 	// targeted.
 	rec inflight
-	// from is the peer that relayed it (the anti-entropy probe target).
-	from string
-	// missingSeq is the first unobserved list sequence blocking the
-	// evidence verdict; 0 when the block is an unattached parent.
-	missingSeq uint64
 	// deadline is the entry's TTL expiry.
 	deadline time.Time
 }
@@ -63,19 +59,17 @@ func newQuarantine(capacity int, ttl time.Duration) *quarantine {
 // park inserts (or refreshes) an entry. fresh reports whether the
 // transaction was not already parked; evicted is how many oldest
 // entries were displaced to stay under capacity.
-func (q *quarantine) park(rec inflight, from string, missingSeq uint64, now time.Time) (fresh bool, evicted int) {
+func (q *quarantine) park(rec inflight, now time.Time) (fresh bool, evicted int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if e, ok := q.entries[rec.id]; ok {
-		// Already parked: refresh the blocking reason and the namespace
-		// the latest relay declared, but keep the original deadline —
-		// re-offers must not extend a stay forever.
-		e.missingSeq = missingSeq
-		e.from = from
+		// Already parked: refresh the namespace the latest relay declared,
+		// but keep the original deadline — re-offers must not extend a
+		// stay forever.
 		e.rec.shard = rec.shard
 		return false, 0
 	}
-	return true, q.insertLocked(&quarEntry{rec: rec, from: from, missingSeq: missingSeq, deadline: now.Add(q.ttl)})
+	return true, q.insertLocked(&quarEntry{rec: rec, deadline: now.Add(q.ttl)})
 }
 
 // repark reinserts a drained entry, preserving its original deadline.
@@ -121,16 +115,14 @@ func (q *quarantine) drain() []*quarEntry {
 	return out
 }
 
-// orphans returns the IDs of the parked entries that wait for an
-// unattached parent rather than for a missing authorization list.
+// orphans returns the IDs of every parked entry: each waits for a
+// transaction this node lacks, a parent or an authorization list.
 func (q *quarantine) orphans() map[hashutil.Hash]struct{} {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make(map[hashutil.Hash]struct{})
-	for id, e := range q.entries {
-		if e.missingSeq == 0 {
-			out[id] = struct{}{}
-		}
+	out := make(map[hashutil.Hash]struct{}, len(q.entries))
+	for id := range q.entries {
+		out[id] = struct{}{}
 	}
 	return out
 }
@@ -143,12 +135,13 @@ func (q *quarantine) size() int {
 }
 
 // orphanRepairGrace is how long a parked orphan waits before the node
-// pulls for its parent. Peers keep up to a window of batches in flight,
-// so a child overtaking its parent by a batch is routine and repairs
-// itself within a link round trip when the parent lands; only a parent
-// still missing after the grace — long against any round trip this
-// transport tolerates well, short against the quarantine TTL — was
-// really lost (a peer-queue drop, a send failure) and is worth a sync.
+// pulls for what it lacks. Peers keep up to a window of batches in
+// flight, so a child overtaking its parent — or a reading overtaking the
+// list that authorizes it — by a batch is routine and repairs itself
+// within a link round trip when the missing one lands; only one still
+// missing after the grace — long against any round trip this transport
+// tolerates well, short against the quarantine TTL — was really lost (a
+// peer-queue drop, a send failure) and is worth a sync.
 const orphanRepairGrace = 250 * time.Millisecond
 
 // orphanRepair is the state of the background repair lane.
@@ -166,15 +159,16 @@ type orphanRepair struct {
 	from     string
 }
 
-// repairOrphans reports orphans a relayed batch has just parked to the
-// background repair lane and returns; the handler never waits for a
-// repair. The lane, single-flight per node, works in passes: it takes
-// what has been reported, waits out the grace, and if one of those is
-// still parked pulls the peers' ledgers — the relaying peer first when
-// it is one this node can dial, which over TCP it is not (an inbound
-// connection's remote address is an ephemeral port), then every listed
-// peer — until none of them is. Orphans reported during a pass wait for
-// the next: each sits out a full grace before it costs a sync.
+// repairOrphans reports orphans a relayed batch has just parked — for a
+// parent or for an authorization list — to the background repair lane and
+// returns; the handler never waits for a repair. The lane, single-flight
+// per node, works in passes: it takes what has been reported, waits out
+// the grace, and if one of those is still parked pulls the peers' ledgers
+// — the relaying peer first when it is one this node can dial, which over
+// TCP it is not (an inbound connection's remote address is an ephemeral
+// port), then every listed peer — until none of them is. Orphans reported
+// during a pass wait for the next: each sits out a full grace before it
+// costs a sync.
 func (n *FullNode) repairOrphans(from string, orphans []hashutil.Hash) {
 	r := &n.repair
 	r.mu.Lock()

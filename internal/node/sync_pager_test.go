@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,5 +180,53 @@ func TestSyncPagerScopes(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPagersOfOneCursorTakeTurns: SyncAll calls that overlap page the one
+// cursor in turn, so each after the first asks only past where the one
+// before it left off, and no page is fetched twice. (The scripted peer
+// records requests unsynchronized: pagers that overlapped would also be a
+// race the detector reports.)
+func TestPagersOfOneCursorTakeTurns(t *testing.T) {
+	const pages, pagers = 3, 4
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := &scriptedPeer{serve: func(req gossip.Message) gossip.Message {
+		next := min(req.Offset+1, pages)
+		return gossip.Message{Offset: next, Total: pages, More: next < pages}
+	}}
+	n, err := node.NewFull(node.FullConfig{
+		Key: key, Role: identity.RoleGateway, ManagerPub: mgrKey.Public(),
+		Credit: testParams(), Network: peer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+
+	var wg sync.WaitGroup
+	for i := 0; i < pagers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n.SyncAll(context.Background())
+		}()
+	}
+	wg.Wait()
+	got := peer.take()
+	slices.Sort(got)
+	want := []uint64{0, 1, 2}
+	for i := 1; i < pagers; i++ {
+		want = append(want, pages)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("peer saw cursors %v, want %v: one pass over the pages, then each later pager at the end", got, want)
 	}
 }

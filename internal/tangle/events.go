@@ -68,8 +68,8 @@ type Event struct {
 	At      time.Time
 	// Weight is set on EventApproved: the parent's updated w_k.
 	Weight float64
-	// Txn is set on EventAttached: the attached transaction as the ledger
-	// keeps it — its canonical encoding, shared and read-only.
+	// Txn is set on EventAttached and EventConfirmed: the transaction as
+	// the ledger keeps it — its canonical encoding, shared and read-only.
 	Txn txn.View
 	// Seq is set on EventAttached: the attach sequence, which numbers every
 	// attach of this ledger from 1 in the order the attaches are announced

@@ -707,6 +707,7 @@ func (t *Tangle) propagateWeightLocked(v *vertex, events []Event) []Event {
 				Node: a.enc.Sender(),
 				Tx:   a.id,
 				At:   t.clk.Now(),
+				Txn:  a.enc,
 			})
 		}
 		if a.enc.Kind() != txn.KindGenesis {

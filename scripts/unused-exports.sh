@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Exported functions and methods under internal/ that nothing calls.
+# Exported functions, methods, constants and variables under internal/
+# that nothing references.
 #
 #   scripts/unused-exports.sh
 #
-# Every exported func or method declared in a non-test file under
+# Every exported func or method, and every exported name a top-level const
+# or var declaration (or block) declares, in a non-test file under
 # internal/ is looked for, by name, in the Go source of this module and
 # of the bench/ module (both read only): any line that names it, other
 # than its own declaration and comment lines, is a reference. A name the
@@ -41,26 +43,43 @@ report=$(awk -v allow="$allow" '
 	FNR == 1 {
 		test = FILENAME ~ /_test\.go$/
 		declares = !test && FILENAME ~ /^\.\/internal\//
+		block = 0 # inside a top-level const ( ... ) or var ( ... )
 	}
 	/^[ \t]*\/\// { next }
 	{
 		line = $0
-		skip = ""
+		split("", skip)
+		# head starts with the names this line declares, if it declares any.
+		head = ""
 		if (line ~ /^func /) {
 			head = line
 			sub(/^func (\([^)]*\) )?/, "", head)
-			if (match(head, /^[A-Z][A-Za-z0-9_]*/)) {
-				skip = substr(head, 1, RLENGTH)
-				if (declares) {
-					decl[skip] = decl[skip] " " FILENAME ":" FNR
+		} else if (line ~ /^(const|var) \(/) {
+			block = 1
+		} else if (block && line ~ /^\)/) {
+			block = 0
+		} else if (line ~ /^(const|var) /) {
+			head = line
+			sub(/^(const|var) /, "", head)
+		} else if (block && line ~ /^\t[A-Za-z_]/) {
+			head = substr(line, 2)
+		}
+		if (match(head, /^[A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*/)) {
+			n = split(substr(head, 1, RLENGTH), names, /, */)
+			for (i = 1; i <= n; i++) {
+				if (names[i] ~ /^[A-Z]/) {
+					skip[names[i]]++
+					if (declares) {
+						decl[names[i]] = decl[names[i]] " " FILENAME ":" FNR
+					}
 				}
 			}
 		}
 		while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
 			tok = substr(line, RSTART, RLENGTH)
 			line = substr(line, RSTART + RLENGTH)
-			if (tok == skip) {
-				skip = ""
+			if (skip[tok] > 0) {
+				skip[tok]--
 				continue
 			}
 			if (test) {
@@ -90,6 +109,6 @@ report=$(awk -v allow="$allow" '
 	}' "${files[@]}") || status=$?
 sort <<<"$report"
 if [ "$status" -ne 0 ]; then
-	echo "exported functions or methods in internal/ that nothing references, or options only tests set: delete them" >&2
+	echo "exported functions, methods, constants or variables in internal/ that nothing references, or options only tests set: delete them" >&2
 fi
 exit "$status"
