@@ -120,7 +120,7 @@ func runScalabilityRow(ctx context.Context, cfg ScalabilityConfig, devices int) 
 	}
 
 	payload := make([]byte, cfg.PayloadBytes)
-	accept := &metrics.Histogram{}
+	var accept metrics.Histogram
 	total := devices * cfg.TxPerDevice
 
 	start := time.Now()

@@ -156,7 +156,7 @@ func runDAGThroughput(ctx context.Context, cfg ThroughputConfig) (ThroughputRow,
 
 	payload := make([]byte, cfg.PayloadBytes)
 	total := cfg.Devices * cfg.TxPerDevice
-	accept := &metrics.Histogram{}
+	var accept metrics.Histogram
 	start := time.Now()
 	var wg sync.WaitGroup
 	errCh := make(chan error, cfg.Devices)
@@ -238,7 +238,7 @@ func runChainThroughput(ctx context.Context, cfg ThroughputConfig) (ThroughputRo
 		}
 	}
 
-	accept := &metrics.Histogram{}
+	var accept metrics.Histogram
 	start := time.Now()
 	// Synchronous consensus: admit txs one by one into the mempool and
 	// mine sequentially — a block must complete before the next batch.

@@ -9,36 +9,22 @@ import "github.com/b-iot/biot/internal/metrics"
 type TransportMetrics struct {
 	// Dials counts TCP connections established; Reuses counts exchanges
 	// served over an already-open pooled connection.
-	Dials  *metrics.Counter
-	Reuses *metrics.Counter
+	Dials  metrics.Counter
+	Reuses metrics.Counter
 	// DialFailures counts failed connection attempts (the backoff
 	// schedule keys off consecutive failures).
-	DialFailures *metrics.Counter
+	DialFailures metrics.Counter
 	// Reconnects counts teardowns of a previously healthy pooled
 	// connection (peer restart, idle close, I/O error).
-	Reconnects *metrics.Counter
+	Reconnects metrics.Counter
 	// BytesIn / BytesOut count wire bytes including frame headers.
-	BytesIn  *metrics.Counter
-	BytesOut *metrics.Counter
+	BytesIn  metrics.Counter
+	BytesOut metrics.Counter
 	// ExchangeRTT samples full request→response round trips.
-	ExchangeRTT *metrics.Histogram
+	ExchangeRTT metrics.Histogram
 	// InFlight is the number of exchanges currently awaiting a response
 	// across all pooled connections (multiplexing depth).
-	InFlight *metrics.Gauge
+	InFlight metrics.Gauge
 	// Pings counts keepalive frames sent on idle pooled connections.
-	Pings *metrics.Counter
-}
-
-func newTransportMetrics() TransportMetrics {
-	return TransportMetrics{
-		Dials:        &metrics.Counter{},
-		Reuses:       &metrics.Counter{},
-		DialFailures: &metrics.Counter{},
-		Reconnects:   &metrics.Counter{},
-		BytesIn:      &metrics.Counter{},
-		BytesOut:     &metrics.Counter{},
-		ExchangeRTT:  &metrics.Histogram{},
-		InFlight:     &metrics.Gauge{},
-		Pings:        &metrics.Counter{},
-	}
+	Pings metrics.Counter
 }

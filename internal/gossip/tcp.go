@@ -85,7 +85,6 @@ func listenTCP(addr string, tune func(*TCPNetwork)) (*TCPNetwork, error) {
 		keepalive:  keepaliveEvery,
 		backoffMin: redialMin,
 		backoffMax: redialMax,
-		metrics:    newTransportMetrics(),
 		peers:      make(map[string]struct{}),
 		conns:      make(map[string]*peerConn),
 		accepted:   make(map[net.Conn]struct{}),
@@ -99,7 +98,7 @@ func listenTCP(addr string, tune func(*TCPNetwork)) (*TCPNetwork, error) {
 }
 
 // Metrics exposes the transport's counters and latency surfaces.
-func (n *TCPNetwork) Metrics() TransportMetrics { return n.metrics }
+func (n *TCPNetwork) Metrics() *TransportMetrics { return &n.metrics }
 
 // AddPeer registers a peer's gossip address.
 func (n *TCPNetwork) AddPeer(addr string) {

@@ -281,16 +281,15 @@ func TestSummaryString(t *testing.T) {
 
 // TestAppendPrometheus pins the exposition's names and shape: snake-case
 // names under the prefix, _total on counters, cumulative buckets that end
-// at +Inf = _count, _sum in seconds, unexported and nil fields skipped.
+// at +Inf = _count, _sum in seconds, unexported fields skipped.
 func TestAppendPrometheus(t *testing.T) {
-	set := struct {
-		GossipIn     *Counter
-		QueueDepth   *Gauge
-		ExchangeRTT  *Histogram
-		AdmitLatency *Histogram
-		Missing      *Counter
-		private      *Counter
-	}{&Counter{}, &Gauge{}, &Histogram{}, &Histogram{}, nil, &Counter{}}
+	var set struct {
+		GossipIn     Counter
+		QueueDepth   Gauge
+		ExchangeRTT  Histogram
+		AdmitLatency Histogram
+		private      Counter
+	}
 	set.GossipIn.Add(3)
 	set.QueueDepth.Set(-2)
 	set.ExchangeRTT.Observe(2 * time.Millisecond)
@@ -309,8 +308,8 @@ func TestAppendPrometheus(t *testing.T) {
 			t.Errorf("exposition lacks %q:\n%s", want, got)
 		}
 	}
-	if strings.Contains(got, "missing") || strings.Contains(got, "private") {
-		t.Errorf("exposition has a nil or unexported field:\n%s", got)
+	if strings.Contains(got, "private") {
+		t.Errorf("exposition has an unexported field:\n%s", got)
 	}
 	if buckets := strings.Count(got, "biot_exchange_rtt_seconds_bucket"); buckets != 4 {
 		t.Errorf("%d bucket lines for three samples in three buckets, want 4 with +Inf:\n%s", buckets, got)

@@ -7,13 +7,13 @@ import (
 )
 
 // AppendPrometheus appends the Prometheus text exposition (format 0.0.4)
-// of set — a struct, or a pointer to one, whose exported *Counter, *Gauge
-// and *Histogram fields are its metrics, and whose exported integer fields
-// are read as gauges (a snapshot struct such as a node's memory stats) —
-// to dst. Each is named prefix_<field in snake case>: a counter with
-// _total, a gauge as is, a histogram in seconds with _seconds, as one
-// cumulative _bucket line per non-empty bucket (≤ 251), +Inf, _sum and
-// _count. Other fields and nil pointers are skipped, so the output is
+// of set — a struct, or a pointer to one, whose exported integer fields
+// are read as gauges (a snapshot struct such as a node's memory stats),
+// and, when set is a pointer, whose exported Counter, Gauge and Histogram
+// fields are its metrics — to dst. Each is named prefix_<field in snake
+// case>: a counter with _total, a gauge as is, a histogram in seconds with
+// _seconds, as one cumulative _bucket line per non-empty bucket (≤ 251),
+// +Inf, _sum and _count. Other fields are skipped, so the output is
 // bounded by the struct.
 func AppendPrometheus(dst []byte, prefix string, set any) []byte {
 	v := reflect.Indirect(reflect.ValueOf(set))
@@ -30,10 +30,10 @@ func AppendPrometheus(dst []byte, prefix string, set any) []byte {
 		case fv.CanUint():
 			dst = appendSample(appendType(dst, name, "gauge"), name, "", float64(fv.Uint()))
 			continue
-		case fv.Kind() != reflect.Pointer || fv.IsNil():
+		case !fv.CanAddr():
 			continue
 		}
-		switch m := fv.Interface().(type) {
+		switch m := fv.Addr().Interface().(type) {
 		case *Counter:
 			dst = appendSample(appendType(dst, name+"_total", "counter"), name+"_total", "", float64(m.Value()))
 		case *Gauge:

@@ -35,82 +35,58 @@ const sendWindow = 8
 type PipelineMetrics struct {
 	// AdmitLatency covers the lock-free admission stage: structural,
 	// signature, authorization, rate-limit and PoW checks.
-	AdmitLatency *metrics.Histogram
+	AdmitLatency metrics.Histogram
 	// AttachLatency covers the short critical section: tangle attach +
 	// credit update. Its clock stops before the journal.
-	AttachLatency *metrics.Histogram
+	AttachLatency metrics.Histogram
 	// JournalLatency covers one journal record from enqueue to its
 	// verdict — queueing behind earlier records plus the flush — on both
 	// edges: a submission waits it out (beside its fan-out), a relayed
 	// batch usually does not.
-	JournalLatency *metrics.Histogram
+	JournalLatency metrics.Histogram
 	// BroadcastLatency covers one batched peer send in the async stage.
-	BroadcastLatency *metrics.Histogram
+	BroadcastLatency metrics.Histogram
 	// InFlight is the number of batches handed to the transport and not
 	// yet acknowledged or failed, over all peers (each peer's share is
 	// bounded by the send window). WindowStalls counts the times a
 	// peer's sender had a batch ready and had to wait for a slot in a
 	// full window — the signal that the link, not the node, sets the
 	// fan-out pace.
-	InFlight     *metrics.Gauge
-	WindowStalls *metrics.Counter
+	InFlight     metrics.Gauge
+	WindowStalls metrics.Counter
 	// BatchesSent counts peer datagrams; TxBroadcast counts the
 	// transactions they carried (TxBroadcast/BatchesSent = mean batch).
-	BatchesSent *metrics.Counter
-	TxBroadcast *metrics.Counter
+	BatchesSent metrics.Counter
+	TxBroadcast metrics.Counter
 	// PeerDrops counts transactions dropped for one slow peer (its
 	// bounded queue was full); gossip sync repairs the gap later.
-	PeerDrops *metrics.Counter
+	PeerDrops metrics.Counter
 	// SendFailures counts failed peer sends (partition, dead peer).
-	SendFailures *metrics.Counter
+	SendFailures metrics.Counter
 	// VerifyLatency samples one inbound verification (structure +
 	// signature + authorization + credit-difficulty PoW check).
-	VerifyLatency *metrics.Histogram
+	VerifyLatency metrics.Histogram
 	// VerifyBusy / VerifyPeak are the inbound verification pool's
 	// current and peak occupancy (bounded by GOMAXPROCS).
-	VerifyBusy *metrics.Gauge
-	VerifyPeak *metrics.Gauge
+	VerifyBusy metrics.Gauge
+	VerifyPeak metrics.Gauge
 	// VerifyCacheHits counts relayed transactions (gossip echoes, sync
 	// page overlap) dropped at tangle.Contains because they are attached
 	// already: the verify work the ledger itself spared. The name is the
 	// verified-ID set's, which this replaced; bench reads it.
-	VerifyCacheHits *metrics.Counter
+	VerifyCacheHits metrics.Counter
 	// BatchVerifies counts identity.VerifyBatch calls on the inbound
 	// path; BatchVerified counts the signatures they settled (ratio =
 	// mean batch size). BatchFallbacks counts batches whose combined
 	// equation failed and fell back to per-signature attribution.
-	BatchVerifies  *metrics.Counter
-	BatchVerified  *metrics.Counter
-	BatchFallbacks *metrics.Counter
+	BatchVerifies  metrics.Counter
+	BatchVerified  metrics.Counter
+	BatchFallbacks metrics.Counter
 	// OrphanSyncs counts background pulls for relayed transactions whose
 	// parent never arrived (see repairOrphans).
-	OrphanSyncs *metrics.Counter
+	OrphanSyncs metrics.Counter
 	// SyncPages counts sync pages this node pulled as a requester.
-	SyncPages *metrics.Counter
-}
-
-func newPipelineMetrics() PipelineMetrics {
-	return PipelineMetrics{
-		AdmitLatency:     &metrics.Histogram{},
-		AttachLatency:    &metrics.Histogram{},
-		JournalLatency:   &metrics.Histogram{},
-		BroadcastLatency: &metrics.Histogram{},
-		InFlight:         &metrics.Gauge{},
-		WindowStalls:     &metrics.Counter{},
-		BatchesSent:      &metrics.Counter{},
-		TxBroadcast:      &metrics.Counter{},
-		PeerDrops:        &metrics.Counter{},
-		SendFailures:     &metrics.Counter{},
-		VerifyLatency:    &metrics.Histogram{},
-		VerifyBusy:       &metrics.Gauge{},
-		VerifyPeak:       &metrics.Gauge{},
-		VerifyCacheHits:  &metrics.Counter{},
-		BatchVerifies:    &metrics.Counter{},
-		BatchVerified:    &metrics.Counter{},
-		BatchFallbacks:   &metrics.Counter{},
-		OrphanSyncs:      &metrics.Counter{},
-		SyncPages:        &metrics.Counter{},
-	}
+	SyncPages metrics.Counter
 }
 
 // broadcastItem is one entry of a peer's queue: an encoded transaction,
@@ -131,8 +107,7 @@ type broadcastItem struct {
 // the transaction (counted) and the tangle sync protocol repairs the gap,
 // so a slow peer costs itself and no one else.
 type broadcaster struct {
-	node      *FullNode // its regional network, its shard stamped on every batch
-	pipeline  PipelineMetrics
+	node      *FullNode // its regional network, its shard stamped on every batch, its metrics
 	maxBatch  int
 	peerQueue int
 
@@ -161,7 +136,6 @@ type peerSender struct {
 func newBroadcaster(n *FullNode) *broadcaster {
 	return &broadcaster{
 		node:      n,
-		pipeline:  n.pipeline,
 		maxBatch:  broadcastBatch,
 		peerQueue: broadcastPeerQueue,
 		senders:   make(map[string]*peerSender),
@@ -185,7 +159,7 @@ func (b *broadcaster) enqueue(encoded []byte) {
 		select {
 		case b.sender(name).queue <- broadcastItem{tx: encoded}:
 		default:
-			b.pipeline.PeerDrops.Inc() // slow peer: sync repairs it
+			b.node.pipeline.PeerDrops.Inc() // slow peer: sync repairs it
 		}
 	}
 }
@@ -300,7 +274,7 @@ func (b *broadcaster) sendLoop(s *peerSender) {
 		for batch := range jobs {
 			running <- struct{}{}
 			b.send(s.name, batch)
-			b.pipeline.InFlight.Dec()
+			b.node.pipeline.InFlight.Dec()
 			clear(batch)
 			window <- batch[:0]
 			inflight.Done()
@@ -318,7 +292,7 @@ func (b *broadcaster) sendLoop(s *peerSender) {
 		select {
 		case batch = <-window:
 		default:
-			b.pipeline.WindowStalls.Inc()
+			b.node.pipeline.WindowStalls.Inc()
 			batch = <-window
 		}
 		batch = append(batch, it.tx)
@@ -340,7 +314,7 @@ func (b *broadcaster) sendLoop(s *peerSender) {
 			}
 		}
 		inflight.Add(1)
-		b.pipeline.InFlight.Inc()
+		b.node.pipeline.InFlight.Inc()
 		select {
 		case jobs <- batch: // an idle worker took it
 		default:
@@ -368,11 +342,11 @@ func (b *broadcaster) send(peer string, batch [][]byte) {
 		Shard:  uint64(b.node.cfg.ShardID),
 		Scoped: true,
 	})
-	b.pipeline.BroadcastLatency.Observe(time.Since(start))
+	b.node.pipeline.BroadcastLatency.Observe(time.Since(start))
 	if err != nil {
-		b.pipeline.SendFailures.Inc()
+		b.node.pipeline.SendFailures.Inc()
 		return
 	}
-	b.pipeline.BatchesSent.Inc()
-	b.pipeline.TxBroadcast.Add(int64(len(batch)))
+	b.node.pipeline.BatchesSent.Inc()
+	b.node.pipeline.TxBroadcast.Add(int64(len(batch)))
 }

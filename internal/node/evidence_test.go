@@ -368,16 +368,16 @@ func TestRelayRejectCounterParity(t *testing.T) {
 	parked := map[string]int64{"quarantine-retry": 2} // orphans parked on first sight, by delivery
 	type row struct {
 		name   string
-		of     func(node.Counters) int64
+		of     func(*node.Counters) int64
 		want   int64 // before any parked orphan
 		parked bool  // each parked orphan adds one
 	}
 	rows := []row{
-		{"Accepted", func(c node.Counters) int64 { return c.Accepted.Value() }, 3, false}, // list1, parent, valid
-		{"Rejected", func(c node.Counters) int64 { return c.Rejected.Value() }, 1, true},  // the bad signature, once
-		{"Quarantined", func(c node.Counters) int64 { return c.Quarantined.Value() }, 0, true},
-		{"Unauthorized", func(c node.Counters) int64 { return c.Unauthorized.Value() }, 1, false},         // the rogue list, once
-		{"StaleAuthRejects", func(c node.Counters) int64 { return c.StaleAuthRejects.Value() }, 1, false}, // the Sybil, once
+		{"Accepted", func(c *node.Counters) int64 { return c.Accepted.Value() }, 3, false}, // list1, parent, valid
+		{"Rejected", func(c *node.Counters) int64 { return c.Rejected.Value() }, 1, true},  // the bad signature, once
+		{"Quarantined", func(c *node.Counters) int64 { return c.Quarantined.Value() }, 0, true},
+		{"Unauthorized", func(c *node.Counters) int64 { return c.Unauthorized.Value() }, 1, false},         // the rogue list, once
+		{"StaleAuthRejects", func(c *node.Counters) int64 { return c.StaleAuthRejects.Value() }, 1, false}, // the Sybil, once
 	}
 	netOf := map[string][]int64{} // by row, each delivery's value net of its parked orphans
 	for name, deliver := range deliveries {

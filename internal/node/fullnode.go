@@ -136,23 +136,23 @@ func (c *FullConfig) withDefaults() (FullConfig, error) {
 // storms; a nonzero value means a genuine Sybil relay (or a peer so
 // far ahead that pruning outran the evidence window).
 type Counters struct {
-	Accepted          *metrics.Counter
-	Rejected          *metrics.Counter
-	RateLimited       *metrics.Counter
-	Unauthorized      *metrics.Counter
-	StaleAuthRejects  *metrics.Counter
-	Quarantined       *metrics.Counter
-	QuarantineDrops   *metrics.Counter
-	QuarantineRepairs *metrics.Counter
-	GossipIn          *metrics.Counter
-	JournalErrors     *metrics.Counter
-	QualityViolations *metrics.Counter
+	Accepted          metrics.Counter
+	Rejected          metrics.Counter
+	RateLimited       metrics.Counter
+	Unauthorized      metrics.Counter
+	StaleAuthRejects  metrics.Counter
+	Quarantined       metrics.Counter
+	QuarantineDrops   metrics.Counter
+	QuarantineRepairs metrics.Counter
+	GossipIn          metrics.Counter
+	JournalErrors     metrics.Counter
+	QualityViolations metrics.Counter
 	// Backbone reconciliation: scoped control-plane pages pulled from
 	// backbone peers, and remote credit records/events folded into the
 	// local ledger.
-	BackboneSyncPages  *metrics.Counter
-	CreditTxsMerged    *metrics.Counter
-	CreditEventsMerged *metrics.Counter
+	BackboneSyncPages  metrics.Counter
+	CreditTxsMerged    metrics.Counter
+	CreditEventsMerged metrics.Counter
 }
 
 // FullNode is a gateway or manager. Safe for concurrent use: Submit may
@@ -255,28 +255,11 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 		engine:   core.NewEngine(creditLedger, conf.Policy),
 		registry: registry,
 		tokens:   ledger.New(),
-		counters: Counters{
-			Accepted:           &metrics.Counter{},
-			Rejected:           &metrics.Counter{},
-			RateLimited:        &metrics.Counter{},
-			Unauthorized:       &metrics.Counter{},
-			StaleAuthRejects:   &metrics.Counter{},
-			Quarantined:        &metrics.Counter{},
-			QuarantineDrops:    &metrics.Counter{},
-			QuarantineRepairs:  &metrics.Counter{},
-			GossipIn:           &metrics.Counter{},
-			JournalErrors:      &metrics.Counter{},
-			QualityViolations:  &metrics.Counter{},
-			BackboneSyncPages:  &metrics.Counter{},
-			CreditTxsMerged:    &metrics.Counter{},
-			CreditEventsMerged: &metrics.Counter{},
-		},
-		pipeline: newPipelineMetrics(),
 		quar:     newQuarantine(quarantineCap, quarantineTTL),
 		limiter:  make(map[identity.Address]*rateBucket),
 		cursors:  make(map[string]*syncCursor),
 	}
-	n.verify = newVerifyStage(n.pipeline)
+	n.verify = newVerifyStage(&n.pipeline)
 	n.submission, n.relayed = n.edges()
 	n.repair.ctx, n.repair.cancel = context.WithCancel(context.Background())
 	tg.Observe(tangle.ObserverFunc(n.onTangleEvent))
@@ -316,7 +299,7 @@ func (n *FullNode) Registry() *authz.Registry { return n.registry }
 func (n *FullNode) Tokens() *ledger.Ledger { return n.tokens }
 
 // CountersView returns the node's operational counters.
-func (n *FullNode) CountersView() Counters { return n.counters }
+func (n *FullNode) CountersView() *Counters { return &n.counters }
 
 // Clock returns the node's time source.
 func (n *FullNode) Clock() clock.Clock { return n.cfg.Clock }
@@ -487,7 +470,7 @@ func (n *FullNode) FlushBroadcast(ctx context.Context) error {
 }
 
 // Pipeline exposes the submission pipeline's metrics.
-func (n *FullNode) Pipeline() PipelineMetrics { return n.pipeline }
+func (n *FullNode) Pipeline() *PipelineMetrics { return &n.pipeline }
 
 // Network returns the node's gossip attachment (nil when the node runs
 // standalone). The Supervisor closes it after the node during a
@@ -511,7 +494,7 @@ func (n *FullNode) TransportHealthy() bool {
 
 // LedgerMetrics exposes the tangle's anchored tip-selection gauges
 // (anchor height/count, walk lengths, fallback counts).
-func (n *FullNode) LedgerMetrics() tangle.Metrics { return n.tangle.Metrics() }
+func (n *FullNode) LedgerMetrics() *tangle.Metrics { return n.tangle.Metrics() }
 
 // Close drains and stops the broadcast pipeline and the background
 // orphan repair. Read paths and local admission keep working;
@@ -1128,12 +1111,12 @@ func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string
 	}
 	// Data in a whole-ledger page belongs to the serving regional peer's
 	// namespace, which is this node's own; a namespace page says so itself.
-	hint, pages := n.cfg.ShardID, n.pipeline.SyncPages
+	hint, pages := n.cfg.ShardID, &n.pipeline.SyncPages
 	if scope.scoped {
 		hint = scope.shard
 	}
 	if net == n.cfg.Backbone {
-		pages = n.counters.BackboneSyncPages
+		pages = &n.counters.BackboneSyncPages
 	}
 	// One pager per cursor: a second one (the background orphan repair
 	// beside an operator's SyncAll, two reconcile rounds) would fetch,

@@ -138,7 +138,7 @@ func (n *FullNode) precheck(v txn.View, e edge, now time.Time) error {
 // countRefusal files a refusal from the gate under its one counter (see
 // Counters). The live edges call it; replay counts nothing.
 func (n *FullNode) countRefusal(err error) {
-	switch c := n.counters; {
+	switch c := &n.counters; {
 	case errors.Is(err, errNoEvidence):
 		c.StaleAuthRejects.Inc()
 	case errors.Is(err, ErrUnauthorizedDevice), errors.Is(err, authz.ErrNotManager):

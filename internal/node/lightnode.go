@@ -67,7 +67,7 @@ type LightNode struct {
 
 	// PowTime records PoW latency per transaction — the quantity the
 	// paper's Fig 9 reports.
-	PowTime *metrics.Histogram
+	PowTime metrics.Histogram
 }
 
 // Light-node errors.
@@ -94,11 +94,10 @@ func NewLight(cfg LightConfig) (*LightNode, error) {
 		clk = clock.Real()
 	}
 	return &LightNode{
-		cfg:     cfg,
-		worker:  worker,
-		clk:     clk,
-		scheme:  dataauth.SchemeGCM,
-		PowTime: &metrics.Histogram{},
+		cfg:    cfg,
+		worker: worker,
+		clk:    clk,
+		scheme: dataauth.SchemeGCM,
 	}, nil
 }
 

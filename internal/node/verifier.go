@@ -18,10 +18,10 @@ type verifyStage struct {
 	// hashing), so the bound is the core count, shared across every run in
 	// flight — concurrently arriving gossip batches included.
 	sem     chan struct{}
-	metrics PipelineMetrics
+	metrics *PipelineMetrics
 }
 
-func newVerifyStage(metrics PipelineMetrics) *verifyStage {
+func newVerifyStage(metrics *PipelineMetrics) *verifyStage {
 	return &verifyStage{sem: make(chan struct{}, runtime.GOMAXPROCS(0)), metrics: metrics}
 }
 

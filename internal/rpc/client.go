@@ -79,36 +79,49 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 // once.
 const tipCacheSize = 64
 
-// tipCache is a direct-mapped table of transactions, each filed under
-// the ID its own bytes hash to. Nothing in it can go stale — an ID names
-// one byte string for ever — so there is no expiry, only overwriting: a
-// newcomer takes the slot its ID maps to, and whoever wanted the previous
-// occupant misses and asks the gateway. Entries are shared between
-// callers and never written after they are stored.
+// tipCache is a two-way set-associative table of transactions, each
+// filed under the ID its own bytes hash to. Nothing in it can go stale —
+// an ID names one byte string for ever — so there is no expiry, only
+// overwriting: a newcomer becomes the newer of the two slots its ID maps
+// to, the newer becomes the older, and whoever wanted the older occupant
+// misses and asks the gateway. So both tips of one response stay, even
+// when their IDs map to one set. Entries are shared between callers and
+// never written after they are stored.
 type tipCache struct {
 	slots [tipCacheSize]atomic.Pointer[txn.Transaction]
 }
 
-func (c *tipCache) slot(id hashutil.Hash) *atomic.Pointer[txn.Transaction] {
-	return &c.slots[binary.BigEndian.Uint16(id[:])%tipCacheSize]
+// set returns the two slots id maps to, the newer first.
+func (c *tipCache) set(id hashutil.Hash) []atomic.Pointer[txn.Transaction] {
+	i := binary.BigEndian.Uint16(id[:]) % (tipCacheSize / 2) * 2
+	return c.slots[i : i+2]
 }
 
 // admit files body under id if, and only if, body is a transaction that
 // hashes to id: the gateway's word for what an ID names is never taken.
 func (c *tipCache) admit(id hashutil.Hash, body []byte) {
-	slot := c.slot(id)
-	if cur := slot.Load(); cur != nil && cur.ID() == id {
+	set := c.set(id)
+	newer, t := set[0].Load(), set[1].Load()
+	if newer != nil && newer.ID() == id {
 		return
 	}
-	if t, err := txn.Decode(body); err == nil && t.ID() == id {
-		slot.Store(t)
+	if t == nil || t.ID() != id {
+		var err error
+		if t, err = txn.Decode(body); err != nil || t.ID() != id {
+			return
+		}
 	}
+	set[1].Store(newer)
+	set[0].Store(t)
 }
 
 // get returns the caller's own copy of the transaction named id, or nil.
 func (c *tipCache) get(id hashutil.Hash) *txn.Transaction {
-	if t := c.slot(id).Load(); t != nil && t.ID() == id {
-		return t.Clone()
+	set := c.set(id)
+	for i := range set {
+		if t := set[i].Load(); t != nil && t.ID() == id {
+			return t.Clone()
+		}
 	}
 	return nil
 }

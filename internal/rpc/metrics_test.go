@@ -5,6 +5,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -205,5 +207,151 @@ func TestMetricsServeTheLedgerAndMemory(t *testing.T) {
 	after := scrapeMetrics(t, f.srv.URL)
 	if got := after[resident] - before[resident]; got != 1 {
 		t.Errorf("%s moved by %v for one attach, want 1", resident, got)
+	}
+}
+
+// servedSeries is every family /metrics serves for a journaling gateway
+// on a TCP transport, sorted, as its TYPE line names it.
+const servedSeries = `
+biot_gossip_bytes_in_total counter
+biot_gossip_bytes_out_total counter
+biot_gossip_dial_failures_total counter
+biot_gossip_dials_total counter
+biot_gossip_exchange_rtt_seconds histogram
+biot_gossip_in_flight gauge
+biot_gossip_pings_total counter
+biot_gossip_reconnects_total counter
+biot_gossip_reuses_total counter
+biot_memory_cold_index_bytes gauge
+biot_memory_evidence_versions gauge
+biot_memory_heap_inuse gauge
+biot_memory_journal_bytes gauge
+biot_memory_quarantine_len gauge
+biot_memory_reconcile_lag_ms gauge
+biot_node_accepted_total counter
+biot_node_backbone_sync_pages_total counter
+biot_node_credit_events_merged_total counter
+biot_node_credit_txs_merged_total counter
+biot_node_gossip_in_total counter
+biot_node_journal_errors_total counter
+biot_node_quality_violations_total counter
+biot_node_quarantine_drops_total counter
+biot_node_quarantine_repairs_total counter
+biot_node_quarantined_total counter
+biot_node_rate_limited_total counter
+biot_node_rejected_total counter
+biot_node_stale_auth_rejects_total counter
+biot_node_unauthorized_total counter
+biot_pipeline_admit_latency_seconds histogram
+biot_pipeline_attach_latency_seconds histogram
+biot_pipeline_batch_fallbacks_total counter
+biot_pipeline_batch_verified_total counter
+biot_pipeline_batch_verifies_total counter
+biot_pipeline_batches_sent_total counter
+biot_pipeline_broadcast_latency_seconds histogram
+biot_pipeline_in_flight gauge
+biot_pipeline_journal_latency_seconds histogram
+biot_pipeline_orphan_syncs_total counter
+biot_pipeline_peer_drops_total counter
+biot_pipeline_send_failures_total counter
+biot_pipeline_sync_pages_total counter
+biot_pipeline_tx_broadcast_total counter
+biot_pipeline_verify_busy gauge
+biot_pipeline_verify_cache_hits_total counter
+biot_pipeline_verify_latency_seconds histogram
+biot_pipeline_verify_peak gauge
+biot_pipeline_window_stalls_total counter
+biot_tangle_anchor_count gauge
+biot_tangle_anchor_height gauge
+biot_tangle_boundary_roots gauge
+biot_tangle_cold_errors_total counter
+biot_tangle_cold_total gauge
+biot_tangle_genesis_walks_total counter
+biot_tangle_resident_vertices gauge
+biot_tangle_walk_fallbacks_total counter
+biot_tangle_walk_length gauge
+biot_tangle_walk_length_max gauge
+`
+
+// TestMetricsServeEverySeries pins the whole page of a journaling gateway
+// on a TCP transport: its TYPE lines, sorted, are servedSeries, and its
+// sample names are exactly theirs — a counter's or gauge's own name, a
+// histogram's _bucket, _sum and _count — so no series is renamed, dropped
+// or added unnoticed.
+func TestMetricsServeEverySeries(t *testing.T) {
+	managerKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp, err := gossip.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tcp.Close() })
+	full, err := node.NewFull(node.FullConfig{
+		Key:        key,
+		Role:       identity.RoleGateway,
+		ManagerPub: managerKey.Public(),
+		Credit:     core.DefaultParams(),
+		Network:    tcp,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = full.Close() })
+	if _, err := full.EnablePersistence(filepath.Join(t.TempDir(), "journal")); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(full).Handler())
+	t.Cleanup(srv.Close)
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var types []string
+	samples := map[string]bool{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if typ, ok := strings.CutPrefix(sc.Text(), "# TYPE "); ok {
+			types = append(types, typ)
+			continue
+		}
+		name, _, _ := strings.Cut(sc.Text(), " ")
+		name, _, _ = strings.Cut(name, "{")
+		samples[name] = true
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(types)
+	if got, want := strings.Join(types, "\n"), strings.TrimSpace(servedSeries); got != want {
+		t.Fatalf("TYPE lines:\n%s\nwant:\n%s", got, want)
+	}
+	want := map[string]bool{}
+	for _, typ := range types {
+		name, kind, _ := strings.Cut(typ, " ")
+		if kind != "histogram" {
+			want[name] = true
+			continue
+		}
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			want[name+suffix] = true
+		}
+	}
+	for name := range samples {
+		if !want[name] {
+			t.Errorf("/metrics serves %s, which no TYPE line names", name)
+		}
+	}
+	for name := range want {
+		if !samples[name] {
+			t.Errorf("/metrics lacks %s", name)
+		}
 	}
 }

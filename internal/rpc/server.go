@@ -580,8 +580,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, n *node.Fu
 // gauges and counters (LedgerMetrics) as biot_tangle_*, the memory
 // footprint's own gauges (MemoryGauges; the rest of MemoryStats is served
 // above or on /healthz) as biot_memory_*, and, when the node's network is
-// a transport that keeps them (gossip.TCPNetwork; a decorated or
-// in-memory network does not), its TransportMetrics as biot_gossip_* —
+// a gossip.TCPNetwork (a decorated or in-memory network keeps no
+// transport metrics), its TransportMetrics as biot_gossip_* —
 // fixed structs of fixed-size values, so the page is bounded however
 // long the node runs.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request, n *node.FullNode) {
@@ -591,16 +591,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request, n *node.F
 	b = metrics.AppendPrometheus(b, "biot_pipeline", n.Pipeline())
 	b = metrics.AppendPrometheus(b, "biot_tangle", n.LedgerMetrics())
 	b = metrics.AppendPrometheus(b, "biot_memory", n.MemoryGauges())
-	if t, ok := n.Network().(transport); ok {
+	if t, ok := n.Network().(*gossip.TCPNetwork); ok {
 		b = metrics.AppendPrometheus(b, "biot_gossip", t.Metrics())
 	}
 	buf.Write(b)
 	writeTyped(w, http.StatusOK, prometheusContentType, buf)
-}
-
-// transport is a gossip network that keeps a transport's metrics.
-type transport interface {
-	Metrics() gossip.TransportMetrics
 }
 
 // statusForSubmitError maps admission failures to HTTP statuses, which the

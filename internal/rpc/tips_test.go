@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -16,6 +17,7 @@ import (
 	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
+	"github.com/b-iot/biot/internal/tangle"
 	"github.com/b-iot/biot/internal/txn"
 )
 
@@ -131,6 +133,15 @@ func TestPostReadingIsThreeExchanges(t *testing.T) {
 	}
 
 	f.fork(t, dev.Key())
+	if got := postOnTwoTips(t, w, dev); !maps.Equal(got, threeExchanges) {
+		t.Errorf("two tips: exchanges = %v, want %v", got, threeExchanges)
+	}
+}
+
+// postOnTwoTips posts a reading through a tips response that names both
+// of the ledger's two tips and returns the exchanges it cost.
+func postOnTwoTips(t *testing.T, w *wire, dev *node.LightNode) map[string]int {
+	t.Helper()
 	distinct := false
 	w.setTips(func(serve func() TipsResponse) TipsResponse {
 		// Tip selection is random; ask until it names both tips.
@@ -143,14 +154,63 @@ func TestPostReadingIsThreeExchanges(t *testing.T) {
 		return serve()
 	})
 	w.take()
-	if _, err := dev.PostReading(ctx, []byte("trunk != branch")); err != nil {
+	if _, err := dev.PostReading(context.Background(), []byte("trunk != branch")); err != nil {
 		t.Fatal(err)
 	}
 	if !distinct {
 		t.Fatal("tip selection never named two distinct tips of two")
 	}
-	if got := w.take(); !maps.Equal(got, threeExchanges) {
-		t.Errorf("two tips: exchanges = %v, want %v", got, threeExchanges)
+	return w.take()
+}
+
+// minedOn mines readings on one fixed parent and keeps them instead of
+// submitting them.
+type minedOn struct {
+	pinnedTips
+	mined []*txn.Transaction
+}
+
+func (m *minedOn) Submit(_ context.Context, t *txn.Transaction) (tangle.Info, error) {
+	m.mined = append(m.mined, t)
+	return tangle.Info{ID: t.ID()}, nil
+}
+
+// TestTipsOfOneSlotAreThreeExchanges: a trunk and a branch whose IDs file
+// under one slot of the tip cache (their first two bytes agree modulo
+// tipCacheSize) still cost a reading three exchanges — the cache keeps
+// both bodies of one tips response.
+func TestTipsOfOneSlotAreThreeExchanges(t *testing.T) {
+	f, w := newWiredFixture(t)
+	dev := f.authorizedDevice(t)
+	tips := f.full.Tangle().Tips()
+	if len(tips) != 1 {
+		t.Fatalf("want one tip to mine on, have %d", len(tips))
+	}
+	miner := &minedOn{pinnedTips: pinnedTips{f.full, tips[0]}}
+	forker, err := node.NewLight(node.LightConfig{Key: dev.Key(), Gateway: miner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := func(id hashutil.Hash) int { return int(binary.BigEndian.Uint16(id[:]) % tipCacheSize) }
+	var pair []*txn.Transaction
+	bySlot := map[int]*txn.Transaction{}
+	for i := 0; pair == nil; i++ {
+		if _, err := forker.PostReading(context.Background(), []byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+		tx := miner.mined[len(miner.mined)-1]
+		if prev, ok := bySlot[slot(tx.ID())]; ok {
+			pair = []*txn.Transaction{prev, tx}
+		}
+		bySlot[slot(tx.ID())] = tx
+	}
+	for _, tx := range pair {
+		if _, err := f.full.Submit(context.Background(), tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := postOnTwoTips(t, w, dev); !maps.Equal(got, threeExchanges) {
+		t.Errorf("exchanges = %v, want %v", got, threeExchanges)
 	}
 }
 

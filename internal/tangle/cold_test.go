@@ -49,7 +49,7 @@ func TestColdByteIdenticalDuplicateRejection(t *testing.T) {
 	tg, key := newTangle(t, cfg, vc)
 	txs := buildChain(t, tg, key, vc, 20)
 
-	if dropped := tg.Snapshot(vc.Now(), 5*time.Minute); dropped == 0 {
+	if dropped := tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0); dropped == 0 {
 		t.Fatal("snapshot dropped nothing")
 	}
 	pruned := txs[0]
@@ -159,7 +159,7 @@ func TestBootstrapAttachesLiveRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildChain(t, seasoned, key, vc, 40)
-	if dropped := seasoned.Snapshot(vc.Now(), 5*time.Minute); dropped == 0 {
+	if dropped := seasoned.SnapshotEpoch(vc.Now(), 5*time.Minute, 0); dropped == 0 {
 		t.Fatal("snapshot dropped nothing")
 	}
 
@@ -242,7 +242,7 @@ func TestResidentVerticesStayBounded(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.ConfirmationWeight = 3
 			tg, key := newTangle(t, cfg, vc)
-			snapshot := func() { tg.Snapshot(vc.Now(), tc.keep) }
+			snapshot := func() { tg.SnapshotEpoch(vc.Now(), tc.keep, 0) }
 			if tc.coldIndex {
 				cold, err := store.OpenColdIndex(chaos.NewMemFS(1), "resident.cold")
 				if err != nil {

@@ -100,7 +100,7 @@ func TestShardOrderSurvivesSnapshot(t *testing.T) {
 	}
 
 	before := tg.ResidentByShard()
-	dropped := tg.Snapshot(clk.Now(), 5*time.Second)
+	dropped := tg.SnapshotEpoch(clk.Now(), 5*time.Second, 0)
 	if dropped == 0 {
 		t.Fatal("snapshot dropped nothing; test shape is wrong")
 	}

@@ -34,22 +34,18 @@ import (
 // ErrSnapshottedParent reports an attachment to a pruned parent.
 var ErrSnapshottedParent = errors.New("parent transaction was snapshotted away")
 
-// Snapshot drops confirmed transactions attached before now−keep whose
-// direct approvers are all themselves confirmed or rejected. Genesis,
-// tips and authorization lists are always retained. It returns the
-// number of dropped vertices. Equivalent to SnapshotEpoch with a zero
-// interval (node-local cutoff, no cross-node coordination).
-func (t *Tangle) Snapshot(now time.Time, keep time.Duration) int {
-	return t.SnapshotEpoch(now, keep, 0)
-}
-
-// SnapshotEpoch is Snapshot with the cutoff quantized down to a
-// multiple of interval (in absolute time, per time.Time.Truncate), so
-// every node pruning with the same interval cuts at the same settled
-// boundary regardless of when its own compaction loop happens to fire.
-// Coordinated boundaries keep peers' snapshot manifests interchangeable
-// — a bootstrapping node can verify one peer's manifest against
-// another's live region. A zero interval disables quantization.
+// SnapshotEpoch drops confirmed transactions attached before now−keep
+// whose direct approvers are all themselves confirmed or rejected.
+// Genesis, tips and authorization lists are always retained. It returns
+// the number of dropped vertices.
+//
+// The cutoff is quantized down to a multiple of interval (in absolute
+// time, per time.Time.Truncate), so every node pruning with the same
+// interval cuts at the same settled boundary regardless of when its own
+// compaction loop happens to fire. Coordinated boundaries keep peers'
+// snapshot manifests interchangeable — a bootstrapping node can verify
+// one peer's manifest against another's live region. A zero interval
+// disables quantization (a node-local cutoff).
 //
 // Candidate selection is incremental: the attachment order is scanned
 // from the oldest end and stops at the first vertex attached at or

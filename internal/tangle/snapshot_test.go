@@ -35,7 +35,7 @@ func buildSnapshotFixture(t *testing.T, n int) (*Tangle, *clock.Virtual, []Info)
 func TestSnapshotDropsOldConfirmed(t *testing.T) {
 	tg, vc, infos := buildSnapshotFixture(t, 20)
 	before := tg.Size()
-	dropped := tg.Snapshot(vc.Now(), 5*time.Minute)
+	dropped := tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
 	if dropped == 0 {
 		t.Fatal("nothing dropped")
 	}
@@ -70,7 +70,7 @@ func TestSnapshotDropsOldConfirmed(t *testing.T) {
 
 func TestSnapshotKeepsTipsAndPending(t *testing.T) {
 	tg, vc, _ := buildSnapshotFixture(t, 10)
-	tg.Snapshot(vc.Now(), 0) // most aggressive cutoff
+	tg.SnapshotEpoch(vc.Now(), 0, 0) // most aggressive cutoff
 	if tg.TipCount() == 0 {
 		t.Fatal("snapshot emptied the tip pool")
 	}
@@ -93,7 +93,7 @@ func TestSnapshotKeepsTipsAndPending(t *testing.T) {
 func TestSnapshotRejectsAttachToPrunedParent(t *testing.T) {
 	tg, vc, infos := buildSnapshotFixture(t, 20)
 	key := mustKey(t)
-	tg.Snapshot(vc.Now(), 5*time.Minute)
+	tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
 	old := infos[0].ID
 	if tg.Contains(old) {
 		t.Skip("fixture did not prune the oldest tx")
@@ -106,7 +106,7 @@ func TestSnapshotRejectsAttachToPrunedParent(t *testing.T) {
 
 func TestSnapshotRejectsReattachOfPruned(t *testing.T) {
 	tg, vc, infos := buildSnapshotFixture(t, 20)
-	tg.Snapshot(vc.Now(), 5*time.Minute)
+	tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
 	pruned, err := func() (Info, error) {
 		if tg.Contains(infos[0].ID) {
 			return Info{}, errors.New("not pruned")
@@ -159,7 +159,7 @@ func TestSnapshotPreservesDoubleSpendFinality(t *testing.T) {
 
 	// Snapshot it away.
 	vc.Advance(time.Hour)
-	tg.Snapshot(vc.Now(), 30*time.Minute)
+	tg.SnapshotEpoch(vc.Now(), 30*time.Minute, 0)
 	if tg.Contains(spend.ID) {
 		t.Skip("spend survived the snapshot; nothing to test")
 	}
@@ -185,8 +185,8 @@ func TestSnapshotPreservesDoubleSpendFinality(t *testing.T) {
 
 func TestSnapshotIdempotentAndBounded(t *testing.T) {
 	tg, vc, _ := buildSnapshotFixture(t, 30)
-	first := tg.Snapshot(vc.Now(), 5*time.Minute)
-	second := tg.Snapshot(vc.Now(), 5*time.Minute)
+	first := tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
+	second := tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
 	if second != 0 {
 		t.Errorf("second snapshot dropped %d more without new traffic", second)
 	}
@@ -200,7 +200,7 @@ func TestSnapshotIdempotentAndBounded(t *testing.T) {
 
 func TestSnapshotExportStillTopological(t *testing.T) {
 	tg, vc, _ := buildSnapshotFixture(t, 25)
-	tg.Snapshot(vc.Now(), 5*time.Minute)
+	tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
 	// Export remains in attachment order; parents of retained txs are
 	// either retained (and earlier) or snapshotted.
 	seen := make(map[string]bool)
@@ -230,7 +230,7 @@ func TestSnapshotUnpinsPrunedVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tg.Snapshot(vc.Now(), 5*time.Minute) == 0 {
+	if tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0) == 0 {
 		t.Fatal("nothing dropped")
 	}
 	after, err := tg.InfoOf(genesis)

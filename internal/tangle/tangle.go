@@ -299,7 +299,6 @@ func New(cfg Config, managerPub identity.PublicKey, clk clock.Clock) (*Tangle, e
 		boundary:   make(map[hashutil.Hash]struct{}),
 		coldMem:    make(map[hashutil.Hash]struct{}),
 		seed:       seed,
-		met:        newMetrics(),
 	}
 	t.walkers.New = func() any { return t.newWalker() }
 	now := clk.Now().UnixNano()
