@@ -19,31 +19,27 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"github.com/b-iot/biot/internal/experiments"
 )
 
-// renderable is the common surface of all experiment results.
-type renderable interface {
-	Render(w io.Writer) error
-	CSV(w io.Writer) error
-}
+// result is what every experiment harness returns: one figure's table.
+type result interface{ Table() *experiments.Table }
 
 // figure is one table or figure of the evaluation. quick selects the
 // CI-scale parameters where the figure has any.
 type figure struct {
 	name string
-	run  func(ctx context.Context, quick bool) (renderable, error)
+	run  func(ctx context.Context, quick bool) (result, error)
 }
 
 // figures is every figure biot-bench regenerates, in the order -fig all
 // runs them.
 var figures = []figure{
 	// Fig 7: PoW time vs difficulty.
-	{"7", func(ctx context.Context, quick bool) (renderable, error) {
+	{"7", func(ctx context.Context, quick bool) (result, error) {
 		cfg := experiments.DefaultFig7Config()
 		if quick {
 			cfg = experiments.QuickFig7Config()
@@ -51,18 +47,18 @@ var figures = []figure{
 		return experiments.RunFig7(ctx, cfg)
 	}},
 	// Fig 8: credit timeline under one attack (a) or two (b).
-	{"8a", func(context.Context, bool) (renderable, error) {
+	{"8a", func(context.Context, bool) (result, error) {
 		return experiments.RunFig8(experiments.DefaultFig8Config())
 	}},
-	{"8b", func(context.Context, bool) (renderable, error) {
+	{"8b", func(context.Context, bool) (result, error) {
 		return experiments.RunFig8(experiments.Fig8bConfig())
 	}},
 	// Fig 9: the four control experiments.
-	{"9", func(context.Context, bool) (renderable, error) {
+	{"9", func(context.Context, bool) (result, error) {
 		return experiments.RunFig9(experiments.DefaultFig9Config())
 	}},
 	// Fig 10: AES time vs message length.
-	{"10", func(ctx context.Context, quick bool) (renderable, error) {
+	{"10", func(ctx context.Context, quick bool) (result, error) {
 		cfg := experiments.DefaultFig10Config()
 		if quick {
 			cfg.MaxExp = 16
@@ -71,11 +67,11 @@ var figures = []figure{
 		return experiments.RunFig10(ctx, cfg)
 	}},
 	// §VI-C threat scenarios, measured.
-	{"security", func(ctx context.Context, _ bool) (renderable, error) {
+	{"security", func(ctx context.Context, _ bool) (result, error) {
 		return experiments.RunSecurity(ctx, experiments.DefaultSecurityConfig())
 	}},
 	// DAG vs the §II single-chain baseline.
-	{"throughput", func(ctx context.Context, quick bool) (renderable, error) {
+	{"throughput", func(ctx context.Context, quick bool) (result, error) {
 		cfg := experiments.DefaultThroughputConfig()
 		if quick {
 			cfg = experiments.QuickThroughputConfig()
@@ -83,11 +79,11 @@ var figures = []figure{
 		return experiments.RunThroughput(ctx, cfg)
 	}},
 	// Fig 4 key-distribution protocol.
-	{"keydist", func(context.Context, bool) (renderable, error) {
+	{"keydist", func(context.Context, bool) (result, error) {
 		return experiments.RunKeyDist(experiments.DefaultKeyDistConfig())
 	}},
 	// Devices vs admitted throughput and acceptance latency.
-	{"scale", func(ctx context.Context, quick bool) (renderable, error) {
+	{"scale", func(ctx context.Context, quick bool) (result, error) {
 		cfg := experiments.DefaultScalabilityConfig()
 		if quick {
 			cfg.DeviceCounts = []int{1, 2, 4}
@@ -97,11 +93,11 @@ var figures = []figure{
 		return experiments.RunScalability(ctx, cfg)
 	}},
 	// Lazy-tip attack: uniform vs weighted-walk tip selection.
-	{"lazyresist", func(context.Context, bool) (renderable, error) {
+	{"lazyresist", func(context.Context, bool) (result, error) {
 		return experiments.RunLazyResist(experiments.DefaultLazyResistConfig())
 	}},
 	// λ2 punishment-strictness sweep.
-	{"lambda", func(context.Context, bool) (renderable, error) {
+	{"lambda", func(context.Context, bool) (result, error) {
 		return experiments.RunLambdaSweep(experiments.DefaultLambdaSweepConfig())
 	}},
 }
@@ -156,7 +152,8 @@ func run(fig string, quick bool, csvPath string) error {
 		if err != nil {
 			return fmt.Errorf("figure %s: %w", f.name, err)
 		}
-		if err := res.Render(os.Stdout); err != nil {
+		tab := res.Table()
+		if err := tab.Render(os.Stdout); err != nil {
 			return err
 		}
 		if csvPath == "" {
@@ -166,7 +163,7 @@ func run(fig string, quick bool, csvPath string) error {
 		if err != nil {
 			return fmt.Errorf("create csv: %w", err)
 		}
-		if err := res.CSV(out); err != nil {
+		if err := tab.CSV(out); err != nil {
 			out.Close()
 			return err
 		}

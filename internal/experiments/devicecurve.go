@@ -30,11 +30,6 @@ func DefaultPiCurve() DeviceCurve {
 	return DeviceCurve{Base: 700 * time.Millisecond, Ratio: 3, D0: 11}
 }
 
-// Binary returns the ideal binary curve (ratio 2) with the given anchor.
-func Binary(base time.Duration, d0 int) DeviceCurve {
-	return DeviceCurve{Base: base, Ratio: 2, D0: d0}
-}
-
 // At returns the modelled PoW latency at difficulty d.
 func (c DeviceCurve) At(d int) time.Duration {
 	return time.Duration(float64(c.Base) * math.Pow(c.Ratio, float64(d-c.D0)))

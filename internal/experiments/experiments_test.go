@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -297,11 +299,6 @@ func TestKeyDistExperimentAllPass(t *testing.T) {
 }
 
 func TestRenderAndCSVNonEmpty(t *testing.T) {
-	type rc interface {
-		Render(*bytes.Buffer) error
-	}
-	_ = rc(nil)
-
 	fig8, err := RunFig8(DefaultFig8Config())
 	if err != nil {
 		t.Fatal(err)
@@ -311,30 +308,37 @@ func TestRenderAndCSVNonEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	checks := []struct {
-		name   string
-		render func(*bytes.Buffer) error
-		csv    func(*bytes.Buffer) error
-		want   string
+		name string
+		tab  *Table
+		want string
 	}{
-		{"fig8", func(b *bytes.Buffer) error { return fig8.Render(b) },
-			func(b *bytes.Buffer) error { return fig8.CSV(b) }, "ATTACK"},
-		{"fig9", func(b *bytes.Buffer) error { return fig9.Render(b) },
-			func(b *bytes.Buffer) error { return fig9.CSV(b) }, "original PoW"},
+		{"fig8", fig8.Table(), "ATTACK"},
+		{"fig9", fig9.Table(), "original PoW"},
 	}
 	for _, c := range checks {
 		var buf bytes.Buffer
-		if err := c.render(&buf); err != nil {
+		if err := c.tab.Render(&buf); err != nil {
 			t.Fatalf("%s render: %v", c.name, err)
 		}
 		if !strings.Contains(buf.String(), c.want) {
 			t.Errorf("%s render missing %q", c.name, c.want)
 		}
 		var csvBuf bytes.Buffer
-		if err := c.csv(&csvBuf); err != nil {
+		if err := c.tab.CSV(&csvBuf); err != nil {
 			t.Fatalf("%s csv: %v", c.name, err)
 		}
-		if lines := strings.Count(csvBuf.String(), "\n"); lines < 3 {
-			t.Errorf("%s csv has %d lines", c.name, lines)
+		records, err := csv.NewReader(&csvBuf).ReadAll()
+		if err != nil {
+			t.Fatalf("%s csv does not parse: %v", c.name, err)
+		}
+		if len(records) < 3 {
+			t.Fatalf("%s csv has %d records", c.name, len(records))
+		}
+		if !reflect.DeepEqual(records[0], c.tab.Header) {
+			t.Errorf("%s csv header %q, table header %q", c.name, records[0], c.tab.Header)
+		}
+		if !reflect.DeepEqual(records[1:], c.tab.Rows) {
+			t.Errorf("%s csv records differ from the table rows", c.name)
 		}
 	}
 }
@@ -353,7 +357,7 @@ func TestDeviceCurve(t *testing.T) {
 	if c.At(c.D0-1) >= c.Base {
 		t.Error("lower difficulty not faster")
 	}
-	b := Binary(time.Second, 10)
+	b := DeviceCurve{Base: time.Second, Ratio: 2, D0: 10}
 	if b.At(12) != 4*time.Second {
 		t.Errorf("binary curve At(12) = %v", b.At(12))
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/b-iot/biot/internal/dataauth"
@@ -101,14 +100,13 @@ func RunFig10(ctx context.Context, cfg Fig10Config) (*Fig10Result, error) {
 	return res, nil
 }
 
-// Render writes the figure as an aligned table.
-func (r *Fig10Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Fig 10 — AES (%v) running time vs message length (%d trials)\n",
-		r.Config.Scheme, r.Config.Trials); err != nil {
-		return err
+// Table builds the figure.
+func (r *Fig10Result) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Fig 10 — AES (%v) running time vs message length (%d trials)",
+			r.Config.Scheme, r.Config.Trials),
+		Header: []string{"bytes", "encrypt_s", "decrypt_s", "throughput_MiB_s"},
 	}
-	t := &table{header: []string{"bytes", "encrypt_s", "decrypt_s", "throughput_MiB_s"}}
 	for _, row := range r.Rows {
 		t.add(
 			fmt.Sprintf("%d", row.Bytes),
@@ -117,19 +115,5 @@ func (r *Fig10Result) Render(w io.Writer) error {
 			fmt.Sprintf("%.1f", row.ThroughputMBs),
 		)
 	}
-	return t.render(w)
-}
-
-// CSV writes the figure data as CSV.
-func (r *Fig10Result) CSV(w io.Writer) error {
-	t := &table{header: []string{"bytes", "encrypt_s", "decrypt_s", "throughput_mib_s"}}
-	for _, row := range r.Rows {
-		t.add(
-			fmt.Sprintf("%d", row.Bytes),
-			fmt.Sprintf("%.6f", row.EncryptMean.Seconds()),
-			fmt.Sprintf("%.6f", row.DecryptMean.Seconds()),
-			fmt.Sprintf("%.1f", row.ThroughputMBs),
-		)
-	}
-	return t.csv(w)
+	return t
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/b-iot/biot/internal/hashutil"
@@ -101,14 +100,13 @@ func RunFig7(ctx context.Context, cfg Fig7Config) (*Fig7Result, error) {
 	return res, nil
 }
 
-// Render writes the figure as an aligned table.
-func (r *Fig7Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Fig 7 — running time of PoW with increasing difficulty (cost factor %d, %d trials)\n",
-		r.Config.CostFactor, r.Config.Trials); err != nil {
-		return err
+// Table builds the figure.
+func (r *Fig7Result) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Fig 7 — running time of PoW with increasing difficulty (cost factor %d, %d trials)",
+			r.Config.CostFactor, r.Config.Trials),
+		Header: []string{"difficulty", "mean_time_s", "mean_attempts", "expected_attempts"},
 	}
-	t := &table{header: []string{"difficulty", "mean_time_s", "mean_attempts", "expected_attempts"}}
 	for _, row := range r.Rows {
 		t.add(
 			fmt.Sprintf("%d", row.Difficulty),
@@ -117,19 +115,5 @@ func (r *Fig7Result) Render(w io.Writer) error {
 			fmt.Sprintf("%.0f", row.ExpectedAttempts),
 		)
 	}
-	return t.render(w)
-}
-
-// CSV writes the figure data as CSV.
-func (r *Fig7Result) CSV(w io.Writer) error {
-	t := &table{header: []string{"difficulty", "mean_time_s", "mean_attempts", "expected_attempts"}}
-	for _, row := range r.Rows {
-		t.add(
-			fmt.Sprintf("%d", row.Difficulty),
-			fsec(row.MeanTime),
-			fmt.Sprintf("%.0f", row.MeanAttempts),
-			fmt.Sprintf("%.0f", row.ExpectedAttempts),
-		)
-	}
-	return t.csv(w)
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/b-iot/biot/internal/core"
@@ -176,19 +175,19 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 	return res, nil
 }
 
-// Render writes the time series as an aligned table.
-func (r *Fig8Result) Render(w io.Writer) error {
+// Table builds the figure: one row per sample, and one note per
+// recovery gap.
+func (r *Fig8Result) Table() *Table {
 	label := "a"
 	if len(r.Config.AttackTimes) > 1 {
 		label = "b"
 	}
-	if _, err := fmt.Fprintf(w,
-		"Fig 8(%s) — credit value vs time (λ1=%.1f λ2=%.1f ΔT=%s, %d attack(s))\n",
-		label, r.Config.Params.Lambda1, r.Config.Params.Lambda2,
-		r.Config.Params.DeltaT, len(r.Config.AttackTimes)); err != nil {
-		return err
+	t := &Table{
+		Title: fmt.Sprintf("Fig 8(%s) — credit value vs time (λ1=%.1f λ2=%.1f ΔT=%s, %d attack(s))",
+			label, r.Config.Params.Lambda1, r.Config.Params.Lambda2,
+			r.Config.Params.DeltaT, len(r.Config.AttackTimes)),
+		Header: []string{"t_s", "event", "w", "CrP", "CrN", "Cr", "difficulty"},
 	}
-	t := &table{header: []string{"t_s", "event", "w", "CrP", "CrN", "Cr", "difficulty"}}
 	for _, s := range r.Samples {
 		event := ""
 		if s.Attack {
@@ -206,35 +205,8 @@ func (r *Fig8Result) Render(w io.Writer) error {
 			fmt.Sprintf("%d", s.Difficulty),
 		)
 	}
-	if err := t.render(w); err != nil {
-		return err
-	}
 	for i, gap := range r.RecoveryGaps {
-		if _, err := fmt.Fprintf(w, "recovery gap after attack %d: %.0f s\n",
-			i+1, gap.Seconds()); err != nil {
-			return err
-		}
+		t.Notes = append(t.Notes, fmt.Sprintf("recovery gap after attack %d: %.0f s", i+1, gap.Seconds()))
 	}
-	return nil
-}
-
-// CSV writes the series as CSV.
-func (r *Fig8Result) CSV(w io.Writer) error {
-	t := &table{header: []string{"t_s", "attack", "w", "cr_p", "cr_n", "cr", "difficulty"}}
-	for _, s := range r.Samples {
-		attack := "0"
-		if s.Attack {
-			attack = "1"
-		}
-		t.add(
-			fmt.Sprintf("%.0f", s.At.Seconds()),
-			attack,
-			ffloat(s.TxWeight),
-			ffloat(s.CrP),
-			ffloat(s.CrN),
-			ffloat(s.Cr),
-			fmt.Sprintf("%d", s.Difficulty),
-		)
-	}
-	return t.csv(w)
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/b-iot/biot/internal/core"
@@ -189,14 +188,13 @@ func runFig9Scenario(cfg Fig9Config, name string, static bool, attackTimes []tim
 	return row, nil
 }
 
-// Render writes the four bars as an aligned table.
-func (r *Fig9Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Fig 9 — average PoW time per transaction, four control experiments (window %s, D0=%d)\n",
-		r.Config.Horizon, r.Config.Params.InitialDifficulty); err != nil {
-		return err
+// Table builds the figure: one row per bar.
+func (r *Fig9Result) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Fig 9 — average PoW time per transaction, four control experiments (window %s, D0=%d)",
+			r.Config.Horizon, r.Config.Params.InitialDifficulty),
+		Header: []string{"scenario", "transactions", "attacks", "avg_pow_s", "total_pow_s"},
 	}
-	t := &table{header: []string{"scenario", "transactions", "attacks", "avg_pow_s", "total_pow_s"}}
 	for _, row := range r.Rows {
 		t.add(
 			row.Scenario,
@@ -206,18 +204,5 @@ func (r *Fig9Result) Render(w io.Writer) error {
 			fsec(row.TotalPowTime),
 		)
 	}
-	return t.render(w)
-}
-
-// CSV writes the figure data as CSV.
-func (r *Fig9Result) CSV(w io.Writer) error {
-	t := &table{header: []string{"scenario", "transactions", "attacks", "avg_pow_s", "total_pow_s"}}
-	for _, row := range r.Rows {
-		t.add(row.Scenario,
-			fmt.Sprintf("%d", row.Transactions),
-			fmt.Sprintf("%d", row.Attacks),
-			fsec(row.AvgPowTime),
-			fsec(row.TotalPowTime))
-	}
-	return t.csv(w)
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/b-iot/biot/internal/clock"
@@ -203,13 +202,12 @@ func runTampered(manager, device *identity.KeyPair, stage, trial int) (bool, err
 	return true, nil
 }
 
-// Render writes the experiment as an aligned table.
-func (r *KeyDistResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w,
-		"Key distribution (Fig 4) — correctness, cost, tamper/replay resistance"); err != nil {
-		return err
+// Table builds the experiment's verdicts.
+func (r *KeyDistResult) Table() *Table {
+	t := &Table{
+		Title:  "Key distribution (Fig 4) — correctness, cost, tamper/replay resistance",
+		Header: []string{"case", "attempts", "completed", "rejected", "mean_time_s", "verdict"},
 	}
-	t := &table{header: []string{"case", "attempts", "completed", "rejected", "mean_time_s", "verdict"}}
 	for _, row := range r.Rows {
 		verdict := "PASS"
 		if !row.Pass {
@@ -224,19 +222,5 @@ func (r *KeyDistResult) Render(w io.Writer) error {
 			verdict,
 		)
 	}
-	return t.render(w)
-}
-
-// CSV writes the experiment as CSV.
-func (r *KeyDistResult) CSV(w io.Writer) error {
-	t := &table{header: []string{"case", "attempts", "completed", "rejected", "mean_time_s", "pass"}}
-	for _, row := range r.Rows {
-		t.add(row.Case,
-			fmt.Sprintf("%d", row.Attempts),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%d", row.Rejected),
-			fmt.Sprintf("%.6f", row.MeanTime.Seconds()),
-			fmt.Sprintf("%t", row.Pass))
-	}
-	return t.csv(w)
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/b-iot/biot/internal/core"
@@ -83,13 +82,12 @@ func RunLambdaSweep(cfg LambdaSweepConfig) (*LambdaSweepResult, error) {
 	return res, nil
 }
 
-// Render writes the sweep as an aligned table.
-func (r *LambdaSweepResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w,
-		"λ2 sweep — punishment strictness (Fig-9 harness, 1-attack scenario)"); err != nil {
-		return err
+// Table builds the sweep.
+func (r *LambdaSweepResult) Table() *Table {
+	t := &Table{
+		Title:  "λ2 sweep — punishment strictness (Fig-9 harness, 1-attack scenario)",
+		Header: []string{"lambda2", "honest_avg_s", "attacker_avg_s", "penalty_ratio"},
 	}
-	t := &table{header: []string{"lambda2", "honest_avg_s", "attacker_avg_s", "penalty_ratio"}}
 	for _, row := range r.Rows {
 		t.add(
 			ffloat(row.Lambda2),
@@ -98,15 +96,5 @@ func (r *LambdaSweepResult) Render(w io.Writer) error {
 			fmt.Sprintf("%.1f", row.PenaltyRatio),
 		)
 	}
-	return t.render(w)
-}
-
-// CSV writes the sweep as CSV.
-func (r *LambdaSweepResult) CSV(w io.Writer) error {
-	t := &table{header: []string{"lambda2", "honest_avg_s", "attacker_avg_s", "penalty_ratio"}}
-	for _, row := range r.Rows {
-		t.add(ffloat(row.Lambda2), fsec(row.HonestAvg), fsec(row.AttackerAvg),
-			fmt.Sprintf("%.2f", row.PenaltyRatio))
-	}
-	return t.csv(w)
+	return t
 }

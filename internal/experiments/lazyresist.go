@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/b-iot/biot/internal/clock"
@@ -168,14 +167,13 @@ func RunLazyResist(cfg LazyResistConfig) (*LazyResistResult, error) {
 	return res, nil
 }
 
-// Render writes the ablation as an aligned table.
-func (r *LazyResistResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Lazy-tip inflation resistance — %d attacker tips vs %d honest txs, %d selections\n",
-		r.Config.LazyTips, r.Config.HonestTxs, r.Config.Selections); err != nil {
-		return err
+// Table builds the ablation.
+func (r *LazyResistResult) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Lazy-tip inflation resistance — %d attacker tips vs %d honest txs, %d selections",
+			r.Config.LazyTips, r.Config.HonestTxs, r.Config.Selections),
+		Header: []string{"strategy", "attacker_tip_share", "attacker_selected_frac"},
 	}
-	t := &table{header: []string{"strategy", "attacker_tip_share", "attacker_selected_frac"}}
 	for _, row := range r.Rows {
 		t.add(
 			row.Strategy.String(),
@@ -183,16 +181,5 @@ func (r *LazyResistResult) Render(w io.Writer) error {
 			fmt.Sprintf("%.3f", row.AttackerFrac),
 		)
 	}
-	return t.render(w)
-}
-
-// CSV writes the ablation as CSV.
-func (r *LazyResistResult) CSV(w io.Writer) error {
-	t := &table{header: []string{"strategy", "attacker_tip_share", "attacker_selected_frac"}}
-	for _, row := range r.Rows {
-		t.add(row.Strategy.String(),
-			fmt.Sprintf("%.3f", row.TipShare),
-			fmt.Sprintf("%.3f", row.AttackerFrac))
-	}
-	return t.csv(w)
+	return t
 }

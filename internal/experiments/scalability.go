@@ -3,14 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
 	"time"
 
-	"github.com/b-iot/biot/internal/core"
-	"github.com/b-iot/biot/internal/identity"
-	"github.com/b-iot/biot/internal/metrics"
-	"github.com/b-iot/biot/internal/node"
 	"github.com/b-iot/biot/internal/pow"
 )
 
@@ -81,94 +75,29 @@ func RunScalability(ctx context.Context, cfg ScalabilityConfig) (*ScalabilityRes
 }
 
 func runScalabilityRow(ctx context.Context, cfg ScalabilityConfig, devices int) (ScalabilityRow, error) {
-	managerKey, err := identity.Generate()
+	run, err := runDevices(ctx, cfg.Difficulty, devices, cfg.TxPerDevice, cfg.PayloadBytes)
 	if err != nil {
 		return ScalabilityRow{}, err
 	}
-	params := core.DefaultParams()
-	params.InitialDifficulty = cfg.Difficulty
-	params.MinDifficulty = 1
-	params.MaxDifficulty = pow.MaxDifficulty
-	full, err := node.NewFull(node.FullConfig{
-		Key:        managerKey,
-		Role:       identity.RoleManager,
-		ManagerPub: managerKey.Public(),
-		Credit:     params,
-		Policy:     core.StaticPolicy{Difficulty: cfg.Difficulty},
-	})
-	if err != nil {
-		return ScalabilityRow{}, err
-	}
-	mgr, err := node.NewManager(full)
-	if err != nil {
-		return ScalabilityRow{}, err
-	}
-
-	lights := make([]*node.LightNode, devices)
-	for i := range lights {
-		key, err := identity.Generate()
-		if err != nil {
-			return ScalabilityRow{}, err
-		}
-		mgr.AuthorizeDevice(key.Public(), key.BoxPublic())
-		if lights[i], err = node.NewLight(node.LightConfig{Key: key, Gateway: full}); err != nil {
-			return ScalabilityRow{}, err
-		}
-	}
-	if _, err := mgr.PublishAuthorization(ctx); err != nil {
-		return ScalabilityRow{}, err
-	}
-
-	payload := make([]byte, cfg.PayloadBytes)
-	var accept metrics.Histogram
 	total := devices * cfg.TxPerDevice
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, devices)
-	for _, dev := range lights {
-		dev := dev
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < cfg.TxPerDevice; i++ {
-				txStart := time.Now()
-				if _, err := dev.PostReading(ctx, payload); err != nil {
-					errCh <- err
-					return
-				}
-				accept.Observe(time.Since(txStart))
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errCh:
-		return ScalabilityRow{}, err
-	default:
-	}
-
-	sum := accept.Summarize()
 	return ScalabilityRow{
 		Devices:      devices,
 		Transactions: total,
-		Elapsed:      elapsed,
-		TPS:          float64(total) / elapsed.Seconds(),
-		MeanAccept:   sum.Mean,
-		P95Accept:    sum.P95,
-		Tips:         full.Tangle().TipCount(),
+		Elapsed:      run.elapsed,
+		TPS:          float64(total) / run.elapsed.Seconds(),
+		MeanAccept:   run.accept.Mean,
+		P95Accept:    run.accept.P95,
+		Tips:         run.stats.Tips,
 	}, nil
 }
 
-// Render writes the sweep as an aligned table.
-func (r *ScalabilityResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Scalability — admission throughput vs device population (difficulty %d, %d txs/device)\n",
-		r.Config.Difficulty, r.Config.TxPerDevice); err != nil {
-		return err
+// Table builds the sweep.
+func (r *ScalabilityResult) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Scalability — admission throughput vs device population (difficulty %d, %d txs/device)",
+			r.Config.Difficulty, r.Config.TxPerDevice),
+		Header: []string{"devices", "txs", "elapsed_s", "tps", "mean_accept_s", "p95_accept_s", "tips"},
 	}
-	t := &table{header: []string{"devices", "txs", "elapsed_s", "tps", "mean_accept_s", "p95_accept_s", "tips"}}
 	for _, row := range r.Rows {
 		t.add(
 			fmt.Sprintf("%d", row.Devices),
@@ -180,22 +109,5 @@ func (r *ScalabilityResult) Render(w io.Writer) error {
 			fmt.Sprintf("%d", row.Tips),
 		)
 	}
-	return t.render(w)
-}
-
-// CSV writes the sweep as CSV.
-func (r *ScalabilityResult) CSV(w io.Writer) error {
-	t := &table{header: []string{"devices", "txs", "elapsed_s", "tps", "mean_accept_s", "p95_accept_s", "tips"}}
-	for _, row := range r.Rows {
-		t.add(
-			fmt.Sprintf("%d", row.Devices),
-			fmt.Sprintf("%d", row.Transactions),
-			fsec(row.Elapsed),
-			fmt.Sprintf("%.1f", row.TPS),
-			fsec(row.MeanAccept),
-			fsec(row.P95Accept),
-			fmt.Sprintf("%d", row.Tips),
-		)
-	}
-	return t.csv(w)
+	return t
 }

@@ -3,9 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
+	biot "github.com/b-iot/biot"
 	"github.com/b-iot/biot/internal/attack"
 	"github.com/b-iot/biot/internal/clock"
 	"github.com/b-iot/biot/internal/core"
@@ -101,36 +101,25 @@ func RunSecurity(ctx context.Context, cfg SecurityConfig) (*SecurityResult, erro
 	return res, nil
 }
 
-// newSecurityDeployment builds a single manager-node deployment.
-func newSecurityDeployment(cfg SecurityConfig, clk clock.Clock, rateLimit int) (*node.Manager, *node.FullNode, error) {
-	managerKey, err := identity.Generate()
-	if err != nil {
-		return nil, nil, err
+// countEvents counts the malicious events of one behaviour recorded
+// against addr.
+func countEvents(sys *biot.System, addr identity.Address, b core.Behaviour) int {
+	n := 0
+	for _, ev := range sys.Events(addr) {
+		if ev.Behaviour == b {
+			n++
+		}
 	}
-	full, err := node.NewFull(node.FullConfig{
-		Key:        managerKey,
-		Role:       identity.RoleManager,
-		ManagerPub: managerKey.Public(),
-		Credit:     securityParams(cfg.Difficulty),
-		Clock:      clk,
-		RateLimit:  rateLimit,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	mgr, err := node.NewManager(full)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mgr, full, nil
+	return n
 }
 
 func runSybilScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, error) {
-	_, full, err := newSecurityDeployment(cfg, nil, 0)
+	sys, _, err := deploy(ctx, biot.SystemConfig{Credit: securityParams(cfg.Difficulty)}, 0)
 	if err != nil {
 		return SecurityRow{}, err
 	}
-	res, err := attack.SybilFlood(ctx, full, nil, nil, cfg.SybilIdentities)
+	defer sys.Close()
+	res, err := attack.SybilFlood(ctx, sys.ManagerGateway().Node(), nil, nil, cfg.SybilIdentities)
 	if err != nil {
 		return SecurityRow{}, err
 	}
@@ -144,19 +133,15 @@ func runSybilScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, err
 }
 
 func runFloodScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, error) {
-	mgr, full, err := newSecurityDeployment(cfg, nil, cfg.FloodRateLimit)
+	sys, devices, err := deploy(ctx, biot.SystemConfig{
+		Credit:    securityParams(cfg.Difficulty),
+		RateLimit: cfg.FloodRateLimit,
+	}, 1)
 	if err != nil {
 		return SecurityRow{}, err
 	}
-	key, err := identity.Generate()
-	if err != nil {
-		return SecurityRow{}, err
-	}
-	mgr.AuthorizeDevice(key.Public(), key.BoxPublic())
-	if _, err := mgr.PublishAuthorization(ctx); err != nil {
-		return SecurityRow{}, err
-	}
-	atk, err := attack.New(attack.Config{Key: key, Gateway: full})
+	defer sys.Close()
+	atk, err := attack.New(attack.Config{Key: devices[0].Key(), Gateway: sys.ManagerGateway().Node()})
 	if err != nil {
 		return SecurityRow{}, err
 	}
@@ -175,28 +160,13 @@ func runFloodScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, err
 
 func runLazyScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, error) {
 	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0).UTC())
-	mgr, full, err := newSecurityDeployment(cfg, clk, 0)
+	sys, devices, err := deploy(ctx, biot.SystemConfig{Credit: securityParams(cfg.Difficulty), Clock: clk}, 2)
 	if err != nil {
 		return SecurityRow{}, err
 	}
-	honestKey, err := identity.Generate()
-	if err != nil {
-		return SecurityRow{}, err
-	}
-	lazyKey, err := identity.Generate()
-	if err != nil {
-		return SecurityRow{}, err
-	}
-	mgr.AuthorizeDevice(honestKey.Public(), honestKey.BoxPublic())
-	mgr.AuthorizeDevice(lazyKey.Public(), lazyKey.BoxPublic())
-	if _, err := mgr.PublishAuthorization(ctx); err != nil {
-		return SecurityRow{}, err
-	}
-
-	honest, err := node.NewLight(node.LightConfig{Key: honestKey, Gateway: full, Clock: clk})
-	if err != nil {
-		return SecurityRow{}, err
-	}
+	defer sys.Close()
+	full := sys.ManagerGateway().Node()
+	honest := devices[0]
 	// Seed early traffic, then pin its tips as the lazy pair.
 	if _, err := honest.PostReading(ctx, []byte("early-1")); err != nil {
 		return SecurityRow{}, err
@@ -205,7 +175,7 @@ func runLazyScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, erro
 	if err != nil {
 		return SecurityRow{}, err
 	}
-	atk, err := attack.New(attack.Config{Key: lazyKey, Gateway: full, Clock: clk})
+	atk, err := attack.New(attack.Config{Key: devices[1].Key(), Gateway: full, Clock: clk})
 	if err != nil {
 		return SecurityRow{}, err
 	}
@@ -221,19 +191,13 @@ func runLazyScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, erro
 	}
 	clk.Advance(20 * time.Second)
 
-	before := full.DifficultyFor(atk.Address())
+	before := sys.DifficultyFor(atk.Address())
 	if _, err := atk.LazySubmit(ctx, []byte("lazy")); err != nil {
 		return SecurityRow{}, err
 	}
 	clk.Advance(time.Second)
-	after := full.DifficultyFor(atk.Address())
-	events := full.Engine().Ledger().Events(atk.Address())
-	lazyDetected := 0
-	for _, ev := range events {
-		if ev.Behaviour == core.BehaviourLazyTips {
-			lazyDetected++
-		}
-	}
+	after := sys.DifficultyFor(atk.Address())
+	lazyDetected := countEvents(sys, atk.Address(), core.BehaviourLazyTips)
 	return SecurityRow{
 		Threat:  "lazy tips",
 		Defense: "stale-parent detection + credit punishment",
@@ -244,19 +208,13 @@ func runLazyScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, erro
 }
 
 func runDoubleSpendScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, error) {
-	mgr, full, err := newSecurityDeployment(cfg, nil, 0)
+	sys, devices, err := deploy(ctx, biot.SystemConfig{Credit: securityParams(cfg.Difficulty)}, 1)
 	if err != nil {
 		return SecurityRow{}, err
 	}
-	key, err := identity.Generate()
-	if err != nil {
-		return SecurityRow{}, err
-	}
-	mgr.AuthorizeDevice(key.Public(), key.BoxPublic())
-	if _, err := mgr.PublishAuthorization(ctx); err != nil {
-		return SecurityRow{}, err
-	}
-	full.Tokens().Mint(key.Address(), 100)
+	defer sys.Close()
+	full := sys.ManagerGateway().Node()
+	sys.Mint(devices[0].Address(), 100)
 
 	victim1, err := identity.Generate()
 	if err != nil {
@@ -266,24 +224,18 @@ func runDoubleSpendScenario(ctx context.Context, cfg SecurityConfig) (SecurityRo
 	if err != nil {
 		return SecurityRow{}, err
 	}
-	atk, err := attack.New(attack.Config{Key: key, Gateway: full})
+	atk, err := attack.New(attack.Config{Key: devices[0].Key(), Gateway: full})
 	if err != nil {
 		return SecurityRow{}, err
 	}
-	before := full.DifficultyFor(atk.Address())
+	before := sys.DifficultyFor(atk.Address())
 	first, second, err := atk.DoubleSpend(ctx, victim1.Address(), victim2.Address(), 40, 0)
 	if err != nil {
 		return SecurityRow{}, err
 	}
-	after := full.DifficultyFor(atk.Address())
+	after := sys.DifficultyFor(atk.Address())
 
-	events := full.Engine().Ledger().Events(atk.Address())
-	doubleSpends := 0
-	for _, ev := range events {
-		if ev.Behaviour == core.BehaviourDoubleSpend {
-			doubleSpends++
-		}
-	}
+	doubleSpends := countEvents(sys, atk.Address(), core.BehaviourDoubleSpend)
 	firstInfo, err := full.InfoOf(first.ID)
 	if err != nil {
 		return SecurityRow{}, err
@@ -303,6 +255,9 @@ func runDoubleSpendScenario(ctx context.Context, cfg SecurityConfig) (SecurityRo
 	}, nil
 }
 
+// runFailoverScenario builds its deployment by hand, not through deploy:
+// it must Isolate and Restore one gateway on the gossip bus, which the
+// facade does not expose.
 func runFailoverScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, error) {
 	bus := gossip.NewBus()
 	defer func() { _ = bus.Close() }()
@@ -410,12 +365,12 @@ func runFailoverScenario(ctx context.Context, cfg SecurityConfig) (SecurityRow, 
 	}, nil
 }
 
-// Render writes the matrix as an aligned table.
-func (r *SecurityResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "Security matrix — §VI-C threat scenarios, measured"); err != nil {
-		return err
+// Table builds the matrix.
+func (r *SecurityResult) Table() *Table {
+	t := &Table{
+		Title:  "Security matrix — §VI-C threat scenarios, measured",
+		Header: []string{"threat", "defense", "verdict", "detail"},
 	}
-	t := &table{header: []string{"threat", "defense", "verdict", "detail"}}
 	for _, row := range r.Rows {
 		verdict := "DEFENDED"
 		if !row.Pass {
@@ -423,14 +378,5 @@ func (r *SecurityResult) Render(w io.Writer) error {
 		}
 		t.add(row.Threat, row.Defense, verdict, row.Detail)
 	}
-	return t.render(w)
-}
-
-// CSV writes the matrix as CSV.
-func (r *SecurityResult) CSV(w io.Writer) error {
-	t := &table{header: []string{"threat", "defense", "pass", "detail"}}
-	for _, row := range r.Rows {
-		t.add(row.Threat, row.Defense, fmt.Sprintf("%t", row.Pass), row.Detail)
-	}
-	return t.csv(w)
+	return t
 }

@@ -3,16 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
 	"time"
 
 	"github.com/b-iot/biot/internal/chainbc"
-	"github.com/b-iot/biot/internal/core"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/metrics"
-	"github.com/b-iot/biot/internal/node"
-	"github.com/b-iot/biot/internal/pow"
 	"github.com/b-iot/biot/internal/txn"
 )
 
@@ -112,90 +107,22 @@ func RunThroughput(ctx context.Context, cfg ThroughputConfig) (*ThroughputResult
 }
 
 func runDAGThroughput(ctx context.Context, cfg ThroughputConfig) (ThroughputRow, error) {
-	managerKey, err := identity.Generate()
+	run, err := runDevices(ctx, cfg.TxDifficulty, cfg.Devices, cfg.TxPerDevice, cfg.PayloadBytes)
 	if err != nil {
 		return ThroughputRow{}, err
 	}
-	params := core.DefaultParams()
-	params.InitialDifficulty = cfg.TxDifficulty
-	params.MinDifficulty = 1
-	params.MaxDifficulty = pow.MaxDifficulty
-	full, err := node.NewFull(node.FullConfig{
-		Key:        managerKey,
-		Role:       identity.RoleManager,
-		ManagerPub: managerKey.Public(),
-		Credit:     params,
-		// Static difficulty isolates raw ledger throughput from the
-		// credit mechanism's honest-node speedup (measured separately
-		// in Fig 9).
-		Policy: core.StaticPolicy{Difficulty: cfg.TxDifficulty},
-	})
-	if err != nil {
-		return ThroughputRow{}, err
-	}
-	mgr, err := node.NewManager(full)
-	if err != nil {
-		return ThroughputRow{}, err
-	}
-
-	devices := make([]*node.LightNode, cfg.Devices)
-	for i := range devices {
-		key, err := identity.Generate()
-		if err != nil {
-			return ThroughputRow{}, err
-		}
-		mgr.AuthorizeDevice(key.Public(), key.BoxPublic())
-		devices[i], err = node.NewLight(node.LightConfig{Key: key, Gateway: full})
-		if err != nil {
-			return ThroughputRow{}, err
-		}
-	}
-	if _, err := mgr.PublishAuthorization(ctx); err != nil {
-		return ThroughputRow{}, err
-	}
-
-	payload := make([]byte, cfg.PayloadBytes)
 	total := cfg.Devices * cfg.TxPerDevice
-	var accept metrics.Histogram
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Devices)
-	for _, dev := range devices {
-		dev := dev
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < cfg.TxPerDevice; i++ {
-				txStart := time.Now()
-				if _, err := dev.PostReading(ctx, payload); err != nil {
-					errCh <- err
-					return
-				}
-				accept.Observe(time.Since(txStart))
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errCh:
-		return ThroughputRow{}, err
-	default:
-	}
-
-	stats := full.Tangle().StatsNow()
-	confirmed := float64(stats.Confirmed-2) / float64(total) // minus genesis
+	confirmed := float64(run.stats.Confirmed-2) / float64(total) // minus genesis
 	if confirmed < 0 {
 		confirmed = 0
 	}
-	sum := accept.Summarize()
 	return ThroughputRow{
 		System:        "DAG tangle (async)",
 		Transactions:  total,
-		Elapsed:       elapsed,
-		TPS:           float64(total) / elapsed.Seconds(),
-		MeanAccept:    sum.Mean,
-		P95Accept:     sum.P95,
+		Elapsed:       run.elapsed,
+		TPS:           float64(total) / run.elapsed.Seconds(),
+		MeanAccept:    run.accept.Mean,
+		P95Accept:     run.accept.P95,
 		ConfirmedFrac: confirmed,
 	}, nil
 }
@@ -290,14 +217,13 @@ func txnSeedHash(s string) (h [32]byte) {
 	return h
 }
 
-// Render writes the comparison as an aligned table.
-func (r *ThroughputResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Throughput — DAG vs chain, %d devices × %d txs (tx difficulty %d, block difficulty %d)\n",
-		r.Config.Devices, r.Config.TxPerDevice, r.Config.TxDifficulty, r.Config.BlockDifficulty); err != nil {
-		return err
+// Table builds the comparison.
+func (r *ThroughputResult) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Throughput — DAG vs chain, %d devices × %d txs (tx difficulty %d, block difficulty %d)",
+			r.Config.Devices, r.Config.TxPerDevice, r.Config.TxDifficulty, r.Config.BlockDifficulty),
+		Header: []string{"system", "txs", "elapsed_s", "tps", "mean_accept_s", "p95_accept_s", "confirmed_frac"},
 	}
-	t := &table{header: []string{"system", "txs", "elapsed_s", "tps", "mean_accept_s", "p95_accept_s", "confirmed_frac"}}
 	for _, row := range r.Rows {
 		t.add(
 			row.System,
@@ -309,20 +235,5 @@ func (r *ThroughputResult) Render(w io.Writer) error {
 			fmt.Sprintf("%.2f", row.ConfirmedFrac),
 		)
 	}
-	return t.render(w)
-}
-
-// CSV writes the comparison as CSV.
-func (r *ThroughputResult) CSV(w io.Writer) error {
-	t := &table{header: []string{"system", "txs", "elapsed_s", "tps", "mean_accept_s", "p95_accept_s", "confirmed_frac"}}
-	for _, row := range r.Rows {
-		t.add(row.System,
-			fmt.Sprintf("%d", row.Transactions),
-			fsec(row.Elapsed),
-			fmt.Sprintf("%.1f", row.TPS),
-			fsec(row.MeanAccept),
-			fsec(row.P95Accept),
-			fmt.Sprintf("%.2f", row.ConfirmedFrac))
-	}
-	return t.csv(w)
+	return t
 }

@@ -105,41 +105,46 @@ func NewSystemWithKey(cfg SystemConfig, managerKey *identity.KeyPair) (*System, 
 	if managerKey == nil {
 		return nil, errors.New("system requires a manager key")
 	}
-	bus := gossip.NewBus()
-	mgrNet, err := bus.Join("manager")
+	s := &System{cfg: cfg, bus: gossip.NewBus(), managerKey: managerKey}
+	full, err := s.startNode("manager", managerKey, identity.RoleManager)
+	if err != nil {
+		return nil, err
+	}
+	if s.manager, err = node.NewManager(full); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// startNode starts one full node of the deployment on the gossip bus
+// under name, journaled to <PersistDir>/<name>.log when persistence is
+// on.
+func (s *System) startNode(name string, key *identity.KeyPair, role identity.Role) (*node.FullNode, error) {
+	net, err := s.bus.Join(name)
 	if err != nil {
 		return nil, err
 	}
 	full, err := node.NewFull(node.FullConfig{
-		Key:        managerKey,
-		Role:       identity.RoleManager,
-		ManagerPub: managerKey.Public(),
-		Credit:     cfg.Credit,
-		Policy:     cfg.Policy,
-		Tangle:     cfg.Tangle,
-		Clock:      cfg.Clock,
-		Network:    mgrNet,
-		RateLimit:  cfg.RateLimit,
-		Quality:    cfg.Quality,
+		Key:        key,
+		Role:       role,
+		ManagerPub: s.managerKey.Public(),
+		Credit:     s.cfg.Credit,
+		Policy:     s.cfg.Policy,
+		Tangle:     s.cfg.Tangle,
+		Clock:      s.cfg.Clock,
+		Network:    net,
+		RateLimit:  s.cfg.RateLimit,
+		Quality:    s.cfg.Quality,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.PersistDir != "" {
-		if _, err := full.EnablePersistence(filepath.Join(cfg.PersistDir, "manager.log")); err != nil {
+	if s.cfg.PersistDir != "" {
+		if _, err := full.EnablePersistence(filepath.Join(s.cfg.PersistDir, name+".log")); err != nil {
 			return nil, err
 		}
 	}
-	mgr, err := node.NewManager(full)
-	if err != nil {
-		return nil, err
-	}
-	return &System{
-		cfg:        cfg,
-		bus:        bus,
-		managerKey: managerKey,
-		manager:    mgr,
-	}, nil
+	return full, nil
 }
 
 // ManagerPublic returns the manager's public signing key (what devices
@@ -162,30 +167,9 @@ func (s *System) AddGateway(ctx context.Context) (*Gateway, error) {
 	if err != nil {
 		return nil, fmt.Errorf("generate gateway account: %w", err)
 	}
-	gwNet, err := s.bus.Join(fmt.Sprintf("gateway-%d", len(s.gateways)))
+	full, err := s.startNode(fmt.Sprintf("gateway-%d", len(s.gateways)), gwKey, identity.RoleGateway)
 	if err != nil {
 		return nil, err
-	}
-	full, err := node.NewFull(node.FullConfig{
-		Key:        gwKey,
-		Role:       identity.RoleGateway,
-		ManagerPub: s.managerKey.Public(),
-		Credit:     s.cfg.Credit,
-		Policy:     s.cfg.Policy,
-		Tangle:     s.cfg.Tangle,
-		Clock:      s.cfg.Clock,
-		Network:    gwNet,
-		RateLimit:  s.cfg.RateLimit,
-		Quality:    s.cfg.Quality,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.PersistDir != "" {
-		name := fmt.Sprintf("gateway-%d.log", len(s.gateways))
-		if _, err := full.EnablePersistence(filepath.Join(s.cfg.PersistDir, name)); err != nil {
-			return nil, err
-		}
 	}
 	s.manager.RegisterGateway(gwKey.Public())
 	full.SyncAll(ctx)
