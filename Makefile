@@ -27,7 +27,9 @@ vet:
 # under the race detector to exercise SelectTips readers against a
 # live attacher. The store runs ten more rounds: its group committer is
 # the one place every admission path meets, and its tests order
-# goroutines by released fsyncs, which only repetition checks. The
+# goroutines by released fsyncs, which only repetition checks. So do the
+# supervisor's tests, which order the watchdog, Stop and the probes by
+# lifecycle transitions (a held build, a held drain, a failing restart). The
 # allocation guards (txn's wire path, the ID a decode seeds and a device's
 # build-sign-mine of a reading, node's relayed batch — journaled or not —
 # and journal replay beyond each transaction's resident copy and its
@@ -46,6 +48,7 @@ vet:
 test: vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/store/
+	$(GO) test -race -count=10 -run Supervisor ./internal/node/
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchtime 20x ./internal/gossip/

@@ -97,9 +97,9 @@ func run() error {
 	}
 
 	// The supervised unit: network attachment + node. Build runs on
-	// every (re)start — a watchdog restart after a poisoned journal or a
-	// dead transport rebinds the gossip listener and replays the journal
-	// into a fresh node.
+	// every (re)start — a watchdog restart after a poisoned journal
+	// rebinds the gossip listener and replays the journal into a fresh
+	// node.
 	params := defaultParamsWithDifficulty(*difficulty)
 	build := func() (*node.FullNode, error) {
 		net, err := gossip.ListenTCP(*gossipAddr)
@@ -221,8 +221,8 @@ func run() error {
 
 	// The RPC server re-resolves the node per request, so a watchdog
 	// restart swaps the instance under it without dropping the listener;
-	// /healthz and /readyz expose the supervisor's verdict to
-	// orchestrators.
+	// /healthz exposes the supervisor's health and /readyz whether a node
+	// is up.
 	srv := rpc.NewServer(nil, rpc.WithNodeSource(sup.Node), rpc.WithHealth(sup))
 	if err := srv.Start(*rpcAddr); err != nil {
 		sup.Stop(context.Background())

@@ -172,7 +172,7 @@ func (n *FullNode) BootstrapFrom(ctx context.Context, peer string) (BootstrapSta
 	// treats as a corrupt log. Cutting a compacted (generation ≥ 1)
 	// segment first means every bootstrap-attached record replays
 	// through Restore, so a crash mid-join recovers cleanly.
-	if n.journalLog() != nil {
+	if n.journal.Load() != nil {
 		if _, err := n.CompactJournal(); err != nil {
 			return stats, fmt.Errorf("bootstrap from %s: %w", peer, err)
 		}

@@ -23,7 +23,7 @@ const (
 // UnflushedJournal counts the records queued for the journal whose flush
 // has not returned.
 func (n *FullNode) UnflushedJournal() int {
-	if log := n.journalLog(); log != nil {
+	if log := n.journal.Load(); log != nil {
 		return log.Unflushed()
 	}
 	return 0
@@ -87,8 +87,7 @@ func (n *FullNode) ReplayPerRecord(fs chaos.FS, path string) error {
 	if epoch := coldIdx.Epoch(); !epoch.IsZero() {
 		n.registry.PruneVersions(epoch, evidenceMinVersions)
 	}
-	n.journalMu.Lock()
-	n.journal, n.coldIdx = log, coldIdx // ClosePersistence closes both
-	n.journalMu.Unlock()
+	n.coldIdx.Store(coldIdx) // ClosePersistence closes both
+	n.journal.Store(log)
 	return nil
 }

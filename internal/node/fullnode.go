@@ -188,9 +188,10 @@ type FullNode struct {
 	// single-flight, cancelled and joined by Close.
 	repair orphanRepair
 
-	journalMu sync.Mutex       // guards journal and coldIdx
-	journal   *store.Log       // nil unless EnablePersistence was called
-	coldIdx   *store.ColdIndex // durable pruned-ID index; nil when memory-only
+	// The journal handles are swapped by EnablePersistenceFS and
+	// ClosePersistence and read on every attach and submission.
+	journal atomic.Pointer[store.Log]       // nil unless EnablePersistence was called
+	coldIdx atomic.Pointer[store.ColdIndex] // durable pruned-ID index; nil when memory-only
 
 	// replayGate holds admission (read side: Submit, admitGossipBatch)
 	// while EnablePersistenceFS replays the journal (write side).
@@ -481,16 +482,6 @@ func (n *FullNode) Network() gossip.Network { return n.cfg.Network }
 // for single-tier deployments). Like Network, the Supervisor closes it
 // during teardown so a rebuilt node can rejoin under the same name.
 func (n *FullNode) Backbone() gossip.Network { return n.cfg.Backbone }
-
-// TransportHealthy reports the broadcast pipeline can still fan out:
-// true for standalone nodes (nothing to fail) and for networked nodes
-// whose pipeline has not been closed.
-func (n *FullNode) TransportHealthy() bool {
-	if n.cfg.Network == nil {
-		return true
-	}
-	return n.bcast != nil && !n.bcast.closed.Load()
-}
 
 // LedgerMetrics exposes the tangle's anchored tip-selection gauges
 // (anchor height/count, walk lengths, fallback counts).

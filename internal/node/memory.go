@@ -80,14 +80,12 @@ func (n *FullNode) MemoryGauges() MemoryGauges {
 	if lag, ok := n.ReconcileLag(); ok {
 		g.ReconcileLagMS = lag.Milliseconds()
 	}
-	n.journalMu.Lock()
-	if n.journal != nil {
-		g.JournalBytes = n.journal.Bytes()
+	if log := n.journal.Load(); log != nil {
+		g.JournalBytes = log.Bytes()
 	}
-	if n.coldIdx != nil {
-		g.ColdIndexBytes = n.coldIdx.Bytes()
+	if idx := n.coldIdx.Load(); idx != nil {
+		g.ColdIndexBytes = idx.Bytes()
 	}
-	n.journalMu.Unlock()
 	var rt runtime.MemStats
 	runtime.ReadMemStats(&rt)
 	g.HeapInuse = rt.HeapInuse

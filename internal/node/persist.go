@@ -36,7 +36,7 @@ func (n *FullNode) EnablePersistence(path string) (replayed int, err error) {
 // filesystem — the seam the chaos torture and soak suites inject disk
 // faults through.
 func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, err error) {
-	if log := n.journalLog(); log != nil {
+	if log := n.journal.Load(); log != nil {
 		return 0, fmt.Errorf("persistence already enabled at %s", log.Path())
 	}
 
@@ -103,18 +103,9 @@ func (n *FullNode) EnablePersistenceFS(fs chaos.FS, path string) (replayed int, 
 		n.registry.PruneVersions(epoch, evidenceMinVersions)
 	}
 	log.Observe(n.observeJournal)
-	n.journalMu.Lock()
-	n.journal = log
-	n.coldIdx = coldIdx
-	n.journalMu.Unlock()
+	n.coldIdx.Store(coldIdx)
+	n.journal.Store(log)
 	return log.Len(), nil
-}
-
-// journalLog returns the open journal, nil on a memory-only node.
-func (n *FullNode) journalLog() *store.Log {
-	n.journalMu.Lock()
-	defer n.journalMu.Unlock()
-	return n.journal
 }
 
 // JournalHealthy reports the journal's state: true when persistence is
@@ -123,14 +114,14 @@ func (n *FullNode) journalLog() *store.Log {
 // (re-replaying the durable prefix) before its journal can be trusted
 // again — the Supervisor's watchdog does exactly that.
 func (n *FullNode) JournalHealthy() bool {
-	log := n.journalLog()
+	log := n.journal.Load()
 	return log != nil && log.Healthy()
 }
 
 // JournalError returns the sticky I/O error that poisoned the journal
 // (nil while healthy or memory-only).
 func (n *FullNode) JournalError() error {
-	log := n.journalLog()
+	log := n.journal.Load()
 	if log == nil {
 		return nil
 	}
@@ -140,7 +131,7 @@ func (n *FullNode) JournalError() error {
 // JournalStats returns the journal's recovery stats and current
 // generation; ok is false on a memory-only node.
 func (n *FullNode) JournalStats() (stats store.RecoveryStats, generation uint64, ok bool) {
-	log := n.journalLog()
+	log := n.journal.Load()
 	if log == nil {
 		return store.RecoveryStats{}, 0, false
 	}
@@ -151,12 +142,7 @@ func (n *FullNode) JournalStats() (stats store.RecoveryStats, generation uint64,
 // relayed records no handler waited for — and closes it and the cold
 // index.
 func (n *FullNode) ClosePersistence() error {
-	n.journalMu.Lock()
-	log := n.journal
-	idx := n.coldIdx
-	n.journal = nil
-	n.coldIdx = nil
-	n.journalMu.Unlock()
+	log, idx := n.journal.Swap(nil), n.coldIdx.Swap(nil)
 	if log == nil {
 		return ErrNotPersistent
 	}
@@ -336,7 +322,7 @@ const evidenceMinVersions = 2
 // snapshot already folded away. Returns the record count of the new
 // segment.
 func (n *FullNode) CompactJournal() (records int, err error) {
-	log := n.journalLog()
+	log := n.journal.Load()
 	if log == nil {
 		return 0, ErrNotPersistent
 	}
@@ -394,7 +380,7 @@ const maxUnsyncedRelay = syncPageSize
 // verdict to observeJournal, waited for or not, so operators notice a
 // dying disk, and the poisoned log turns JournalHealthy false.
 func (n *FullNode) journalAttached(seq uint64, enc []byte) {
-	if log := n.journalLog(); log != nil {
+	if log := n.journal.Load(); log != nil {
 		_ = log.Enqueue(enc, seq) // a refusal reaches observeJournal
 	}
 }
@@ -419,7 +405,7 @@ func (n *FullNode) observeJournal(wait time.Duration, err error) {
 // hand over the pair's next batch while the fsync runs, and wait — for the
 // newest record they attached — only past maxUnsyncedRelay.
 func (n *FullNode) awaitJournal(seq uint64, backlog int) {
-	if log := n.journalLog(); log != nil && log.Unflushed() > backlog {
+	if log := n.journal.Load(); log != nil && log.Unflushed() > backlog {
 		_ = log.Await(seq)
 	}
 }

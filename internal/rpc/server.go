@@ -147,9 +147,8 @@ type ErrorResponse struct {
 	Code int `json:"code"`
 }
 
-// HealthSource reports a supervised node's liveness and readiness —
-// implemented by node.Supervisor. Wired with WithHealth, it backs the
-// /healthz and /readyz probe endpoints.
+// HealthSource reports a supervised node's health — implemented by
+// node.Supervisor. Wired with WithHealth, it backs /healthz.
 type HealthSource interface {
 	Health() node.Health
 }
@@ -167,8 +166,9 @@ type Server struct {
 type ServerOption func(*Server)
 
 // WithHealth wires a health source (typically the node's Supervisor)
-// into /healthz and /readyz. Without it, /healthz reports a static
-// "running" and /readyz tracks only whether a node is resolvable.
+// into /healthz. Without it, /healthz reports a static "running" while a
+// node is resolvable. /readyz never consults it: readiness is whether the
+// node source resolves a node.
 func WithHealth(hs HealthSource) ServerOption {
 	return func(s *Server) { s.health = hs }
 }
@@ -223,8 +223,9 @@ func (s *Server) withNode(h func(http.ResponseWriter, *http.Request, *node.FullN
 // handleHealthz reports supervised health: with a health source, 200
 // whatever the state — the node is running, or restarting and still owned
 // by the watchdog, which never gives up — and the body is the full
-// node.Health document, so operators see journal/transport/pipeline
-// detail in one probe. Without one, 200 while a node is resolvable.
+// node.Health document, so operators see the journal verdict, the last
+// start error and the memory footprint in one probe. Without one, 200
+// while a node is resolvable.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.health == nil {
 		status := http.StatusOK
@@ -237,25 +238,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.health.Health())
 }
 
-// handleReadyz is the load-balancer probe: 200 only while the node is
-// accepting work. It flips to 503 the moment a graceful drain begins,
-// while /healthz stays green — the standard "stop sending traffic, I'm
-// not dead" split.
+// handleReadyz is the load-balancer probe: 200 only while the node source
+// resolves a node. A supervisor's source turns nil the moment a graceful
+// drain or a watchdog restart begins, while /healthz stays green — the
+// standard "stop sending traffic, I'm not dead" split.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if s.health == nil {
-		status := http.StatusOK
-		if s.source() == nil {
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, map[string]bool{"ready": status == http.StatusOK})
-		return
-	}
-	h := s.health.Health()
+	ready := s.source() != nil
 	status := http.StatusOK
-	if !h.Ready {
+	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	writeJSON(w, status, map[string]bool{"ready": ready})
 }
 
 // Handler returns the HTTP handler (for tests with httptest).

@@ -438,10 +438,8 @@ func (c *Cluster) HealAll(ctx context.Context) error {
 	c.isolatedMu.Unlock()
 	for _, g := range c.Gateways {
 		g.HealFaults()
-		if g.Sup.Node() == nil && g.Sup.State() == node.StateStopped {
-			if err := g.Sup.Start(); err != nil && !errors.Is(err, node.ErrSupervisorRunning) {
-				return fmt.Errorf("restart %s: %w", g.Name, err)
-			}
+		if err := g.Sup.Start(); err != nil && !errors.Is(err, node.ErrSupervisorRunning) {
+			return fmt.Errorf("restart %s: %w", g.Name, err)
 		}
 	}
 	return c.WaitReady()

@@ -102,6 +102,11 @@ func TestSystemEncryptedFlowAndGatewayRPC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post encrypted: %v", err)
 	}
+	// The reading entered at the manager; gateway-0 holds it once the
+	// manager's fan-out has been delivered.
+	if err := sys.Manager().Node().FlushBroadcast(ctx); err != nil {
+		t.Fatalf("flush manager broadcast: %v", err)
+	}
 	if _, err := dev.FetchReading(info.ID, nil); err == nil {
 		t.Fatal("sensitive reading opened without key over rpc")
 	}
