@@ -371,3 +371,21 @@ func TestTipValidationBindsBodyToID(t *testing.T) {
 		t.Errorf("device submitted %d transactions on unvalidated tips", liar.submitted)
 	}
 }
+
+// mutedGateway answers DifficultyFor with 0, as a gateway does when it
+// cannot answer (a supervised node gone between the tips and the
+// difficulty, an RPC failure).
+type mutedGateway struct{ node.Gateway }
+
+func (mutedGateway) DifficultyFor(identity.Address) int { return 0 }
+
+// TestPostFailsWithNodeDownWithoutADifficulty: a device must not mine
+// against a difficulty the gateway could not give; the post fails with
+// ErrNodeDown, not with a proof-of-work range error.
+func TestPostFailsWithNodeDownWithoutADifficulty(t *testing.T) {
+	dep := newTestDeployment(t)
+	device := newTestDevice(t, mutedGateway{dep.full})
+	if _, err := device.PostReading(context.Background(), []byte("no target")); !errors.Is(err, node.ErrNodeDown) {
+		t.Fatalf("PostReading without a difficulty: err = %v, want ErrNodeDown", err)
+	}
+}

@@ -21,6 +21,8 @@ import (
 // so devices run identically against either.
 type Gateway interface {
 	TipsForApproval() (trunk, branch hashutil.Hash, err error)
+	// DifficultyFor answers 0 when the gateway cannot answer at all; a
+	// light node then fails the post with ErrNodeDown.
 	DifficultyFor(addr identity.Address) int
 	GetTransaction(id hashutil.Hash) (*txn.Transaction, error)
 	Submit(ctx context.Context, t *txn.Transaction) (tangle.Info, error)
@@ -186,6 +188,9 @@ func (l *LightNode) submit(ctx context.Context, kind txn.Kind, payload []byte) (
 		t.Sign(l.cfg.Key)
 
 		difficulty := l.cfg.Gateway.DifficultyFor(l.Address())
+		if difficulty < 1 {
+			return SubmitResult{}, fmt.Errorf("get difficulty: gateway answered %d: %w", difficulty, ErrNodeDown)
+		}
 		res, err := l.worker.Attach(ctx, t, difficulty)
 		if err != nil {
 			return SubmitResult{}, fmt.Errorf("proof of work: %w", err)

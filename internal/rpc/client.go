@@ -295,8 +295,8 @@ func (c *Client) TipsForApproval() (hashutil.Hash, hashutil.Hash, error) {
 }
 
 // DifficultyFor implements node.Gateway. On RPC failure it returns 0,
-// an out-of-range difficulty that makes the subsequent PoW call fail
-// fast instead of mining against a guessed target.
+// which a light node takes for a gateway that is down: it fails the post
+// with node.ErrNodeDown instead of mining against a guessed target.
 func (c *Client) DifficultyFor(addr identity.Address) int {
 	var out DifficultyResponse
 	if err := c.get(context.Background(), "/api/v1/difficulty", "address="+addr.Hex(), &out); err != nil {
