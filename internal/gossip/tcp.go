@@ -183,7 +183,7 @@ func (n *TCPNetwork) acceptLoop() {
 // order (peerConn.exchange) that is per-pair FIFO delivery, which a
 // sender keeping several batches in flight relies on — a batch handled
 // before the one carrying its parents is an orphan. Every other request
-// (sync, credit, snapshot and auth-list pages) goes to its own bounded
+// (sync pages, credit pages, snapshot manifests) goes to its own bounded
 // handler goroutine, so a slow sync response does not block the next
 // inbound transaction batch on the same socket. Response writes are
 // serialized; responses may therefore interleave out of request order,

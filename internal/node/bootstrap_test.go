@@ -2,6 +2,7 @@ package node_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/clock"
+	"github.com/b-iot/biot/internal/gossip"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
 )
@@ -387,5 +389,68 @@ func TestSnapshotBootstrapEquivalence(t *testing.T) {
 		if got := replay.DifficultyFor(device.Address()); got != want {
 			t.Errorf("device %d: replay joiner difficulty %d != peer %d", i, got, want)
 		}
+	}
+}
+
+// TestBootstrapRoundsStopOnWhatThePullAttached: a gateway joins from a
+// peer that has never pruned (an empty manifest) and whose ledger is one
+// sync page, while a neighbour relays it one fresh transaction on every
+// sync request. The join's rounds stop on what the pull itself attached:
+// the first pass attaches the page, the second attaches nothing, and the
+// relayed transactions — which grow the ledger on every pass — do not
+// keep the join paging.
+func TestBootstrapRoundsStopOnWhatThePullAttached(t *testing.T) {
+	mgrKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &scriptedNet{peers: []string{"gateway"}}
+	joiner := newRelay(t, mgrKey, net)
+	g := genesisIDs(t, joiner)
+	page := readings(mgrKey, g, "served", 3)
+	manifest, err := json.Marshal(node.SnapshotManifest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relayed := 0
+	net.mu.Lock()
+	net.serve = func(_ string, msg gossip.Message) (gossip.Message, error) {
+		switch msg.Type {
+		case gossip.MsgSnapshotRequest:
+			return gossip.Message{Type: gossip.MsgSnapshotResponse, TxData: [][]byte{manifest}}, nil
+		case gossip.MsgSyncRequest:
+			relayed++
+			net.deliver(t, "neighbour", readings(mgrKey, g, fmt.Sprintf("relayed %d", relayed), 1)...)
+			reply := syncPages{page}.at(msg.Offset)
+			reply.Type = gossip.MsgSyncResponse
+			return reply, nil
+		}
+		return gossip.Message{}, fmt.Errorf("unexpected %v", msg.Type)
+	}
+	net.mu.Unlock()
+
+	stats, err := joiner.BootstrapFrom(context.Background(), "gateway")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Mode != "replay" {
+		t.Errorf("join mode %q, want replay", stats.Mode)
+	}
+	syncs := 0
+	for _, req := range net.requests() {
+		if req == "gateway sync-request" {
+			syncs++
+		}
+	}
+	if syncs > 2 {
+		t.Errorf("the join sent %d sync passes for a one-page ledger, want at most 2", syncs)
+	}
+	for _, tx := range page {
+		if !joiner.Tangle().Contains(tx.ID()) {
+			t.Error("a served transaction is not in the ledger")
+		}
+	}
+	if want := 2 + len(page) + relayed; joiner.Tangle().Size() != want {
+		t.Errorf("ledger holds %d transactions, want %d: genesis, the page and %d relayed", joiner.Tangle().Size(), want, relayed)
 	}
 }

@@ -83,8 +83,10 @@ type PipelineMetrics struct {
 	BatchVerified  metrics.Counter
 	BatchFallbacks metrics.Counter
 	// OrphanSyncs counts background pulls for relayed transactions whose
-	// parent never arrived (see repairOrphans).
-	OrphanSyncs metrics.Counter
+	// parent never arrived (see repairOrphans); OrphanSyncAttached counts
+	// the transactions those pulls attached.
+	OrphanSyncs        metrics.Counter
+	OrphanSyncAttached metrics.Counter
 	// SyncPages counts sync pages this node pulled as a requester.
 	SyncPages metrics.Counter
 }

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,9 +183,9 @@ type FullNode struct {
 	kickMu     sync.Mutex
 	kickWanted atomic.Bool
 
-	// repair is the background orphan-repair lane (see repairOrphans):
-	// single-flight, cancelled and joined by Close.
-	repair orphanRepair
+	// repair is the orphan-repair worker (see repairOrphans); nil when
+	// Network is nil.
+	repair *orphanRepair
 
 	// The journal handles are swapped by EnablePersistenceFS and
 	// ClosePersistence and read on every attach and submission.
@@ -200,10 +199,9 @@ type FullNode struct {
 	limiterMu sync.Mutex
 	limiter   map[identity.Address]*rateBucket
 
-	// cursors are the sync cursors by cursorKey: how far into each peer's
+	// cursors holds the sync cursors by cursorID: how far into each peer's
 	// attachment order, or one namespace's, this node has already paged.
-	cursorsMu sync.Mutex
-	cursors   map[string]*syncCursor
+	cursors sync.Map
 
 	// lastReconcile is the unix-nano stamp of the last completed
 	// backbone reconciliation round (0 = never); MemoryStats derives
@@ -258,14 +256,14 @@ func NewFull(cfg FullConfig) (*FullNode, error) {
 		tokens:   ledger.New(),
 		quar:     newQuarantine(quarantineCap, quarantineTTL),
 		limiter:  make(map[identity.Address]*rateBucket),
-		cursors:  make(map[string]*syncCursor),
 	}
 	n.verify = newVerifyStage(&n.pipeline)
 	n.submission, n.relayed = n.edges()
-	n.repair.ctx, n.repair.cancel = context.WithCancel(context.Background())
 	tg.Observe(tangle.ObserverFunc(n.onTangleEvent))
 	if conf.Network != nil {
 		n.bcast = newBroadcaster(n)
+		n.repair = newOrphanRepair()
+		go n.repairOrphans()
 		conf.Network.SetHandler(gossip.HandlerFunc(n.handleGossip))
 	}
 	if conf.Backbone != nil {
@@ -487,21 +485,18 @@ func (n *FullNode) Backbone() gossip.Network { return n.cfg.Backbone }
 // (anchor height/count, walk lengths, fallback counts).
 func (n *FullNode) LedgerMetrics() *tangle.Metrics { return n.tangle.Metrics() }
 
-// Close drains and stops the broadcast pipeline and the background
-// orphan repair. Read paths and local admission keep working;
-// subsequent Submits attach locally but are no longer gossiped. Safe to
-// call more than once.
+// Close drains and stops the broadcast pipeline and the orphan-repair
+// worker. Read paths and local admission keep working; subsequent
+// Submits attach locally but are no longer gossiped. Safe to call more
+// than once.
 func (n *FullNode) Close() error {
 	if n.bcast != nil {
 		n.bcast.close()
 	}
-	// Cancelled under the lane's lock: a handler starting a repair checks
-	// the context and joins the wait group under it, so it is either
-	// counted before the Wait or sees the cancellation.
-	n.repair.mu.Lock()
-	n.repair.cancel()
-	n.repair.mu.Unlock()
-	n.repair.wg.Wait()
+	if n.repair != nil {
+		n.repair.cancel()
+		<-n.repair.done
+	}
 	return nil
 }
 
@@ -673,21 +668,23 @@ func (n *FullNode) handleGossip(from string, msg gossip.Message) (*gossip.Messag
 // quarantine and is retried when later arrivals attach (kickQuarantine).
 // Peers keep several batches in flight, so what is missing is usually one
 // batch behind, not lost; on the relay path (repair set) a pull for what
-// stays missing runs in the background (repairOrphans).
+// stays missing runs in the background (reportOrphans).
 //
 // Authorization lists change who verifies as authorized, so they are
 // segment boundaries: the batch is verified and attached in runs, with
 // each authorization list verified and admitted on its own in between,
 // preserving the old one-at-a-time semantics for control-plane traffic.
 //
-// The returned count is the number of novel, decodable transactions
-// that did NOT end up attached (verification rejects, parked orphans,
-// attach failures other than duplicates). syncFrom uses it to decide
-// whether a sync page may be marked consumed: a transaction rejected
-// today — typically because this node's credit view lags and the
-// difficulty check disagrees — may verify cleanly once more of the
-// ledger has arrived, so its page must be re-offered by a later sync.
-func (n *FullNode) admitGossipBatch(from string, raw [][]byte, repair bool, hint uint32) (failed int) {
+// attached counts the batch's own transactions that attached (not what a
+// quarantine kick attached meanwhile); failed counts the novel, decodable
+// ones that did NOT end up attached (verification rejects, parked
+// orphans, attach failures other than duplicates). pull stops repeating
+// on the first and uses the second to decide whether a sync page may be
+// marked consumed: a transaction rejected today — typically because this
+// node's credit view lags and the difficulty check disagrees — may verify
+// cleanly once more of the ledger has arrived, so its page must be
+// re-offered by a later pull.
+func (n *FullNode) admitGossipBatch(from string, raw [][]byte, repair bool, hint uint32) (attached, failed int) {
 	n.replayGate.RLock()
 	defer n.replayGate.RUnlock()
 	now := n.cfg.Clock.Now()
@@ -742,6 +739,7 @@ func (n *FullNode) admitGossipBatch(from string, raw [][]byte, repair bool, hint
 			switch outcome, seq := n.admitRelayed(rec, now); outcome {
 			case relayAttached:
 				last = seq
+				attached++
 				continue
 			case relayDuplicate:
 				continue
@@ -771,7 +769,7 @@ func (n *FullNode) admitGossipBatch(from string, raw [][]byte, repair bool, hint
 				n.parkQuarantine(rec, now)
 				orphans = append(orphans, rec.id)
 			}
-			failed++ // a Sybil, a parked one, or the attach failed: syncFrom keeps the page dirty
+			failed++ // a Sybil, a parked one, or the attach failed: pull keeps the page dirty
 		}
 		start = end
 	}
@@ -779,9 +777,9 @@ func (n *FullNode) admitGossipBatch(from string, raw [][]byte, repair bool, hint
 	// Whatever attached may be the parent a parked transaction waits for.
 	n.kickQuarantine(now)
 	if repair && len(orphans) > 0 {
-		n.repairOrphans(from, orphans)
+		n.reportOrphans(from, orphans)
 	}
-	return failed
+	return attached, failed
 }
 
 // batchScratch is the working set of one admitGossipBatch call — its
@@ -804,414 +802,6 @@ func (sc *batchScratch) put() {
 	clear(sc.seen)
 	sc.recs = sc.recs[:0]
 	batchScratchPool.Put(sc)
-}
-
-// relayOutcome is what the relay gate did with one transaction.
-type relayOutcome int
-
-const (
-	relayAttached     relayOutcome = iota
-	relayDuplicate                 // the ledger holds it already
-	relayOrphan                    // a parent is not attached yet: park, retry when something attaches
-	relayUnresolved                // the evidence scan hit a list-sequence gap: park until the list attaches
-	relayUnauthorized              // a Sybil: drop
-	relayFailed                    // the attach refused it: drop
-)
-
-// admitRelayed is the relay edge's gate, for a verified transaction fresh
-// from a peer and for one retried out of the quarantine alike. The
-// authoritative evidence-at-admission verdict is taken just before attach
-// (DESIGN.md §15): a definitive Unauthorized is a Sybil and is dropped;
-// Unresolved and an orphan are the caller's to park; the rest goes to
-// attachVerified. seq is the attach sequence when the outcome is
-// relayAttached.
-func (n *FullNode) admitRelayed(rec inflight, now time.Time) (outcome relayOutcome, seq uint64) {
-	verdict, ok := n.relayAuthVerdict(rec.View)
-	switch {
-	case !ok:
-		if !n.tangle.WasSnapshotted(rec.Trunk()) && !n.tangle.WasSnapshotted(rec.Branch()) {
-			// A parent is simply missing: nothing to attach to, and an
-			// attempt would only count a reject every time it is retried.
-			return relayOrphan, 0
-		}
-		// A parent was folded away by a snapshot: the attach says so.
-	case verdict == authz.VerdictUnauthorized:
-		n.counters.StaleAuthRejects.Inc()
-		return relayUnauthorized, 0
-	case verdict == authz.VerdictUnresolved:
-		return relayUnresolved, 0
-	}
-	info, err := n.attachVerified(rec, now)
-	switch {
-	case err == nil:
-		return relayAttached, info.Seq
-	case errors.Is(err, tangle.ErrDuplicate):
-		return relayDuplicate, 0
-	case errors.Is(err, tangle.ErrUnknownParent):
-		return relayOrphan, 0
-	}
-	return relayFailed, 0
-}
-
-// observeList folds a verified manager-signed authorization list into
-// the registry, stamped with its embedded timestamp clamped to now so
-// that replay and catch-up reconstruct the evidence window identically.
-func (n *FullNode) observeList(v txn.View, now time.Time) (bool, error) {
-	recordAt := v.Timestamp()
-	if recordAt.After(now) {
-		recordAt = now
-	}
-	return n.registry.Observe(v, recordAt)
-}
-
-// relayAuthVerdict takes the evidence-at-admission authorization
-// verdict for one RELAYED transaction (DESIGN.md §15). The evidence is
-// the highest authorization-list sequence in the transaction's past
-// cone — the membership state its admitting gateway could have judged
-// it against — and the sender is accepted if it is a member of ANY
-// retained list version from that sequence forward (or of the current
-// view). Judging against history instead of this node's momentary
-// registry is what makes relay admission order-independent: a
-// revocation arriving before an older, still-valid reading no longer
-// rejects the reading and orphans its descendants.
-//
-// Returns ok=false when the verdict cannot be taken at all because a
-// parent is unattached (the caller falls through to the orphan path).
-// An Unresolved verdict means a list sequence in the scanned range is
-// missing here: a ledger transaction like any other, which sync repairs.
-func (n *FullNode) relayAuthVerdict(v txn.View) (verdict authz.Verdict, ok bool) {
-	if k := v.Kind(); k == txn.KindAuthorization || k == txn.KindGenesis {
-		return authz.VerdictAuthorized, true
-	}
-	seq, haveParents := n.tangle.EvidenceSeq(v.Trunk(), v.Branch())
-	if !haveParents {
-		return authz.VerdictUnresolved, false
-	}
-	verdict, _ = n.registry.EvidenceVerdict(v.Sender(), seq)
-	return verdict, true
-}
-
-// parkQuarantine parks one relayed transaction that waits for a parent or
-// an authorization list this node lacks.
-func (n *FullNode) parkQuarantine(rec inflight, now time.Time) {
-	fresh, evicted := n.quar.park(rec, now)
-	if fresh {
-		n.counters.Quarantined.Inc()
-	}
-	if evicted > 0 {
-		n.counters.QuarantineDrops.Add(int64(evicted))
-	}
-}
-
-// kickQuarantine retries every parked transaction — called whenever new
-// evidence can have arrived (an authorization list attached, a batch
-// completed). Single-flight without losing a kick: a caller that finds
-// one running (another handler's, the background repair's, or — an auth
-// list attaching during a repair — its own caller's) leaves a note and
-// returns, and the running one goes round again before it stops, so
-// what the later caller attached is seen.
-func (n *FullNode) kickQuarantine(now time.Time) {
-	if n.quar.size() == 0 {
-		return
-	}
-	n.kickWanted.Store(true)
-	for n.kickWanted.Load() && n.kickMu.TryLock() {
-		n.kickWanted.Store(false)
-		n.retryParked(now)
-		n.kickMu.Unlock()
-	}
-}
-
-// retryParked is one kick, under kickMu. Repairs can cascade — an
-// attached entry may be the missing parent of another — hence the loop
-// until a full pass makes no progress.
-func (n *FullNode) retryParked(now time.Time) {
-	var last uint64 // the attach sequence of the newest transaction this kick attached
-	for progress := true; progress; {
-		progress = false
-		for _, e := range n.quar.drain() {
-			if n.tangle.Contains(e.rec.id) {
-				continue // repaired by another path meanwhile
-			}
-			if now.After(e.deadline) {
-				n.counters.QuarantineDrops.Inc()
-				continue
-			}
-			switch outcome, seq := n.admitRelayed(e.rec, now); outcome {
-			case relayAttached:
-				last = seq
-				n.counters.QuarantineRepairs.Inc()
-				progress = true
-			case relayOrphan, relayUnresolved:
-				n.quar.repark(e)
-			case relayFailed:
-				n.counters.QuarantineDrops.Inc()
-			}
-		}
-	}
-	n.awaitJournal(last, maxUnsyncedRelay)
-}
-
-// QuarantineLen reports how many relayed transactions are currently
-// parked awaiting evidence.
-func (n *FullNode) QuarantineLen() int { return n.quar.size() }
-
-const (
-	// syncPageSize bounds how many transactions a single ExportRange
-	// call clones under the tangle read lock while serving a sync page.
-	syncPageSize = 256
-	// syncHaveWindow bounds the recent-ID advertisement in a sync
-	// request: instead of shipping the entire known-ID set (O(ledger)
-	// per sync), the requester advertises only its newest window, which
-	// prunes the common recently-gossiped overlap from responses.
-	syncHaveWindow = 512
-	// maxSyncPages bounds one syncFrom call (~1M transactions).
-	maxSyncPages = 4096
-)
-
-// recentHave writes the newest syncHaveWindow attached IDs over dst.
-func (n *FullNode) recentHave(dst []hashutil.Hash) []hashutil.Hash {
-	from := n.tangle.Size() - syncHaveWindow
-	if from < 0 {
-		from = 0
-	}
-	return n.tangle.AppendOrderedIDs(dst[:0], from, syncHaveWindow)
-}
-
-// serveSyncPage answers one sync request with one page. The requester's
-// cursor (msg.Offset) walks this node's attachment order — the whole
-// ledger's, or one namespace's when the request is scoped — so response
-// size, like request size, stays constant no matter how large the ledger
-// grows, and serving a sync holds the tangle read lock for one page. The
-// page is the ledger's stored encodings, shared and read-only; the
-// transport copies them into its frame. What the requester's Have window
-// names is left out: the window is copied into pooled scratch, sorted,
-// and each vertex of the page is looked up in it by binary search.
-func (n *FullNode) serveSyncPage(msg gossip.Message) *gossip.Message {
-	var known func(id *hashutil.Hash) bool
-	if len(msg.Have) > 0 {
-		window := haveWindowPool.Get().(*[]hashutil.Hash)
-		defer haveWindowPool.Put(window)
-		sorted := append((*window)[:0], msg.Have...)
-		slices.SortFunc(sorted, hashutil.Hash.Compare)
-		*window = sorted
-		known = func(id *hashutil.Hash) bool {
-			_, found := slices.BinarySearchFunc(sorted, *id, hashutil.Hash.Compare)
-			return found
-		}
-	}
-	total := n.tangle.Size()
-	if msg.Scoped {
-		total = n.tangle.ShardSize(uint32(msg.Shard))
-	}
-	off := total
-	if msg.Offset < uint64(total) {
-		off = int(msg.Offset)
-	}
-	var data [][]byte
-	var scanned int
-	if msg.Scoped {
-		data, scanned = n.tangle.AppendEncodedShardRange(nil, uint32(msg.Shard), off, syncPageSize, known)
-	} else {
-		data, scanned = n.tangle.AppendEncodedRange(nil, off, syncPageSize, known)
-	}
-	return &gossip.Message{
-		Type:   gossip.MsgSyncResponse,
-		TxData: data,
-		Offset: uint64(off + scanned),
-		Total:  uint64(total),
-		More:   scanned == syncPageSize,
-		Shard:  msg.Shard,
-		Scoped: msg.Scoped,
-	}
-}
-
-// haveWindowPool holds the scratch serveSyncPage sorts Have windows in.
-var haveWindowPool = sync.Pool{New: func() any { return new([]hashutil.Hash) }}
-
-// syncScope selects what one sync exchange pages: the peer's whole
-// ledger (the zero value — regional peers, bootstrap, orphan repair) or
-// a single tangle namespace (backbone reconciliation of namespace 0).
-type syncScope struct {
-	scoped bool
-	shard  uint32
-}
-
-// wholeLedger scopes a sync to everything the peer holds.
-var wholeLedger = syncScope{}
-
-// namespace scopes a sync to one tangle namespace.
-func namespace(shard uint32) syncScope { return syncScope{scoped: true, shard: shard} }
-
-// cursorKey names the persisted cursor for one (peer, scope) pair: the
-// bare peer name for the whole ledger, "peer#shard" for a namespace.
-func (s syncScope) cursorKey(peer string) string {
-	if !s.scoped {
-		return peer
-	}
-	return fmt.Sprintf("%s#%d", peer, s.shard)
-}
-
-// syncCursor is how far into one peer's attachment order (or one
-// namespace's) this node has paged. Its mutex is the pager's turn: one
-// syncFrom at a time pages a cursor, and only it, holding the turn, reads
-// or moves the position.
-type syncCursor struct {
-	sync.Mutex
-	pos uint64
-}
-
-// cursor returns the sync cursor named key, created at position 0.
-func (n *FullNode) cursor(key string) *syncCursor {
-	n.cursorsMu.Lock()
-	defer n.cursorsMu.Unlock()
-	c := n.cursors[key]
-	if c == nil {
-		c = new(syncCursor)
-		n.cursors[key] = c
-	}
-	return c
-}
-
-// syncFrom pulls missing transactions from one peer over net and admits
-// them in order. The exchange is paged: each request carries this node's
-// cursor into the peer's attachment order (the whole ledger's, or one
-// namespace's) plus a bounded recent-ID window, and each response
-// returns one page — both directions stay constant-size as the DAG
-// grows. The cursor persists across calls, so a steady-state sync only
-// ever pages the peer's new tail.
-//
-// One page is kept in flight: the cursor of page k+1 is page k's
-// reply.Offset, known the moment k arrives, so k+1 is requested before k
-// is admitted and the link round trip overlaps the verification and
-// attach of the page before — a catch-up is paced by the slower of the
-// two, not by their sum. Pages are still admitted strictly in order. The
-// request's Have window is then one page stale; what it would have pruned
-// arrives and is skipped as a duplicate at Contains.
-//
-// The pager owns what its pages are read into: two reply buffers lent to
-// the transport (gossip.ReplyBuffer) — the page being admitted and the
-// page in flight — and one Have window, written over for every request.
-// A buffer is lent again only after admitGossipBatch has returned with
-// the page it held (admission copies every transaction it keeps); the
-// one lent to the exchange in flight when syncFrom returns, cancelled or
-// failed, is abandoned with the call.
-func (n *FullNode) syncFrom(ctx context.Context, net gossip.Network, peer string, scope syncScope) {
-	if net == nil {
-		return
-	}
-	// Data in a whole-ledger page belongs to the serving regional peer's
-	// namespace, which is this node's own; a namespace page says so itself.
-	hint, pages := n.cfg.ShardID, &n.pipeline.SyncPages
-	if scope.scoped {
-		hint = scope.shard
-	}
-	if net == n.cfg.Backbone {
-		pages = &n.counters.BackboneSyncPages
-	}
-	// One pager per cursor: a second one (the background orphan repair
-	// beside an operator's SyncAll, two reconcile rounds) would fetch,
-	// decode and verify the same pages over again. It waits, and then
-	// pages only what the first left — usually nothing.
-	cur := n.cursor(scope.cursorKey(peer))
-	cur.Lock()
-	defer cur.Unlock()
-
-	type fetched struct {
-		reply gossip.Message
-		err   error
-	}
-	// fetch requests the page at cursor in the background, into the reply
-	// buffer the previous page did not use; the request in flight when
-	// syncFrom returns is cancelled and waited for.
-	ctx, cancel := context.WithCancel(ctx)
-	var (
-		inFlight chan fetched
-		have     []hashutil.Hash
-		bufs     [2]gossip.ReplyBuffer
-		lend     = [2]context.Context{gossip.WithReplyBuffer(ctx, &bufs[0]), gossip.WithReplyBuffer(ctx, &bufs[1])}
-		next     int
-	)
-	fetch := func(cursor uint64) {
-		inFlight = make(chan fetched, 1)
-		go func(ctx context.Context, out chan<- fetched) {
-			have = n.recentHave(have)
-			reply, err := net.Request(ctx, peer, gossip.Message{
-				Type:   gossip.MsgSyncRequest,
-				Have:   have,
-				Offset: cursor,
-				Shard:  uint64(scope.shard),
-				Scoped: scope.scoped,
-			})
-			out <- fetched{reply, err}
-		}(lend[next], inFlight)
-		next ^= 1
-	}
-	defer func() {
-		cancel()
-		if inFlight != nil {
-			<-inFlight
-		}
-	}()
-
-	cursor := cur.pos
-	clean := true
-	fetch(cursor)
-	for page := 0; page < maxSyncPages; page++ {
-		got := <-inFlight
-		inFlight = nil
-		reply := got.reply
-		if got.err != nil || reply.Type != gossip.MsgSyncResponse || ctx.Err() != nil {
-			return
-		}
-		if reply.Total < cursor {
-			// The peer's ledger shrank past our cursor (restart or
-			// snapshot compaction): rewind and re-page. Nothing was
-			// requested beyond this reply, so nothing stale is in flight.
-			cursor = 0
-			clean = true
-			cur.pos = 0
-			fetch(0)
-			continue
-		}
-		advanced := reply.Offset > cursor
-		if advanced && reply.More && page+1 < maxSyncPages {
-			fetch(reply.Offset)
-		}
-		pages.Inc()
-		if n.admitGossipBatch(peer, reply.TxData, false, hint) > 0 {
-			// The page had admissions we could not complete — usually a
-			// difficulty check against a still-stale credit view, or an
-			// orphan whose parent lives on another peer. The in-call
-			// cursor keeps walking so the rest of this sync proceeds,
-			// but the persisted cursor stays at the first dirty page:
-			// the next syncFrom re-offers it, restoring the self-healing
-			// property of the old full-diff exchange at paged cost.
-			clean = false
-		}
-		if !advanced {
-			// No forward progress: a confused peer must not spin us.
-			return
-		}
-		cursor = reply.Offset
-		if clean {
-			cur.pos = cursor
-		}
-		if !reply.More {
-			return
-		}
-	}
-}
-
-// SyncAll requests missing history from every peer — used by a gateway
-// joining an existing deployment.
-func (n *FullNode) SyncAll(ctx context.Context) {
-	if n.cfg.Network == nil {
-		return
-	}
-	for _, peer := range n.cfg.Network.Peers() {
-		n.syncFrom(ctx, n.cfg.Network, peer, wholeLedger)
-	}
 }
 
 // checkQuality runs the configured validator over a plaintext data

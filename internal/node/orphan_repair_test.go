@@ -164,6 +164,9 @@ func TestOrphanRepairPullsFromListedPeer(t *testing.T) {
 	if got := relay.Pipeline().OrphanSyncs.Value(); got != 1 {
 		t.Errorf("OrphanSyncs = %d, want 1", got)
 	}
+	if got := relay.Pipeline().OrphanSyncAttached.Value(); got != 1 {
+		t.Errorf("OrphanSyncAttached = %d, want 1: the parent the repair pulled (the child attaches from the quarantine)", got)
+	}
 	if relay.QuarantineLen() != 0 {
 		t.Errorf("%d transactions still parked after the repair", relay.QuarantineLen())
 	}

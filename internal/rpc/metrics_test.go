@@ -251,6 +251,7 @@ biot_pipeline_batches_sent_total counter
 biot_pipeline_broadcast_latency_seconds histogram
 biot_pipeline_in_flight gauge
 biot_pipeline_journal_latency_seconds histogram
+biot_pipeline_orphan_sync_attached_total counter
 biot_pipeline_orphan_syncs_total counter
 biot_pipeline_peer_drops_total counter
 biot_pipeline_send_failures_total counter
@@ -353,5 +354,81 @@ func TestMetricsServeEverySeries(t *testing.T) {
 		if !samples[name] {
 			t.Errorf("/metrics lacks %s", name)
 		}
+	}
+}
+
+// TestReconcileLagNeedsAnAnsweringBackbone: reconcile_lag_ms stays -1 —
+// the alerting condition — after a Reconcile that reconciled nothing
+// across a backbone: on a gateway with only a regional network, and on
+// one whose single backbone peer refuses every request, until that peer
+// is a gateway that answers.
+func TestReconcileLagNeedsAnAnsweringBackbone(t *testing.T) {
+	const lag = "biot_memory_reconcile_lag_ms"
+	managerKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tune func(*node.FullConfig, gossip.Network)
+	}{
+		{"regional-only", func(cfg *node.FullConfig, net gossip.Network) { cfg.Network = net }},
+		{"refusing-backbone-peer", func(cfg *node.FullConfig, net gossip.Network) { cfg.Backbone = net }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The gateway's one peer joins the bus without a handler, so
+			// every request to it fails.
+			bus := gossip.NewBus()
+			t.Cleanup(func() { _ = bus.Close() })
+			net, err := bus.Join("gateway")
+			if err != nil {
+				t.Fatal(err)
+			}
+			refuser, err := bus.Join("refuser")
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, err := identity.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := node.FullConfig{Key: key, Role: identity.RoleGateway, ManagerPub: managerKey.Public(), Credit: core.DefaultParams()}
+			tc.tune(&cfg, net)
+			full, err := node.NewFull(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = full.Close() })
+			srv := httptest.NewServer(NewServer(full).Handler())
+			t.Cleanup(srv.Close)
+
+			full.Reconcile(context.Background())
+			if got, ok := full.ReconcileLag(); ok {
+				t.Errorf("ReconcileLag = %v, ok after a round no backbone peer answered", got)
+			}
+			if got := scrapeMetrics(t, srv.URL)[lag]; got != -1 {
+				t.Errorf("%s = %v, want -1", lag, got)
+			}
+			if cfg.Backbone == nil {
+				return
+			}
+			peerKey, err := identity.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			peer, err := node.NewFull(node.FullConfig{Key: peerKey, Role: identity.RoleGateway, ManagerPub: managerKey.Public(),
+				Credit: core.DefaultParams(), Backbone: refuser})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = peer.Close() })
+			full.Reconcile(context.Background())
+			if _, ok := full.ReconcileLag(); !ok {
+				t.Error("no ReconcileLag after a round the backbone peer answered")
+			}
+			if got := scrapeMetrics(t, srv.URL)[lag]; got < 0 {
+				t.Errorf("%s = %v after a round the backbone peer answered", lag, got)
+			}
+		})
 	}
 }
