@@ -286,7 +286,7 @@ func TestQuarantineBounded(t *testing.T) {
 // authorization list (a non-manager's, its signature corrupted too) are
 // delivered as one batch (the signatures settled together by the verify
 // stage), as one-transaction batches (each a batch of one through the same
-// stage), as a sync page that syncFrom pulls, and ahead of P, so that the
+// stage), as a sync page that pull fetches, and ahead of P, so that the
 // data transactions park in the quarantine and are retried from there when
 // P lands. Each delivery must classify the set into the exact counter
 // values below, each reject counted once. A parked orphan's first sight
