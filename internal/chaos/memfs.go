@@ -445,7 +445,7 @@ func (h *memHandle) Seek(offset int64, whence int) (int64, error) {
 	return h.pos, nil
 }
 
-// Sync promotes every pending operation to durable.
+// Sync promotes every pending operation to durable, in order.
 func (h *memHandle) Sync() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
@@ -469,7 +469,12 @@ func (h *memHandle) Sync() error {
 		// behind the head just as they would on hardware.
 		time.Sleep(d)
 	}
-	h.f.durable = append([]byte(nil), h.f.data...)
+	// Replaying the pending ops on durable costs what they wrote, not the
+	// file's size. durable owns its array (applyCrash, WriteFile and Clone
+	// copy), so growing it in place never reaches data or a clone.
+	for _, op := range h.f.pending {
+		h.f.durable = op.apply(h.f.durable)
+	}
 	h.f.pending = nil
 	return nil
 }

@@ -54,3 +54,18 @@ func TestVerifyBatchAllocationBudget(t *testing.T) {
 		t.Errorf("a batch of %d allocates %d B, budget %d", n, perBatch, byteBudget)
 	}
 }
+
+// TestVerifyAllocatesNothing pins a single Verify of a valid triple at
+// zero allocations: a gateway pays it on every reading, and it works on
+// the stack.
+func TestVerifyAllocatesNothing(t *testing.T) {
+	pubs, msgs, sigs := buildBatch(t, rand.New(rand.NewSource(19)), make([]batchCase, 1))
+	verify := func() {
+		if err := Verify(pubs[0], msgs[0], sigs[0]); err != nil {
+			t.Fatalf("valid signature refused: %v", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, verify); allocs != 0 {
+		t.Errorf("a Verify allocates %v times, want 0", allocs)
+	}
+}

@@ -2,6 +2,8 @@ package identity
 
 import (
 	"bytes"
+	"crypto/sha512"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,8 +24,54 @@ const (
 	caseCorruptMessage
 	caseShortKey
 	caseWrongSigner
+	caseTorsionR // valid: signed with R + T, T a point of order 8
 	numBatchCases
 )
+
+// torsion8 is a point of order 8, from libsodium's small-order blocklist;
+// its odd multiples are the curve's four points of order 8.
+var torsion8 = func() *edwards25519.Point {
+	raw, _ := hex.DecodeString("c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a")
+	p, err := new(edwards25519.Point).SetBytes(raw)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}()
+
+// secretScalar is the a of key's A = [a]B, derived as RFC 8032 derives it.
+func secretScalar(key *KeyPair) *edwards25519.Scalar {
+	h := sha512.Sum512(key.Seed())
+	a, err := new(edwards25519.Scalar).SetBytesWithClamping(h[:32])
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// signWith returns rBytes ‖ s over message under the key bytes pub, for a
+// pub that decodes to [a]B plus any small-order point and an rBytes that
+// decodes to [r]B plus any small-order point: s = r + k·a with k over the
+// bytes as sent. The rule accepts it whatever the two small-order parts
+// are; a check with no cofactor refuses it unless both vanish.
+func signWith(a, r *edwards25519.Scalar, pub, rBytes, message []byte) []byte {
+	h := sha512.New()
+	h.Write(rBytes)
+	h.Write(pub)
+	h.Write(message)
+	k, _ := new(edwards25519.Scalar).SetUniformBytes(h.Sum(nil))
+	s := new(edwards25519.Scalar).MultiplyAdd(k, a, r)
+	return append(append([]byte(nil), rBytes...), s.Bytes()...)
+}
+
+// torsionCommitment is [r]B + torsion for an r drawn from rng, and r.
+func torsionCommitment(rng *rand.Rand, torsion *edwards25519.Point) (*edwards25519.Scalar, []byte) {
+	var wide [64]byte
+	rng.Read(wide[:])
+	r, _ := new(edwards25519.Scalar).SetUniformBytes(wide[:])
+	R := new(edwards25519.Point).ScalarBaseMult(r)
+	return r, R.Add(R, torsion).Bytes()
+}
 
 func buildBatch(t testing.TB, rng *rand.Rand, cases []batchCase) (pubs []PublicKey, msgs, sigs [][]byte) {
 	t.Helper()
@@ -56,6 +104,13 @@ func buildBatch(t testing.TB, rng *rand.Rand, cases []batchCase) (pubs []PublicK
 				t.Fatalf("generate foreign key: %v", err)
 			}
 			sig = other.Sign(msg)
+		case caseTorsionR:
+			torsion := new(edwards25519.Point).Set(torsion8)
+			for m := 2*rng.Intn(4) + 1; m > 1; m-- { // an odd multiple: order 8
+				torsion.Add(torsion, torsion8)
+			}
+			r, rBytes := torsionCommitment(rng, torsion)
+			sig = signWith(secretScalar(key), r, pub, rBytes, msg)
 		}
 		pubs = append(pubs, pub)
 		msgs = append(msgs, msg)
@@ -94,7 +149,7 @@ func TestVerifyBatchAllInvalid(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cases := make([]batchCase, 16)
 	for i := range cases {
-		cases[i] = 1 + batchCase(rng.Intn(int(numBatchCases)-1))
+		cases[i] = caseCorruptSig + batchCase(rng.Intn(int(caseTorsionR-caseCorruptSig)))
 	}
 	pubs, msgs, sigs := buildBatch(t, rng, cases)
 	errs := VerifyBatch(pubs, msgs, sigs)
@@ -177,7 +232,32 @@ func TestVerifyBatchShortKeyTyped(t *testing.T) {
 	}
 }
 
-// checkAgreement asserts VerifyBatch and Verify agree entry-by-entry.
+// TestTorsionedCommitmentValidOnEveryPath pins the one rule on the case
+// that split the two paths when single signatures were checked with no
+// cofactor: an ordinary key signing with R + T, T of order 8. Verify
+// accepts every one, and so does every one of 200 batches of them —
+// where a check without the cofactor accepts about one batch in eight.
+func TestTorsionedCommitmentValidOnEveryPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x7045))
+	for b := 0; b < 200; b++ {
+		cases := make([]batchCase, 2+rng.Intn(7))
+		for i := range cases {
+			cases[i] = caseTorsionR
+		}
+		pubs, msgs, sigs := buildBatch(t, rng, cases)
+		for i := range pubs {
+			if err := Verify(pubs[i], msgs[i], sigs[i]); err != nil {
+				t.Fatalf("batch %d, entry %d: Verify refused an R + T signature: %v", b, i, err)
+			}
+		}
+		if errs := VerifyBatch(pubs, msgs, sigs); errs != nil {
+			t.Fatalf("batch %d: VerifyBatch refused R + T signatures: %v", b, errs)
+		}
+	}
+}
+
+// checkAgreement asserts VerifyBatch and Verify agree entry-by-entry, down
+// to the sentinel of each refusal.
 func checkAgreement(t *testing.T, pubs []PublicKey, msgs, sigs [][]byte) {
 	t.Helper()
 	errs := VerifyBatch(pubs, msgs, sigs)
@@ -189,6 +269,11 @@ func checkAgreement(t *testing.T, pubs []PublicKey, msgs, sigs [][]byte) {
 		}
 		if (single == nil) != (batch == nil) {
 			t.Errorf("entry %d: batch verdict %v, single verdict %v", i, batch, single)
+		}
+		for _, sentinel := range []error{ErrBadSignature, ErrBadPublicKey, ErrBadKeyLength} {
+			if errors.Is(single, sentinel) != errors.Is(batch, sentinel) {
+				t.Errorf("entry %d: batch error %v, single error %v: not the same sentinel", i, batch, single)
+			}
 		}
 	}
 }
@@ -275,39 +360,21 @@ func TestVerifyBatchStaleScratchNeverLeaks(t *testing.T) {
 	}
 }
 
-// smallOrder reports whether pub decodes to one of the curve's eight
-// points of small order.
-func smallOrder(pub []byte) bool {
-	p, err := new(edwards25519.Point).SetBytes(pub)
-	if err != nil {
-		return false
-	}
-	for i := 0; i < 3; i++ {
-		p.Add(p, p)
-	}
-	return p.Equal(edwards25519.NewIdentityPoint()) == 1
-}
-
 // FuzzVerifyBatchAgreesWithVerify is the same property under mutation:
 // layout picks each entry's kind of damage, raw — when long enough —
-// replaces the first entry's key and signature bytes outright, and the
-// batch is followed through the same scratch by its own first two
-// entries.
-//
-// One family of inputs is left out, because there the property is known
-// not to hold and never did: under a key of small order a signature can be
-// off by a small-order point only, and z times such a point vanishes for
-// one random coefficient z in eight (or four, or two) — the batch
-// equation then accepts what Verify, which multiplies by no cofactor,
-// refuses. Without the secret key that takes a small-order issuer; what
-// it would take to close is one cofactored rule on both paths, a change
-// of what a valid signature is (ROADMAP, leftovers).
+// replaces the first entry's key, signature and message bytes outright
+// (key, then signature, then message), and the batch is followed through
+// the same scratch by its own first two entries. The committed
+// corner-case vectors are its seeds, so plain go test runs them too.
 func FuzzVerifyBatchAgreesWithVerify(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 0, 0}, []byte(nil))
 	f.Add(int64(2), []byte{0, 1, 2, 3, 4, 5, 0, 0}, []byte(nil))
 	f.Add(int64(3), bytes.Repeat([]byte{0}, 67), []byte(nil))
 	f.Add(int64(4), []byte{0, 0, 0}, append(bytes.Repeat([]byte{0xFF}, 31), 0x7F)) // a key that is no field element's canonical form
 	f.Add(int64(5), []byte{0, 0}, append([]byte{3}, make([]byte, 95)...))          // arbitrary key bytes, an all-zero signature
+	for i, v := range loadCornerCases(f) {
+		f.Add(int64(6+i), []byte{0, 0}, append(append(append([]byte(nil), v.pub()...), v.sig()...), v.msg()...))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, layout, raw []byte) {
 		if len(layout) > 129 {
 			layout = layout[:129]
@@ -318,12 +385,10 @@ func FuzzVerifyBatchAgreesWithVerify(f *testing.F) {
 		}
 		pubs, msgs, sigs := buildBatch(t, rand.New(rand.NewSource(seed)), cases)
 		if len(pubs) > 0 && len(raw) >= 32 {
-			if smallOrder(raw[:32]) {
-				t.Skip("a small-order issuer: see above")
-			}
 			pubs[0] = append(PublicKey(nil), raw[:32]...)
 			if len(raw) >= 96 {
 				sigs[0] = append([]byte(nil), raw[32:96]...)
+				msgs[0] = append([]byte(nil), raw[96:]...)
 			}
 		}
 		checkAgreement(t, pubs, msgs, sigs)

@@ -11,10 +11,11 @@
 // primitive, and this repository takes no external module dependencies.
 //
 // On top of the vendored core, multiscalar.go adds the variable-time
-// multi-scalar multiplication used by identity.VerifyBatch: one
+// multi-scalar multiplication used by identity's signature rule: one
 // interleaved Straus pass over any number of dynamic points plus the
 // fixed basepoint, which is what turns N independent double-scalar
-// verifications into one shared doubling ladder.
+// verifications into one shared doubling ladder, and MultByCofactor, the
+// [8] of the cofactored signature rule.
 //
 // Nothing in this package is constant-time unless stated: it is used
 // only to verify public signatures, never with secret scalars.

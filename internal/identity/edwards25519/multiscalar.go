@@ -37,14 +37,24 @@ func (v *Point) VarTimeMultiScalarBaseMult(b *Scalar, scalars []*Scalar, points 
 	checkInitialized(points...)
 
 	// Dynamic points get width-5 NAF tables built at runtime; the fixed
-	// basepoint reuses the precomputed width-8 table (sparser digits).
-	scratch := multiScalarPool.Get().(*multiScalarScratch)
-	defer multiScalarPool.Put(scratch)
-	if cap(scratch.tables) < len(points) {
-		scratch.tables = make([]nafLookupTable5, len(points))
-		scratch.nafs = make([][256]int8, len(points))
+	// basepoint reuses the precomputed width-8 table (sparser digits). One
+	// point — a single signature check — works on the stack, so that it
+	// allocates nothing even when the pool comes back empty (after a
+	// collection, or under the race detector, which drops pooled items).
+	var (
+		oneTable [1]nafLookupTable5
+		oneNaf   [1][256]int8
+	)
+	tables, nafs := oneTable[:], oneNaf[:]
+	if len(points) != 1 {
+		scratch := multiScalarPool.Get().(*multiScalarScratch)
+		defer multiScalarPool.Put(scratch)
+		if cap(scratch.tables) < len(points) {
+			scratch.tables = make([]nafLookupTable5, len(points))
+			scratch.nafs = make([][256]int8, len(points))
+		}
+		tables, nafs = scratch.tables[:len(points)], scratch.nafs[:len(points)]
 	}
-	tables, nafs := scratch.tables[:len(points)], scratch.nafs[:len(points)]
 	for i, p := range points {
 		tables[i].FromP3(p)
 		nafs[i] = scalars[i].nonAdjacentForm(5)
@@ -100,4 +110,17 @@ func (v *Point) VarTimeMultiScalarBaseMult(b *Scalar, scalars []*Scalar, points 
 
 	v.fromP2(tmp2)
 	return v
+}
+
+// MultByCofactor sets v = 8 * p, and returns v: three doublings.
+func (v *Point) MultByCofactor(p *Point) *Point {
+	checkInitialized(p)
+	var result projP1xP1
+	pp := new(projP2).FromP3(p)
+	result.Double(pp)
+	pp.FromP1xP1(&result)
+	result.Double(pp)
+	pp.FromP1xP1(&result)
+	result.Double(pp)
+	return v.fromP1xP1(&result)
 }

@@ -9,7 +9,7 @@ import (
 func testScalar(t *testing.T, seed byte) *Scalar {
 	t.Helper()
 	wide := sha512.Sum512([]byte{seed, 0xA5, seed ^ 0x3C})
-	s, err := NewScalar().SetUniformBytes(wide[:])
+	s, err := new(Scalar).SetUniformBytes(wide[:])
 	if err != nil {
 		t.Fatalf("SetUniformBytes: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestVarTimeMultiScalarBaseMultAgainstNaive(t *testing.T) {
 }
 
 func TestVarTimeMultiScalarBaseMultZeroScalars(t *testing.T) {
-	zero := NewScalar()
+	zero := new(Scalar)
 	p := NewIdentityPoint().ScalarBaseMult(testScalar(t, 7))
 	got := NewIdentityPoint().VarTimeMultiScalarBaseMult(zero, []*Scalar{zero}, []*Point{p})
 	if got.Equal(NewIdentityPoint()) != 1 {
@@ -54,5 +54,5 @@ func TestVarTimeMultiScalarBaseMultLengthMismatch(t *testing.T) {
 			t.Fatal("expected panic on mismatched input lengths")
 		}
 	}()
-	NewIdentityPoint().VarTimeMultiScalarBaseMult(NewScalar(), []*Scalar{NewScalar()}, nil)
+	NewIdentityPoint().VarTimeMultiScalarBaseMult(new(Scalar), []*Scalar{new(Scalar)}, nil)
 }

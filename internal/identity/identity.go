@@ -141,27 +141,17 @@ func (k *KeyPair) Sign(message []byte) []byte {
 	return ed25519.Sign(k.priv, message)
 }
 
-// Errors returned by Verify.
+// Errors returned by Verify and VerifyBatch (batch.go).
 var (
 	ErrBadSignature = errors.New("signature verification failed")
+	// ErrBadPublicKey reports a key that is no curve point or is of small
+	// order, and a hex key of the wrong length.
 	ErrBadPublicKey = errors.New("malformed public key")
-	// ErrBadKeyLength reports a public key of the wrong byte length. It
-	// is distinct from ErrBadSignature so batch-verification fallback
-	// (and its callers) can tell a malformed key from a signature that
-	// merely fails to verify.
+	// ErrBadKeyLength reports a public key of the wrong byte length, so
+	// callers can tell a malformed key from a signature that merely
+	// fails to verify.
 	ErrBadKeyLength = errors.New("public key has wrong length")
 )
-
-// Verify checks sig over message under pub.
-func Verify(pub PublicKey, message, sig []byte) error {
-	if len(pub) != ed25519.PublicKeySize {
-		return fmt.Errorf("%w: length %d", ErrBadKeyLength, len(pub))
-	}
-	if !ed25519.Verify(pub, message, sig) {
-		return ErrBadSignature
-	}
-	return nil
-}
 
 // EncodePublic returns the hex encoding of a public key, used in RPC
 // payloads and authorization lists.

@@ -98,7 +98,7 @@ func (n *FullNode) gate(recs []inflight, e edge, now time.Time) []error {
 		}
 		for j, err := range n.verify.settle(recs[start:end]) {
 			if err != nil {
-				refuse(start+j, fmt.Errorf("%w: %v", txn.ErrBadTxSignature, err))
+				refuse(start+j, fmt.Errorf("%w: %w", txn.ErrBadTxSignature, err))
 			}
 		}
 	}

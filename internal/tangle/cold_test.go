@@ -54,7 +54,7 @@ func TestColdByteIdenticalDuplicateRejection(t *testing.T) {
 	}
 	pruned := txs[0]
 	if tg.Contains(pruned.ID()) {
-		t.Skip("fixture did not prune the oldest tx")
+		t.Fatalf("fixture did not prune the oldest tx")
 	}
 
 	// Byte-identical re-admission: decode the original encoding afresh

@@ -220,7 +220,7 @@ func (t *Transaction) VerifyBasic() error {
 // reports it.
 func checkSignature(issuer identity.PublicKey, signing, sig []byte) error {
 	if err := identity.Verify(issuer, signing, sig); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadTxSignature, err)
+		return fmt.Errorf("%w: %w", ErrBadTxSignature, err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -65,6 +66,30 @@ func TestVerifyBasicRejections(t *testing.T) {
 				t.Error("mutated transaction verified")
 			}
 		})
+	}
+}
+
+// TestVerifyBasicKeepsTheIdentitySentinel pins the wrapping: a refusal
+// names both ErrBadTxSignature and the identity sentinel under it. The
+// issuer is the identity point, a key of small order; the signature —
+// R the identity, s = 0 — would satisfy the cofactored equation, which is
+// why the rule refuses such a key before any equation.
+func TestVerifyBasicKeepsTheIdentitySentinel(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		issuer identity.PublicKey
+		want   error
+	}{
+		{"small-order key", append(identity.PublicKey{1}, make([]byte, 31)...), identity.ErrBadPublicKey},
+		{"short key", identity.PublicKey{1, 2, 3}, identity.ErrBadKeyLength},
+	} {
+		tx := sampleTx(t, mustKey(t))
+		tx.Issuer = tt.issuer
+		tx.Signature = append([]byte{1}, make([]byte, 63)...)
+		err := tx.VerifyBasic()
+		if !errors.Is(err, ErrBadTxSignature) || !errors.Is(err, tt.want) {
+			t.Errorf("%s: VerifyBasic = %v, want %v wrapping %v", tt.name, err, ErrBadTxSignature, tt.want)
+		}
 	}
 }
 
