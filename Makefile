@@ -41,7 +41,8 @@ vet:
 # gossip's one-transaction exchange over TCP, rpc's bytes per reading, identity's
 # batch kernel and its single Verify (nothing), a histogram's
 # flat memory) and the byte guards (tangle's bytes per resident vertex, node's per
-# relayed transaction, core's per credit record) run without the race
+# relayed transaction, core's per credit record, identity's per expanded
+# key) run without the race
 # detector, whose own allocations they would otherwise count; so does
 # the shard-scaling guard (four regions admit ≥ 0.8× four times one),
 # which the detector's CPU cost would turn into a measure of the cores.
@@ -55,7 +56,7 @@ test: vet
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchtime 20x ./internal/gossip/
-	$(GO) test -run 'TestWirePathAllocationBudget|TestDeviceBuildAllocationBudget|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestExchangeAllocationBudget|TestCompactJournalAllocationBudget|TestCatchUpAllocationBudget|TestAttachAllocationBudget|TestSearchAllocatesNothing|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestVerifyAllocatesNothing|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/gossip/ ./internal/core/ ./internal/scenario/ ./internal/pow/
+	$(GO) test -run 'TestWirePathAllocationBudget|TestDeviceBuildAllocationBudget|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestExchangeAllocationBudget|TestCompactJournalAllocationBudget|TestCatchUpAllocationBudget|TestAttachAllocationBudget|TestSearchAllocatesNothing|TestSteadyStateZeroAlloc|TestDecodeSeedsTheID|TestPostReadingAllocationBudget|TestVerifyBatchAllocationBudget|TestVerifyAllocatesNothing|TestHistogramMemoryIsFlat|TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerExpandedKey|TestShardAdmissionScalesWithRegions' -count=1 ./internal/txn/ ./internal/rpc/ ./internal/identity/ ./internal/metrics/ ./internal/tangle/ ./internal/node/ ./internal/gossip/ ./internal/core/ ./internal/scenario/ ./internal/pow/
 	$(GO) test -run XXX -bench BenchmarkPostReadingOverRPC -benchtime 200x ./internal/rpc/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run 'TestResidentVerticesStayBounded' -count=1 ./internal/tangle/
@@ -150,8 +151,9 @@ loc:
 # RAM per resident transaction — the byte guards, verbose, reduced to
 # their figures: bytes per attached vertex (the ledger alone), per relayed
 # transaction (a whole journal-less node), per credit record (the credit
-# ledger alone), and per observed latency histogram (fixed, not per
-# transaction) — and beside them what the two bulk edges, a relayed batch
+# ledger alone), per observed latency histogram (fixed, not per
+# transaction) and per expanded key in identity's key table (per known
+# signer, with the table's worst case) — and beside them what the two bulk edges, a relayed batch
 # (on a journal-less and a journaling relay), a journal replay and a
 # catch-up sync, allocate per transaction beyond the copy the ledger keeps,
 # what an attach allocates beyond its vertex, what one Submit of
@@ -161,7 +163,7 @@ loc:
 # A change that touches what a node keeps or allocates per
 # transaction quotes them before → after (CHANGES.md).
 mem:
-	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestCompactJournalAllocationBudget|TestExchangeAllocationBudget|TestCatchUpAllocationBudget|TestAttachAllocationBudget' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/ ./internal/gossip/); status=$$?; \
+	@out=$$($(GO) test -run 'TestBytesPerAttachedVertex|TestResidentBytesPerRelayedTransaction|TestBytesPerCreditRecord|TestBytesPerHistogram|TestBytesPerExpandedKey|TestRelayBatchAllocationBudget|TestJournaledRelayBatchAllocationBudget|TestReplayAllocationBudget|TestSubmitAllocationBudget|TestJournaledSubmitAllocationBudget|TestCompactJournalAllocationBudget|TestExchangeAllocationBudget|TestCatchUpAllocationBudget|TestAttachAllocationBudget' -count=1 -v ./internal/tangle/ ./internal/node/ ./internal/core/ ./internal/metrics/ ./internal/gossip/ ./internal/identity/); status=$$?; \
 		echo "$$out" | grep -E 'bytes retained|beyond its resident copy|beyond its vertex|per submitted transaction|per compacted record|per one-transaction exchange|^(FAIL|ok|---)' | sed -E 's/^ +[a-z_]+\.go:[0-9]+: //'; exit $$status
 
 # Regenerate every paper figure with full (Pi-emulated) parameters.

@@ -147,12 +147,18 @@ func (fs *MemFS) InjectWriteError(err error) {
 // prefix of each file's pending operations — and brings the disk back
 // up. Handles from before the reboot are dead. Reboot on a healthy
 // disk models a clean power cycle of the machine with a dirty page
-// cache: the same pending-loss rule applies.
+// cache: the same pending-loss rule applies. Files draw their cuts from
+// the seed in name order, so the same script leaves the same bytes.
 func (fs *MemFS) Reboot() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for _, f := range fs.files {
-		f.applyCrash(fs.rng)
+	names := make([]string, 0, len(fs.files))
+	for name := range fs.files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fs.files[name].applyCrash(fs.rng)
 	}
 	fs.crashed = false
 	fs.crashAt = 0

@@ -22,7 +22,7 @@ func TestMemFSSyncPromotesPendingInOrder(t *testing.T) {
 	const (
 		seed   = 0x5C
 		steps  = 3000
-		pinned = "33dade73fcc333e321f5427d5f68707614eafd1a22f9e94865a0f74ea38c4c44"
+		pinned = "ba9be5061112af5b07b9237290ceaab44defc4e1dd045efcadcf39cca7bc7810"
 	)
 	fs := NewMemFS(seed)
 	rng := rand.New(rand.NewSource(seed))
@@ -77,9 +77,8 @@ func TestMemFSSyncPromotesPendingInOrder(t *testing.T) {
 			t.Errorf("the clone's %s moved with the original", name)
 		}
 	}
-	// A tail of writes, so that the reboot has pending ops to cut — in b
-	// only: Reboot draws from the seed per file in map order, so two files
-	// with pending ops would cut differently from run to run.
+	// A tail of writes, so that the reboot has pending ops to cut in both
+	// files.
 	for _, h := range handles {
 		buf := make([]byte, 1+rng.Intn(48))
 		rng.Read(buf)
@@ -90,9 +89,6 @@ func TestMemFSSyncPromotesPendingInOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := handles[0].Sync(); err != nil {
-		t.Fatal(err)
-	}
 	fs.Reboot()
 	sum := sha256.New()
 	for _, name := range fs.Files() {
@@ -102,5 +98,46 @@ func TestMemFSSyncPromotesPendingInOrder(t *testing.T) {
 	}
 	if got := hex.EncodeToString(sum.Sum(nil)); got != pinned {
 		t.Errorf("rebooted disk hashes to %s, want %s", got, pinned)
+	}
+}
+
+// TestMemFSRebootDeterministicPerSeed runs one script that leaves pending
+// writes and truncates in two files on a fresh disk of one seed, 50
+// times: the reboot must leave the same bytes every time, whatever order
+// the disk holds its files in.
+func TestMemFSRebootDeterministicPerSeed(t *testing.T) {
+	const seed, runs = 7, 50
+	script := func() string {
+		fs := NewMemFS(seed)
+		rng := rand.New(rand.NewSource(seed))
+		handles := []File{openRW(t, fs, "a"), openRW(t, fs, "b")}
+		for step := 0; step < 40; step++ {
+			h := handles[step%2]
+			if step%5 == 4 {
+				if err := h.Truncate(int64(rng.Intn(64))); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			buf := make([]byte, 1+rng.Intn(32))
+			rng.Read(buf)
+			if _, err := h.Write(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.Reboot()
+		sum := sha256.New()
+		for _, name := range fs.Files() {
+			data, _ := fs.ReadFile(name)
+			sum.Write([]byte(name))
+			sum.Write(data)
+		}
+		return hex.EncodeToString(sum.Sum(nil))
+	}
+	want := script()
+	for run := 1; run < runs; run++ {
+		if got := script(); got != want {
+			t.Fatalf("run %d: rebooted disk hashes to %s, run 0 to %s", run, got, want)
+		}
 	}
 }

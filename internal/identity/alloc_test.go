@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestVerifyBatchAllocationBudget pins what an all-valid batch of 64 — the
@@ -68,4 +69,41 @@ func TestVerifyAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, verify); allocs != 0 {
 		t.Errorf("a Verify allocates %v times, want 0", allocs)
 	}
+}
+
+// TestBytesPerExpandedKey pins what the key table keeps for each key it
+// holds — one immutable entry of the 32 key bytes, −A and −[2^128]A — and
+// states the table's worst case, every slot full. `make mem` prints both.
+func TestBytesPerExpandedKey(t *testing.T) {
+	const keys, byteBudget = 1024, 384
+	pubs, msgs, sigs := buildBatch(t, rand.New(rand.NewSource(29)), make([]batchCase, keys))
+	resetKeyTable()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // and the pools' victim caches with it
+	runtime.ReadMemStats(&before)
+	for i := range pubs {
+		if err := Verify(pubs[i], msgs[i], sigs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := 0
+	for i := range keySlots {
+		if keySlots[i].Load() != nil {
+			held++
+		}
+	}
+	perKey := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(held)
+	entry := int(unsafe.Sizeof(expandedKey{}))
+	t.Logf("%d bytes retained per expanded key (%d held of %d checked; entry %d B); the table's worst case %d slots × (8 + %d) B = %d KiB",
+		perKey, held, keys, entry, keyTableSlots, entry, keyTableSlots*(8+entry)>>10)
+	if perKey > byteBudget {
+		t.Errorf("an expanded key retains %d B, budget %d", perKey, byteBudget)
+	}
+	runtime.KeepAlive(pubs)
+	runtime.KeepAlive(msgs)
+	runtime.KeepAlive(sigs)
 }

@@ -29,9 +29,10 @@ import (
 // ~2^-128, matching the curve's security level; wider buys nothing.
 const batchCoefficientBytes = 16
 
-// triple is one signature in curve form: A and R decoded, s, and k.
+// triple is one signature in curve form: A expanded, −R, s, and k.
 type triple struct {
-	a, r edwards25519.Point
+	key  *expandedKey
+	negR edwards25519.Point
 	s, k edwards25519.Scalar
 }
 
@@ -39,7 +40,8 @@ type triple struct {
 // the rule refuses it before any equation: ErrBadKeyLength for a key of
 // the wrong length, ErrBadPublicKey for one that is no curve point or is
 // of small order, ErrBadSignature for a signature of the wrong length,
-// with s ≥ ℓ or with an R that is no curve point.
+// with s ≥ ℓ or with an R that is no curve point. A key the process has
+// checked before comes expanded from the key table.
 func (t *triple) decode(pub PublicKey, message, sig []byte) error {
 	if len(pub) != ed25519.PublicKeySize {
 		return fmt.Errorf("%w: length %d", ErrBadKeyLength, len(pub))
@@ -50,15 +52,14 @@ func (t *triple) decode(pub PublicKey, message, sig []byte) error {
 	if _, err := t.s.SetCanonicalBytes(sig[32:]); err != nil {
 		return ErrBadSignature
 	}
-	if _, err := t.a.SetBytes(pub); err != nil {
-		return fmt.Errorf("%w: not a curve point", ErrBadPublicKey)
+	var err error
+	if t.key, err = expandKey(pub); err != nil {
+		return err
 	}
-	if new(edwards25519.Point).MultByCofactor(&t.a).Equal(edwards25519.NewIdentityPoint()) == 1 {
-		return fmt.Errorf("%w: small order", ErrBadPublicKey)
-	}
-	if _, err := t.r.SetBytes(sig[:32]); err != nil {
+	if _, err := t.negR.SetBytes(sig[:32]); err != nil {
 		return ErrBadSignature
 	}
+	t.negR.Negate(&t.negR)
 	// A local SHA-512 state stays on the stack: the compiler sees its type.
 	h := sha512.New()
 	h.Write(sig[:32])
@@ -71,21 +72,42 @@ func (t *triple) decode(pub PublicKey, message, sig []byte) error {
 }
 
 // verify checks the decoded triple by the rule with no random
-// coefficient: [s]B + [−k]A in one pass, minus R, times the cofactor.
+// coefficient, on about half the doubling ladder: k split into 128-bit
+// halves over −A and −A′ = −[2^128]A (s is split the same way inside the
+// kernel), [s]B + [k_lo](−A) + [k_hi](−A′) in one pass, minus R, times
+// the cofactor.
 func (t *triple) verify() error {
+	var kLo, kHi edwards25519.Scalar
+	splitScalar(&t.k, &kLo, &kHi)
 	var check edwards25519.Point
-	negK := new(edwards25519.Scalar).Negate(&t.k)
-	check.VarTimeMultiScalarBaseMult(&t.s, []*edwards25519.Scalar{negK}, []*edwards25519.Point{&t.a})
-	check.Subtract(&check, &t.r)
+	check.VarTimeMultiScalarBaseMult(&t.s,
+		[]*edwards25519.Scalar{&kLo, &kHi}, []*edwards25519.Point{&t.key.negA, &t.key.negH})
+	check.Add(&check, &t.negR)
 	if check.MultByCofactor(&check).Equal(edwards25519.NewIdentityPoint()) != 1 {
 		return ErrBadSignature
 	}
 	return nil
 }
 
+// setShortScalar sets s to the little-endian value of b, at most 16 bytes:
+// below 2^128, so below ℓ and canonical as it stands.
+func setShortScalar(s *edwards25519.Scalar, b []byte) {
+	var buf [32]byte
+	copy(buf[:16], b)
+	s.SetCanonicalBytes(buf[:])
+}
+
+// splitScalar sets lo and hi to the 128-bit halves of x = lo + 2^128·hi.
+func splitScalar(x, lo, hi *edwards25519.Scalar) {
+	b := x.Bytes()
+	setShortScalar(lo, b[:16])
+	setShortScalar(hi, b[16:])
+}
+
 // Verify checks sig over message under pub by the rule above: one decode
 // and the one-triple equation, which is VerifyBatch's verdict for the
-// same triple. It works on the stack: a call allocates nothing.
+// same triple. It works on the stack: a call under a key in the key
+// table allocates nothing.
 func Verify(pub PublicKey, message, sig []byte) error {
 	var t triple
 	if err := t.decode(pub, message, sig); err != nil {
@@ -98,19 +120,20 @@ func Verify(pub PublicKey, message, sig []byte) error {
 // multi-scalar kernel's own tables: the decoded triples, the scalars and
 // the coefficient bytes, 3.6 KB of garbage a signature when each call made
 // them afresh. Like the kernel's, it grows to the largest batch it has
-// served (callers chunk: the node's batchVerifyChunk is 64, ≈ 50 KB
+// served (callers chunk: the node's batchVerifyChunk is 64, ≈ 26 KB
 // here). points and scalars hold the addresses of the values they
 // multiply, so that a prefix of each is the kernel's argument as it
 // stands.
 //
 // A scratch is reused without clearing. Triples are packed into slots in
-// order; slot i is written whole (the triple, then both scalars) before
-// anything reads it, and nothing reads past the last slot this call
-// filled — a triple refused half-way leaves its slot to the next one.
+// order; slot i is written whole (the triple, then its scalars and key
+// points) before anything reads it, and nothing reads past the last slot
+// this call filled — a triple refused half-way leaves its slot to the
+// next one.
 type batchScratch struct {
 	triples    []triple
 	scalarVals []edwards25519.Scalar
-	points     []*edwards25519.Point // A, R of slot i at 2i, 2i+1
+	points     []*edwards25519.Point // −A, −A′, −R of slot i at 3i, 3i+1, 3i+2
 	scalars    []*edwards25519.Scalar
 	live       []int  // batch slot -> triple index
 	z          []byte // batchCoefficientBytes a slot
@@ -124,12 +147,14 @@ func (sc *batchScratch) grow(n int) {
 		return
 	}
 	sc.triples = make([]triple, n)
-	sc.scalarVals = make([]edwards25519.Scalar, 2*n)
-	sc.points = make([]*edwards25519.Point, 2*n)
-	sc.scalars = make([]*edwards25519.Scalar, 2*n)
+	sc.scalarVals = make([]edwards25519.Scalar, 3*n)
+	sc.points = make([]*edwards25519.Point, 3*n)
+	sc.scalars = make([]*edwards25519.Scalar, 3*n)
 	for i := range sc.triples {
-		sc.points[2*i], sc.points[2*i+1] = &sc.triples[i].a, &sc.triples[i].r
-		sc.scalars[2*i], sc.scalars[2*i+1] = &sc.scalarVals[2*i], &sc.scalarVals[2*i+1]
+		sc.points[3*i+2] = &sc.triples[i].negR
+	}
+	for i := range sc.scalars {
+		sc.scalars[i] = &sc.scalarVals[i]
 	}
 	sc.live = make([]int, n)
 	sc.z = make([]byte, batchCoefficientBytes*n)
@@ -146,19 +171,21 @@ func (sc *batchScratch) grow(n int) {
 // take no part in the equation. The rest are verified with a single
 // multi-scalar equation: sample random 128-bit z_i and check
 //
-//	[8]([Σ z_i s_i]B − Σ [z_i k_i]A_i − Σ [z_i]R_i) == identity,
+//	[8]([Σ z_i s_i]B + Σ [z_i k_i](−A_i) + Σ [z_i](−R_i)) == identity,
 //
 // which holds when every signature is valid under the rule and fails,
 // except with probability ~2^-128, when any is not. One pass shares the
-// 256-step doubling ladder across every term, so a batch of n costs
-// roughly n·(two NAF tables + sparse additions) instead of n
-// independent double-scalar multiplications. A batch of one, and a
-// batch whose equation fails, is settled slot by slot with Verify's
-// equation, on the points already decoded — the fallback is what
-// attributes the failure.
+// doubling ladder across every term, so a batch of n costs roughly
+// n·(NAF tables + sparse additions) instead of n independent checks. The
+// ladder is about 129 steps, as in Verify: each z_i k_i is split into
+// 128-bit halves over −A_i and −A′_i, and −R_i takes the 128-bit z_i
+// itself (negating a point is free, so R's NAF is half as long as it
+// would be under −z_i). A batch of one, and a batch whose equation fails,
+// is settled slot by slot with Verify's equation, on the points already
+// decoded — the fallback is what attributes the failure.
 //
-// An all-valid batch allocates nothing: the equation works out of a
-// pooled scratch.
+// An all-valid batch allocates nothing under keys in the key table: the
+// equation works out of a pooled scratch.
 func VerifyBatch(pubs []PublicKey, messages, sigs [][]byte) []error {
 	n := len(pubs)
 	if len(messages) != n || len(sigs) != n {
@@ -209,21 +236,19 @@ func VerifyBatch(pubs []PublicKey, messages, sigs [][]byte) []error {
 		return each()
 	}
 
-	// Assemble [Σ z_i s_i]B + Σ [−z_i k_i]A_i + Σ [−z_i]R_i.
-	var (
-		zBuf       [64]byte // a 128-bit z in 64 little-endian bytes: below ℓ, so reduced as it is
-		z, bScalar edwards25519.Scalar
-	)
+	// Assemble [Σ z_i s_i]B + Σ [z_i k_i](−A_i) + Σ [z_i](−R_i), z_i k_i
+	// split over −A_i and −A′_i.
+	var bScalar, zk edwards25519.Scalar
 	for slot := range slots {
-		copy(zBuf[:batchCoefficientBytes], zRaw[slot*batchCoefficientBytes:])
-		z.SetUniformBytes(zBuf[:])
 		t := &sc.triples[slot]
-		bScalar.MultiplyAdd(&z, &t.s, &bScalar)
-		zNeg := sc.scalars[2*slot+1].Negate(&z)
-		sc.scalars[2*slot].Multiply(zNeg, &t.k)
+		z := sc.scalars[3*slot+2]
+		setShortScalar(z, zRaw[slot*batchCoefficientBytes:(slot+1)*batchCoefficientBytes])
+		bScalar.MultiplyAdd(z, &t.s, &bScalar)
+		splitScalar(zk.Multiply(z, &t.k), sc.scalars[3*slot], sc.scalars[3*slot+1])
+		sc.points[3*slot], sc.points[3*slot+1] = &t.key.negA, &t.key.negH
 	}
 	var check edwards25519.Point
-	check.VarTimeMultiScalarBaseMult(&bScalar, sc.scalars[:2*slots], sc.points[:2*slots])
+	check.VarTimeMultiScalarBaseMult(&bScalar, sc.scalars[:3*slots], sc.points[:3*slots])
 	if check.MultByCofactor(&check).Equal(edwards25519.NewIdentityPoint()) == 1 {
 		return errs
 	}

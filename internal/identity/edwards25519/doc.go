@@ -14,8 +14,11 @@
 // multi-scalar multiplication used by identity's signature rule: one
 // interleaved Straus pass over any number of dynamic points plus the
 // fixed basepoint, which is what turns N independent double-scalar
-// verifications into one shared doubling ladder, and MultByCofactor, the
-// [8] of the cofactored signature rule.
+// verifications into one shared doubling ladder. The basepoint's scalar
+// is split into 128-bit halves over B and [2^128]B, so a caller that
+// splits its own scalars the same way runs half the ladder. MultByPow2
+// gives a point's [2^128] multiple and MultByCofactor the [8] of the
+// cofactored signature rule.
 //
 // Nothing in this package is constant-time unless stated: it is used
 // only to verify public signatures, never with secret scalars.

@@ -7,6 +7,7 @@ package edwards25519
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // A Scalar is an integer modulo
@@ -245,14 +246,16 @@ func (s *Scalar) Equal(t *Scalar) int {
 	return int(^nonzero) & 1
 }
 
-// nonAdjacentForm computes a width-w non-adjacent form for this scalar.
+// nonAdjacentForm computes a width-w non-adjacent form for the scalar
+// whose 32-byte little-endian encoding is b. It stops past the value's
+// top bit, so a value below 2^128 costs half a full scalar and has no
+// digit above position 128.
 //
 // w must be between 2 and 8, or nonAdjacentForm will panic.
-func (s *Scalar) nonAdjacentForm(w uint) [256]int8 {
+func nonAdjacentForm(b *[32]byte, w uint) [256]int8 {
 	// This implementation is adapted from the one
 	// in curve25519-dalek and is documented there:
 	// https://github.com/dalek-cryptography/curve25519-dalek/blob/f630041af28e9a405255f98a8a93adca18e4315b/src/scalar.rs#L800-L871
-	b := s.Bytes()
 	if b[31] > 127 {
 		panic("scalar has high bit set illegally")
 	}
@@ -265,8 +268,12 @@ func (s *Scalar) nonAdjacentForm(w uint) [256]int8 {
 	var naf [256]int8
 	var digits [5]uint64
 
+	bitLen := uint(0)
 	for i := 0; i < 4; i++ {
 		digits[i] = binary.LittleEndian.Uint64(b[i*8:])
+		if digits[i] != 0 {
+			bitLen = uint(64*i + bits.Len64(digits[i]))
+		}
 	}
 
 	width := uint64(1 << w)
@@ -274,7 +281,8 @@ func (s *Scalar) nonAdjacentForm(w uint) [256]int8 {
 
 	pos := uint(0)
 	carry := uint64(0)
-	for pos < 256 {
+	// Past the top bit every window is zero but for a carry.
+	for pos < 256 && (pos < bitLen || carry != 0) {
 		indexU64 := pos / 64
 		indexBit := pos % 64
 		var bitBuf uint64

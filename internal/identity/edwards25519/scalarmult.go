@@ -122,16 +122,19 @@ func (v *Point) ScalarMult(x *Scalar, q *Point) *Point {
 	return v
 }
 
-// basepointNafTable is the nafLookupTable8 for the basepoint.
-// It is precomputed the first time it's used.
-func basepointNafTable() *nafLookupTable8 {
+// basepointNafTables are the nafLookupTable8s for the basepoint B and for
+// B′ = [2^128]B, the two halves of a split basepoint scalar. They are
+// precomputed the first time they're used.
+func basepointNafTables() *[2]nafLookupTable8 {
 	basepointNafTablePrecomp.initOnce.Do(func() {
-		basepointNafTablePrecomp.table.FromP3(NewGeneratorPoint())
+		b := NewGeneratorPoint()
+		basepointNafTablePrecomp.tables[0].FromP3(b)
+		basepointNafTablePrecomp.tables[1].FromP3(b.MultByPow2(b, 128))
 	})
-	return &basepointNafTablePrecomp.table
+	return &basepointNafTablePrecomp.tables
 }
 
 var basepointNafTablePrecomp struct {
-	table    nafLookupTable8
+	tables   [2]nafLookupTable8
 	initOnce sync.Once
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -146,8 +145,9 @@ func loadCornerCases(tb testing.TB) []cornerCase {
 
 // TestCornerCaseVectors checks every committed vector with Verify, and
 // with VerifyBatch beside a valid companion on either side of it, against
-// the verdict the file gives. The file is the generator's output and
-// changes only through -update.
+// the verdict the file gives: each path first on an empty key table, then
+// again on what its first check left there. The file is the generator's
+// output and changes only through -update.
 func TestCornerCaseVectors(t *testing.T) {
 	built, err := json.MarshalIndent(buildCornerCases(), "", "\t")
 	if err != nil {
@@ -174,20 +174,30 @@ func TestCornerCaseVectors(t *testing.T) {
 		if !known {
 			t.Fatalf("%s: unknown verdict %q", c.Name, c.Want)
 		}
-		matches := func(err error) bool { return errors.Is(err, want) } // nil matches only nil
-		if err := Verify(c.pub(), c.msg(), c.sig()); !matches(err) {
-			t.Errorf("%s: Verify = %v, want %s", c.Name, err, c.Want)
+		paths := map[string]func() error{
+			"Verify": func() error { return Verify(c.pub(), c.msg(), c.sig()) },
 		}
 		for at := 0; at < 2; at++ {
-			pubs := []PublicKey{companion.Public(), companion.Public()}
-			msgs, sigs := [][]byte{cMsg, cMsg}, [][]byte{cSig, cSig}
-			pubs[at], msgs[at], sigs[at] = c.pub(), c.msg(), c.sig()
-			errs := VerifyBatch(pubs, msgs, sigs)
-			if errs == nil {
-				errs = make([]error, 2)
+			paths[fmt.Sprintf("VerifyBatch at %d beside a valid companion", at)] = func() error {
+				pubs := []PublicKey{companion.Public(), companion.Public()}
+				msgs, sigs := [][]byte{cMsg, cMsg}, [][]byte{cSig, cSig}
+				pubs[at], msgs[at], sigs[at] = c.pub(), c.msg(), c.sig()
+				errs := VerifyBatch(pubs, msgs, sigs)
+				if errs == nil {
+					return nil
+				}
+				if errs[1-at] != nil {
+					t.Errorf("%s at %d: the valid companion was refused: %v", c.Name, at, errs[1-at])
+				}
+				return errs[at]
 			}
-			if !matches(errs[at]) || errs[1-at] != nil {
-				t.Errorf("%s at %d beside a valid companion: VerifyBatch = %v, want %s", c.Name, at, errs, c.Want)
+		}
+		for name, check := range paths {
+			resetKeyTable()
+			for _, table := range []string{"an empty key table", "a warm key table"} {
+				if err := check(); !sameVerdict(err, want) {
+					t.Errorf("%s: %s on %s = %v, want %s", c.Name, name, table, err, c.Want)
+				}
 			}
 		}
 	}
