@@ -116,27 +116,33 @@ func Verify(pub PublicKey, message, sig []byte) error {
 	return t.verify()
 }
 
+// splitBelow is the batch size below which VerifyBatch splits each
+// z_i k_i over −A_i and −A′_i as Verify splits k: the split puts the whole
+// batch on the short ladder, saving ~124 doublings a batch, but costs one
+// more point table a signature, which outweighs the doublings once this
+// many signatures share them (measured on 2 cores: splitting is 25–30 %
+// cheaper a signature at two or three, 4–11 % dearer at eight and more).
+const splitBelow = 8
+
 // batchScratch is everything one batch equation works in besides the
 // multi-scalar kernel's own tables: the decoded triples, the scalars and
 // the coefficient bytes, 3.6 KB of garbage a signature when each call made
 // them afresh. Like the kernel's, it grows to the largest batch it has
 // served (callers chunk: the node's batchVerifyChunk is 64, ≈ 26 KB
-// here). points and scalars hold the addresses of the values they
-// multiply, so that a prefix of each is the kernel's argument as it
-// stands.
+// here). points and scalars are the kernel's arguments, the addresses of
+// the values they multiply, built afresh in their capacity each call.
 //
 // A scratch is reused without clearing. Triples are packed into slots in
-// order; slot i is written whole (the triple, then its scalars and key
-// points) before anything reads it, and nothing reads past the last slot
-// this call filled — a triple refused half-way leaves its slot to the
-// next one.
+// order; slot i is written whole (the triple, then its scalars) before
+// anything reads it, and nothing reads past the last slot this call
+// filled — a triple refused half-way leaves its slot to the next one.
 type batchScratch struct {
 	triples    []triple
-	scalarVals []edwards25519.Scalar
-	points     []*edwards25519.Point // −A, −A′, −R of slot i at 3i, 3i+1, 3i+2
-	scalars    []*edwards25519.Scalar
-	live       []int  // batch slot -> triple index
-	z          []byte // batchCoefficientBytes a slot
+	scalarVals []edwards25519.Scalar  // z, z·k and, split, z·k's high half of slot i at 3i..3i+2
+	points     []*edwards25519.Point  // up to −R, −A, −A′ a slot
+	scalars    []*edwards25519.Scalar // their coefficients
+	live       []int                  // batch slot -> triple index
+	z          []byte                 // batchCoefficientBytes a slot
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -148,14 +154,8 @@ func (sc *batchScratch) grow(n int) {
 	}
 	sc.triples = make([]triple, n)
 	sc.scalarVals = make([]edwards25519.Scalar, 3*n)
-	sc.points = make([]*edwards25519.Point, 3*n)
-	sc.scalars = make([]*edwards25519.Scalar, 3*n)
-	for i := range sc.triples {
-		sc.points[3*i+2] = &sc.triples[i].negR
-	}
-	for i := range sc.scalars {
-		sc.scalars[i] = &sc.scalarVals[i]
-	}
+	sc.points = make([]*edwards25519.Point, 0, 3*n)
+	sc.scalars = make([]*edwards25519.Scalar, 0, 3*n)
 	sc.live = make([]int, n)
 	sc.z = make([]byte, batchCoefficientBytes*n)
 }
@@ -176,11 +176,12 @@ func (sc *batchScratch) grow(n int) {
 // which holds when every signature is valid under the rule and fails,
 // except with probability ~2^-128, when any is not. One pass shares the
 // doubling ladder across every term, so a batch of n costs roughly
-// n·(NAF tables + sparse additions) instead of n independent checks. The
-// ladder is about 129 steps, as in Verify: each z_i k_i is split into
-// 128-bit halves over −A_i and −A′_i, and −R_i takes the 128-bit z_i
-// itself (negating a point is free, so R's NAF is half as long as it
-// would be under −z_i). A batch of one, and a batch whose equation fails,
+// n·(NAF tables + sparse additions) instead of n independent checks.
+// −R_i takes the 128-bit z_i itself (negating a point is free, so R's NAF
+// is half as long as it would be under −z_i), and below splitBelow
+// signatures each z_i k_i is split into 128-bit halves over −A_i and
+// −A′_i, which puts the batch on Verify's short ladder. A batch of one,
+// and a batch whose equation fails,
 // is settled slot by slot with Verify's equation, on the points already
 // decoded — the fallback is what attributes the failure.
 //
@@ -224,33 +225,41 @@ func VerifyBatch(pubs []PublicKey, messages, sigs [][]byte) []error {
 		}
 		return errs
 	}
-	if slots < 2 {
+	if slots < 2 || !sc.holds(slots) {
 		return each()
 	}
+	return errs
+}
 
-	// Random coefficients: one entropy read for the whole batch. If the
-	// system entropy source is unusable, settle slot by slot rather than
-	// accept a weaker equation.
+// holds reports whether the batch equation holds for the first slots
+// triples of the scratch. If the system entropy source is unusable it
+// reports false, so that the batch is settled slot by slot rather than by
+// a weaker equation.
+func (sc *batchScratch) holds(slots int) bool {
+	// Random coefficients: one entropy read for the whole batch.
 	zRaw := sc.z[:batchCoefficientBytes*slots]
 	if _, err := rand.Read(zRaw); err != nil {
-		return each()
+		return false
 	}
 
 	// Assemble [Σ z_i s_i]B + Σ [z_i k_i](−A_i) + Σ [z_i](−R_i), z_i k_i
-	// split over −A_i and −A′_i.
-	var bScalar, zk edwards25519.Scalar
+	// split over −A_i and −A′_i in a small batch.
+	split := slots < splitBelow
+	points, scalars := sc.points[:0], sc.scalars[:0]
+	var bScalar edwards25519.Scalar
 	for slot := range slots {
 		t := &sc.triples[slot]
-		z := sc.scalars[3*slot+2]
+		z, zk, zkHi := &sc.scalarVals[3*slot], &sc.scalarVals[3*slot+1], &sc.scalarVals[3*slot+2]
 		setShortScalar(z, zRaw[slot*batchCoefficientBytes:(slot+1)*batchCoefficientBytes])
 		bScalar.MultiplyAdd(z, &t.s, &bScalar)
-		splitScalar(zk.Multiply(z, &t.k), sc.scalars[3*slot], sc.scalars[3*slot+1])
-		sc.points[3*slot], sc.points[3*slot+1] = &t.key.negA, &t.key.negH
+		zk.Multiply(z, &t.k)
+		points, scalars = append(points, &t.negR, &t.key.negA), append(scalars, z, zk)
+		if split {
+			splitScalar(zk, zk, zkHi)
+			points, scalars = append(points, &t.key.negH), append(scalars, zkHi)
+		}
 	}
 	var check edwards25519.Point
-	check.VarTimeMultiScalarBaseMult(&bScalar, sc.scalars[:3*slots], sc.points[:3*slots])
-	if check.MultByCofactor(&check).Equal(edwards25519.NewIdentityPoint()) == 1 {
-		return errs
-	}
-	return each()
+	check.VarTimeMultiScalarBaseMult(&bScalar, scalars, points)
+	return check.MultByCofactor(&check).Equal(edwards25519.NewIdentityPoint()) == 1
 }

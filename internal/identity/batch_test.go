@@ -405,3 +405,29 @@ func FuzzVerifyBatchAgreesWithVerify(f *testing.F) {
 		}
 	})
 }
+
+// TestBatchEquationHolds checks the combined equation itself, not the
+// verdicts the per-slot fallback would give anyway: on both sides of
+// splitBelow it holds for a batch of valid signatures, and fails when one
+// of them is over another message.
+func TestBatchEquationHolds(t *testing.T) {
+	for _, n := range []int{2, splitBelow - 1, splitBelow, 64} {
+		pubs, msgs, sigs := buildBatch(t, rand.New(rand.NewSource(int64(n))), make([]batchCase, n))
+		for _, bad := range []int{-1, n - 1} { // -1: every signature valid
+			var sc batchScratch
+			sc.grow(n)
+			for i := range n {
+				msg := msgs[i]
+				if i == bad {
+					msg = append([]byte{0}, msg...)
+				}
+				if err := sc.triples[i].decode(pubs[i], msg, sigs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := sc.holds(n); got != (bad < 0) {
+				t.Errorf("n=%d, bad entry %d: the batch equation holds = %v", n, bad, got)
+			}
+		}
+	}
+}

@@ -16,7 +16,7 @@ type multiScalarScratch struct {
 
 // multiScalarPool holds one scratch per concurrently running call. A
 // scratch grows to the largest batch it has served; the node verifies in
-// chunks of 64 signatures, 192 points (≈ 300 KB).
+// chunks of 64 signatures, 128 points (≈ 200 KB).
 var multiScalarPool = sync.Pool{New: func() any { return new(multiScalarScratch) }}
 
 // stackPoints is how many dynamic points a call works on in its own
