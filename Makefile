@@ -42,8 +42,8 @@ vet:
 # batch kernel and its single Verify (nothing), a histogram's
 # flat memory) and the byte guards (tangle's bytes per resident vertex, node's per
 # relayed transaction, core's per credit record, identity's per expanded
-# key) run without the race
-# detector, whose own allocations they would otherwise count; so does
+# key) run without the race detector, whose own allocations they would
+# otherwise count; so does
 # the shard-scaling guard (four regions admit ≥ 0.8× four times one),
 # which the detector's CPU cost would turn into a measure of the cores.
 # bench/ is a module of its own, so `./...` above never reaches it: its
@@ -153,7 +153,8 @@ loc:
 # transaction (a whole journal-less node), per credit record (the credit
 # ledger alone), per observed latency histogram (fixed, not per
 # transaction) and per expanded key in identity's key table (per known
-# signer, with the table's worst case) — and beside them what the two bulk edges, a relayed batch
+# signer, with the table's worst case) — and beside them what the two
+# bulk edges, a relayed batch
 # (on a journal-less and a journaling relay), a journal replay and a
 # catch-up sync, allocate per transaction beyond the copy the ledger keeps,
 # what an attach allocates beyond its vertex, what one Submit of

@@ -181,9 +181,9 @@ func (sc *batchScratch) grow(n int) {
 // is half as long as it would be under −z_i), and below splitBelow
 // signatures each z_i k_i is split into 128-bit halves over −A_i and
 // −A′_i, which puts the batch on Verify's short ladder. A batch of one,
-// and a batch whose equation fails,
-// is settled slot by slot with Verify's equation, on the points already
-// decoded — the fallback is what attributes the failure.
+// and a batch whose equation fails, is settled slot by slot with Verify's
+// equation, on the points already decoded — the fallback is what
+// attributes the failure.
 //
 // An all-valid batch allocates nothing under keys in the key table: the
 // equation works out of a pooled scratch.
