@@ -30,18 +30,22 @@ import (
 const batchCoefficientBytes = 16
 
 // triple is one signature in curve form: A expanded, −R, s, and k.
+// stored says whether the expanded key came from the key table; a fresh
+// one is filed there once a signature under it verifies (keep).
 type triple struct {
-	key  *expandedKey
-	negR edwards25519.Point
-	s, k edwards25519.Scalar
+	key    *expandedKey
+	stored bool
+	negR   edwards25519.Point
+	s, k   edwards25519.Scalar
 }
 
 // decode puts one (key, message, signature) triple into t, or says why
 // the rule refuses it before any equation: ErrBadKeyLength for a key of
 // the wrong length, ErrBadPublicKey for one that is no curve point or is
 // of small order, ErrBadSignature for a signature of the wrong length,
-// with s ≥ ℓ or with an R that is no curve point. A key the process has
-// checked before comes expanded from the key table.
+// with s ≥ ℓ or with an R that is no curve point. A key under which the
+// process has verified a signature before comes expanded from the key
+// table.
 func (t *triple) decode(pub PublicKey, message, sig []byte) error {
 	if len(pub) != ed25519.PublicKeySize {
 		return fmt.Errorf("%w: length %d", ErrBadKeyLength, len(pub))
@@ -53,7 +57,7 @@ func (t *triple) decode(pub PublicKey, message, sig []byte) error {
 		return ErrBadSignature
 	}
 	var err error
-	if t.key, err = expandKey(pub); err != nil {
+	if t.key, t.stored, err = expandKey(pub); err != nil {
 		return err
 	}
 	if _, err := t.negR.SetBytes(sig[:32]); err != nil {
@@ -75,7 +79,7 @@ func (t *triple) decode(pub PublicKey, message, sig []byte) error {
 // coefficient, on about half the doubling ladder: k split into 128-bit
 // halves over −A and −A′ = −[2^128]A (s is split the same way inside the
 // kernel), [s]B + [k_lo](−A) + [k_hi](−A′) in one pass, minus R, times
-// the cofactor.
+// the cofactor. A valid triple's key is kept in the key table.
 func (t *triple) verify() error {
 	var kLo, kHi edwards25519.Scalar
 	splitScalar(&t.k, &kLo, &kHi)
@@ -86,7 +90,16 @@ func (t *triple) verify() error {
 	if check.MultByCofactor(&check).Equal(edwards25519.NewIdentityPoint()) != 1 {
 		return ErrBadSignature
 	}
+	t.keep()
 	return nil
+}
+
+// keep files the triple's key in the key table if it is not there: call
+// it once the triple has verified.
+func (t *triple) keep() {
+	if !t.stored {
+		storeKey(t.key)
+	}
 }
 
 // setShortScalar sets s to the little-endian value of b, at most 16 bytes:
@@ -116,14 +129,6 @@ func Verify(pub PublicKey, message, sig []byte) error {
 	return t.verify()
 }
 
-// splitBelow is the batch size below which VerifyBatch splits each
-// z_i k_i over −A_i and −A′_i as Verify splits k: the split puts the whole
-// batch on the short ladder, saving ~124 doublings a batch, but costs one
-// more point table a signature, which outweighs the doublings once this
-// many signatures share them (measured on 2 cores: splitting is 25–30 %
-// cheaper a signature at two or three, 4–11 % dearer at eight and more).
-const splitBelow = 8
-
 // batchScratch is everything one batch equation works in besides the
 // multi-scalar kernel's own tables: the decoded triples, the scalars and
 // the coefficient bytes, 3.6 KB of garbage a signature when each call made
@@ -138,8 +143,8 @@ const splitBelow = 8
 // filled — a triple refused half-way leaves its slot to the next one.
 type batchScratch struct {
 	triples    []triple
-	scalarVals []edwards25519.Scalar  // z, z·k and, split, z·k's high half of slot i at 3i..3i+2
-	points     []*edwards25519.Point  // up to −R, −A, −A′ a slot
+	scalarVals []edwards25519.Scalar  // z and z·k of slot i at 2i, 2i+1
+	points     []*edwards25519.Point  // −R and −A a slot
 	scalars    []*edwards25519.Scalar // their coefficients
 	live       []int                  // batch slot -> triple index
 	z          []byte                 // batchCoefficientBytes a slot
@@ -153,9 +158,9 @@ func (sc *batchScratch) grow(n int) {
 		return
 	}
 	sc.triples = make([]triple, n)
-	sc.scalarVals = make([]edwards25519.Scalar, 3*n)
-	sc.points = make([]*edwards25519.Point, 0, 3*n)
-	sc.scalars = make([]*edwards25519.Scalar, 0, 3*n)
+	sc.scalarVals = make([]edwards25519.Scalar, 2*n)
+	sc.points = make([]*edwards25519.Point, 0, 2*n)
+	sc.scalars = make([]*edwards25519.Scalar, 0, 2*n)
 	sc.live = make([]int, n)
 	sc.z = make([]byte, batchCoefficientBytes*n)
 }
@@ -178,12 +183,12 @@ func (sc *batchScratch) grow(n int) {
 // doubling ladder across every term, so a batch of n costs roughly
 // n·(NAF tables + sparse additions) instead of n independent checks.
 // −R_i takes the 128-bit z_i itself (negating a point is free, so R's NAF
-// is half as long as it would be under −z_i), and below splitBelow
-// signatures each z_i k_i is split into 128-bit halves over −A_i and
-// −A′_i, which puts the batch on Verify's short ladder. A batch of one,
-// and a batch whose equation fails, is settled slot by slot with Verify's
-// equation, on the points already decoded — the fallback is what
-// attributes the failure.
+// is half as long as it would be under −z_i); z_i k_i stays whole, so the
+// ladder is the full one (DESIGN §13 says why it is not split). A batch
+// of one, and a batch whose equation fails, is settled slot by slot with
+// Verify's equation, on the points already decoded — the fallback is what
+// attributes the failure. The keys of a batch whose equation holds are
+// kept in the key table, as Verify keeps the key of a valid signature.
 //
 // An all-valid batch allocates nothing under keys in the key table: the
 // equation works out of a pooled scratch.
@@ -228,6 +233,9 @@ func VerifyBatch(pubs []PublicKey, messages, sigs [][]byte) []error {
 	if slots < 2 || !sc.holds(slots) {
 		return each()
 	}
+	for slot := range slots {
+		sc.triples[slot].keep()
+	}
 	return errs
 }
 
@@ -242,22 +250,16 @@ func (sc *batchScratch) holds(slots int) bool {
 		return false
 	}
 
-	// Assemble [Σ z_i s_i]B + Σ [z_i k_i](−A_i) + Σ [z_i](−R_i), z_i k_i
-	// split over −A_i and −A′_i in a small batch.
-	split := slots < splitBelow
+	// Assemble [Σ z_i s_i]B + Σ [z_i k_i](−A_i) + Σ [z_i](−R_i).
 	points, scalars := sc.points[:0], sc.scalars[:0]
 	var bScalar edwards25519.Scalar
 	for slot := range slots {
 		t := &sc.triples[slot]
-		z, zk, zkHi := &sc.scalarVals[3*slot], &sc.scalarVals[3*slot+1], &sc.scalarVals[3*slot+2]
+		z, zk := &sc.scalarVals[2*slot], &sc.scalarVals[2*slot+1]
 		setShortScalar(z, zRaw[slot*batchCoefficientBytes:(slot+1)*batchCoefficientBytes])
 		bScalar.MultiplyAdd(z, &t.s, &bScalar)
 		zk.Multiply(z, &t.k)
 		points, scalars = append(points, &t.negR, &t.key.negA), append(scalars, z, zk)
-		if split {
-			splitScalar(zk, zk, zkHi)
-			points, scalars = append(points, &t.key.negH), append(scalars, zkHi)
-		}
 	}
 	var check edwards25519.Point
 	check.VarTimeMultiScalarBaseMult(&bScalar, scalars, points)

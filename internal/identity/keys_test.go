@@ -114,7 +114,7 @@ func TestLookupComparesEveryByte(t *testing.T) {
 	pub, msg, sig := pubs[0], msgs[0], sigs[0]
 	neg := append(PublicKey(nil), pub...)
 	neg[31] ^= 0x80 // the sign of x: the encoding of −A
-	negKey, err := expandKey(neg)
+	negKey, _, err := expandKey(neg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +166,40 @@ func TestRefusedKeysAreNeverStored(t *testing.T) {
 	}
 	if held != 1 || storedCopies(good[0]) != 1 {
 		t.Errorf("the table holds %d keys, want only the valid one", held)
+	}
+}
+
+// TestFailingSignaturesAreNeverStored checks signatures that fail under
+// valid keys the table does not hold — alone, in a batch beside a valid
+// one, and as a whole batch whose equation fails — and then finds only
+// the valid signatures' keys in the table, each once, however many of
+// their signatures a batch carried.
+func TestFailingSignaturesAreNeverStored(t *testing.T) {
+	resetKeyTable()
+	pubs, msgs, sigs := buildBatch(t, rand.New(rand.NewSource(53)), make([]batchCase, 4))
+	other := append([]byte{0}, msgs[0]...)
+	if err := Verify(pubs[0], other, sigs[0]); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("a signature over another message: %v", err)
+	}
+	errs := VerifyBatch([]PublicKey{pubs[1], pubs[2]}, [][]byte{other, msgs[2]}, [][]byte{sigs[1], sigs[2]})
+	if errs == nil || !errors.Is(errs[0], ErrBadSignature) || errs[1] != nil {
+		t.Fatalf("a batch with one failing signature: %v", errs)
+	}
+	errs = VerifyBatch([]PublicKey{pubs[3], pubs[3]}, [][]byte{other, other}, [][]byte{sigs[3], sigs[3]})
+	if errs == nil || !errors.Is(errs[0], ErrBadSignature) || !errors.Is(errs[1], ErrBadSignature) {
+		t.Fatalf("a batch of failing signatures: %v", errs)
+	}
+	for i, want := range []int{0, 0, 1, 0} {
+		if n := storedCopies(pubs[i]); n != want {
+			t.Errorf("key %d is held in %d slots, want %d", i, n, want)
+		}
+	}
+	rep := []PublicKey{pubs[0], pubs[0], pubs[0], pubs[0]}
+	if errs := VerifyBatch(rep, [][]byte{msgs[0], msgs[0], msgs[0], msgs[0]}, [][]byte{sigs[0], sigs[0], sigs[0], sigs[0]}); errs != nil {
+		t.Fatalf("a valid batch under one fresh key: %v", errs)
+	}
+	if n := storedCopies(pubs[0]); n != 1 {
+		t.Errorf("a batch of four signatures under one fresh key left it in %d slots, want 1", n)
 	}
 }
 
