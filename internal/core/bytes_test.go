@@ -62,3 +62,22 @@ func TestBytesPerCreditRecord(t *testing.T) {
 	runtime.KeepAlive(l)
 	runtime.KeepAlive(ids)
 }
+
+// TestCreditOfAllocatesNothing: a credit query — the window's binary
+// search, its sum and the events' — allocates nothing.
+func TestCreditOfAllocatesNothing(t *testing.T) {
+	l, err := NewLedger(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := identity.Address(hashutil.Sum([]byte("device")))
+	base := time.Unix(1_700_000_000, 0)
+	for i := 0; i < 40; i++ {
+		l.RecordTransaction(addr, hashutil.Sum([]byte(fmt.Sprint("reading-", i))), 2, base.Add(time.Duration(i)*time.Second))
+	}
+	l.RecordMalicious(addr, EventRecord{Behaviour: BehaviourLazyTips, At: base})
+	now := base.Add(40 * time.Second)
+	if allocs := testing.AllocsPerRun(100, func() { l.CreditOf(addr, now) }); allocs != 0 {
+		t.Errorf("CreditOf allocates %v times a query, want 0", allocs)
+	}
+}

@@ -103,7 +103,7 @@ func TestEqn3PositiveCredit(t *testing.T) {
 	l.RecordTransaction(nodeA, txFixt(4), 10, t0.Add(-40*time.Second))
 
 	want := (1.0 + 2.0 + 3.0) / 30.0
-	if got := l.PositiveCredit(nodeA, t0); math.Abs(got-want) > epsFloat {
+	if got := l.CreditOf(nodeA, t0).CrP; math.Abs(got-want) > epsFloat {
 		t.Errorf("CrP = %v, want %v", got, want)
 	}
 }
@@ -111,13 +111,13 @@ func TestEqn3PositiveCredit(t *testing.T) {
 func TestCrPZeroForInactiveNode(t *testing.T) {
 	p := DefaultParams()
 	l := mustLedger(t, p)
-	if l.PositiveCredit(nodeA, t0) != 0 {
+	if l.CreditOf(nodeA, t0).CrP != 0 {
 		t.Error("fresh node has nonzero CrP")
 	}
 	l.RecordTransaction(nodeA, txFixt(1), 3, t0)
 	// "If node i does not submit transactions for a period of time ...
 	// CrP = 0."
-	if got := l.PositiveCredit(nodeA, t0.Add(2*p.DeltaT)); got != 0 {
+	if got := l.CreditOf(nodeA, t0.Add(2*p.DeltaT)).CrP; got != 0 {
 		t.Errorf("CrP after idling = %v, want 0", got)
 	}
 }
@@ -125,7 +125,7 @@ func TestCrPZeroForInactiveNode(t *testing.T) {
 func TestCrPIgnoresFutureRecords(t *testing.T) {
 	l := mustLedger(t, DefaultParams())
 	l.RecordTransaction(nodeA, txFixt(1), 5, t0.Add(10*time.Second))
-	if got := l.PositiveCredit(nodeA, t0); got != 0 {
+	if got := l.CreditOf(nodeA, t0).CrP; got != 0 {
 		t.Errorf("future record counted: CrP = %v", got)
 	}
 }
@@ -135,11 +135,11 @@ func TestWeightClamping(t *testing.T) {
 	l := mustLedger(t, p)
 	l.RecordTransaction(nodeA, txFixt(1), p.MaxWeight*10, t0)
 	want := p.MaxWeight / p.DeltaT.Seconds()
-	if got := l.PositiveCredit(nodeA, t0); math.Abs(got-want) > epsFloat {
+	if got := l.CreditOf(nodeA, t0).CrP; math.Abs(got-want) > epsFloat {
 		t.Errorf("CrP = %v, want clamped %v", got, want)
 	}
 	l.RecordTransaction(nodeB, txFixt(2), -3, t0)
-	if got := l.PositiveCredit(nodeB, t0); got != 0 {
+	if got := l.CreditOf(nodeB, t0).CrP; got != 0 {
 		t.Errorf("negative weight contributed: %v", got)
 	}
 }
@@ -152,7 +152,7 @@ func TestEqn4NegativeCredit(t *testing.T) {
 	l.RecordMalicious(nodeA, EventRecord{Behaviour: BehaviourLazyTips, At: t0.Add(-15 * time.Second)})
 
 	want := -(1.0*30.0/10.0 + 0.5*30.0/15.0)
-	if got := l.NegativeCredit(nodeA, t0); math.Abs(got-want) > epsFloat {
+	if got := l.CreditOf(nodeA, t0).CrN; math.Abs(got-want) > epsFloat {
 		t.Errorf("CrN = %v, want %v", got, want)
 	}
 }
@@ -161,7 +161,7 @@ func TestCrNFiniteAtDetectionInstant(t *testing.T) {
 	p := DefaultParams()
 	l := mustLedger(t, p)
 	l.RecordMalicious(nodeA, EventRecord{Behaviour: BehaviourDoubleSpend, At: t0})
-	got := l.NegativeCredit(nodeA, t0)
+	got := l.CreditOf(nodeA, t0).CrN
 	want := -1.0 * p.DeltaT.Seconds() / p.MinEventAge.Seconds()
 	if math.Abs(got-want) > epsFloat {
 		t.Errorf("CrN at detection = %v, want floored %v", got, want)
@@ -176,9 +176,9 @@ func TestCrNFiniteAtDetectionInstant(t *testing.T) {
 func TestCrNDecaysButNeverVanishes(t *testing.T) {
 	l := mustLedger(t, DefaultParams())
 	l.RecordMalicious(nodeA, EventRecord{Behaviour: BehaviourDoubleSpend, At: t0})
-	prev := l.NegativeCredit(nodeA, t0)
+	prev := l.CreditOf(nodeA, t0).CrN
 	for _, age := range []time.Duration{10 * time.Second, time.Minute, time.Hour, 24 * time.Hour} {
-		cur := l.NegativeCredit(nodeA, t0.Add(age))
+		cur := l.CreditOf(nodeA, t0.Add(age)).CrN
 		if cur <= prev {
 			t.Errorf("CrN did not increase toward 0 at age %v: %v -> %v", age, prev, cur)
 		}
@@ -226,18 +226,18 @@ func TestUpdateWeight(t *testing.T) {
 	l.RecordTransaction(nodeA, id, 1, t0)
 	l.UpdateWeight(nodeA, id, 3)
 	want := 3.0 / p.DeltaT.Seconds()
-	if got := l.PositiveCredit(nodeA, t0); math.Abs(got-want) > epsFloat {
+	if got := l.CreditOf(nodeA, t0).CrP; math.Abs(got-want) > epsFloat {
 		t.Errorf("CrP after update = %v, want %v", got, want)
 	}
 	// Weights only grow.
 	l.UpdateWeight(nodeA, id, 2)
-	if got := l.PositiveCredit(nodeA, t0); math.Abs(got-want) > epsFloat {
+	if got := l.CreditOf(nodeA, t0).CrP; math.Abs(got-want) > epsFloat {
 		t.Errorf("weight shrank: CrP = %v", got)
 	}
 	// Unknown IDs and nodes are ignored.
 	l.UpdateWeight(nodeA, txFixt(99), 5)
 	l.UpdateWeight(nodeB, id, 5)
-	if got := l.PositiveCredit(nodeB, t0); got != 0 {
+	if got := l.CreditOf(nodeB, t0).CrP; got != 0 {
 		t.Error("update for unknown node created records")
 	}
 }
@@ -249,7 +249,7 @@ func TestUpdateWeightClamped(t *testing.T) {
 	l.RecordTransaction(nodeA, id, 1, t0)
 	l.UpdateWeight(nodeA, id, p.MaxWeight*100)
 	want := p.MaxWeight / p.DeltaT.Seconds()
-	if got := l.PositiveCredit(nodeA, t0); math.Abs(got-want) > epsFloat {
+	if got := l.CreditOf(nodeA, t0).CrP; math.Abs(got-want) > epsFloat {
 		t.Errorf("CrP = %v, want clamped %v", got, want)
 	}
 }
@@ -262,13 +262,13 @@ func TestOutOfOrderRecords(t *testing.T) {
 	l.RecordTransaction(nodeA, txFixt(2), 2, t0.Add(-50*time.Second)) // outside
 	l.RecordTransaction(nodeA, txFixt(3), 4, t0.Add(-25*time.Second))
 	want := (1.0 + 4.0) / 30.0
-	if got := l.PositiveCredit(nodeA, t0); math.Abs(got-want) > epsFloat {
+	if got := l.CreditOf(nodeA, t0).CrP; math.Abs(got-want) > epsFloat {
 		t.Errorf("CrP = %v, want %v", got, want)
 	}
 	// Weight updates must survive the reordering (index consistency).
 	l.UpdateWeight(nodeA, txFixt(3), 6)
 	want = (1.0 + 6.0) / 30.0
-	if got := l.PositiveCredit(nodeA, t0); math.Abs(got-want) > epsFloat {
+	if got := l.CreditOf(nodeA, t0).CrP; math.Abs(got-want) > epsFloat {
 		t.Errorf("CrP after update = %v, want %v", got, want)
 	}
 }
@@ -306,7 +306,7 @@ func TestPruneKeepsWindowAndEvents(t *testing.T) {
 		t.Errorf("pruned = %d, want 1", pruned)
 	}
 	// In-window record intact.
-	if got := l.PositiveCredit(nodeA, t0); math.Abs(got-2.0/30.0) > epsFloat {
+	if got := l.CreditOf(nodeA, t0).CrP; math.Abs(got-2.0/30.0) > epsFloat {
 		t.Errorf("CrP after prune = %v", got)
 	}
 	// Events are never pruned (punishment cannot be eliminated).
@@ -331,7 +331,7 @@ func TestCrPPropertyNonNegativeMonotone(t *testing.T) {
 		prev := 0.0
 		for i, w := range weights {
 			l.RecordTransaction(nodeA, txFixt(i), math.Abs(w), t0)
-			cur := l.PositiveCredit(nodeA, t0)
+			cur := l.CreditOf(nodeA, t0).CrP
 			if cur < prev-epsFloat {
 				return false
 			}
@@ -359,7 +359,7 @@ func TestCrNPropertyMonotoneInEvents(t *testing.T) {
 				Behaviour: BehaviourDoubleSpend,
 				At:        t0.Add(-time.Duration(i+1) * time.Second),
 			})
-			cur := l.NegativeCredit(nodeA, t0)
+			cur := l.CreditOf(nodeA, t0).CrN
 			if cur >= prev {
 				return false
 			}
@@ -386,33 +386,110 @@ func TestBehaviourString(t *testing.T) {
 	}
 }
 
+// TestLedgerConcurrentAccess runs credit readers — CreditOf and the
+// engine's DifficultyFor — beside every writer: RecordTransaction,
+// UpdateWeight, RecordMalicious, Prune and Merge. `go test -race` runs it
+// under the race detector. Each writer's end state does not depend on the
+// interleaving, so at quiescence every account's credit equals the model
+// fed the same operations one after another.
 func TestLedgerConcurrentAccess(t *testing.T) {
-	l := mustLedger(t, DefaultParams())
+	const writers, each = 4, 200
+	p := DefaultParams()
+	l, m := mustLedger(t, p), newCreditModel(p)
 	e := NewEngine(l, nil)
+	accts := []identity.Address{nodeA, nodeB, identity.Address(hashutil.Sum([]byte("node-c")))}
+	now := t0.Add(time.Second)
+
+	// Records older than the prune horizon, there before the writers
+	// start: Prune drops every one of them whenever it runs.
+	for i, addr := range accts {
+		l.RecordTransaction(addr, txFixt(1000+i), 5, t0.Add(-2*time.Hour))
+	}
+	// A peer's digest page: records in the window, some under IDs the
+	// writers also record, and events no writer records.
+	peer := mustLedger(t, p)
+	for i := 0; i < 60; i++ {
+		id := hashutil.Sum([]byte(fmt.Sprintf("c-%d-%d", i%writers, i)))
+		peer.RecordTransaction(accts[i%len(accts)], id, 1.5, t0.Add(time.Duration(i)*time.Millisecond))
+		if i%20 == 0 {
+			peer.RecordMalicious(accts[i%len(accts)], EventRecord{Behaviour: BehaviourDoubleSpend, At: t0, Detail: fmt.Sprint("remote-", i)})
+		}
+	}
+	page, _, _, _ := peer.DigestPage(0, len(accts), now, 0)
+
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		w := w
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < each; i++ {
 				id := hashutil.Sum([]byte(fmt.Sprintf("c-%d-%d", w, i)))
-				l.RecordTransaction(nodeA, id, 2, t0.Add(time.Duration(i)*time.Millisecond))
-				l.UpdateWeight(nodeA, id, 3)
+				l.RecordTransaction(accts[w%2], id, 2, t0.Add(time.Duration(i)*time.Millisecond))
+				l.UpdateWeight(accts[w%2], id, 3)
 				if i%50 == 0 {
-					l.RecordMalicious(nodeB, EventRecord{
-						Behaviour: BehaviourLazyTips,
-						At:        t0,
-					})
+					l.RecordMalicious(nodeB, EventRecord{Behaviour: BehaviourLazyTips, At: t0})
 				}
-				_ = e.DifficultyFor(nodeA, t0)
-				_ = l.CreditOf(nodeB, t0)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			l.Prune(now, time.Minute)
+			l.Merge(page)
+		}
+	}()
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				addr := accts[i%len(accts)]
+				if c := l.CreditOf(addr, now); c.CrP < 0 || c.CrN > 0 {
+					t.Errorf("credit of %s mid-write: %+v", addr.Short(), c)
+				}
+				if d := e.DifficultyFor(addr, now); d < p.MinDifficulty || d > p.MaxDifficulty {
+					t.Errorf("difficulty of %s mid-write: %d", addr.Short(), d)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if l.TransactionCount(nodeA) != 800 {
-		t.Errorf("transactions = %d, want 800", l.TransactionCount(nodeA))
+	close(stop)
+	readers.Wait()
+
+	for w := 0; w < writers; w++ {
+		for i := 0; i < each; i++ {
+			id := hashutil.Sum([]byte(fmt.Sprintf("c-%d-%d", w, i)))
+			m.record(accts[w%2], id, 3, t0.Add(time.Duration(i)*time.Millisecond))
+			if i%50 == 0 {
+				m.event(nodeB, EventRecord{Behaviour: BehaviourLazyTips, At: t0})
+			}
+		}
+	}
+	for _, acct := range page.Accounts {
+		for _, tr := range acct.Txs {
+			m.record(acct.Addr, tr.ID, tr.Weight, tr.At)
+		}
+		for _, ev := range acct.Events {
+			m.event(acct.Addr, ev)
+		}
+	}
+	if got, want := l.TransactionCount(nodeA), len(m.txs[nodeA]); got != want {
+		t.Errorf("transactions of node A = %d, want %d", got, want)
+	}
+	for _, addr := range accts {
+		if got, want := l.CreditOf(addr, now), m.credit(addr, now); !creditClose(got, want) {
+			t.Errorf("credit of %s at quiescence %+v, model %+v", addr.Short(), got, want)
+		}
 	}
 }
 
@@ -432,14 +509,14 @@ func TestRecordTransactionIdempotent(t *testing.T) {
 		t.Fatalf("duplicate record double-counted: %d records", got)
 	}
 	want := 1 / l.Params().DeltaT.Seconds()
-	if got := l.PositiveCredit(nodeA, now); got != want {
+	if got := l.CreditOf(nodeA, now).CrP; got != want {
 		t.Errorf("CrP = %v, want %v", got, want)
 	}
 
 	// Re-recording with a larger weight grows it (and never shrinks).
 	l.RecordTransaction(nodeA, idA, 3, now.Add(time.Second))
 	l.RecordTransaction(nodeA, idA, 2, now.Add(2*time.Second))
-	if got, want := l.PositiveCredit(nodeA, now), 3/l.Params().DeltaT.Seconds(); got != want {
+	if got, want := l.CreditOf(nodeA, now).CrP, 3/l.Params().DeltaT.Seconds(); got != want {
 		t.Errorf("CrP after growth = %v, want %v", got, want)
 	}
 
@@ -450,7 +527,7 @@ func TestRecordTransactionIdempotent(t *testing.T) {
 	}
 	// The surviving record's index entry must still resolve.
 	l.UpdateWeight(nodeA, idB, 5)
-	if got, want := l.PositiveCredit(nodeA, now), 5/l.Params().DeltaT.Seconds(); got != want {
+	if got, want := l.CreditOf(nodeA, now).CrP, 5/l.Params().DeltaT.Seconds(); got != want {
 		t.Errorf("CrP after remove+update = %v, want %v", got, want)
 	}
 	l.RemoveTransaction(nodeA, idA) // absent: no-op

@@ -13,24 +13,19 @@ import (
 	"github.com/b-iot/biot/internal/identity"
 )
 
-// TestRescanParityAcross512Accounts extends the RescanCredit property
-// test to the shape the packed records and their shared index must hold
-// up under: 512 accounts on two ledgers, records arriving mostly in order
-// (sometimes late, sometimes early), re-records, weight updates, removals,
-// events, prunes and digest merges interleaved. After every step the
-// incremental credit of a random account matches the from-scratch rescan
-// on both ledgers, and every few hundred steps each ledger's full record
-// set — every weight on the record it was meant for — matches a plain map
-// kept beside it.
+// TestRescanParityAcross512Accounts holds credit to the model kept
+// beside each ledger in the shape the packed records and their shared
+// index must hold up under: 512 accounts on two ledgers, records arriving
+// mostly in order (sometimes late, sometimes early), re-records, weight
+// updates, removals, events, prunes and digest merges interleaved. After
+// every step the credit of a random account on both ledgers equals the
+// model's, and every few hundred steps each ledger's full record set —
+// every weight on the record it was meant for — matches the model's.
 func TestRescanParityAcross512Accounts(t *testing.T) {
 	const accounts = 512
 	type key struct {
 		addr identity.Address
 		id   hashutil.Hash
-	}
-	type rec struct {
-		weight float64
-		at     int64
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -41,17 +36,12 @@ func TestRescanParityAcross512Accounts(t *testing.T) {
 		}
 		var (
 			ledgers [2]*Ledger
-			models  [2]map[key]rec
+			models  [2]*creditModel
 			known   [2][]key
 		)
 		for i := range ledgers {
-			l, err := NewLedger(params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ledgers[i], models[i] = l, map[key]rec{}
+			ledgers[i], models[i] = mustLedger(t, params), newCreditModel(params)
 		}
-		clampW := func(w float64) float64 { return min(max(w, 0), params.MaxWeight) }
 		now := time.Unix(10_000, 0)
 		nextID := 0
 
@@ -69,64 +59,52 @@ func TestRescanParityAcross512Accounts(t *testing.T) {
 				}
 				w := rng.Float64()*6 - 1
 				l.RecordTransaction(k.addr, k.id, w, at)
-				model[k] = rec{clampW(w), at.UnixNano()}
+				model.record(k.addr, k.id, w, at)
 				known[side] = append(known[side], k)
 			case op < 10 && len(known[side]) > 0: // a re-record: instant kept, weight only grows
 				k := known[side][rng.Intn(len(known[side]))]
 				w := rng.Float64() * 6
 				l.RecordTransaction(k.addr, k.id, w, now)
-				if r, ok := model[k]; !ok { // pruned or removed since: recorded afresh
-					model[k] = rec{clampW(w), now.UnixNano()}
-				} else if clampW(w) > r.weight {
-					model[k] = rec{clampW(w), r.at}
-				}
+				model.record(k.addr, k.id, w, now) // pruned or removed since: recorded afresh
 			case op < 14 && len(known[side]) > 0: // approvals
 				k := known[side][rng.Intn(len(known[side]))]
 				w := rng.Float64() * 8
 				l.UpdateWeight(k.addr, k.id, w)
-				if r, ok := model[k]; ok && min(w, params.MaxWeight) > r.weight {
-					model[k] = rec{min(w, params.MaxWeight), r.at}
-				}
+				model.update(k.addr, k.id, w)
 			case op < 15 && len(known[side]) > 0: // an attach rolled back
 				i := rng.Intn(len(known[side]))
 				k := known[side][i]
 				l.RemoveTransaction(k.addr, k.id)
-				delete(model, k)
+				model.remove(k.addr, k.id)
 				known[side] = append(known[side][:i], known[side][i+1:]...)
 			case op < 16:
-				l.RecordMalicious(addr, EventRecord{
+				ev := EventRecord{
 					Behaviour: Behaviour(rng.Intn(3) + 1),
 					At:        now.Add(-time.Duration(rng.Intn(20)) * time.Second),
 					Detail:    fmt.Sprintf("det-%d", step),
-				})
+				}
+				l.RecordMalicious(addr, ev)
+				model.event(addr, ev)
 			case op < 17:
 				keep := time.Duration(10+rng.Intn(20)) * time.Second
 				l.Prune(now, keep)
-				cutoff := now.Add(-max(keep, params.DeltaT)).UnixNano()
-				for k, r := range model {
-					if r.at < cutoff {
-						delete(model, k)
-					}
-				}
+				model.prune(now, keep)
 			case op < 18: // reconcile into the other ledger
 				dst := 1 - side
-				cutoff := now.Add(-params.DeltaT).UnixNano()
 				for from, more := 0, true; more; {
 					var page CreditDigest
 					page, from, _, more = l.DigestPage(from, 64, now, 0)
 					ledgers[dst].Merge(page)
 				}
-				for k, r := range model {
-					if r.at < cutoff {
-						continue
-					}
-					if d, ok := models[dst][k]; !ok {
-						models[dst][k] = r
-						known[dst] = append(known[dst], k)
-					} else if r.weight > d.weight {
-						models[dst][k] = rec{r.weight, d.at}
+				cutoff := now.Add(-params.DeltaT).UnixNano()
+				for addr, recs := range model.txs {
+					for id, r := range recs {
+						if _, ok := models[dst].txs[addr][id]; !ok && r.at >= cutoff {
+							known[dst] = append(known[dst], key{addr, id})
+						}
 					}
 				}
+				model.mergeInto(models[dst], now)
 			}
 			if rng.Intn(15) == 0 {
 				now = now.Add(-time.Duration(rng.Intn(4000)) * time.Millisecond)
@@ -135,29 +113,32 @@ func TestRescanParityAcross512Accounts(t *testing.T) {
 			}
 
 			qa := addrs[rng.Intn(accounts)]
-			for _, l := range ledgers {
-				if inc, ref := l.CreditOf(qa, now), l.RescanCredit(qa, now); !creditClose(inc, ref) {
-					t.Fatalf("seed %d step %d: incremental %+v != rescan %+v", seed, step, inc, ref)
+			for side, l := range ledgers {
+				if got, want := l.CreditOf(qa, now), models[side].credit(qa, now); !creditClose(got, want) {
+					t.Fatalf("seed %d step %d: ledger %d credit %+v, model %+v", seed, step, side, got, want)
 				}
 			}
 			if step%500 != 499 {
 				continue
 			}
 			for side, l := range ledgers {
-				got := map[key]rec{}
+				got, n := map[key]modelRec{}, 0
 				page, _, _, _ := l.DigestPage(0, accounts, now, 1000*time.Hour)
 				for _, acct := range page.Accounts {
 					for _, tr := range acct.Txs {
-						got[key{acct.Addr, tr.ID}] = rec{tr.Weight, tr.At.UnixNano()}
+						got[key{acct.Addr, tr.ID}] = modelRec{tr.Weight, tr.At.UnixNano()}
 					}
 				}
-				if len(got) != len(models[side]) {
-					t.Fatalf("seed %d step %d: ledger %d holds %d records, model %d", seed, step, side, len(got), len(models[side]))
-				}
-				for k, want := range models[side] {
-					if got[k] != want {
-						t.Fatalf("seed %d step %d: ledger %d holds %+v for %s, model %+v", seed, step, side, got[k], k.id.Short(), want)
+				for addr, recs := range models[side].txs {
+					for id, want := range recs {
+						n++
+						if got[key{addr, id}] != want {
+							t.Fatalf("seed %d step %d: ledger %d holds %+v for %s, model %+v", seed, step, side, got[key{addr, id}], id.Short(), want)
+						}
 					}
+				}
+				if len(got) != n {
+					t.Fatalf("seed %d step %d: ledger %d holds %d records, model %d", seed, step, side, len(got), n)
 				}
 			}
 		}

@@ -81,19 +81,7 @@ type Params struct {
 	// MaxWeight caps a single transaction's weight contribution w_k so
 	// a burst of approvals cannot mint unbounded credit.
 	MaxWeight float64
-
-	// MaxEventsRetained caps how many malicious events are kept per
-	// node; older events are folded into a conservative carry term (the
-	// evicted events' summed coefficients decayed by the age of the
-	// NEWEST evicted event, which never under-punishes) so a long-lived
-	// attacker record cannot make credit queries O(all-time events).
-	// Zero selects DefaultMaxEventsRetained; negative is invalid.
-	MaxEventsRetained int
 }
-
-// DefaultMaxEventsRetained is the per-node malicious-event cap applied
-// when Params.MaxEventsRetained is zero.
-const DefaultMaxEventsRetained = 256
 
 // DefaultParams returns the paper's §VI-A evaluation setting:
 // λ1 = 1, λ2 = 0.5, ΔT = 30 s, α_l = 0.5, α_d = 1, initial difficulty 11,
@@ -122,7 +110,6 @@ var (
 	ErrBadDiffRange  = errors.New("difficulty range invalid")
 	ErrBadMaxWeight  = errors.New("max weight must be positive")
 	ErrBadMinEventAg = errors.New("min event age must be positive")
-	ErrBadEventCap   = errors.New("max events retained must be non-negative")
 )
 
 // Validate checks parameter sanity.
@@ -147,9 +134,6 @@ func (p Params) Validate() error {
 	}
 	if p.MaxWeight <= 0 {
 		return fmt.Errorf("%w: %v", ErrBadMaxWeight, p.MaxWeight)
-	}
-	if p.MaxEventsRetained < 0 {
-		return fmt.Errorf("%w: %d", ErrBadEventCap, p.MaxEventsRetained)
 	}
 	return nil
 }

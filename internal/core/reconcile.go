@@ -17,9 +17,9 @@ import (
 // Merging routes every remote record through the same idempotent
 // mutation paths local admission uses (RecordTransaction's
 // per-ID/weight-only-grows semantics, RecordMalicious's capped event
-// history), so the incremental rolling-window state keeps its exact
-// agreement with the RescanCredit oracle by construction — reconcile
-// adds no second bookkeeping path that could drift.
+// history), and credit is evaluated from the records alone, so a merged
+// record counts exactly as a locally admitted one — reconcile adds no
+// second bookkeeping path that could drift.
 
 // DigestAccount is one node's shipped credit history: the transaction
 // records still inside the positive-credit horizon and the retained

@@ -38,9 +38,9 @@ func mergeAll(t *testing.T, src, dst *Ledger, now time.Time) MergeStats {
 // TestMergeKeepsIncrementalCreditExact drives two ledgers with
 // independent random traffic, reconciles them in both directions at
 // random instants, and asserts the reconcile invariants after every
-// merge: the incremental CreditOf still matches the RescanCredit oracle
-// for every account on both sides, and a repeated merge of the same
-// state moves nothing (idempotence).
+// step: CreditOf matches the model kept beside each ledger for every
+// account on both sides, and a repeated merge of the same state moves
+// nothing (idempotence).
 func TestMergeKeepsIncrementalCreditExact(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -52,6 +52,7 @@ func TestMergeKeepsIncrementalCreditExact(t *testing.T) {
 			return l
 		}
 		a, b := mk(), mk()
+		models := map[*Ledger]*creditModel{a: newCreditModel(incTestParams()), b: newCreditModel(incTestParams())}
 		now := time.Unix(2000, 0)
 		addrs := make([]identity.Address, 4)
 		for i := range addrs {
@@ -69,33 +70,38 @@ func TestMergeKeepsIncrementalCreditExact(t *testing.T) {
 			case op < 6: // local admission
 				nextID++
 				id := hashutil.Sum([]byte(fmt.Sprintf("m-%d-%d", seed, nextID)))
-				l.RecordTransaction(addr, id, rng.Float64()*4, now.Add(-time.Duration(rng.Intn(8))*time.Second))
+				w, at := rng.Float64()*4, now.Add(-time.Duration(rng.Intn(8))*time.Second)
+				l.RecordTransaction(addr, id, w, at)
+				models[l].record(addr, id, w, at)
 			case op < 7: // detection
-				l.RecordMalicious(addr, EventRecord{
+				ev := EventRecord{
 					Behaviour: Behaviour(rng.Intn(3) + 1),
 					At:        now.Add(-time.Duration(rng.Intn(20)) * time.Second),
 					Detail:    fmt.Sprintf("det-%d", nextID),
-				})
+				}
+				l.RecordMalicious(addr, ev)
+				models[l].event(addr, ev)
 			case op < 8: // reconcile one direction
 				src, dst := a, b
 				if rng.Intn(2) == 1 {
 					src, dst = b, a
 				}
 				mergeAll(t, src, dst, now)
+				models[src].mergeInto(models[dst], now)
 				// Idempotence: replaying the identical digest merges nothing.
 				if again := mergeAll(t, src, dst, now); again.TxsMerged != 0 || again.EventsMerged != 0 {
 					t.Fatalf("seed %d step %d: re-merge moved %+v", seed, step, again)
 				}
 			case op < 9: // prune one side
 				l.Prune(now, 10*time.Second)
+				models[l].prune(now, 10*time.Second)
 			}
 			now = now.Add(time.Duration(rng.Intn(3000)) * time.Millisecond)
 
 			for _, l := range []*Ledger{a, b} {
 				for _, addr := range addrs {
-					inc, ref := l.CreditOf(addr, now), l.RescanCredit(addr, now)
-					if !creditClose(inc, ref) {
-						t.Fatalf("seed %d step %d: incremental %+v != oracle %+v", seed, step, inc, ref)
+					if got, want := l.CreditOf(addr, now), models[l].credit(addr, now); !creditClose(got, want) {
+						t.Fatalf("seed %d step %d: credit %+v, model %+v", seed, step, got, want)
 					}
 				}
 			}

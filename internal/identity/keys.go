@@ -24,25 +24,30 @@ type expandedKey struct {
 	negA, negH edwards25519.Point
 }
 
-// keySlots is a two-way set-associative table of expanded keys, filed by
+// keyWays is how many slots a set of the key table has. With two, the
+// few hundred signers of a region put three hot keys in some set often
+// enough that those sets thrash; four leave room.
+const keyWays = 4
+
+// keySlots is a four-way set-associative table of expanded keys, filed by
 // a hash of the key bytes under a per-process seed, so that nobody can
 // pick keys that crowd one set on every node. It is shared by every
 // verifier in the process. A key enters it only once a signature under it
 // has verified, so a stream of failing signatures under fresh keys cannot
-// evict the keys of devices that sign correctly. A newcomer becomes the
-// newer of its set's two slots, the newer the older, and the older is
+// evict the keys of devices that sign correctly. A newcomer takes its
+// set's first slot, the keys there move down one, and the oldest is
 // dropped; a key that is asked for again is expanded again. A lookup
-// compares all 32 bytes, so a racing pair of publishers can at worst drop
-// or duplicate an entry, never give a key another key's points.
+// compares all 32 bytes, so racing publishers can at worst drop or
+// duplicate an entry, never give a key another key's points.
 var (
 	keySeed  = maphash.MakeSeed()
 	keySlots [keyTableSlots]atomic.Pointer[expandedKey]
 )
 
-// keySet returns the two slots pub maps to, the newer first.
+// keySet returns the keyWays slots pub maps to, the newest first.
 func keySet(pub []byte) []atomic.Pointer[expandedKey] {
-	i := maphash.Bytes(keySeed, pub) % (keyTableSlots / 2) * 2
-	return keySlots[i : i+2]
+	i := maphash.Bytes(keySeed, pub) % (keyTableSlots / keyWays) * keyWays
+	return keySlots[i : i+keyWays]
 }
 
 // expandKey returns pub's expanded key and whether it came from the
@@ -71,13 +76,17 @@ func expandKey(pub []byte) (e *expandedKey, stored bool, err error) {
 	return e, false, nil
 }
 
-// storeKey files e as the newer of its set's slots, unless the newer
+// storeKey files e as the newest of its set, unless a slot of the set
 // already holds its key (a batch stores one fresh key once per signature).
 func storeKey(e *expandedKey) {
 	set := keySet(e.pub[:])
-	if newer := set[0].Load(); newer != nil && newer.pub == e.pub {
-		return
+	for i := range set {
+		if k := set[i].Load(); k != nil && k.pub == e.pub {
+			return
+		}
 	}
-	set[1].Store(set[0].Load())
+	for i := len(set) - 1; i > 0; i-- {
+		set[i].Store(set[i-1].Load())
+	}
 	set[0].Store(e)
 }

@@ -44,7 +44,7 @@ func sameVerdict(a, b error) bool {
 }
 
 // collidingKeys returns n keys whose public keys map to one set of the
-// key table — more than the set holds when n > 2 — with each key's
+// key table — more than the set holds when n > keyWays — with each key's
 // signature over a message of its own.
 func collidingKeys(t *testing.T, n int) (pubs []PublicKey, msgs, sigs [][]byte) {
 	t.Helper()
@@ -68,15 +68,15 @@ func collidingKeys(t *testing.T, n int) (pubs []PublicKey, msgs, sigs [][]byte) 
 	}
 }
 
-// TestCollidingKeysKeepVerifying files three keys under one two-slot set,
-// so that each check under one evicts another, and checks each key's own
+// TestCollidingKeysKeepVerifying files five keys under one four-slot set,
+// so that checks under them evict one another, and checks each key's own
 // signature (accepted) and every other key's signature under it
 // (refused), alone and in one batch, round after round: a table that
 // answered one key with another's points would refuse the first or accept
 // the second.
 func TestCollidingKeysKeepVerifying(t *testing.T) {
 	resetKeyTable()
-	pubs, msgs, sigs := collidingKeys(t, 3)
+	pubs, msgs, sigs := collidingKeys(t, keyWays+1)
 	for round := 0; round < 4; round++ {
 		for i := range pubs {
 			for j := range pubs {
@@ -87,9 +87,9 @@ func TestCollidingKeysKeepVerifying(t *testing.T) {
 			}
 		}
 		if errs := VerifyBatch(pubs, msgs, sigs); errs != nil {
-			t.Fatalf("round %d: a batch under the three keys refused: %v", round, errs)
+			t.Fatalf("round %d: a batch under the five keys refused: %v", round, errs)
 		}
-		swapped := [][]byte{sigs[1], sigs[2], sigs[0]}
+		swapped := append(sigs[1:len(sigs):len(sigs)], sigs[0])
 		errs := VerifyBatch(pubs, msgs, swapped)
 		for i := range pubs {
 			if errs == nil || !errors.Is(errs[i], ErrBadSignature) {
@@ -104,7 +104,7 @@ func TestCollidingKeysKeepVerifying(t *testing.T) {
 	}
 }
 
-// TestLookupComparesEveryByte files −A's entry in both slots of A's set:
+// TestLookupComparesEveryByte files −A's entry in every slot of A's set:
 // the two encodings differ in one bit of the last byte. A check under A
 // must miss it and expand A itself, and a signature under A must not pass
 // under −A.
@@ -119,8 +119,9 @@ func TestLookupComparesEveryByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := keySet(pub)
-	set[0].Store(negKey)
-	set[1].Store(negKey)
+	for i := range set {
+		set[i].Store(negKey)
+	}
 	if err := Verify(pub, msg, sig); err != nil {
 		t.Errorf("under A beside −A's entry: %v", err)
 	}
@@ -203,14 +204,42 @@ func TestFailingSignaturesAreNeverStored(t *testing.T) {
 	}
 }
 
+// TestKeySetHoldsFourAndEvictsTheOldest checks four keys of one set
+// and finds all four resident, checks them again and finds the table
+// unchanged, then checks a fifth: it evicts only the first of the four.
+func TestKeySetHoldsFourAndEvictsTheOldest(t *testing.T) {
+	resetKeyTable()
+	pubs, msgs, sigs := collidingKeys(t, keyWays+1)
+	resident := func(when string, want ...int) {
+		t.Helper()
+		for i, pub := range pubs {
+			if n := storedCopies(pub); n != want[i] {
+				t.Errorf("%s: key %d is held in %d slots, want %d", when, i, n, want[i])
+			}
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < keyWays; i++ {
+			if err := Verify(pubs[i], msgs[i], sigs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resident(fmt.Sprintf("round %d", round), 1, 1, 1, 1, 0)
+	}
+	if err := Verify(pubs[keyWays], msgs[keyWays], sigs[keyWays]); err != nil {
+		t.Fatal(err)
+	}
+	resident("after a fifth key", 0, 1, 1, 1, 1)
+}
+
 // TestConcurrentVerifiersOverCollidingKeys runs verifiers on several
 // goroutines over keys that crowd one set, so that lookups, misses and
-// publications race on the same two slots: every verdict stays right.
+// publications race on the same four slots: every verdict stays right.
 // `go test -race` runs it under the race detector.
 func TestConcurrentVerifiersOverCollidingKeys(t *testing.T) {
 	const workers, rounds = 4, 25
 	resetKeyTable()
-	pubs, msgs, sigs := collidingKeys(t, 4)
+	pubs, msgs, sigs := collidingKeys(t, keyWays+1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -248,8 +277,9 @@ func BenchmarkVerifySingleColdKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j := i % len(pubs)
 		set := keySet(pubs[j])
-		set[0].Store(nil)
-		set[1].Store(nil)
+		for k := range set {
+			set[k].Store(nil)
+		}
 		if err := Verify(pubs[j], msgs[j], sigs[j]); err != nil {
 			b.Fatal(err)
 		}

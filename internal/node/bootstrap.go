@@ -31,8 +31,9 @@ const (
 	maxManifestBoundary = 1 << 16
 	// maxManifestCreditNodes bounds the credit entries in a manifest.
 	maxManifestCreditNodes = 1 << 14
-	// maxManifestEvents bounds seeded events per node; the credit ledger
-	// itself folds past MaxEventsRetained, this is the wire-side cap.
+	// maxManifestEvents bounds seeded events per node on the wire; the
+	// credit ledger itself keeps 256 a node and folds older ones into a
+	// carry term.
 	maxManifestEvents = 4096
 	// manifestMaxSkew is how far in the future a manifest epoch may sit
 	// before it is rejected as nonsense.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -162,17 +161,8 @@ func TestMultiGenerationCompactRecovery(t *testing.T) {
 	if got := full3.MemoryStats().EvidenceVersions; got != ev2 {
 		t.Fatalf("gen-2 recovery evidence window = %d versions, want %d (pre-crash)", got, ev2)
 	}
-	// The twice-recovered node still serves, and credit survives with
-	// incremental/rescan parity.
+	// The twice-recovered node still serves.
 	post(full3, mgr3, 3, "gen3")
-	led := full3.Engine().Ledger()
-	now := clk.Now()
-	for _, addr := range led.Nodes() {
-		inc, ref := led.CreditOf(addr, now), led.RescanCredit(addr, now)
-		if math.Abs(inc.Cr-ref.Cr) > 1e-9 {
-			t.Errorf("credit parity broken for %s: incremental %+v, rescan %+v", addr.Short(), inc, ref)
-		}
-	}
 }
 
 // TestSnapshotBootstrapEquivalence is the tier test for the snapshot-
@@ -372,15 +362,7 @@ func TestSnapshotBootstrapEquivalence(t *testing.T) {
 
 	// Credit equivalence: every full node — pruned peer, snapshot
 	// joiner, replay joiner — derives the same difficulty for every
-	// device, and the joiner's incremental credit matches a full rescan.
-	now := clk.Now()
-	led := snap.Engine().Ledger()
-	for _, addr := range led.Nodes() {
-		inc, ref := led.CreditOf(addr, now), led.RescanCredit(addr, now)
-		if math.Abs(inc.Cr-ref.Cr) > 1e-9 {
-			t.Errorf("joiner credit parity broken for %s: %+v vs %+v", addr.Short(), inc, ref)
-		}
-	}
+	// device.
 	for i, device := range devices {
 		want := gw0.DifficultyFor(device.Address())
 		if got := snap.DifficultyFor(device.Address()); got != want {

@@ -33,8 +33,7 @@ func chaosSeed(t *testing.T) int64 {
 // (drop/duplicate/delay/reorder) and a full partition. After healing,
 // the cluster must converge to identical tangles with ZERO loss of any
 // transaction whose submit succeeded while its gateway's journal was
-// verifiably healthy, and with incremental credit matching the
-// RescanCredit oracle on every node.
+// verifiably healthy, and with every node reporting the same credit.
 //
 // Every random choice (disk tear survival, gossip fault schedule)
 // derives from one seed, printed on failure and pinned with

@@ -288,9 +288,9 @@ func (n *FullNode) replayTransaction(rec inflight, generation uint64) error {
 func (n *FullNode) Compact(keep time.Duration) (tangleDropped, creditDropped int) {
 	now := n.cfg.Clock.Now()
 	// The tangle must not prune inside the credit window: a transaction
-	// record younger than ΔT still contributes to CrP, and RescanCredit
-	// parity requires the evidence to stay resident. The credit ledger
-	// clamps itself; mirror that for the tangle cutoff.
+	// record younger than ΔT still contributes to CrP, and its evidence
+	// must stay resident beside it. The credit ledger clamps itself;
+	// mirror that for the tangle cutoff.
 	if dt := n.engine.Ledger().Params().DeltaT; keep < dt {
 		keep = dt
 	}

@@ -219,9 +219,6 @@ func TestReplayInRunsMatchesPerRecordReplay(t *testing.T) {
 				if got != want {
 					t.Errorf("credit of %s: %+v in runs, %+v record by record", addr.Short(), got, want)
 				}
-				if rescan := ledger.RescanCredit(addr, fx.now); got != rescan {
-					t.Errorf("credit of %s: %+v incremental, %+v rescanned", addr.Short(), got, rescan)
-				}
 				if got, want := len(ledger.Events(addr)), len(perRecord.Engine().Ledger().Events(addr)); got != want {
 					t.Errorf("punishments of %s: %d in runs, %d record by record", addr.Short(), got, want)
 				}

@@ -12,9 +12,8 @@
 //   - zero admitted-transaction loss: nothing whose submit succeeded
 //     on a verifiably healthy journal may vanish;
 //   - zero cross-shard leakage: no node holds another region's data;
-//   - credit integrity: every node's incremental credit evaluation
-//     matches its from-scratch RescanCredit oracle, and in a flat
-//     deployment every node reports the same credit.
+//   - credit integrity: in a flat deployment every node knows the same
+//     accounts and reports the same credit for each.
 //
 // Every random choice — disk tear survival, gossip fault schedules,
 // churn victims — derives from one seed, so a failing cell is replayed
