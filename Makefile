@@ -30,10 +30,11 @@ vet:
 # goroutines by released fsyncs, which only repetition checks. So do the
 # supervisor's tests, which order the watchdog, Stop and the probes by
 # lifecycle transitions (a held build, a held drain, a failing restart),
-# and the node's pull tests (orphan and evidence-gap repair, the pager),
-# which race the repair worker's wake, its pulls and Close. The
-# allocation guards (txn's wire path, the ID a decode seeds and a device's
-# build-sign-mine of a reading, node's relayed batch — journaled or not —
+# beside the compaction tests, whose one Compact call rewrites the journal
+# while the committer flushes, and the node's pull tests (orphan and
+# evidence-gap repair, the pager), which race the repair worker's wake,
+# its pulls and Close. The allocation guards (txn's wire path, the ID a
+# decode seeds and a device's build-sign-mine of a reading, node's relayed batch — journaled or not —
 # and journal replay beyond each transaction's resident copy and its
 # Submit of a pre-mined transaction, journaled or not, a journal
 # compaction per record it rewrites, a catch-up sync over TCP per synced
@@ -51,7 +52,7 @@ vet:
 test: vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/store/
-	$(GO) test -race -count=10 -run Supervisor ./internal/node/
+	$(GO) test -race -count=10 -run 'Supervisor|Compact' ./internal/node/
 	$(GO) test -race -count=10 -run 'Orphan|Repair|Pager|EvidenceGap' ./internal/node/
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/

@@ -389,7 +389,7 @@ func BenchmarkTangleSnapshot(b *testing.B) {
 			last = info.ID
 		}
 		b.StartTimer()
-		if dropped := tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0); dropped == 0 {
+		if dropped := tg.SnapshotBefore(vc.Now().Add(-5 * time.Minute)); dropped == 0 {
 			b.Fatal("snapshot dropped nothing")
 		}
 	}

@@ -46,22 +46,21 @@ func main() {
 
 func run() error {
 	var (
-		role             = flag.String("role", "gateway", "node role: manager or gateway")
-		rpcAddr          = flag.String("rpc", "127.0.0.1:14265", "RESTful API listen address")
-		gossipAddr       = flag.String("gossip", "127.0.0.1:15600", "gossip listen address")
-		peers            = flag.String("peers", "", "comma-separated gossip addresses of peer full nodes")
-		managerPub       = flag.String("manager-pub", "", "hex manager public key (required for gateways)")
-		authorize        = flag.String("authorize", "", "comma-separated hex device public keys to authorize (manager only)")
-		difficulty       = flag.Int("difficulty", 11, "initial PoW difficulty D0")
-		rateLimit        = flag.Int("rate-limit", 50, "per-device submissions per second (0 = unlimited)")
-		persistPath      = flag.String("persist", "", "transaction log path; the ledger survives restarts when set")
-		withQuality      = flag.Bool("quality", false, "enable sensor data quality control on plaintext readings")
-		snapshotKeep     = flag.Duration("snapshot-keep", 0, "compact the ledger periodically, keeping this much history (0 = never)")
-		snapshotInterval = flag.Duration("snapshot-interval", 0, "quantize compaction cutoffs to this epoch so all gateways cut at the same boundary (0 = unaligned)")
-		keyfile          = flag.String("keyfile", "", "persisted node identity: hex seed file, created 0600 on first boot")
-		shard            = flag.Uint("shard", 0, "tangle namespace this gateway admits device traffic into (0 = single-tier)")
-		backboneAddr     = flag.String("backbone", "", "inter-gateway backbone listen address (empty = no backbone tier)")
-		backbonePeers    = flag.String("backbone-peers", "", "comma-separated backbone addresses of other region gateways / the manager")
+		role          = flag.String("role", "gateway", "node role: manager or gateway")
+		rpcAddr       = flag.String("rpc", "127.0.0.1:14265", "RESTful API listen address")
+		gossipAddr    = flag.String("gossip", "127.0.0.1:15600", "gossip listen address")
+		peers         = flag.String("peers", "", "comma-separated gossip addresses of peer full nodes")
+		managerPub    = flag.String("manager-pub", "", "hex manager public key (required for gateways)")
+		authorize     = flag.String("authorize", "", "comma-separated hex device public keys to authorize (manager only)")
+		difficulty    = flag.Int("difficulty", 11, "initial PoW difficulty D0")
+		rateLimit     = flag.Int("rate-limit", 50, "per-device submissions per second (0 = unlimited)")
+		persistPath   = flag.String("persist", "", "transaction log path; the ledger survives restarts when set")
+		withQuality   = flag.Bool("quality", false, "enable sensor data quality control on plaintext readings")
+		snapshotKeep  = flag.Duration("snapshot-keep", 0, "compact the ledger every keep/2, keeping at least this much history, on a cutoff grid every gateway shares (0 = never)")
+		keyfile       = flag.String("keyfile", "", "persisted node identity: hex seed file, created 0600 on first boot")
+		shard         = flag.Uint("shard", 0, "tangle namespace this gateway admits device traffic into (0 = single-tier)")
+		backboneAddr  = flag.String("backbone", "", "inter-gateway backbone listen address (empty = no backbone tier)")
+		backbonePeers = flag.String("backbone-peers", "", "comma-separated backbone addresses of other region gateways / the manager")
 	)
 	flag.Parse()
 	if *backbonePeers != "" && *backboneAddr == "" {
@@ -134,9 +133,8 @@ func run() error {
 			RateLimit:  *rateLimit,
 			Quality:    validator,
 
-			ShardID:       uint32(*shard),
-			Backbone:      backbone,
-			SnapshotEpoch: *snapshotInterval,
+			ShardID:  uint32(*shard),
+			Backbone: backbone,
 		})
 		if err != nil {
 			if backbone != nil {
@@ -148,20 +146,10 @@ func run() error {
 		return full, nil
 	}
 
-	compactEvery := time.Duration(0)
-	if *snapshotKeep > 0 {
-		// Compact twice per keep window by default; with epoch-aligned
-		// cuts, once per epoch is enough (the cutoff only moves then).
-		compactEvery = *snapshotKeep / 2
-		if *snapshotInterval > 0 {
-			compactEvery = *snapshotInterval
-		}
-	}
 	sup, err := node.NewSupervisor(node.SupervisorConfig{
 		Build:         build,
 		PersistPath:   *persistPath,
 		WatchInterval: 2 * time.Second,
-		CompactEvery:  compactEvery,
 		CompactKeep:   *snapshotKeep,
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"fmt"
 	"hash/maphash"
+	"sync"
 	"sync/atomic"
 
 	"github.com/b-iot/biot/internal/identity/edwards25519"
@@ -36,12 +37,15 @@ const keyWays = 4
 // has verified, so a stream of failing signatures under fresh keys cannot
 // evict the keys of devices that sign correctly. A newcomer takes its
 // set's first slot, the keys there move down one, and the oldest is
-// dropped; a key that is asked for again is expanded again. A lookup
-// compares all 32 bytes, so racing publishers can at worst drop or
-// duplicate an entry, never give a key another key's points.
+// dropped; a key that is asked for again is expanded again. Lookups take
+// no lock and compare all 32 bytes; stores, which happen only on misses,
+// take keyStoreMu, so two verifiers that miss one key file it once. A
+// shift moves each key into its next slot before overwriting the slot it
+// leaves, so a lookup racing a store finds every key that stays.
 var (
-	keySeed  = maphash.MakeSeed()
-	keySlots [keyTableSlots]atomic.Pointer[expandedKey]
+	keySeed    = maphash.MakeSeed()
+	keySlots   [keyTableSlots]atomic.Pointer[expandedKey]
+	keyStoreMu sync.Mutex
 )
 
 // keySet returns the keyWays slots pub maps to, the newest first.
@@ -77,9 +81,12 @@ func expandKey(pub []byte) (e *expandedKey, stored bool, err error) {
 }
 
 // storeKey files e as the newest of its set, unless a slot of the set
-// already holds its key (a batch stores one fresh key once per signature).
+// already holds its key (a batch stores one fresh key once per signature,
+// and verifiers that miss one key together each store it).
 func storeKey(e *expandedKey) {
 	set := keySet(e.pub[:])
+	keyStoreMu.Lock()
+	defer keyStoreMu.Unlock()
 	for i := range set {
 		if k := set[i].Load(); k != nil && k.pub == e.pub {
 			return

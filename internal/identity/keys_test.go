@@ -266,6 +266,46 @@ func TestConcurrentVerifiersOverCollidingKeys(t *testing.T) {
 	wg.Wait()
 }
 
+// TestRacingStoresFileAKeyOnce has many goroutines store one fresh key
+// into a set that holds three residents, as verifiers that miss the same
+// key each do. The set must end with one copy of the key beside all three
+// residents: stores that each shift the set and file the key would
+// duplicate it and evict a resident. `go test -race` runs it under the
+// race detector.
+func TestRacingStoresFileAKeyOnce(t *testing.T) {
+	const storers = 16
+	resetKeyTable()
+	pubs, _, _ := collidingKeys(t, keyWays)
+	for _, pub := range pubs[:keyWays-1] {
+		e, _, err := expandKey(pub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		storeKey(e)
+	}
+	fresh, _, err := expandKey(pubs[keyWays-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < storers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			storeKey(fresh)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, pub := range pubs {
+		if n := storedCopies(pub); n != 1 {
+			t.Errorf("key %d is held in %d slots, want 1", i, n)
+		}
+	}
+}
+
 // BenchmarkVerifySingleColdKey is BenchmarkVerifySingle under a key the
 // table has never held: each op first drops its key's set, so the check
 // pays the decode, the small-order test and the 128 doublings of

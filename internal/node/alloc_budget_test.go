@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/core"
@@ -59,9 +60,10 @@ const (
 	compactAllocsBudget = 0.1
 )
 
-// TestCompactJournalAllocationBudget: CompactJournal on a relay that
-// journaled 2 048 relayed transactions over quietFS — what rewriting the
-// journal allocates per record it writes. On go1.24 linux/amd64 it measured
+// TestCompactJournalAllocationBudget: Compact on a relay that journaled
+// 2 048 relayed transactions over quietFS, all younger than keep, so the
+// snapshot drops nothing — what rewriting the journal allocates per record
+// it writes. On go1.24 linux/amd64 it measured
 // 3.0 allocations and 713 B per record while the rewrite cloned and
 // re-encoded every resident transaction and framed each record into a
 // buffer of its own; it measures 0.00 allocations and 332 B — the segment
@@ -96,7 +98,7 @@ func TestCompactJournalAllocationBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	compacted, err := relay.CompactJournal()
+	_, compacted, err := relay.Compact(time.Hour)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -169,8 +169,8 @@ func (n *FullNode) BootstrapFrom(ctx context.Context, peer string) (BootstrapSta
 	// treats as a corrupt log. Cutting a compacted (generation ≥ 1)
 	// segment first means every bootstrap-attached record replays
 	// through Restore, so a crash mid-join recovers cleanly.
-	if n.journal.Load() != nil {
-		if _, err := n.CompactJournal(); err != nil {
+	if log := n.journal.Load(); log != nil {
+		if _, err := n.compactJournal(log); err != nil {
 			return stats, fmt.Errorf("bootstrap from %s: %w", peer, err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 )
 
 // TestMultiGenerationCompactRecovery extends the single-generation
-// crash-recovery pin: a node that lives through TWO Compact +
-// CompactJournal cycles (journal generations 1 and 2) — with a reboot
+// crash-recovery pin: a node that lives through TWO Compact cycles
+// (journal generations 1 and 2) — with a reboot
 // in between — must replay each compacted segment through the
 // snapshot-boundary Restore path and come back with the exact live
 // working set, a durable pruned-ID count, and a working control plane.
@@ -65,11 +66,10 @@ func TestMultiGenerationCompactRecovery(t *testing.T) {
 	}
 	cycle := func(full *node.FullNode) {
 		t.Helper()
-		if dropped, _ := full.Compact(10 * time.Minute); dropped == 0 {
-			t.Fatal("compact dropped nothing")
-		}
-		if _, err := full.CompactJournal(); err != nil {
+		if dropped, _, err := full.Compact(10 * time.Minute); err != nil {
 			t.Fatal(err)
+		} else if dropped == 0 {
+			t.Fatal("compact dropped nothing")
 		}
 	}
 	// churn publishes k authorize/deauthorize revision pairs: pressure
@@ -165,6 +165,68 @@ func TestMultiGenerationCompactRecovery(t *testing.T) {
 	post(full3, mgr3, 3, "gen3")
 }
 
+// TestGatewaysCompactingInOneGridStepServeOneManifest: two gateways hold
+// one ledger and compact with the same keep at two instants three minutes
+// apart, inside one step of the cutoff grid. Both must cut at the same
+// boundary — the same cold epoch, the same boundary roots, the same
+// snapshot manifest — which is what lets a joiner check one gateway's
+// manifest against the other's live region. A raw now−keep cutoff would
+// have cut the second gateway three readings later.
+func TestGatewaysCompactingInOneGridStepServeOneManifest(t *testing.T) {
+	ctx := context.Background()
+	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	dep := newMultiNode(t, 2, clk)
+	key, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	device, err := node.NewLight(node.LightConfig{Key: key, Gateway: dep.gateways[0], Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
+	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
+		t.Fatal(err)
+	}
+	dep.flush(t)
+	// Flushed per reading, so both gateways attach it at the same instant:
+	// the cutoff compares local attach stamps.
+	for i := 0; i < 40; i++ {
+		clk.Advance(time.Minute)
+		if _, err := device.PostReading(ctx, []byte(fmt.Sprintf("reading-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		dep.flush(t)
+	}
+	gw0, gw1 := dep.gateways[0], dep.gateways[1]
+	if a, b := gw0.Tangle().Size(), gw1.Tangle().Size(); a != b {
+		t.Fatalf("gateways hold %d and %d transactions, want one ledger", a, b)
+	}
+
+	// A second into a grid step, then three minutes later.
+	const keep, grid = 10 * time.Minute, 5 * time.Minute
+	clk.Advance(grid - clk.Now().Sub(clk.Now().Truncate(grid)) + time.Second)
+	wantEpoch := clk.Now().Add(-keep).Truncate(grid)
+	if dropped, _, err := gw0.Compact(keep); err != nil || dropped == 0 {
+		t.Fatalf("first gateway compacted %d (err %v)", dropped, err)
+	}
+	clk.Advance(3 * time.Minute)
+	if dropped, _, err := gw1.Compact(keep); err != nil || dropped == 0 {
+		t.Fatalf("second gateway compacted %d (err %v)", dropped, err)
+	}
+
+	e0, e1 := gw0.Tangle().ColdEpoch(), gw1.Tangle().ColdEpoch()
+	if !e0.Equal(wantEpoch) || !e1.Equal(wantEpoch) {
+		t.Fatalf("cold epochs %v and %v, want both on the grid at %v", e0, e1, wantEpoch)
+	}
+	if b0, b1 := gw0.Tangle().BoundaryRoots(), gw1.Tangle().BoundaryRoots(); len(b0) == 0 || !reflect.DeepEqual(b0, b1) {
+		t.Fatalf("boundary roots diverge: %d vs %d", len(b0), len(b1))
+	}
+	if m0, m1 := gw0.SnapshotManifest(), gw1.SnapshotManifest(); !reflect.DeepEqual(m0, m1) {
+		t.Fatalf("snapshot manifests diverge:\n%+v\n%+v", m0, m1)
+	}
+}
+
 // TestSnapshotBootstrapEquivalence is the tier test for the snapshot-
 // shipped join: a ~20-node deployment (manager + 3 gateways + 14
 // devices + 2 joiners) ages past several prune windows, the gateways
@@ -249,7 +311,9 @@ func TestSnapshotBootstrapEquivalence(t *testing.T) {
 	// full history and stays the replay peer.
 	const keep = 5 * time.Minute
 	for i, gw := range dep.gateways {
-		if dropped, _ := gw.Compact(keep); dropped == 0 {
+		if dropped, _, err := gw.Compact(keep); err != nil {
+			t.Fatal(err)
+		} else if dropped == 0 {
 			t.Fatalf("gateway %d compacted nothing", i)
 		}
 	}

@@ -89,12 +89,6 @@ type FullConfig struct {
 	// recorded as protocol misbehaviour in the credit ledger, raising a
 	// persistent offender's PoW difficulty.
 	Quality *quality.Validator
-
-	// SnapshotEpoch, when positive, quantizes Compact's prune cutoff to
-	// multiples of this interval, so gateways compacting at different
-	// instants still cut at the same settled epoch boundary and serve
-	// identical snapshot manifests. Zero keeps the raw now-keep cutoff.
-	SnapshotEpoch time.Duration
 }
 
 func (c *FullConfig) withDefaults() (FullConfig, error) {

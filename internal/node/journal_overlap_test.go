@@ -765,9 +765,9 @@ func TestJournalIsAPrefixOfTheLedgerAtEveryFlush(t *testing.T) {
 }
 
 // TestCompactJournalKeepsWhatWasAcknowledgedBeforeTheRewrite: a reading
-// admitted, flushed and acknowledged while CompactJournal waits for the
-// disk is in the ledger before the rewrite starts, so it must be in the
-// rewritten journal. CompactJournal used to export the ledger first and
+// admitted, flushed and acknowledged while Compact's journal rewrite waits
+// for the disk is in the ledger before the rewrite starts, so it must be in
+// the rewritten journal. The rewrite used to export the ledger first and
 // wait for the disk second: the reading landed in the old segment, the
 // export did not hold it, and the rename dropped a record its device had
 // been told was durable.
@@ -791,7 +791,7 @@ func TestCompactJournalKeepsWhatWasAcknowledgedBeforeTheRewrite(t *testing.T) {
 		go func() { defer close(firstDone); _, _ = dep.full.Submit(ctx, first) }()
 		fs.waitBlocked(t)
 		compacted := make(chan error, 1)
-		go func() { _, err := dep.full.CompactJournal(); compacted <- err }()
+		go func() { _, _, err := dep.full.Compact(time.Hour); compacted <- err }()
 		second := mineOwnTx(t, dep.full, fmt.Sprintf("acknowledged meanwhile %d", round))
 		secondDone := make(chan struct{})
 		go func() { defer close(secondDone); _, _ = dep.full.Submit(ctx, second) }()
@@ -805,7 +805,7 @@ func TestCompactJournalKeepsWhatWasAcknowledgedBeforeTheRewrite(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("CompactJournal did not return")
+			t.Fatal("Compact did not return")
 		}
 		// A power cut now: both readings were acknowledged as durable.
 		disk := fs.MemFS.Clone()

@@ -6,7 +6,7 @@ import "runtime"
 // split bounds: resident vertices and boundary roots are O(frontier) in
 // steady state no matter how long the node runs, the cold-ID count
 // grows but lives on disk, and the journal shrinks back at every
-// CompactJournal. Served through Supervisor.Health on /healthz so a
+// Compact. Served through Supervisor.Health on /healthz so a
 // leak shows up on a dashboard, not in an OOM kill.
 type MemoryStats struct {
 	// ResidentVertices is the live (hot-region) tangle size.

@@ -264,9 +264,10 @@ func (n *FullNode) replayTransaction(rec inflight, generation uint64) error {
 			(generation > 0 && errors.Is(err, tangle.ErrUnknownParent)) {
 			// A parent this node's own cold index lists was folded away
 			// before the crash, whatever the segment (generation 0 when the
-			// crash fell between Compact and CompactJournal). A parent
-			// merely absent is a boundary only in a compacted segment,
-			// which loses only its tail. Restore re-creates the boundary.
+			// crash fell inside Compact, after the snapshot and before the
+			// journal rewrite). A parent merely absent is a boundary only
+			// in a compacted segment, which loses only its tail. Restore
+			// re-creates the boundary.
 			info, err = n.tangle.RestoreShard(v, id, shard)
 		}
 		return info, err
@@ -278,36 +279,45 @@ func (n *FullNode) replayTransaction(rec inflight, generation uint64) error {
 	return err
 }
 
-// Compact bounds the node's memory: it snapshots old confirmed
-// transactions out of the tangle and prunes the credit ledger's
-// transaction records older than keep (malicious-event records are kept
-// forever — punishment "cannot be eliminated"). It returns the number
-// of tangle vertices and credit records dropped. keep must comfortably
-// exceed both the credit window ΔT and the confirmation horizon;
-// values below ΔT are raised by the credit ledger itself.
-func (n *FullNode) Compact(keep time.Duration) (tangleDropped, creditDropped int) {
+// Compact bounds the node's memory and, on a journaled node, its disk:
+// it snapshots old confirmed transactions out of the tangle, prunes the
+// evidence window and the credit ledger's transaction records
+// (malicious-event records are kept forever — punishment "cannot be
+// eliminated"), and rewrites the journal to what the ledger still holds.
+// It returns the number of tangle vertices dropped and the record count
+// of the rewritten journal (0 on a memory-only node).
+//
+// The history kept is keep, raised to the credit window ΔT: a
+// transaction younger than ΔT still counts toward CrP, and its evidence
+// must stay resident beside it. The cutoff is aligned down to a grid of
+// half that window (compactWindow), so every node holding the same ledger
+// and compacting with the same keep inside one grid step cuts at the
+// same boundary and serves the same snapshot manifest; resident history
+// lies between the window and the window plus one grid step.
+func (n *FullNode) Compact(keep time.Duration) (dropped, records int, err error) {
 	now := n.cfg.Clock.Now()
-	// The tangle must not prune inside the credit window: a transaction
-	// record younger than ΔT still contributes to CrP, and its evidence
-	// must stay resident beside it. The credit ledger clamps itself;
-	// mirror that for the tangle cutoff.
-	if dt := n.engine.Ledger().Params().DeltaT; keep < dt {
-		keep = dt
-	}
-	tangleDropped = n.tangle.SnapshotEpoch(now, keep, n.cfg.SnapshotEpoch)
-	creditDropped = n.engine.Ledger().Prune(now, keep)
-	// The evidence window prunes on the SAME quantized cutoff as the
-	// tangle snapshot: list versions older than the epoch boundary can
-	// only be evidence for transactions the snapshot already folded
-	// away. Keeping the grids aligned is also what makes the window
+	window := n.compactWindow(keep)
+	cutoff := now.Add(-window).Truncate(window / 2)
+	dropped = n.tangle.SnapshotBefore(cutoff)
+	n.engine.Ledger().Prune(now, keep)
+	// The evidence window prunes on the tangle's cutoff: list versions
+	// older than it can only be evidence for transactions the snapshot
+	// already folded away. It is also what makes the window
 	// reconstructible — replay re-observes the journal's lists and
 	// re-prunes to the persisted epoch, landing on the identical set.
-	cutoff := now.Add(-keep)
-	if n.cfg.SnapshotEpoch > 0 {
-		cutoff = cutoff.Truncate(n.cfg.SnapshotEpoch)
-	}
 	n.registry.PruneVersions(cutoff, evidenceMinVersions)
-	return tangleDropped, creditDropped
+	if log := n.journal.Load(); log != nil {
+		records, err = n.compactJournal(log)
+	}
+	return dropped, records, err
+}
+
+// compactWindow is the history Compact(keep) keeps: keep raised to the
+// credit window ΔT. Half of it is the grid step the cutoff is aligned to
+// and the period the supervisor compacts on: the cutoff moves only once
+// per step, so compacting more often prunes nothing more.
+func (n *FullNode) compactWindow(keep time.Duration) time.Duration {
+	return max(keep, n.engine.Ledger().Params().DeltaT)
 }
 
 // evidenceMinVersions is the floor PruneVersions keeps regardless of
@@ -315,17 +325,12 @@ func (n *FullNode) Compact(keep time.Duration) (tangleDropped, creditDropped int
 // the newest revision never hits a gap.
 const evidenceMinVersions = 2
 
-// CompactJournal rewrites the journal to exactly the tangle's current
-// contents (write-temp/fsync/atomic-rename; see store.Compact). Run it
-// after Compact so the on-disk log shrinks with the in-memory state —
-// otherwise the journal grows forever and replay re-admits vertices the
-// snapshot already folded away. Returns the record count of the new
-// segment.
-func (n *FullNode) CompactJournal() (records int, err error) {
-	log := n.journal.Load()
-	if log == nil {
-		return 0, ErrNotPersistent
-	}
+// compactJournal rewrites the journal to exactly the tangle's current
+// contents (write-temp/fsync/atomic-rename; see store.Compact), so the
+// on-disk log shrinks with the in-memory state and replay does not
+// re-admit vertices the snapshot already folded away. Returns the record
+// count of the new segment.
+func (n *FullNode) compactJournal(log *store.Log) (records int, err error) {
 	// Exported inside the log's I/O exclusion: a reading flushed and
 	// acknowledged between an earlier export and the rewrite would sit in
 	// the old segment only, and the rename would drop it.

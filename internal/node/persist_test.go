@@ -3,7 +3,9 @@ package node_test
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -259,7 +261,10 @@ func TestCompactBoundsMemory(t *testing.T) {
 		}
 	}
 	sizeBefore := full.Tangle().Size()
-	tangleDropped, _ := full.Compact(10 * time.Minute)
+	tangleDropped, _, err := full.Compact(10 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tangleDropped == 0 {
 		t.Fatal("compact dropped nothing")
 	}
@@ -273,10 +278,10 @@ func TestCompactBoundsMemory(t *testing.T) {
 }
 
 // TestCompactedJournalRecovers pins the crash-recovery path the
-// supervisor's compaction loop depends on: after Compact+CompactJournal,
-// the rewritten journal's earliest records reference parents that the
-// snapshot folded away, and a restarted node must replay them as
-// pruned-boundary roots rather than abort on unknown parents.
+// supervisor's compaction loop depends on: after Compact, the rewritten
+// journal's earliest records reference parents that the snapshot folded
+// away, and a restarted node must replay them as pruned-boundary roots
+// rather than abort on unknown parents.
 func TestCompactedJournalRecovers(t *testing.T) {
 	ctx := context.Background()
 	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
@@ -322,13 +327,12 @@ func TestCompactedJournalRecovers(t *testing.T) {
 		}
 		lastID = res.Info.ID
 	}
-	tangleDropped, _ := full.Compact(10 * time.Minute)
-	if tangleDropped == 0 {
-		t.Fatal("compact dropped nothing")
-	}
-	compacted, err := full.CompactJournal()
+	tangleDropped, compacted, err := full.Compact(10 * time.Minute)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tangleDropped == 0 {
+		t.Fatal("compact dropped nothing")
 	}
 	liveSize := full.Tangle().Size()
 	if err := full.ClosePersistence(); err != nil {
@@ -368,18 +372,19 @@ func TestCompactedJournalRecovers(t *testing.T) {
 	}
 }
 
-// TestCrashBetweenCompactAndCompactJournalRecovers: Compact persists the
-// pruned IDs to the cold index at once; the journal only follows with
-// CompactJournal. A crash between the two leaves a generation-0 journal
-// that still holds every pruned record, and whose first live records
-// have parents the cold index says were folded away. The node must boot
-// on it: the pruned records are duplicates of cold entries, the live
-// ones sit on the snapshot boundary. (It used to refuse with "transaction
-// already attached (snapshotted)" at the first pruned record.)
-func TestCrashBetweenCompactAndCompactJournalRecovers(t *testing.T) {
+// TestCrashInsideCompactRecovers: Compact persists the pruned IDs to the
+// cold index at once; the journal rewrite only follows. A crash between
+// the two — here the disk dies as the rewrite opens its segment — leaves a
+// generation-0 journal that still holds every pruned record, and whose
+// first live records have parents the cold index says were folded away.
+// The node must boot on it: the pruned records are duplicates of cold
+// entries, the live ones sit on the snapshot boundary. (It used to refuse
+// with "transaction already attached (snapshotted)" at the first pruned
+// record.)
+func TestCrashInsideCompactRecovers(t *testing.T) {
 	ctx := context.Background()
 	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
-	fs := chaos.NewMemFS(43)
+	fs := &crashOnOpenFS{MemFS: chaos.NewMemFS(43), name: "compact.journal.compact"}
 	managerKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -421,20 +426,23 @@ func TestCrashBetweenCompactAndCompactJournalRecovers(t *testing.T) {
 		}
 		lastID = res.Info.ID
 	}
-	if dropped, _ := full.Compact(10 * time.Minute); dropped == 0 {
+	fs.armed.Store(true)
+	dropped, _, err := full.Compact(10 * time.Minute)
+	if dropped == 0 {
 		t.Fatal("compact dropped nothing")
 	}
-	liveSize, snapshotted := full.Tangle().Size(), full.Tangle().SnapshottedCount()
-	// The crash: no CompactJournal.
-	if err := full.ClosePersistence(); err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, chaos.ErrCrashed) {
+		t.Fatalf("compact across a dying disk: err = %v, want %v", err, chaos.ErrCrashed)
 	}
+	liveSize, snapshotted := full.Tangle().Size(), full.Tangle().SnapshottedCount()
+	_ = full.ClosePersistence() // the disk is down
 	full.Close()
+	fs.armed.Store(false)
 	fs.Reboot()
 
 	full2, err := boot()
 	if err != nil {
-		t.Fatalf("boot after a crash between Compact and CompactJournal: %v", err)
+		t.Fatalf("boot after a crash inside Compact: %v", err)
 	}
 	defer full2.Close()
 	if got := full2.Tangle().Size(); got != liveSize {
@@ -446,4 +454,19 @@ func TestCrashBetweenCompactAndCompactJournalRecovers(t *testing.T) {
 	if got := full2.Tangle().SnapshottedCount(); got != snapshotted {
 		t.Errorf("recovered snapshotted count = %d, want %d", got, snapshotted)
 	}
+}
+
+// crashOnOpenFS crashes its disk, once armed, at the opening of the file
+// named name.
+type crashOnOpenFS struct {
+	*chaos.MemFS
+	name  string
+	armed atomic.Bool
+}
+
+func (fs *crashOnOpenFS) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
+	if name == fs.name && fs.armed.Load() {
+		fs.CrashAfter(1)
+	}
+	return fs.MemFS.OpenFile(name, flag, perm)
 }

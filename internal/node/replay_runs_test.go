@@ -121,11 +121,10 @@ func buildReplayFixture(t *testing.T) *replayFixture {
 
 	// Compact everything but the last minutes away, rewrite the journal,
 	// and write more than a run behind the rewritten segment.
-	if dropped, _ := full.Compact(10 * time.Minute); dropped == 0 {
-		t.Fatal("compact dropped nothing")
-	}
-	if _, err := full.CompactJournal(); err != nil {
+	if dropped, _, err := full.Compact(10 * time.Minute); err != nil {
 		t.Fatal(err)
+	} else if dropped == 0 {
+		t.Fatal("compact dropped nothing")
 	}
 	readings(store.ReplayRun, alice, bob, carol)
 	fx.gen1, fx.now = mem.Clone(), clk.Now()

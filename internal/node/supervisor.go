@@ -72,10 +72,10 @@ type SupervisorConfig struct {
 	// watchdog (Start/Stop/Kill still work).
 	WatchInterval time.Duration
 
-	// CompactEvery, when positive, runs Compact(CompactKeep) +
-	// CompactJournal on that period.
-	CompactEvery time.Duration
-	CompactKeep  time.Duration
+	// CompactKeep, when positive, runs Compact(CompactKeep) once per
+	// grid step of its cutoff: half of CompactKeep raised to the credit
+	// window ΔT.
+	CompactKeep time.Duration
 }
 
 // The restart backoff: the first retry of a failed restart waits
@@ -142,9 +142,9 @@ func (s *Supervisor) Start() error {
 		s.wg.Add(1)
 		go s.watch(s.stopCh)
 	}
-	if s.cfg.CompactEvery > 0 {
+	if s.cfg.CompactKeep > 0 {
 		s.wg.Add(1)
-		go s.compactLoop(s.stopCh)
+		go s.compactLoop(s.stopCh, s.node.Load().compactWindow(s.cfg.CompactKeep)/2)
 	}
 	return nil
 }
@@ -390,11 +390,10 @@ func (s *Supervisor) restart(stopCh chan struct{}) bool {
 	}
 }
 
-// compactLoop periodically snapshots in-memory state and rewrites the
-// journal to match.
-func (s *Supervisor) compactLoop(stopCh chan struct{}) {
+// compactLoop runs Compact once per step of its cutoff's grid.
+func (s *Supervisor) compactLoop(stopCh chan struct{}, step time.Duration) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.CompactEvery)
+	ticker := time.NewTicker(step)
 	defer ticker.Stop()
 	for {
 		select {
@@ -406,9 +405,8 @@ func (s *Supervisor) compactLoop(stopCh chan struct{}) {
 		if n == nil {
 			continue
 		}
-		n.Compact(s.cfg.CompactKeep)
-		if s.cfg.PersistPath != "" {
-			_, _ = n.CompactJournal()
-		}
+		// A failed rewrite keeps the old segment, retried next step, or
+		// poisons the journal, which the watchdog restarts.
+		_, _, _ = n.Compact(s.cfg.CompactKeep)
 	}
 }

@@ -446,6 +446,10 @@ func TestSupervisorGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A 6 ms credit window and keep put the compaction loop on a 3 ms
+	// step, so compactions run beside the soak and the stop.
+	params := testParams()
+	params.DeltaT = 6 * time.Millisecond
 	before := runtime.NumGoroutine()
 
 	run := func(round int) {
@@ -470,7 +474,7 @@ func TestSupervisorGoroutineLeak(t *testing.T) {
 					Key:        mgrKey,
 					Role:       identity.RoleManager,
 					ManagerPub: mgrKey.Public(),
-					Credit:     testParams(),
+					Credit:     params,
 					Network:    net,
 				})
 				if err != nil {
@@ -482,8 +486,7 @@ func TestSupervisorGoroutineLeak(t *testing.T) {
 			PersistPath:   "leak.journal",
 			FS:            fs,
 			WatchInterval: 2 * time.Millisecond,
-			CompactEvery:  3 * time.Millisecond,
-			CompactKeep:   time.Hour,
+			CompactKeep:   6 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

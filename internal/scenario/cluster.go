@@ -632,18 +632,17 @@ func (c *Cluster) checkNoLeakage() error {
 	return nil
 }
 
-// checkCreditParity evaluates every full node's credit for every known
-// account at the shared base instant (which is in the past for
-// positively skewed gateways). In a flat deployment, where every full
-// node holds every admitted transaction, each node must report the
-// reference node's credit and know the same accounts: credit is a pure
-// function of what was admitted. It returns the account count of the
-// reference node, the number of cross-node comparisons, the worst
-// relative divergence, and the first disagreement.
+// checkCreditParity evaluates credit for every known account at the
+// shared base instant (which is in the past for positively skewed
+// gateways) on the nodes of each region, which hold the same data: the
+// region's gateways, and in a flat deployment the manager too. Each must
+// report the region's first node's credit and know the same accounts:
+// credit is a pure function of what was admitted. It returns the
+// manager's account count, the number of cross-node comparisons, the
+// worst relative divergence, and the first disagreement.
 func (c *Cluster) checkCreditParity() (accounts, crossNode int, maxDelta float64, err error) {
-	now, fulls, flat := c.Clk.Now(), c.fulls(), c.Spec.Regions == 0
-	ref := fulls[0].Engine().Ledger()
-	accounts = len(ref.Nodes())
+	now := c.Clk.Now()
+	accounts = len(c.MgrNode.Engine().Ledger().Nodes())
 	agree := func(a, b core.Credit, format string, args ...any) {
 		for _, pair := range [][2]float64{{a.CrP, b.CrP}, {a.CrN, b.CrN}, {a.Cr, b.Cr}} {
 			rel := math.Abs(pair[0]-pair[1]) / (1 + math.Abs(pair[0]) + math.Abs(pair[1]))
@@ -653,16 +652,26 @@ func (c *Cluster) checkCreditParity() (accounts, crossNode int, maxDelta float64
 			}
 		}
 	}
-	for i, n := range fulls {
-		ledger := n.Engine().Ledger()
-		addrs := ledger.Nodes()
-		if flat && len(addrs) != accounts && err == nil {
-			err = fmt.Errorf("node %d knows %d accounts, the reference node %d", i, len(addrs), accounts)
+	for r, reg := range c.Regions {
+		var group []*node.FullNode
+		if reg.Shard == 0 {
+			group = append(group, c.MgrNode)
 		}
-		for _, addr := range addrs {
-			if flat && i > 0 {
+		for _, g := range reg.Gateways {
+			if n := g.Sup.Node(); n != nil {
+				group = append(group, n)
+			}
+		}
+		for i := 1; i < len(group); i++ {
+			ref, ledger := group[0].Engine().Ledger(), group[i].Engine().Ledger()
+			addrs := ledger.Nodes()
+			if want := len(ref.Nodes()); len(addrs) != want && err == nil {
+				err = fmt.Errorf("region %d node %d knows %d accounts, its first node %d", r, i, len(addrs), want)
+			}
+			for _, addr := range addrs {
 				crossNode++
-				agree(ledger.CreditOf(addr, now), ref.CreditOf(addr, now), "credit of %s on node %d differs from the reference node's", addr.Short(), i)
+				agree(ledger.CreditOf(addr, now), ref.CreditOf(addr, now),
+					"credit of %s on region %d node %d differs from its first node's", addr.Short(), r, i)
 			}
 		}
 	}

@@ -129,7 +129,10 @@ func TestMultiRegionRoam(t *testing.T) {
 	if floor := len(c.Devices) * spec.PerPhase * 2; res.Durable < floor {
 		t.Fatalf("[seed %d] only %d durable transactions tracked, floor %d", seed, res.Durable, floor)
 	}
-	t.Logf("%s: %d/%d admitted, %d durable (0 lost), fixpoint in %d rounds, control %d, shards %v, restarts %d",
+	if res.CreditComparisons == 0 {
+		t.Fatalf("[seed %d] no credit compared between a region's gateways", seed)
+	}
+	t.Logf("%s: %d/%d admitted, %d durable (0 lost), fixpoint in %d rounds, control %d, shards %v, restarts %d, credit parity max Δ %.3g over %d cross-node comparisons",
 		res.Scenario, res.Admitted, res.Submitted, res.Durable, res.SyncRounds,
-		res.TangleSize, res.ShardSizes, res.Restarts)
+		res.TangleSize, res.ShardSizes, res.Restarts, res.MaxCreditDelta, res.CreditComparisons)
 }

@@ -132,7 +132,7 @@ type Result struct {
 
 	Restarts       int64 `json:"watchdog_restarts"`
 	CreditAccounts int   `json:"credit_accounts"`
-	// CreditComparisons counts cross-node credit comparisons (flat only).
+	// CreditComparisons counts cross-node credit comparisons.
 	CreditComparisons int     `json:"credit_comparisons"`
 	CreditParityOK    bool    `json:"credit_parity_ok"`
 	MaxCreditDelta    float64 `json:"max_credit_delta"`

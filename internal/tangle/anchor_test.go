@@ -116,7 +116,7 @@ func TestSnapshotPrunesAnchorsWalksStayValid(t *testing.T) {
 	if tg.Metrics().AnchorCount.Value() == 0 {
 		t.Fatal("fixture built no anchors")
 	}
-	dropped := tg.SnapshotEpoch(vc.Now(), 0, 0)
+	dropped := tg.SnapshotBefore(vc.Now())
 	if dropped == 0 {
 		t.Fatal("snapshot dropped nothing")
 	}
@@ -368,7 +368,7 @@ func TestStatsNowMatchesRecountUnderRandomizedOps(t *testing.T) {
 					}
 				default: // snapshot with a random retention window
 					keep := time.Duration(rng.Intn(120)) * time.Second
-					tg.SnapshotEpoch(vc.Now(), keep, 0)
+					tg.SnapshotBefore(vc.Now().Add(-keep))
 				}
 
 				if got, want := tg.StatsNow(), recountStats(tg); got != want {

@@ -49,7 +49,7 @@ func TestColdByteIdenticalDuplicateRejection(t *testing.T) {
 	tg, key := newTangle(t, cfg, vc)
 	txs := buildChain(t, tg, key, vc, 20)
 
-	if dropped := tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0); dropped == 0 {
+	if dropped := tg.SnapshotBefore(vc.Now().Add(-5 * time.Minute)); dropped == 0 {
 		t.Fatal("snapshot dropped nothing")
 	}
 	pruned := txs[0]
@@ -74,76 +74,6 @@ func TestColdByteIdenticalDuplicateRejection(t *testing.T) {
 	}
 }
 
-// TestSnapshotEpochCoordinatesCutoff: two nodes holding the same ledger
-// and pruning at different instants within the same epoch interval must
-// cut at the same quantized boundary — identical drop counts, identical
-// boundary roots. That shared boundary is what makes one node's
-// snapshot manifest attachable on another.
-func TestSnapshotEpochCoordinatesCutoff(t *testing.T) {
-	start := time.Unix(1_700_000_000, 0)
-	key := mustKey(t)
-	cfg := DefaultConfig()
-	cfg.ConfirmationWeight = 3
-
-	mk := func() (*Tangle, *clock.Virtual) {
-		vc := clock.NewVirtual(start)
-		tg, err := New(cfg, key.Public(), vc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tg, vc
-	}
-	tgA, vcA := mk()
-	tgB, vcB := mk()
-
-	// Same genesis (same manager key), same traffic, same timeline.
-	last := tgA.Genesis()[0]
-	for i := 0; i < 30; i++ {
-		vcA.Advance(time.Minute)
-		vcB.Advance(time.Minute)
-		tx := buildTx(t, key, last, last, fmt.Sprintf("shared-%d", i))
-		infoA, err := tgA.Attach(tx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tgB.Attach(tx); err != nil {
-			t.Fatal(err)
-		}
-		last = infoA.ID
-	}
-
-	// Node B compacts later than node A — as late as possible while its
-	// cutoff still falls inside A's epoch bucket. Quantization must make
-	// the two cuts identical despite the skew.
-	const keep = 5 * time.Minute
-	const interval = 10 * time.Minute
-	nowA := vcA.Now()
-	epoch := nowA.Add(-keep).Truncate(interval)
-	nowB := epoch.Add(interval).Add(keep - time.Second) // cutoff 1s before the next boundary
-	droppedA := tgA.SnapshotEpoch(nowA, keep, interval)
-	vcB.Advance(nowB.Sub(vcB.Now()))
-	droppedB := tgB.SnapshotEpoch(vcB.Now(), keep, interval)
-
-	if droppedA == 0 {
-		t.Fatal("epoch snapshot dropped nothing")
-	}
-	if droppedA != droppedB {
-		t.Fatalf("drop counts diverge: A=%d B=%d", droppedA, droppedB)
-	}
-	bA, bB := tgA.BoundaryRoots(), tgB.BoundaryRoots()
-	if len(bA) == 0 || len(bA) != len(bB) {
-		t.Fatalf("boundary sizes diverge: A=%d B=%d", len(bA), len(bB))
-	}
-	for i := range bA {
-		if bA[i] != bB[i] {
-			t.Fatalf("boundary root %d diverges", i)
-		}
-	}
-	if !tgA.ColdEpoch().Equal(tgB.ColdEpoch()) {
-		t.Errorf("cold epochs diverge: A=%v B=%v", tgA.ColdEpoch(), tgB.ColdEpoch())
-	}
-}
-
 // TestBootstrapAttachesLiveRegion drives the tangle half of a snapshot-
 // shipped join: a fresh tangle seeded with a pruned peer's boundary
 // roots attaches the peer's exported live region verbatim and converges
@@ -159,7 +89,7 @@ func TestBootstrapAttachesLiveRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildChain(t, seasoned, key, vc, 40)
-	if dropped := seasoned.SnapshotEpoch(vc.Now(), 5*time.Minute, 0); dropped == 0 {
+	if dropped := seasoned.SnapshotBefore(vc.Now().Add(-5 * time.Minute)); dropped == 0 {
 		t.Fatal("snapshot dropped nothing")
 	}
 
@@ -220,10 +150,10 @@ func TestBeginBootstrapRequiresFreshTangle(t *testing.T) {
 // continuous traffic with periodic snapshots, the resident vertex count
 // must plateau at O(keep-window), however long the node runs, and the
 // boundary set must stay O(frontier) — for a linear chain, a handful of
-// roots, NOT a set growing with pruned history. It holds for both ways a
-// node prunes: Snapshot with the in-memory cold set of a node without
-// persistence, and the epoch grid a persisting node cuts on (SnapshotEpoch
-// with the interval equal to the keep window) over an on-disk cold index,
+// roots, NOT a set growing with pruned history. It holds for both
+// cutoffs a tangle is handed: a raw now−keep with the in-memory cold set
+// of a node without persistence, and the grid node.FullNode.Compact cuts
+// on (now−keep truncated to half of keep) over an on-disk cold index,
 // aged through 20 keep windows.
 func TestResidentVerticesStayBounded(t *testing.T) {
 	for _, tc := range []struct {
@@ -242,7 +172,7 @@ func TestResidentVerticesStayBounded(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.ConfirmationWeight = 3
 			tg, key := newTangle(t, cfg, vc)
-			snapshot := func() { tg.SnapshotEpoch(vc.Now(), tc.keep, 0) }
+			snapshot := func() { tg.SnapshotBefore(vc.Now().Add(-tc.keep)) }
 			if tc.coldIndex {
 				cold, err := store.OpenColdIndex(chaos.NewMemFS(1), "resident.cold")
 				if err != nil {
@@ -252,7 +182,7 @@ func TestResidentVerticesStayBounded(t *testing.T) {
 				if err := tg.SetColdStore(cold); err != nil {
 					t.Fatal(err)
 				}
-				snapshot = func() { tg.SnapshotEpoch(vc.Now(), tc.keep, tc.keep) }
+				snapshot = func() { tg.SnapshotBefore(vc.Now().Add(-tc.keep).Truncate(tc.keep / 2)) }
 			}
 
 			last := tg.Genesis()[0]
@@ -280,7 +210,7 @@ func TestResidentVerticesStayBounded(t *testing.T) {
 				t.Fatalf("guard fixture barely pruned: %d of %d", tg.SnapshottedCount(), total)
 			}
 			// A round spans at least one keep window; one round of slack
-			// (the epoch grid's cut trails now by up to two windows) plus the
+			// (the grid's cut trails now by up to one and a half windows) plus the
 			// unsettled tail bounds the plateau far below total history.
 			if bound := 2*tc.perRound + 20; maxResident > bound {
 				t.Errorf("resident vertices peaked at %d, want ≤ %d (history %d)", maxResident, bound, total)

@@ -170,7 +170,7 @@ func (m *ledgerModel) check(t *testing.T, step int, tg *Tangle, rng *rand.Rand) 
 }
 
 // TestIndexesAgreeWithAModel runs random sequences of attach,
-// SnapshotEpoch, journal Restore into a fresh ledger and snapshot
+// SnapshotBefore, journal Restore into a fresh ledger and snapshot
 // bootstrap of a fresh ledger, and after every step compares Contains,
 // Get, Size and the range reads over the ID table and the paged indexes
 // with a plain map and plain slices. The ledger crosses several index
@@ -216,7 +216,7 @@ func TestIndexesAgreeWithAModel(t *testing.T) {
 					m.add(tx.ID(), tx.Encode(), shard, tx.Kind)
 				case op < 94:
 					keep := time.Duration(1000+rng.Intn(6000)) * time.Second
-					tg.SnapshotEpoch(vc.Now(), keep, time.Duration(rng.Intn(3))*10*time.Second)
+					tg.SnapshotBefore(vc.Now().Add(-keep).Truncate(time.Duration(rng.Intn(3)) * 10 * time.Second))
 					m.prune(tg)
 				case op < 97: // reboot: replay the live ledger into a fresh one
 					next := fresh()

@@ -100,7 +100,7 @@ func TestShardOrderSurvivesSnapshot(t *testing.T) {
 	}
 
 	before := tg.ResidentByShard()
-	dropped := tg.SnapshotEpoch(clk.Now(), 5*time.Second, 0)
+	dropped := tg.SnapshotBefore(clk.Now().Add(-5 * time.Second))
 	if dropped == 0 {
 		t.Fatal("snapshot dropped nothing; test shape is wrong")
 	}

@@ -34,18 +34,14 @@ import (
 // ErrSnapshottedParent reports an attachment to a pruned parent.
 var ErrSnapshottedParent = errors.New("parent transaction was snapshotted away")
 
-// SnapshotEpoch drops confirmed transactions attached before now−keep
+// SnapshotBefore drops confirmed transactions attached before cutoff
 // whose direct approvers are all themselves confirmed or rejected.
 // Genesis, tips and authorization lists are always retained. It returns
 // the number of dropped vertices.
 //
-// The cutoff is quantized down to a multiple of interval (in absolute
-// time, per time.Time.Truncate), so every node pruning with the same
-// interval cuts at the same settled boundary regardless of when its own
-// compaction loop happens to fire. Coordinated boundaries keep peers'
-// snapshot manifests interchangeable — a bootstrapping node can verify
-// one peer's manifest against another's live region. A zero interval
-// disables quantization (a node-local cutoff).
+// The cutoff is the caller's: the node aligns it to a grid (see
+// node.FullNode.Compact), so every node holding the same ledger cuts at
+// the same boundary and serves the same snapshot manifest.
 //
 // Candidate selection is incremental: the attachment order is scanned
 // from the oldest end and stops at the first vertex attached at or
@@ -53,12 +49,7 @@ var ErrSnapshottedParent = errors.New("parent transaction was snapshotted away")
 // chronological). The cost is O(pre-cutoff prefix), not O(all
 // vertices); the prefix is short in steady state because previous
 // snapshots already emptied it.
-func (t *Tangle) SnapshotEpoch(now time.Time, keep time.Duration, interval time.Duration) int {
-	cutoff := now.Add(-keep)
-	if interval > 0 {
-		cutoff = cutoff.Truncate(interval)
-	}
-
+func (t *Tangle) SnapshotBefore(cutoff time.Time) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 

@@ -35,7 +35,7 @@ func buildSnapshotFixture(t *testing.T, n int) (*Tangle, *clock.Virtual, []Info)
 func TestSnapshotDropsOldConfirmed(t *testing.T) {
 	tg, vc, infos := buildSnapshotFixture(t, 20)
 	before := tg.Size()
-	dropped := tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
+	dropped := tg.SnapshotBefore(vc.Now().Add(-5 * time.Minute))
 	if dropped == 0 {
 		t.Fatal("nothing dropped")
 	}
@@ -70,7 +70,7 @@ func TestSnapshotDropsOldConfirmed(t *testing.T) {
 
 func TestSnapshotKeepsTipsAndPending(t *testing.T) {
 	tg, vc, _ := buildSnapshotFixture(t, 10)
-	tg.SnapshotEpoch(vc.Now(), 0, 0) // most aggressive cutoff
+	tg.SnapshotBefore(vc.Now()) // most aggressive cutoff
 	if tg.TipCount() == 0 {
 		t.Fatal("snapshot emptied the tip pool")
 	}
@@ -93,7 +93,7 @@ func TestSnapshotKeepsTipsAndPending(t *testing.T) {
 func TestSnapshotRejectsAttachToPrunedParent(t *testing.T) {
 	tg, vc, infos := buildSnapshotFixture(t, 20)
 	key := mustKey(t)
-	tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
+	tg.SnapshotBefore(vc.Now().Add(-5 * time.Minute))
 	old := infos[0].ID
 	if tg.Contains(old) {
 		t.Fatalf("fixture did not prune the oldest tx")
@@ -106,7 +106,7 @@ func TestSnapshotRejectsAttachToPrunedParent(t *testing.T) {
 
 func TestSnapshotRejectsReattachOfPruned(t *testing.T) {
 	tg, vc, infos := buildSnapshotFixture(t, 20)
-	tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
+	tg.SnapshotBefore(vc.Now().Add(-5 * time.Minute))
 	if tg.Contains(infos[0].ID) {
 		t.Fatalf("fixture did not prune the oldest tx")
 	}
@@ -150,7 +150,7 @@ func TestSnapshotPreservesDoubleSpendFinality(t *testing.T) {
 
 	// Snapshot it away.
 	vc.Advance(time.Hour)
-	tg.SnapshotEpoch(vc.Now(), 30*time.Minute, 0)
+	tg.SnapshotBefore(vc.Now().Add(-30 * time.Minute))
 	if tg.Contains(spend.ID) {
 		t.Fatalf("spend survived the snapshot; nothing to test")
 	}
@@ -176,8 +176,8 @@ func TestSnapshotPreservesDoubleSpendFinality(t *testing.T) {
 
 func TestSnapshotIdempotentAndBounded(t *testing.T) {
 	tg, vc, _ := buildSnapshotFixture(t, 30)
-	first := tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
-	second := tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
+	first := tg.SnapshotBefore(vc.Now().Add(-5 * time.Minute))
+	second := tg.SnapshotBefore(vc.Now().Add(-5 * time.Minute))
 	if second != 0 {
 		t.Errorf("second snapshot dropped %d more without new traffic", second)
 	}
@@ -191,7 +191,7 @@ func TestSnapshotIdempotentAndBounded(t *testing.T) {
 
 func TestSnapshotExportStillTopological(t *testing.T) {
 	tg, vc, _ := buildSnapshotFixture(t, 25)
-	tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0)
+	tg.SnapshotBefore(vc.Now().Add(-5 * time.Minute))
 	// Export remains in attachment order; parents of retained txs are
 	// either retained (and earlier) or snapshotted.
 	seen := make(map[string]bool)
@@ -221,7 +221,7 @@ func TestSnapshotUnpinsPrunedVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tg.SnapshotEpoch(vc.Now(), 5*time.Minute, 0) == 0 {
+	if tg.SnapshotBefore(vc.Now().Add(-5*time.Minute)) == 0 {
 		t.Fatal("nothing dropped")
 	}
 	after, err := tg.InfoOf(genesis)
