@@ -31,7 +31,9 @@ vet:
 # supervisor's tests, which order the watchdog, Stop and the probes by
 # lifecycle transitions (a held build, a held drain, a failing restart),
 # beside the compaction tests, whose one Compact call rewrites the journal
-# while the committer flushes, and the node's pull tests (orphan and
+# while the committer flushes, and the split double spend (each half
+# submitted at its own gateway), whose two gateways must pick one winner
+# however gossip interleaves the halves, and the node's pull tests (orphan and
 # evidence-gap repair, the pager), which race the repair worker's wake,
 # its pulls and Close. The allocation guards (txn's wire path, the ID a
 # decode seeds and a device's build-sign-mine of a reading, node's relayed batch — journaled or not —
@@ -53,6 +55,7 @@ test: vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/store/
 	$(GO) test -race -count=10 -run 'Supervisor|Compact' ./internal/node/
+	$(GO) test -race -count=10 -run 'SplitDoubleSpend' ./internal/node/
 	$(GO) test -race -count=10 -run 'Orphan|Repair|Pager|EvidenceGap' ./internal/node/
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/

@@ -375,11 +375,12 @@ func BenchmarkTangleSnapshot(b *testing.B) {
 		for j := 0; j < 2000; j++ {
 			vc.Advance(time.Second)
 			tx := &txn.Transaction{
-				Trunk:   last,
-				Branch:  last,
-				Kind:    txn.KindData,
-				Payload: fmt.Appendf(nil, "s-%d", j),
-				Nonce:   uint64(j),
+				Trunk:     last,
+				Branch:    last,
+				Timestamp: vc.Now(),
+				Kind:      txn.KindData,
+				Payload:   fmt.Appendf(nil, "s-%d", j),
+				Nonce:     uint64(j),
 			}
 			tx.Sign(key)
 			info, err := tg.Attach(tx)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/b-iot/biot/internal/clock"
 	"github.com/b-iot/biot/internal/core"
 	"github.com/b-iot/biot/internal/dataauth"
 	"github.com/b-iot/biot/internal/hashutil"
@@ -53,13 +54,17 @@ func newTestDeployment(t *testing.T) deployment {
 	return deployment{managerKey: managerKey, mgr: mgr, full: full}
 }
 
-func newTestDevice(t *testing.T, gw node.Gateway) *node.LightNode {
+// newTestDevice makes a device behind gw that signs on clk, which is the
+// clock its deployment's nodes run on (nil: the real clock). A device on
+// the real clock beside nodes on a virtual one would stamp its readings
+// years away from the ledger's time, and a snapshot cuts by those stamps.
+func newTestDevice(t *testing.T, gw node.Gateway, clk clock.Clock) *node.LightNode {
 	t.Helper()
 	deviceKey, err := identity.Generate()
 	if err != nil {
 		t.Fatalf("generate device key: %v", err)
 	}
-	device, err := node.NewLight(node.LightConfig{Key: deviceKey, Gateway: gw})
+	device, err := node.NewLight(node.LightConfig{Key: deviceKey, Gateway: gw, Clock: clk})
 	if err != nil {
 		t.Fatalf("new light node: %v", err)
 	}
@@ -96,7 +101,7 @@ func driveKeyDistribution(t *testing.T, mgr *node.Manager, device *node.LightNod
 func TestEndToEndAuthorizeAndPostReading(t *testing.T) {
 	dep := newTestDeployment(t)
 	ctx := context.Background()
-	device := newTestDevice(t, dep.full)
+	device := newTestDevice(t, dep.full, nil)
 
 	// Unauthorized device is rejected: the Sybil/DDoS gate.
 	if _, err := device.PostReading(ctx, []byte("temp=21.5")); err == nil {
@@ -136,7 +141,7 @@ func TestEndToEndAuthorizeAndPostReading(t *testing.T) {
 func TestEndToEndKeyDistributionAndEncryptedReading(t *testing.T) {
 	dep := newTestDeployment(t)
 	ctx := context.Background()
-	device := newTestDevice(t, dep.full)
+	device := newTestDevice(t, dep.full, nil)
 
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
@@ -212,7 +217,7 @@ func TestEndToEndKeyDistributionAndEncryptedReading(t *testing.T) {
 func TestKeyRotation(t *testing.T) {
 	dep := newTestDeployment(t)
 	ctx := context.Background()
-	device := newTestDevice(t, dep.full)
+	device := newTestDevice(t, dep.full, nil)
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -272,8 +277,8 @@ func TestKeyRotation(t *testing.T) {
 func TestShareKeyCrossDevice(t *testing.T) {
 	dep := newTestDeployment(t)
 	ctx := context.Background()
-	owner := newTestDevice(t, dep.full)
-	reader := newTestDevice(t, dep.full)
+	owner := newTestDevice(t, dep.full, nil)
+	reader := newTestDevice(t, dep.full, nil)
 	dep.mgr.AuthorizeDevice(owner.Key().Public(), owner.Key().BoxPublic())
 	dep.mgr.AuthorizeDevice(reader.Key().Public(), reader.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
@@ -342,7 +347,7 @@ func (g *swappingGateway) Submit(ctx context.Context, t *txn.Transaction) (tangl
 func TestTipValidationBindsBodyToID(t *testing.T) {
 	dep := newTestDeployment(t)
 	ctx := context.Background()
-	honest := newTestDevice(t, dep.full)
+	honest := newTestDevice(t, dep.full, nil)
 	dep.mgr.AuthorizeDevice(honest.Key().Public(), honest.Key().BoxPublic())
 	authz, err := dep.mgr.PublishAuthorization(ctx)
 	if err != nil {
@@ -384,7 +389,7 @@ func (mutedGateway) DifficultyFor(identity.Address) int { return 0 }
 // ErrNodeDown, not with a proof-of-work range error.
 func TestPostFailsWithNodeDownWithoutADifficulty(t *testing.T) {
 	dep := newTestDeployment(t)
-	device := newTestDevice(t, mutedGateway{dep.full})
+	device := newTestDevice(t, mutedGateway{dep.full}, nil)
 	if _, err := device.PostReading(context.Background(), []byte("no target")); !errors.Is(err, node.ErrNodeDown) {
 		t.Fatalf("PostReading without a difficulty: err = %v, want ErrNodeDown", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"github.com/b-iot/biot/internal/core"
 	"github.com/b-iot/biot/internal/dataauth"
 	"github.com/b-iot/biot/internal/gossip"
+	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
 	"github.com/b-iot/biot/internal/tangle"
@@ -79,6 +81,7 @@ func TestNewManagerRejectsGatewayNode(t *testing.T) {
 // multiNodeDeployment builds manager + n gateways over an in-memory bus.
 type multiNodeDeployment struct {
 	bus      *gossip.Bus
+	clk      clock.Clock
 	mgrKey   *identity.KeyPair
 	mgr      *node.Manager
 	gateways []*node.FullNode
@@ -111,30 +114,38 @@ func newMultiNode(t *testing.T, gateways int, clk clock.Clock) *multiNodeDeploym
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep := &multiNodeDeployment{bus: bus, mgrKey: mgrKey, mgr: mgr}
+	dep := &multiNodeDeployment{bus: bus, clk: clk, mgrKey: mgrKey, mgr: mgr}
 	for i := 0; i < gateways; i++ {
-		gwKey, err := identity.Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gwNet, err := bus.Join(fmt.Sprintf("gw-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gw, err := node.NewFull(node.FullConfig{
-			Key:        gwKey,
-			Role:       identity.RoleGateway,
-			ManagerPub: mgrKey.Public(),
-			Credit:     testParams(),
-			Clock:      clk,
-			Network:    gwNet,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dep.gateways = append(dep.gateways, gw)
+		dep.addGateway(t)
 	}
 	return dep
+}
+
+// addGateway joins one more gateway to the bus, on the deployment's clock
+// and with an empty ledger.
+func (d *multiNodeDeployment) addGateway(t *testing.T) *node.FullNode {
+	t.Helper()
+	gwKey, err := identity.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwNet, err := d.bus.Join(fmt.Sprintf("gw-%d", len(d.gateways)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := node.NewFull(node.FullConfig{
+		Key:        gwKey,
+		Role:       identity.RoleGateway,
+		ManagerPub: d.mgrKey.Public(),
+		Credit:     testParams(),
+		Clock:      d.clk,
+		Network:    gwNet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.gateways = append(d.gateways, gw)
+	return gw
 }
 
 // flush drains every node's asynchronous broadcast queue — the barrier
@@ -155,7 +166,7 @@ func (d *multiNodeDeployment) flush(t *testing.T) {
 func TestGossipPropagatesTransactions(t *testing.T) {
 	ctx := context.Background()
 	dep := newMultiNode(t, 2, nil)
-	device := newTestDevice(t, dep.gateways[0])
+	device := newTestDevice(t, dep.gateways[0], nil)
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -180,7 +191,7 @@ func TestGossipPropagatesTransactions(t *testing.T) {
 func TestGossipPropagatesCreditRecords(t *testing.T) {
 	ctx := context.Background()
 	dep := newMultiNode(t, 2, nil)
-	device := newTestDevice(t, dep.gateways[0])
+	device := newTestDevice(t, dep.gateways[0], nil)
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -208,7 +219,7 @@ func TestGossipPropagatesCreditRecords(t *testing.T) {
 func TestLateJoiningGatewaySyncs(t *testing.T) {
 	ctx := context.Background()
 	dep := newMultiNode(t, 1, nil)
-	device := newTestDevice(t, dep.gateways[0])
+	device := newTestDevice(t, dep.gateways[0], nil)
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -219,24 +230,7 @@ func TestLateJoiningGatewaySyncs(t *testing.T) {
 		}
 	}
 
-	lateKey, err := identity.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lateNet, err := dep.bus.Join("late")
-	if err != nil {
-		t.Fatal(err)
-	}
-	late, err := node.NewFull(node.FullConfig{
-		Key:        lateKey,
-		Role:       identity.RoleGateway,
-		ManagerPub: dep.mgrKey.Public(),
-		Credit:     testParams(),
-		Network:    lateNet,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	late := dep.addGateway(t)
 	if late.Tangle().Size() != 2 {
 		t.Fatalf("fresh gateway size = %d", late.Tangle().Size())
 	}
@@ -259,7 +253,7 @@ func TestLateJoiningGatewaySyncs(t *testing.T) {
 func TestTransferSettlementOnConfirmation(t *testing.T) {
 	ctx := context.Background()
 	dep := newTestDeployment(t)
-	alice := newTestDevice(t, dep.full)
+	alice := newTestDevice(t, dep.full, nil)
 	bobKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -296,6 +290,83 @@ func TestTransferSettlementOnConfirmation(t *testing.T) {
 	}
 	if bal := dep.full.Tokens().Balance(alice.Address()); bal != 60 {
 		t.Errorf("alice balance = %d, want 60", bal)
+	}
+}
+
+// TestSplitDoubleSpendResolvesAlikeOnBothGateways: one key signs both
+// halves of a double spend, each submitted at a different gateway, so
+// each gateway attaches its own half first and the other's by gossip. The
+// halves tie on weight; both gateways must still give each half the same
+// status and, once honest traffic has confirmed the winner, settle the
+// same balances. A tie broken by arrival order would keep opposite halves.
+func TestSplitDoubleSpendResolvesAlikeOnBothGateways(t *testing.T) {
+	ctx := context.Background()
+	for round := 0; round < 20; round++ {
+		dep := newMultiNode(t, 2, nil)
+		gw0, gw1 := dep.gateways[0], dep.gateways[1]
+		key, err := identity.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spenders, honest [2]*node.LightNode
+		for i, gw := range dep.gateways {
+			if spenders[i], err = node.NewLight(node.LightConfig{Key: key, Gateway: gw}); err != nil {
+				t.Fatal(err)
+			}
+			honest[i] = newTestDevice(t, gw, nil)
+			dep.mgr.AuthorizeDevice(honest[i].Key().Public(), honest[i].Key().BoxPublic())
+		}
+		dep.mgr.AuthorizeDevice(key.Public(), key.BoxPublic())
+		if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
+			t.Fatal(err)
+		}
+		dep.flush(t)
+		for _, gw := range dep.gateways {
+			gw.Tokens().Mint(key.Address(), 100)
+		}
+
+		var halves [2]hashutil.Hash
+		for i, s := range spenders {
+			victim, err := identity.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Transfer(ctx, victim.Address(), 100)
+			if err != nil {
+				t.Fatalf("round %d: half %d: %v", round, i, err)
+			}
+			halves[i] = res.Info.ID
+		}
+		dep.flush(t)
+		sameStatus := func(when string) {
+			t.Helper()
+			for i, id := range halves {
+				a, errA := gw0.InfoOf(id)
+				b, errB := gw1.InfoOf(id)
+				if errA != nil || errB != nil || a.Status != b.Status {
+					t.Fatalf("round %d, %s: half %d is %v (%v) on one gateway and %v (%v) on the other",
+						round, when, i, a.Status, errA, b.Status, errB)
+				}
+			}
+		}
+		sameStatus("after the flush")
+
+		for r := 0; r < 15; r++ {
+			for i, h := range honest {
+				if _, err := h.PostReading(ctx, []byte(fmt.Sprintf("honest-%d-%d", r, i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dep.flush(t)
+		}
+		sameStatus("after the honest rounds")
+		b0, b1 := gw0.Tokens().Snapshot(), gw1.Tokens().Snapshot()
+		if !reflect.DeepEqual(b0, b1) {
+			t.Fatalf("round %d: settled balances diverge:\n%v\n%v", round, b0, b1)
+		}
+		if bal := gw0.Tokens().Balance(key.Address()); bal != 0 {
+			t.Fatalf("round %d: the spender still holds %d; no half settled", round, bal)
+		}
 	}
 }
 
@@ -387,7 +458,7 @@ func TestRateLimiting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	device := newTestDevice(t, full)
+	device := newTestDevice(t, full, clk)
 	mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := mgr.PublishAuthorization(context.Background()); err != nil {
 		t.Fatal(err)
@@ -423,7 +494,7 @@ func TestRateLimiting(t *testing.T) {
 func TestGatewayRejectsForeignAuthorizationList(t *testing.T) {
 	ctx := context.Background()
 	dep := newTestDeployment(t)
-	impostor := newTestDevice(t, dep.full)
+	impostor := newTestDevice(t, dep.full, nil)
 	dep.mgr.AuthorizeDevice(impostor.Key().Public(), impostor.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -438,7 +509,7 @@ func TestGatewayRejectsForeignAuthorizationList(t *testing.T) {
 func TestDifficultyDropsForActiveDevice(t *testing.T) {
 	ctx := context.Background()
 	dep := newTestDeployment(t)
-	device := newTestDevice(t, dep.full)
+	device := newTestDevice(t, dep.full, nil)
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -462,7 +533,7 @@ func TestDifficultyDropsForActiveDevice(t *testing.T) {
 func TestCountersTrack(t *testing.T) {
 	ctx := context.Background()
 	dep := newTestDeployment(t)
-	device := newTestDevice(t, dep.full)
+	device := newTestDevice(t, dep.full, nil)
 
 	if _, err := device.PostReading(ctx, []byte("x")); err == nil {
 		t.Fatal("unauthorized accepted")
@@ -510,7 +581,7 @@ func TestLightConfigValidation(t *testing.T) {
 func TestPartitionedGatewayRecovers(t *testing.T) {
 	ctx := context.Background()
 	dep := newMultiNode(t, 2, nil)
-	device := newTestDevice(t, dep.gateways[0])
+	device := newTestDevice(t, dep.gateways[0], nil)
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -654,7 +725,7 @@ func TestGossipRejectsForgedTraffic(t *testing.T) {
 		t.Errorf("forged gossip changed ledger size %d → %d", sizeBefore, got)
 	}
 	// The node still serves honest traffic afterwards.
-	device := newTestDevice(t, dep.gateways[0])
+	device := newTestDevice(t, dep.gateways[0], nil)
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)

@@ -142,7 +142,7 @@ func TestPersistenceForeignLogRejected(t *testing.T) {
 	if _, err := depA.full.EnablePersistence(path); err != nil {
 		t.Fatal(err)
 	}
-	device := newTestDevice(t, depA.full)
+	device := newTestDevice(t, depA.full, nil)
 	depA.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := depA.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestCompactBoundsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	device := newTestDevice(t, full)
+	device := newTestDevice(t, full, clk)
 	mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestCompactedJournalRecovers(t *testing.T) {
 	}
 
 	full, mgr, _ := boot()
-	device := newTestDevice(t, full)
+	device := newTestDevice(t, full, clk)
 	mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestCompactedJournalRecovers(t *testing.T) {
 		t.Error("recovery recorded no snapshot boundary")
 	}
 	// The recovered node keeps serving and journaling.
-	device2 := newTestDevice(t, full2)
+	device2 := newTestDevice(t, full2, clk)
 	mgr2, err := node.NewManager(full2)
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestCrashInsideCompactRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	device := newTestDevice(t, full)
+	device := newTestDevice(t, full, clk)
 	mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)

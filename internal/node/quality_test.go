@@ -36,7 +36,7 @@ func newQualityDeployment(t *testing.T) (*node.Manager, *node.FullNode) {
 func TestQualityViolationPunishedThroughCredit(t *testing.T) {
 	ctx := context.Background()
 	mgr, full := newQualityDeployment(t)
-	device := newTestDevice(t, full)
+	device := newTestDevice(t, full, nil)
 	mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestQualityViolationPunishedThroughCredit(t *testing.T) {
 func TestQualitySkipsEncryptedReadings(t *testing.T) {
 	ctx := context.Background()
 	mgr, full := newQualityDeployment(t)
-	device := newTestDevice(t, full)
+	device := newTestDevice(t, full, nil)
 	mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)

@@ -97,7 +97,7 @@ func buildReplayFixture(t *testing.T) *replayFixture {
 			}
 		}
 	}
-	alice, bob, carol, spender := newTestDevice(t, full), newTestDevice(t, full), newTestDevice(t, full), newTestDevice(t, full)
+	alice, bob, carol, spender := newTestDevice(t, full, clk), newTestDevice(t, full, clk), newTestDevice(t, full, clk), newTestDevice(t, full, clk)
 	fx := &replayFixture{mgrKey: mgrKey, spender: spender.Address()}
 	for _, d := range []*node.LightNode{alice, bob, carol, spender} {
 		fx.accounts = append(fx.accounts, d.Address())

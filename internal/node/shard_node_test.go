@@ -127,7 +127,7 @@ func TestShardedRegionsConvergeWithoutLeakage(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg.gateways = append(reg.gateways, gw)
-			dev := newTestDevice(t, gw)
+			dev := newTestDevice(t, gw, nil)
 			mgr.AuthorizeDevice(dev.Key().Public(), dev.Key().BoxPublic())
 			reg.devices = append(reg.devices, dev)
 		}

@@ -44,7 +44,7 @@ func TestSoakFiveNodeConvergence(t *testing.T) {
 	// Two devices per full node, all authorized up front.
 	devices := make([]*node.LightNode, deviceCount)
 	for i := range devices {
-		devices[i] = newTestDevice(t, fulls[i%len(fulls)])
+		devices[i] = newTestDevice(t, fulls[i%len(fulls)], clk)
 		dep.mgr.AuthorizeDevice(devices[i].Key().Public(), devices[i].Key().BoxPublic())
 	}
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {

@@ -80,7 +80,7 @@ func TestSupervisorWatchdogUnderClockSkew(t *testing.T) {
 	// One device per skewed gateway, plus traffic before the fault.
 	var devices []*node.LightNode
 	for _, gw := range gws {
-		device := newTestDevice(t, gw.sup.Gateway())
+		device := newTestDevice(t, gw.sup.Gateway(), base)
 		dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 		devices = append(devices, device)
 	}

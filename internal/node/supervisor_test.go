@@ -77,7 +77,7 @@ func TestSupervisorLifecycleAndDrain(t *testing.T) {
 
 	// Submissions through the supervisor's gateway delegate land and
 	// are journaled.
-	device := newTestDevice(t, sup.Gateway())
+	device := newTestDevice(t, sup.Gateway(), nil)
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestSupervisorWatchdogRestartsPoisonedJournal(t *testing.T) {
 	}
 	defer sup.Stop(ctx)
 
-	device := newTestDevice(t, sup.Gateway())
+	device := newTestDevice(t, sup.Gateway(), nil)
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -348,7 +348,7 @@ func TestSupervisorGatewayWaitsOutARestart(t *testing.T) {
 	free := func() { once.Do(func() { close(release) }) }
 	defer free() // before the Stop, which waits for the restart
 
-	device := newTestDevice(t, sup.Gateway())
+	device := newTestDevice(t, sup.Gateway(), nil)
 	dep.mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 	if _, err := dep.mgr.PublishAuthorization(ctx); err != nil {
 		t.Fatal(err)
@@ -498,7 +498,7 @@ func TestSupervisorGoroutineLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		device := newTestDevice(t, sup.Gateway())
+		device := newTestDevice(t, sup.Gateway(), nil)
 		mgr.AuthorizeDevice(device.Key().Public(), device.Key().BoxPublic())
 		if _, err := mgr.PublishAuthorization(ctx); err != nil {
 			t.Fatal(err)

@@ -150,7 +150,7 @@ func (t *Tangle) BoundaryCount() int {
 
 // ColdEpoch returns the cutoff instant of the most recent snapshot that
 // pruned anything (zero when the tangle has never pruned). All settled
-// history attached before it has moved to the cold region.
+// history signed before it has moved to the cold region.
 func (t *Tangle) ColdEpoch() time.Time {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

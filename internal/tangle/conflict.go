@@ -44,7 +44,9 @@ func (t *Tangle) recordSpendLocked(v *vertex, tr txn.Transfer, now time.Time) []
 // rejects the rest. A snapshotted group member was confirmed before it
 // was pruned and therefore wins unconditionally; otherwise confirmed
 // transactions beat unconfirmed ones, then cumulative weight decides,
-// with the earlier attachment winning ties (first-seen rule).
+// with the lower ID winning ties. Every input is a function of the DAG,
+// not of when this node saw it, so two nodes that hold the same group
+// pick the same winner.
 func (t *Tangle) resolveConflictLocked(group []hashutil.Hash, now time.Time) []Event {
 	var winnerID hashutil.Hash
 	snapshotWins := false
@@ -71,9 +73,10 @@ func (t *Tangle) resolveConflictLocked(group []hashutil.Hash, now time.Time) []E
 		}
 	}
 	var events []Event
-	// Cumulative weight can flip the outcome until confirmation: a
-	// previously rejected spend whose branch grew heavier is
-	// reinstated when it wins a later resolution round.
+	// A group is resolved again only when a new spend joins it. A
+	// rejected spend whose branch has grown heavier by then is
+	// reinstated when it wins that round; weight gained in between does
+	// not re-run the resolution.
 	if winner != nil && winner.status == StatusRejected {
 		winner.status = StatusPending
 		t.nRejected--
@@ -115,9 +118,6 @@ func beats(a, b *vertex) bool {
 	}
 	if a.cumWeight != b.cumWeight {
 		return a.cumWeight > b.cumWeight
-	}
-	if a.attachedAt != b.attachedAt {
-		return a.attachedAt < b.attachedAt
 	}
 	return a.id.Compare(b.id) < 0
 }

@@ -199,7 +199,7 @@ func TestIndexesAgreeWithAModel(t *testing.T) {
 			for step := 0; step < 1200; step++ {
 				switch op := rng.Intn(100); {
 				case op < 90:
-					vc.Advance(time.Duration(rng.Intn(20)) * time.Second)
+					vc.Advance(time.Duration(rng.Intn(6)) * time.Second)
 					trunk, branch, err := tg.SelectTips(StrategyUniform)
 					if err != nil {
 						t.Fatal(err)

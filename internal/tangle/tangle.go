@@ -97,9 +97,12 @@ func (s Status) String() string {
 // vertex is what the ledger keeps per resident transaction: the
 // transaction's immutable canonical encoding — nothing decoded; parents,
 // kind and issuer are read from it where they are wanted — and the DAG
-// bookkeeping beside it, packed into 128 bytes (instants as unix
-// nanoseconds, counters in 32 bits; TestBytesPerAttachedVertex asserts the
-// size).
+// bookkeeping beside it, packed into 120 bytes, inside the allocator's
+// 128-byte size class (instants as unix nanoseconds, counters in 32 bits;
+// TestBytesPerAttachedVertex asserts the size). It keeps no arrival time:
+// what the ledger decides about a transaction — a conflict's winner, a
+// snapshot's cut — reads its bytes and the DAG, never when this node
+// happened to attach it.
 type vertex struct {
 	// enc views the canonical encoding, shared with whoever attached the
 	// transaction and never written.
@@ -109,8 +112,7 @@ type vertex struct {
 	// by pointer like the attachment-order indexes. One a snapshot has
 	// pruned is replaced by prunedApprover, so the count survives and
 	// the pruned vertex does not stay reachable through its parent.
-	approvers  []*vertex
-	attachedAt int64 // unix nanoseconds on the ledger clock
+	approvers []*vertex
 	// firstApprovedAt is when the vertex gained its first approver
 	// (left the tip pool), in unix nanoseconds; zero while still a tip.
 	firstApprovedAt int64
@@ -152,7 +154,6 @@ type Info struct {
 	Status           Status
 	DirectApprovers  int
 	CumulativeWeight int
-	AttachedAt       time.Time
 	// Seq is the attach sequence the attach that returned this Info gave
 	// the vertex (see Event.Seq); zero from InfoOf, which does not keep it.
 	Seq uint64
@@ -301,14 +302,12 @@ func New(cfg Config, managerPub identity.PublicKey, clk clock.Clock) (*Tangle, e
 		seed:       seed,
 	}
 	t.walkers.New = func() any { return t.newWalker() }
-	now := clk.Now().UnixNano()
 	for i, g := range GenesisTransactions(managerPub) {
 		id := g.ID()
 		v := &vertex{
-			enc:        g.View(),
-			id:         id,
-			status:     StatusConfirmed, // genesis is trusted by fiat
-			attachedAt: now,
+			enc:    g.View(),
+			id:     id,
+			status: StatusConfirmed, // genesis is trusted by fiat
 		}
 		t.indexLocked(v, txn.KindGenesis)
 		t.addTipLocked(id)
@@ -434,7 +433,6 @@ func (t *Tangle) infoLocked(v *vertex) Info {
 		Status:           v.status,
 		DirectApprovers:  len(v.approvers),
 		CumulativeWeight: int(v.cumWeight),
-		AttachedAt:       time.Unix(0, v.attachedAt),
 	}
 }
 
@@ -582,13 +580,12 @@ func (t *Tangle) insertLocked(enc txn.View, id hashutil.Hash, trunk, branch *ver
 		}
 	}
 	v := &vertex{
-		enc:        enc,
-		id:         id,
-		status:     StatusPending,
-		attachedAt: nowNanos,
-		height:     height + 1,
-		shard:      shard,
-		authSeq:    authSeq,
+		enc:     enc,
+		id:      id,
+		status:  StatusPending,
+		height:  height + 1,
+		shard:   shard,
+		authSeq: authSeq,
 	}
 	t.indexLocked(v, kind)
 
