@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/b-iot/biot/internal/core"
@@ -16,7 +17,7 @@ import (
 // Snapshot-shipped bootstrap: a gateway joining a deployment whose
 // history has been pruned cannot replay that history — no peer still
 // has it. Instead it asks one peer for a snapshot manifest (the epoch
-// boundary: boundary roots + the pre-epoch credit events), seeds its
+// boundary: boundary roots + the pruned history's credit events), seeds its
 // tangle with the boundary shape, and then pages only the live region
 // through the ordinary cursor sync. Join cost is O(frontier), not
 // O(history): a year-old deployment and a day-old one cost the same to
@@ -35,15 +36,12 @@ const (
 	// credit ledger itself keeps 256 a node and folds older ones into a
 	// carry term.
 	maxManifestEvents = 4096
-	// manifestMaxSkew is how far in the future a manifest epoch may sit
-	// before it is rejected as nonsense.
-	manifestMaxSkew = 5 * time.Minute
 )
 
-// ManifestCredit is one node's pre-epoch misbehaviour history. Only
-// malicious events cross the manifest: positive credit re-derives from
-// the live region as it attaches, but punishment "cannot be eliminated"
-// — a bootstrapped gateway must not see offenders as clean-slate.
+// ManifestCredit is one node's misbehaviour a joiner cannot re-derive.
+// Only malicious events cross the manifest: positive credit re-derives
+// from the live region as it attaches, but punishment "cannot be
+// eliminated" — a bootstrapped gateway must not see offenders as clean-slate.
 type ManifestCredit struct {
 	Addr   identity.Address   `json:"addr"`
 	Events []core.EventRecord `json:"events"`
@@ -62,14 +60,16 @@ type SnapshotManifest struct {
 	// Live and Cold size the peer's regions, for operator visibility.
 	Live int `json:"live"`
 	Cold int `json:"cold"`
-	// Credit carries the pre-epoch misbehaviour events per node.
+	// Credit carries the events whose evidence was pruned, per node.
 	Credit []ManifestCredit `json:"credit,omitempty"`
 }
 
 // SnapshotManifest builds this node's manifest: its current boundary
-// roots, snapshot epoch, and every credit event older than the epoch
-// (younger events re-derive on the requester as live transactions
-// attach, so shipping them would double-count).
+// roots, snapshot epoch, and every credit event naming a transaction
+// this node no longer holds. A joiner attaches exactly the resident
+// ledger, so an event whose evidence is all resident re-derives there,
+// and shipping it would count it twice; the split reads what the cut
+// pruned, not when the event was recorded.
 func (n *FullNode) SnapshotManifest() SnapshotManifest {
 	epoch := n.tangle.ColdEpoch()
 	m := SnapshotManifest{
@@ -85,7 +85,7 @@ func (n *FullNode) SnapshotManifest() SnapshotManifest {
 	for _, addr := range led.Nodes() {
 		var evs []core.EventRecord
 		for _, ev := range led.Events(addr) {
-			if ev.At.Before(epoch) {
+			if slices.ContainsFunc(ev.Evidence, func(id hashutil.Hash) bool { return !n.tangle.Contains(id) }) {
 				evs = append(evs, ev)
 			}
 		}
@@ -105,8 +105,7 @@ type BootstrapStats struct {
 	Peer string
 	// Boundary is the number of seeded boundary roots (snapshot mode).
 	Boundary int
-	// CreditSeeded is the number of pre-epoch misbehaviour events
-	// carried over from the manifest.
+	// CreditSeeded is the number of credit events the manifest carried.
 	CreditSeeded int
 	// Live is the tangle size after the join converged.
 	Live int
@@ -116,7 +115,7 @@ type BootstrapStats struct {
 
 // BootstrapFrom joins via one peer. On a fresh node it requests the
 // peer's snapshot manifest; if the peer has pruned history it seeds the
-// boundary roots and pre-epoch credit events, then pages the live
+// boundary roots and the shipped credit events, then pages the live
 // region with the ordinary (fully verified) cursor sync. If the peer
 // has never pruned, it falls back to full paged replay from that peer —
 // there the history IS the frontier. Either way the node converges on a
@@ -145,7 +144,7 @@ func (n *FullNode) BootstrapFrom(ctx context.Context, peer string) (BootstrapSta
 		return stats, fmt.Errorf("peer %s: manifest exceeds bounds (%d boundary roots, %d credit nodes)",
 			peer, len(m.Boundary), len(m.Credit))
 	}
-	if m.Epoch.After(start.Add(manifestMaxSkew)) {
+	if m.Epoch.After(start.Add(maxClockSkew)) {
 		return stats, fmt.Errorf("peer %s: manifest epoch %v is in the future", peer, m.Epoch)
 	}
 
@@ -182,10 +181,8 @@ func (n *FullNode) BootstrapFrom(ctx context.Context, peer string) (BootstrapSta
 			evs = evs[len(evs)-maxManifestEvents:]
 		}
 		for _, ev := range evs {
-			if ev.At.Before(m.Epoch) {
-				led.RecordMalicious(entry.Addr, ev)
-				stats.CreditSeeded++
-			}
+			led.RecordMalicious(entry.Addr, ev)
+			stats.CreditSeeded++
 		}
 	}
 

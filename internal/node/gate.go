@@ -14,10 +14,10 @@ import (
 // signature every way demands (DESIGN.md §7) — values, which gate applies
 // by one rule:
 //
-//	edge             authorization source   proof of work    rate limit
-//	Submit           live registry          DifficultyFor    yes
-//	relay, sync      evidence verdict       MinDifficulty    no
-//	journal replay   none                   none             no
+//	edge             authorization source   proof of work    rate limit   timestamp ahead of now
+//	Submit           live registry          DifficultyFor    yes          refused past maxClockSkew
+//	relay, sync      evidence verdict       MinDifficulty    no           parked past maxClockSkew
+//	journal replay   none                   none             no           any
 type edge struct {
 	// authorize judges the sender of anything but an authorization list,
 	// which only the manager issues; nil demands no issuer rule at all.
@@ -25,7 +25,13 @@ type edge struct {
 	// difficulty is the proof of work demanded of sender; nil demands none.
 	difficulty  func(sender identity.Address, now time.Time) int
 	rateLimited bool // spends a device's FullConfig.RateLimit budget
+	boundsClock bool // refuses a timestamp more than maxClockSkew ahead of now
 }
+
+// maxClockSkew bounds how far ahead of this node's clock a signed stamp
+// may run, as a snapshot cuts by it. Honest clocks in the skewed-clocks
+// scenario stand up to a minute apart; the bound is twice that.
+const maxClockSkew = 2 * time.Minute
 
 // edges returns the submission edge's demands and the relay edges'. A relay
 // demands the PoW floor, not this node's credit-derived demand: it cannot
@@ -46,6 +52,7 @@ func (n *FullNode) edges() (submission, relayed edge) {
 		},
 		difficulty:  n.engine.DifficultyFor,
 		rateLimited: true,
+		boundsClock: true,
 	}
 	relayed = edge{
 		authorize: func(v txn.View, _ identity.Address) error {
@@ -66,7 +73,7 @@ var errNoEvidence = fmt.Errorf("%w: a member of no list its evidence reaches", E
 // returns nil when every record passes, else one error per record, nil for
 // the ones that pass:
 //
-//  1. structure;
+//  1. structure, and the timestamp where the edge bounds it;
 //  2. issuer: an authorization list only from the manager, anything else
 //     as the edge's authorization source allows;
 //  3. proof of work at the edge's demand;
@@ -117,6 +124,9 @@ func (n *FullNode) precheck(v txn.View, e edge, now time.Time) error {
 	if err := v.VerifyStructure(); err != nil {
 		return err
 	}
+	if e.boundsClock && v.Timestamp().After(now.Add(maxClockSkew)) {
+		return fmt.Errorf("%w: stamped %v, now %v", ErrTimestampAhead, v.Timestamp(), now)
+	}
 	sender := v.Sender()
 	if e.authorize != nil {
 		if v.Kind() == txn.KindAuthorization {
@@ -145,7 +155,7 @@ func (n *FullNode) countRefusal(err error) {
 		c.Unauthorized.Inc()
 	case errors.Is(err, ErrRateLimited):
 		c.RateLimited.Inc()
-	default: // structure, proof of work, signature
+	default: // structure, timestamp, proof of work, signature
 		c.Rejected.Inc()
 	}
 }

@@ -217,6 +217,8 @@ func mapAPIError(apiErr *APIError) error {
 		return fmt.Errorf("%w: %w", node.ErrRateLimited, apiErr)
 	case http.StatusPreconditionFailed:
 		return fmt.Errorf("%w: %w", node.ErrWrongDifficulty, apiErr)
+	case http.StatusTooEarly:
+		return fmt.Errorf("%w: %w", node.ErrTimestampAhead, apiErr)
 	case http.StatusConflict:
 		return fmt.Errorf("%w: %w", tangle.ErrDuplicate, apiErr)
 	case http.StatusUnprocessableEntity:

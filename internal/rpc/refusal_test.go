@@ -108,6 +108,16 @@ func TestSubmitRefusalsOverRPC(t *testing.T) {
 			want:   tangle.ErrUnknownParent,
 		},
 		{
+			name: "stamped an hour ahead of the gateway's clock",
+			build: func(t *testing.T, key *identity.KeyPair) *txn.Transaction {
+				tx := data("post-dated")
+				tx.Timestamp = clk.Now().Add(time.Hour)
+				return mined(t, key, tx)
+			},
+			status: http.StatusTooEarly,
+			want:   node.ErrTimestampAhead,
+		},
+		{
 			name: "bad signature",
 			build: func(t *testing.T, key *identity.KeyPair) *txn.Transaction {
 				tx := mined(t, key, data("forged"))
@@ -135,7 +145,7 @@ func TestSubmitRefusalsOverRPC(t *testing.T) {
 	if _, err := f.mgr.PublishAuthorization(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sentinels := []error{node.ErrUnauthorizedDevice, node.ErrRateLimited, node.ErrWrongDifficulty, tangle.ErrDuplicate, tangle.ErrUnknownParent}
+	sentinels := []error{node.ErrUnauthorizedDevice, node.ErrRateLimited, node.ErrWrongDifficulty, node.ErrTimestampAhead, tangle.ErrDuplicate, tangle.ErrUnknownParent}
 	for i, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			_, err := f.client.Submit(context.Background(), row.build(t, keys[i]))

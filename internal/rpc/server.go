@@ -602,6 +602,8 @@ func statusForSubmitError(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, node.ErrWrongDifficulty):
 		return http.StatusPreconditionFailed
+	case errors.Is(err, node.ErrTimestampAhead):
+		return http.StatusTooEarly
 	case errors.Is(err, tangle.ErrDuplicate):
 		return http.StatusConflict
 	case errors.Is(err, tangle.ErrUnknownParent):

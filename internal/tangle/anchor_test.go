@@ -26,7 +26,7 @@ func growChain(t testing.TB, tg *Tangle, vc *clock.Virtual, n int, tag string) {
 		if err != nil {
 			t.Fatalf("select: %v", err)
 		}
-		if _, err := tg.Attach(buildTx(t, key, trunk, branch, fmt.Sprintf("%s-%d", tag, i))); err != nil {
+		if _, err := tg.Attach(buildTx(t, tg, key, trunk, branch, fmt.Sprintf("%s-%d", tag, i))); err != nil {
 			t.Fatalf("attach: %v", err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestSnapshotPrunesAnchorsWalksStayValid(t *testing.T) {
 	last := tg.Genesis()[0]
 	for i := 0; i < 60; i++ {
 		vc.Advance(time.Minute)
-		info, err := tg.Attach(buildTx(t, key, last, last, fmt.Sprintf("c-%d", i)))
+		info, err := tg.Attach(buildTx(t, tg, key, last, last, fmt.Sprintf("c-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestEventOrderUnderConcurrentAttach(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				tx := buildTx(t, key, trunk, branch, fmt.Sprintf("g%d-%d", g, i))
+				tx := buildTx(t, tg, key, trunk, branch, fmt.Sprintf("g%d-%d", g, i))
 				if _, err := tg.Attach(tx); err != nil {
 					t.Error(err)
 					return
@@ -348,7 +348,7 @@ func TestStatsNowMatchesRecountUnderRandomizedOps(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := tg.Attach(buildTx(t, key, trunk, branch, fmt.Sprintf("s-%d", step))); err != nil {
+					if _, err := tg.Attach(buildTx(t, tg, key, trunk, branch, fmt.Sprintf("s-%d", step))); err != nil {
 						t.Fatal(err)
 					}
 				case op < 8: // transfer, often a deliberate conflict
@@ -362,7 +362,7 @@ func TestStatsNowMatchesRecountUnderRandomizedOps(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					tx := transferTx(t, spender, trunk, branch, key.Address(), uint64(rng.Intn(9)+1), s)
+					tx := transferTx(t, tg, spender, trunk, branch, key.Address(), uint64(rng.Intn(9)+1), s)
 					if _, err := tg.Attach(tx); err != nil {
 						t.Fatal(err)
 					}

@@ -73,7 +73,7 @@ func runRandomizedOps(t *testing.T, seed int64, steps int) {
 			if err != nil {
 				t.Fatalf("step %d: select: %v", step, err)
 			}
-			tx := buildTx(t, key, trunk, branch, fmt.Sprintf("d-%d", step))
+			tx := buildTx(t, tg, key, trunk, branch, fmt.Sprintf("d-%d", step))
 			info, err := tg.Attach(tx)
 			if err != nil {
 				t.Fatalf("step %d: attach: %v", step, err)
@@ -91,7 +91,7 @@ func runRandomizedOps(t *testing.T, seed int64, steps int) {
 			if err != nil {
 				t.Fatalf("step %d: select: %v", step, err)
 			}
-			tx := transferTx(t, spenders[sp], trunk, branch,
+			tx := transferTx(t, tg, spenders[sp], trunk, branch,
 				key.Address(), uint64(rng.Intn(50)+1), seq)
 			info, err := tg.Attach(tx)
 			if err != nil {
@@ -102,7 +102,7 @@ func runRandomizedOps(t *testing.T, seed int64, steps int) {
 			if staleTrunk.IsZero() {
 				continue
 			}
-			tx := buildTx(t, key, staleTrunk, staleBranch, fmt.Sprintf("lazy-%d", step))
+			tx := buildTx(t, tg, key, staleTrunk, staleBranch, fmt.Sprintf("lazy-%d", step))
 			info, err := tg.Attach(tx)
 			if err != nil {
 				t.Fatalf("step %d: lazy attach: %v", step, err)

@@ -19,7 +19,7 @@ func TestShardOrderPartitionsAttachmentOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("select tips: %v", err)
 		}
-		tx := buildTx(t, key, trunk, branch, fmt.Sprintf("s%d-%d", shard, i))
+		tx := buildTx(t, tg, key, trunk, branch, fmt.Sprintf("s%d-%d", shard, i))
 		info, err := tg.AttachShard(tx.View(), tx.ID(), shard)
 		if err != nil {
 			t.Fatalf("attach: %v", err)
@@ -92,7 +92,7 @@ func TestShardOrderSurvivesSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("select tips: %v", err)
 		}
-		tx := buildTx(t, key, trunk, branch, fmt.Sprintf("s%d-%d", shard, i))
+		tx := buildTx(t, tg, key, trunk, branch, fmt.Sprintf("s%d-%d", shard, i))
 		if _, err := tg.AttachShard(tx.View(), tx.ID(), shard); err != nil {
 			t.Fatalf("attach: %v", err)
 		}

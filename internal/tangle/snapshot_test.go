@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"github.com/b-iot/biot/internal/clock"
+	"github.com/b-iot/biot/internal/hashutil"
+	"github.com/b-iot/biot/internal/txn"
 )
 
 // buildSnapshotFixture attaches a linear chain of n transactions, each
@@ -21,7 +23,7 @@ func buildSnapshotFixture(t *testing.T, n int) (*Tangle, *clock.Virtual, []Info)
 	last := tg.Genesis()[0]
 	for i := 0; i < n; i++ {
 		vc.Advance(time.Minute)
-		tx := buildTx(t, key, last, last, fmt.Sprintf("chain-%d", i))
+		tx := buildTx(t, tg, key, last, last, fmt.Sprintf("chain-%d", i))
 		info, err := tg.Attach(tx)
 		if err != nil {
 			t.Fatal(err)
@@ -90,6 +92,65 @@ func TestSnapshotKeepsTipsAndPending(t *testing.T) {
 	}
 }
 
+// TestSnapshotCutsBySignedTime pins the boundary to the signed
+// timestamp. On a chain stamped a minute apart, a confirmed vertex with
+// a confirmed approver goes when it was signed before the cutoff and
+// stays when it was signed at it. A vertex stamped an hour ahead of the
+// clock stays through every cut until a cutoff passes its stamp.
+func TestSnapshotCutsBySignedTime(t *testing.T) {
+	vc := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	cfg := DefaultConfig()
+	cfg.ConfirmationWeight = 3
+	tg, key := newTangle(t, cfg, vc)
+	const ahead = 5
+	var ids []hashutil.Hash
+	last := tg.Genesis()[0]
+	for i := 0; i < 20; i++ {
+		vc.Advance(time.Minute) // chain-i is signed i+1 minutes in
+		tx := buildTx(t, tg, key, last, last, fmt.Sprintf("chain-%d", i))
+		if i == ahead {
+			tx = &txn.Transaction{Trunk: last, Branch: last, Timestamp: vc.Now().Add(time.Hour), Kind: txn.KindData, Payload: []byte("ahead")}
+			tx.Sign(key)
+		}
+		info, err := tg.Attach(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, info.ID)
+		last = info.ID
+	}
+
+	const atCutoff = 13
+	cutoff := vc.Now().Add(-6 * time.Minute) // chain-13's stamp
+	for _, i := range []int{atCutoff - 1, atCutoff, ahead} {
+		info, err := tg.InfoOf(ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := tg.InfoOf(ids[i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Status != StatusConfirmed || next.Status != StatusConfirmed {
+			t.Fatalf("chain-%d is %v with a %v approver, want both confirmed", i, info.Status, next.Status)
+		}
+	}
+	if tg.SnapshotBefore(cutoff) == 0 {
+		t.Fatal("nothing dropped")
+	}
+	for i, id := range ids {
+		if cut, want := tg.WasSnapshotted(id), i < atCutoff && i != ahead; cut != want {
+			t.Errorf("chain-%d: snapshotted %v, want %v", i, cut, want)
+		}
+	}
+
+	vc.Advance(2 * time.Hour)
+	tg.SnapshotBefore(vc.Now())
+	if !tg.WasSnapshotted(ids[ahead]) {
+		t.Error("a cutoff past the ahead stamp kept it resident")
+	}
+}
+
 func TestSnapshotRejectsAttachToPrunedParent(t *testing.T) {
 	tg, vc, infos := buildSnapshotFixture(t, 20)
 	key := mustKey(t)
@@ -98,7 +159,7 @@ func TestSnapshotRejectsAttachToPrunedParent(t *testing.T) {
 	if tg.Contains(old) {
 		t.Fatalf("fixture did not prune the oldest tx")
 	}
-	tx := buildTx(t, key, old, old, "necromancer")
+	tx := buildTx(t, tg, key, old, old, "necromancer")
 	if _, err := tg.Attach(tx); !errors.Is(err, ErrSnapshottedParent) {
 		t.Errorf("err = %v, want ErrSnapshottedParent", err)
 	}
@@ -126,14 +187,14 @@ func TestSnapshotPreservesDoubleSpendFinality(t *testing.T) {
 	g := tg.Genesis()
 
 	// Spend seq 0 and confirm it with follow-on traffic.
-	spend, err := tg.Attach(transferTx(t, spender, g[0], g[1], victim(t), 5, 0))
+	spend, err := tg.Attach(transferTx(t, tg, spender, g[0], g[1], victim(t), 5, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	last := spend.ID
 	for i := 0; i < 4; i++ {
 		vc.Advance(time.Minute)
-		tx := buildTx(t, key, last, last, fmt.Sprintf("conf-%d", i))
+		tx := buildTx(t, tg, key, last, last, fmt.Sprintf("conf-%d", i))
 		info, err := tg.Attach(tx)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +222,7 @@ func TestSnapshotPreservesDoubleSpendFinality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evil, err := tg.Attach(transferTx(t, spender, trunk, branch, victim(t), 99, 0))
+	evil, err := tg.Attach(transferTx(t, tg, spender, trunk, branch, victim(t), 99, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,13 +32,15 @@ func newTangle(t testing.TB, cfg Config, clk clock.Clock) (*Tangle, *identity.Ke
 	return tg, key
 }
 
-// buildTx creates a signed transaction approving the given parents.
-func buildTx(t testing.TB, key *identity.KeyPair, trunk, branch hashutil.Hash, tag string) *txn.Transaction {
+// buildTx creates a signed transaction approving the given parents,
+// stamped at tg's now: a snapshot cuts by the signed timestamp, so a
+// fixture that ages its tangle's clock must age its stamps with it.
+func buildTx(t testing.TB, tg *Tangle, key *identity.KeyPair, trunk, branch hashutil.Hash, tag string) *txn.Transaction {
 	t.Helper()
 	tx := &txn.Transaction{
 		Trunk:     trunk,
 		Branch:    branch,
-		Timestamp: time.Unix(1_700_000_000, 0),
+		Timestamp: tg.clk.Now(),
 		Kind:      txn.KindData,
 		Payload:   []byte(tag),
 	}
@@ -53,7 +55,7 @@ func attachOne(t testing.TB, tg *Tangle, key *identity.KeyPair, tag string) Info
 	if err != nil {
 		t.Fatalf("select tips: %v", err)
 	}
-	info, err := tg.Attach(buildTx(t, key, trunk, branch, tag))
+	info, err := tg.Attach(buildTx(t, tg, key, trunk, branch, tag))
 	if err != nil {
 		t.Fatalf("attach %s: %v", tag, err)
 	}
@@ -120,7 +122,7 @@ func TestAttachBasics(t *testing.T) {
 func TestAttachRejectsDuplicates(t *testing.T) {
 	tg, key := newTangle(t, DefaultConfig(), nil)
 	g := tg.Genesis()
-	tx := buildTx(t, key, g[0], g[1], "dup")
+	tx := buildTx(t, tg, key, g[0], g[1], "dup")
 	if _, err := tg.Attach(tx); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestAttachRejectsDuplicates(t *testing.T) {
 func TestAttachRejectsUnknownParents(t *testing.T) {
 	tg, key := newTangle(t, DefaultConfig(), nil)
 	g := tg.Genesis()
-	tx := buildTx(t, key, hashutil.Sum([]byte("missing")), g[0], "orphan")
+	tx := buildTx(t, tg, key, hashutil.Sum([]byte("missing")), g[0], "orphan")
 	if _, err := tg.Attach(tx); !errors.Is(err, ErrUnknownParent) {
 		t.Errorf("err = %v, want ErrUnknownParent", err)
 	}
@@ -143,7 +145,7 @@ func TestTipsEvolve(t *testing.T) {
 	g := tg.Genesis()
 	// Approve both genesis transactions explicitly: they retire from
 	// the tip pool and the new transaction becomes the only tip.
-	tx := buildTx(t, key, g[0], g[1], "a")
+	tx := buildTx(t, tg, key, g[0], g[1], "a")
 	info, err := tg.Attach(tx)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +159,7 @@ func TestTipsEvolve(t *testing.T) {
 func TestSameParentTwiceCountsOnce(t *testing.T) {
 	tg, key := newTangle(t, DefaultConfig(), nil)
 	g := tg.Genesis()
-	tx := buildTx(t, key, g[0], g[0], "same-parent")
+	tx := buildTx(t, tg, key, g[0], g[0], "same-parent")
 	if _, err := tg.Attach(tx); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestWeightGrowsWithApprovals(t *testing.T) {
 	}
 	// Two children approving it directly.
 	for i := 0; i < 2; i++ {
-		tx := buildTx(t, key, first.ID, first.ID, fmt.Sprintf("child-%d", i))
+		tx := buildTx(t, tg, key, first.ID, first.ID, fmt.Sprintf("child-%d", i))
 		if _, err := tg.Attach(tx); err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +208,7 @@ func TestConfirmationByCumulativeWeight(t *testing.T) {
 	// `first`.
 	last := first.ID
 	for i := 0; i < 3; i++ {
-		tx := buildTx(t, key, last, last, fmt.Sprintf("chain-%d", i))
+		tx := buildTx(t, tg, key, last, last, fmt.Sprintf("chain-%d", i))
 		info, err := tg.Attach(tx)
 		if err != nil {
 			t.Fatal(err)
@@ -346,19 +348,19 @@ func TestLazyTipDetection(t *testing.T) {
 	// Once a parent has been approved (left the tip pool) and aged past
 	// the threshold, re-approving it is lazy.
 	old := attachOne(t, tg, key, "old")
-	mover1 := buildTx(t, key, old.ID, old.ID, "mover-1") // retires `old`
+	mover1 := buildTx(t, tg, key, old.ID, old.ID, "mover-1") // retires `old`
 	m1, err := tg.Attach(mover1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(30 * time.Second)
-	mover2 := buildTx(t, key, m1.ID, m1.ID, "mover-2")
+	mover2 := buildTx(t, tg, key, m1.ID, m1.ID, "mover-2")
 	if _, err := tg.Attach(mover2); err != nil {
 		t.Fatal(err)
 	}
 
 	lazyBefore := countEvents(events, EventLazyTips)
-	tx := buildTx(t, key, old.ID, old.ID, "lazy")
+	tx := buildTx(t, tg, key, old.ID, old.ID, "lazy")
 	if _, err := tg.Attach(tx); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +405,7 @@ func TestApprovalEventsFeedWeights(t *testing.T) {
 		}
 	}))
 	first := attachOne(t, tg, key, "base")
-	tx := buildTx(t, key, first.ID, first.ID, "approver")
+	tx := buildTx(t, tg, key, first.ID, first.ID, "approver")
 	if _, err := tg.Attach(tx); err != nil {
 		t.Fatal(err)
 	}

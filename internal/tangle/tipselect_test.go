@@ -67,7 +67,7 @@ func TestSelectTipsDeterministicWithSeed(t *testing.T) {
 		g := tg.Genesis()
 		last := g[0]
 		for i := 0; i < 10; i++ {
-			tx := buildTx(t, key, last, g[1], fmt.Sprintf("d-%d", i))
+			tx := buildTx(t, tg, key, last, g[1], fmt.Sprintf("d-%d", i))
 			info, err := tg.Attach(tx)
 			if err != nil {
 				t.Fatal(err)
@@ -104,21 +104,21 @@ func TestWeightedWalkPrefersHeavyBranch(t *testing.T) {
 	g := tg.Genesis()
 
 	// Light branch: one orphan-ish tip off genesis.
-	lightTx := buildTx(t, key, g[0], g[1], "light")
+	lightTx := buildTx(t, tg, key, g[0], g[1], "light")
 	light, err := tg.Attach(lightTx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Heavy branch: a long chain off genesis.
-	heavyTx := buildTx(t, key, g[0], g[1], "heavy-root")
+	heavyTx := buildTx(t, tg, key, g[0], g[1], "heavy-root")
 	heavy, err := tg.Attach(heavyTx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	last := heavy.ID
 	for i := 0; i < 20; i++ {
-		tx := buildTx(t, key, last, last, fmt.Sprintf("heavy-%d", i))
+		tx := buildTx(t, tg, key, last, last, fmt.Sprintf("heavy-%d", i))
 		info, err := tg.Attach(tx)
 		if err != nil {
 			t.Fatal(err)
