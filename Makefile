@@ -2,6 +2,15 @@
 
 GO ?= go
 
+# internal/node's tests that wait on time run inside a testing/synctest
+# bubble, on a virtual clock, when the experiment is on (bubble_test.go);
+# without it the same bodies run on real time (bubble_realtime_test.go),
+# which is what the plain `go test ./...` does. Go 1.24 ships synctest
+# behind this experiment. From Go 1.25 synctest needs none: this variable
+# and the two files' build tags go, and inBubble's synctest.Run becomes
+# synctest.Test.
+SYNCTEST := GOEXPERIMENT=synctest
+
 .PHONY: all build vet test test-short test-chaos test-scenarios test-scenarios-long test-flake test-shard race cover bench bench-pairs loc mem figures examples fuzz clean
 
 all: build vet test
@@ -9,7 +18,8 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# go vet, then two gates of the source itself: gofmt must have nothing to
+# go vet (internal/node also with the synctest experiment on, so the
+# bubble's half of its tests compiles), then two gates of the source itself: gofmt must have nothing to
 # rewrite, and every exported function, method, constant or variable in
 # internal/ must have a reference somewhere in this module or bench/
 # (scripts/unused-exports.sh, which also lists, without failing, the ones
@@ -17,6 +27,7 @@ build:
 # tests call).
 vet:
 	$(GO) vet ./...
+	$(SYNCTEST) $(GO) vet ./internal/node/
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 	@scripts/unused-exports.sh
 
@@ -52,11 +63,11 @@ vet:
 # bench/ is a module of its own, so `./...` above never reaches it: its
 # vet and tests ride here.
 test: vet
-	$(GO) test -race ./...
+	$(SYNCTEST) $(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/store/
-	$(GO) test -race -count=10 -run 'Supervisor|Compact' ./internal/node/
-	$(GO) test -race -count=10 -run 'SplitDoubleSpend' ./internal/node/
-	$(GO) test -race -count=10 -run 'Orphan|Repair|Pager|EvidenceGap' ./internal/node/
+	$(SYNCTEST) $(GO) test -race -count=10 -run 'Supervisor|Compact' ./internal/node/
+	$(SYNCTEST) $(GO) test -race -count=10 -run 'SplitDoubleSpend' ./internal/node/
+	$(SYNCTEST) $(GO) test -race -count=10 -run 'Orphan|Repair|Pager|EvidenceGap' ./internal/node/
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchtime 20x ./internal/gossip/
@@ -72,7 +83,7 @@ test: vet
 # with BIOT_CHAOS_SEED=<seed> make test-chaos.
 test-chaos:
 	$(GO) test -race -run 'TestCrashPointTorture|TestCrashDuringRecoveryTruncation' -count=1 ./internal/store/
-	$(GO) test -race -run 'TestChaosSoak|TestSupervisor' -count=1 -v ./internal/node/
+	$(SYNCTEST) $(GO) test -race -run 'TestChaosSoak|TestSupervisor' -count=1 -v ./internal/node/
 	$(GO) test -race -count=1 ./internal/chaos/
 	$(GO) test -fuzz='^FuzzReplay$$' -fuzztime=15s ./internal/store/
 

@@ -94,6 +94,7 @@ func newInjectedNode(t *testing.T, mgrKey *identity.KeyPair, clk clock.Clock, mu
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = n.Close() })
 	return &injectedNode{n: n, inj: injNet}
 }
 

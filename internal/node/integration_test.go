@@ -72,9 +72,10 @@ func newTestDevice(t *testing.T, gw node.Gateway, clk clock.Clock) *node.LightNo
 }
 
 // driveKeyDistribution pumps both protocol sides until the device holds
-// its data key. The manager must have already called
-// StartKeyDistribution for the device.
-func driveKeyDistribution(t *testing.T, mgr *node.Manager, device *node.LightNode) {
+// its data key, and returns how many sessions the manager's pumps
+// completed. The manager must have already called StartKeyDistribution
+// for the device.
+func driveKeyDistribution(t *testing.T, mgr *node.Manager, device *node.LightNode) (completed int) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -82,20 +83,23 @@ func driveKeyDistribution(t *testing.T, mgr *node.Manager, device *node.LightNod
 	go func() {
 		deviceDone <- device.RunKeyDistribution(ctx, mgr.Node().Key().Public(), time.Millisecond)
 	}()
-	for {
+	waitFor(t, "the device holds its data key", func() bool {
 		select {
 		case err := <-deviceDone:
 			if err != nil {
 				t.Fatalf("device key distribution: %v", err)
 			}
-			return
+			return true
 		default:
-			if _, err := mgr.PumpKeyDistribution(ctx); err != nil {
-				t.Fatalf("pump: %v", err)
-			}
-			time.Sleep(time.Millisecond)
 		}
-	}
+		n, err := mgr.PumpKeyDistribution(ctx)
+		if err != nil {
+			t.Fatalf("pump: %v", err)
+		}
+		completed += n
+		return false
+	})
+	return completed
 }
 
 func TestEndToEndAuthorizeAndPostReading(t *testing.T) {
@@ -139,6 +143,9 @@ func TestEndToEndAuthorizeAndPostReading(t *testing.T) {
 }
 
 func TestEndToEndKeyDistributionAndEncryptedReading(t *testing.T) {
+	inBubble(t, testEndToEndKeyDistributionAndEncryptedReading)
+}
+func testEndToEndKeyDistributionAndEncryptedReading(t *testing.T) {
 	dep := newTestDeployment(t)
 	ctx := context.Background()
 	device := newTestDevice(t, dep.full, nil)
@@ -151,30 +158,8 @@ func TestEndToEndKeyDistributionAndEncryptedReading(t *testing.T) {
 		t.Fatalf("start key distribution: %v", err)
 	}
 
-	// Drive both sides: device poll loop in the background, manager
-	// pump in the foreground.
-	kdCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	deviceDone := make(chan error, 1)
-	go func() {
-		deviceDone <- device.RunKeyDistribution(kdCtx, dep.managerKey.Public(), time.Millisecond)
-	}()
-
-	completed := 0
-	deadline := time.Now().Add(10 * time.Second)
-	for completed == 0 && time.Now().Before(deadline) {
-		n, err := dep.mgr.PumpKeyDistribution(ctx)
-		if err != nil {
-			t.Fatalf("pump key distribution: %v", err)
-		}
-		completed += n
-		time.Sleep(time.Millisecond)
-	}
-	if completed != 1 {
+	if completed := driveKeyDistribution(t, dep.mgr, device); completed != 1 {
 		t.Fatalf("manager completed %d sessions, want 1", completed)
-	}
-	if err := <-deviceDone; err != nil {
-		t.Fatalf("device key distribution: %v", err)
 	}
 	if !device.HasDataKey() {
 		t.Fatal("device has no data key after distribution")
@@ -214,7 +199,8 @@ func TestEndToEndKeyDistributionAndEncryptedReading(t *testing.T) {
 	}
 }
 
-func TestKeyRotation(t *testing.T) {
+func TestKeyRotation(t *testing.T) { inBubble(t, testKeyRotation) }
+func testKeyRotation(t *testing.T) {
 	dep := newTestDeployment(t)
 	ctx := context.Background()
 	device := newTestDevice(t, dep.full, nil)
@@ -274,7 +260,8 @@ func TestKeyRotation(t *testing.T) {
 	}
 }
 
-func TestShareKeyCrossDevice(t *testing.T) {
+func TestShareKeyCrossDevice(t *testing.T) { inBubble(t, testShareKeyCrossDevice) }
+func testShareKeyCrossDevice(t *testing.T) {
 	dep := newTestDeployment(t)
 	ctx := context.Background()
 	owner := newTestDevice(t, dep.full, nil)

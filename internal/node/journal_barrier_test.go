@@ -34,6 +34,9 @@ func submitAsync(full *node.FullNode, tx *txn.Transaction) *submission {
 // that flush alone must return the first Submit while the second's flush
 // is still held, and only releasing the second returns the second.
 func TestSubmitReturnsAtItsOwnFlushWhileALaterFlushIsHeld(t *testing.T) {
+	inBubble(t, testSubmitReturnsAtItsOwnFlushWhileALaterFlushIsHeld)
+}
+func testSubmitReturnsAtItsOwnFlushWhileALaterFlushIsHeld(t *testing.T) {
 	dep := newTestDeployment(t)
 	fs := newHeldFS(31)
 	if _, err := dep.full.EnablePersistenceFS(fs, "gw.journal"); err != nil {
@@ -54,7 +57,7 @@ func TestSubmitReturnsAtItsOwnFlushWhileALaterFlushIsHeld(t *testing.T) {
 	fs.release() // the first flush, and only it
 	awaitReturn(t, "the first Submit, after its own flush", firstSub.done)
 	fs.waitBlocked(t) // the second reading's flush
-	if returned(secondSub.done) {
+	if received(secondSub.done, 0) {
 		t.Fatal("the second Submit returned before the flush covering its record")
 	}
 	fs.release()
@@ -75,6 +78,9 @@ func TestSubmitReturnsAtItsOwnFlushWhileALaterFlushIsHeld(t *testing.T) {
 // and one journal latency sample, and so does a record the poisoned log
 // refuses at the door.
 func TestPoisonedJournalReleasesEveryWaiter(t *testing.T) {
+	inBubble(t, testPoisonedJournalReleasesEveryWaiter)
+}
+func testPoisonedJournalReleasesEveryWaiter(t *testing.T) {
 	dep := newTestDeployment(t)
 	fs := newHeldFS(32)
 	if _, err := dep.full.EnablePersistenceFS(fs, "gw.journal"); err != nil {

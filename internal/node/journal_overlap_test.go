@@ -108,27 +108,6 @@ func journaledIDs(t *testing.T, fs chaos.FS, path string) map[hashutil.Hash]int 
 	return ids
 }
 
-// returned reports, without waiting, whether the call behind done has
-// returned.
-func returned(done <-chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
-// awaitReturn fails the test if the call behind done does not return.
-func awaitReturn(t *testing.T, what string, done <-chan struct{}) {
-	t.Helper()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("%s did not return", what)
-	}
-}
-
 // newRelay builds a gateway whose peers the test plays. Transactions
 // signed by mgrKey are authorized on it from genesis.
 func newRelay(t *testing.T, mgrKey *identity.KeyPair, net *scriptedNet) *node.FullNode {
@@ -208,6 +187,9 @@ func serveLedger(net *scriptedNet, txs ...*txn.Transaction) {
 // still blocked on the fsync covering its record — and the durability
 // promise is untouched: Submit does not return before that fsync does.
 func TestSubmitFansOutWhileItsFlushIsHeld(t *testing.T) {
+	inBubble(t, testSubmitFansOutWhileItsFlushIsHeld)
+}
+func testSubmitFansOutWhileItsFlushIsHeld(t *testing.T) {
 	dep := newMultiNode(t, 1, nil)
 	gateway, peer := dep.mgr.Node(), dep.gateways[0]
 	fs := newHeldFS(21)
@@ -227,7 +209,7 @@ func TestSubmitFansOutWhileItsFlushIsHeld(t *testing.T) {
 	waitFor(t, "the peer holds the transaction while the gateway's flush is held", func() bool {
 		return peer.Tangle().Contains(tx.ID())
 	})
-	if returned(done) {
+	if received(done, 0) {
 		t.Fatal("Submit returned before the fsync covering its journal record")
 	}
 	fs.release()
@@ -250,7 +232,8 @@ func TestSubmitFansOutWhileItsFlushIsHeld(t *testing.T) {
 // batch 2 while batch 1's fsync is still held, so the transport can hand
 // it the pair's next batch — and nothing is lost to that: everything it
 // acknowledged is in its journal after ClosePersistence.
-func TestRelayAcksWhileItsFlushIsHeld(t *testing.T) {
+func TestRelayAcksWhileItsFlushIsHeld(t *testing.T) { inBubble(t, testRelayAcksWhileItsFlushIsHeld) }
+func testRelayAcksWhileItsFlushIsHeld(t *testing.T) {
 	mgrKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +286,9 @@ func TestRelayAcksWhileItsFlushIsHeld(t *testing.T) {
 // whatever prefix survived, and a sync from the peer that still holds
 // the transactions repairs it — ledger and journal both.
 func TestRelayPowerCutWithFlushHeldIsRepairedBySync(t *testing.T) {
+	inBubble(t, testRelayPowerCutWithFlushHeldIsRepairedBySync)
+}
+func testRelayPowerCutWithFlushHeldIsRepairedBySync(t *testing.T) {
 	mgrKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -346,6 +332,9 @@ func TestRelayPowerCutWithFlushHeldIsRepairedBySync(t *testing.T) {
 // back-pressure on the sender — exactly as every relay admission did
 // before.
 func TestRelayUnsyncedBoundMakesHandlerWait(t *testing.T) {
+	inBubble(t, testRelayUnsyncedBoundMakesHandlerWait)
+}
+func testRelayUnsyncedBoundMakesHandlerWait(t *testing.T) {
 	mgrKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +369,7 @@ func TestRelayUnsyncedBoundMakesHandlerWait(t *testing.T) {
 		fs.release()
 		fs.waitBlocked(t)
 	}
-	if returned(waited) {
+	if received(waited, 0) {
 		t.Fatal("the handler of the batch over the bound returned before the fsync covering it")
 	}
 	fs.release() // its own
@@ -424,7 +413,8 @@ func (f *tapFile) Read(p []byte) (int, error) {
 // admission must hold until the replay is done; every transaction must
 // be in the ledger once; and the ones relayed before the log opened must
 // be in the journal afterwards — they used to be attached and never
-// journaled.
+// journaled. It stays on real time: the held batch waits on the replay's
+// lock, which a synctest bubble does not count as durably blocked.
 func TestReplayRacedByLiveGossipHandler(t *testing.T) {
 	mgrKey, err := identity.Generate()
 	if err != nil {
@@ -493,7 +483,10 @@ func TestReplayRacedByLiveGossipHandler(t *testing.T) {
 // for a transaction relayed before it began. A Submit made there used to
 // attach, find no log to be queued for, have nothing to wait on and return
 // nil; now it waits at the gate with relay admission, returns only once the
-// journal is open and its own record flushed, and a reboot finds it.
+// journal is open and its own record flushed, and a reboot finds it. It
+// stays on real time, so the check that Submit still waits is a timed one:
+// Submit waits on the replay's lock, which a synctest bubble does not count
+// as durably blocked.
 func TestSubmitWaitsOutTheReplay(t *testing.T) {
 	mgrKey, err := identity.Generate()
 	if err != nil {
@@ -770,7 +763,9 @@ func TestJournalIsAPrefixOfTheLedgerAtEveryFlush(t *testing.T) {
 // the rewritten journal. The rewrite used to export the ledger first and
 // wait for the disk second: the reading landed in the old segment, the
 // export did not hold it, and the rename dropped a record its device had
-// been told was durable.
+// been told was durable. It stays on real time: the compaction waits for
+// the held flush on the journal's I/O mutex, which a synctest bubble does
+// not count as durably blocked.
 func TestCompactJournalKeepsWhatWasAcknowledgedBeforeTheRewrite(t *testing.T) {
 	ctx := context.Background()
 	dep := newTestDeployment(t)
@@ -799,13 +794,8 @@ func TestCompactJournalKeepsWhatWasAcknowledgedBeforeTheRewrite(t *testing.T) {
 		fs.open()
 		awaitReturn(t, "the first reading", firstDone)
 		awaitReturn(t, "the second reading", secondDone)
-		select {
-		case err := <-compacted:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("Compact did not return")
+		if err := awaitReturn(t, "Compact", compacted); err != nil {
+			t.Fatal(err)
 		}
 		// A power cut now: both readings were acknowledged as durable.
 		disk := fs.MemFS.Clone()

@@ -110,6 +110,7 @@ func newMultiNode(t *testing.T, gateways int, clk clock.Clock) *multiNodeDeploym
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = full.Close() })
 	mgr, err := node.NewManager(full)
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +145,7 @@ func (d *multiNodeDeployment) addGateway(t *testing.T) *node.FullNode {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = gw.Close() })
 	d.gateways = append(d.gateways, gw)
 	return gw
 }
@@ -609,7 +611,8 @@ func TestPartitionedGatewayRecovers(t *testing.T) {
 	}
 }
 
-func TestKeyDistributionAcrossGateways(t *testing.T) {
+func TestKeyDistributionAcrossGateways(t *testing.T) { inBubble(t, testKeyDistributionAcrossGateways) }
+func testKeyDistributionAcrossGateways(t *testing.T) {
 	// The Fig-4 exchange rides the replicated ledger: the manager posts
 	// M1 through its own node while the device polls a *different*
 	// gateway; gossip carries every protocol message both ways.
@@ -631,47 +634,28 @@ func TestKeyDistributionAcrossGateways(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kdCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	deviceDone := make(chan error, 1)
-	go func() {
-		deviceDone <- device.RunKeyDistribution(kdCtx, dep.mgrKey.Public(), time.Millisecond)
-	}()
-	for {
-		select {
-		case err := <-deviceDone:
-			if err != nil {
-				t.Fatalf("cross-gateway key distribution: %v", err)
-			}
-			if !device.HasDataKey() {
-				t.Fatal("device has no key")
-			}
-			// Encrypted data posted via gateway 1 decrypts with the
-			// manager's issued copy.
-			res, err := device.PostReading(ctx, []byte("cross-gw secret"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dep.flush(t) // the manager reads the posting below
-			key, ok := dep.mgr.IssuedKey(device.Address())
-			if !ok {
-				t.Fatal("manager has no issued key")
-			}
-			stored, err := dep.mgr.Node().GetTransaction(res.Info.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := dataauth.Open(stored.Payload, &key)
-			if err != nil || string(body) != "cross-gw secret" {
-				t.Fatalf("decrypt: %q, %v", body, err)
-			}
-			return
-		default:
-			if _, err := dep.mgr.PumpKeyDistribution(ctx); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(time.Millisecond)
-		}
+	driveKeyDistribution(t, dep.mgr, device)
+	if !device.HasDataKey() {
+		t.Fatal("device has no key")
+	}
+	// Encrypted data posted via gateway 1 decrypts with the manager's
+	// issued copy.
+	res, err := device.PostReading(ctx, []byte("cross-gw secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.flush(t) // the manager reads the posting below
+	key, ok := dep.mgr.IssuedKey(device.Address())
+	if !ok {
+		t.Fatal("manager has no issued key")
+	}
+	stored, err := dep.mgr.Node().GetTransaction(res.Info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := dataauth.Open(stored.Payload, &key)
+	if err != nil || string(body) != "cross-gw secret" {
+		t.Fatalf("decrypt: %q, %v", body, err)
 	}
 }
 

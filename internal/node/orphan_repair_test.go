@@ -86,17 +86,6 @@ func deliverAsync(t *testing.T, net *scriptedNet, from string, txs ...*txn.Trans
 	return acked
 }
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); !cond(); {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting until %s", what)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestOrphanRepairPullsFromListedPeer is the regression test for the
 // dead-port dial: over TCP a batch's sender is known to the handler by
 // the ephemeral address of its outbound socket, which nothing listens
@@ -104,27 +93,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // wait for anything, must never be asked about at that address, and
 // must be repaired from a peer the node lists.
 func TestOrphanRepairPullsFromListedPeer(t *testing.T) {
+	inBubble(t, testOrphanRepairPullsFromListedPeer)
+}
+func testOrphanRepairPullsFromListedPeer(t *testing.T) {
 	const unlisted = "127.0.0.1:49152" // an inbound connection's remote address
 	mgrKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	relayKey, err := identity.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
 	net := &scriptedNet{peers: []string{"gateway:5600"}}
-	relay, err := node.NewFull(node.FullConfig{
-		Key:        relayKey,
-		Role:       identity.RoleGateway,
-		ManagerPub: mgrKey.Public(),
-		Credit:     testParams(),
-		Network:    net,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
+	relay := newRelay(t, mgrKey, net)
 
 	g := genesisIDs(t, relay)
 	floor := testParams().MinDifficulty
@@ -175,27 +153,14 @@ func TestOrphanRepairPullsFromListedPeer(t *testing.T) {
 // TestOrphanRepairIsSingleFlight: orphans arriving while a repair is
 // pending share it — one pull per grace period, however many batches
 // parked something.
-func TestOrphanRepairIsSingleFlight(t *testing.T) {
+func TestOrphanRepairIsSingleFlight(t *testing.T) { inBubble(t, testOrphanRepairIsSingleFlight) }
+func testOrphanRepairIsSingleFlight(t *testing.T) {
 	mgrKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	relayKey, err := identity.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
 	net := &scriptedNet{peers: []string{"gateway:5600"}}
-	relay, err := node.NewFull(node.FullConfig{
-		Key:        relayKey,
-		Role:       identity.RoleGateway,
-		ManagerPub: mgrKey.Public(),
-		Credit:     testParams(),
-		Network:    net,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
+	relay := newRelay(t, mgrKey, net)
 
 	g := genesisIDs(t, relay)
 	floor := testParams().MinDifficulty
@@ -231,40 +196,12 @@ func TestOrphanRepairIsSingleFlight(t *testing.T) {
 // Its descendants arrive, park, and attach once the relay's background
 // pull has fetched what was lost — with nobody calling SyncAll.
 func TestDroppedBatchRepairedInBackground(t *testing.T) {
+	inBubble(t, testDroppedBatchRepairedInBackground)
+}
+func testDroppedBatchRepairedInBackground(t *testing.T) {
 	ctx := context.Background()
-	bus := gossip.NewBus()
-	gwNet, err := bus.Join("gateway")
-	if err != nil {
-		t.Fatal(err)
-	}
-	relayNet, err := bus.Join("relay")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgrKey, err := identity.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	relayKey, err := identity.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gateway, err := node.NewFull(node.FullConfig{
-		Key: mgrKey, Role: identity.RoleManager, ManagerPub: mgrKey.Public(),
-		Credit: testParams(), Network: gwNet,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gateway.Close()
-	relay, err := node.NewFull(node.FullConfig{
-		Key: relayKey, Role: identity.RoleGateway, ManagerPub: mgrKey.Public(),
-		Credit: testParams(), Network: relayNet,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
+	dep := newMultiNode(t, 1, nil)
+	gateway, relay := dep.mgr.Node(), dep.gateways[0]
 
 	submit := func(tag string) *txn.Transaction {
 		tr := mineOwnTx(t, gateway, tag)
@@ -277,9 +214,9 @@ func TestDroppedBatchRepairedInBackground(t *testing.T) {
 		return tr
 	}
 
-	bus.Partition("gateway", "relay")
+	dep.bus.Partition("manager", "gw-0")
 	lost := submit("lost")
-	bus.Heal("gateway", "relay")
+	dep.bus.Heal("manager", "gw-0")
 	if gateway.Pipeline().SendFailures.Value() != 1 || relay.Tangle().Contains(lost.ID()) {
 		t.Fatal("fixture: the first batch was supposed to be lost")
 	}
@@ -319,7 +256,6 @@ func TestOrphanAuthorizationListBindsAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := newInjectedNode(t, mgrKey, nil, nil)
-	defer in.n.Close()
 	g := genesisIDs(t, in.n)
 	floor := testParams().MinDifficulty
 	dev := identity.EncodePublic(devKey.Public())
@@ -357,44 +293,19 @@ func TestOrphanAuthorizationListBindsAtOnce(t *testing.T) {
 // pulls the missing list from a listed peer — not only from the peer that
 // relayed the reading, which here has nothing to serve.
 func TestEvidenceGapRepairedByOrphanLane(t *testing.T) {
-	bus := gossip.NewBus()
-	t.Cleanup(func() { _ = bus.Close() })
-	join := func(name string) gossip.Network {
-		net, err := bus.Join(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
-	}
-	mgrKey, err := identity.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	inBubble(t, testEvidenceGapRepairedByOrphanLane)
+}
+func testEvidenceGapRepairedByOrphanLane(t *testing.T) {
+	dep := newMultiNode(t, 1, nil)
+	manager, relay, mgrKey := dep.mgr.Node(), dep.gateways[0], dep.mgrKey
 	devKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	relayKey, err := identity.Generate()
+	inj, err := dep.bus.Join("inj") // relays to both and, without a handler, serves nothing
 	if err != nil {
 		t.Fatal(err)
 	}
-	manager, err := node.NewFull(node.FullConfig{
-		Key: mgrKey, Role: identity.RoleManager, ManagerPub: mgrKey.Public(),
-		Credit: testParams(), Network: join("a"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer manager.Close()
-	relay, err := node.NewFull(node.FullConfig{
-		Key: relayKey, Role: identity.RoleGateway, ManagerPub: mgrKey.Public(),
-		Credit: testParams(), Network: join("b"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-	inj := join("inj") // relays to both and, without a handler, serves nothing
 	send := func(to string, txs ...*txn.Transaction) {
 		t.Helper()
 		data := make([][]byte, len(txs))
@@ -413,24 +324,19 @@ func TestEvidenceGapRepairedByOrphanLane(t *testing.T) {
 		list1.ID(), list1.ID(), now)
 	reading := craftTx(devKey, txn.KindData, []byte("reading"), list1.ID(), list1.ID(), now, testParams().MinDifficulty)
 	list3 := craftAuthTx(t, mgrKey, authz.List{Seq: 3}, list1.ID(), list1.ID(), now)
-	send("a", list1, list2, reading, list3)
+	send("manager", list1, list2, reading, list3)
 	if !manager.Tangle().Contains(reading.ID()) || manager.Registry().Seq() != 3 {
 		t.Fatal("fixture: the manager does not hold the lists and the reading")
 	}
 
-	send("b", list1, list3)
-	send("b", reading)
+	send("gw-0", list1, list3)
+	send("gw-0", reading)
 	if relay.Tangle().Contains(reading.ID()) || relay.QuarantineLen() != 1 {
 		t.Fatalf("fixture: reading attached=%v with %d parked; want it parked on the list-2 gap",
 			relay.Tangle().Contains(reading.ID()), relay.QuarantineLen())
 	}
 
-	for deadline := time.Now().Add(5 * time.Second); !relay.Tangle().Contains(reading.ID()); {
-		if time.Now().After(deadline) {
-			t.Fatalf("reading still parked after 5s, registry at list %d", relay.Registry().Seq())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "the repair lane attaches the parked reading", func() bool { return relay.Tangle().Contains(reading.ID()) })
 	c := relay.CountersView()
 	if got := relay.Registry().Seq(); got != 3 {
 		t.Errorf("registry at list %d, want 3", got)

@@ -173,16 +173,12 @@ func fillStalledPeer(t *testing.T, full *node.FullNode) {
 				return true
 			}
 		}
-		for deadline := time.Now().Add(5 * time.Second); !settled(); {
-			if time.Now().After(deadline) {
-				t.Fatalf("submission %d never came to rest in the fan-out", i)
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
+		waitFor(t, fmt.Sprintf("submission %d comes to rest in the fan-out", i), settled)
 	}
 }
 
-func TestSlowPeerDropsNotStalls(t *testing.T) {
+func TestSlowPeerDropsNotStalls(t *testing.T) { inBubble(t, testSlowPeerDropsNotStalls) }
+func testSlowPeerDropsNotStalls(t *testing.T) {
 	ctx := context.Background()
 	const extra = 10
 	net := &stubNet{peerNames: []string{"slow"}, reqGate: make(chan struct{})}
@@ -217,6 +213,9 @@ func TestSlowPeerDropsNotStalls(t *testing.T) {
 // any fan-out buffer holds — are all admitted, each dropped for that peer
 // rather than refused.
 func TestSubmitIsNeverRefusedByTheFanOut(t *testing.T) {
+	inBubble(t, testSubmitIsNeverRefusedByTheFanOut)
+}
+func testSubmitIsNeverRefusedByTheFanOut(t *testing.T) {
 	ctx := context.Background()
 	const more = 1100 // past the 1 024 transactions the fan-out used to buffer
 	net := &stubNet{peerNames: []string{"slow"}, reqGate: make(chan struct{})}
@@ -425,12 +424,7 @@ func (w *windowNet) expectArrivals(t *testing.T, n int) [][][]byte {
 	t.Helper()
 	out := make([][][]byte, 0, n)
 	for i := 0; i < n; i++ {
-		select {
-		case b := <-w.arrived:
-			out = append(out, b)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d of %d requests reached the transport", i, n)
-		}
+		out = append(out, awaitReturn(t, fmt.Sprintf("request %d of %d at the transport", i+1, n), w.arrived))
 	}
 	return out
 }
@@ -438,10 +432,8 @@ func (w *windowNet) expectArrivals(t *testing.T, n int) [][][]byte {
 // expectQuiet asserts that no further Request reaches the transport.
 func (w *windowNet) expectQuiet(t *testing.T) {
 	t.Helper()
-	select {
-	case <-w.arrived:
+	if received(w.arrived, 50*time.Millisecond) {
 		t.Fatal("a request went out past the full window")
-	case <-time.After(50 * time.Millisecond):
 	}
 }
 
@@ -511,7 +503,8 @@ func sameEncodings(a, b [][]byte) bool {
 // single-transaction batches goes out and no request past the bound;
 // the stall is counted once; what queued up behind the full window
 // leaves as ONE batch when a slot frees.
-func TestSendWindowBoundsInFlight(t *testing.T) {
+func TestSendWindowBoundsInFlight(t *testing.T) { inBubble(t, testSendWindowBoundsInFlight) }
+func testSendWindowBoundsInFlight(t *testing.T) {
 	const extra = 5
 	net, full := newWindowNode(t)
 	sent, seen := submitInFlight(t, net, full, "win", node.SendWindow)
@@ -556,7 +549,8 @@ func TestSendWindowBoundsInFlight(t *testing.T) {
 
 // TestFlushWaitsForInFlight: FlushBroadcast returns only once every
 // batch in flight has been acknowledged or has failed.
-func TestFlushWaitsForInFlight(t *testing.T) {
+func TestFlushWaitsForInFlight(t *testing.T) { inBubble(t, testFlushWaitsForInFlight) }
+func testFlushWaitsForInFlight(t *testing.T) {
 	net, full := newWindowNode(t)
 	outcomes := []error{nil, errors.New("link down"), nil}
 	submitInFlight(t, net, full, "flush", len(outcomes))
@@ -564,20 +558,13 @@ func TestFlushWaitsForInFlight(t *testing.T) {
 	flushed := make(chan error, 1)
 	go func() { flushed <- full.FlushBroadcast(context.Background()) }()
 	for i, outcome := range outcomes {
-		select {
-		case <-flushed:
+		if received(flushed, 20*time.Millisecond) {
 			t.Fatalf("flush returned with %d batches still in flight", len(outcomes)-i)
-		case <-time.After(20 * time.Millisecond):
 		}
 		net.acknowledge(t, 1, outcome)
 	}
-	select {
-	case err := <-flushed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("flush did not return after every batch completed")
+	if err := awaitReturn(t, "the flush, every batch completed", flushed); err != nil {
+		t.Fatal(err)
 	}
 	p := full.Pipeline()
 	if p.BatchesSent.Value() != 2 || p.SendFailures.Value() != 1 {
@@ -587,26 +574,21 @@ func TestFlushWaitsForInFlight(t *testing.T) {
 
 // TestCloseDrainsInFlight: Close waits for sends still in flight, and
 // what was queued behind them still goes out.
-func TestCloseDrainsInFlight(t *testing.T) {
+func TestCloseDrainsInFlight(t *testing.T) { inBubble(t, testCloseDrainsInFlight) }
+func testCloseDrainsInFlight(t *testing.T) {
 	net, full := newWindowNode(t)
 	sent, seen := submitInFlight(t, net, full, "close", node.SendWindow)
 	sent = append(sent, submitQueued(t, full, "queued", 2)...)
 
 	closed := make(chan struct{})
 	go func() { _ = full.Close(); close(closed) }()
-	select {
-	case <-closed:
+	if received(closed, 20*time.Millisecond) {
 		t.Fatal("Close returned with a full window in flight")
-	case <-time.After(20 * time.Millisecond):
 	}
 	net.acknowledge(t, node.SendWindow, nil)
 	seen = append(seen, net.expectArrivals(t, 1)...) // the two behind the window
 	net.acknowledge(t, 1, nil)
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return after the in-flight sends completed")
-	}
+	awaitReturn(t, "Close, the in-flight sends completed", closed)
 	if !sameEncodings(flatten(seen), sent) {
 		t.Error("Close lost or reordered queued transactions")
 	}
@@ -615,7 +597,8 @@ func TestCloseDrainsInFlight(t *testing.T) {
 // TestSendFailureMidWindow: a batch failing in the middle of the window
 // costs that batch only — those behind it are neither lost nor
 // reordered.
-func TestSendFailureMidWindow(t *testing.T) {
+func TestSendFailureMidWindow(t *testing.T) { inBubble(t, testSendFailureMidWindow) }
+func testSendFailureMidWindow(t *testing.T) {
 	const n = 6
 	net, full := newWindowNode(t)
 	sent, seen := submitInFlight(t, net, full, "fail", n)

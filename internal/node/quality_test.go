@@ -79,7 +79,8 @@ func TestQualityViolationPunishedThroughCredit(t *testing.T) {
 	}
 }
 
-func TestQualitySkipsEncryptedReadings(t *testing.T) {
+func TestQualitySkipsEncryptedReadings(t *testing.T) { inBubble(t, testQualitySkipsEncryptedReadings) }
+func testQualitySkipsEncryptedReadings(t *testing.T) {
 	ctx := context.Background()
 	mgr, full := newQualityDeployment(t)
 	device := newTestDevice(t, full, nil)

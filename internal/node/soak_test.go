@@ -24,7 +24,8 @@ import (
 // are order-independent), phases are separated by WaitGroup barriers
 // rather than wall-clock sleeps, and convergence is reached by syncing
 // to fixpoint rather than waiting.
-func TestSoakFiveNodeConvergence(t *testing.T) {
+func TestSoakFiveNodeConvergence(t *testing.T) { inBubble(t, testSoakFiveNodeConvergence) }
+func testSoakFiveNodeConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak harness mines hundreds of proofs of work")
 	}

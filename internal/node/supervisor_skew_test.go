@@ -8,7 +8,6 @@ import (
 
 	"github.com/b-iot/biot/internal/chaos"
 	"github.com/b-iot/biot/internal/clock"
-	"github.com/b-iot/biot/internal/identity"
 	"github.com/b-iot/biot/internal/node"
 )
 
@@ -17,9 +16,13 @@ import (
 // the watchdog must restart it, and asserts the restarted node
 // reconverges with the skewed cluster: identical tangles on every
 // node.
-// The watchdog itself runs on real time (WatchInterval is a wall-clock
-// ticker), so a skewed node clock must not break restart/backoff.
+// The watchdog runs on the process's time (WatchInterval is a time.Ticker,
+// virtual inside the test's bubble), not on the node's clock, so a skewed
+// node clock must not break restart/backoff.
 func TestSupervisorWatchdogUnderClockSkew(t *testing.T) {
+	inBubble(t, testSupervisorWatchdogUnderClockSkew)
+}
+func testSupervisorWatchdogUnderClockSkew(t *testing.T) {
 	ctx := context.Background()
 	base := clock.NewVirtual(time.Unix(1_700_000_000, 0))
 	dep := newMultiNode(t, 0, base)
@@ -38,35 +41,9 @@ func TestSupervisorWatchdogUnderClockSkew(t *testing.T) {
 		if got := clk.Offset(); got != offset {
 			t.Fatalf("gateway %d offset = %v, want %v", i, got, offset)
 		}
-		name := fmt.Sprintf("gw-skew-%d", i)
-		gwKey, err := identity.Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sup, err := node.NewSupervisor(node.SupervisorConfig{
-			Build: func() (*node.FullNode, error) {
-				net, err := dep.bus.Join(name)
-				if err != nil {
-					return nil, err
-				}
-				n, err := node.NewFull(node.FullConfig{
-					Key:        gwKey,
-					Role:       identity.RoleGateway,
-					ManagerPub: dep.mgrKey.Public(),
-					Credit:     testParams(),
-					Clock:      clk,
-					Network:    net,
-				})
-				if err != nil {
-					net.Close()
-					return nil, err
-				}
-				return n, nil
-			},
-			PersistPath:   name + ".journal",
-			FS:            fs,
-			WatchInterval: 5 * time.Millisecond,
-		})
+		cfg := supervisedGatewayConfig(t, dep.bus, fmt.Sprintf("gw-skew-%d", i), dep.mgrKey.Public(), fs, clk)
+		cfg.WatchInterval = 5 * time.Millisecond
+		sup, err := node.NewSupervisor(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,25 +79,13 @@ func TestSupervisorWatchdogUnderClockSkew(t *testing.T) {
 	post("pre-fault")
 
 	// Poison the fast gateway's journal: the next append's fsync fails,
-	// the node goes unhealthy, and the real-time watchdog must restart
+	// the node goes unhealthy, and the watchdog must restart
 	// it even though the node's own clock runs 30s in the future.
 	gws[0].fs.InjectSyncError(nil)
 	if _, err := devices[0].PostReading(ctx, []byte("poisoning")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if gws[0].sup.Restarts() > 0 && gws[0].sup.Ready() {
-			if n := gws[0].sup.Node(); n != nil && n.JournalHealthy() {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never restarted the skewed gateway: restarts=%d health=%+v",
-				gws[0].sup.Restarts(), gws[0].sup.Health())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRestarted(t, gws[0].sup)
 	if h := gws[0].sup.Health(); h.State != "running" {
 		t.Fatalf("restarted gateway health = %+v, want running", h)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/b-iot/biot/internal/chaos"
+	"github.com/b-iot/biot/internal/clock"
 	"github.com/b-iot/biot/internal/gossip"
 	"github.com/b-iot/biot/internal/hashutil"
 	"github.com/b-iot/biot/internal/identity"
@@ -21,8 +22,9 @@ import (
 )
 
 // supervisedGatewayConfig builds a Supervisor for one gateway that
-// re-joins bus under name on every (re)start and journals to fs.
-func supervisedGatewayConfig(t *testing.T, bus *gossip.Bus, name string, mgrPub identity.PublicKey, fs chaos.FS) node.SupervisorConfig {
+// re-joins bus under name on every (re)start, runs on clk (nil: the real
+// clock) and journals to fs.
+func supervisedGatewayConfig(t *testing.T, bus *gossip.Bus, name string, mgrPub identity.PublicKey, fs chaos.FS, clk clock.Clock) node.SupervisorConfig {
 	t.Helper()
 	gwKey, err := identity.Generate()
 	if err != nil {
@@ -39,6 +41,7 @@ func supervisedGatewayConfig(t *testing.T, bus *gossip.Bus, name string, mgrPub 
 				Role:       identity.RoleGateway,
 				ManagerPub: mgrPub,
 				Credit:     testParams(),
+				Clock:      clk,
 				Network:    net,
 			})
 			if err != nil {
@@ -52,11 +55,12 @@ func supervisedGatewayConfig(t *testing.T, bus *gossip.Bus, name string, mgrPub 
 	}
 }
 
-func TestSupervisorLifecycleAndDrain(t *testing.T) {
+func TestSupervisorLifecycleAndDrain(t *testing.T) { inBubble(t, testSupervisorLifecycleAndDrain) }
+func testSupervisorLifecycleAndDrain(t *testing.T) {
 	ctx := context.Background()
 	dep := newMultiNode(t, 1, nil)
 	fs := chaos.NewMemFS(1)
-	cfg := supervisedGatewayConfig(t, dep.bus, "gw-sup", dep.mgrKey.Public(), fs)
+	cfg := supervisedGatewayConfig(t, dep.bus, "gw-sup", dep.mgrKey.Public(), fs, nil)
 	sup, err := node.NewSupervisor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,10 +121,13 @@ func TestSupervisorLifecycleAndDrain(t *testing.T) {
 }
 
 func TestSupervisorWatchdogRestartsPoisonedJournal(t *testing.T) {
+	inBubble(t, testSupervisorWatchdogRestartsPoisonedJournal)
+}
+func testSupervisorWatchdogRestartsPoisonedJournal(t *testing.T) {
 	ctx := context.Background()
 	dep := newMultiNode(t, 1, nil)
 	fs := chaos.NewMemFS(2)
-	cfg := supervisedGatewayConfig(t, dep.bus, "gw-dog", dep.mgrKey.Public(), fs)
+	cfg := supervisedGatewayConfig(t, dep.bus, "gw-dog", dep.mgrKey.Public(), fs, nil)
 	cfg.WatchInterval = 5 * time.Millisecond
 	sup, err := node.NewSupervisor(cfg)
 	if err != nil {
@@ -156,18 +163,7 @@ func TestSupervisorWatchdogRestartsPoisonedJournal(t *testing.T) {
 		t.Fatal("journal still healthy after injected sync failure")
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if sup.Restarts() > 0 && sup.Ready() {
-			if n := sup.Node(); n != nil && n.JournalHealthy() {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never restarted: restarts=%d health=%+v", sup.Restarts(), sup.Health())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRestarted(t, sup)
 
 	// The restarted node replays the durable prefix and serves traffic.
 	if _, err := device.PostReading(ctx, []byte("post-restart")); err != nil {
@@ -182,10 +178,13 @@ func TestSupervisorWatchdogRestartsPoisonedJournal(t *testing.T) {
 // replay refusal, the watchdog keeps retrying, and /healthz says why,
 // naming the record — until a start succeeds.
 func TestSupervisorHealthCarriesTheStartError(t *testing.T) {
+	inBubble(t, testSupervisorHealthCarriesTheStartError)
+}
+func testSupervisorHealthCarriesTheStartError(t *testing.T) {
 	ctx := context.Background()
 	dep := newMultiNode(t, 1, nil)
 	fs := chaos.NewMemFS(5)
-	cfg := supervisedGatewayConfig(t, dep.bus, "gw-refused", dep.mgrKey.Public(), fs)
+	cfg := supervisedGatewayConfig(t, dep.bus, "gw-refused", dep.mgrKey.Public(), fs, nil)
 	cfg.WatchInterval = 5 * time.Millisecond
 	// A record whose parent no journal, genesis or cold index holds,
 	// appended to the journal by the first restart's build (the sick node's
@@ -224,14 +223,9 @@ func TestSupervisorHealthCarriesTheStartError(t *testing.T) {
 
 	plant.Store(true)
 	poisonJournal(t, dep, fs)
-	deadline := time.Now().Add(5 * time.Second)
-	for h := sup.Health(); !strings.Contains(h.StartError, "journal record "+orphan.ID().Short()); h = sup.Health() {
-		if time.Now().After(deadline) {
-			t.Fatalf("health of a supervisor whose restarts were all replay refusals = %+v; want the refusal, naming record %s",
-				h, orphan.ID().Short())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the health of a supervisor whose restarts are all replay refusals names the refused record", func() bool {
+		return strings.Contains(sup.Health().StartError, "journal record "+orphan.ID().Short())
+	})
 	if err := sup.Stop(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -258,6 +252,16 @@ func poisonJournal(t *testing.T, dep *multiNodeDeployment, fs *chaos.MemFS) {
 	}
 }
 
+// waitRestarted waits until the watchdog has restarted sup's node onto a
+// healthy journal.
+func waitRestarted(t *testing.T, sup *node.Supervisor) {
+	t.Helper()
+	waitFor(t, "the watchdog restarts the node onto a healthy journal", func() bool {
+		n := sup.Node()
+		return sup.Restarts() > 0 && sup.Ready() && n != nil && n.JournalHealthy()
+	})
+}
+
 // returnsWithin reports whether f returns inside d.
 func returnsWithin(d time.Duration, f func()) bool {
 	done := make(chan struct{})
@@ -277,9 +281,12 @@ func returnsWithin(d time.Duration, f func()) bool {
 // the lifecycle lock across the rebuild and the journal replay, which can
 // take long on a big ledger. A liveness probe must not wait for it.
 func TestSupervisorHealthAnswersDuringARestart(t *testing.T) {
+	inBubble(t, testSupervisorHealthAnswersDuringARestart)
+}
+func testSupervisorHealthAnswersDuringARestart(t *testing.T) {
 	dep := newMultiNode(t, 1, nil)
 	fs := chaos.NewMemFS(11)
-	cfg := supervisedGatewayConfig(t, dep.bus, "gw-held", dep.mgrKey.Public(), fs)
+	cfg := supervisedGatewayConfig(t, dep.bus, "gw-held", dep.mgrKey.Public(), fs, nil)
 	cfg.WatchInterval = 5 * time.Millisecond
 	var hold atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -303,11 +310,7 @@ func TestSupervisorHealthAnswersDuringARestart(t *testing.T) {
 
 	hold.Store(true)
 	poisonJournal(t, dep, fs)
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("watchdog never rebuilt the poisoned node: %+v", sup.Health())
-	}
+	awaitReturn(t, "the watchdog's rebuild of the poisoned node", entered)
 	var h node.Health
 	if !returnsWithin(500*time.Millisecond, func() { h = sup.Health() }) {
 		t.Fatal("Health blocked behind a restart's build")
@@ -320,11 +323,14 @@ func TestSupervisorHealthAnswersDuringARestart(t *testing.T) {
 // TestSupervisorGatewayWaitsOutARestart: probes answer at once during a
 // restart, but a device posting through the supervisor's Gateway waits for
 // the fresh node and lands on it instead of failing with ErrNodeDown.
+// It stays on real time: the device waits on the supervisor's lifecycle
+// mutex, which a synctest bubble does not count as durably blocked, so
+// inside one neither synctest.Wait nor a timer would return while it waits.
 func TestSupervisorGatewayWaitsOutARestart(t *testing.T) {
 	ctx := context.Background()
 	dep := newMultiNode(t, 1, nil)
 	fs := chaos.NewMemFS(12)
-	cfg := supervisedGatewayConfig(t, dep.bus, "gw-wait", dep.mgrKey.Public(), fs)
+	cfg := supervisedGatewayConfig(t, dep.bus, "gw-wait", dep.mgrKey.Public(), fs, nil)
 	cfg.WatchInterval = 5 * time.Millisecond
 	var hold atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -365,11 +371,7 @@ func TestSupervisorGatewayWaitsOutARestart(t *testing.T) {
 	if _, err := device.PostReading(ctx, []byte("poisoning")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("watchdog never rebuilt the poisoned node: %+v", sup.Health())
-	}
+	awaitReturn(t, "the watchdog's rebuild of the poisoned node", entered)
 	done := make(chan error, 1)
 	go func() {
 		_, err := device.PostReading(ctx, []byte("mid-restart"))
@@ -381,13 +383,8 @@ func TestSupervisorGatewayWaitsOutARestart(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	free()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("post during a restart: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("post never returned after the restart finished")
+	if err := awaitReturn(t, "the post, the restart finished", done); err != nil {
+		t.Fatalf("post during a restart: %v", err)
 	}
 	if sup.Restarts() == 0 || !sup.Ready() {
 		t.Fatalf("health after the restart = %+v", sup.Health())
@@ -398,9 +395,12 @@ func TestSupervisorGatewayWaitsOutARestart(t *testing.T) {
 // off between failed restarts no node is up, but the supervisor is running.
 // A Start then must not start a second watchdog that no Stop would end.
 func TestSupervisorStartRefusedBetweenFailedRestarts(t *testing.T) {
+	inBubble(t, testSupervisorStartRefusedBetweenFailedRestarts)
+}
+func testSupervisorStartRefusedBetweenFailedRestarts(t *testing.T) {
 	dep := newMultiNode(t, 1, nil)
 	fs := chaos.NewMemFS(13)
-	cfg := supervisedGatewayConfig(t, dep.bus, "gw-retry", dep.mgrKey.Public(), fs)
+	cfg := supervisedGatewayConfig(t, dep.bus, "gw-retry", dep.mgrKey.Public(), fs, nil)
 	cfg.WatchInterval = 5 * time.Millisecond
 	var failing atomic.Bool
 	build := cfg.Build
@@ -420,13 +420,9 @@ func TestSupervisorStartRefusedBetweenFailedRestarts(t *testing.T) {
 
 	failing.Store(true)
 	poisonJournal(t, dep, fs)
-	deadline := time.Now().Add(5 * time.Second)
-	for sup.Restarts() < 2 || !strings.Contains(sup.Health().StartError, "build refused") {
-		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never failed a restart: %+v", sup.Health())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the watchdog fails a restart", func() bool {
+		return sup.Restarts() >= 2 && strings.Contains(sup.Health().StartError, "build refused")
+	})
 	failing.Store(false)
 	if err := sup.Start(); !errors.Is(err, node.ErrSupervisorRunning) {
 		t.Errorf("Start between failed restarts: err = %v, want ErrSupervisorRunning", err)
@@ -516,25 +512,9 @@ func TestSupervisorGoroutineLeak(t *testing.T) {
 		run(round)
 	}
 
-	// Goroutines wind down asynchronously after Close returns; poll
-	// briefly before declaring a leak.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	// Goroutines wind down asynchronously after Close returns.
+	waitFor(t, "the goroutine count is back at its baseline (+2 for runtime and test helpers)", func() bool {
 		runtime.GC()
-		now := runtime.NumGoroutine()
-		if now <= before+2 { // slack for runtime/test helpers
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			stacks := string(buf[:n])
-			// Trim to the interesting part for the failure message.
-			if i := strings.Index(stacks, "\n\n"); i > 0 && len(stacks) > 4000 {
-				stacks = stacks[:4000]
-			}
-			t.Fatalf("goroutines leaked: before=%d after=%d\n%s", before, now, stacks)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return runtime.NumGoroutine() <= before+2
+	})
 }

@@ -117,6 +117,9 @@ func readings(mgrKey *identity.KeyPair, g [2]hashutil.Hash, tag string, n int) [
 // one page is the whole look-ahead — and nothing of page 1 is in the
 // ledger, whose order in the end is page order.
 func TestSyncRequestsNextPageBeforeAdmittingThisOne(t *testing.T) {
+	inBubble(t, testSyncRequestsNextPageBeforeAdmittingThisOne)
+}
+func testSyncRequestsNextPageBeforeAdmittingThisOne(t *testing.T) {
 	mgrKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +146,7 @@ func TestSyncRequestsNextPageBeforeAdmittingThisOne(t *testing.T) {
 	}()
 	waitFor(t, "page 0 is attached", func() bool { return relay.Tangle().Contains(pages[0][len(pages[0])-1].ID()) })
 	fs.waitBlocked(t) // and its admission is waiting for this flush
-	if returned(synced) {
+	if received(synced, 0) {
 		t.Fatal("the sync returned with page 0's flush held")
 	}
 	if got, want := peer.requested(), []uint64{0, first}; !reflect.DeepEqual(got, want) {
@@ -238,6 +241,9 @@ func TestSyncRewindMidSyncStartsOver(t *testing.T) {
 // The sync returns once the flush lets it, having waited for the request
 // it abandoned, and the goroutine count is what it was.
 func TestSyncCancelledWithPageInFlightLeavesNothingBehind(t *testing.T) {
+	inBubble(t, testSyncCancelledWithPageInFlightLeavesNothingBehind)
+}
+func testSyncCancelledWithPageInFlightLeavesNothingBehind(t *testing.T) {
 	mgrKey, err := identity.Generate()
 	if err != nil {
 		t.Fatal(err)
