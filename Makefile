@@ -46,7 +46,10 @@ vet:
 # submitted at its own gateway), whose two gateways must pick one winner
 # however gossip interleaves the halves, and the node's pull tests (orphan and
 # evidence-gap repair, the pager), which race the repair worker's wake,
-# its pulls and Close. The allocation guards (txn's wire path, the ID a
+# its pulls and Close, and the fan-out's window tests (pair order,
+# coalescing, stall accounting), whose sender hands batches to up to 32
+# workers per peer: four times as many as at a window of 8, so more
+# interleavings to sample. The allocation guards (txn's wire path, the ID a
 # decode seeds and a device's build-sign-mine of a reading, node's relayed batch — journaled or not —
 # and journal replay beyond each transaction's resident copy and its
 # Submit of a pre-mined transaction, journaled or not, a journal
@@ -68,6 +71,7 @@ test: vet
 	$(SYNCTEST) $(GO) test -race -count=10 -run 'Supervisor|Compact' ./internal/node/
 	$(SYNCTEST) $(GO) test -race -count=10 -run 'SplitDoubleSpend' ./internal/node/
 	$(SYNCTEST) $(GO) test -race -count=10 -run 'Orphan|Repair|Pager|EvidenceGap' ./internal/node/
+	$(SYNCTEST) $(GO) test -race -count=10 -run 'WindowedSender|BroadcastBatches|SendWindowStallAccounting' ./internal/node/
 	$(GO) test -run XXX -bench BenchmarkTangle -benchtime 50x ./internal/tangle/
 	$(GO) test -race -run XXX -bench BenchmarkTangleConcurrentSelectDuringAttach -benchtime 100x ./internal/tangle/
 	$(GO) test -run XXX -bench BenchmarkGossip -benchtime 20x ./internal/gossip/

@@ -19,15 +19,18 @@ const (
 )
 
 // sendWindow bounds the batches one peer's sender keeps in flight. A
-// stop-and-wait sender pays a whole link round trip between batches, so
-// on any real link a transaction's fan-out latency is the wait for the
-// previous batch's acknowledgement, not its own trip; with a window the
-// sender only waits — and batches only grow — once this many
-// acknowledgements are outstanding, which is genuine back-pressure. It
-// is a constant, not a knob: large enough to cover a link whose round
-// trip is eight times the gap between submissions, small enough that a
-// dead peer pins eight batches of memory, not a queue's worth.
-const sendWindow = 8
+// batch holds its slot for the link's whole round trip, the
+// acknowledgement's way back as long as the data's way out, so a window
+// that never makes a submitter wait must cover the submitters'
+// concurrency times that round trip: eight closed-loop sessions over
+// 5 ms links keep about 8.5 batches a peer in flight, so at 8 slots every
+// one of them waited on an acknowledgement (bench's relay-fanout on 2
+// cores: 988 tx/s at 8, 1 105 at 32; DESIGN.md §7). Past the window the
+// sender stalls and batches grow, which is genuine back-pressure. It is a
+// constant, not a knob, and it is also what a dead peer pins until its
+// Requests fail: at most 32 batches (≤ 1 024 transactions, about 260 KB)
+// and 32 worker goroutines, not a queue's worth.
+const sendWindow = 32
 
 // PipelineMetrics exposes the submission pipeline's observability
 // surface: per-stage latency histograms and queue instrumentation, so a
@@ -237,9 +240,13 @@ func (b *broadcaster) close() {
 // sendLoop drains one peer's queue, coalescing consecutive transactions
 // into batched datagrams of up to maxBatch entries and keeping up to
 // sendWindow batches in flight. It takes a window slot before it
-// coalesces, so a batch holds more than the one transaction that
-// started it only when the window was full and others queued up behind
-// the wait.
+// coalesces, so a batch holds more than the one transaction that started
+// it only when the window was full and others queued up behind the wait.
+// A slot is held from the hand-off until the Request returns, the
+// acknowledgement's way back included, which is why the window is sized
+// to the submitters' concurrency over a round trip (sendWindow); a peer
+// that never answers holds all sendWindow slots and workers, and nothing
+// more, until its Requests fail.
 //
 // Batches are handed to the transport in queue order. Each goes to one
 // of up to sendWindow worker goroutines, started as the window fills and

@@ -3,6 +3,7 @@ package node_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -290,11 +291,12 @@ func TestQuarantineBounded(t *testing.T) {
 // stage), as a sync page that pull fetches, and ahead of P, so that the
 // data transactions park in the quarantine and are retried from there when
 // P lands. Each delivery must classify the set into the exact counter
-// values below, each reject counted once. A parked orphan's first sight
-// counts a Quarantined and a reject of its own (the attach it used to
-// cost, which fifo_test and bench's node.rejected read), so the quarantine
-// delivery adds its two parked orphans to both; the deliveries are
-// compared with each other net of those.
+// values below, each reject counted once. Every relayed delivery also
+// carries an orphan whose parent never arrives: it parks, counts one
+// Quarantined and no reject, because a parked orphan is not refused. The
+// quarantine delivery parks two more on first sight (valid and the Sybil)
+// and adds them to Quarantined only; the deliveries are compared with each
+// other net of those.
 //
 // The rogue list pins the order of a relayed list's checks: the manager
 // check runs before the signature, so a list failing both counts one
@@ -333,50 +335,53 @@ func TestRelayRejectCounterParity(t *testing.T) {
 		g[0], g[1], now)
 	rogueList.Signature[0] ^= 0xFF
 	set := []*txn.Transaction{valid, badSig, sybil, rogueList}
+	missing := craftTx(devKey, txn.KindData, []byte("m"), g[0], g[1], now, floor) // never delivered
+	orphan := craftTx(devKey, txn.KindData, []byte("o"), missing.ID(), g[0], now, floor)
+	relayed := append(slices.Clone(set), orphan)
 
 	deliveries := map[string]func(t *testing.T, relay *node.FullNode, net *scriptedNet){
 		"one-batch": func(t *testing.T, _ *node.FullNode, net *scriptedNet) {
 			net.deliver(t, "peer", list1, parent)
-			net.deliver(t, "peer", set...)
+			net.deliver(t, "peer", relayed...)
 		},
 		"batches-of-one": func(t *testing.T, _ *node.FullNode, net *scriptedNet) {
 			net.deliver(t, "peer", list1, parent)
-			for _, tx := range set {
+			for _, tx := range relayed {
 				net.deliver(t, "peer", tx)
 			}
 		},
 		"sync-page": func(t *testing.T, relay *node.FullNode, net *scriptedNet) {
 			net.deliver(t, "peer", list1, parent)
-			serveLedger(net, set...)
+			serveLedger(net, relayed...)
 			relay.SyncAll(context.Background())
 		},
 		"quarantine-retry": func(t *testing.T, relay *node.FullNode, net *scriptedNet) {
 			net.deliver(t, "peer", list1)
-			net.deliver(t, "peer", set...)
-			if got := relay.QuarantineLen(); got != 2 {
-				t.Fatalf("%d parked ahead of their parent, want valid and sybil", got)
+			net.deliver(t, "peer", relayed...)
+			if got := relay.QuarantineLen(); got != 3 {
+				t.Fatalf("%d parked ahead of their parent, want valid, sybil and the orphan", got)
 			}
 			net.deliver(t, "peer", parent)
 			c := relay.CountersView()
 			if got := c.QuarantineRepairs.Value(); got != 1 {
 				t.Errorf("QuarantineRepairs = %d, want 1 (valid)", got)
 			}
-			if got := relay.QuarantineLen(); got != 0 {
-				t.Errorf("QuarantineLen = %d after the retry, want 0", got)
+			if got := relay.QuarantineLen(); got != 1 {
+				t.Errorf("QuarantineLen = %d after the retry, want 1 (the orphan)", got)
 			}
 		},
 	}
-	parked := map[string]int64{"quarantine-retry": 2} // orphans parked on first sight, by delivery
+	parked := map[string]int64{"quarantine-retry": 2} // parked on first sight beside the orphan, by delivery
 	type row struct {
 		name   string
 		of     func(*node.Counters) int64
-		want   int64 // before any parked orphan
-		parked bool  // each parked orphan adds one
+		want   int64 // before the quarantine delivery's first sights
+		parked bool  // each of those adds one
 	}
 	rows := []row{
-		{"Accepted", func(c *node.Counters) int64 { return c.Accepted.Value() }, 3, false}, // list1, parent, valid
-		{"Rejected", func(c *node.Counters) int64 { return c.Rejected.Value() }, 1, true},  // the bad signature, once
-		{"Quarantined", func(c *node.Counters) int64 { return c.Quarantined.Value() }, 0, true},
+		{"Accepted", func(c *node.Counters) int64 { return c.Accepted.Value() }, 3, false},                 // list1, parent, valid
+		{"Rejected", func(c *node.Counters) int64 { return c.Rejected.Value() }, 1, false},                 // the bad signature, once; no orphan
+		{"Quarantined", func(c *node.Counters) int64 { return c.Quarantined.Value() }, 1, true},            // the orphan
 		{"Unauthorized", func(c *node.Counters) int64 { return c.Unauthorized.Value() }, 1, false},         // the rogue list, once
 		{"StaleAuthRejects", func(c *node.Counters) int64 { return c.StaleAuthRejects.Value() }, 1, false}, // the Sybil, once
 	}

@@ -744,18 +744,18 @@ func (n *FullNode) admitGossipBatch(from string, raw [][]byte, repair bool, hint
 				// Park rather than drop: the missing parent is usually right
 				// behind (a later batch, or later in the same sync), its
 				// descendants certainly are, and dropping is the orphan
-				// cascade behind the old revocation-storm flake. First sight
-				// counts a reject, as the attach it used to cost did; the
-				// retries do not. An authorization list takes effect in the
-				// registry at once: it is manager-signed and verified, list
-				// sequences never roll back, and the manager's publish waits
-				// only for the fan-out, so a revocation must bind this
-				// gateway's submission edge from the moment it is seen, not
-				// from the moment its parents happen to arrive. (Attach
-				// observes the list again, which is then a no-op. An
-				// undecodable list fails here as it will when it attaches,
-				// which is where it is counted.)
-				n.counters.Rejected.Inc()
+				// cascade behind the old revocation-storm flake. A parked
+				// orphan is no reject: parkQuarantine counts its first sight
+				// as Quarantined, and only a drop from the quarantine loses
+				// it. An authorization list takes effect in the registry at
+				// once: it is manager-signed and verified, list sequences
+				// never roll back, and the manager's publish waits only for
+				// the fan-out, so a revocation must bind this gateway's
+				// submission edge from the moment it is seen, not from the
+				// moment its parents happen to arrive. (Attach observes the
+				// list again, which is then a no-op. An undecodable list
+				// fails here as it will when it attaches, which is where it
+				// is counted.)
 				if rec.Kind() == txn.KindAuthorization {
 					_, _ = n.registry.Observe(rec.View, recordedAt(rec.View, now))
 				}

@@ -101,12 +101,14 @@ func mineOwnTx(t *testing.T, full *node.FullNode, payload string) *txn.Transacti
 
 func TestBroadcastBatchesCoalesce(t *testing.T) {
 	ctx := context.Background()
-	const n, maxBatch = 20, 8
+	// More submissions than the window holds: twelve must wait behind it.
+	const n, maxBatch = node.SendWindow + 12, 8
 	net := &stubNet{peerNames: []string{"peer"}, reqGate: make(chan struct{})}
 	full := newPipelineNode(t, net, 64, maxBatch)
 
-	// The sender stalls on its first Request while the rest of the
-	// submissions pile up behind it, forcing coalescing.
+	// No Request returns until every submission is in, so the window
+	// fills and the rest of the submissions pile up behind it, forcing
+	// coalescing.
 	for i := 0; i < n; i++ {
 		if _, err := full.Submit(ctx, mineOwnTx(t, full, fmt.Sprintf("batch-%d", i))); err != nil {
 			t.Fatal(err)
@@ -541,6 +543,53 @@ func testSendWindowBoundsInFlight(t *testing.T) {
 	}
 	if net.maxFlight != node.SendWindow {
 		t.Errorf("at most %d requests were in flight, want %d", net.maxFlight, node.SendWindow)
+	}
+	if got := p.InFlight.Value(); got != 0 {
+		t.Errorf("InFlight gauge = %d after the flush, want 0", got)
+	}
+}
+
+// TestSendWindowStallAccounting: with every Request held, a window's
+// worth of one-transaction batches goes out without a stall and fills the
+// InFlight gauge; the next submission finds the window full and counts
+// exactly one stall, and one queued behind it counts none. Released, the
+// two leave as one batch and the gauge drains to zero.
+func TestSendWindowStallAccounting(t *testing.T) { inBubble(t, testSendWindowStallAccounting) }
+func testSendWindowStallAccounting(t *testing.T) {
+	net := &stubNet{peerNames: []string{"peer"}, reqGate: make(chan struct{})}
+	full := newPipelineNode(t, net, 0, 0)
+	p := full.Pipeline()
+	for i := 0; i < node.SendWindow; i++ {
+		submitQueued(t, full, fmt.Sprintf("held-%d", i), 1)
+		// Paced: each is a batch of its own once the sender has taken it.
+		waitFor(t, fmt.Sprintf("batch %d in flight", i), func() bool { return p.InFlight.Value() == int64(i+1) })
+	}
+	if got := p.WindowStalls.Value(); got != 0 {
+		t.Errorf("WindowStalls = %d with the window just full, want 0", got)
+	}
+
+	submitQueued(t, full, "stalled", 1)
+	waitFor(t, "the sender stalls on the full window", func() bool { return p.WindowStalls.Value() > 0 })
+	submitQueued(t, full, "queued", 1)
+	settle(20 * time.Millisecond)
+	if got := p.WindowStalls.Value(); got != 1 {
+		t.Errorf("WindowStalls = %d with the window full, want exactly 1", got)
+	}
+	if got := p.InFlight.Value(); got != node.SendWindow {
+		t.Errorf("InFlight gauge = %d, want %d", got, node.SendWindow)
+	}
+
+	close(net.reqGate)
+	if err := full.FlushBroadcast(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	batches, total := net.snapshot()
+	if len(batches) != node.SendWindow+1 || total != node.SendWindow+2 {
+		t.Errorf("%d batches carrying %d transactions, want %d carrying %d",
+			len(batches), total, node.SendWindow+1, node.SendWindow+2)
+	}
+	if got := p.WindowStalls.Value(); got != 1 {
+		t.Errorf("WindowStalls = %d after the flush, want 1", got)
 	}
 	if got := p.InFlight.Value(); got != 0 {
 		t.Errorf("InFlight gauge = %d after the flush, want 0", got)
